@@ -237,18 +237,30 @@ def bandit_search(space_doc: Mapping[str, Any], objective: Callable[[dict], floa
 def make_cv_objective(space, data, folds: int = 5, cv_seed: int = 0) -> Callable[[dict], float]:
     """Objective: one minus the mean cross-validated accuracy of the decoded
     configuration. Decode/validation failures signal invalidConfig; anything
-    raised during fitting surfaces as runtimeError."""
+    raised during splitting or fitting surfaces as runtimeError.
+
+    The stratified folds, train subsets and test slices are split once per
+    objective, at the first trial that decodes, and every later trial scores
+    on the same splits. A split that fails is retried by the next trial, so
+    it fails each trial as it would if every trial split on its own.
+    """
+    from . import toyml
     from .operator_graph import ValidationFailed
     from .space_backends import DecodeError
-    from .toyml import cross_val_score
 
     compiled = space if isinstance(space, CompiledSpace) else compile_space(space)
+    splits = None
 
     def objective(point: Mapping[str, Any]) -> float:
+        nonlocal splits
         try:
             candidate = compiled.decode(point)
         except (ValidationFailed, DecodeError) as exc:
             raise InvalidConfigError(str(exc)) from exc
-        return 1.0 - cross_val_score(candidate, data, folds, cv_seed)
+        if splits is None:
+            # Concurrent trials may both split; the splits are equal, so the
+            # extra work is the only cost.
+            splits = toyml.cv_splits(data, folds, cv_seed)
+        return 1.0 - toyml.cross_val_score(candidate, splits)
 
     return objective

@@ -199,18 +199,40 @@ def _fit_logreg(config, X, y):
     return {"weights": np.array(weights), "n_classes": n_classes}
 
 
+def _draw_rows(rng: random.Random, n: int, count: int) -> np.ndarray:
+    """``[rng.randrange(n) for _ in range(count)]`` in a few bulk draws.
+
+    ``randrange(n)`` keeps the top ``k = n.bit_length()`` bits of one 32-bit
+    Mersenne Twister word and rejects values ``>= n``. ``getrandbits(32 * W)``
+    returns W such words, the first drawn least significant, so splitting it
+    into little-endian words and applying the same shift and rejection gives
+    the same sequence. Unused accepted words are discarded, so ``rng`` ends
+    further along its stream than the per-call loop would leave it.
+    """
+    k = n.bit_length()
+    rows = np.empty(0, dtype=np.int64)
+    while len(rows) < count:
+        words = (count - len(rows)) * (1 << k) // n + 16
+        bits = rng.getrandbits(32 * words).to_bytes(4 * words, "little")
+        drawn = np.frombuffer(bits, dtype="<u4") >> (32 - k)
+        rows = np.concatenate([rows, drawn[drawn < n]])
+    return rows[:count]
+
+
 def _logreg_descent(Xb, t, lr, iterations, penalty, solver):
-    rng = random.Random(13)
     w = np.zeros(Xb.shape[1])
     lam = 1e-2
     n = len(Xb)
-    for _ in range(iterations):
+    if solver == "sgd":
+        batch = max(1, n // 4)
+        draws = _draw_rows(random.Random(13), n, iterations * batch).reshape(iterations, batch)
+    for i in range(iterations):
         if solver == "sgd":
-            rows = np.array([rng.randrange(n) for _ in range(max(1, n // 4))])
-            Xs, ts = Xb[rows], t[rows]
+            Xs, ts = Xb[draws[i]], t[draws[i]]
         else:
             Xs, ts = Xb, t
-        z = np.clip(Xs @ w, -30.0, 30.0)
+        # minimum(maximum(...)) gives np.clip's bits, NaN included, for less call overhead.
+        z = np.minimum(np.maximum(Xs @ w, -30.0), 30.0)
         p = 1.0 / (1.0 + np.exp(-z))
         grad = Xs.T @ (p - ts) / len(Xs)
         if penalty == "l1":
@@ -218,8 +240,8 @@ def _logreg_descent(Xb, t, lr, iterations, penalty, solver):
         else:
             grad = grad + lam * w
         w = w - lr * grad
-        np.clip(w, -1e6, 1e6, out=w)
-        if not np.all(np.isfinite(w)):
+        np.minimum(np.maximum(w, -1e6, out=w), 1e6, out=w)
+        if not np.isfinite(w).all():
             w = np.zeros_like(w)
             break
     return w
@@ -238,50 +260,64 @@ def _apply_logreg(artifacts, X):
 # Decision trees
 
 
-def _gini(counts) -> float:
-    total = counts.sum()
-    if total == 0:
-        return 0.0
-    p = counts / total
-    return float(1.0 - (p * p).sum())
+def _gini(counts):
+    """Gini impurity of class counts along the last axis (nonempty rows)."""
+    p = counts / counts.sum(axis=-1, keepdims=True)
+    return 1.0 - (p * p).sum(axis=-1)
 
 
 def _grow_tree(X, y, n_classes, depth, max_depth):
     counts = np.bincount(y, minlength=n_classes)
     node = {"counts": counts, "label": int(counts.argmax())}
-    if depth >= max_depth or len(np.unique(y)) <= 1 or len(y) < 2:
+    n = len(y)
+    if depth >= max_depth or np.count_nonzero(counts) <= 1 or n < 2:
         return node
-    best = None
-    best_score = -1.0
     base = _gini(counts)
     # Gini plateaus (parity-style labels) make every cut look equally useless,
     # and tiny edge shavings then win on noise. Regularizing the gain by an
     # imbalance penalty steers plateau ties toward the even cut that actually
     # opens the data up, while real splits (gain well above the penalty scale)
     # are unaffected.
-    min_leaf = max(1, len(y) // 20)
+    min_leaf = max(1, n // 20)
+    # CART's sweep: the class counts left of every candidate threshold are
+    # prefix sums of the one-hot labels in each feature's sorted order. A
+    # threshold's left side is every row with value <= threshold, so its size
+    # comes from searchsorted(side="right"); that keeps the mask semantics
+    # even where a midpoint rounds onto the upper value.
+    onehot = np.eye(n_classes, dtype=np.int64)[y]
+    features, thresholds, n_lefts, lefts = [], [], [], []
     for feature in range(X.shape[1]):
-        values = np.unique(X[:, feature])
-        if len(values) < 2:
-            continue
-        for threshold in (values[:-1] + values[1:]) / 2.0:
-            mask = X[:, feature] <= threshold
-            n_left = int(mask.sum())
-            if n_left < min_leaf or len(y) - n_left < min_leaf:
-                continue
-            left = np.bincount(y[mask], minlength=n_classes)
-            right = counts - left
-            weighted = (n_left * _gini(left) + (len(y) - n_left) * _gini(right)) / len(y)
-            gain = base - weighted
-            if gain < -1e-12:
-                continue
-            score = gain - 0.05 * abs(2 * n_left - len(y)) / len(y)
-            if best is None or score > best_score + 1e-12:
-                best = (feature, float(threshold), mask)
-                best_score = score
+        column = X[:, feature]
+        order = np.argsort(column, kind="stable")
+        values = np.unique(column)
+        midpoints = (values[:-1] + values[1:]) / 2.0
+        n_left = np.searchsorted(column[order], midpoints, side="right")
+        keep = (n_left >= min_leaf) & (n - n_left >= min_leaf)
+        n_left = n_left[keep]
+        features.append(np.full(len(n_left), feature))
+        thresholds.append(midpoints[keep])
+        n_lefts.append(n_left)
+        lefts.append(np.cumsum(onehot[order], axis=0)[n_left - 1])
+    n_left = np.concatenate(n_lefts)
+    left = np.concatenate(lefts)
+    weighted = (n_left * _gini(left) + (n - n_left) * _gini(counts - left)) / n
+    gain = base - weighted
+    score = gain - 0.05 * np.abs(2 * n_left - n) / n
+    viable = ~(gain < -1e-12)
+    # Features in order, thresholds ascending; a later candidate must beat the
+    # best by more than 1e-12, so near-ties keep the earliest split.
+    best = None
+    best_score = -1.0
+    for feature, threshold, candidate in zip(np.concatenate(features)[viable].tolist(),
+                                             np.concatenate(thresholds)[viable].tolist(),
+                                             score[viable].tolist()):
+        if best is None or candidate > best_score + 1e-12:
+            best = (feature, threshold)
+            best_score = candidate
     if best is None:
         return node
-    feature, threshold, mask = best
+    feature, threshold = best
+    mask = X[:, feature] <= threshold
     node["feature"] = feature
     node["threshold"] = threshold
     node["left"] = _grow_tree(X[mask], y[mask], n_classes, depth + 1, max_depth)
@@ -289,14 +325,19 @@ def _grow_tree(X, y, n_classes, depth, max_depth):
     return node
 
 
-def _tree_predict_one(node, x) -> int:
-    while "feature" in node:
-        node = node["left"] if x[node["feature"]] <= node["threshold"] else node["right"]
-    return node["label"]
-
-
 def _tree_predict(node, X):
-    return np.array([_tree_predict_one(node, x) for x in X], dtype=int)
+    """Route row indices down the tree with one mask per internal node."""
+    out = np.empty(len(X), dtype=int)
+    pending = [(node, np.arange(len(X)))]
+    while pending:
+        node, rows = pending.pop()
+        if "feature" not in node:
+            out[rows] = node["label"]
+        elif len(rows):
+            go_left = X[rows, node["feature"]] <= node["threshold"]
+            pending.append((node["left"], rows[go_left]))
+            pending.append((node["right"], rows[~go_left]))
+    return out
 
 
 def _wilson_upper(errors, n, z) -> float:
@@ -568,16 +609,29 @@ def accuracy(predictions, labels) -> float:
     return float((predictions == labels).mean())
 
 
-def cross_val_score(op, ds: LabeledDataset, k: int, seed: int = 0) -> float:
-    """Mean k-fold accuracy of fitting the operator per fold."""
-    folds = stratified_folds(ds, k, seed)
-    scores = []
-    for fold in folds:
+def cv_splits(ds: LabeledDataset, k: int, seed: int = 0):
+    """Split the data once into (train subset, test X, test y) per nonempty
+    stratified fold, rows in ascending order within each part."""
+    splits = []
+    for fold in stratified_folds(ds, k, seed):
         if not fold:
             continue
-        train_idx = sorted(set(range(len(ds.y))) - set(fold))
-        trained = og.fit(op, ds.subset(train_idx))
-        scores.append(accuracy(og.predict(trained, ds.X[sorted(fold)]), ds.y[sorted(fold)]))
+        test = np.array(sorted(fold), dtype=int)
+        in_test = np.zeros(len(ds.y), dtype=bool)
+        in_test[test] = True
+        splits.append((ds.subset(np.flatnonzero(~in_test)), ds.X[test], ds.y[test]))
+    return splits
+
+
+def cross_val_score(op, splits) -> float:
+    """Mean accuracy of the operator fitted on each split from ``cv_splits``.
+
+    Splitting is separate so that a search splits its folds once per
+    objective (see ``optimizer.make_cv_objective``) and every trial reuses
+    the same train subsets and test slices.
+    """
+    scores = [accuracy(og.predict(og.fit(op, train), test_X), test_y)
+              for train, test_X, test_y in splits]
     return float(np.mean(scores))
 
 

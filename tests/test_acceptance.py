@@ -291,7 +291,7 @@ def test_criterion_10_higher_order_search(registry, xor_data):
     assert "boostedensemble__base__C" in nested_keys
 
     default_score = toyml.cross_val_score(configure(registry["BoostedEnsemble"], {}),
-                                          xor_data, 3)
+                                          toyml.cv_splits(xor_data, 3))
     wins = 0
     for seed in range(5):
         objective = opt.make_cv_objective(compiled, xor_data, folds=3)

@@ -252,3 +252,29 @@ class TestCvObjective:
         with pytest.raises(opt.InvalidConfigError):
             objective({"prunedtree__R": True, "prunedtree__C": 0.4,
                        "prunedtree__maxDepth": 3})
+
+    def test_folds_split_once_per_objective(self, registry, blobs, monkeypatch):
+        calls = []
+        split = toyml.stratified_folds
+        monkeypatch.setattr(toyml, "stratified_folds",
+                            lambda *args: calls.append(args) or split(*args))
+        compiled = compile_space(parse_expr("Scaler >> (KNN | LogRegGD)", registry))
+        objective = make_cv_objective(compiled, blobs, folds=3)
+        assert calls == []
+        history = random_search(compiled.hierarchical(), objective,
+                                OptimizerSpec(max_trials=12, seed=0))
+        assert history.count(opt.VALID) == 12
+        assert len(calls) == 1
+
+    def test_unsplittable_folds_fail_every_trial(self, registry, monkeypatch):
+        calls = []
+        split = toyml.stratified_folds
+        monkeypatch.setattr(toyml, "stratified_folds",
+                            lambda *args: calls.append(args) or split(*args))
+        tiny = toyml.synth_dataset("blobs", 8, 0)
+        compiled = compile_space(parse_expr("Scaler >> KNN", registry))
+        objective = make_cv_objective(compiled, tiny, folds=9)  # more folds than rows
+        history = random_search(compiled.hierarchical(), objective,
+                                OptimizerSpec(max_trials=3, seed=0))
+        assert [t.status for t in history.trials] == [opt.RUNTIME_ERROR] * 3
+        assert len(calls) == 3
