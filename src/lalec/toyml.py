@@ -617,9 +617,8 @@ def cv_splits(ds: LabeledDataset, k: int, seed: int = 0):
         if not fold:
             continue
         test = np.array(sorted(fold), dtype=int)
-        in_test = np.zeros(len(ds.y), dtype=bool)
-        in_test[test] = True
-        splits.append((ds.subset(np.flatnonzero(~in_test)), ds.X[test], ds.y[test]))
+        train = np.setdiff1d(np.arange(len(ds.y)), test)
+        splits.append((ds.subset(train), ds.X[test], ds.y[test]))
     return splits
 
 
