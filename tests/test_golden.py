@@ -1,8 +1,10 @@
 """Golden search histories: seeded runs whose history JSON (timing fields
 zeroed) must stay byte-identical when the evaluation code is optimised.
 
-The digests were recorded from the per-row reference implementations of
-tree growth, sgd row drawing and fold splitting. A changed digest means a
+The digests were recorded from the reference implementations kept in
+tests/test_toyml.py: per-row tree growth, sgd row drawing and fold
+splitting, the descent step that checks finiteness every iteration, and
+k-nearest neighbours by a full stable sort of every distance row. A changed digest means a
 seeded search result changed, which a speed-up must never do.
 """
 
@@ -52,3 +54,40 @@ def test_random_search_with_sgd_and_boosting_is_pinned(registry, xor_data):
     assert len(sgd) >= 5  # the pin covers the stochastic solver's row draws
     assert history_digest(history) == (
         "41fd43722ae3cbffab7892335ebfe136def0f1e30c9f85ab744585d544be6815")
+
+
+SEARCH_CLI_EXPR = "(StandardScaler | MinMaxScaler | NoOp) >> SelectKVariance >> (LogRegGD | KNN)"
+
+KNN_LOGREG = {
+    "random": "b4bced3fae691f36e7d2e2bf66449934e8b379d0abbaf7bdca66330fa76c10b0",
+    "grid": "0d8627572f293f98edc881f48be101726f3e88068dfcb24389d41db0431d96f4",
+}
+
+
+def _covers_knn_and_logreg_variants(history) -> bool:
+    valid = [t.point for t in history.trials if t.status == opt.VALID]
+    return (any(p["step2__D"] == "KNN" and p["step2__weighting"] == "distance"
+                and p["step2__k"] > 1 for p in valid)
+            and any(p["step2__D"] == "LogRegGD" and p["step2__penalty"] == "l1"
+                    for p in valid)
+            and any(p["step2__D"] == "LogRegGD" and p["step2__solver"] == "sgd"
+                    for p in valid))
+
+
+@pytest.mark.parametrize("strategy", ["random", "grid"])
+def test_knn_and_logreg_search_is_pinned(registry, strategy):
+    # The search_cli benchmark's pipeline, smaller: moonsApprox n=120 seed 0,
+    # 3 folds, 60 random trials or all 236 grid cells (cont_samples=1).
+    compiled = compile_space(parse_expr(SEARCH_CLI_EXPR, registry))
+    data = toyml.synth_dataset("moonsApprox", 120, 0)
+    objective = opt.make_cv_objective(compiled, data, folds=3)
+    spec = opt.OptimizerSpec(strategy=strategy, max_trials=60 if strategy == "random" else 300,
+                             seed=0)
+    if strategy == "random":
+        history = opt.random_search(compiled.hierarchical(), objective, spec)
+    else:
+        history = opt.grid_search(compiled.grid(1, 0), objective, spec)
+    # The pin covers distance-weighted votes over several neighbours, the l1
+    # penalty and the stochastic solver.
+    assert _covers_knn_and_logreg_variants(history)
+    assert history_digest(history) == KNN_LOGREG[strategy]
