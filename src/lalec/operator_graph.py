@@ -493,10 +493,6 @@ def auto_configure(op: Operator, data, spec=None, *, folds: int = 3,
 # Structural comparison (test oracles)
 
 
-def structural_equal(a: Operator, b: Operator) -> bool:
-    return a == b
-
-
 def graph_isomorphic(a: Operator, b: Operator) -> bool:
     """Label-preserving isomorphism: same operators, same wiring, order-free."""
     if isinstance(a, Individual) and isinstance(b, Individual):

@@ -160,21 +160,55 @@ def _fit_knn(config, X, y):
     }
 
 
+def _smallest_k(d2, k):
+    """``np.argsort(d2, axis=1, kind="stable")[:, :k]`` and the values it
+    picks, without sorting whole rows.
+
+    Each row's k-th smallest value ``kth`` comes from ``np.partition``. The
+    row's first k in stable order are every entry that sorts before ``kth``
+    plus the lowest-index entries equal to it; those k are then sorted
+    stably. NaN sorts last, as in ``np.sort``, and NaNs tie with each other.
+    """
+    m = d2.shape[1]
+    kth = np.partition(d2, k - 1, axis=1)[:, k - 1:k]
+    nan, nan_kth = np.isnan(d2), np.isnan(kth)
+    picked = (d2 < kth) | (nan_kth & ~nan)
+    # Flat indices of the entries equal to kth, ascending and so row by row;
+    # each one's rank among its row's ties decides whether a slot is left.
+    tied = np.flatnonzero((d2 == kth) | (nan_kth & nan))
+    row = tied // m
+    rank = np.arange(len(tied)) - np.searchsorted(row, row)
+    open_slots = k - np.count_nonzero(picked, axis=1)
+    np.put(picked, tied[rank < open_slots[row]], True)
+    flat = np.flatnonzero(picked).reshape(len(d2), k)
+    flat = np.take_along_axis(flat, np.argsort(d2.ravel()[flat], axis=1, kind="stable"), axis=1)
+    return flat % m, d2.ravel()[flat]
+
+
+def _votes(labels, weights, n_classes):
+    """Summed weight per (row, class) of ``labels[row, j]`` voting with
+    ``weights[row, j]``.
+
+    One ``np.bincount`` over the (row, label) cells adds the weights of a
+    cell in column order, bit for bit as a ``np.add.at`` per column would.
+    """
+    rows = len(labels)
+    cells = (np.arange(rows)[:, None] * n_classes + labels).ravel()
+    votes = np.bincount(cells, weights=weights.ravel(), minlength=rows * n_classes)
+    return votes.reshape(rows, n_classes)
+
+
 def _apply_knn(artifacts, X):
     X = _matrix(X)
     train_X, train_y = artifacts["X"], artifacts["y"]
     k = max(1, min(artifacts["k"], len(train_X)))
     d2 = ((X[:, None, :] - train_X[None, :, :]) ** 2).sum(axis=2)
-    order = np.argsort(d2, axis=1, kind="stable")[:, :k]
-    votes = np.zeros((len(X), artifacts["n_classes"]))
-    for rank in range(k):
-        idx = order[:, rank]
-        if artifacts["weighting"] == "distance":
-            w = 1.0 / (np.sqrt(d2[np.arange(len(X)), idx]) + 1e-12)
-        else:
-            w = np.ones(len(X))
-        np.add.at(votes, (np.arange(len(X)), train_y[idx]), w)
-    return votes.argmax(axis=1)
+    order, nearest = _smallest_k(d2, k)
+    if artifacts["weighting"] == "distance":
+        w = 1.0 / (np.sqrt(nearest) + 1e-12)
+    else:
+        w = np.ones(order.shape)
+    return _votes(train_y[order], w, artifacts["n_classes"]).argmax(axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -220,30 +254,56 @@ def _draw_rows(rng: random.Random, n: int, count: int) -> np.ndarray:
 
 
 def _logreg_descent(Xb, t, lr, iterations, penalty, solver):
+    # Seeded search histories depend on these weights bit for bit, so every
+    # step computes
+    #   z = clip(Xs @ w, -30, 30); p = 1 / (1 + exp(-z))
+    #   grad = Xs.T @ (p - ts) / batch + lam * (sign(w) or w)
+    #   w = clip(w - lr * grad, -1e6, 1e6)
+    # with the same float operations in the same order: rounding depends on
+    # the order, and a reassociated or fused form (say, folding lr into the
+    # gradient) would change the last bits. The step is at most 200x7, so
+    # the cost is the calls, not the arithmetic. Hence .dot (the same BLAS
+    # gemv as @, for less overhead), Xb.T hoisted out of the loop, in-place
+    # ufuncs with out=, constants as 0-d arrays, and minimum(maximum(...)),
+    # which has np.clip's bits, NaN included.
+    #
+    # Finiteness is checked once, after the loop: the clip maps +-inf to
+    # +-1e6, and a NaN weight stays NaN (w - lr * grad and the clip keep
+    # it), so a run that ever held a NaN ends with one and returns zeros,
+    # as if it had stopped at that step.
     w = np.zeros(Xb.shape[1])
-    lam = 1e-2
     n = len(Xb)
+    lam, lr = np.array(1e-2), np.array(lr)
+    one, z_lo, z_hi = np.array(1.0), np.array(-30.0), np.array(30.0)
+    w_lo, w_hi = np.array(-1e6), np.array(1e6)
     if solver == "sgd":
         batch = max(1, n // 4)
         draws = _draw_rows(random.Random(13), n, iterations * batch).reshape(iterations, batch)
+    else:
+        batch = n
+        Xs, XsT, ts = Xb, Xb.T, t
+    size = np.array(float(batch))
     for i in range(iterations):
         if solver == "sgd":
+            # Rows are gathered per step: all batches at once would take
+            # iterations * batch * d floats.
             Xs, ts = Xb[draws[i]], t[draws[i]]
-        else:
-            Xs, ts = Xb, t
-        # minimum(maximum(...)) gives np.clip's bits, NaN included, for less call overhead.
-        z = np.minimum(np.maximum(Xs @ w, -30.0), 30.0)
-        p = 1.0 / (1.0 + np.exp(-z))
-        grad = Xs.T @ (p - ts) / len(Xs)
-        if penalty == "l1":
-            grad = grad + lam * np.sign(w)
-        else:
-            grad = grad + lam * w
-        w = w - lr * grad
-        np.minimum(np.maximum(w, -1e6, out=w), 1e6, out=w)
-        if not np.isfinite(w).all():
-            w = np.zeros_like(w)
-            break
+            XsT = Xs.T
+        z = Xs.dot(w)
+        np.maximum(z, z_lo, out=z)
+        np.minimum(z, z_hi, out=z)
+        np.negative(z, out=z)
+        np.exp(z, out=z)
+        np.add(one, z, out=z)
+        p = np.divide(one, z, out=z)
+        grad = XsT.dot(np.subtract(p, ts, out=p))
+        grad /= size
+        grad += lam * (np.sign(w) if penalty == "l1" else w)
+        w -= lr * grad
+        np.maximum(w, w_lo, out=w)
+        np.minimum(w, w_hi, out=w)
+    if not np.isfinite(w).all():
+        return np.zeros_like(w)
     return w
 
 
@@ -479,11 +539,10 @@ def _apply_boosted(artifacts, X):
     members = artifacts["members"]
     if len(members) == 1:
         return np.asarray(og.predict(members[0][0], X), dtype=int)
-    votes = np.zeros((len(X), artifacts["n_classes"]))
-    for trained, alpha in members:
-        pred = np.asarray(og.predict(trained, X), dtype=int)
-        np.add.at(votes, (np.arange(len(X)), pred), alpha)
-    return votes.argmax(axis=1)
+    preds = np.stack([np.asarray(og.predict(trained, X), dtype=int) for trained, _ in members],
+                     axis=1)
+    alphas = np.broadcast_to(np.array([alpha for _, alpha in members], dtype=float), preds.shape)
+    return _votes(preds, alphas, artifacts["n_classes"]).argmax(axis=1)
 
 
 for _impl in (

@@ -345,6 +345,23 @@ def reference_logreg_descent(Xb, t, lr, iterations, penalty, solver):
     return w
 
 
+def reference_apply_knn(artifacts, X):
+    X = np.asarray(X, dtype=float)
+    train_X, train_y = artifacts["X"], artifacts["y"]
+    k = max(1, min(artifacts["k"], len(train_X)))
+    d2 = ((X[:, None, :] - train_X[None, :, :]) ** 2).sum(axis=2)
+    order = np.argsort(d2, axis=1, kind="stable")[:, :k]
+    votes = np.zeros((len(X), artifacts["n_classes"]))
+    for rank in range(k):
+        idx = order[:, rank]
+        if artifacts["weighting"] == "distance":
+            w = 1.0 / (np.sqrt(d2[np.arange(len(X)), idx]) + 1e-12)
+        else:
+            w = np.ones(len(X))
+        np.add.at(votes, (np.arange(len(X)), train_y[idx]), w)
+    return votes.argmax(axis=1)
+
+
 def tree_shape(node):
     """(feature, threshold bits, counts, label) of every node, preorder."""
     out = [(node.get("feature"),
@@ -468,3 +485,93 @@ class TestReferenceOracles:
         want = reference_logreg_descent(Xb, t, lr, iterations, penalty, solver)
         got = toyml._logreg_descent(Xb, t, lr, iterations, penalty, solver)
         assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    @pytest.mark.parametrize("solver", ["gd", "sgd"])
+    @pytest.mark.parametrize("penalty", ["l1", "l2"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_logreg_descent_with_non_finite_row_matches_reference(self, solver, penalty, bad):
+        # The reference stops at the first step whose weights are not finite
+        # and the fast code checks once after the loop. A NaN row turns the
+        # weights NaN at the first step that uses it, and so does an inf row
+        # used while its weight is 0 (inf * 0 is NaN). An inf row used later
+        # gives an inf gradient entry that the clip maps to +-1e6 instead,
+        # and the later steps only move that weight a little.
+        rng = np.random.default_rng(5)
+        Xb = np.hstack([rng.standard_normal((40, 3)), np.ones((40, 1))])
+        Xb[7, 1] = bad
+        t = (rng.random(40) < 0.5).astype(float)
+        want = reference_logreg_descent(Xb, t, 0.1, 30, penalty, solver)
+        got = toyml._logreg_descent(Xb, t, 0.1, 30, penalty, solver)
+        assert got.tobytes() == want.tobytes()
+        if math.isnan(bad) or solver == "gd":
+            assert not want.any()
+        else:
+            assert np.abs(want).max() > 9e5
+
+
+def _non_finite(draw, rng, shape):
+    values = rng.integers(0, draw(st.integers(1, 4)), shape).astype(float)
+    if draw(st.booleans()):
+        cells = rng.random(shape) < draw(st.sampled_from([0.05, 0.3]))
+        values[cells] = rng.choice(np.array([math.nan, math.inf, -math.inf]), int(cells.sum()))
+    return values
+
+
+@st.composite
+def knn_data(draw):
+    """Integer-valued features (ties are common), duplicate train rows, and
+    sometimes NaN or +-inf cells in the test rows and in the train rows."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n_classes = draw(st.integers(2, 4))
+    n_distinct = draw(st.integers(1, 20))
+    n_train = draw(st.integers(n_distinct, 40))
+    d = draw(st.integers(1, 3))
+    pool = _non_finite(draw, rng, (n_distinct, d))
+    train_X = pool[rng.integers(0, n_distinct, n_train)]
+    train_y = rng.integers(0, n_classes, n_train)
+    test_X = _non_finite(draw, rng, (draw(st.integers(0, 12)), d))
+    artifacts = {"X": train_X, "y": train_y, "k": draw(st.integers(1, n_train + 5)),
+                 "weighting": draw(st.sampled_from(["uniform", "distance"])),
+                 "n_classes": n_classes}
+    return artifacts, test_X
+
+
+class TestKnnOracle:
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    @given(knn_data())
+    @settings(max_examples=400, deadline=None)
+    def test_apply_knn_matches_full_sort_reference(self, data):
+        artifacts, test_X = data
+        want = reference_apply_knn(artifacts, test_X)
+        got = toyml._apply_knn(artifacts, test_X)
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+
+    @given(st.integers(1, 30), st.integers(0, 6), st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_smallest_k_is_stable_argsort_prefix(self, m, rows, data):
+        values = st.sampled_from([0.0, 1.0, 2.0, 0.5, math.inf, math.nan, -math.nan, 1e-300])
+        d2 = np.array(data.draw(st.lists(st.lists(values, min_size=m, max_size=m),
+                                         min_size=rows, max_size=rows)),
+                      dtype=float).reshape(rows, m)
+        k = data.draw(st.integers(1, m))
+        order, nearest = toyml._smallest_k(d2, k)
+        want = np.argsort(d2, axis=1, kind="stable")[:, :k]
+        assert np.array_equal(order, want)
+        assert nearest.tobytes() == np.take_along_axis(d2, want, axis=1).tobytes()
+
+    @given(st.integers(0, 12), st.integers(1, 8), st.integers(2, 4), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_votes_add_in_column_order(self, rows, columns, n_classes, data):
+        # Weights of very different sizes and signs make every order of
+        # addition round differently, so only the per-column order matches.
+        labels = np.array(data.draw(st.lists(st.integers(0, n_classes - 1),
+                                             min_size=rows * columns, max_size=rows * columns)),
+                          dtype=int).reshape(rows, columns)
+        weights = np.array(data.draw(st.lists(
+            st.sampled_from([1.0, -1.0, 1e16, -1e16, 0.1, 3.0, 1e-3]),
+            min_size=rows * columns, max_size=rows * columns)), dtype=float).reshape(rows, columns)
+        want = np.zeros((rows, n_classes))
+        for j in range(columns):
+            np.add.at(want, (np.arange(rows), labels[:, j]), weights[:, j])
+        assert toyml._votes(labels, weights, n_classes).tobytes() == want.tobytes()
