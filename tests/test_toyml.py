@@ -510,7 +510,8 @@ class TestReferenceOracles:
             assert np.abs(want).max() > 9e5
 
 
-def _non_finite(draw, rng, shape):
+def _integer_values(draw, rng, shape):
+    """Small integers as floats, sometimes with NaN or +-inf cells."""
     values = rng.integers(0, draw(st.integers(1, 4)), shape).astype(float)
     if draw(st.booleans()):
         cells = rng.random(shape) < draw(st.sampled_from([0.05, 0.3]))
@@ -527,10 +528,10 @@ def knn_data(draw):
     n_distinct = draw(st.integers(1, 20))
     n_train = draw(st.integers(n_distinct, 40))
     d = draw(st.integers(1, 3))
-    pool = _non_finite(draw, rng, (n_distinct, d))
+    pool = _integer_values(draw, rng, (n_distinct, d))
     train_X = pool[rng.integers(0, n_distinct, n_train)]
     train_y = rng.integers(0, n_classes, n_train)
-    test_X = _non_finite(draw, rng, (draw(st.integers(0, 12)), d))
+    test_X = _integer_values(draw, rng, (draw(st.integers(0, 12)), d))
     artifacts = {"X": train_X, "y": train_y, "k": draw(st.integers(1, n_train + 5)),
                  "weighting": draw(st.sampled_from(["uniform", "distance"])),
                  "n_classes": n_classes}
@@ -550,7 +551,8 @@ class TestKnnOracle:
     @given(st.integers(1, 30), st.integers(0, 6), st.data())
     @settings(max_examples=300, deadline=None)
     def test_smallest_k_is_stable_argsort_prefix(self, m, rows, data):
-        values = st.sampled_from([0.0, 1.0, 2.0, 0.5, math.inf, math.nan, -math.nan, 1e-300])
+        values = st.sampled_from([0.0, -0.0, -1.0, 1.0, 2.0, 0.5, 1e-300,
+                                  math.inf, math.nan, -math.nan])
         d2 = np.array(data.draw(st.lists(st.lists(values, min_size=m, max_size=m),
                                          min_size=rows, max_size=rows)),
                       dtype=float).reshape(rows, m)
@@ -563,8 +565,8 @@ class TestKnnOracle:
     @given(st.integers(0, 12), st.integers(1, 8), st.integers(2, 4), st.data())
     @settings(max_examples=200, deadline=None)
     def test_votes_add_in_column_order(self, rows, columns, n_classes, data):
-        # Weights of very different sizes and signs make every order of
-        # addition round differently, so only the per-column order matches.
+        # With weights of very different sizes and signs, the rounded sums
+        # depend on the order of addition.
         labels = np.array(data.draw(st.lists(st.integers(0, n_classes - 1),
                                              min_size=rows * columns, max_size=rows * columns)),
                           dtype=int).reshape(rows, columns)
