@@ -11,6 +11,7 @@ seeded search result changed, which a speed-up must never do.
 import hashlib
 import json
 
+import numpy as np
 import pytest
 
 from lalec import optimizer as opt
@@ -91,3 +92,55 @@ def test_knn_and_logreg_search_is_pinned(registry, strategy):
     # penalty and the stochastic solver.
     assert _covers_knn_and_logreg_variants(history)
     assert history_digest(history) == KNN_LOGREG[strategy]
+
+
+def three_blobs(n=150, seed=4):
+    """Three gaussian clusters in 3 features, labels 0-2 in shuffled order,
+    so a LogRegGD fit runs one one-vs-rest descent per class."""
+    rng = np.random.default_rng(seed)
+    centers = np.array([[0.0, 2.0, 0.0], [2.0, -1.0, 0.5], [-2.0, -1.0, -0.5]])
+    y = rng.permutation(np.arange(n) % 3)
+    X = centers[y] + 1.1 * rng.standard_normal((n, 3))
+    return toyml.LabeledDataset(X, y)
+
+
+THREE_CLASS = {
+    "random": "d3be83008ef23a808afbe8bec602474eb3f8a27359f5a79b7493004e24643c8f",
+    "grid": "9bde8a7b7953612acec4cb1e33ebb88a684b3eadd16da3d4f8a4cca455bdf781",
+}
+
+
+@pytest.mark.parametrize("strategy", ["random", "grid"])
+def test_three_class_logreg_search_is_pinned(registry, strategy):
+    # 3 folds x 3 one-vs-rest targets: every LogRegGD trial runs nine descents.
+    compiled = compile_space(parse_expr("(StandardScaler | NoOp) >> LogRegGD", registry))
+    data = three_blobs()
+    assert data.n_classes == 3
+    objective = opt.make_cv_objective(compiled, data, folds=3)
+    spec = opt.OptimizerSpec(strategy=strategy, max_trials=60 if strategy == "random" else 300,
+                             seed=0)
+    if strategy == "random":
+        history = opt.random_search(compiled.hierarchical(), objective, spec)
+    else:
+        history = opt.grid_search(compiled.grid(1, 0), objective, spec)
+    valid = [t.point for t in history.trials if t.status == opt.VALID]
+    # The pin covers both solvers and both penalties.
+    assert any(p["logreggd__solver"] == "gd" for p in valid)
+    assert any(p["logreggd__solver"] == "sgd" for p in valid)
+    assert any(p["logreggd__penalty"] == "l1" for p in valid)
+    assert history_digest(history) == THREE_CLASS[strategy]
+
+
+def test_concat_merge_search_is_pinned(registry, xor_data):
+    # Two branches fitted on the same folds and merged by Concat before the
+    # estimator: covers the merge path of the multi-dataset walker.
+    op = parse_expr("(Scaler & NoOp) >> Concat >> (LogRegGD | KNN)", registry)
+    compiled = compile_space(op)
+    objective = opt.make_cv_objective(compiled, xor_data, folds=3)
+    spec = opt.OptimizerSpec(strategy="random", max_trials=60, seed=0)
+    history = opt.random_search(compiled.hierarchical(), objective, spec)
+    valid = [t.point for t in history.trials if t.status == opt.VALID]
+    assert any(p["step3__D"] == "LogRegGD" for p in valid)
+    assert any(p["step3__D"] == "KNN" for p in valid)
+    assert history_digest(history) == (
+        "e7ca4328afd5e0d5d9606e827410ac183aabdbfaae1b8b57055c7856d33419b9")
