@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field, replace
-from typing import Any, Callable, Mapping
+from typing import Any, Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -323,9 +323,20 @@ def _replace_properties(schema: SchemaNode, overrides) -> SchemaNode:
 
 @dataclass(frozen=True)
 class ToyImplementation:
+    """A native operator. ``fit(config, problems)`` takes the effective
+    hyperparameters and a sequence of ``(X, y)`` problems and returns one
+    artifact per problem, in order; ``apply(artifacts, X)`` maps features
+    (transformer) or predicts labels (estimator) with one artifact.
+
+    Each problem's fit is independent and deterministic: its artifact
+    depends only on ``config`` and that problem, never on the other problems
+    or their order, so fitting many at once gives what fitting each alone
+    would, bit for bit.
+    """
+
     name: str
     kind: str  # "transformer" | "estimator"
-    fit: Callable[[Mapping[str, Any], Any, Any], Any]
+    fit: Callable[[Mapping[str, Any], Sequence[tuple[Any, Any]]], list[Any]]
     apply: Callable[[Any, Any], Any]
     inverse: Callable[[Any, Any], Any] | None = None
 
@@ -357,12 +368,20 @@ def effective_config(op: Individual) -> dict[str, Any]:
 
 
 def fit(op: Operator, data) -> Operator:
-    """Train an operator on a labeled dataset, returning a trained copy.
+    """Train an operator on a labeled dataset, returning a trained copy."""
+    return fit_each(op, [data])[0]
+
+
+def fit_each(op: Operator, datasets) -> list[Operator]:
+    """Train one copy of an operator per labeled dataset, in one pass.
 
     Pipelines fit steps in topological order: a source step trains on the
     pipeline's data, every other step on its predecessors' outputs. Labels
     pass through unchanged; only a Concat step may merge multiple
-    predecessor outputs.
+    predecessor outputs. Each step's implementation fits all datasets in one
+    call, so it can share work across them (LogRegGD runs every descent in
+    lockstep); each dataset's trained copy equals what fitting it alone
+    gives.
     """
     if state_of(op) < LifecycleState.TRAINABLE:
         if isinstance(op, Choice) or _contains_choice(op):
@@ -370,9 +389,9 @@ def fit(op: Operator, data) -> Operator:
         raise NotTrainable("operator is still planned; configure it first")
     if isinstance(op, Choice):
         raise UnresolvedChoice("cannot fit an unresolved choice")
-    X = np.asarray(data.X, dtype=float)
-    y = np.asarray(data.y)
-    trained, _ = _fit_node(op, X, y, want_output=False)
+    Xs = [np.asarray(data.X, dtype=float) for data in datasets]
+    ys = [np.asarray(data.y) for data in datasets]
+    trained, _ = _fit_node(op, Xs, ys, want_output=False)
     return trained
 
 
@@ -384,35 +403,39 @@ def _contains_choice(op: Operator) -> bool:
     return False
 
 
-def _fit_node(op: Operator, X, y, want_output: bool):
+def _fit_node(op: Operator, Xs, ys, want_output: bool):
+    """Trained copies of ``op`` for the inputs ``Xs`` (one per dataset) and,
+    if wanted, their outputs on those inputs."""
     if isinstance(op, Choice):
         raise UnresolvedChoice("cannot fit an unresolved choice")
     if isinstance(op, Individual):
         if op.frozen_trained and op.state == LifecycleState.TRAINED:
-            trained = op
+            trained = [op] * len(Xs)
         else:
             impl = implementation_of(op)
-            artifacts = impl.fit(effective_config(op), X, y)
-            trained = replace(op, state=LifecycleState.TRAINED, artifacts=artifacts)
-        output = _step_output(trained, X) if want_output else None
-        return trained, output
+            artifacts = impl.fit(effective_config(op), list(zip(Xs, ys)))
+            trained = [replace(op, state=LifecycleState.TRAINED, artifacts=a) for a in artifacts]
+        outputs = [_step_output(t, X) for t, X in zip(trained, Xs)] if want_output else None
+        return trained, outputs
     assert isinstance(op, Pipeline)
-    outputs: dict[int, Any] = {}
+    # outputs[k][index]: step index's output on dataset k.
+    outputs: list[dict[int, Any]] = [{} for _ in Xs]
     trained_steps = []
     sink_set = set(sinks(op))
     for index, step in enumerate(op.steps):
-        step_input = _input_for(op, index, outputs, X)
+        step_inputs = [_input_for(op, index, out, X) for out, X in zip(outputs, Xs)]
         need_out = want_output or index not in sink_set
-        trained_step, out = _fit_node(step, step_input, y, want_output=need_out)
+        trained_step, step_outputs = _fit_node(step, step_inputs, ys, want_output=need_out)
         trained_steps.append(trained_step)
-        if out is not None:
-            outputs[index] = out
-    trained = Pipeline(tuple(trained_steps), op.edges)
+        if step_outputs is not None:
+            for out, step_output in zip(outputs, step_outputs):
+                out[index] = step_output
+    trained = [Pipeline(tuple(steps), op.edges) for steps in zip(*trained_steps)]
     if want_output:
         only_sinks = sinks(op)
         if len(only_sinks) != 1:
             raise ShapeMismatch("pipeline output requires exactly one sink")
-        return trained, outputs[only_sinks[0]]
+        return trained, [out[only_sinks[0]] for out in outputs]
     return trained, None
 
 

@@ -462,7 +462,7 @@ def emit_grid(ir: SearchIR, cont_samples: int = 1, seed: int = 0,
                     values.append(domain.default)
                 for _ in range(cont_samples):
                     draw = _draw_cont_doc(doc, rng)
-                    if not any(_same_value(draw, v) for v in values):
+                    if not any(schema_model.scalar_eq(draw, v) for v in values):
                         values.append(draw)
                 params[name] = values
         disjuncts.append({"params": params})
@@ -471,12 +471,6 @@ def emit_grid(ir: SearchIR, cont_samples: int = 1, seed: int = 0,
             cells *= len(values)
         cell_count += cells
     return {"disjuncts": disjuncts, "cellCount": cell_count}
-
-
-def _same_value(a, b) -> bool:
-    if isinstance(a, bool) != isinstance(b, bool):
-        return False
-    return a == b
 
 
 def grid_cells(grid: Mapping[str, Any]):
@@ -749,7 +743,8 @@ def _coerce(domains, value):
     for domain in domains:
         if isinstance(domain, Cat):
             for candidate in domain.values:
-                if _same_value(candidate, value) or _pcs_value(candidate) == str(value):
+                if (schema_model.scalar_eq(candidate, value)
+                        or _pcs_value(candidate) == str(value)):
                     return candidate
         elif isinstance(domain, Cont) and not isinstance(value, bool):
             try:

@@ -215,22 +215,26 @@ def _apply_knn(artifacts, X):
 # Logistic regression by gradient descent (one-vs-rest beyond two classes)
 
 
-def _fit_logreg(config, X, y):
-    X = _matrix(X)
-    y = np.asarray(y, dtype=int)
+def _fit_logreg(config, problems):
     lr = float(config.get("learningRate", 0.1))
     iterations = int(config.get("iterations", 100))
     penalty = config.get("penalty", "l2")
     solver = config.get("solver", "gd")
     if solver not in ("gd", "sgd"):
         solver = "gd"
-    n_classes = int(y.max()) + 1
-    Xb = np.hstack([X, np.ones((len(X), 1))])
-    weights = []
-    targets = range(1, 2) if n_classes == 2 else range(n_classes)
-    for cls in targets:
-        weights.append(_logreg_descent(Xb, (y == cls).astype(float), lr, iterations, penalty, solver))
-    return {"weights": np.array(weights), "n_classes": n_classes}
+    # Per problem, the features with a bias column and one 0/1 target row
+    # per one-vs-rest class (only class 1 for two classes).
+    biased, class_counts = [], []
+    for X, y in problems:
+        X = _matrix(X)
+        y = np.asarray(y, dtype=int)
+        n_classes = int(y.max()) + 1
+        Xb = np.hstack([X, np.ones((len(X), 1))])
+        targets = np.arange(1, 2) if n_classes == 2 else np.arange(n_classes)
+        biased.append((Xb, (y == targets[:, None]).astype(float)))
+        class_counts.append(n_classes)
+    weights = _logreg_descent(biased, lr, iterations, penalty, solver)
+    return [{"weights": W, "n_classes": n_classes} for W, n_classes in zip(weights, class_counts)]
 
 
 def _draw_rows(rng: random.Random, n: int, count: int) -> np.ndarray:
@@ -253,58 +257,98 @@ def _draw_rows(rng: random.Random, n: int, count: int) -> np.ndarray:
     return rows[:count]
 
 
-def _logreg_descent(Xb, t, lr, iterations, penalty, solver):
+def _logreg_descent(problems, lr, iterations, penalty, solver):
+    """Logistic-regression weights by gradient descent for every target row
+    of every ``(Xb, T)`` problem, one row of weights per target.
+
+    All descents share the hyperparameters and run in lockstep; each one's
+    weights are those it would reach alone.
+    """
     # Seeded search histories depend on these weights bit for bit, so every
-    # step computes
+    # step of every descent computes
     #   z = clip(Xs @ w, -30, 30); p = 1 / (1 + exp(-z))
     #   grad = Xs.T @ (p - ts) / batch + lam * (sign(w) or w)
     #   w = clip(w - lr * grad, -1e6, 1e6)
     # with the same float operations in the same order: rounding depends on
     # the order, and a reassociated or fused form (say, folding lr into the
-    # gradient) would change the last bits. The step is at most 200x7, so
-    # the cost is the calls, not the arithmetic. Hence .dot (the same BLAS
-    # gemv as @, for less overhead), Xb.T hoisted out of the loop, in-place
-    # ufuncs with out=, constants as 0-d arrays, and minimum(maximum(...)),
-    # which has np.clip's bits, NaN included.
+    # gradient, or one gemm for all targets) would change the last bits. A
+    # step is at most 200x7, so the cost is the calls, not the arithmetic.
+    # So each descent keeps its own two gemv calls, each writing into its
+    # segment of a flat buffer (out passed by position, which parses faster
+    # than out=), and every elementwise op runs once over all descents: z
+    # holds every descent's rows, w and grad one segment per descent, and
+    # size each segment's batch. Constants are 0-d arrays, and
+    # minimum(maximum(...)) has np.clip's bits, NaN included.
     #
-    # Finiteness is checked once, after the loop: the clip maps +-inf to
-    # +-1e6, and a NaN weight stays NaN (w - lr * grad and the clip keep
-    # it), so a run that ever held a NaN ends with one and returns zeros,
-    # as if it had stopped at that step.
-    w = np.zeros(Xb.shape[1])
-    n = len(Xb)
+    # Finiteness is checked per descent, after the loop: the clip maps +-inf
+    # to +-1e6, and a NaN weight stays NaN (w - lr * grad and the clip keep
+    # it), so a descent that ever held a NaN ends with one and returns
+    # zeros, as if it had stopped at that step. No op mixes segments, so a
+    # NaN in one descent leaves the others alone.
+    sgd, l1 = solver == "sgd", penalty == "l1"
     lam, lr = np.array(1e-2), np.array(lr)
     one, z_lo, z_hi = np.array(1.0), np.array(-30.0), np.array(30.0)
     w_lo, w_hi = np.array(-1e6), np.array(1e6)
-    if solver == "sgd":
-        batch = max(1, n // 4)
-        draws = _draw_rows(random.Random(13), n, iterations * batch).reshape(iterations, batch)
+    batches = [max(1, len(Xb) // 4) if sgd else len(Xb) for Xb, _ in problems]
+    w = np.zeros(sum(T.shape[0] * Xb.shape[1] for Xb, T in problems))
+    grad = np.empty_like(w)
+    z = np.empty(sum(T.shape[0] * batch for (_, T), batch in zip(problems, batches)))
+    # segments: per descent, the index of its problem and its slices of w,
+    # grad and z.
+    segments, sizes, t_parts, draws = [], [], [], []
+    w_at = z_at = t_at = 0
+    for g, ((Xb, T), batch) in enumerate(zip(problems, batches)):
+        n, d = Xb.shape
+        if sgd:
+            # The targets of one problem share Xb and so draw the same rows:
+            # one Random(13) stream and one gather per step serve them all.
+            draws.append(_draw_rows(random.Random(13), n, iterations * batch)
+                         .reshape(iterations, batch))
+        for target in T:
+            segments.append((g, w[w_at:w_at + d], grad[w_at:w_at + d], z[z_at:z_at + batch]))
+            t_parts.append(draws[g] + t_at if sgd else target)
+            w_at, z_at, t_at = w_at + d, z_at + batch, t_at + n
+        sizes.append(np.full(T.shape[0] * d, float(batch)))
+    size = np.concatenate(sizes)
+    if sgd:
+        # Rows are gathered per step (take is a faster copy than fancy
+        # indexing): all batches at once would take iterations * batch * d
+        # floats. Every descent's targets come from one gather over their
+        # concatenation.
+        t_all = np.concatenate([T.ravel() for _, T in problems])
+        t_rows = np.concatenate(t_parts, axis=1)
     else:
-        batch = n
-        Xs, XsT, ts = Xb, Xb.T, t
-    size = np.array(float(batch))
+        ts = np.concatenate(t_parts)
+        Xs = [Xb for Xb, _ in problems]
+        XsT = [Xb.T for Xb, _ in problems]
     for i in range(iterations):
-        if solver == "sgd":
-            # Rows are gathered per step: all batches at once would take
-            # iterations * batch * d floats.
-            Xs, ts = Xb[draws[i]], t[draws[i]]
-            XsT = Xs.T
-        z = Xs.dot(w)
+        if sgd:
+            ts = t_all[t_rows[i]]
+            Xs = [Xb.take(rows[i], axis=0) for (Xb, _), rows in zip(problems, draws)]
+            XsT = [X.T for X in Xs]
+        for g, w_k, _, z_k in segments:
+            Xs[g].dot(w_k, z_k)
         np.maximum(z, z_lo, out=z)
         np.minimum(z, z_hi, out=z)
         np.negative(z, out=z)
         np.exp(z, out=z)
         np.add(one, z, out=z)
-        p = np.divide(one, z, out=z)
-        grad = XsT.dot(np.subtract(p, ts, out=p))
+        np.divide(one, z, out=z)
+        np.subtract(z, ts, out=z)
+        for g, _, grad_k, z_k in segments:
+            XsT[g].dot(z_k, grad_k)
         grad /= size
-        grad += lam * (np.sign(w) if penalty == "l1" else w)
+        grad += lam * (np.sign(w) if l1 else w)
         w -= lr * grad
         np.maximum(w, w_lo, out=w)
         np.minimum(w, w_hi, out=w)
-    if not np.isfinite(w).all():
-        return np.zeros_like(w)
-    return w
+    weights, w_at = [], 0
+    for Xb, T in problems:
+        W = w[w_at:w_at + T.shape[0] * Xb.shape[1]].reshape(T.shape[0], Xb.shape[1]).copy()
+        W[~np.isfinite(W).all(axis=1)] = 0.0
+        weights.append(W)
+        w_at += W.size
+    return weights
 
 
 def _apply_logreg(artifacts, X):
@@ -545,20 +589,28 @@ def _apply_boosted(artifacts, X):
     return _votes(preds, alphas, artifacts["n_classes"]).argmax(axis=1)
 
 
+def _each(fit_one):
+    """A ``ToyImplementation.fit`` that fits the problems one at a time
+    with ``fit_one(config, X, y)``."""
+    def fit(config, problems):
+        return [fit_one(config, X, y) for X, y in problems]
+    return fit
+
+
 for _impl in (
-    ToyImplementation("noop", "transformer", _fit_noop, _apply_noop, _apply_noop),
-    ToyImplementation("standard_scaler", "transformer", _fit_standard_scaler,
+    ToyImplementation("noop", "transformer", _each(_fit_noop), _apply_noop, _apply_noop),
+    ToyImplementation("standard_scaler", "transformer", _each(_fit_standard_scaler),
                       _apply_standard_scaler, _inverse_standard_scaler),
-    ToyImplementation("minmax_scaler", "transformer", _fit_minmax_scaler,
+    ToyImplementation("minmax_scaler", "transformer", _each(_fit_minmax_scaler),
                       _apply_minmax_scaler, _inverse_minmax_scaler),
-    ToyImplementation("select_k_variance", "transformer", _fit_select_k_variance,
+    ToyImplementation("select_k_variance", "transformer", _each(_fit_select_k_variance),
                       _apply_select_k_variance),
-    ToyImplementation("concat", "transformer", _fit_concat, _apply_concat),
-    ToyImplementation("knn", "estimator", _fit_knn, _apply_knn),
+    ToyImplementation("concat", "transformer", _each(_fit_concat), _apply_concat),
+    ToyImplementation("knn", "estimator", _each(_fit_knn), _apply_knn),
     ToyImplementation("logreg_gd", "estimator", _fit_logreg, _apply_logreg),
-    ToyImplementation("pruned_tree", "estimator", _fit_pruned_tree, _apply_tree),
-    ToyImplementation("decision_stump", "estimator", _fit_stump, _apply_tree),
-    ToyImplementation("boosted_ensemble", "estimator", _fit_boosted, _apply_boosted),
+    ToyImplementation("pruned_tree", "estimator", _each(_fit_pruned_tree), _apply_tree),
+    ToyImplementation("decision_stump", "estimator", _each(_fit_stump), _apply_tree),
+    ToyImplementation("boosted_ensemble", "estimator", _each(_fit_boosted), _apply_boosted),
 ):
     register_impl(_impl)
 
@@ -686,10 +738,12 @@ def cross_val_score(op, splits) -> float:
 
     Splitting is separate so that a search splits its folds once per
     objective (see ``optimizer.make_cv_objective``) and every trial reuses
-    the same train subsets and test slices.
+    the same train subsets and test slices. All splits are fitted in one
+    pass (``operator_graph.fit_each``), then each is predicted and scored.
     """
-    scores = [accuracy(og.predict(og.fit(op, train), test_X), test_y)
-              for train, test_X, test_y in splits]
+    trained = og.fit_each(op, [train for train, _, _ in splits])
+    scores = [accuracy(og.predict(fitted, test_X), test_y)
+              for fitted, (_, test_X, test_y) in zip(trained, splits)]
     return float(np.mean(scores))
 
 

@@ -2,6 +2,7 @@ import copy
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lalec import operator_graph as og
 from lalec import schema_model as sm
@@ -331,3 +332,106 @@ class TestAutoConfigure:
         with pytest.raises(NoValidTrial):
             og.auto_configure(pipe(ops["PCA"], ops["KNN"]), blobs,
                               OptimizerSpec(max_trials=4, seed=0))
+
+
+# ---------------------------------------------------------------------------
+# Fitting many datasets in one pass
+
+
+def _three_class(n, seed):
+    rng = np.random.default_rng(seed)
+    y = rng.permutation(np.arange(n) % 3)
+    return toyml.LabeledDataset(np.eye(3)[y] * 2.0 + rng.standard_normal((n, 3)), y)
+
+
+@st.composite
+def dataset_lists(draw, kinds=("blobs", "xor", "moonsApprox", "threeClass")):
+    """1-4 datasets of the given kinds, with different row counts and (over
+    all kinds) widths."""
+    out = []
+    for _ in range(draw(st.integers(1, 4))):
+        kind = draw(st.sampled_from(kinds))
+        n, seed = draw(st.integers(9, 60)), draw(st.integers(0, 2**16))
+        out.append(_three_class(n, seed) if kind == "threeClass"
+                   else toyml.synth_dataset(kind, n, seed))
+    return out
+
+
+# One or more configurations of each registered implementation, as the last
+# (here only) step.
+IMPL_CASES = {
+    "noop": [("NoOp", {})],
+    "standard_scaler": [("StandardScaler", {"withMean": False})],
+    "minmax_scaler": [("MinMaxScaler", {})],
+    "select_k_variance": [("SelectKVariance", {"k": 2})],
+    "concat": [("Concat", {})],
+    "knn": [("KNN", {"k": 3, "weighting": "distance"})],
+    "logreg_gd": [("LogRegGD", {"solver": "gd", "penalty": "l1", "iterations": 20}),
+                  ("LogRegGD", {"solver": "sgd", "iterations": 20})],
+    "pruned_tree": [("PrunedTree", {"maxDepth": 3}), ("PrunedTree", {"R": True})],
+    "decision_stump": [("DecisionStump", {})],
+    "boosted_ensemble": [("BoostedEnsemble", {"n_estimators": 3})],
+}
+
+
+def _predictions_alone_and_together(op, datasets):
+    together = og.fit_each(op, datasets)
+    assert len(together) == len(datasets)
+    for trained, data in zip(together, datasets):
+        want = np.asarray(predict(fit(op, data), data.X))
+        got = np.asarray(predict(trained, data.X))
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+class TestFitEach:
+    def test_every_implementation_has_a_case(self):
+        assert set(IMPL_CASES) == set(og.IMPLEMENTATIONS)
+
+    @pytest.mark.parametrize("impl", sorted(IMPL_CASES))
+    @given(datasets=dataset_lists())
+    @settings(max_examples=15, deadline=None)
+    def test_each_implementation_fits_each_dataset_as_alone(self, registry, impl, datasets):
+        for name, config in IMPL_CASES[impl]:
+            _predictions_alone_and_together(configure(registry[name], config), datasets)
+
+    @given(datasets=dataset_lists())
+    @settings(max_examples=15, deadline=None)
+    def test_boosting_a_logreg_base(self, registry, datasets):
+        base = configure(registry["LogRegGD"], {"solver": "sgd", "iterations": 15})
+        op = configure(registry["BoostedEnsemble"], {"base": base, "n_estimators": 3})
+        _predictions_alone_and_together(op, datasets)
+
+    @given(datasets=dataset_lists())
+    @settings(max_examples=15, deadline=None)
+    def test_mid_pipeline_estimator_merged_by_concat(self, registry, datasets):
+        # (LogRegGD & NoOp) >> Concat >> KNN: the LogRegGD step's labels are
+        # a feature column next to the raw features.
+        union = both(configure(registry["LogRegGD"], {"iterations": 20}),
+                     configure(registry["NoOp"], {}))
+        op = pipe(pipe(union, configure(registry["Concat"], {})),
+                  configure(registry["KNN"], {"k": 3}))
+        _predictions_alone_and_together(op, datasets)
+
+    @given(datasets=dataset_lists(kinds=("xor", "moonsApprox")))
+    @settings(max_examples=15, deadline=None)
+    def test_frozen_trained_step_is_kept(self, registry, datasets):
+        scaler = freeze_trained(fit(configure(registry["MinMaxScaler"], {}),
+                                    toyml.synth_dataset("xor", 40, 3)))
+        op = pipe(scaler, configure(registry["LogRegGD"], {"iterations": 20}))
+        _predictions_alone_and_together(op, datasets)
+        for trained in og.fit_each(op, datasets):
+            assert trained.steps[0] is scaler
+
+    def test_constraint_trap_raises_the_same_type(self, registry, blobs, xor_data):
+        from dataclasses import replace
+
+        from lalec.space_normalizer import drop_constraints
+
+        tree = registry["PrunedTree"]
+        bad = configure(replace(tree, schema=drop_constraints(tree.schema)),
+                        {"R": True, "C": 0.3})
+        op = pipe(configure(registry["Scaler"], {}), bad)
+        with pytest.raises(toyml.ConstraintTrap):
+            fit(op, blobs)
+        with pytest.raises(toyml.ConstraintTrap):
+            og.fit_each(op, [blobs, xor_data])

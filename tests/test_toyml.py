@@ -411,6 +411,20 @@ def tree_data(draw):
     return X, y, n_classes
 
 
+@st.composite
+def descent_batches(draw, min_problems=1):
+    """1-5 ``(Xb, T)`` problems with their own row counts and widths, a
+    bias column last and 1-3 random 0/1 target rows each."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    problems = []
+    for _ in range(draw(st.integers(min_problems, 5))):
+        n, d = draw(st.integers(1, 60)), draw(st.integers(1, 5))
+        scale = draw(st.sampled_from([1.0, 1e3, 1e300]))
+        Xb = np.hstack([rng.standard_normal((n, d)) * scale, np.ones((n, 1))])
+        problems.append((Xb, (rng.random((draw(st.integers(1, 3)), n)) < 0.5).astype(float)))
+    return problems
+
+
 class TestReferenceOracles:
     @given(tree_data(), st.integers(1, 8))
     @settings(max_examples=300, deadline=None)
@@ -483,7 +497,7 @@ class TestReferenceOracles:
         Xb = np.hstack([rng.standard_normal((n, d)) * scale, np.ones((n, 1))])
         t = (rng.random(n) < 0.5).astype(float)
         want = reference_logreg_descent(Xb, t, lr, iterations, penalty, solver)
-        got = toyml._logreg_descent(Xb, t, lr, iterations, penalty, solver)
+        got = toyml._logreg_descent([(Xb, t[None])], lr, iterations, penalty, solver)[0][0]
         assert got.tobytes() == want.tobytes()
 
     @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
@@ -502,12 +516,50 @@ class TestReferenceOracles:
         Xb[7, 1] = bad
         t = (rng.random(40) < 0.5).astype(float)
         want = reference_logreg_descent(Xb, t, 0.1, 30, penalty, solver)
-        got = toyml._logreg_descent(Xb, t, 0.1, 30, penalty, solver)
+        got = toyml._logreg_descent([(Xb, t[None])], 0.1, 30, penalty, solver)[0][0]
         assert got.tobytes() == want.tobytes()
         if math.isnan(bad) or solver == "gd":
             assert not want.any()
         else:
             assert np.abs(want).max() > 9e5
+
+    @given(descent_batches(), st.sampled_from(["gd", "sgd"]), st.sampled_from(["l1", "l2"]),
+           st.floats(1e-4, 10.0), st.integers(1, 40))
+    @settings(max_examples=150, deadline=None)
+    def test_lockstep_descents_match_reference_each(self, problems, solver, penalty, lr,
+                                                    iterations):
+        # Problems of different row counts and widths, one to three targets
+        # each: every descent must get the bits it gets alone.
+        got = toyml._logreg_descent(problems, lr, iterations, penalty, solver)
+        assert len(got) == len(problems)
+        for (Xb, T), W in zip(problems, got):
+            assert W.shape == (len(T), Xb.shape[1])
+            for t, w in zip(T, W):
+                want = reference_logreg_descent(Xb, t, lr, iterations, penalty, solver)
+                assert w.tobytes() == want.tobytes()
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    @given(descent_batches(min_problems=2), st.sampled_from(["gd", "sgd"]),
+           st.sampled_from(["l1", "l2"]), st.sampled_from([math.nan, math.inf, -math.inf]),
+           st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_non_finite_problem_leaves_the_others_alone(self, problems, solver, penalty, bad,
+                                                        data):
+        victim = data.draw(st.integers(0, len(problems) - 1))
+        Xb, T = problems[victim]
+        poisoned = Xb.copy()
+        poisoned[data.draw(st.integers(0, len(Xb) - 1)),
+                 data.draw(st.integers(0, Xb.shape[1] - 1))] = bad
+        mixed = problems[:victim] + [(poisoned, T)] + problems[victim + 1:]
+        clean = toyml._logreg_descent(problems, 0.1, 30, penalty, solver)
+        got = toyml._logreg_descent(mixed, 0.1, 30, penalty, solver)
+        for k, (W_clean, W) in enumerate(zip(clean, got)):
+            if k != victim:
+                assert W.tobytes() == W_clean.tobytes()
+        for t, w in zip(T, got[victim]):
+            want = reference_logreg_descent(poisoned, t, 0.1, 30, penalty, solver)
+            assert w.tobytes() == want.tobytes()
 
 
 def _integer_values(draw, rng, shape):
