@@ -205,18 +205,29 @@ def configure(op: Operator, partial: Mapping[str, Any]) -> Individual:
     The provided values must validate on their own, and the merge must stay
     satisfiable once latents are completed with defaults; otherwise the
     combination is refutable and rejected here instead of at fit time.
+
+    A valid configuration is validated once, completed (defaults, then the
+    bound values, then `partial`). `partial` is a subset of it with the same
+    values, and validation is monotone (a missing name is latent, and a
+    negation fires only on names present), so `partial` passes too. When
+    that check fails or raises, `partial` and then the completed
+    configuration are checked in turn, so the error is the one the first
+    failing check gives.
     """
     if not isinstance(op, Individual):
         raise OperatorError("configure applies to individual operators")
-    report = schema_model.validate(partial, op.schema)
-    if not report.ok:
-        raise ValidationFailed(report, op.name)
     merged = {**op.bound, **partial}
     completed = dict(_best_effort_defaults(op.schema))
     completed.update(merged)
-    report = schema_model.validate(completed, op.schema)
-    if not report.ok:
-        raise ValidationFailed(report, op.name)
+    try:
+        valid = schema_model.validate(completed, op.schema).ok
+    except Exception:  # re-raised below by the check that meets it first
+        valid = False
+    if not valid:
+        for config in (partial, completed):
+            report = schema_model.validate(config, op.schema)
+            if not report.ok:
+                raise ValidationFailed(report, op.name)
     if not partial and op.state != LifecycleState.PLANNED:
         return op
     state = op.state if op.state != LifecycleState.PLANNED else LifecycleState.TRAINABLE

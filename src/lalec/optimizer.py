@@ -179,10 +179,11 @@ def random_search(space_doc: Mapping[str, Any], objective: Callable[[dict], floa
 
 def grid_search(grid: Mapping[str, Any], objective: Callable[[dict], float],
                 spec: OptimizerSpec, jobs: int = 1) -> History:
-    """Exhaustive evaluation of every grid cell in deterministic order."""
+    """Exhaustive evaluation of every grid cell in deterministic order. The
+    grid's cellCount is checked against max_trials before any cell is built."""
+    if grid["cellCount"] > spec.max_trials:
+        raise GridTooLarge(f"{grid['cellCount']} cells exceed the cap of {spec.max_trials} trials")
     cells = list(grid_cells(grid))
-    if len(cells) > spec.max_trials:
-        raise GridTooLarge(f"{len(cells)} cells exceed the cap of {spec.max_trials} trials")
     if not cells:
         cells = [{}]
     trials = _run_points(cells, objective, spec, jobs)

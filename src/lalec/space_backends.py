@@ -391,25 +391,62 @@ def _domain_default(domain: Domain):
 # Flattened grid of disjuncts
 
 
+def flat_size(ir: SearchIR, limit: int = DEFAULT_BLOWUP_LIMIT) -> int:
+    """|emit_flat(ir)| by arithmetic: a product over steps, a sum over choice
+    branches, and per leaf disjunct a product over its nested operator slots.
+    Raises BlowupExceeded at the first partial size beyond `limit`, so the
+    numbers stay small and nothing is built."""
+    if isinstance(ir, StepMapIR):
+        size = 1
+        for _, child in ir.steps:
+            size *= flat_size(child, limit)
+            if size > limit:
+                raise BlowupExceeded(limit)
+        return size
+    if isinstance(ir, ChoiceIR):
+        size = 0
+        for _, body in ir.branches:
+            size += flat_size(body, limit)
+            if size > limit:
+                raise BlowupExceeded(limit)
+        return size
+    assert isinstance(ir, LeafIR)
+    size = 0
+    for disjunct in ir.nf.disjuncts:
+        rows = 1
+        for domain in disjunct.values():
+            if isinstance(domain, OpSlot):
+                rows *= flat_size(domain.nested, limit)
+                if rows > limit:
+                    raise BlowupExceeded(limit)
+        size += rows
+        if size > limit:
+            raise BlowupExceeded(limit)
+    return size
+
+
 def emit_flat(ir: SearchIR, limit: int = DEFAULT_BLOWUP_LIMIT) -> list[dict[str, Domain]]:
     """Cross product across steps, concatenation across choice branches:
-    |flat| = product over steps of the per-step disjunct totals."""
+    |flat| = product over steps of the per-step disjunct totals. Refuses
+    with BlowupExceeded, before building any row, when flat_size exceeds
+    `limit`."""
+    flat_size(ir, limit)
+    return _flat_rows(ir)
+
+
+def _flat_rows(ir: SearchIR) -> list[dict[str, Domain]]:
     if isinstance(ir, StepMapIR):
         rows: list[dict[str, Domain]] = [{}]
         for _, child in ir.steps:
-            child_rows = emit_flat(child, limit)
+            child_rows = _flat_rows(child)
             rows = [{**a, **b} for a in rows for b in child_rows]
-            if len(rows) > limit:
-                raise BlowupExceeded(limit)
         return rows
     if isinstance(ir, ChoiceIR):
         rows = []
         for value, body in ir.branches:
             stamp = {ir.discriminant: Cat((value,), value)}
-            for row in emit_flat(body, limit):
+            for row in _flat_rows(body):
                 rows.append({**stamp, **row})
-                if len(rows) > limit:
-                    raise BlowupExceeded(limit)
         return rows
     assert isinstance(ir, LeafIR)
     rows = []
@@ -418,16 +455,12 @@ def emit_flat(ir: SearchIR, limit: int = DEFAULT_BLOWUP_LIMIT) -> list[dict[str,
         slot_rows: list[dict[str, Domain]] = [{}]
         for name, domain in disjunct.items():
             if isinstance(domain, OpSlot):
-                nested_rows = emit_flat(domain.nested, limit)
+                nested_rows = _flat_rows(domain.nested)
                 slot_rows = [{**a, **b} for a in slot_rows for b in nested_rows]
-                if len(slot_rows) > limit:
-                    raise BlowupExceeded(limit)
             else:
                 base[_join(ir.prefix, name)] = domain
         for extra in slot_rows:
             rows.append({**base, **extra})
-    if len(rows) > limit:
-        raise BlowupExceeded(limit)
     return rows
 
 
@@ -656,7 +689,7 @@ def _pcs_param(name: str, domain: Domain) -> PcsParameter:
 def emit_pcs(ir: SearchIR, limit: int = DEFAULT_BLOWUP_LIMIT) -> str:
     """Classic PCS text: parameters, then `child | parent == value` lines
     (several lines on one child conjoin)."""
-    emit_flat(ir, limit)  # enforce the blowup cap the flat form defines
+    flat_size(ir, limit)  # enforce the blowup cap the flat form defines
     model = _pcs_model(ir)
     lines = ["# parameter configuration space"]
     for param in model.params:

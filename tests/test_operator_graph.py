@@ -1,4 +1,6 @@
 import copy
+import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -435,3 +437,144 @@ class TestFitEach:
             fit(op, blobs)
         with pytest.raises(toyml.ConstraintTrap):
             og.fit_each(op, [blobs, xor_data])
+
+
+# ---------------------------------------------------------------------------
+# configure: one validation when valid, against the two-check reference
+
+
+def reference_configure(op, partial):
+    """configure as it validated every call twice: `partial` alone, then the
+    completed configuration (defaults, then bound values, then `partial`)."""
+    if not isinstance(op, og.Individual):
+        raise og.OperatorError("configure applies to individual operators")
+    report = sm.validate(partial, op.schema)
+    if not report.ok:
+        raise og.ValidationFailed(report, op.name)
+    merged = {**op.bound, **partial}
+    completed = dict(og._best_effort_defaults(op.schema))
+    completed.update(merged)
+    report = sm.validate(completed, op.schema)
+    if not report.ok:
+        raise og.ValidationFailed(report, op.name)
+    if not partial and op.state != LifecycleState.PLANNED:
+        return op
+    state = op.state if op.state != LifecycleState.PLANNED else LifecycleState.TRAINABLE
+    artifacts = op.artifacts
+    if partial and op.state == LifecycleState.TRAINED:
+        state, artifacts = LifecycleState.TRAINABLE, None
+    return dataclasses.replace(op, bound=merged, state=state, artifacts=artifacts)
+
+
+SIDE_CONSTRAINED = og.Individual("SideConstrained", sm.parse_schema({"allOf": [
+    {"type": "object", "additionalProperties": False, "properties": {
+        "a": {"enum": ["x", "y", "z"], "default": "x"},
+        "b": {"type": "number", "minimum": 0, "maximum": 10, "default": 1},
+        "c": {"type": "integer", "minimum": 1, "maximum": 5},
+        "d": {"anyOf": [{"enum": [None]}, {"type": "number", "minimum": 0, "maximum": 1}],
+              "default": None}}},
+    {"anyOf": [{"type": "object", "properties": {"a": {"enum": ["x"]}}},
+               {"type": "object", "properties": {"b": {"type": "number", "minimum": 0,
+                                                       "maximum": 5}}}]},
+    {"not": {"type": "object", "properties": {"a": {"enum": ["y"]}, "c": {"enum": [3]}}}},
+    {"not": {"type": "object", "properties": {"d": {"enum": [None]}, "a": {"enum": ["z"]}}}},
+]}))
+
+PROPERTY_NEGATION = og.Individual("PropertyNegation", sm.parse_schema({
+    "type": "object", "properties": {
+        "a": {"not": {"type": "object", "properties": {"z": {"enum": [1]}}}},
+        "b": {"enum": [1, 2], "default": 1}}}))
+
+REGISTRY = toyml.load_registry()
+ODD_VALUES = [math.nan, math.inf, -math.inf, None, True, False, "x", "", [], {}, 0, -1, 3,
+              0.5, 1e9, -1e-9]
+
+
+def _domain_values(node) -> tuple[list, list]:
+    """Values in or on the edges of a declared domain, and values just or
+    far outside it."""
+    if isinstance(node, sm.EnumNode):
+        return list(node.values), []
+    if isinstance(node, sm.RangeNode):
+        mid = (node.lo + node.hi) / 2
+        return ([node.lo, node.hi, mid, int(mid)],
+                [node.lo - 1e-9, node.hi + 1e-9, node.lo - 1, node.hi + 1])
+    if isinstance(node, sm.AnyOfNode):
+        parts = [_domain_values(child) for child in node.children]
+        return [v for inside, _ in parts for v in inside], [v for _, out in parts for v in out]
+    if isinstance(node, sm.OperatorSlotNode):
+        return [REGISTRY["PrunedTree"]], []
+    return [], []
+
+
+@st.composite
+def partial_configs(draw, op, odd=True):
+    """Some declared names (and, when `odd`, an unknown one) with values
+    from their domains; when `odd`, also values outside them, of the wrong
+    type, NaN and +-inf."""
+    try:
+        declared = sm.declared_domains(op.schema)
+    except sm.NoBaseObject:
+        declared = {}
+    pool = [name for name in sorted(declared) if odd or _domain_values(declared[name])[0]]
+    pool += ["unknown"] * odd
+    names = draw(st.lists(st.sampled_from(pool), max_size=4, unique=True)) if pool else []
+    config = {}
+    for name in names:
+        inside, outside = _domain_values(declared.get(name))
+        if not odd:
+            config[name] = draw(st.sampled_from(inside))
+        elif inside:
+            config[name] = draw(st.sampled_from(inside) | st.sampled_from(outside + ODD_VALUES))
+        else:
+            config[name] = draw(st.sampled_from(outside + ODD_VALUES))
+    return config
+
+
+def _outcome(fn, op, partial):
+    try:
+        result = fn(op, partial)
+    except Exception as exc:
+        return ("raised", type(exc), str(exc), getattr(exc, "report", None))
+    return ("returned", result is op, result.name, result.state, result.artifacts,
+            list(result.bound.items()))
+
+
+@st.composite
+def configure_cases(draw):
+    operators = {**REGISTRY, "SideConstrained": SIDE_CONSTRAINED,
+                 "PropertyNegation": PROPERTY_NEGATION}
+    op = operators[draw(st.sampled_from(sorted(operators)))]
+    # Bind some values first, as a user's earlier configure would; a later
+    # partial can then pass alone and fail only once merged. A refuted
+    # binding leaves the operator as it was.
+    if draw(st.booleans()):
+        try:
+            op = reference_configure(op, draw(partial_configs(op, odd=False)))
+        except og.ValidationFailed:
+            pass
+    return op, draw(partial_configs(op, odd=draw(st.booleans())))
+
+
+class TestConfigureMatchesReference:
+    @settings(max_examples=400, deadline=None)
+    @given(case=configure_cases())
+    def test_same_result_or_same_exception(self, case):
+        op, partial = case
+        assert _outcome(configure, op, partial) == _outcome(reference_configure, op, partial)
+
+    def test_cases_cover_every_outcome(self):
+        # The two hand-built schemas reach each way configure can end.
+        cases = [
+            (SIDE_CONSTRAINED, {"a": "x", "b": 7}, "returned"),
+            (SIDE_CONSTRAINED, {"a": "y", "b": 7}, "raised"),  # anyOf side constraint
+            (SIDE_CONSTRAINED, {"a": "y", "c": 3}, "raised"),  # not side constraint
+            (SIDE_CONSTRAINED, {"a": "z"}, "raised"),  # not, through the default of d
+            (SIDE_CONSTRAINED, {"c": math.nan}, "raised"),  # ValueError from the validator
+            (PROPERTY_NEGATION, {"a": 1}, "raised"),
+            (PROPERTY_NEGATION, {"b": 2}, "returned"),
+        ]
+        for op, partial, expected in cases:
+            got = _outcome(configure, op, partial)
+            assert got == _outcome(reference_configure, op, partial)
+            assert got[0] == expected

@@ -144,8 +144,17 @@ class TestGridSearch:
     def test_too_large(self, registry, blobs):
         op = parse_expr("PCA >> (J48 | LR)", registry)
         grid = compile_space(op).grid(1, 0)
-        with pytest.raises(opt.GridTooLarge):
+        with pytest.raises(opt.GridTooLarge, match=r"^27 cells exceed the cap of 10 trials$"):
             grid_search(grid, lambda p: 0.0, OptimizerSpec(strategy="grid", max_trials=10))
+
+    def test_too_large_refused_before_building_cells(self):
+        class Unbuildable:
+            def __iter__(self):
+                raise AssertionError("cells were built before the cap was checked")
+
+        grid = {"disjuncts": Unbuildable(), "cellCount": 10**12}
+        with pytest.raises(opt.GridTooLarge):
+            grid_search(grid, lambda p: 0.0, OptimizerSpec(strategy="grid", max_trials=300))
 
     def test_single_cell(self, registry):
         grid = compile_space(configure(registry["StandardScaler"],

@@ -1,14 +1,19 @@
+import functools
 import itertools
 import json
 import random
+import tracemalloc
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from lalec import grammar_engine, toyml
 from lalec import operator_graph as og
 from lalec import schema_model as sm
 from lalec import space_backends as sb
 from lalec.operator_graph import choose, configure, freeze_trainable, pipe
-from lalec.pipeline_dsl import parse_expr
+from lalec.pipeline_dsl import parse_expr, parse_grammar
 from lalec.space_backends import (
     ChoiceIR,
     LeafIR,
@@ -21,7 +26,7 @@ from lalec.space_backends import (
     read_pcs,
     sample_space,
 )
-from lalec.space_normalizer import Cat
+from lalec.space_normalizer import DEFAULT_BLOWUP_LIMIT, BlowupExceeded, Cat, OpSlot
 
 from conftest import probe_lattice
 
@@ -538,7 +543,7 @@ class TestRandomPipelineSoundness:
             if kind == 3:
                 if rng.random() < 0.15:
                     base = registry[rng.choice(["PrunedTree", "DecisionStump", "KNN"])]
-                    return configure(registry["BoostedEnsemble"], {"base": base})
+                    return configure(REGISTRY["BoostedEnsemble"], {"base": base})
                 op = registry[rng.choice(names)]
                 defaults = sm.default_config(op.schema)
                 if defaults and rng.random() < 0.25:
@@ -664,3 +669,143 @@ class TestDecode:
         assert decoded.steps[1].bound == {"R": True, "C": 0.3}
         with pytest.raises(og.ValidationFailed):
             compile_space(op).decode(point)  # constrained compile must not
+
+
+# ---------------------------------------------------------------------------
+# Size caps: flat_size against the flat emitter that checked while building
+
+
+def reference_emit_flat(ir, limit=DEFAULT_BLOWUP_LIMIT):
+    """The flat emitter that checked the cap after each step, branch row and
+    operator slot it had already built, kept as the oracle for flat_size."""
+    if isinstance(ir, StepMapIR):
+        rows = [{}]
+        for _, child in ir.steps:
+            child_rows = reference_emit_flat(child, limit)
+            rows = [{**a, **b} for a in rows for b in child_rows]
+            if len(rows) > limit:
+                raise BlowupExceeded(limit)
+        return rows
+    if isinstance(ir, ChoiceIR):
+        rows = []
+        for value, body in ir.branches:
+            stamp = {ir.discriminant: Cat((value,), value)}
+            for row in reference_emit_flat(body, limit):
+                rows.append({**stamp, **row})
+                if len(rows) > limit:
+                    raise BlowupExceeded(limit)
+        return rows
+    assert isinstance(ir, LeafIR)
+    rows = []
+    for disjunct in ir.nf.disjuncts:
+        base = {}
+        slot_rows = [{}]
+        for name, domain in disjunct.items():
+            if isinstance(domain, OpSlot):
+                nested_rows = reference_emit_flat(domain.nested, limit)
+                slot_rows = [{**a, **b} for a in slot_rows for b in nested_rows]
+                if len(slot_rows) > limit:
+                    raise BlowupExceeded(limit)
+            else:
+                base[sb._join(ir.prefix, name)] = domain
+        for extra in slot_rows:
+            rows.append({**base, **extra})
+    if len(rows) > limit:
+        raise BlowupExceeded(limit)
+    return rows
+
+
+GRAMMAR_DIR = Path(__file__).parent.parent / "fixtures" / "grammars"
+# Unfolds whose oracle stays small: the cap check inside the oracle's loops
+# bounds what it builds only after each product, so feature_union stops at
+# depth 3 (30275 rows, refused at every drawn limit).
+UNFOLDS = [("linear_stages", d) for d in range(1, 5)] + [("feature_union", d) for d in range(1, 4)]
+REGISTRY = toyml.load_registry()
+LEAF_NAMES = ["NoOp", "Scaler", "KNN", "LR", "J48", "PCA", "PrunedTree", "LogRegGD",
+              "BoostedEnsemble", "SelectKVariance"]
+
+
+@functools.lru_cache(maxsize=None)
+def _grammar(name):
+    return parse_grammar((GRAMMAR_DIR / f"{name}.grammar").read_text(), REGISTRY)
+
+
+@st.composite
+def registry_operators(draw, budget=6):
+    """Pipelines, choices and operator-valued bindings over registry
+    operators, with at most `budget` leaves so the oracle stays small."""
+    if budget <= 1:
+        return REGISTRY[draw(st.sampled_from(LEAF_NAMES))]
+    kind = draw(st.sampled_from(["leaf", "pipe", "choice", "boosted"]))
+    if kind == "leaf":
+        return REGISTRY[draw(st.sampled_from(LEAF_NAMES))]
+    if kind == "boosted":
+        # A base must be an individual operator, itself possibly boosted.
+        base = draw(registry_operators(budget - 1).filter(
+            lambda op: isinstance(op, og.Individual)))
+        return configure(REGISTRY["BoostedEnsemble"], {"base": base})
+    parts = draw(st.integers(2, 3))
+    children = [draw(registry_operators(budget // parts)) for _ in range(parts)]
+    return choose(children) if kind == "choice" else functools.reduce(pipe, children)
+
+
+@st.composite
+def compiled_irs(draw, unfolds=UNFOLDS):
+    source = draw(st.sampled_from(["unfold", "sample", "registry"]))
+    if source == "unfold":
+        name, depth = draw(st.sampled_from(unfolds))
+        op = grammar_engine.unfold(_grammar(name), depth, REGISTRY)
+    elif source == "sample":
+        op = grammar_engine.sample(_grammar(draw(st.sampled_from(["linear_stages",
+                                                                  "feature_union"]))),
+                                   draw(st.integers(0, 2**31 - 1)), draw(st.integers(1, 4)),
+                                   REGISTRY)
+    else:
+        op = draw(registry_operators())
+    return sb.combine(op, keep_constraints=draw(st.booleans()))
+
+
+def _refused(emit):
+    try:
+        return False, emit()
+    except BlowupExceeded:
+        return True, None
+
+
+class TestSizeFirst:
+    @settings(max_examples=150, deadline=None)
+    @given(ir=compiled_irs(), data=st.data())
+    def test_flat_size_matches_the_building_oracle(self, ir, data):
+        refused, rows = _refused(lambda: reference_emit_flat(ir))
+        # Limits from 1 to 10^4, and just below, at and above the real size.
+        limit = data.draw(st.integers(1, DEFAULT_BLOWUP_LIMIT) if refused else st.one_of(
+            st.integers(1, DEFAULT_BLOWUP_LIMIT),
+            st.integers(-1, 1).map(lambda offset: max(1, len(rows) + offset))))
+        refused, rows = _refused(lambda: reference_emit_flat(ir, limit))
+        assert _refused(lambda: sb.flat_size(ir, limit)) == (refused, None if refused else len(rows))
+        assert _refused(lambda: emit_flat(ir, limit)) == (refused, rows)
+        assert _refused(lambda: emit_pcs(ir, limit))[0] == refused
+        assert _refused(lambda: emit_grid(ir, 1, 0, limit))[0] == refused
+
+    def test_cap_refuses_before_building(self, registry):
+        # feature_union at depth 4 flattens to 366,630,275 rows; building
+        # them first ran out of memory. Each refusal must stay under 1 MB.
+        compiled = compile_space(grammar_engine.unfold(_grammar("feature_union"), 4, registry))
+        for emit in (compiled.flat, compiled.pcs, lambda: compiled.grid(1, 0)):
+            tracemalloc.start()
+            try:
+                with pytest.raises(BlowupExceeded):
+                    emit()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 1_000_000
+
+    # Unfolds up to depth 2 keep grids under 17k cells at two draws each.
+    @settings(max_examples=60, deadline=None)
+    @given(ir=compiled_irs(unfolds=[u for u in UNFOLDS if u[1] <= 2]),
+           cont_samples=st.integers(1, 2), seed=st.integers(0, 3))
+    def test_cell_count_is_the_number_of_cells(self, ir, cont_samples, seed):
+        # grid_search refuses by cellCount before it builds any cell.
+        grid = emit_grid(ir, cont_samples, seed)
+        assert grid["cellCount"] == len(list(sb.grid_cells(grid)))
