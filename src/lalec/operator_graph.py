@@ -19,7 +19,6 @@ import numpy as np
 from . import schema_model
 from .schema_model import (
     AllOfNode,
-    MissingDefault,
     ObjectNode,
     SchemaNode,
     ValidationReport,
@@ -90,6 +89,13 @@ class Individual(Operator):
     def __post_init__(self):
         if (self.artifacts is not None) != (self.state == LifecycleState.TRAINED):
             raise OperatorError("trained artifacts present iff state is Trained")
+
+    def _copy(self, bound: dict[str, Any], state: LifecycleState, artifacts: Any) -> Individual:
+        """This operator with new bound values, state and artifacts. Calls the
+        constructor directly, which costs about half of dataclasses.replace;
+        __post_init__ still checks the artifacts rule."""
+        return Individual(self.name, self.schema, bound, self.impl, state,
+                          self.frozen_trainable, self.frozen_trained, artifacts)
 
 
 @dataclass(frozen=True)
@@ -216,9 +222,15 @@ def configure(op: Operator, partial: Mapping[str, Any]) -> Individual:
     """
     if not isinstance(op, Individual):
         raise OperatorError("configure applies to individual operators")
+    return _configure(op, partial, _best_effort_defaults(op.schema))
+
+
+def _configure(op: Individual, partial: Mapping[str, Any],
+               defaults: Mapping[str, Any]) -> Individual:
+    """configure, given `_best_effort_defaults(op.schema)`, which a decode
+    plan computes once per leaf; `defaults` is not modified."""
     merged = {**op.bound, **partial}
-    completed = dict(_best_effort_defaults(op.schema))
-    completed.update(merged)
+    completed = {**defaults, **merged}
     try:
         valid = schema_model.validate(completed, op.schema).ok
     except Exception:  # re-raised below by the check that meets it first
@@ -234,21 +246,15 @@ def configure(op: Operator, partial: Mapping[str, Any]) -> Individual:
     artifacts = op.artifacts
     if partial and op.state == LifecycleState.TRAINED:
         state, artifacts = LifecycleState.TRAINABLE, None
-    return replace(op, bound=merged, state=state, artifacts=artifacts)
+    return op._copy(merged, state, artifacts)
 
 
 def _best_effort_defaults(schema: SchemaNode) -> dict[str, Any]:
+    """The declared defaults, or none when the schema has no base object."""
     try:
-        domains = schema_model.declared_domains(schema)
+        return schema_model.defaults(schema)
     except schema_model.NoBaseObject:
         return {}
-    out = {}
-    for name, node in domains.items():
-        try:
-            out[name] = schema_model._default_of(node, (name,))
-        except MissingDefault:
-            continue
-    return out
 
 
 def state_of(op: Operator) -> LifecycleState:
@@ -369,9 +375,7 @@ def implementation_of(op: Individual) -> ToyImplementation:
 
 
 def effective_config(op: Individual) -> dict[str, Any]:
-    config = _best_effort_defaults(op.schema)
-    config.update(op.bound)
-    return config
+    return {**_best_effort_defaults(op.schema), **op.bound}
 
 
 # ---------------------------------------------------------------------------
@@ -425,7 +429,7 @@ def _fit_node(op: Operator, Xs, ys, want_output: bool):
         else:
             impl = implementation_of(op)
             artifacts = impl.fit(effective_config(op), list(zip(Xs, ys)))
-            trained = [replace(op, state=LifecycleState.TRAINED, artifacts=a) for a in artifacts]
+            trained = [op._copy(op.bound, LifecycleState.TRAINED, a) for a in artifacts]
         outputs = [_step_output(t, X) for t, X in zip(trained, Xs)] if want_output else None
         return trained, outputs
     assert isinstance(op, Pipeline)
@@ -521,64 +525,3 @@ def auto_configure(op: Operator, data, spec=None, *, folds: int = 3,
         raise opt.NoValidTrial("every trial failed")
     best = compiled.decode(history.trials[history.best].point)
     return fit(best, data)
-
-
-# ---------------------------------------------------------------------------
-# Structural comparison (test oracles)
-
-
-def graph_isomorphic(a: Operator, b: Operator) -> bool:
-    """Label-preserving isomorphism: same operators, same wiring, order-free."""
-    if isinstance(a, Individual) and isinstance(b, Individual):
-        return a.name == b.name and a.schema == b.schema and a.bound == b.bound
-    if isinstance(a, Choice) and isinstance(b, Choice):
-        return _match_multiset(list(a.alternatives), list(b.alternatives))
-    if isinstance(a, Pipeline) and isinstance(b, Pipeline):
-        return _match_graphs(a, b)
-    return False
-
-
-def _match_multiset(left, right) -> bool:
-    if len(left) != len(right):
-        return False
-    if not left:
-        return True
-    head, rest = left[0], left[1:]
-    for i, candidate in enumerate(right):
-        if graph_isomorphic(head, candidate) and _match_multiset(rest, right[:i] + right[i + 1:]):
-            return True
-    return False
-
-
-def _match_graphs(a: Pipeline, b: Pipeline) -> bool:
-    n = len(a.steps)
-    if n != len(b.steps) or len(a.edges) != len(b.edges):
-        return False
-    b_edges = set(b.edges)
-    mapping: dict[int, int] = {}
-    used: set[int] = set()
-
-    def consistent(i, j) -> bool:
-        for x, y in mapping.items():
-            if ((i, x) in set(a.edges)) != ((j, y) in b_edges):
-                return False
-            if ((x, i) in set(a.edges)) != ((y, j) in b_edges):
-                return False
-        return True
-
-    def assign(i) -> bool:
-        if i == n:
-            return True
-        for j in range(n):
-            if j in used:
-                continue
-            if graph_isomorphic(a.steps[i], b.steps[j]) and consistent(i, j):
-                mapping[i] = j
-                used.add(j)
-                if assign(i + 1):
-                    return True
-                del mapping[i]
-                used.remove(j)
-        return False
-
-    return assign(0)

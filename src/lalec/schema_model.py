@@ -553,25 +553,37 @@ def _describe(node) -> str:
 
 
 def default_config(schema: SchemaNode) -> dict[str, Any]:
-    """Collect the declared default for every hyperparameter."""
-    domains = declared_domains(schema)
-    config = {}
-    for name, node in domains.items():
-        config[name] = _default_of(node, (name,))
-    return config
+    """Collect the declared default for every hyperparameter; raises
+    MissingDefault for the first one without."""
+    found = defaults(schema)
+    for name in declared_domains(schema):
+        if name not in found:
+            raise MissingDefault((name,))
+    return found
 
 
-def _default_of(node, path):
+def defaults(schema: SchemaNode) -> dict[str, Any]:
+    """The declared default of each hyperparameter that has one, in
+    declaration order, as a fresh dict. A domain's default is its own, or
+    for an anyOf without one, the first alternative's that has one."""
+    out = {}
+    for name, node in declared_domains(schema).items():
+        value = _default_of(node)
+        if value is not MISSING:
+            out[name] = value
+    return out
+
+
+def _default_of(node):
     if isinstance(node, (RangeNode, EnumNode, AnyOfNode, OperatorSlotNode)):
         if node.default is not MISSING:
             return node.default
         if isinstance(node, AnyOfNode):
             for child in node.children:
-                try:
-                    return _default_of(child, path)
-                except MissingDefault:
-                    continue
-    raise MissingDefault(path)
+                value = _default_of(child)
+                if value is not MISSING:
+                    return value
+    return MISSING
 
 
 def declared_domains(schema: SchemaNode) -> dict[str, SchemaNode]:

@@ -19,10 +19,18 @@ import itertools
 import math
 import random
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Any, Mapping
 
 from . import schema_model
-from .operator_graph import Choice, Individual, Operator, Pipeline, configure
+from .operator_graph import (
+    Choice,
+    Individual,
+    Operator,
+    Pipeline,
+    _best_effort_defaults,
+    _configure,
+)
 from .space_normalizer import (
     Cat,
     Cont,
@@ -33,6 +41,7 @@ from .space_normalizer import (
     normalize,
     DEFAULT_BLOWUP_LIMIT,
     BlowupExceeded,
+    _cont_admits,
 )
 
 
@@ -757,22 +766,10 @@ def read_pcs(text: str) -> PcsSpace:
 def decode_pcs_point(ir: SearchIR, point: Mapping[str, Any]) -> dict[str, Any]:
     """Translate a PCS assignment (raw strings, per-disjunct copies) back to
     the public mangled names with schema-typed values."""
-    model = _pcs_model(ir)
-    out: dict[str, Any] = {}
-    for name, value in point.items():
-        entry = model.decode_map.get(name)
-        if entry is None:
-            raise UnknownMarker(f"point names unknown parameter {name!r}")
-        if entry[0] == "selector":
-            continue
-        _, public, domains = entry
-        out[public] = _coerce(domains, value)
-    return out
+    return _DecodePlan(ir).pcs_point(point)
 
 
 def _coerce(domains, value):
-    from .space_normalizer import _cont_admits
-
     for domain in domains:
         if isinstance(domain, Cat):
             for candidate in domain.values:
@@ -797,31 +794,81 @@ def _coerce(domains, value):
 def decode(ir: SearchIR, point: Mapping[str, Any]) -> Operator:
     """Rebuild the configured operator a point denotes: resolve choices by
     their discriminants, bind leaf values, instantiate marked slots."""
-    if isinstance(ir, StepMapIR):
-        decoded = [decode(child, point) for _, child in ir.steps]
-        if ir.wrapper:
-            return decoded[0]
-        return Pipeline(tuple(decoded), ir.edges)
-    if isinstance(ir, ChoiceIR):
-        value = point.get(ir.discriminant)
-        if value is None:
-            raise DecodeError(f"point is missing discriminant {ir.discriminant!r}")
-        for branch_value, body in ir.branches:
-            if branch_value == str(value):
-                return decode(body, point)
-        raise UnknownMarker(f"{ir.discriminant!r} has no branch {value!r}")
-    assert isinstance(ir, LeafIR)
-    config: dict[str, Any] = {}
-    names = ir.nf.names()
-    for name in names:
-        domains = [d[name] for d in ir.nf.disjuncts if name in d]
-        if isinstance(domains[0], OpSlot):
-            config[name] = decode(domains[0].nested, point)
-            continue
-        key = _join(ir.prefix, name)
-        if key in point:
-            config[name] = _coerce(domains, point[key])
-    return configure(ir.op, config)
+    return _DecodePlan(ir).decode(point)
+
+
+class _DecodePlan:
+    """What decoding points needs of one IR, derived on first use and kept
+    as long as the plan: per leaf, its entries and completed defaults; for
+    the whole space, the PCS model.
+
+    Leaves are keyed by id and each entry keeps its leaf, so an entry is
+    used only for the very object it was built from (a copied plan's keys
+    name other objects).
+    """
+
+    def __init__(self, ir: SearchIR):
+        self.ir = ir
+        self._leaves: dict[int, tuple[LeafIR, tuple, dict[str, Any]]] = {}
+
+    @cached_property
+    def pcs(self) -> _PcsModel:
+        return _pcs_model(self.ir)
+
+    def pcs_point(self, point: Mapping[str, Any]) -> dict[str, Any]:
+        decode_map = self.pcs.decode_map
+        out: dict[str, Any] = {}
+        for name, value in point.items():
+            entry = decode_map.get(name)
+            if entry is None:
+                raise UnknownMarker(f"point names unknown parameter {name!r}")
+            if entry[0] == "selector":
+                continue
+            _, public, domains = entry
+            out[public] = _coerce(domains, value)
+        return out
+
+    def decode(self, point: Mapping[str, Any]) -> Operator:
+        return self._decode(self.ir, point)
+
+    def _decode(self, ir: SearchIR, point: Mapping[str, Any]) -> Operator:
+        if isinstance(ir, StepMapIR):
+            decoded = [self._decode(child, point) for _, child in ir.steps]
+            if ir.wrapper:
+                return decoded[0]
+            return Pipeline(tuple(decoded), ir.edges)
+        if isinstance(ir, ChoiceIR):
+            value = point.get(ir.discriminant)
+            if value is None:
+                raise DecodeError(f"point is missing discriminant {ir.discriminant!r}")
+            for branch_value, body in ir.branches:
+                if branch_value == str(value):
+                    return self._decode(body, point)
+            raise UnknownMarker(f"{ir.discriminant!r} has no branch {value!r}")
+        assert isinstance(ir, LeafIR)
+        _, entries, defaults = self._leaf(ir)
+        config: dict[str, Any] = {}
+        for name, key, domains, nested in entries:
+            if nested is not None:
+                config[name] = self._decode(nested, point)
+            elif key in point:
+                config[name] = _coerce(domains, point[key])
+        return _configure(ir.op, config, defaults)
+
+    def _leaf(self, ir: LeafIR) -> tuple[LeafIR, tuple, dict[str, Any]]:
+        """(leaf, entries, completed defaults). An entry is (name, mangled
+        key, the name's domain in each disjunct, nested IR of an operator
+        slot or None)."""
+        plan = self._leaves.get(id(ir))
+        if plan is None or plan[0] is not ir:
+            entries = []
+            for name in ir.nf.names():
+                domains = tuple(d[name] for d in ir.nf.disjuncts if name in d)
+                nested = domains[0].nested if isinstance(domains[0], OpSlot) else None
+                entries.append((name, _join(ir.prefix, name), domains, nested))
+            plan = (ir, tuple(entries), _best_effort_defaults(ir.op.schema))
+            self._leaves[id(ir)] = plan
+        return plan
 
 
 # ---------------------------------------------------------------------------
@@ -830,7 +877,11 @@ def decode(ir: SearchIR, point: Mapping[str, Any]) -> Operator:
 
 @dataclass(frozen=True)
 class CompiledSpace:
-    """A planned operator together with its combined IR and emitters."""
+    """A planned operator together with its combined IR and emitters.
+
+    The first decode builds the space's decode plan, which lives as long as
+    the space; compiling and emitting build none.
+    """
 
     op: Operator
     ir: SearchIR
@@ -848,11 +899,15 @@ class CompiledSpace:
     def grid(self, cont_samples: int = 1, seed: int = 0) -> dict:
         return emit_grid(self.ir, cont_samples, seed)
 
+    @cached_property
+    def _plan(self) -> _DecodePlan:
+        return _DecodePlan(self.ir)
+
     def decode(self, point: Mapping[str, Any]) -> Operator:
-        return decode(self.ir, point)
+        return self._plan.decode(point)
 
     def decode_pcs(self, point: Mapping[str, Any]) -> Operator:
-        return decode(self.ir, decode_pcs_point(self.ir, point))
+        return self._plan.decode(self._plan.pcs_point(point))
 
     def default_point(self) -> dict[str, Any]:
         return default_point(self.ir)

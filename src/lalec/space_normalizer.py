@@ -28,6 +28,7 @@ from .schema_model import (
     SchemaNode,
     UnsupportedNegation,
     NoBaseObject,
+    defaults as schema_defaults,
     is_scalar,
     scalar_eq,
 )
@@ -110,23 +111,11 @@ def normalize(schema: SchemaNode, declared: Mapping[str, SchemaNode] | None = No
     disjuncts = [d for d in disjuncts if all(v is not EMPTY for v in d.values())]
     if not disjuncts:
         raise EmptySpace("no satisfiable disjunct remains")
-    defaults = {name: _declared_default(node) for name, node in declared.items()}
+    defaults = schema_defaults(schema)
     final = []
     for d in disjuncts:
         final.append({name: _attach_default(d[name], defaults.get(name, MISSING)) for name in declared})
     return NormalForm(tuple(final))
-
-
-def _declared_default(node: SchemaNode):
-    if isinstance(node, (RangeNode, EnumNode, AnyOfNode, OperatorSlotNode)):
-        if node.default is not MISSING:
-            return node.default
-        if isinstance(node, AnyOfNode):
-            for child in node.children:
-                d = _declared_default(child)
-                if d is not MISSING:
-                    return d
-    return MISSING
 
 
 def _attach_default(domain: Domain, default):

@@ -307,7 +307,8 @@ def test_criterion_10_higher_order_search(registry, xor_data):
 def test_criterion_11_algebra_and_property_suite(registry, blobs):
     import copy
 
-    from lalec.operator_graph import both, choose, graph_isomorphic, pipe
+    from lalec.operator_graph import both, choose, pipe
+    from oracles import graph_isomorphic
 
     start = time.perf_counter()
     a, b, c = registry["NoOp"], registry["Scaler"], registry["KNN"]

@@ -1,6 +1,8 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 from lalec.cli import main, operator_to_dot
 from lalec.operator_graph import configure, fit
@@ -246,9 +248,14 @@ class TestSchemasDirectory:
 
 class TestEntryPoint:
     def test_module_invocation(self):
+        # The child process imports lalec from this checkout's sources, as
+        # pytest's own pythonpath setting does for the tests.
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        paths = [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
         proc = subprocess.run(
             [sys.executable, "-m", "lalec.cli", "validate", "--op", "J48",
              "--config", '{"R": false}'],
-            capture_output=True, text=True)
+            capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(paths)})
         assert proc.returncode == 0
         assert "ok" in proc.stdout

@@ -19,13 +19,13 @@ from lalec.operator_graph import (
     fit,
     freeze_trainable,
     freeze_trained,
-    graph_isomorphic,
     pipe,
     predict,
     sinks,
     sources,
     state_of,
 )
+from oracles import graph_isomorphic, reference_best_effort_defaults
 
 
 @pytest.fixture
@@ -438,6 +438,18 @@ class TestFitEach:
         with pytest.raises(toyml.ConstraintTrap):
             og.fit_each(op, [blobs, xor_data])
 
+    def test_trained_copy_without_artifacts_is_refused(self, registry, blobs, monkeypatch):
+        # Trained copies skip dataclasses.replace; the artifacts rule holds.
+        impl = og.ToyImplementation("fits_nothing", "estimator",
+                                    fit=lambda config, problems: [None for _ in problems],
+                                    apply=lambda artifact, X: X)
+        monkeypatch.setitem(og.IMPLEMENTATIONS, "fits_nothing", impl)
+        op = dataclasses.replace(configure(registry["KNN"], {}), impl="fits_nothing")
+        with pytest.raises(og.OperatorError, match="artifacts present iff state is Trained"):
+            fit(op, blobs)
+        with pytest.raises(og.OperatorError, match="artifacts present iff state is Trained"):
+            og.fit_each(op, [blobs, blobs])
+
 
 # ---------------------------------------------------------------------------
 # configure: one validation when valid, against the two-check reference
@@ -452,7 +464,7 @@ def reference_configure(op, partial):
     if not report.ok:
         raise og.ValidationFailed(report, op.name)
     merged = {**op.bound, **partial}
-    completed = dict(og._best_effort_defaults(op.schema))
+    completed = dict(reference_best_effort_defaults(op.schema))
     completed.update(merged)
     report = sm.validate(completed, op.schema)
     if not report.ok:

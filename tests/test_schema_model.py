@@ -1,9 +1,15 @@
 import json
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+from lalec import operator_graph as og
 from lalec import schema_model as sm
+from oracles import (
+    reference_best_effort_defaults,
+    reference_declared_default,
+    reference_default_config,
+)
 
 
 LR_DOC = """
@@ -197,6 +203,87 @@ class TestDefaults:
             '{"type": "object", "properties": {"x": {"enum": [1, 2]}}}')
         with pytest.raises(sm.MissingDefault):
             sm.default_config(schema)
+
+
+DEFAULT_VALUES = st.one_of(st.just(sm.MISSING), st.none(), st.sampled_from([0, 2.5, "a", True]))
+LEAF_DOMAINS = st.one_of(
+    DEFAULT_VALUES.map(lambda d: sm.RangeNode(0, 10, default=d)),
+    DEFAULT_VALUES.map(lambda d: sm.EnumNode(("a", "b"), default=d)),
+    DEFAULT_VALUES.map(lambda d: sm.OperatorSlotNode(default=d)),
+    st.just(sm.AnyNode()),
+)
+DOMAINS = st.recursive(LEAF_DOMAINS, lambda children: st.one_of(
+    st.builds(lambda alts, d: sm.AnyOfNode(tuple(alts), default=d),
+              st.lists(children, min_size=1, max_size=3), DEFAULT_VALUES),
+    st.lists(children, min_size=1, max_size=2).map(lambda parts: sm.AllOfNode(tuple(parts))),
+), max_leaves=8)
+
+
+@st.composite
+def default_schemas(draw):
+    """Base objects of nested anyOf/allOf domains with and without defaults,
+    bare or as the first conjunct of an allOf."""
+    props = tuple((f"p{i}", draw(DOMAINS)) for i in range(draw(st.integers(0, 4))))
+    base = sm.ObjectNode(props)
+    return sm.AllOfNode((base, sm.AnyNode())) if draw(st.booleans()) else base
+
+
+def _default_config_outcome(fn, schema):
+    try:
+        return ("returned", list(fn(schema).items()))
+    except sm.MissingDefault as exc:
+        return ("raised", exc.path, str(exc))
+
+
+class TestOneDefaultResolver:
+    """schema_model.defaults against the three resolvers it replaced."""
+
+    def _agree(self, schema):
+        found = sm.defaults(schema)
+        declared = sm.declared_domains(schema)
+        assert list(found.items()) == list(reference_best_effort_defaults(schema).items())
+        assert list(found.items()) == [
+            (name, d) for name, node in declared.items()
+            if (d := reference_declared_default(node)) is not sm.MISSING]
+        assert (_default_config_outcome(sm.default_config, schema)
+                == _default_config_outcome(reference_default_config, schema))
+        assert list(og._best_effort_defaults(schema).items()) == list(found.items())
+
+    def test_registry_schemas(self, registry):
+        for op in registry.values():
+            self._agree(op.schema)
+
+    @settings(max_examples=300, deadline=None)
+    @given(schema=default_schemas())
+    def test_built_schemas(self, schema):
+        self._agree(schema)
+
+    def test_nested_anyof_takes_the_first_alternative_with_a_default(self):
+        inner = sm.AnyOfNode((sm.AnyNode(), sm.EnumNode((1, 2), default=2)))
+        schema = sm.ObjectNode((
+            ("x", sm.AnyOfNode((sm.RangeNode(0, 1), inner, sm.EnumNode((3,), default=3)))),
+            ("y", sm.AnyOfNode((sm.RangeNode(0, 1, default=0.5),), default=None)),
+            ("z", sm.AllOfNode((sm.EnumNode((1,), default=1),))),
+        ))
+        self._agree(schema)
+        assert sm.defaults(schema) == {"x": 2, "y": None}
+        with pytest.raises(sm.MissingDefault, match=r"\$\.z"):
+            sm.default_config(schema)
+
+    def test_no_base_object(self):
+        schema = sm.AnyOfNode((sm.ObjectNode(()),))
+        with pytest.raises(sm.NoBaseObject):
+            sm.defaults(schema)
+        assert og._best_effort_defaults(schema) == reference_best_effort_defaults(schema) == {}
+
+    def test_each_call_gives_a_fresh_dict(self, registry):
+        schema = registry["J48"].schema
+        first = sm.defaults(schema)
+        first["R"] = "changed"
+        assert sm.defaults(schema) == {"R": False, "C": 0.25}
+        op = registry["J48"]
+        og.effective_config(op)["R"] = "changed"
+        assert og.effective_config(op) == {"R": False, "C": 0.25}
 
 
 class TestDeclaredDomains:

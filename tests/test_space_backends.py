@@ -1,8 +1,11 @@
 import functools
+import gc
 import itertools
 import json
+import pickle
 import random
 import tracemalloc
+import weakref
 from pathlib import Path
 
 import pytest
@@ -750,7 +753,7 @@ def registry_operators(draw, budget=6):
 
 
 @st.composite
-def compiled_irs(draw, unfolds=UNFOLDS):
+def compiled_spaces(draw, unfolds=UNFOLDS):
     source = draw(st.sampled_from(["unfold", "sample", "registry"]))
     if source == "unfold":
         name, depth = draw(st.sampled_from(unfolds))
@@ -762,7 +765,11 @@ def compiled_irs(draw, unfolds=UNFOLDS):
                                    REGISTRY)
     else:
         op = draw(registry_operators())
-    return sb.combine(op, keep_constraints=draw(st.booleans()))
+    return compile_space(op, keep_constraints=draw(st.booleans()))
+
+
+def compiled_irs(unfolds=UNFOLDS):
+    return compiled_spaces(unfolds).map(lambda compiled: compiled.ir)
 
 
 def _refused(emit):
@@ -809,3 +816,202 @@ class TestSizeFirst:
         # grid_search refuses by cellCount before it builds any cell.
         grid = emit_grid(ir, cont_samples, seed)
         assert grid["cellCount"] == len(list(sb.grid_cells(grid)))
+
+
+# ---------------------------------------------------------------------------
+# Decoding through a space's plan against the decoder it replaced
+
+
+def reference_decode(ir, point):
+    """decode as it was before decode plans: it derives each leaf's names,
+    domains and defaults again on every call."""
+    if isinstance(ir, StepMapIR):
+        decoded = [reference_decode(child, point) for _, child in ir.steps]
+        if ir.wrapper:
+            return decoded[0]
+        return og.Pipeline(tuple(decoded), ir.edges)
+    if isinstance(ir, ChoiceIR):
+        value = point.get(ir.discriminant)
+        if value is None:
+            raise sb.DecodeError(f"point is missing discriminant {ir.discriminant!r}")
+        for branch_value, body in ir.branches:
+            if branch_value == str(value):
+                return reference_decode(body, point)
+        raise sb.UnknownMarker(f"{ir.discriminant!r} has no branch {value!r}")
+    assert isinstance(ir, LeafIR)
+    config = {}
+    for name in ir.nf.names():
+        domains = [d[name] for d in ir.nf.disjuncts if name in d]
+        if isinstance(domains[0], OpSlot):
+            config[name] = reference_decode(domains[0].nested, point)
+            continue
+        key = sb._join(ir.prefix, name)
+        if key in point:
+            config[name] = sb._coerce(domains, point[key])
+    return configure(ir.op, config)
+
+
+def reference_decode_pcs_point(ir, point):
+    """decode_pcs_point as it was: the PCS model built again per point."""
+    model = sb._pcs_model(ir)
+    out = {}
+    for name, value in point.items():
+        entry = model.decode_map.get(name)
+        if entry is None:
+            raise sb.UnknownMarker(f"point names unknown parameter {name!r}")
+        if entry[0] == "selector":
+            continue
+        _, public, domains = entry
+        out[public] = sb._coerce(domains, value)
+    return out
+
+
+def _outcome(fn, *args):
+    """A result with its repr (so 1, 1.0 and True differ), or the type,
+    message and report of what was raised."""
+    try:
+        result = fn(*args)
+    except Exception as exc:
+        return ("raised", type(exc), str(exc), getattr(exc, "report", None))
+    return ("returned", result, repr(result))
+
+
+ODD_VALUES = ["zzz", 1e9, -1, True, None, 0.5, "0"]
+
+
+def _mutated(point, rng):
+    """The point unchanged, less one name, with one value replaced by an odd
+    one, or with an unknown name added."""
+    point = dict(point)
+    kind = rng.randrange(4)
+    if kind == 1 and point:
+        del point[rng.choice(sorted(point))]
+    elif kind == 2 and point:
+        point[rng.choice(sorted(point))] = rng.choice(ODD_VALUES)
+    elif kind == 3:
+        point["no__such__param"] = 1
+    return point
+
+
+def _encoded_points(compiled, rng, count):
+    """(encoding, point) pairs: hierarchical draws, the default point and
+    draws from the space compiled without constraints (which a constrained
+    space may refute), then PCS draws and grid cells unless the space is too
+    large to emit."""
+    loose = compile_space(compiled.op, keep_constraints=False)
+    points = [("hier", sample_space(space.hierarchical(), rng))
+              for space in (compiled, loose) for _ in range(count)]
+    points.append(("hier", compiled.default_point()))
+    try:
+        pcs = read_pcs(compiled.pcs())
+        grid = compiled.grid(1, rng.randrange(4))
+    except BlowupExceeded:
+        return points
+    points += [("pcs", pcs.sample(rng)) for _ in range(count)]
+    for _ in range(count):
+        params = rng.choice(grid["disjuncts"])["params"]
+        points.append(("grid", {name: rng.choice(values) for name, values in params.items()}))
+    return points
+
+
+class TestDecodePlan:
+    @settings(max_examples=100, deadline=None)
+    @given(compiled=compiled_spaces(), seed=st.integers(0, 2**31 - 1))
+    def test_decodes_like_the_reference(self, compiled, seed):
+        # Every point goes through one space, so all but the first decode
+        # of each leaf take the cached plan.
+        rng = random.Random(seed)
+        ir = compiled.ir
+        for encoding, point in _encoded_points(compiled, rng, 4):
+            point = _mutated(point, rng)
+            if encoding == "pcs":
+                expected = _outcome(lambda: reference_decode(
+                    ir, reference_decode_pcs_point(ir, point)))
+                assert _outcome(compiled.decode_pcs, point) == expected
+                assert (_outcome(sb.decode_pcs_point, ir, point)
+                        == _outcome(reference_decode_pcs_point, ir, point))
+            else:
+                expected = _outcome(reference_decode, ir, point)
+                assert _outcome(compiled.decode, point) == expected
+                assert _outcome(sb.decode, ir, point) == expected
+
+    def test_defaults_complete_a_point_before_it_is_validated(self):
+        # A negation over a latent name fires through that name's default,
+        # so the plan's defaults decide whether this point is refuted.
+        op = og.Individual("Latent", sm.parse_schema({"allOf": [
+            {"type": "object", "properties": {
+                "a": {"enum": ["x", "z"], "default": "x"},
+                "d": {"enum": [None, 1], "default": None}}},
+            {"not": {"type": "object", "properties": {"a": {"enum": ["z"]},
+                                                      "d": {"enum": [None]}}}}]}))
+        compiled = compile_space(op)
+        for point in ({"latent__a": "z"}, {"latent__a": "z", "latent__d": 1}, {}):
+            expected = _outcome(reference_decode, compiled.ir, point)
+            assert _outcome(compiled.decode, point) == expected
+        assert expected[0] == "returned"
+        assert _outcome(compiled.decode, {"latent__a": "z"})[1] is og.ValidationFailed
+
+    def test_spaces_sharing_an_operator_decode_apart(self, registry):
+        shared = configure(registry["BoostedEnsemble"], {"base": registry["PrunedTree"]})
+        spaces = [compile_space(pipe(registry["Scaler"], shared)),
+                  compile_space(choose([shared, registry["KNN"]]), keep_constraints=False),
+                  compile_space(pipe(shared, shared))]
+        rng = random.Random(5)
+        for _ in range(30):
+            for compiled in spaces:
+                point = sample_space(compiled.hierarchical(), rng)
+                assert (_outcome(compiled.decode, point)
+                        == _outcome(reference_decode, compiled.ir, point))
+
+    def test_a_plan_entry_serves_only_the_leaf_it_was_built_from(self, registry):
+        # Leaves are keyed by id. A copied or unpickled plan keeps the ids of
+        # the originals, and once those are freed another leaf can take one.
+        compiled = compile_space(parse_expr("PCA >> (J48 | LR)", registry))
+        rng = random.Random(6)
+        hier = compiled.hierarchical()
+        j48, lr = (body for _, body in compiled.ir.steps[1][1].branches)
+        compiled.decode({**compiled.default_point(), "step1__D": "J48"})
+        compiled._plan._leaves[id(lr)] = compiled._plan._leaves[id(j48)]
+        for _ in range(10):
+            point = sample_space(hier, rng, force_branch={"step1__D": "LR"})
+            assert (_outcome(compiled.decode, point)
+                    == _outcome(reference_decode, compiled.ir, point))
+        restored = pickle.loads(pickle.dumps(compiled))
+        for _ in range(10):
+            point = sample_space(hier, rng)
+            assert (_outcome(restored.decode, point)
+                    == _outcome(reference_decode, restored.ir, point))
+
+    def test_compiling_and_emitting_build_no_plan(self, registry, monkeypatch):
+        built = []
+
+        class CountedPlan(sb._DecodePlan):
+            def __init__(self, ir):
+                built.append(ir)
+                super().__init__(ir)
+
+        monkeypatch.setattr(sb, "_DecodePlan", CountedPlan)
+        compiled = compile_space(parse_expr("PCA >> (J48 | LR)", registry))
+        compiled.hierarchical()
+        sb.flat_doc(compiled.flat())
+        pcs = read_pcs(compiled.pcs())
+        compiled.grid(2, 0)
+        assert built == []
+        rng = random.Random(2)
+        for _ in range(3):
+            compiled.decode(sample_space(compiled.hierarchical(), rng))
+            compiled.decode_pcs(pcs.sample(rng))
+        assert built == [compiled.ir]
+
+    def test_a_decoded_space_frees_its_ir(self, registry):
+        compiled = compile_space(pipe(registry["Scaler"], configure(
+            registry["BoostedEnsemble"], {"base": registry["PrunedTree"]})))
+        ir = weakref.ref(compiled.ir)
+        rng = random.Random(3)
+        decoded = [compiled.decode(sample_space(compiled.hierarchical(), rng)),
+                   compiled.decode_pcs(read_pcs(compiled.pcs()).sample(rng)),
+                   sb.decode(compiled.ir, compiled.default_point())]
+        del compiled
+        gc.collect()
+        assert ir() is None
+        assert len(decoded) == 3  # decoded operators do not hold the IR
