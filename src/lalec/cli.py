@@ -208,13 +208,11 @@ def cmd_search(args) -> int:
         objective = opt.make_cv_objective(compiled, data, folds=args.folds)
         if args.optimizer == "grid":
             history = opt.grid_search(compiled.grid(args.cont_samples, args.seed),
-                                      objective, spec, jobs=args.jobs)
+                                      objective, spec)
         elif args.optimizer == "bandit":
-            history = opt.bandit_search(compiled.hierarchical(), objective, spec,
-                                        jobs=args.jobs)
+            history = opt.bandit_search(compiled.hierarchical(), objective, spec)
         else:
-            history = opt.random_search(compiled.hierarchical(), objective, spec,
-                                        jobs=args.jobs)
+            history = opt.random_search(compiled.hierarchical(), objective, spec)
     except (CompileError, NormalizeError, SchemaError, OperatorError, opt.GridTooLarge,
             toyml.BadCsv, toyml.LabelColumnMissing, ValueError) as exc:
         print(f"search error: {exc}", file=sys.stderr)
@@ -346,7 +344,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--epsilon", type=float, default=0.25)
     p.add_argument("--cont-samples", type=int, default=1)
     p.add_argument("--no-constraints", action="store_true")
-    p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--out", default=None, help="history JSON file")
     p.add_argument("--best-out", default=None, help="best decoded pipeline JSON file")
     p.add_argument("--curve", default=None, help="best-so-far CSV file")

@@ -14,7 +14,6 @@ import json
 import random
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Any, Callable, Mapping
 
@@ -154,18 +153,8 @@ def _space_dimensions(doc: Mapping[str, Any]) -> int:
     return count
 
 
-def _run_points(points, objective, spec, jobs: int) -> tuple[Trial, ...]:
-    if jobs <= 1:
-        return tuple(_evaluate(i, p, objective, spec) for i, p in enumerate(points))
-    # Indices were assigned at draw time, so ordering stays deterministic
-    # no matter which evaluation finishes first.
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return tuple(pool.map(lambda ip: _evaluate(ip[0], ip[1], objective, spec),
-                              enumerate(points)))
-
-
 def random_search(space_doc: Mapping[str, Any], objective: Callable[[dict], float],
-                  spec: OptimizerSpec, jobs: int = 1) -> History:
+                  spec: OptimizerSpec) -> History:
     """Seeded independent draws: branches and disjuncts uniform, continuous
     domains by their prior. A zero-dimension space runs one default trial."""
     rng = random.Random(spec.seed)
@@ -173,12 +162,12 @@ def random_search(space_doc: Mapping[str, Any], objective: Callable[[dict], floa
         points = [sample_space(space_doc, rng)]
     else:
         points = [sample_space(space_doc, rng) for _ in range(spec.max_trials)]
-    trials = _run_points(points, objective, spec, jobs)
+    trials = tuple(_evaluate(i, p, objective, spec) for i, p in enumerate(points))
     return History(trials, _pick_best(trials), spec.seed, space_digest(space_doc))
 
 
 def grid_search(grid: Mapping[str, Any], objective: Callable[[dict], float],
-                spec: OptimizerSpec, jobs: int = 1) -> History:
+                spec: OptimizerSpec) -> History:
     """Exhaustive evaluation of every grid cell in deterministic order. The
     grid's cellCount is checked against max_trials before any cell is built."""
     if grid["cellCount"] > spec.max_trials:
@@ -186,7 +175,7 @@ def grid_search(grid: Mapping[str, Any], objective: Callable[[dict], float],
     cells = list(grid_cells(grid))
     if not cells:
         cells = [{}]
-    trials = _run_points(cells, objective, spec, jobs)
+    trials = tuple(_evaluate(i, p, objective, spec) for i, p in enumerate(cells))
     return History(trials, _pick_best(trials), spec.seed, space_digest(dict(grid)))
 
 
@@ -200,13 +189,11 @@ def _top_level_choice(space_doc) -> tuple[str, list[str]] | None:
 
 
 def bandit_search(space_doc: Mapping[str, Any], objective: Callable[[dict], float],
-                  spec: OptimizerSpec, jobs: int = 1) -> History:
+                  spec: OptimizerSpec) -> History:
     """Epsilon-greedy allocation over the top-level operator choice; within
     the chosen branch, points are drawn as in random search. Falls back to
     random search when the pipeline has no top-level choice. Sequential by
     contract: each draw depends on the losses before it."""
-    if jobs > 1:
-        raise ValueError("bandit search is sequential; it rejects concurrent evaluation")
     found = _top_level_choice(space_doc)
     if found is None:
         return random_search(space_doc, objective, spec)
@@ -235,6 +222,12 @@ def bandit_search(space_doc: Mapping[str, Any], objective: Callable[[dict], floa
     return History(trials, _pick_best(trials), spec.seed, space_digest(space_doc))
 
 
+# make_cv_objective stores only points with str keys and values of these exact
+# types, whose JSON pins down type and bits (1, 1.0 and true differ, as do -0.0
+# and 0.0), unlike a tuple (printed as a list) or numpy's float64.
+_EXACT_JSON = (str, int, float, bool, type(None))
+
+
 def make_cv_objective(space, data, folds: int = 5, cv_seed: int = 0) -> Callable[[dict], float]:
     """Objective: one minus the mean cross-validated accuracy of the decoded
     configuration. Decode/validation failures signal invalidConfig; anything
@@ -244,6 +237,9 @@ def make_cv_objective(space, data, folds: int = 5, cv_seed: int = 0) -> Callable
     objective, at the first trial that decodes, and every later trial scores
     on the same splits. A split that fails is retried by the next trial, so
     it fails each trial as it would if every trial split on its own.
+
+    Each distinct valid point is scored once per objective; a repeat skips
+    decoding and fitting. A failing point runs, and raises, on every call.
     """
     from . import toyml
     from .operator_graph import ValidationFailed
@@ -251,17 +247,23 @@ def make_cv_objective(space, data, folds: int = 5, cv_seed: int = 0) -> Callable
 
     compiled = space if isinstance(space, CompiledSpace) else compile_space(space)
     splits = None
+    scored: dict[str, float] = {}
 
     def objective(point: Mapping[str, Any]) -> float:
         nonlocal splits
+        exact = all(type(k) is str and type(v) in _EXACT_JSON for k, v in point.items())
+        key = json.dumps(dict(point), sort_keys=True) if exact else None
+        if key in scored:
+            return scored[key]
         try:
             candidate = compiled.decode(point)
         except (ValidationFailed, DecodeError) as exc:
             raise InvalidConfigError(str(exc)) from exc
         if splits is None:
-            # Concurrent trials may both split; the splits are equal, so the
-            # extra work is the only cost.
             splits = toyml.cv_splits(data, folds, cv_seed)
-        return 1.0 - toyml.cross_val_score(candidate, splits)
+        loss = 1.0 - toyml.cross_val_score(candidate, splits)
+        if key is not None:
+            scored[key] = loss
+        return loss
 
     return objective

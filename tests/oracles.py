@@ -2,11 +2,15 @@
 
 Graph isomorphism is a test oracle only. The default resolvers are the three
 the library had before `schema_model.defaults` replaced them; tests check
-that all four agree.
+that all four agree. `reference_cv_objective` is the cross-validation
+objective before it kept the loss of each point it scored; tests check that
+searches under both give the same histories.
 """
 
 from lalec import schema_model as sm
-from lalec.operator_graph import Choice, Individual, Operator, Pipeline
+from lalec import toyml
+from lalec.optimizer import InvalidConfigError
+from lalec.operator_graph import Choice, Individual, Operator, Pipeline, ValidationFailed
 from lalec.schema_model import (
     MISSING,
     AnyOfNode,
@@ -15,6 +19,7 @@ from lalec.schema_model import (
     OperatorSlotNode,
     RangeNode,
 )
+from lalec.space_backends import CompiledSpace, DecodeError, compile_space
 
 
 # ---------------------------------------------------------------------------
@@ -132,3 +137,26 @@ def reference_declared_default(node):
                 if d is not MISSING:
                     return d
     return MISSING
+
+
+# ---------------------------------------------------------------------------
+# Cross-validation objective
+
+
+def reference_cv_objective(space, data, folds: int = 5, cv_seed: int = 0):
+    """optimizer.make_cv_objective without its memo: every call decodes and
+    fits, and the splits are made once, at the first point that decodes."""
+    compiled = space if isinstance(space, CompiledSpace) else compile_space(space)
+    splits = None
+
+    def objective(point):
+        nonlocal splits
+        try:
+            candidate = compiled.decode(point)
+        except (ValidationFailed, DecodeError) as exc:
+            raise InvalidConfigError(str(exc)) from exc
+        if splits is None:
+            splits = toyml.cv_splits(data, folds, cv_seed)
+        return 1.0 - toyml.cross_val_score(candidate, splits)
+
+    return objective

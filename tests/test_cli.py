@@ -171,12 +171,6 @@ class TestSearch:
         # J48 rows: (1 R * 2 C) + (2 R * 1 C); LR rows: (1 * 2) + (3 * 1)
         assert len(history["trials"]) == 2 + 2 + 2 + 3
 
-    def test_bandit_rejects_jobs(self, capsys):
-        code = run_cli(["search", "--expr", "Scaler >> (PrunedTree | KNN)",
-                        "--synth", "blobs,96,0", "--optimizer", "bandit",
-                        "--max-trials", "5", "--jobs", "2"])
-        assert code == 2
-
     def test_csv_input(self, tmp_path, capsys):
         rows = ["f0,f1,target"]
         rows += [f"{i},{i % 7},{'a' if i % 2 else 'b'}" for i in range(40)]

@@ -35,6 +35,19 @@ CRITERION_8 = {
     False: "460c281dab51e915341bd2c5942c233addf2c0d70b096fb2c737515068f87c1a",
 }
 
+# Valid trials whose point an earlier trial already drew: the scores the
+# objective returns from its memo instead of fitting again.
+CRITERION_8_REPEATS = {True: 69, False: 2}
+
+
+def repeated_valid(history) -> int:
+    seen, repeats = set(), 0
+    for t in history.trials:
+        key = json.dumps(t.point, sort_keys=True)
+        repeats += t.status == opt.VALID and key in seen
+        seen.add(key)
+    return repeats
+
 
 @pytest.mark.parametrize("keep_constraints", [True, False],
                          ids=["constrained", "unconstrained"])
@@ -46,6 +59,7 @@ def test_criterion_8_bandit_history_is_pinned(registry, blobs, keep_constraints)
     spec = opt.OptimizerSpec(strategy="bandit", max_trials=200, seed=0)
     history = opt.bandit_search(compiled.hierarchical(), objective, spec)
     assert history_digest(history) == CRITERION_8[keep_constraints]
+    assert repeated_valid(history) == CRITERION_8_REPEATS[keep_constraints]
 
 
 def test_random_search_with_sgd_and_boosting_is_pinned(registry, xor_data):

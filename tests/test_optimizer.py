@@ -1,14 +1,19 @@
+import functools
 import json
 import math
 import random
 import statistics
 import sys
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from lalec import operator_graph as og
 from lalec import optimizer as opt
+from lalec import schema_model as sm
 from lalec import toyml
-from lalec.operator_graph import configure, freeze_trainable, pipe
+from lalec.operator_graph import choose, configure, freeze_trainable, pipe
 from lalec.pipeline_dsl import parse_expr
 from lalec.space_backends import compile_space, sample_space
 from lalec.optimizer import (
@@ -19,6 +24,7 @@ from lalec.optimizer import (
     make_cv_objective,
     random_search,
 )
+from oracles import reference_cv_objective
 
 
 @pytest.fixture(scope="module")
@@ -118,13 +124,6 @@ class TestRandomSearch:
         assert any(t.status == opt.VALID for t in history.trials)
         assert history.trials[history.best].status == opt.VALID
 
-    def test_parallel_jobs_keep_trial_order(self, ablation):
-        compiled, objective = ablation["constrained"]
-        spec = OptimizerSpec(max_trials=24, seed=9)
-        sequential = random_search(compiled.hierarchical(), objective, spec)
-        parallel = random_search(compiled.hierarchical(), objective, spec, jobs=4)
-        assert canonical(sequential) == canonical(parallel)
-
 
 class TestGridSearch:
     def test_exhaustive_and_counted(self, registry, blobs):
@@ -215,12 +214,6 @@ class TestBanditSearch:
         history = bandit_search(compiled.hierarchical(), objective, spec)
         assert len(history.trials) == 10
 
-    def test_rejects_concurrency(self, ablation):
-        compiled, objective = ablation["constrained"]
-        with pytest.raises(ValueError):
-            bandit_search(compiled.hierarchical(), objective,
-                          OptimizerSpec(strategy="bandit", max_trials=5), jobs=2)
-
     def test_deterministic(self, ablation):
         compiled, objective = ablation["constrained"]
         spec = OptimizerSpec(strategy="bandit", max_trials=30, seed=8)
@@ -287,3 +280,139 @@ class TestCvObjective:
                                 OptimizerSpec(max_trials=3, seed=0))
         assert [t.status for t in history.trials] == [opt.RUNTIME_ERROR] * 3
         assert len(calls) == 3
+
+
+def counting(monkeypatch, score=toyml.cross_val_score):
+    """Replace toyml.cross_val_score by `score` and record each call's
+    configured values."""
+    calls = []
+
+    def counted(candidate, splits):
+        calls.append(candidate)
+        return score(candidate, splits)
+
+    monkeypatch.setattr(toyml, "cross_val_score", counted)
+    return calls
+
+
+def outcome(objective, point):
+    try:
+        return "returned", objective(point)
+    except Exception as exc:  # the exception's type is the outcome
+        return "raised", type(exc)
+
+
+class TestCvObjectiveMemo:
+    def test_scores_each_distinct_valid_point_once(self, ablation, blobs, monkeypatch):
+        compiled, _ = ablation["constrained"]
+        calls = counting(monkeypatch)
+        objective = make_cv_objective(compiled, blobs, folds=3)
+        spec = OptimizerSpec(strategy="bandit", max_trials=80, seed=0)
+        history = bandit_search(compiled.hierarchical(), objective, spec)
+        distinct = {json.dumps(t.point, sort_keys=True) for t in history.trials
+                    if t.status == opt.VALID}
+        assert len(distinct) < history.count(opt.VALID)  # the run repeats points
+        assert len(calls) == len(distinct)
+        point = history.trials[history.best].point
+        assert objective(dict(point)) == history.trials[history.best].loss
+        assert len(calls) == len(distinct)
+
+    def test_failing_point_raises_on_every_call(self, registry, blobs, monkeypatch):
+        trap = {"prunedtree__R": True, "prunedtree__C": 0.4, "prunedtree__maxDepth": 3}
+        op = parse_expr("Scaler >> PrunedTree", registry)
+        calls = counting(monkeypatch)
+        objective = make_cv_objective(compile_space(op, keep_constraints=False), blobs, folds=3)
+        for _ in range(3):
+            with pytest.raises(toyml.ConstraintTrap):
+                objective(trap)
+        assert len(calls) == 3
+        objective = make_cv_objective(compile_space(op), blobs, folds=3)
+        for _ in range(3):
+            with pytest.raises(opt.InvalidConfigError):
+                objective(trap)
+
+    def test_runtime_error_is_never_stored(self, registry, blobs, monkeypatch):
+        def fail(candidate, splits):
+            raise ArithmeticError("fit failed")
+
+        calls = counting(monkeypatch, fail)
+        objective = make_cv_objective(compile_space(parse_expr("Scaler >> KNN", registry)),
+                                      blobs, folds=3)
+        point = {"knn__k": 3, "knn__weighting": "uniform"}
+        for _ in range(3):
+            assert outcome(objective, point) == ("raised", ArithmeticError)
+        assert len(calls) == 3
+
+    @pytest.mark.parametrize("values", [(1, 1.0, True), (0.0, -0.0)],
+                             ids=["one", "signed_zero"])
+    def test_values_equal_only_in_python_are_scored_apart(self, blobs, monkeypatch, values):
+        probe = og.Individual("Probe", sm.parse_schema({"allOf": [{
+            "type": "object",
+            "properties": {"x": {"type": "number", "minimum": -1, "maximum": 1,
+                                 "default": 0}}}]}))
+        compiled = compile_space(probe)
+        calls = counting(monkeypatch, lambda candidate, splits: 0.25)
+        objective = make_cv_objective(compiled, blobs, folds=3)
+        reference = reference_cv_objective(compiled, blobs, folds=3)
+        expected = [outcome(reference, {"probe__x": v}) for v in values]
+        scored = len(calls)
+        for _ in range(2):
+            assert [outcome(objective, {"probe__x": v}) for v in values] == expected
+        # Each value that decodes is scored once, apart from the others.
+        assert len(calls) - scored == sum(kind == "returned" for kind, _ in expected)
+
+    def test_numpy_values_score_as_the_reference(self, registry, blobs, monkeypatch):
+        compiled = compile_space(parse_expr("Scaler >> KNN", registry))
+        point = {"knn__k": np.int64(4), "knn__weighting": "distance"}
+        expected = reference_cv_objective(compiled, blobs, folds=3)(point)
+        calls = counting(monkeypatch)
+        objective = make_cv_objective(compiled, blobs, folds=3)
+        assert [objective(point) for _ in range(2)] == [expected, expected]
+        assert len(calls) == 2  # JSON cannot encode np.int64: no memo
+        # JSON prints np.float64 as a float, so it is kept out of the memo too.
+        assert objective({"knn__k": np.float64(4.0), "knn__weighting": "distance"}) == expected
+        assert len(calls) == 3
+
+
+REGISTRY = toyml.load_registry()
+# Narrow registry leaves, so that searches draw the same point again.
+PREPROCESSORS = ["Scaler", "NoOp", "StandardScaler", "MinMaxScaler", "SelectKVariance"]
+ESTIMATORS = ["KNN", "LR", "PrunedTree", "DecisionStump", "J48"]
+
+
+@st.composite
+def narrow_pipelines(draw):
+    steps = [REGISTRY[name] for name in
+             draw(st.lists(st.sampled_from(PREPROCESSORS), max_size=2))]
+    estimators = draw(st.lists(st.sampled_from(ESTIMATORS), min_size=1, max_size=3,
+                               unique=True))
+    if len(estimators) == 1:
+        steps.append(REGISTRY[estimators[0]])
+    else:
+        steps.append(choose([REGISTRY[name] for name in estimators]))
+    return steps[0] if len(steps) == 1 else functools.reduce(pipe, steps)
+
+
+
+class TestMemoAgainstReference:
+    @settings(max_examples=25, deadline=None)
+    @given(op=narrow_pipelines(), keep=st.booleans(), seed=st.integers(0, 2**31 - 1),
+           trials=st.integers(1, 12))
+    def test_histories_equal_the_unmemoized_objective(self, op, keep, seed, trials):
+        # One objective serves every search, so later searches also repeat
+        # the points of earlier ones.
+        compiled = compile_space(op, keep_constraints=keep)
+        data = toyml.synth_dataset("blobs", 48, seed % 5)
+        doc, grid = compiled.hierarchical(), compiled.grid(1, seed)
+        histories = {}
+        for name, make in (("memo", make_cv_objective), ("reference", reference_cv_objective)):
+            objective = make(compiled, data, folds=3, cv_seed=seed)
+            runs = [random_search(doc, objective, OptimizerSpec(max_trials=trials, seed=seed)),
+                    bandit_search(doc, objective, OptimizerSpec(strategy="bandit",
+                                                                max_trials=trials, seed=seed)),
+                    random_search(doc, objective, OptimizerSpec(max_trials=trials, seed=seed))]
+            if grid["cellCount"] <= 24:
+                runs.append(grid_search(grid, objective,
+                                        OptimizerSpec(strategy="grid", max_trials=24)))
+            histories[name] = [canonical(h) for h in runs]
+        assert histories["memo"] == histories["reference"]
