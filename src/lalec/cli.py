@@ -206,13 +206,7 @@ def cmd_search(args) -> int:
         spec = opt.OptimizerSpec(strategy=args.optimizer, max_trials=args.max_trials,
                                  seed=args.seed, bandit_epsilon=args.epsilon)
         objective = opt.make_cv_objective(compiled, data, folds=args.folds)
-        if args.optimizer == "grid":
-            history = opt.grid_search(compiled.grid(args.cont_samples, args.seed),
-                                      objective, spec)
-        elif args.optimizer == "bandit":
-            history = opt.bandit_search(compiled.hierarchical(), objective, spec)
-        else:
-            history = opt.random_search(compiled.hierarchical(), objective, spec)
+        history = opt.run(compiled, objective, spec, args.cont_samples)
     except (CompileError, NormalizeError, SchemaError, OperatorError, opt.GridTooLarge,
             toyml.BadCsv, toyml.LabelColumnMissing, ValueError) as exc:
         print(f"search error: {exc}", file=sys.stderr)

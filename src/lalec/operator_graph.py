@@ -515,12 +515,7 @@ def auto_configure(op: Operator, data, spec=None, *, folds: int = 3,
         spec = opt.OptimizerSpec()
     compiled = compile_space(op, keep_constraints=keep_constraints)
     objective = opt.make_cv_objective(compiled, data, folds=folds)
-    if spec.strategy == "grid":
-        history = opt.grid_search(compiled.grid(cont_samples, spec.seed), objective, spec)
-    elif spec.strategy == "bandit":
-        history = opt.bandit_search(compiled.hierarchical(), objective, spec)
-    else:
-        history = opt.random_search(compiled.hierarchical(), objective, spec)
+    history = opt.run(compiled, objective, spec, cont_samples)
     if history.best is None:
         raise opt.NoValidTrial("every trial failed")
     best = compiled.decode(history.trials[history.best].point)

@@ -222,6 +222,17 @@ def bandit_search(space_doc: Mapping[str, Any], objective: Callable[[dict], floa
     return History(trials, _pick_best(trials), spec.seed, space_digest(space_doc))
 
 
+def run(compiled: CompiledSpace, objective: Callable[[dict], float], spec: OptimizerSpec,
+        cont_samples: int = 1) -> History:
+    """Search a compiled space with the spec's strategy: grid search over its
+    grid of `cont_samples` draws per continuous domain, seeded by the spec;
+    random and bandit search over its hierarchical document."""
+    if spec.strategy == "grid":
+        return grid_search(compiled.grid(cont_samples, spec.seed), objective, spec)
+    search = bandit_search if spec.strategy == "bandit" else random_search
+    return search(compiled.hierarchical(), objective, spec)
+
+
 # make_cv_objective stores only points with str keys and values of these exact
 # types, whose JSON pins down type and bits (1, 1.0 and true differ, as do -0.0
 # and 0.0), unlike a tuple (printed as a list) or numpy's float64.

@@ -307,7 +307,7 @@ def _parse_range(node, path, kind, description) -> RangeNode:
     if default is not MISSING:
         if isinstance(default, bool) or not isinstance(default, (int, float)):
             raise InvalidSchema(path, "range default must be a number")
-        if not _in_range(default, lo, hi, lo_open, hi_open, kind == "integer"):
+        if not in_range(default, lo, hi, lo_open, hi_open, kind == "integer"):
             raise InvalidSchema(path, f"default {default!r} lies outside the range")
     return RangeNode(
         lo=lo, hi=hi, lo_open=lo_open, hi_open=hi_open,
@@ -347,16 +347,22 @@ def _check_negation_form(child, path):
             )
 
 
-def _in_range(value, lo, hi, lo_open, hi_open, integer_valued) -> bool:
+def in_range(value, lo, hi, lo_open, hi_open, integer_valued) -> bool:
+    """The one admission test of a numeric range, for schemas, normal forms
+    and decoding alike: a number (bool is not one), integral when the range
+    is, within the bounds, and off an open bound. NaN is never admitted."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         return False
-    if integer_valued and float(value) != int(value):
+    if integer_valued and not _integral(value):
         return False
-    if value < lo or (lo_open and value == lo):
+    if not lo <= value <= hi:
         return False
-    if value > hi or (hi_open and value == hi):
-        return False
-    return True
+    return not ((lo_open and value == lo) or (hi_open and value == hi))
+
+
+def _integral(value) -> bool:
+    # Exact for every int, however large, and False for NaN and infinities.
+    return isinstance(value, int) or value.is_integer()
 
 
 # ---------------------------------------------------------------------------
@@ -492,10 +498,10 @@ def _check_value(value, node, path, out: list[Violation]) -> bool:
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             out.append(Violation(path, f"expected a number, got {value!r}", "type"))
             return False
-        if node.integer_valued and float(value) != int(value):
+        if node.integer_valued and not _integral(value):
             out.append(Violation(path, f"expected an integer, got {value!r}", "type"))
             return False
-        if not _in_range(value, node.lo, node.hi, node.lo_open, node.hi_open, node.integer_valued):
+        if not in_range(value, node.lo, node.hi, node.lo_open, node.hi_open, node.integer_valued):
             out.append(Violation(path, f"value {value!r} outside {_range_text(node)}", "range"))
             return False
         return True

@@ -41,7 +41,7 @@ from .space_normalizer import (
     normalize,
     DEFAULT_BLOWUP_LIMIT,
     BlowupExceeded,
-    _cont_admits,
+    _domain_admits,
 )
 
 
@@ -193,7 +193,7 @@ def _combine_individual(op: Individual, path: str, unique: str, keep: bool, limi
                     marker = _join(unique, name)
                     nested = _combine_node(value, marker, marker, keep, limit)
                     out[name] = OpSlot(marker=marker, nested=nested)
-                elif _admits(domain, value):
+                elif _domain_admits(domain, value):
                     continue  # fixed value: contributes no dimension
                 else:
                     admitted = False
@@ -208,12 +208,6 @@ def _combine_individual(op: Individual, path: str, unique: str, keep: bool, limi
     if not disjuncts:
         raise CompileError(f"{op.name}: bound configuration admits no search disjunct")
     return LeafIR(path, unique, effective_op, NormalForm(tuple(disjuncts)))
-
-
-def _admits(domain: Domain, value) -> bool:
-    from .space_normalizer import _domain_admits
-
-    return _domain_admits(domain, value)
 
 
 # ---------------------------------------------------------------------------
@@ -299,45 +293,36 @@ def _sample_into(doc, rng, point, force_branch) -> None:
         if domain["kind"] == "categorical":
             point[name] = domain["values"][rng.randrange(len(domain["values"]))]
         elif domain["kind"] == "continuous":
-            point[name] = _draw_cont_doc(domain, rng)
+            point[name] = _draw_cont(rng, domain["lo"], domain["hi"], domain["loOpen"],
+                                     domain["hiOpen"], domain["integer"],
+                                     domain["distribution"] == "loguniform",
+                                     domain.get("quantization"))
         else:
             _sample_into(domain["space"], rng, point, force_branch)
 
 
-def _draw_cont_doc(domain, rng: random.Random):
-    if domain["integer"]:
-        lo, hi = _integer_bounds(domain["lo"], domain["hi"], domain["loOpen"], domain["hiOpen"])
-        if domain["distribution"] == "loguniform":
+def _draw_cont(rng: random.Random, lo, hi, lo_open, hi_open, integer, log, q):
+    """The one draw from a continuous domain, for hierarchical points, grid
+    samples and parsed PCS spaces (see docs/space_formats.md)."""
+    if integer:
+        lo, hi = _integer_bounds(lo, hi, lo_open, hi_open)
+        if log:
             value = int(round(math.exp(rng.uniform(math.log(lo), math.log(hi)))))
         else:
             value = rng.randint(lo, hi)
         return min(max(value, lo), hi)
-    lo, hi = _real_bounds(domain["lo"], domain["hi"], domain["loOpen"], domain["hiOpen"])
-    if domain["distribution"] == "loguniform":
-        value = math.exp(rng.uniform(math.log(lo), math.log(hi)))
+    lo_eps, hi_eps = _real_bounds(lo, hi, lo_open, hi_open)
+    if log:
+        value = math.exp(rng.uniform(math.log(lo_eps), math.log(hi_eps)))
     else:
-        value = rng.uniform(lo, hi)
-    q = domain.get("quantization")
+        value = rng.uniform(lo_eps, hi_eps)
     if q:
-        return _quantize(value, q, domain["lo"], domain["hi"],
-                         domain["loOpen"], domain["hiOpen"], lo, hi)
-    return min(max(value, lo), hi)
-
-
-def _quantize(value, q, lo, hi, lo_open, hi_open, lo_eps, hi_eps):
-    # Round to a multiple of q; when that lands on or beyond an open bound,
-    # step inward by whole multiples so the result stays a multiple of q.
-    def admitted(v):
-        if v < lo or (lo_open and v == lo):
-            return False
-        if v > hi or (hi_open and v == hi):
-            return False
-        return True
-
-    k = round(value / q)
-    for candidate in (k * q, (k - 1) * q, (k + 1) * q):
-        if admitted(candidate):
-            return candidate
+        # Round to a multiple of q; when that lands on or beyond an open
+        # bound, step inward by whole multiples so it stays a multiple of q.
+        k = round(value / q)
+        for candidate in (k * q, (k - 1) * q, (k + 1) * q):
+            if schema_model.in_range(candidate, lo, hi, lo_open, hi_open, False):
+                return candidate
     return min(max(value, lo_eps), hi_eps)
 
 
@@ -498,12 +483,13 @@ def emit_grid(ir: SearchIR, cont_samples: int = 1, seed: int = 0,
                 params[name] = list(domain.values)
             else:
                 assert isinstance(domain, Cont)
-                doc = _domain_doc(domain)
                 values = []
                 if domain.default is not schema_model.MISSING:
                     values.append(domain.default)
+                log = domain.prior.kind == "loguniform"
                 for _ in range(cont_samples):
-                    draw = _draw_cont_doc(doc, rng)
+                    draw = _draw_cont(rng, domain.lo, domain.hi, domain.lo_open, domain.hi_open,
+                                      domain.integer_valued, log, domain.prior.quantization)
                     if not any(schema_model.scalar_eq(draw, v) for v in values):
                         values.append(draw)
                 params[name] = values
@@ -552,18 +538,9 @@ class PcsSpace:
                 continue
             if param.kind == "categorical":
                 point[name] = param.values[rng.randrange(len(param.values))]
-            elif param.kind == "integer":
-                lo, hi = int(param.lo), int(param.hi)
-                if param.log:
-                    point[name] = min(max(int(round(math.exp(
-                        rng.uniform(math.log(lo), math.log(hi))))), lo), hi)
-                else:
-                    point[name] = rng.randint(lo, hi)
             else:
-                if param.log:
-                    point[name] = math.exp(rng.uniform(math.log(param.lo), math.log(param.hi)))
-                else:
-                    point[name] = rng.uniform(param.lo, param.hi)
+                point[name] = _draw_cont(rng, param.lo, param.hi, False, False,
+                                         param.kind == "integer", param.log, None)
         return point
 
     def _active(self, name: str, point) -> bool:
@@ -779,11 +756,15 @@ def _coerce(domains, value):
         elif isinstance(domain, Cont) and not isinstance(value, bool):
             try:
                 number = float(value)
-            except (TypeError, ValueError):
+            except (TypeError, ValueError, OverflowError):
                 continue
-            candidate = int(round(number)) if domain.integer_valued else number
-            if _cont_admits(domain, candidate):
-                return candidate
+            if domain.integer_valued:
+                if not math.isfinite(number):
+                    continue
+                number = int(round(number))
+            if schema_model.in_range(number, domain.lo, domain.hi, domain.lo_open,
+                                     domain.hi_open, domain.integer_valued):
+                return number
     raise DecodeError(f"value {value!r} fits none of the expected domains")
 
 

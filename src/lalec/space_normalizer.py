@@ -29,6 +29,7 @@ from .schema_model import (
     UnsupportedNegation,
     NoBaseObject,
     defaults as schema_defaults,
+    in_range,
     is_scalar,
     scalar_eq,
 )
@@ -126,8 +127,8 @@ def _attach_default(domain: Domain, default):
             return Cat(domain.values, default)
         return Cat(domain.values, MISSING)
     if isinstance(domain, Cont):
-        if isinstance(default, (int, float)) and not isinstance(default, bool) and \
-                _cont_admits(domain, default):
+        if in_range(default, domain.lo, domain.hi, domain.lo_open, domain.hi_open,
+                    domain.integer_valued):
             return Cont(domain.lo, domain.hi, domain.lo_open, domain.hi_open,
                         domain.integer_valued, domain.prior, default)
         return Cont(domain.lo, domain.hi, domain.lo_open, domain.hi_open,
@@ -277,12 +278,12 @@ def intersect_domain(a: Domain, b: Domain):
     if isinstance(a, Cat) and isinstance(b, Cat):
         values = tuple(v for v in a.values if any(scalar_eq(v, w) for w in b.values))
         return Cat(values, a.default) if values else EMPTY
-    if isinstance(a, Cat) and isinstance(b, Cont):
-        values = tuple(v for v in a.values if _cont_admits_scalar(b, v))
-        return Cat(values, a.default) if values else EMPTY
     if isinstance(a, Cont) and isinstance(b, Cat):
-        values = tuple(v for v in b.values if _cont_admits_scalar(a, v))
-        return Cat(values, b.default) if values else EMPTY
+        a, b = b, a  # the values, their order and the default are the Cat's
+    if isinstance(a, Cat) and isinstance(b, Cont):
+        values = tuple(v for v in a.values
+                       if in_range(v, b.lo, b.hi, b.lo_open, b.hi_open, b.integer_valued))
+        return Cat(values, a.default) if values else EMPTY
     if isinstance(a, Cont) and isinstance(b, Cont):
         if a.lo > b.lo:
             lo, lo_open = a.lo, a.lo_open
@@ -314,22 +315,6 @@ def _merge_priors(a: Prior, b: Prior) -> Prior:
     return Prior(kind, quant)
 
 
-def _cont_admits(domain: Cont, value) -> bool:
-    if domain.integer_valued and float(value) != int(value):
-        return False
-    if value < domain.lo or (domain.lo_open and value == domain.lo):
-        return False
-    if value > domain.hi or (domain.hi_open and value == domain.hi):
-        return False
-    return True
-
-
-def _cont_admits_scalar(domain: Cont, value) -> bool:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        return False
-    return _cont_admits(domain, value)
-
-
 def member(nf: NormalForm, config: Mapping[str, Any]) -> bool:
     """True iff some disjunct admits every value of the config."""
     for disjunct in nf.disjuncts:
@@ -344,7 +329,8 @@ def _domain_admits(domain: Domain, value) -> bool:
     if isinstance(domain, Cat):
         return is_scalar(value) and any(scalar_eq(value, v) for v in domain.values)
     if isinstance(domain, Cont):
-        return _cont_admits_scalar(domain, value)
+        return in_range(value, domain.lo, domain.hi, domain.lo_open, domain.hi_open,
+                        domain.integer_valued)
     if isinstance(domain, OpSlot):
         return not is_scalar(value) or isinstance(value, Mapping)
     return False

@@ -4,8 +4,13 @@ Graph isomorphism is a test oracle only. The default resolvers are the three
 the library had before `schema_model.defaults` replaced them; tests check
 that all four agree. `reference_cv_objective` is the cross-validation
 objective before it kept the loss of each point it scored; tests check that
-searches under both give the same histories.
+searches under both give the same histories. The range predicates and
+continuous draws below are the copies the library had before
+`schema_model.in_range` and `space_backends._draw_cont` replaced them;
+tests check that the replacements give the same answers and the same draws.
 """
+
+import math
 
 from lalec import schema_model as sm
 from lalec import toyml
@@ -19,7 +24,15 @@ from lalec.schema_model import (
     OperatorSlotNode,
     RangeNode,
 )
-from lalec.space_backends import CompiledSpace, DecodeError, compile_space
+from lalec.space_backends import (
+    CompiledSpace,
+    DecodeError,
+    _integer_bounds,
+    _real_bounds,
+    compile_space,
+    emit_hierarchical,
+)
+from lalec.space_normalizer import Cat, Cont, OpSlot
 
 
 # ---------------------------------------------------------------------------
@@ -160,3 +173,136 @@ def reference_cv_objective(space, data, folds: int = 5, cv_seed: int = 0):
         return 1.0 - toyml.cross_val_score(candidate, splits)
 
     return objective
+
+
+# ---------------------------------------------------------------------------
+# Range admission
+
+
+def reference_in_range(value, lo, hi, lo_open, hi_open, integer_valued) -> bool:
+    """schema_model's range test."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    if integer_valued and float(value) != int(value):
+        return False
+    if value < lo or (lo_open and value == lo):
+        return False
+    if value > hi or (hi_open and value == hi):
+        return False
+    return True
+
+
+def reference_cont_admits(domain: Cont, value) -> bool:
+    """space_normalizer's range test, without a type check."""
+    if domain.integer_valued and float(value) != int(value):
+        return False
+    if value < domain.lo or (domain.lo_open and value == domain.lo):
+        return False
+    if value > domain.hi or (domain.hi_open and value == domain.hi):
+        return False
+    return True
+
+
+def reference_cont_admits_scalar(domain: Cont, value) -> bool:
+    """space_normalizer's range test for values of any type."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    return reference_cont_admits(domain, value)
+
+
+def reference_quantize_admitted(v, lo, hi, lo_open, hi_open) -> bool:
+    """The range test of space_backends' quantized draw (the `admitted`
+    closure of `_quantize`): no type test and no integer test."""
+    if v < lo or (lo_open and v == lo):
+        return False
+    if v > hi or (hi_open and v == hi):
+        return False
+    return True
+
+
+def reference_quantize(value, q, lo, hi, lo_open, hi_open, lo_eps, hi_eps):
+    """space_backends' quantized draw."""
+    # Round to a multiple of q; when that lands on or beyond an open bound,
+    # step inward by whole multiples so the result stays a multiple of q.
+    k = round(value / q)
+    for candidate in (k * q, (k - 1) * q, (k + 1) * q):
+        if reference_quantize_admitted(candidate, lo, hi, lo_open, hi_open):
+            return candidate
+    return min(max(value, lo_eps), hi_eps)
+
+
+# ---------------------------------------------------------------------------
+# Continuous draws
+
+
+def reference_domain_doc(domain) -> dict:
+    """space_backends' domain document, which the grid drew from."""
+    if isinstance(domain, Cat):
+        doc = {"kind": "categorical", "values": list(domain.values)}
+        if domain.default is not MISSING:
+            doc["default"] = domain.default
+        return doc
+    if isinstance(domain, Cont):
+        doc = {
+            "kind": "continuous",
+            "lo": domain.lo,
+            "hi": domain.hi,
+            "loOpen": domain.lo_open,
+            "hiOpen": domain.hi_open,
+            "integer": domain.integer_valued,
+            "distribution": domain.prior.kind,
+        }
+        if domain.prior.quantization is not None:
+            doc["quantization"] = domain.prior.quantization
+        if domain.default is not MISSING:
+            doc["default"] = domain.default
+        return doc
+    assert isinstance(domain, OpSlot)
+    return {"kind": "operator", "marker": domain.marker,
+            "space": emit_hierarchical(domain.nested)}
+
+
+def reference_draw_cont_doc(domain, rng):
+    """The draw hierarchical points and grid samples made from a domain
+    document."""
+    if domain["integer"]:
+        lo, hi = _integer_bounds(domain["lo"], domain["hi"], domain["loOpen"], domain["hiOpen"])
+        if domain["distribution"] == "loguniform":
+            value = int(round(math.exp(rng.uniform(math.log(lo), math.log(hi)))))
+        else:
+            value = rng.randint(lo, hi)
+        return min(max(value, lo), hi)
+    lo, hi = _real_bounds(domain["lo"], domain["hi"], domain["loOpen"], domain["hiOpen"])
+    if domain["distribution"] == "loguniform":
+        value = math.exp(rng.uniform(math.log(lo), math.log(hi)))
+    else:
+        value = rng.uniform(lo, hi)
+    q = domain.get("quantization")
+    if q:
+        return reference_quantize(value, q, domain["lo"], domain["hi"],
+                                  domain["loOpen"], domain["hiOpen"], lo, hi)
+    return min(max(value, lo), hi)
+
+
+def reference_pcs_sample(space, rng):
+    """PcsSpace.sample with its own draws: no clamp on real values, integer
+    bounds truncated by int()."""
+    point = {}
+    for name, param in space.parameters.items():
+        if not space._active(name, point):
+            continue
+        if param.kind == "categorical":
+            point[name] = param.values[rng.randrange(len(param.values))]
+        elif param.kind == "integer":
+            lo, hi = int(param.lo), int(param.hi)
+            if param.log:
+                point[name] = min(max(int(round(math.exp(
+                    rng.uniform(math.log(lo), math.log(hi))))), lo), hi)
+            else:
+                point[name] = rng.randint(lo, hi)
+        else:
+            if param.log:
+                point[name] = math.exp(rng.uniform(math.log(param.lo), math.log(param.hi)))
+            else:
+                point[name] = rng.uniform(param.lo, param.hi)
+    return point

@@ -1,8 +1,11 @@
+import hashlib
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 from lalec.cli import main, operator_to_dot
 from lalec.operator_graph import configure, fit
@@ -88,6 +91,19 @@ class TestValidate:
 
     def test_bad_config_exit_2(self):
         assert run_cli(["validate", "--op", "LR", "--config", "{broken"]) == 2
+
+    @pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity", "1" + "0" * 400])
+    def test_non_finite_or_huge_integer_exit_1(self, value, capsys):
+        assert run_cli(["validate", "--op", "KNN", "--config", f'{{"k": {value}}}']) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("$.k: ") and lines[0].endswith(("[type]", "[range]"))
+
+    def test_nan_real_exit_1(self, capsys):
+        assert run_cli(["validate", "--op", "LogRegGD",
+                        "--config", '{"learningRate": NaN}']) == 1
+        assert capsys.readouterr().out == \
+            "$.learningRate: value nan outside [0.0001, 10.0] [range]\n"
 
 
 class TestGrammar:
@@ -253,3 +269,39 @@ class TestEntryPoint:
             env={**os.environ, "PYTHONPATH": os.pathsep.join(paths)})
         assert proc.returncode == 0
         assert "ok" in proc.stdout
+
+
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+class TestReadmeSearchExample:
+    # The README's `search` example, run through `main`. Each artifact is
+    # pinned by its sha256; the history's `elapsed` fields are zeroed first,
+    # as `History.to_json(include_timing=False)` writes them.
+    STDOUT = "98941f81e787744e4c11f6a448ddebacfbf787fa73112da2f0a190d16626539d"
+    HISTORY = "c7ffdc4c0cd2a575d492870614979cea716d158952aba818e147535b1c5715e2"
+    BEST = "69222d739770728266ba62afc3f479ba85b8722076e968f519002bbd5e8dae73"
+    CURVE = "2e6fcd274f3245d8d615c08b9930ed91a836a182fe606f990c9c6750705e1a6d"
+
+    def test_artifacts_are_pinned(self, tmp_path, capsys):
+        history_file = tmp_path / "history.json"
+        best_file = tmp_path / "best.json"
+        curve_file = tmp_path / "curve.csv"
+        code = run_cli(["search", "--expr", "Scaler >> (PrunedTree | LogRegGD | KNN)",
+                        "--synth", "blobs,120,0", "--optimizer", "bandit",
+                        "--max-trials", "200", "--seed", "0",
+                        "--out", str(history_file), "--best-out", str(best_file),
+                        "--curve", str(curve_file)])
+        assert code == 0
+        history = json.loads(history_file.read_text())
+        for trial in history["trials"]:
+            trial["elapsed"] = 0.0
+        digests = {
+            "stdout": _sha256(capsys.readouterr().out),
+            "history": _sha256(json.dumps(history, indent=2) + "\n"),
+            "best": _sha256(best_file.read_text()),
+            "curve": _sha256(curve_file.read_text()),
+        }
+        assert digests == {"stdout": self.STDOUT, "history": self.HISTORY,
+                           "best": self.BEST, "curve": self.CURVE}

@@ -221,6 +221,24 @@ class TestBanditSearch:
             canonical(bandit_search(compiled.hierarchical(), objective, spec))
 
 
+class TestRun:
+    @pytest.mark.parametrize("strategy", ["random", "grid", "bandit"])
+    def test_each_strategy_searches_its_encoding(self, ablation, strategy):
+        compiled, _ = ablation["constrained"]
+
+        def objective(point):
+            return len(json.dumps(point, sort_keys=True)) % 7 / 7
+
+        spec = OptimizerSpec(strategy=strategy, max_trials=300, seed=4)
+        if strategy == "grid":
+            expected = grid_search(compiled.grid(2, 4), objective, spec)
+        elif strategy == "bandit":
+            expected = bandit_search(compiled.hierarchical(), objective, spec)
+        else:
+            expected = random_search(compiled.hierarchical(), objective, spec)
+        assert canonical(opt.run(compiled, objective, spec, 2)) == canonical(expected)
+
+
 class TestCvObjective:
     def test_separable_blobs_reach_zero_loss(self, registry, blobs):
         compiled = compile_space(parse_expr("Scaler >> KNN", registry))
@@ -254,6 +272,12 @@ class TestCvObjective:
         with pytest.raises(opt.InvalidConfigError):
             objective({"prunedtree__R": True, "prunedtree__C": 0.4,
                        "prunedtree__maxDepth": 3})
+
+    def test_nan_integer_is_an_invalid_config(self, registry, blobs):
+        objective = make_cv_objective(compile_space(registry["KNN"]), blobs, folds=3)
+        grid = {"disjuncts": [{"params": {"knn__k": [math.nan]}}], "cellCount": 1}
+        history = grid_search(grid, objective, OptimizerSpec(strategy="grid"))
+        assert history.trials[0].status == opt.INVALID_CONFIG
 
     def test_folds_split_once_per_objective(self, registry, blobs, monkeypatch):
         calls = []

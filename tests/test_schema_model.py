@@ -1,14 +1,19 @@
 import json
+import math
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from lalec import operator_graph as og
 from lalec import schema_model as sm
+from lalec.space_normalizer import Cont
 from oracles import (
     reference_best_effort_defaults,
+    reference_cont_admits_scalar,
     reference_declared_default,
     reference_default_config,
+    reference_in_range,
+    reference_quantize_admitted,
 )
 
 
@@ -304,3 +309,70 @@ class TestDeclaredDomains:
     def test_no_base_object(self):
         with pytest.raises(sm.NoBaseObject):
             sm.declared_domains(sm.EnumNode((1,)))
+
+
+# Finite bounds: small integers (as int and as float), ±0, and floats of any
+# finite size.
+BOUNDS = st.one_of(st.integers(-20, 20), st.integers(-20, 20).map(float),
+                   st.sampled_from([0.0, -0.0]), st.floats(allow_nan=False, allow_infinity=False))
+
+
+@st.composite
+def range_cases(draw):
+    """(lo, hi, lo_open, hi_open, integer_valued, value), the value often on
+    or next to a bound."""
+    lo, hi = sorted((draw(BOUNDS), draw(BOUNDS)))
+    near = [lo, hi, math.nextafter(lo, -math.inf), math.nextafter(hi, math.inf)]
+    value = draw(st.one_of(
+        st.sampled_from(near),
+        st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan, True, False,
+                         10**400, -10**400, 2**53 + 1, "1", None]),
+        st.integers(-25, 25), st.integers(-25, 25).map(float),
+        st.integers(), st.floats()))
+    return lo, hi, draw(st.booleans()), draw(st.booleans()), draw(st.booleans()), value
+
+
+def _outcome(predicate, *args):
+    try:
+        return predicate(*args)
+    except (ValueError, OverflowError):  # int(nan), int(inf), float(10**400)
+        return "raised"
+
+
+class TestOneRangePredicate:
+    """schema_model.in_range against the range tests it replaced."""
+
+    @settings(max_examples=600, deadline=None)
+    @given(case=range_cases())
+    @example(case=(0.0, 1.0, False, False, False, math.nan))
+    @example(case=(0, 1e300, False, False, True, 2**53 + 1))
+    @example(case=(0, 1e300, False, False, True, 10**400))
+    def test_agrees_with_each_old_predicate(self, case):
+        lo, hi, lo_open, hi_open, integer, value = case
+        new = sm.in_range(value, lo, hi, lo_open, hi_open, integer)
+        domain = Cont(lo, hi, lo_open, hi_open, integer)
+        olds = [_outcome(reference_in_range, value, lo, hi, lo_open, hi_open, integer),
+                _outcome(reference_cont_admits_scalar, domain, value)]
+        if not integer and isinstance(value, (int, float)) and not isinstance(value, bool):
+            # The quantized draw's test only ever saw numbers on real domains.
+            olds.append(_outcome(reference_quantize_admitted, value, lo, hi, lo_open, hi_open))
+        for old in olds:
+            if old == "raised":
+                assert new is False
+            elif isinstance(value, float) and math.isnan(value):
+                # The one change on real domains: NaN was admitted.
+                assert (old, new) == (True, False)
+            elif integer and type(value) is int and float(value) != value:
+                # An int that no float equals was refused as non-integral.
+                assert old is False
+                assert new == reference_in_range(value, lo, hi, lo_open, hi_open, False)
+            else:
+                assert new == old
+
+    @pytest.mark.parametrize("value, integer, admitted", [
+        (math.nan, False, False), (math.nan, True, False),
+        (math.inf, True, False), (2**60 + 1, True, True), (10**400, True, False),
+        (True, False, False), (-0.0, True, True), (3.0, True, True), (3.5, True, False),
+    ])
+    def test_edges(self, value, integer, admitted):
+        assert sm.in_range(value, -0.0, 2.0**61, False, False, integer) is admitted

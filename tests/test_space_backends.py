@@ -2,6 +2,7 @@ import functools
 import gc
 import itertools
 import json
+import math
 import pickle
 import random
 import tracemalloc
@@ -29,9 +30,16 @@ from lalec.space_backends import (
     read_pcs,
     sample_space,
 )
-from lalec.space_normalizer import DEFAULT_BLOWUP_LIMIT, BlowupExceeded, Cat, OpSlot
+from lalec.space_normalizer import (
+    DEFAULT_BLOWUP_LIMIT,
+    BlowupExceeded,
+    Cat,
+    OpSlot,
+    _domain_admits,
+)
 
 from conftest import probe_lattice
+from oracles import reference_domain_doc, reference_draw_cont_doc, reference_pcs_sample
 
 
 @pytest.fixture(scope="module")
@@ -71,15 +79,9 @@ def flat_member(rows, point):
     for row in rows:
         if set(row) != set(point):
             continue
-        if all(_admits(row[k], v) for k, v in point.items()):
+        if all(_domain_admits(row[k], v) for k, v in point.items()):
             return True
     return False
-
-
-def _admits(domain, value):
-    from lalec.space_normalizer import _domain_admits
-
-    return _domain_admits(domain, value)
 
 
 def hier_member(doc, point):
@@ -533,6 +535,124 @@ class TestGrid:
         assert values[0] == 5  # declared default first
 
 
+@st.composite
+def range_operators(draw):
+    """An operator of one to three numeric ranges: integer or real, uniform
+    or loguniform, open or closed ends, quantized or not, with a default or
+    without."""
+    props = {}
+    for i in range(draw(st.integers(1, 3))):
+        integer, log = draw(st.booleans()), draw(st.booleans())
+        lo_open, hi_open = draw(st.booleans()), draw(st.booleans())
+        opened = lo_open or hi_open
+        if integer:
+            lo = draw(st.integers(1 if log else -50, 60))
+            hi = lo + draw(st.integers(2 if opened else 0, 200))
+            if draw(st.booleans()):  # fractional bounds round inward
+                lo, hi = lo - 0.5, hi + 0.5
+        else:
+            lo = draw(st.floats(1e-3 if log else -1e3, 1e3))
+            hi = lo + draw(st.floats(1e-3 if opened else 0.0, 1e3))
+        doc = {"type": "integer" if integer else "number", "minimum": lo, "maximum": hi,
+               "exclusiveMinimum": lo_open, "exclusiveMaximum": hi_open,
+               "distribution": "loguniform" if log else "uniform"}
+        if draw(st.booleans()):
+            doc["quantization"] = draw(st.floats(0.01, 50.0))
+        if draw(st.booleans()):
+            doc["default"] = (math.ceil(lo) + math.floor(hi)) // 2 if integer else (lo + hi) / 2
+        props[f"p{i}"] = doc
+    return og.Individual("Ranges", sm.parse_schema({"type": "object", "properties": props}))
+
+
+def bits(value):
+    """A value's type and exact bits."""
+    return type(value).__name__, value.hex() if isinstance(value, float) else value
+
+
+def point_bits(point):
+    return {name: bits(value) for name, value in point.items()}
+
+
+def reference_sample_space(doc, rng):
+    """sample_space over steps of leaves before the one draw body: a draw of
+    the disjunct, then one draw from each domain document."""
+    point = {}
+    for leaf in doc["steps"].values():
+        disjunct = leaf["disjuncts"][rng.randrange(len(leaf["disjuncts"]))]
+        for name, domain in disjunct.items():
+            point[name] = reference_draw_cont_doc(domain, rng)
+    return point
+
+
+def reference_grid_params(compiled, cont_samples, seed):
+    """emit_grid's values before the one draw body, drawn from domain
+    documents built per flat row."""
+    rng = random.Random(seed)
+    out = []
+    for row in compiled.flat():
+        params = {}
+        for name, domain in row.items():
+            values = [] if domain.default is sm.MISSING else [domain.default]
+            for _ in range(cont_samples):
+                draw = reference_draw_cont_doc(reference_domain_doc(domain), rng)
+                if not any(sm.scalar_eq(draw, v) for v in values):
+                    values.append(draw)
+            params[name] = values
+        out.append(params)
+    return out
+
+
+class TestOneDrawBody:
+    """sample_space, emit_grid and PcsSpace.sample against the draws they
+    made before they shared one draw body: the same values, of the same type
+    and bits, and the rng left in the same state."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(op=range_operators(), seed=st.integers(0, 2**32), count=st.integers(1, 6))
+    def test_hierarchical_points(self, op, seed, count):
+        doc = compile_space(op).hierarchical()
+        new, old = random.Random(seed), random.Random(seed)
+        for _ in range(count):
+            assert point_bits(sample_space(doc, new)) == point_bits(reference_sample_space(doc, old))
+        assert new.getstate() == old.getstate()
+
+    @settings(max_examples=150, deadline=None)
+    @given(op=range_operators(), seed=st.integers(0, 2**32), cont_samples=st.integers(1, 6))
+    def test_grid_values(self, op, seed, cont_samples):
+        compiled = compile_space(op)
+        grid = compiled.grid(cont_samples, seed)
+        new = [{name: [bits(v) for v in values] for name, values in d["params"].items()}
+               for d in grid["disjuncts"]]
+        old = [{name: [bits(v) for v in values] for name, values in params.items()}
+               for params in reference_grid_params(compiled, cont_samples, seed)]
+        assert new == old
+
+    @settings(max_examples=150, deadline=None)
+    @given(op=range_operators(), seed=st.integers(0, 2**32), count=st.integers(1, 6))
+    def test_parsed_pcs_points(self, op, seed, count):
+        space = read_pcs(compile_space(op).pcs())
+        new, old = random.Random(seed), random.Random(seed)
+        for _ in range(count):
+            expected = reference_pcs_sample(space, old)
+            for name, value in expected.items():
+                # The one change: a real draw off the written bounds is clamped.
+                param = space.parameters[name]
+                if param.kind == "real":
+                    expected[name] = min(max(value, param.lo), param.hi)
+            assert point_bits(space.sample(new)) == point_bits(expected)
+        assert new.getstate() == old.getstate()
+
+    def test_parsed_real_draws_stay_in_written_bounds(self):
+        class Top(random.Random):
+            def random(self):
+                return 1.0 - 2.0**-53  # the largest value random() returns
+
+        hi = 0.11030927835051547  # exp(log(hi)) rounds above hi here
+        space = read_pcs(f"x [0.1, {hi!r}] [0.1]l\n")
+        assert reference_pcs_sample(space, Top())["x"] > hi
+        assert space.sample(Top())["x"] == hi
+
+
 class TestRandomPipelineSoundness:
     def test_sampled_points_always_validate(self, registry):
         """Seeded fuzz over random pipelines: every point drawn from the
@@ -618,6 +738,21 @@ class TestDecode:
     def test_missing_discriminant(self, running_example):
         with pytest.raises(sb.DecodeError):
             running_example.decode({"pca__N": 0.5})
+
+    @pytest.mark.parametrize("text", ["nan", "inf", "-inf", "1e400"])
+    def test_non_finite_pcs_integer(self, registry, text):
+        with pytest.raises(sb.DecodeError):
+            compile_space(registry["KNN"]).decode_pcs({"knn__k": text})
+
+    @pytest.mark.parametrize("point", [{"knn__k": math.nan}, {"knn__k": 10**400},
+                                       {"knn__k": -math.inf}])
+    def test_non_finite_or_huge_integer(self, registry, point):
+        with pytest.raises(sb.DecodeError):
+            compile_space(registry["KNN"]).decode(point)
+
+    def test_nan_real(self, registry):
+        with pytest.raises(sb.DecodeError):
+            compile_space(registry["LogRegGD"]).decode({"logreggd__learningRate": math.nan})
 
     def test_pipeline_branch_inside_choice(self, registry, blobs):
         op = parse_expr("Scaler >> (KNN | (SelectKVariance >> LogRegGD))", registry)
