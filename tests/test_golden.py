@@ -164,6 +164,23 @@ def test_concat_merge_search_is_pinned(registry, xor_data):
         "e7ca4328afd5e0d5d9606e827410ac183aabdbfaae1b8b57055c7856d33419b9")
 
 
+NESTED_PIPELINE_EXPR = "((StandardScaler >> SelectKVariance) | (MinMaxScaler >> KNN)) >> (LogRegGD | KNN)"
+
+
+def test_nested_pipeline_search_is_pinned(registry, xor_data):
+    # A choice between nested pipelines, one of which ends in an estimator
+    # whose predictions feed the final step as a feature column.
+    compiled = compile_space(parse_expr(NESTED_PIPELINE_EXPR, registry))
+    objective = opt.make_cv_objective(compiled, xor_data, folds=3)
+    spec = opt.OptimizerSpec(strategy="random", max_trials=20, seed=0)
+    history = opt.random_search(compiled.hierarchical(), objective, spec)
+    valid = [t.point for t in history.trials if t.status == opt.VALID]
+    assert len(valid) == 20
+    assert any(p["step0__D"] == "Pipeline" for p in valid)
+    assert any(p["step0__D"] == "Pipeline_2" for p in valid)
+    assert history_digest(history) == (
+        "b786bf1deb187e2f8f6b5499fe09f1117414f58dd7e6fad244bc9f1220957d7a")
+
 # sha256 of hierarchical(), flat_doc(flat()), pcs() and grid(2, 0), in that
 # order, per (grammar, unfold depth, keep_constraints); "refused" where the
 # emitter raises BlowupExceeded. Recorded before sizes were checked ahead of
