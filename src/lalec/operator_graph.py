@@ -398,16 +398,48 @@ def fit_each(op: Operator, datasets) -> list[Operator]:
     lockstep); each dataset's trained copy equals what fitting it alone
     gives.
     """
+    _check_fittable(op)
+    Xs = [np.asarray(data.X, dtype=float) for data in datasets]
+    ys = [np.asarray(data.y) for data in datasets]
+    trained, _, _ = _fit_node(op, Xs, ys, want_output=False)
+    return trained
+
+
+def fit_predict_each(op: Operator, datasets, held_out, store: dict) -> list:
+    """Each dataset's held-out predictions by a copy of an operator fitted
+    on that dataset: what ``predict`` gives on ``held_out[i]`` with the
+    ``i``-th copy from ``fit_each``, in one walk.
+
+    Each step maps the held-out inputs right after it is fitted, and the
+    final step maps only them. The walk builds no trained copies. A
+    non-final step's outputs on both sides are kept in ``store`` under its
+    prefix key, and a later call whose prefix has an equal key reuses them
+    instead of fitting. A prefix is the step and everything upstream of it.
+    Its key is the key of the step's input, the step's ``impl`` and the
+    canonical JSON of its effective configuration. The walk's own input has
+    the key ``()``, so ``store`` must only ever see these datasets and
+    held-out features (``toyml.cv_splits`` gives each set of splits its
+    own). A step whose configuration is not exact JSON
+    (``schema_model.exact_json_key``), a frozen trained step, and every
+    step downstream of either, get no key. A fit or map that raises stores
+    nothing. Stored arrays are read-only views, so an implementation that
+    writes into its input fails instead of corrupting later calls.
+    """
+    _check_fittable(op)
+    Xs = [np.asarray(data.X, dtype=float) for data in datasets]
+    Xs += [np.asarray(X, dtype=float) for X in held_out]
+    ys = [np.asarray(data.y) for data in datasets]
+    _, predictions, _ = _fit_node(op, Xs, ys, False, (), store)
+    return predictions
+
+
+def _check_fittable(op: Operator) -> None:
     if state_of(op) < LifecycleState.TRAINABLE:
         if isinstance(op, Choice) or _contains_choice(op):
             raise UnresolvedChoice("resolve operator choices before fitting")
         raise NotTrainable("operator is still planned; configure it first")
     if isinstance(op, Choice):
         raise UnresolvedChoice("cannot fit an unresolved choice")
-    Xs = [np.asarray(data.X, dtype=float) for data in datasets]
-    ys = [np.asarray(data.y) for data in datasets]
-    trained, _ = _fit_node(op, Xs, ys, want_output=False)
-    return trained
 
 
 def _contains_choice(op: Operator) -> bool:
@@ -418,58 +450,114 @@ def _contains_choice(op: Operator) -> bool:
     return False
 
 
-def _fit_node(op: Operator, Xs, ys, want_output: bool):
-    """Trained copies of ``op`` for the inputs ``Xs`` (one per dataset) and,
-    if wanted, their outputs on those inputs."""
+def _fit_node(op: Operator, Xs, ys, want_output: bool, key=None, store=None):
+    """Trained copies of ``op``, one per label vector in ``ys``, fitted on
+    the first ``len(ys)`` inputs in ``Xs``; if wanted, op's outputs on
+    ``Xs``; and the prefix key of those outputs.
+
+    Fitting passes only the training inputs and no store. Scoring
+    (``fit_predict_each``) appends one held-out input per dataset and
+    passes a store; it gets None for the trained copies, dataset i's fitted
+    step maps inputs i and len(ys) + i, and an unwanted output is then op's
+    predictions on the held-out inputs. ``key`` is the prefix key of
+    ``Xs``; a key is None wherever there is none.
+    """
     if isinstance(op, Choice):
         raise UnresolvedChoice("cannot fit an unresolved choice")
     if isinstance(op, Individual):
-        if op.frozen_trained and op.state == LifecycleState.TRAINED:
-            trained = [op] * len(Xs)
-        else:
-            impl = implementation_of(op)
-            artifacts = impl.fit(effective_config(op), list(zip(Xs, ys)))
-            trained = [op._copy(op.bound, LifecycleState.TRAINED, a) for a in artifacts]
-        outputs = [_step_output(t, X) for t, X in zip(trained, Xs)] if want_output else None
-        return trained, outputs
+        return _fit_step(op, Xs, ys, want_output, key, store)
     assert isinstance(op, Pipeline)
-    # outputs[k][index]: step index's output on dataset k.
-    outputs: list[dict[int, Any]] = [{} for _ in Xs]
+    # outputs[index]: step index's output on each input; keys[index]: its key.
+    outputs: dict[int, list] = {}
+    keys: dict[int, Any] = {}
     trained_steps = []
     sink_set = set(sinks(op))
     for index, step in enumerate(op.steps):
-        step_inputs = [_input_for(op, index, out, X) for out, X in zip(outputs, Xs)]
+        preds = op.predecessors(index)
         need_out = want_output or index not in sink_set
-        trained_step, step_outputs = _fit_node(step, step_inputs, ys, want_output=need_out)
+        trained_step, outputs[index], keys[index] = _fit_node(
+            step, _input_for(preds, outputs, Xs), ys, need_out,
+            _input_key(preds, keys, key), store)
         trained_steps.append(trained_step)
-        if step_outputs is not None:
-            for out, step_output in zip(outputs, step_outputs):
-                out[index] = step_output
-    trained = [Pipeline(tuple(steps), op.edges) for steps in zip(*trained_steps)]
-    if want_output:
-        only_sinks = sinks(op)
-        if len(only_sinks) != 1:
-            raise ShapeMismatch("pipeline output requires exactly one sink")
-        return trained, [out[only_sinks[0]] for out in outputs]
-    return trained, None
+    trained = None
+    if store is None:
+        trained = [Pipeline(tuple(steps), op.edges) for steps in zip(*trained_steps)]
+        if not want_output:
+            return trained, None, None
+    only_sinks = sinks(op)
+    if len(only_sinks) != 1:
+        raise ShapeMismatch("pipeline output requires exactly one sink")
+    return trained, outputs[only_sinks[0]], keys[only_sinks[0]]
 
 
-def _input_for(pipeline: Pipeline, index: int, outputs, X):
-    preds = pipeline.predecessors(index)
+def _fit_step(op: Individual, Xs, ys, want_output: bool, key, store):
+    """_fit_node for one step."""
+    scoring = store is not None
+    frozen = op.frozen_trained and op.state == LifecycleState.TRAINED
+    config = None if frozen else effective_config(op)
+    if scoring and want_output and key is not None and not op.frozen_trained:
+        canonical = schema_model.exact_json_key(config)
+        key = None if canonical is None else (key, op.impl, canonical)
+        if key in store:
+            return None, store[key], key
+    else:
+        key = None
+    if frozen:
+        artifacts = [op.artifacts] * len(ys)
+    else:
+        artifacts = implementation_of(op).fit(config, list(zip(Xs, ys)))
+    trained = None
+    if not scoring:
+        trained = [op] * len(ys) if frozen else [
+            op._copy(op.bound, LifecycleState.TRAINED, a) for a in artifacts]
+        if not want_output:
+            return trained, None, None
+    elif not want_output:
+        impl = implementation_of(op)
+        return None, [impl.apply(a, X) for a, X in zip(artifacts, Xs[len(ys):])], None
+    impl = implementation_of(op)
+    outputs = [_step_output(impl, a, X) for a, X in zip(artifacts * (1 + scoring), Xs)]
+    if key is not None:
+        outputs = store[key] = [_read_only(out) for out in outputs]
+    return trained, outputs, key
+
+
+def _input_for(preds, outputs, Xs):
+    """Each input's value for a step with predecessors ``preds``: the
+    pipeline's input for a source step, else its predecessor's output, or
+    for several predecessors a tuple of their outputs in index order."""
     if not preds:
-        return X
+        return Xs
     if len(preds) == 1:
         return outputs[preds[0]]
-    return tuple(outputs[p] for p in sorted(preds))
+    return list(zip(*(outputs[p] for p in sorted(preds))))
 
 
-def _step_output(op: Individual, X):
-    impl = implementation_of(op)
-    out = impl.apply(op.artifacts, X)
+def _input_key(preds, keys, key):
+    """The prefix key of ``_input_for(preds, ...)``. A merged input's key
+    is the tuple of its parts' keys, which holds no str and so never equals
+    a step's key."""
+    if not preds:
+        return key
+    if len(preds) == 1:
+        return keys[preds[0]]
+    parts = tuple(keys[p] for p in sorted(preds))
+    return None if any(part is None for part in parts) else parts
+
+
+def _step_output(impl: ToyImplementation, artifacts, X):
+    out = impl.apply(artifacts, X)
     if impl.kind == "estimator":
         # Mid-pipeline estimators contribute predictions as a feature column.
         return np.asarray(out, dtype=float).reshape(-1, 1)
     return out
+
+
+def _read_only(value):
+    if isinstance(value, np.ndarray):
+        value = value.view()
+        value.flags.writeable = False
+    return value
 
 
 def predict(op: Operator, X):
@@ -493,12 +581,12 @@ def _predict_node(op: Operator, X, as_feature: bool):
     only_sinks = sinks(op)
     if len(only_sinks) != 1:
         raise ShapeMismatch("prediction requires exactly one sink step")
-    outputs: dict[int, Any] = {}
+    outputs: dict[int, list] = {}
     for index, step in enumerate(op.steps):
-        step_input = _input_for(op, index, outputs, X)
+        step_input = _input_for(op.predecessors(index), outputs, [X])[0]
         feature = as_feature or index != only_sinks[0]
-        outputs[index] = _predict_node(step, step_input, as_feature=feature)
-    return outputs[only_sinks[0]]
+        outputs[index] = [_predict_node(step, step_input, as_feature=feature)]
+    return outputs[only_sinks[0]][0]
 
 
 def auto_configure(op: Operator, data, spec=None, *, folds: int = 3,

@@ -17,6 +17,7 @@ import time
 from dataclasses import dataclass
 from typing import Any, Callable, Mapping
 
+from .schema_model import exact_json_key
 from .space_backends import CompiledSpace, compile_space, grid_cells, sample_space
 
 
@@ -233,12 +234,6 @@ def run(compiled: CompiledSpace, objective: Callable[[dict], float], spec: Optim
     return search(compiled.hierarchical(), objective, spec)
 
 
-# make_cv_objective stores only points with str keys and values of these exact
-# types, whose JSON pins down type and bits (1, 1.0 and true differ, as do -0.0
-# and 0.0), unlike a tuple (printed as a list) or numpy's float64.
-_EXACT_JSON = (str, int, float, bool, type(None))
-
-
 def make_cv_objective(space, data, folds: int = 5, cv_seed: int = 0) -> Callable[[dict], float]:
     """Objective: one minus the mean cross-validated accuracy of the decoded
     configuration. Decode/validation failures signal invalidConfig; anything
@@ -251,6 +246,7 @@ def make_cv_objective(space, data, folds: int = 5, cv_seed: int = 0) -> Callable
 
     Each distinct valid point is scored once per objective; a repeat skips
     decoding and fitting. A failing point runs, and raises, on every call.
+    Only points keyed by ``schema_model.exact_json_key`` are stored.
     """
     from . import toyml
     from .operator_graph import ValidationFailed
@@ -262,8 +258,7 @@ def make_cv_objective(space, data, folds: int = 5, cv_seed: int = 0) -> Callable
 
     def objective(point: Mapping[str, Any]) -> float:
         nonlocal splits
-        exact = all(type(k) is str and type(v) in _EXACT_JSON for k, v in point.items())
-        key = json.dumps(dict(point), sort_keys=True) if exact else None
+        key = exact_json_key(point)
         if key in scored:
             return scored[key]
         try:

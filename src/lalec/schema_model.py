@@ -181,6 +181,20 @@ def scalar_eq(a, b) -> bool:
     return a == b
 
 
+# Types whose JSON pins down type and bits (1, 1.0 and true differ, as do -0.0
+# and 0.0), unlike a tuple (printed as a list) or numpy's float64.
+_EXACT_JSON = (str, int, float, bool, type(None))
+
+
+def exact_json_key(mapping: Mapping[str, Any]) -> str | None:
+    """The canonical JSON of a mapping with str keys and exact JSON scalar
+    values, else None: two such mappings get one key only when every value
+    is equal in type and bits. Memos key points and configurations by it."""
+    if all(type(k) is str and type(v) in _EXACT_JSON for k, v in mapping.items()):
+        return json.dumps(dict(mapping), sort_keys=True)
+    return None
+
+
 # ---------------------------------------------------------------------------
 # Parsing
 
@@ -291,6 +305,8 @@ def _parse_range(node, path, kind, description) -> RangeNode:
     for bound in (lo, hi):
         if isinstance(bound, bool) or not isinstance(bound, (int, float)):
             raise InvalidSchema(path, "range bounds must be numbers")
+        if bound != bound:  # NaN, the one number unequal to itself
+            raise InvalidSchema(path, "range bounds must not be NaN")
     lo_open = bool(node.get("exclusiveMinimum", False))
     hi_open = bool(node.get("exclusiveMaximum", False))
     if lo > hi or (lo == hi and (lo_open or hi_open)):

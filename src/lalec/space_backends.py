@@ -731,13 +731,29 @@ def read_pcs(text: str) -> PcsSpace:
         default, flags = default_text[1:].split("]", 1)
         flags = flags.strip()
         kind = "integer" if "i" in flags else "real"
+        lo, hi = float(lo_text), float(hi_text)
+        problem = _pcs_range_problem(lo, hi, kind == "integer", "l" in flags)
+        if problem:
+            raise ValueError(f"line {lineno}: {problem}")
         parameters[name.strip()] = PcsParameter(
-            name.strip(), kind, lo=float(lo_text), hi=float(hi_text),
-            log="l" in flags, default=default.strip())
+            name.strip(), kind, lo=lo, hi=hi, log="l" in flags, default=default.strip())
     for child in conditions:
         if child not in parameters:
             raise ValueError(f"condition references unknown parameter {child!r}")
     return PcsSpace(parameters, conditions)
+
+
+def _pcs_range_problem(lo: float, hi: float, integer: bool, log: bool) -> str | None:
+    """Why the closed range [lo, hi] cannot be sampled, or None."""
+    if math.isnan(lo) or math.isnan(hi):
+        return f"NaN bound in [{lo}, {hi}]"
+    if lo > hi:
+        return f"empty range [{lo}, {hi}]"
+    if integer and math.isfinite(lo) and math.isfinite(hi) and math.ceil(lo) > math.floor(hi):
+        return f"integer range [{lo}, {hi}] contains no integers"
+    if log and lo <= 0:
+        return f"log range [{lo}, {hi}] needs a positive lower bound"
+    return None
 
 
 def decode_pcs_point(ir: SearchIR, point: Mapping[str, Any]) -> dict[str, Any]:

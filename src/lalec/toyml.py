@@ -720,7 +720,19 @@ def accuracy(predictions, labels) -> float:
     return float((predictions == labels).mean())
 
 
-def cv_splits(ds: LabeledDataset, k: int, seed: int = 0):
+class CvSplits(list):
+    """The (train subset, test X, test y) parts of one split of a dataset,
+    in fold order, and the prefix store of the pipelines scored on them
+    (see ``operator_graph.fit_predict_each``). The store lives as long as
+    the splits and holds at most one transformed copy of the folds per
+    distinct prefix."""
+
+    def __init__(self, parts):
+        super().__init__(parts)
+        self.prefixes: dict = {}
+
+
+def cv_splits(ds: LabeledDataset, k: int, seed: int = 0) -> CvSplits:
     """Split the data once into (train subset, test X, test y) per nonempty
     stratified fold, rows in ascending order within each part."""
     splits = []
@@ -730,7 +742,7 @@ def cv_splits(ds: LabeledDataset, k: int, seed: int = 0):
         test = np.array(sorted(fold), dtype=int)
         train = np.setdiff1d(np.arange(len(ds.y)), test)
         splits.append((ds.subset(train), ds.X[test], ds.y[test]))
-    return splits
+    return CvSplits(splits)
 
 
 def cross_val_score(op, splits) -> float:
@@ -738,12 +750,15 @@ def cross_val_score(op, splits) -> float:
 
     Splitting is separate so that a search splits its folds once per
     objective (see ``optimizer.make_cv_objective``) and every trial reuses
-    the same train subsets and test slices. All splits are fitted in one
-    pass (``operator_graph.fit_each``), then each is predicted and scored.
+    the same train subsets and test slices, and the prefixes their
+    pipelines share (``operator_graph.fit_predict_each``). Other sequences
+    of splits share prefixes only within one call.
     """
-    trained = og.fit_each(op, [train for train, _, _ in splits])
-    scores = [accuracy(og.predict(fitted, test_X), test_y)
-              for fitted, (_, test_X, test_y) in zip(trained, splits)]
+    store = splits.prefixes if isinstance(splits, CvSplits) else {}
+    predictions = og.fit_predict_each(op, [train for train, _, _ in splits],
+                                      [test_X for _, test_X, _ in splits], store)
+    scores = [accuracy(predicted, test_y)
+              for predicted, (_, _, test_y) in zip(predictions, splits)]
     return float(np.mean(scores))
 
 

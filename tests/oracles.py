@@ -4,7 +4,9 @@ Graph isomorphism is a test oracle only. The default resolvers are the three
 the library had before `schema_model.defaults` replaced them; tests check
 that all four agree. `reference_cv_objective` is the cross-validation
 objective before it kept the loss of each point it scored; tests check that
-searches under both give the same histories. The range predicates and
+searches under both give the same histories. `reference_cross_val_score` is
+the cross-validation score before it reused pipeline prefixes; tests check
+that both give the same scores, or raise the same exception type. The range predicates and
 continuous draws below are the copies the library had before
 `schema_model.in_range` and `space_backends._draw_cont` replaced them;
 tests check that the replacements give the same answers and the same draws.
@@ -12,6 +14,9 @@ tests check that the replacements give the same answers and the same draws.
 
 import math
 
+import numpy as np
+
+from lalec import operator_graph as og
 from lalec import schema_model as sm
 from lalec import toyml
 from lalec.optimizer import InvalidConfigError
@@ -173,6 +178,16 @@ def reference_cv_objective(space, data, folds: int = 5, cv_seed: int = 0):
         return 1.0 - toyml.cross_val_score(candidate, splits)
 
     return objective
+
+
+def reference_cross_val_score(op, splits) -> float:
+    """toyml.cross_val_score without its prefix store: every step is fitted
+    on every fold (operator_graph.fit_each), then each fold's copy predicts
+    its test slice."""
+    trained = og.fit_each(op, [train for train, _, _ in splits])
+    scores = [toyml.accuracy(og.predict(fitted, test_X), test_y)
+              for fitted, (_, test_X, test_y) in zip(trained, splits)]
+    return float(np.mean(scores))
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ seeded search result changed, which a speed-up must never do.
 
 import hashlib
 import json
+import random
 from pathlib import Path
 
 import numpy as np
@@ -20,7 +21,7 @@ from lalec import grammar_engine
 from lalec import optimizer as opt
 from lalec import toyml
 from lalec.pipeline_dsl import parse_expr, parse_grammar
-from lalec.space_backends import compile_space, flat_doc
+from lalec.space_backends import compile_space, flat_doc, read_pcs
 from lalec.space_normalizer import BlowupExceeded
 
 
@@ -320,3 +321,14 @@ def test_unfolded_grammar_compile_is_pinned(registry, name, depth, keep_constrai
         compiled.hierarchical, lambda: flat_doc(compiled.flat()), compiled.pcs,
         lambda: compiled.grid(2, 0)))
     assert digests == COMPILE_PINS[name, depth, keep_constraints]
+
+
+@pytest.mark.parametrize("name,depth,keep_constraints",
+                         [case for case, pins in COMPILE_PINS.items() if pins[2] != "refused"])
+def test_unfolded_grammar_pcs_parses(registry, name, depth, keep_constraints):
+    # read_pcs refuses ranges it could not sample; every emitted one is sampleable.
+    grammar = parse_grammar((GRAMMARS / f"{name}.grammar").read_text(), registry)
+    compiled = compile_space(grammar_engine.unfold(grammar, depth, registry),
+                             keep_constraints=keep_constraints)
+    parsed = read_pcs(compiled.pcs())
+    assert parsed.parameters and parsed.sample(random.Random(depth))

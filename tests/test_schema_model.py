@@ -96,6 +96,15 @@ class TestParse:
         with pytest.raises(sm.InvalidSchema):
             sm.parse_schema(doc)
 
+    @pytest.mark.parametrize("bounds", [(math.nan, 1.0), (0.0, math.nan), (math.nan, math.nan)])
+    def test_nan_bound_is_refused(self, bounds):
+        lo, hi = bounds
+        with pytest.raises(sm.InvalidSchema, match="NaN"):
+            sm.parse_schema({"type": "number", "minimum": lo, "maximum": hi})
+        with pytest.raises(sm.InvalidSchema, match="NaN"):
+            sm.parse_schema(f'{{"type": "number", "minimum": {lo}, "maximum": {hi}}}'
+                            .replace("nan", "NaN"))
+
     def test_boolean_enum_distinct_from_numbers(self):
         node = sm.parse_schema('{"enum": [true, 1]}')
         assert node.values == (True, 1)

@@ -362,6 +362,24 @@ class TestPcs:
         assert space.parameters["step1__D"].values == ("J48", "LR")
         assert space.parameters["step1__D"].default == "J48"
 
+    @pytest.mark.parametrize("line,problem", [
+        ("x [5.0, 3.0] [4.0]", "empty range"),
+        ("x [5, 3] [4]i", "empty range"),
+        ("x [1.5, 1.7] [1]i", "contains no integers"),
+        ("x [nan, 1] [0.5]", "NaN bound"),
+        ("x [0, nan] [0.5]", "NaN bound"),
+        ("x [0.0, 1.0] [0.5]l", "positive lower bound"),
+        ("x [-2, 3] [1]il", "positive lower bound"),
+    ], ids=["reversed", "reversed_integer", "no_integer", "nan_lower", "nan_upper",
+            "log_zero", "log_negative_integer"])
+    def test_unsampleable_range_is_refused_with_its_line(self, line, problem):
+        with pytest.raises(ValueError, match=f"^line 2: .*{problem}"):
+            read_pcs(f"y {{a, b}} [a]\n{line}\n")
+
+    def test_one_point_ranges_parse(self):
+        space = read_pcs("x [2.5, 2.5] [2.5]\nn [1.5, 2.5] [2]i\n")
+        assert space.sample(random.Random(0)) == {"x": 2.5, "n": 2}
+
     def test_single_categorical_no_conditionals(self, registry):
         text = emit_pcs(sb.combine(registry["StandardScaler"]))
         space = read_pcs(text)

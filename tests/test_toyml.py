@@ -1,3 +1,5 @@
+import dataclasses
+import functools
 import math
 import random
 
@@ -19,6 +21,8 @@ from lalec.toyml import (
     synth_dataset,
     train_test_split,
 )
+
+from oracles import reference_cross_val_score
 
 
 class TestDatasets:
@@ -629,3 +633,193 @@ class TestKnnOracle:
         for j in range(columns):
             np.add.at(want, (np.arange(rows), labels[:, j]), weights[:, j])
         assert toyml._votes(labels, weights, n_classes).tobytes() == want.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# Prefix store: cross_val_score against the fit-then-predict reference
+
+
+REGISTRY = toyml.load_registry()
+
+
+def _loose_tree(config):
+    """A PrunedTree configured against its schema without side constraints,
+    as an unconstrained compile decodes it; R with C != 0.25 traps."""
+    from dataclasses import replace
+
+    from lalec.space_normalizer import drop_constraints
+
+    tree = REGISTRY["PrunedTree"]
+    return configure(replace(tree, schema=drop_constraints(tree.schema)), config)
+
+
+# Groups of sibling steps: a slot of a pipeline family draws one group, and
+# each pipeline of the family one of its steps, so that the pipelines share
+# prefixes, or differ in the configuration of one step of a prefix.
+TRANSFORMER_GROUPS = [
+    [lambda: configure(REGISTRY["Scaler"], {}),
+     lambda: configure(REGISTRY["StandardScaler"], {"withMean": False}),
+     lambda: configure(REGISTRY["StandardScaler"], {"withStd": False})],
+    [lambda: configure(REGISTRY["MinMaxScaler"], {}),
+     lambda: configure(REGISTRY["NoOp"], {})],
+    [lambda: configure(REGISTRY["SelectKVariance"], {"k": 1}),
+     lambda: configure(REGISTRY["SelectKVariance"], {"k": 2})],
+]
+ESTIMATOR_GROUPS = [
+    [lambda: configure(REGISTRY["KNN"], {"k": 1}),
+     lambda: configure(REGISTRY["KNN"], {"k": 3, "weighting": "distance"})],
+    [lambda: configure(REGISTRY["LogRegGD"], {"iterations": 10}),
+     lambda: configure(REGISTRY["LogRegGD"], {"iterations": 10, "solver": "sgd"}),
+     lambda: configure(REGISTRY["LogRegGD"], {"iterations": 10, "penalty": "l1"})],
+    [lambda: configure(REGISTRY["PrunedTree"], {"maxDepth": 2}),
+     lambda: configure(REGISTRY["PrunedTree"], {"maxDepth": 3}),
+     lambda: _loose_tree({"R": True, "C": 0.3})],
+    [lambda: configure(REGISTRY["DecisionStump"], {}),
+     lambda: configure(REGISTRY["BoostedEnsemble"], {"n_estimators": 2}),
+     lambda: configure(REGISTRY["BoostedEnsemble"], {
+         "n_estimators": 2, "base": configure(REGISTRY["LogRegGD"], {"iterations": 10})})],
+]
+
+
+def _nested(steps):
+    inner = og.Pipeline((og.pipe(steps[0], steps[1]), steps[2]), ((0, 1),))
+    return og.pipe(steps[3], inner) if len(steps) == 4 else inner
+
+
+SHAPES = {
+    "linear": lambda steps: functools.reduce(og.pipe, steps),
+    "concat": lambda steps: og.pipe(og.pipe(og.both(steps[0], steps[1]),
+                                            configure(REGISTRY["Concat"], {})), steps[2]),
+    "nested": _nested,
+    "two_sinks": lambda steps: og.both(*steps),
+}
+
+
+@st.composite
+def pipeline_families(draw):
+    """1-4 pipelines of one shape and one group per slot: linear pipelines,
+    Concat merges, nested pipelines and two-sink graphs, with estimators
+    also in the middle."""
+    groups = TRANSFORMER_GROUPS + ESTIMATOR_GROUPS
+    shape = draw(st.sampled_from(sorted(SHAPES)))
+    count = {"linear": draw(st.integers(0, 2)), "concat": 2, "two_sinks": 1,
+             "nested": 2 + draw(st.integers(0, 1))}[shape]
+    slots = [draw(st.sampled_from(groups)) for _ in range(count)]
+    slots.append(draw(st.sampled_from(ESTIMATOR_GROUPS)))
+    if shape == "nested":
+        slots[0] = draw(st.sampled_from(TRANSFORMER_GROUPS))
+    return [SHAPES[shape]([draw(st.sampled_from(group))() for group in slots])
+            for _ in range(draw(st.integers(1, 4)))]
+
+
+def scored(score, op, splits):
+    try:
+        return "returned", score(op, splits)
+    except Exception as exc:  # the exception's type is the outcome
+        return "raised", type(exc)
+
+
+def counting_fits(monkeypatch, impl_name):
+    """Record the number of problems of each fit of one implementation."""
+    calls = []
+    impl = og.IMPLEMENTATIONS[impl_name]
+
+    def fit(config, problems):
+        calls.append(len(problems))
+        return impl.fit(config, problems)
+
+    monkeypatch.setitem(og.IMPLEMENTATIONS, impl_name, dataclasses.replace(impl, fit=fit))
+    return calls
+
+
+class TestPrefixStore:
+    @settings(max_examples=60, deadline=None)
+    @given(families=st.lists(pipeline_families(), min_size=1, max_size=3),
+           seed=st.integers(0, 3))
+    def test_scores_equal_the_reference(self, families, seed):
+        # One splits object serves every pipeline, twice over, so later
+        # pipelines meet prefixes that earlier ones stored.
+        splits = cv_splits(synth_dataset("xor", 36, seed), 3, seed)
+        ops = [op for family in families for op in family]
+        for op in ops + ops:
+            assert scored(cross_val_score, op, splits) == scored(
+                reference_cross_val_score, op, splits)
+
+    def test_shared_prefix_is_fitted_once_per_splits(self, monkeypatch, blobs):
+        fits = counting_fits(monkeypatch, "standard_scaler")
+        splits = cv_splits(blobs, 3)
+        for k in (1, 3, 5):
+            op = og.pipe(configure(REGISTRY["StandardScaler"], {"withStd": True}),
+                         configure(REGISTRY["KNN"], {"k": k}))
+            assert cross_val_score(op, splits) == reference_cross_val_score(op, splits)
+        assert fits == [3, 3, 3, 3]  # once here, and once per reference call
+        cross_val_score(op, cv_splits(blobs, 3))  # other splits, another store
+        cross_val_score(op, list(splits))  # a plain list has no store
+        assert fits == [3] * 6
+
+    def test_same_implementation_with_another_configuration_is_fitted_apart(self, blobs):
+        splits = cv_splits(blobs, 3)
+        for first in (configure(REGISTRY["Scaler"], {}),
+                      configure(REGISTRY["StandardScaler"], {"withStd": False}),
+                      configure(REGISTRY["StandardScaler"], {"withStd": False})):
+            op = og.pipe(first, configure(REGISTRY["KNN"], {"k": 3}))
+            assert cross_val_score(op, splits) == reference_cross_val_score(op, splits)
+        assert len(splits.prefixes) == 2
+
+    def test_equal_branches_share_within_one_call(self, monkeypatch, xor_data):
+        fits = counting_fits(monkeypatch, "minmax_scaler")
+        union = og.both(configure(REGISTRY["MinMaxScaler"], {}),
+                        configure(REGISTRY["MinMaxScaler"], {}))
+        op = og.pipe(og.pipe(union, configure(REGISTRY["Concat"], {})),
+                     configure(REGISTRY["KNN"], {}))
+        splits = cv_splits(xor_data, 3)
+        assert cross_val_score(op, list(splits)) == reference_cross_val_score(op, splits)
+        assert fits == [3, 3, 3]  # one here, two in the reference
+
+    def test_failing_prefix_is_not_stored(self, monkeypatch, blobs):
+        fits = counting_fits(monkeypatch, "pruned_tree")
+        op = functools.reduce(og.pipe, [configure(REGISTRY["Scaler"], {}),
+                                        _loose_tree({"R": True, "C": 0.3}),
+                                        configure(REGISTRY["KNN"], {})])
+        splits = cv_splits(blobs, 3)
+        for _ in range(3):
+            with pytest.raises(ConstraintTrap):
+                cross_val_score(op, splits)
+        assert len(fits) == 3
+        [(key, outputs)] = splits.prefixes.items()  # the scaler alone
+        assert key[1] == "standard_scaler"
+
+    def test_unkeyed_steps_and_their_successors_are_not_stored(self, blobs):
+        boosted = configure(REGISTRY["BoostedEnsemble"], {
+            "n_estimators": 2, "base": configure(REGISTRY["KNN"], {})})
+        frozen = og.freeze_trained(fit(configure(REGISTRY["MinMaxScaler"], {}), blobs))
+        for first in (boosted, frozen):
+            op = functools.reduce(og.pipe, [first, configure(REGISTRY["NoOp"], {}),
+                                            configure(REGISTRY["KNN"], {})])
+            splits = cv_splits(blobs, 3)
+            assert cross_val_score(op, splits) == reference_cross_val_score(op, splits)
+            assert splits.prefixes == {}
+
+    def test_stored_arrays_are_read_only(self, monkeypatch, xor_data):
+        op = functools.reduce(og.pipe, [configure(REGISTRY["Scaler"], {}),
+                                        configure(REGISTRY["LogRegGD"], {"iterations": 10}),
+                                        configure(REGISTRY["KNN"], {})])
+        splits = cv_splits(xor_data, 3)
+        cross_val_score(op, splits)
+        stored = [out for outputs in splits.prefixes.values() for out in outputs]
+        assert len(stored) == 2 * 2 * len(splits)  # two steps, both sides of each fold
+        assert all(isinstance(out, np.ndarray) and not out.flags.writeable for out in stored)
+        assert all(train.X.flags.writeable for train, _, _ in splits)  # views only
+
+        def scribble(artifacts, X):
+            X[:, 0] = 0.0
+            return X
+
+        monkeypatch.setitem(og.IMPLEMENTATIONS, "noop", dataclasses.replace(
+            og.IMPLEMENTATIONS["noop"], apply=scribble))
+        writer = functools.reduce(og.pipe, [configure(REGISTRY["Scaler"], {}),
+                                            configure(REGISTRY["NoOp"], {}),
+                                            configure(REGISTRY["KNN"], {})])
+        for target in (splits, cv_splits(xor_data, 3)):  # stored, and just computed
+            with pytest.raises(ValueError, match="read-only"):
+                cross_val_score(writer, target)
