@@ -165,7 +165,8 @@ def test_concat_merge_search_is_pinned(registry, xor_data):
         "e7ca4328afd5e0d5d9606e827410ac183aabdbfaae1b8b57055c7856d33419b9")
 
 
-NESTED_PIPELINE_EXPR = "((StandardScaler >> SelectKVariance) | (MinMaxScaler >> KNN)) >> (LogRegGD | KNN)"
+NESTED_PIPELINE_EXPR = ("((StandardScaler >> SelectKVariance) | (MinMaxScaler >> KNN))"
+                        " >> (LogRegGD | KNN)")
 
 
 def test_nested_pipeline_search_is_pinned(registry, xor_data):

@@ -682,8 +682,10 @@ ESTIMATOR_GROUPS = [
 
 
 def _nested(steps):
-    inner = og.Pipeline((og.pipe(steps[0], steps[1]), steps[2]), ((0, 1),))
-    return og.pipe(steps[3], inner) if len(steps) == 4 else inner
+    # A pipeline whose first step is itself a pipeline, after an optional
+    # transformer.
+    inner = og.Pipeline((og.pipe(steps[-3], steps[-2]), steps[-1]), ((0, 1),))
+    return og.pipe(steps[0], inner) if len(steps) == 4 else inner
 
 
 SHAPES = {
@@ -786,7 +788,7 @@ class TestPrefixStore:
             with pytest.raises(ConstraintTrap):
                 cross_val_score(op, splits)
         assert len(fits) == 3
-        [(key, outputs)] = splits.prefixes.items()  # the scaler alone
+        [key] = splits.prefixes  # the scaler alone
         assert key[1] == "standard_scaler"
 
     def test_unkeyed_steps_and_their_successors_are_not_stored(self, blobs):
