@@ -222,15 +222,8 @@ def configure(op: Operator, partial: Mapping[str, Any]) -> Individual:
     """
     if not isinstance(op, Individual):
         raise OperatorError("configure applies to individual operators")
-    return _configure(op, partial, _best_effort_defaults(op.schema))
-
-
-def _configure(op: Individual, partial: Mapping[str, Any],
-               defaults: Mapping[str, Any]) -> Individual:
-    """configure, given `_best_effort_defaults(op.schema)`, which a decode
-    plan computes once per leaf; `defaults` is not modified."""
     merged = {**op.bound, **partial}
-    completed = {**defaults, **merged}
+    completed = {**_best_effort_defaults(op.schema), **merged}
     try:
         valid = schema_model.validate(completed, op.schema).ok
     except Exception:  # re-raised below by the check that meets it first
@@ -249,10 +242,11 @@ def _configure(op: Individual, partial: Mapping[str, Any],
     return op._copy(merged, state, artifacts)
 
 
-def _best_effort_defaults(schema: SchemaNode) -> dict[str, Any]:
-    """The declared defaults, or none when the schema has no base object."""
+def _best_effort_defaults(schema: SchemaNode) -> Mapping[str, Any]:
+    """The declared defaults, or none when the schema has no base object.
+    This is the schema's cached mapping: read it, never write to it."""
     try:
-        return schema_model.defaults(schema)
+        return schema.declared_defaults
     except schema_model.NoBaseObject:
         return {}
 

@@ -11,7 +11,9 @@ time.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Any, Mapping
 
 
@@ -85,7 +87,16 @@ UNIFORM = Prior()
 
 @dataclass(frozen=True)
 class SchemaNode:
-    pass
+    @cached_property
+    def declared_defaults(self) -> dict[str, Any]:
+        """What `defaults(self)` copies, resolved on first use and kept on
+        the node. Shared by every caller: read it, never write to it."""
+        out = {}
+        for name, node in declared_domains(self).items():
+            value = _default_of(node)
+            if value is not MISSING:
+                out[name] = value
+        return out
 
 
 @dataclass(frozen=True)
@@ -307,6 +318,9 @@ def _parse_range(node, path, kind, description) -> RangeNode:
             raise InvalidSchema(path, "range bounds must be numbers")
         if bound != bound:  # NaN, the one number unequal to itself
             raise InvalidSchema(path, "range bounds must not be NaN")
+        # Refuses ±inf, and an int too large for a float (JSON reads 1e400 as inf).
+        if not -sys.float_info.max <= bound <= sys.float_info.max:
+            raise InvalidSchema(path, "range bounds must be finite")
     lo_open = bool(node.get("exclusiveMinimum", False))
     hi_open = bool(node.get("exclusiveMaximum", False))
     if lo > hi or (lo == hi and (lo_open or hi_open)):
@@ -588,12 +602,7 @@ def defaults(schema: SchemaNode) -> dict[str, Any]:
     """The declared default of each hyperparameter that has one, in
     declaration order, as a fresh dict. A domain's default is its own, or
     for an anyOf without one, the first alternative's that has one."""
-    out = {}
-    for name, node in declared_domains(schema).items():
-        value = _default_of(node)
-        if value is not MISSING:
-            out[name] = value
-    return out
+    return dict(schema.declared_defaults)
 
 
 def _default_of(node):

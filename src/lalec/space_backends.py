@@ -28,8 +28,7 @@ from .operator_graph import (
     Individual,
     Operator,
     Pipeline,
-    _best_effort_defaults,
-    _configure,
+    configure,
 )
 from .space_normalizer import (
     Cat,
@@ -72,6 +71,18 @@ class LeafIR(SearchIR):
     unique: str   # collision-free path for synthetic selector parameters
     op: Individual
     nf: NormalForm
+
+    @cached_property
+    def entries(self) -> tuple[tuple[str, str, tuple[Domain, ...], SearchIR | None], ...]:
+        """Per name, built on the leaf's first decode: (name, mangled key,
+        the name's domain in each disjunct, nested IR of an operator slot or
+        None)."""
+        entries = []
+        for name in self.nf.names():
+            domains = tuple(d[name] for d in self.nf.disjuncts if name in d)
+            nested = domains[0].nested if isinstance(domains[0], OpSlot) else None
+            entries.append((name, _join(self.prefix, name), domains, nested))
+        return tuple(entries)
 
 
 @dataclass(frozen=True)
@@ -556,6 +567,19 @@ class _PcsModel:
     conditions: dict[str, list[tuple[str, str]]]
     decode_map: dict[str, tuple[str, Any]]  # pcs name -> ("param", public, domains) | ("selector",)
 
+    def decode_point(self, point: Mapping[str, Any]) -> dict[str, Any]:
+        """decode_pcs_point with this model."""
+        out: dict[str, Any] = {}
+        for name, value in point.items():
+            entry = self.decode_map.get(name)
+            if entry is None:
+                raise UnknownMarker(f"point names unknown parameter {name!r}")
+            if entry[0] == "selector":
+                continue
+            _, public, domains = entry
+            out[public] = _coerce(domains, value)
+        return out
+
 
 def _pcs_value(value) -> str:
     if value is True:
@@ -714,29 +738,31 @@ def read_pcs(text: str) -> PcsSpace:
             parent, value = (part.strip() for part in rest.split("==", 1))
             conditions.setdefault(child, []).append((parent, value))
             continue
-        if "{" in line:
+        categorical = "{" in line
+        if categorical:
             name, rest = line.split("{", 1)
-            values_text, default_text = rest.split("}", 1)
-            values = tuple(v.strip() for v in values_text.split(","))
-            default = default_text.strip().strip("[]").strip()
-            parameters[name.strip()] = PcsParameter(
-                name.strip(), "categorical", values=values, default=default)
-            continue
-        name, rest = line.split("[", 1)
-        bounds_text, default_text = rest.split("]", 1)
-        lo_text, hi_text = (part.strip() for part in bounds_text.split(","))
-        default_text = default_text.strip()
+            domain_text, default_text = rest.split("}", 1)
+        elif "[" in line:
+            name, rest = line.split("[", 1)
+            domain_text, default_text = rest.split("]", 1)
+        else:
+            raise ValueError(f"line {lineno}: expected {{values}} or [lo, hi]")
+        name, default_text = name.strip(), default_text.strip()
         if not default_text.startswith("["):
             raise ValueError(f"line {lineno}: missing default")
-        default, flags = default_text[1:].split("]", 1)
-        flags = flags.strip()
+        default, flags = (part.strip() for part in default_text[1:].split("]", 1))
+        if categorical:
+            values = tuple(v.strip() for v in domain_text.split(","))
+            parameters[name] = PcsParameter(name, "categorical", values=values, default=default)
+            continue
+        lo_text, hi_text = domain_text.split(",")
         kind = "integer" if "i" in flags else "real"
         lo, hi = float(lo_text), float(hi_text)
         problem = _pcs_range_problem(lo, hi, kind == "integer", "l" in flags)
         if problem:
             raise ValueError(f"line {lineno}: {problem}")
-        parameters[name.strip()] = PcsParameter(
-            name.strip(), kind, lo=lo, hi=hi, log="l" in flags, default=default.strip())
+        parameters[name] = PcsParameter(
+            name, kind, lo=lo, hi=hi, log="l" in flags, default=default)
     for child in conditions:
         if child not in parameters:
             raise ValueError(f"condition references unknown parameter {child!r}")
@@ -747,9 +773,11 @@ def _pcs_range_problem(lo: float, hi: float, integer: bool, log: bool) -> str | 
     """Why the closed range [lo, hi] cannot be sampled, or None."""
     if math.isnan(lo) or math.isnan(hi):
         return f"NaN bound in [{lo}, {hi}]"
+    if math.isinf(lo) or math.isinf(hi):
+        return f"infinite bound in [{lo}, {hi}]"
     if lo > hi:
         return f"empty range [{lo}, {hi}]"
-    if integer and math.isfinite(lo) and math.isfinite(hi) and math.ceil(lo) > math.floor(hi):
+    if integer and math.ceil(lo) > math.floor(hi):
         return f"integer range [{lo}, {hi}] contains no integers"
     if log and lo <= 0:
         return f"log range [{lo}, {hi}] needs a positive lower bound"
@@ -758,8 +786,9 @@ def _pcs_range_problem(lo: float, hi: float, integer: bool, log: bool) -> str | 
 
 def decode_pcs_point(ir: SearchIR, point: Mapping[str, Any]) -> dict[str, Any]:
     """Translate a PCS assignment (raw strings, per-disjunct copies) back to
-    the public mangled names with schema-typed values."""
-    return _DecodePlan(ir).pcs_point(point)
+    the public mangled names with schema-typed values. Builds the PCS model
+    for this call; a CompiledSpace keeps its own."""
+    return _pcs_model(ir).decode_point(point)
 
 
 def _coerce(domains, value):
@@ -791,81 +820,27 @@ def _coerce(domains, value):
 def decode(ir: SearchIR, point: Mapping[str, Any]) -> Operator:
     """Rebuild the configured operator a point denotes: resolve choices by
     their discriminants, bind leaf values, instantiate marked slots."""
-    return _DecodePlan(ir).decode(point)
-
-
-class _DecodePlan:
-    """What decoding points needs of one IR, derived on first use and kept
-    as long as the plan: per leaf, its entries and completed defaults; for
-    the whole space, the PCS model.
-
-    Leaves are keyed by id and each entry keeps its leaf, so an entry is
-    used only for the very object it was built from (a copied plan's keys
-    name other objects).
-    """
-
-    def __init__(self, ir: SearchIR):
-        self.ir = ir
-        self._leaves: dict[int, tuple[LeafIR, tuple, dict[str, Any]]] = {}
-
-    @cached_property
-    def pcs(self) -> _PcsModel:
-        return _pcs_model(self.ir)
-
-    def pcs_point(self, point: Mapping[str, Any]) -> dict[str, Any]:
-        decode_map = self.pcs.decode_map
-        out: dict[str, Any] = {}
-        for name, value in point.items():
-            entry = decode_map.get(name)
-            if entry is None:
-                raise UnknownMarker(f"point names unknown parameter {name!r}")
-            if entry[0] == "selector":
-                continue
-            _, public, domains = entry
-            out[public] = _coerce(domains, value)
-        return out
-
-    def decode(self, point: Mapping[str, Any]) -> Operator:
-        return self._decode(self.ir, point)
-
-    def _decode(self, ir: SearchIR, point: Mapping[str, Any]) -> Operator:
-        if isinstance(ir, StepMapIR):
-            decoded = [self._decode(child, point) for _, child in ir.steps]
-            if ir.wrapper:
-                return decoded[0]
-            return Pipeline(tuple(decoded), ir.edges)
-        if isinstance(ir, ChoiceIR):
-            value = point.get(ir.discriminant)
-            if value is None:
-                raise DecodeError(f"point is missing discriminant {ir.discriminant!r}")
-            for branch_value, body in ir.branches:
-                if branch_value == str(value):
-                    return self._decode(body, point)
-            raise UnknownMarker(f"{ir.discriminant!r} has no branch {value!r}")
-        assert isinstance(ir, LeafIR)
-        _, entries, defaults = self._leaf(ir)
-        config: dict[str, Any] = {}
-        for name, key, domains, nested in entries:
-            if nested is not None:
-                config[name] = self._decode(nested, point)
-            elif key in point:
-                config[name] = _coerce(domains, point[key])
-        return _configure(ir.op, config, defaults)
-
-    def _leaf(self, ir: LeafIR) -> tuple[LeafIR, tuple, dict[str, Any]]:
-        """(leaf, entries, completed defaults). An entry is (name, mangled
-        key, the name's domain in each disjunct, nested IR of an operator
-        slot or None)."""
-        plan = self._leaves.get(id(ir))
-        if plan is None or plan[0] is not ir:
-            entries = []
-            for name in ir.nf.names():
-                domains = tuple(d[name] for d in ir.nf.disjuncts if name in d)
-                nested = domains[0].nested if isinstance(domains[0], OpSlot) else None
-                entries.append((name, _join(ir.prefix, name), domains, nested))
-            plan = (ir, tuple(entries), _best_effort_defaults(ir.op.schema))
-            self._leaves[id(ir)] = plan
-        return plan
+    if isinstance(ir, StepMapIR):
+        decoded = [decode(child, point) for _, child in ir.steps]
+        if ir.wrapper:
+            return decoded[0]
+        return Pipeline(tuple(decoded), ir.edges)
+    if isinstance(ir, ChoiceIR):
+        value = point.get(ir.discriminant)
+        if value is None:
+            raise DecodeError(f"point is missing discriminant {ir.discriminant!r}")
+        for branch_value, body in ir.branches:
+            if branch_value == str(value):
+                return decode(body, point)
+        raise UnknownMarker(f"{ir.discriminant!r} has no branch {value!r}")
+    assert isinstance(ir, LeafIR)
+    config: dict[str, Any] = {}
+    for name, key, domains, nested in ir.entries:
+        if nested is not None:
+            config[name] = decode(nested, point)
+        elif key in point:
+            config[name] = _coerce(domains, point[key])
+    return configure(ir.op, config)
 
 
 # ---------------------------------------------------------------------------
@@ -876,8 +851,10 @@ class _DecodePlan:
 class CompiledSpace:
     """A planned operator together with its combined IR and emitters.
 
-    The first decode builds the space's decode plan, which lives as long as
-    the space; compiling and emitting build none.
+    Decoding keeps what it derives on the object it comes from: each
+    schema's defaults on the schema (through `configure`), each leaf's
+    entries on the leaf, and the PCS model on the space, built by the first
+    `decode_pcs`. Compiling and emitting build no entries and no PCS model.
     """
 
     op: Operator
@@ -897,14 +874,14 @@ class CompiledSpace:
         return emit_grid(self.ir, cont_samples, seed)
 
     @cached_property
-    def _plan(self) -> _DecodePlan:
-        return _DecodePlan(self.ir)
+    def pcs_model(self) -> _PcsModel:
+        return _pcs_model(self.ir)
 
     def decode(self, point: Mapping[str, Any]) -> Operator:
-        return self._plan.decode(point)
+        return decode(self.ir, point)
 
     def decode_pcs(self, point: Mapping[str, Any]) -> Operator:
-        return self._plan.decode(self._plan.pcs_point(point))
+        return decode(self.ir, self.pcs_model.decode_point(point))
 
     def default_point(self) -> dict[str, Any]:
         return default_point(self.ir)

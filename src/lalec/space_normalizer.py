@@ -28,7 +28,6 @@ from .schema_model import (
     SchemaNode,
     UnsupportedNegation,
     NoBaseObject,
-    defaults as schema_defaults,
     in_range,
     is_scalar,
     scalar_eq,
@@ -112,7 +111,7 @@ def normalize(schema: SchemaNode, declared: Mapping[str, SchemaNode] | None = No
     disjuncts = [d for d in disjuncts if all(v is not EMPTY for v in d.values())]
     if not disjuncts:
         raise EmptySpace("no satisfiable disjunct remains")
-    defaults = schema_defaults(schema)
+    defaults = schema.declared_defaults
     final = []
     for d in disjuncts:
         final.append({name: _attach_default(d[name], defaults.get(name, MISSING)) for name in declared})

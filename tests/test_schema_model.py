@@ -105,6 +105,19 @@ class TestParse:
             sm.parse_schema(f'{{"type": "number", "minimum": {lo}, "maximum": {hi}}}'
                             .replace("nan", "NaN"))
 
+    @pytest.mark.parametrize("kind", ["number", "integer"])
+    @pytest.mark.parametrize("bounds", [(0, math.inf), (-math.inf, 1), (-math.inf, math.inf)])
+    def test_infinite_bound_is_refused(self, kind, bounds):
+        lo, hi = bounds
+        doc = {"type": kind, "minimum": lo, "maximum": hi}
+        with pytest.raises(sm.InvalidSchema, match="finite"):
+            sm.parse_schema(doc)
+        with pytest.raises(sm.InvalidSchema, match="finite"):
+            sm.parse_schema(json.dumps(doc))
+        for big in ("1e400", "1" + "0" * 400):  # a float and an int past the largest float
+            with pytest.raises(sm.InvalidSchema, match="finite"):
+                sm.parse_schema(json.dumps(doc).replace("Infinity", big))
+
     def test_boolean_enum_distinct_from_numbers(self):
         node = sm.parse_schema('{"enum": [true, 1]}')
         assert node.values == (True, 1)
@@ -298,6 +311,16 @@ class TestOneDefaultResolver:
         op = registry["J48"]
         og.effective_config(op)["R"] = "changed"
         assert og.effective_config(op) == {"R": False, "C": 0.25}
+
+    def test_mutating_a_defaults_dict_leaves_configure_alone(self, registry):
+        # configure and effective_config read the schema's cached defaults;
+        # defaults hands out a copy of them.
+        op = registry["J48"]
+        before = (og.configure(op, {"C": 0.1}), og.effective_config(op))
+        found = sm.defaults(op.schema)
+        found.update(R="changed", C=7.0, extra=1)
+        assert og.configure(op, {"C": 0.1}) == before[0]
+        assert og.effective_config(op) == before[1] == {"R": False, "C": 0.25}
 
 
 class TestDeclaredDomains:

@@ -1,3 +1,4 @@
+import copy
 import functools
 import gc
 import itertools
@@ -368,12 +369,25 @@ class TestPcs:
         ("x [1.5, 1.7] [1]i", "contains no integers"),
         ("x [nan, 1] [0.5]", "NaN bound"),
         ("x [0, nan] [0.5]", "NaN bound"),
+        ("x [0, inf] [1]", "infinite bound"),
+        ("x [-inf, 1] [0]", "infinite bound"),
+        ("x [1, 1e400] [1]i", "infinite bound"),
         ("x [0.0, 1.0] [0.5]l", "positive lower bound"),
         ("x [-2, 3] [1]il", "positive lower bound"),
     ], ids=["reversed", "reversed_integer", "no_integer", "nan_lower", "nan_upper",
-            "log_zero", "log_negative_integer"])
+            "inf_upper", "inf_lower", "overflow_integer", "log_zero",
+            "log_negative_integer"])
     def test_unsampleable_range_is_refused_with_its_line(self, line, problem):
         with pytest.raises(ValueError, match=f"^line 2: .*{problem}"):
+            read_pcs(f"y {{a, b}} [a]\n{line}\n")
+
+    @pytest.mark.parametrize("line,problem", [
+        ("x 5", "expected {values} or \\[lo, hi\\]"),
+        ("x {a, b}", "missing default"),
+        ("x [0, 1]", "missing default"),
+    ], ids=["no_domain", "categorical_no_default", "range_no_default"])
+    def test_parameter_line_without_domain_or_default_is_refused(self, line, problem):
+        with pytest.raises(ValueError, match=f"^line 2: {problem}$"):
             read_pcs(f"y {{a, b}} [a]\n{line}\n")
 
     def test_one_point_ranges_parse(self):
@@ -1072,7 +1086,7 @@ class TestDecodePlan:
     @given(compiled=compiled_spaces(), seed=st.integers(0, 2**31 - 1))
     def test_decodes_like_the_reference(self, compiled, seed):
         # Every point goes through one space, so all but the first decode
-        # of each leaf take the cached plan.
+        # of each leaf take its cached entries.
         rng = random.Random(seed)
         ir = compiled.ir
         for encoding, point in _encoded_points(compiled, rng, 4):
@@ -1090,7 +1104,7 @@ class TestDecodePlan:
 
     def test_defaults_complete_a_point_before_it_is_validated(self):
         # A negation over a latent name fires through that name's default,
-        # so the plan's defaults decide whether this point is refuted.
+        # so the schema's defaults decide whether this point is refuted.
         op = og.Individual("Latent", sm.parse_schema({"allOf": [
             {"type": "object", "properties": {
                 "a": {"enum": ["x", "z"], "default": "x"},
@@ -1116,45 +1130,49 @@ class TestDecodePlan:
                 assert (_outcome(compiled.decode, point)
                         == _outcome(reference_decode, compiled.ir, point))
 
-    def test_a_plan_entry_serves_only_the_leaf_it_was_built_from(self, registry):
-        # Leaves are keyed by id. A copied or unpickled plan keeps the ids of
-        # the originals, and once those are freed another leaf can take one.
-        compiled = compile_space(parse_expr("PCA >> (J48 | LR)", registry))
+    def test_a_decoded_space_survives_pickle_and_deepcopy(self, registry):
+        # The cached entries and PCS model travel with the objects they were
+        # derived from, so a copy decodes with its own.
+        spaces = [compile_space(parse_expr("PCA >> (J48 | LR)", registry)),
+                  compile_space(pipe(registry["Scaler"], configure(
+                      registry["BoostedEnsemble"], {"base": registry["PrunedTree"]})))]
         rng = random.Random(6)
-        hier = compiled.hierarchical()
-        j48, lr = (body for _, body in compiled.ir.steps[1][1].branches)
-        compiled.decode({**compiled.default_point(), "step1__D": "J48"})
-        compiled._plan._leaves[id(lr)] = compiled._plan._leaves[id(j48)]
-        for _ in range(10):
-            point = sample_space(hier, rng, force_branch={"step1__D": "LR"})
-            assert (_outcome(compiled.decode, point)
-                    == _outcome(reference_decode, compiled.ir, point))
-        restored = pickle.loads(pickle.dumps(compiled))
-        for _ in range(10):
-            point = sample_space(hier, rng)
-            assert (_outcome(restored.decode, point)
-                    == _outcome(reference_decode, restored.ir, point))
+        for compiled in spaces:
+            hier = compiled.hierarchical()
+            pcs = read_pcs(compiled.pcs())
+            for _ in range(5):
+                compiled.decode(sample_space(hier, rng))
+                compiled.decode_pcs(pcs.sample(rng))
+            for restored in (pickle.loads(pickle.dumps(compiled)), copy.deepcopy(compiled)):
+                ir = restored.ir
+                assert "pcs_model" in vars(restored) and "entries" in vars(ir.steps[0][1])
+                for _ in range(10):
+                    point = sample_space(hier, rng)
+                    assert (_outcome(restored.decode, point)
+                            == _outcome(reference_decode, ir, point))
+                    point = pcs.sample(rng)
+                    assert (_outcome(restored.decode_pcs, point)
+                            == _outcome(lambda: reference_decode(
+                                ir, reference_decode_pcs_point(ir, point))))
 
-    def test_compiling_and_emitting_build_no_plan(self, registry, monkeypatch):
-        built = []
-
-        class CountedPlan(sb._DecodePlan):
-            def __init__(self, ir):
-                built.append(ir)
-                super().__init__(ir)
-
-        monkeypatch.setattr(sb, "_DecodePlan", CountedPlan)
+    def test_compiling_and_emitting_cache_no_decode_data(self, registry):
         compiled = compile_space(parse_expr("PCA >> (J48 | LR)", registry))
         compiled.hierarchical()
         sb.flat_doc(compiled.flat())
         pcs = read_pcs(compiled.pcs())
         compiled.grid(2, 0)
-        assert built == []
+        pca = compiled.ir.steps[0][1]
+        leaves = [pca, *(body for _, body in compiled.ir.steps[1][1].branches)]
+        assert not any("entries" in vars(leaf) for leaf in leaves)
+        assert "pcs_model" not in vars(compiled)
         rng = random.Random(2)
         for _ in range(3):
             compiled.decode(sample_space(compiled.hierarchical(), rng))
             compiled.decode_pcs(pcs.sample(rng))
-        assert built == [compiled.ir]
+        model = compiled.pcs_model
+        compiled.decode_pcs(pcs.sample(rng))
+        assert compiled.pcs_model is model
+        assert "entries" in vars(pca)
 
     def test_a_decoded_space_frees_its_ir(self, registry):
         compiled = compile_space(pipe(registry["Scaler"], configure(
