@@ -11,8 +11,9 @@ captured); each step of the way unlocks more functionality.
 from __future__ import annotations
 
 import enum
+import hashlib
 from dataclasses import dataclass, field, replace
-from typing import Any, Callable, Mapping, Sequence
+from typing import Any, Callable, Mapping
 
 import numpy as np
 
@@ -113,9 +114,6 @@ class Pipeline(Operator):
 
     def predecessors(self, index: int) -> tuple[int, ...]:
         return tuple(i for i, j in self.edges if j == index)
-
-    def successors(self, index: int) -> tuple[int, ...]:
-        return tuple(j for i, j in self.edges if i == index)
 
 
 @dataclass(frozen=True)
@@ -343,13 +341,22 @@ class ToyImplementation:
     depends only on ``config`` and that problem, never on the other problems
     or their order, so fitting many at once gives what fitting each alone
     would, bit for bit.
+
+    ``budget`` names a hyperparameter that counts the fit's steps and
+    changes nothing else: a fit of k steps is the first k steps of every
+    longer one. Such a fit takes a third argument in scoring, ``runs``: a
+    dict from counts to the state that fits on these problems, with this
+    configuration but for the budget, reached after that many steps. It
+    resumes from the longest stored run not longer than its own, gets the
+    bits a fit from scratch gets, and stores its own run as it returns.
     """
 
     name: str
     kind: str  # "transformer" | "estimator"
-    fit: Callable[[Mapping[str, Any], Sequence[tuple[Any, Any]]], list[Any]]
+    fit: Callable[..., list[Any]]
     apply: Callable[[Any, Any], Any]
     inverse: Callable[[Any, Any], Any] | None = None
+    budget: str | None = None
 
 
 IMPLEMENTATIONS: dict[str, ToyImplementation] = {}
@@ -399,7 +406,7 @@ def fit_each(op: Operator, datasets) -> list[Operator]:
     return trained
 
 
-def fit_predict_each(op: Operator, datasets, held_out, store: dict) -> list:
+def fit_predict_each(op: Operator, datasets, held_out, store: dict, runs: dict) -> list:
     """Each dataset's held-out predictions by a copy of an operator fitted
     on that dataset: what ``predict`` gives on ``held_out[i]`` with the
     ``i``-th copy from ``fit_each``, in one walk.
@@ -418,12 +425,20 @@ def fit_predict_each(op: Operator, datasets, held_out, store: dict) -> list:
     step downstream of either, get no key. A fit or map that raises stores
     nothing. Stored arrays are read-only views, so an implementation that
     writes into its input fails instead of corrupting later calls.
+
+    A step whose implementation has a ``budget`` also resumes its fit from
+    ``runs``, final step included (see ``ToyImplementation``). Fits share
+    one dict of runs there when they have the same ``impl``, the same
+    canonical JSON of the configuration without the budget, and training
+    inputs and labels of the same shapes, dtypes and bytes (``_run_key``).
+    Such a step gets no stored run when that configuration is not exact
+    JSON or an input is not an array.
     """
     _check_fittable(op)
     Xs = [np.asarray(data.X, dtype=float) for data in datasets]
     Xs += [np.asarray(X, dtype=float) for X in held_out]
     ys = [np.asarray(data.y) for data in datasets]
-    _, predictions, _ = _fit_node(op, Xs, ys, False, (), store)
+    _, predictions, _ = _fit_node(op, Xs, ys, False, (), store, runs)
     return predictions
 
 
@@ -444,14 +459,14 @@ def _contains_choice(op: Operator) -> bool:
     return False
 
 
-def _fit_node(op: Operator, Xs, ys, want_output: bool, key=None, store=None):
+def _fit_node(op: Operator, Xs, ys, want_output: bool, key=None, store=None, runs=None):
     """Trained copies of ``op``, one per label vector in ``ys``, fitted on
     the first ``len(ys)`` inputs in ``Xs``; if wanted, op's outputs on
     ``Xs``; and the prefix key of those outputs.
 
     Fitting passes only the training inputs and no store. Scoring
     (``fit_predict_each``) appends one held-out input per dataset and
-    passes a store; it gets None for the trained copies, dataset i's fitted
+    passes both stores; it gets None for the trained copies, dataset i's fitted
     step maps inputs i and len(ys) + i, and an unwanted output is then op's
     predictions on the held-out inputs. ``key`` is the prefix key of
     ``Xs``; a key is None wherever there is none.
@@ -459,7 +474,7 @@ def _fit_node(op: Operator, Xs, ys, want_output: bool, key=None, store=None):
     if isinstance(op, Choice):
         raise UnresolvedChoice("cannot fit an unresolved choice")
     if isinstance(op, Individual):
-        return _fit_step(op, Xs, ys, want_output, key, store)
+        return _fit_step(op, Xs, ys, want_output, key, store, runs)
     assert isinstance(op, Pipeline)
     # outputs[index]: step index's output on each input; keys[index]: its key.
     outputs: dict[int, list] = {}
@@ -471,7 +486,7 @@ def _fit_node(op: Operator, Xs, ys, want_output: bool, key=None, store=None):
         need_out = want_output or index not in sink_set
         trained_step, outputs[index], keys[index] = _fit_node(
             step, _input_for(preds, outputs, Xs), ys, need_out,
-            _input_key(preds, keys, key), store)
+            _input_key(preds, keys, key), store, runs)
         trained_steps.append(trained_step)
     trained = None
     if store is None:
@@ -484,7 +499,7 @@ def _fit_node(op: Operator, Xs, ys, want_output: bool, key=None, store=None):
     return trained, outputs[only_sinks[0]], keys[only_sinks[0]]
 
 
-def _fit_step(op: Individual, Xs, ys, want_output: bool, key, store):
+def _fit_step(op: Individual, Xs, ys, want_output: bool, key, store, runs):
     """_fit_node for one step."""
     scoring = store is not None
     frozen = op.frozen_trained and op.state == LifecycleState.TRAINED
@@ -499,7 +514,16 @@ def _fit_step(op: Individual, Xs, ys, want_output: bool, key, store):
     if frozen:
         artifacts = [op.artifacts] * len(ys)
     else:
-        artifacts = implementation_of(op).fit(config, list(zip(Xs, ys)))
+        impl = implementation_of(op)
+        run_key = None
+        if scoring and impl.budget is not None:
+            run_key = _run_key(impl, config, Xs[:len(ys)], ys)
+        if run_key is None:
+            artifacts = impl.fit(config, list(zip(Xs, ys)))
+        else:
+            run = runs.get(run_key, {})
+            artifacts = impl.fit(config, list(zip(Xs, ys)), run)
+            runs[run_key] = run
     trained = None
     if not scoring:
         trained = [op] * len(ys) if frozen else [
@@ -514,6 +538,25 @@ def _fit_step(op: Individual, Xs, ys, want_output: bool, key, store):
     if key is not None:
         outputs = store[key] = [_read_only(out) for out in outputs]
     return trained, outputs, key
+
+
+def _run_key(impl: ToyImplementation, config, Xs, ys):
+    """The key under which fits of ``impl`` on these problems share their
+    runs: its name, the canonical JSON of ``config`` without the budget,
+    every input's and label vector's dtype and shape, and a SHA-256 of
+    their bytes. Fits that differ only in the budget get one key. None when
+    the configuration is not exact JSON or an input is not a plain array."""
+    rest = schema_model.exact_json_key(
+        {name: value for name, value in config.items() if name != impl.budget})
+    parts = (*Xs, *ys)
+    if rest is None or not all(isinstance(part, np.ndarray) and not part.dtype.hasobject
+                               for part in parts):
+        return None
+    digest = hashlib.sha256()
+    for part in parts:
+        digest.update(np.ascontiguousarray(part))
+    layout = tuple((part.dtype.str, part.shape) for part in parts)
+    return impl.name, rest, layout, digest.digest()
 
 
 def _input_for(preds, outputs, Xs):

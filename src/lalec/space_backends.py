@@ -20,7 +20,7 @@ import math
 import random
 from dataclasses import dataclass, replace
 from functools import cached_property
-from typing import Any, Mapping
+from typing import Any, Callable, Mapping
 
 from . import schema_model
 from .operator_graph import (
@@ -696,11 +696,13 @@ def _pcs_param(name: str, domain: Domain) -> PcsParameter:
     return PcsParameter(name, "real", lo=lo, hi=hi, log=log, default=repr(default))
 
 
-def emit_pcs(ir: SearchIR, limit: int = DEFAULT_BLOWUP_LIMIT) -> str:
+def emit_pcs(ir: SearchIR, limit: int = DEFAULT_BLOWUP_LIMIT,
+             cached: Callable[[], _PcsModel] | None = None) -> str:
     """Classic PCS text: parameters, then `child | parent == value` lines
-    (several lines on one child conjoin)."""
+    (several lines on one child conjoin). `cached` gives ir's PCS model
+    when the caller keeps one."""
     flat_size(ir, limit)  # enforce the blowup cap the flat form defines
-    model = _pcs_model(ir)
+    model = cached() if cached else _pcs_model(ir)
     lines = ["# parameter configuration space"]
     for param in model.params:
         if param.kind == "categorical":
@@ -739,25 +741,25 @@ def read_pcs(text: str) -> PcsSpace:
             conditions.setdefault(child, []).append((parent, value))
             continue
         categorical = "{" in line
-        if categorical:
-            name, rest = line.split("{", 1)
-            domain_text, default_text = rest.split("}", 1)
-        elif "[" in line:
-            name, rest = line.split("[", 1)
-            domain_text, default_text = rest.split("]", 1)
-        else:
+        if not categorical and "[" not in line:
             raise ValueError(f"line {lineno}: expected {{values}} or [lo, hi]")
+        name, _, rest = line.partition("{" if categorical else "[")
+        domain_text, closed, default_text = rest.partition("}" if categorical else "]")
+        if not closed:
+            raise ValueError(f"line {lineno}: unclosed {'{' if categorical else '['}")
         name, default_text = name.strip(), default_text.strip()
-        if not default_text.startswith("["):
+        if not default_text.startswith("[") or "]" not in default_text:
             raise ValueError(f"line {lineno}: missing default")
         default, flags = (part.strip() for part in default_text[1:].split("]", 1))
         if categorical:
             values = tuple(v.strip() for v in domain_text.split(","))
             parameters[name] = PcsParameter(name, "categorical", values=values, default=default)
             continue
-        lo_text, hi_text = domain_text.split(",")
+        try:
+            lo, hi = (float(bound) for bound in domain_text.split(","))
+        except ValueError:
+            raise ValueError(f"line {lineno}: expected two numbers in [{domain_text}]") from None
         kind = "integer" if "i" in flags else "real"
-        lo, hi = float(lo_text), float(hi_text)
         problem = _pcs_range_problem(lo, hi, kind == "integer", "l" in flags)
         if problem:
             raise ValueError(f"line {lineno}: {problem}")
@@ -854,7 +856,7 @@ class CompiledSpace:
     Decoding keeps what it derives on the object it comes from: each
     schema's defaults on the schema (through `configure`), each leaf's
     entries on the leaf, and the PCS model on the space, built by the first
-    `decode_pcs`. Compiling and emitting build no entries and no PCS model.
+    `pcs` or `decode_pcs`. Compiling and the other emitters build neither.
     """
 
     op: Operator
@@ -868,7 +870,7 @@ class CompiledSpace:
         return emit_flat(self.ir)
 
     def pcs(self) -> str:
-        return emit_pcs(self.ir)
+        return emit_pcs(self.ir, cached=lambda: self.pcs_model)
 
     def grid(self, cont_samples: int = 1, seed: int = 0) -> dict:
         return emit_grid(self.ir, cont_samples, seed)

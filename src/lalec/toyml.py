@@ -215,7 +215,11 @@ def _apply_knn(artifacts, X):
 # Logistic regression by gradient descent (one-vs-rest beyond two classes)
 
 
-def _fit_logreg(config, problems):
+def _fit_logreg(config, problems, runs=None):
+    """One artifact per problem. ``runs`` maps step counts to the raw
+    weights a descent on these problems, with this configuration but for
+    ``iterations``, reached after that many steps; the descent resumes from
+    the longest stored run not longer than its own and stores its own."""
     lr = float(config.get("learningRate", 0.1))
     iterations = int(config.get("iterations", 100))
     penalty = config.get("penalty", "l2")
@@ -233,7 +237,10 @@ def _fit_logreg(config, problems):
         targets = np.arange(1, 2) if n_classes == 2 else np.arange(n_classes)
         biased.append((Xb, (y == targets[:, None]).astype(float)))
         class_counts.append(n_classes)
-    weights = _logreg_descent(biased, lr, iterations, penalty, solver)
+    runs = {} if runs is None else runs
+    done = max((k for k in runs if k <= iterations), default=0)
+    weights, w = _logreg_descent(biased, lr, iterations, penalty, solver, runs.get(done), done)
+    runs[max(iterations, 0)] = w
     return [{"weights": W, "n_classes": n_classes} for W, n_classes in zip(weights, class_counts)]
 
 
@@ -245,7 +252,9 @@ def _draw_rows(rng: random.Random, n: int, count: int) -> np.ndarray:
     returns W such words, the first drawn least significant, so splitting it
     into little-endian words and applying the same shift and rejection gives
     the same sequence. Unused accepted words are discarded, so ``rng`` ends
-    further along its stream than the per-call loop would leave it.
+    further along its stream than the per-call loop would leave it; the
+    rows drawn for a count are still a prefix of those drawn for any larger
+    count from the same state.
     """
     k = n.bit_length()
     rows = np.empty(0, dtype=np.int64)
@@ -257,12 +266,19 @@ def _draw_rows(rng: random.Random, n: int, count: int) -> np.ndarray:
     return rows[:count]
 
 
-def _logreg_descent(problems, lr, iterations, penalty, solver):
+def _logreg_descent(problems, lr, iterations, penalty, solver, start=None, done=0):
     """Logistic-regression weights by gradient descent for every target row
-    of every ``(Xb, T)`` problem, one row of weights per target.
+    of every ``(Xb, T)`` problem, one row of weights per target, and the
+    flat raw weights of all descents after the last step.
 
     All descents share the hyperparameters and run in lockstep; each one's
-    weights are those it would reach alone.
+    weights are those it would reach alone. ``start``, when given, is the
+    raw weights that the same descents returned after ``done`` steps; the
+    descents continue from it with step ``done + 1``. The result is the
+    same bits: a step depends only on the weights, the data, lr and penalty,
+    sgd's rows for ``done`` steps are a prefix of its rows for more (see
+    ``_draw_rows``), and non-finite weights are zeroed only in the returned
+    matrices.
     """
     # Seeded search histories depend on these weights bit for bit, so every
     # step of every descent computes
@@ -291,6 +307,8 @@ def _logreg_descent(problems, lr, iterations, penalty, solver):
     w_lo, w_hi = np.array(-1e6), np.array(1e6)
     batches = [max(1, len(Xb) // 4) if sgd else len(Xb) for Xb, _ in problems]
     w = np.zeros(sum(T.shape[0] * Xb.shape[1] for Xb, T in problems))
+    if start is not None:
+        w[:] = start
     grad = np.empty_like(w)
     z = np.empty(sum(T.shape[0] * batch for (_, T), batch in zip(problems, batches)))
     # segments: per descent, the index of its problem and its slices of w,
@@ -321,7 +339,7 @@ def _logreg_descent(problems, lr, iterations, penalty, solver):
         ts = np.concatenate(t_parts)
         Xs = [Xb for Xb, _ in problems]
         XsT = [Xb.T for Xb, _ in problems]
-    for i in range(iterations):
+    for i in range(done, iterations):
         if sgd:
             ts = t_all[t_rows[i]]
             Xs = [Xb.take(rows[i], axis=0) for (Xb, _), rows in zip(problems, draws)]
@@ -348,7 +366,7 @@ def _logreg_descent(problems, lr, iterations, penalty, solver):
         W[~np.isfinite(W).all(axis=1)] = 0.0
         weights.append(W)
         w_at += W.size
-    return weights
+    return weights, w
 
 
 def _apply_logreg(artifacts, X):
@@ -607,7 +625,8 @@ for _impl in (
                       _apply_select_k_variance),
     ToyImplementation("concat", "transformer", _each(_fit_concat), _apply_concat),
     ToyImplementation("knn", "estimator", _each(_fit_knn), _apply_knn),
-    ToyImplementation("logreg_gd", "estimator", _fit_logreg, _apply_logreg),
+    ToyImplementation("logreg_gd", "estimator", _fit_logreg, _apply_logreg,
+                      budget="iterations"),
     ToyImplementation("pruned_tree", "estimator", _each(_fit_pruned_tree), _apply_tree),
     ToyImplementation("decision_stump", "estimator", _each(_fit_stump), _apply_tree),
     ToyImplementation("boosted_ensemble", "estimator", _each(_fit_boosted), _apply_boosted),
@@ -722,14 +741,17 @@ def accuracy(predictions, labels) -> float:
 
 class CvSplits(list):
     """The (train subset, test X, test y) parts of one split of a dataset,
-    in fold order, and the prefix store of the pipelines scored on them
-    (see ``operator_graph.fit_predict_each``). The store lives as long as
-    the splits and holds at most one transformed copy of the folds per
-    distinct prefix."""
+    in fold order, and the two stores of the pipelines scored on them (see
+    ``operator_graph.fit_predict_each``). Both live as long as the splits.
+    ``prefixes`` holds at most one transformed copy of the folds per
+    distinct prefix; ``runs`` holds one raw weight vector per distinct
+    LogRegGD run (its training data, its configuration but for
+    ``iterations``, and its iteration count) scored on them."""
 
     def __init__(self, parts):
         super().__init__(parts)
         self.prefixes: dict = {}
+        self.runs: dict = {}
 
 
 def cv_splits(ds: LabeledDataset, k: int, seed: int = 0) -> CvSplits:
@@ -750,13 +772,14 @@ def cross_val_score(op, splits) -> float:
 
     Splitting is separate so that a search splits its folds once per
     objective (see ``optimizer.make_cv_objective``) and every trial reuses
-    the same train subsets and test slices, and the prefixes their
-    pipelines share (``operator_graph.fit_predict_each``). Other sequences
-    of splits share prefixes only within one call.
+    the same train subsets and test slices, the prefixes their pipelines
+    share, and the shorter LogRegGD runs their descents resume from
+    (``operator_graph.fit_predict_each``). Other sequences of splits share
+    these only within one call.
     """
-    store = splits.prefixes if isinstance(splits, CvSplits) else {}
+    stores = (splits.prefixes, splits.runs) if isinstance(splits, CvSplits) else ({}, {})
     predictions = og.fit_predict_each(op, [train for train, _, _ in splits],
-                                      [test_X for _, test_X, _ in splits], store)
+                                      [test_X for _, test_X, _ in splits], *stores)
     scores = [accuracy(predicted, test_y)
               for predicted, (_, _, test_y) in zip(predictions, splits)]
     return float(np.mean(scores))

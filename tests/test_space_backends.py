@@ -272,6 +272,15 @@ class TestFlat:
         with pytest.raises(BlowupExceeded):
             emit_flat(sb.combine(op), limit=100)
 
+    def test_refused_pcs_builds_no_model(self, registry):
+        op = registry["J48"]
+        for _ in range(16):
+            op = pipe(op, registry["J48"])  # 2^17 disjuncts
+        compiled = compile_space(op)
+        with pytest.raises(BlowupExceeded):
+            compiled.pcs()
+        assert "pcs_model" not in vars(compiled)
+
 
 class TestHierarchical:
     def test_choice_under_step1(self, running_example):
@@ -387,6 +396,16 @@ class TestPcs:
         ("x [0, 1]", "missing default"),
     ], ids=["no_domain", "categorical_no_default", "range_no_default"])
     def test_parameter_line_without_domain_or_default_is_refused(self, line, problem):
+        with pytest.raises(ValueError, match=f"^line 2: {problem}$"):
+            read_pcs(f"y {{a, b}} [a]\n{line}\n")
+
+    @pytest.mark.parametrize("line,problem", [
+        ("x [0, 1, 2] [1]", "expected two numbers in \\[0, 1, 2\\]"),
+        ("x [a, 1] [0]", "expected two numbers in \\[a, 1\\]"),
+        ("x {a, b", "unclosed {"),
+        ("x [0, 1] [0.5", "missing default"),
+    ], ids=["three_bounds", "bound_not_a_number", "unclosed_values", "unclosed_default"])
+    def test_malformed_parameter_line_is_refused_with_its_line(self, line, problem):
         with pytest.raises(ValueError, match=f"^line 2: {problem}$"):
             read_pcs(f"y {{a, b}} [a]\n{line}\n")
 
@@ -1159,19 +1178,20 @@ class TestDecodePlan:
         compiled = compile_space(parse_expr("PCA >> (J48 | LR)", registry))
         compiled.hierarchical()
         sb.flat_doc(compiled.flat())
-        pcs = read_pcs(compiled.pcs())
         compiled.grid(2, 0)
         pca = compiled.ir.steps[0][1]
         leaves = [pca, *(body for _, body in compiled.ir.steps[1][1].branches)]
-        assert not any("entries" in vars(leaf) for leaf in leaves)
         assert "pcs_model" not in vars(compiled)
+        text = compiled.pcs()
+        assert text == emit_pcs(compiled.ir)
+        assert not any("entries" in vars(leaf) for leaf in leaves)
+        model = vars(compiled)["pcs_model"]  # the PCS emitter keeps its model
+        pcs = read_pcs(text)
         rng = random.Random(2)
         for _ in range(3):
             compiled.decode(sample_space(compiled.hierarchical(), rng))
             compiled.decode_pcs(pcs.sample(rng))
-        model = compiled.pcs_model
-        compiled.decode_pcs(pcs.sample(rng))
-        assert compiled.pcs_model is model
+        assert compiled.pcs() == text and compiled.pcs_model is model
         assert "entries" in vars(pca)
 
     def test_a_decoded_space_frees_its_ir(self, registry):

@@ -479,6 +479,19 @@ class TestReferenceOracles:
         want = [reference.randrange(n) for _ in range(500)]
         assert toyml._draw_rows(random.Random(n), n, 500).tolist() == want
 
+    @given(st.one_of(st.integers(1, 300),
+                     st.sampled_from([2**k + d for k in range(9) for d in (-1, 0, 1)
+                                      if 1 <= 2**k + d <= 300])),
+           st.integers(0, 3000), st.integers(0, 3000))
+    @settings(max_examples=300, deadline=None)
+    def test_fewer_rows_are_a_prefix_of_more(self, n, a, b):
+        # An sgd descent resumed after a steps draws the rows of its whole
+        # run and starts at block a, which must be the rows the shorter run
+        # drew.
+        a, b = sorted((a, b))
+        shorter = toyml._draw_rows(random.Random(13), n, a)
+        assert shorter.tolist() == toyml._draw_rows(random.Random(13), n, b)[:a].tolist()
+
     @given(st.lists(st.floats(allow_nan=True, allow_infinity=True), max_size=40),
            st.sampled_from([(-30.0, 30.0), (-1e6, 1e6)]))
     @settings(max_examples=200, deadline=None)
@@ -501,8 +514,8 @@ class TestReferenceOracles:
         Xb = np.hstack([rng.standard_normal((n, d)) * scale, np.ones((n, 1))])
         t = (rng.random(n) < 0.5).astype(float)
         want = reference_logreg_descent(Xb, t, lr, iterations, penalty, solver)
-        got = toyml._logreg_descent([(Xb, t[None])], lr, iterations, penalty, solver)[0][0]
-        assert got.tobytes() == want.tobytes()
+        (W,), _ = toyml._logreg_descent([(Xb, t[None])], lr, iterations, penalty, solver)
+        assert W[0].tobytes() == want.tobytes()
 
     @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
     @pytest.mark.parametrize("solver", ["gd", "sgd"])
@@ -520,8 +533,8 @@ class TestReferenceOracles:
         Xb[7, 1] = bad
         t = (rng.random(40) < 0.5).astype(float)
         want = reference_logreg_descent(Xb, t, 0.1, 30, penalty, solver)
-        got = toyml._logreg_descent([(Xb, t[None])], 0.1, 30, penalty, solver)[0][0]
-        assert got.tobytes() == want.tobytes()
+        (W,), _ = toyml._logreg_descent([(Xb, t[None])], 0.1, 30, penalty, solver)
+        assert W[0].tobytes() == want.tobytes()
         if math.isnan(bad) or solver == "gd":
             assert not want.any()
         else:
@@ -534,7 +547,7 @@ class TestReferenceOracles:
                                                     iterations):
         # Problems of different row counts and widths, one to three targets
         # each: every descent must get the bits it gets alone.
-        got = toyml._logreg_descent(problems, lr, iterations, penalty, solver)
+        got, _ = toyml._logreg_descent(problems, lr, iterations, penalty, solver)
         assert len(got) == len(problems)
         for (Xb, T), W in zip(problems, got):
             assert W.shape == (len(T), Xb.shape[1])
@@ -556,8 +569,8 @@ class TestReferenceOracles:
         poisoned[data.draw(st.integers(0, len(Xb) - 1)),
                  data.draw(st.integers(0, Xb.shape[1] - 1))] = bad
         mixed = problems[:victim] + [(poisoned, T)] + problems[victim + 1:]
-        clean = toyml._logreg_descent(problems, 0.1, 30, penalty, solver)
-        got = toyml._logreg_descent(mixed, 0.1, 30, penalty, solver)
+        clean, _ = toyml._logreg_descent(problems, 0.1, 30, penalty, solver)
+        got, _ = toyml._logreg_descent(mixed, 0.1, 30, penalty, solver)
         for k, (W_clean, W) in enumerate(zip(clean, got)):
             if k != victim:
                 assert W.tobytes() == W_clean.tobytes()
@@ -642,15 +655,16 @@ class TestKnnOracle:
 REGISTRY = toyml.load_registry()
 
 
-def _loose_tree(config):
-    """A PrunedTree configured against its schema without side constraints,
-    as an unconstrained compile decodes it; R with C != 0.25 traps."""
+def _loose(name, config):
+    """An operator configured against its schema without side constraints,
+    as an unconstrained compile decodes it: a PrunedTree with R and
+    C != 0.25 traps, and a LogRegGD may pair sgd with l1."""
     from dataclasses import replace
 
     from lalec.space_normalizer import drop_constraints
 
-    tree = REGISTRY["PrunedTree"]
-    return configure(replace(tree, schema=drop_constraints(tree.schema)), config)
+    op = REGISTRY[name]
+    return configure(replace(op, schema=drop_constraints(op.schema)), config)
 
 
 # Groups of sibling steps: a slot of a pipeline family draws one group, and
@@ -673,7 +687,7 @@ ESTIMATOR_GROUPS = [
      lambda: configure(REGISTRY["LogRegGD"], {"iterations": 10, "penalty": "l1"})],
     [lambda: configure(REGISTRY["PrunedTree"], {"maxDepth": 2}),
      lambda: configure(REGISTRY["PrunedTree"], {"maxDepth": 3}),
-     lambda: _loose_tree({"R": True, "C": 0.3})],
+     lambda: _loose("PrunedTree", {"R": True, "C": 0.3})],
     [lambda: configure(REGISTRY["DecisionStump"], {}),
      lambda: configure(REGISTRY["BoostedEnsemble"], {"n_estimators": 2}),
      lambda: configure(REGISTRY["BoostedEnsemble"], {
@@ -781,7 +795,7 @@ class TestPrefixStore:
     def test_failing_prefix_is_not_stored(self, monkeypatch, blobs):
         fits = counting_fits(monkeypatch, "pruned_tree")
         op = functools.reduce(og.pipe, [configure(REGISTRY["Scaler"], {}),
-                                        _loose_tree({"R": True, "C": 0.3}),
+                                        _loose("PrunedTree", {"R": True, "C": 0.3}),
                                         configure(REGISTRY["KNN"], {})])
         splits = cv_splits(blobs, 3)
         for _ in range(3):
@@ -825,3 +839,118 @@ class TestPrefixStore:
         for target in (splits, cv_splits(xor_data, 3)):  # stored, and just computed
             with pytest.raises(ValueError, match="read-only"):
                 cross_val_score(writer, target)
+
+
+# ---------------------------------------------------------------------------
+# Run store: LogRegGD fits resumed from shorter runs on the same splits
+
+
+@st.composite
+def logreg_splits(draw):
+    """Three-fold splits of 2-4 classes with at least two rows each, and
+    sometimes NaN or +-inf cells."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n_classes = draw(st.integers(2, 4))
+    n = draw(st.integers(2 * n_classes + 1, 40))
+    y = rng.integers(0, n_classes, n)
+    y[:2 * n_classes] = np.repeat(np.arange(n_classes), 2)
+    X = rng.standard_normal((n, draw(st.integers(1, 4)))) * draw(st.sampled_from([1.0, 1e3]))
+    for bad in draw(st.lists(st.sampled_from([math.nan, math.inf, -math.inf]), max_size=2)):
+        X[rng.integers(n), rng.integers(X.shape[1])] = bad
+    return cv_splits(LabeledDataset(X, y), 3)
+
+
+@st.composite
+def logreg_runs(draw):
+    """LogRegGD configurations in groups that differ only in iterations,
+    the groups differing in learningRate, penalty or solver, in a random
+    order and with an optional first step before each."""
+    configs = []
+    for _ in range(draw(st.integers(1, 4))):
+        group = {"learningRate": draw(st.sampled_from([0.05, 0.5, 3.0])),
+                 "penalty": draw(st.sampled_from(["l1", "l2"])),
+                 "solver": draw(st.sampled_from(["gd", "sgd"]))}
+        for iterations in draw(st.lists(st.integers(10, 40), min_size=1, max_size=4)):
+            configs.append({**group, "iterations": iterations})
+    first = draw(st.sampled_from([None, "NoOp", "MinMaxScaler"]))
+    ops = []
+    for config in draw(st.permutations(configs)):
+        op = _loose("LogRegGD", config)
+        ops.append(op if first is None else og.pipe(configure(REGISTRY[first], {}), op))
+    return ops
+
+
+def counting_descents(monkeypatch):
+    """Record (done, iterations) of each LogRegGD descent."""
+    calls = []
+    descent = toyml._logreg_descent
+
+    def counted(problems, lr, iterations, penalty, solver, start=None, done=0):
+        calls.append((done, iterations))
+        return descent(problems, lr, iterations, penalty, solver, start, done)
+
+    monkeypatch.setattr(toyml, "_logreg_descent", counted)
+    return calls
+
+
+class TestRunStore:
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @settings(max_examples=120, deadline=None)
+    @given(splits=logreg_splits(), ops=logreg_runs())
+    def test_resumed_runs_score_as_the_reference(self, splits, ops):
+        for op in ops:
+            assert cross_val_score(op, splits) == reference_cross_val_score(op, splits)
+
+    def test_descent_resumes_from_the_longest_shorter_run(self, monkeypatch, blobs):
+        calls = counting_descents(monkeypatch)
+        splits = cv_splits(blobs, 3)
+        for iterations in (30, 10, 20, 50, 20, 15):
+            op = configure(REGISTRY["LogRegGD"], {"iterations": iterations, "solver": "sgd"})
+            assert cross_val_score(op, splits) == reference_cross_val_score(op, splits)
+        # Every reference call fits from scratch.
+        assert calls[::2] == [(0, 30), (0, 10), (10, 20), (30, 50), (20, 20), (10, 15)]
+        assert calls[1::2] == [(0, k) for k in (30, 10, 20, 50, 20, 15)]
+        [run] = splits.runs.values()
+        assert sorted(run) == [10, 15, 20, 30, 50]
+
+    def test_runs_are_kept_apart_by_input_and_configuration(self, monkeypatch, blobs):
+        calls = counting_descents(monkeypatch)
+        splits = cv_splits(blobs, 3)
+        logreg = [configure(REGISTRY["LogRegGD"], {"iterations": 10, **config})
+                  for config in ({}, {"learningRate": 0.2}, {"penalty": "l1"},
+                                 {"solver": "sgd"})]
+        ops = logreg + [og.pipe(configure(REGISTRY["Scaler"], {}), logreg[0]),
+                        og.pipe(configure(REGISTRY["MinMaxScaler"], {}), logreg[0])]
+        for op in ops:
+            cross_val_score(op, splits)
+        assert len(splits.runs) == len(ops) and all(done == 0 for done, _ in calls)
+        cross_val_score(og.pipe(configure(REGISTRY["Scaler"], {}), configure(
+            REGISTRY["LogRegGD"], {"iterations": 12})), splits)
+        assert calls[-1] == (10, 12)
+
+    def test_equal_inputs_share_runs_whatever_made_them(self, monkeypatch, xor_data):
+        # xor data has two columns, so SelectKVariance with k >= 2 and NoOp
+        # pass it on unchanged, and a frozen step's outputs have no prefix
+        # key but still have their bytes.
+        calls = counting_descents(monkeypatch)
+        frozen = og.freeze_trained(fit(configure(REGISTRY["MinMaxScaler"], {}), xor_data))
+        splits = cv_splits(xor_data, 3)
+        firsts = [None, configure(REGISTRY["NoOp"], {}),
+                  configure(REGISTRY["SelectKVariance"], {"k": 3}), frozen, frozen]
+        for iterations, first in zip((10, 20, 30, 10, 25), firsts):
+            op = configure(REGISTRY["LogRegGD"], {"iterations": iterations})
+            op = op if first is None else og.pipe(first, op)
+            assert cross_val_score(op, splits) == reference_cross_val_score(op, splits)
+        assert calls[::2] == [(0, 10), (10, 20), (20, 30), (0, 10), (10, 25)]
+        assert len(splits.runs) == 2
+
+    def test_failing_and_non_json_fits_store_no_run(self, blobs):
+        splits = cv_splits(blobs, 3)
+        merged = og.pipe(og.both(configure(REGISTRY["NoOp"], {}),
+                                 configure(REGISTRY["NoOp"], {})),
+                         configure(REGISTRY["LogRegGD"], {"iterations": 10}))
+        with pytest.raises(og.ShapeMismatch):
+            cross_val_score(merged, splits)  # an input that LogRegGD refuses
+        op = configure(REGISTRY["LogRegGD"], {"iterations": 10, "learningRate": np.float64(0.1)})
+        assert cross_val_score(op, splits) == reference_cross_val_score(op, splits)
+        assert splits.runs == {}
