@@ -344,11 +344,13 @@ class ToyImplementation:
 
     ``budget`` names a hyperparameter that counts the fit's steps and
     changes nothing else: a fit of k steps is the first k steps of every
-    longer one. Such a fit takes a third argument in scoring, ``runs``: a
+    longer one. Such a fit takes an optional third argument, ``runs``: a
     dict from counts to the state that fits on these problems, with this
     configuration but for the budget, reached after that many steps. It
     resumes from the longest stored run not longer than its own, gets the
     bits a fit from scratch gets, and stores its own run as it returns.
+    ``fit_predict_each`` passes one such dict per configuration without
+    the budget and input, kept in its store.
     """
 
     name: str
@@ -384,62 +386,60 @@ def effective_config(op: Individual) -> dict[str, Any]:
 
 
 def fit(op: Operator, data) -> Operator:
-    """Train an operator on a labeled dataset, returning a trained copy."""
-    return fit_each(op, [data])[0]
-
-
-def fit_each(op: Operator, datasets) -> list[Operator]:
-    """Train one copy of an operator per labeled dataset, in one pass.
+    """Train an operator on a labeled dataset, returning a trained copy.
 
     Pipelines fit steps in topological order: a source step trains on the
     pipeline's data, every other step on its predecessors' outputs. Labels
     pass through unchanged; only a Concat step may merge multiple
-    predecessor outputs. Each step's implementation fits all datasets in one
-    call, so it can share work across them (LogRegGD runs every descent in
-    lockstep); each dataset's trained copy equals what fitting it alone
-    gives.
+    predecessor outputs. Each step is fitted once and applied once, only
+    when a successor needs its output. A frozen trained step is kept as it
+    is.
     """
     _check_fittable(op)
-    Xs = [np.asarray(data.X, dtype=float) for data in datasets]
-    ys = [np.asarray(data.y) for data in datasets]
-    trained, _, _ = _fit_node(op, Xs, ys, want_output=False)
-    return trained
+    X, y = np.asarray(data.X, dtype=float), np.asarray(data.y)
+    return _fit_node(op, X, y, as_feature=False)[0]
 
 
-def fit_predict_each(op: Operator, datasets, held_out, store: dict, runs: dict) -> list:
+def fit_predict_each(op: Operator, datasets, held_out, store: dict) -> list:
     """Each dataset's held-out predictions by a copy of an operator fitted
-    on that dataset: what ``predict`` gives on ``held_out[i]`` with the
-    ``i``-th copy from ``fit_each``, in one walk.
+    on that dataset: what ``predict(fit(op, datasets[i]), held_out[i])``
+    gives, in one walk that builds no trained copies.
 
-    Each step maps the held-out inputs right after it is fitted, and the
-    final step maps only them. The walk builds no trained copies. A
-    non-final step's outputs on both sides are kept in ``store`` under its
-    prefix key, and a later call whose prefix has an equal key reuses them
-    instead of fitting. A prefix is the step and everything upstream of it.
-    Its key is the key of the step's input, the step's ``impl`` and the
-    canonical JSON of its effective configuration. The walk's own input has
-    the key ``()``, so ``store`` must only ever see these datasets and
-    held-out features (``toyml.cv_splits`` gives each set of splits its
-    own). A step whose configuration is not exact JSON
-    (``schema_model.exact_json_key``), a frozen trained step, and every
-    step downstream of either, get no key. A fit or map that raises stores
-    nothing. Stored arrays are read-only views, so an implementation that
-    writes into its input fails instead of corrupting later calls.
+    Each step's implementation fits every dataset in one call, so it can
+    share work across them (LogRegGD runs every descent in lockstep; see
+    ``ToyImplementation``), and maps the held-out inputs right after; the
+    final step maps only them. ``store`` keeps that work for later calls
+    on the same labels: it must only ever see these datasets' label
+    vectors (``toyml.cv_splits`` gives each set of splits its own store).
 
-    A step whose implementation has a ``budget`` also resumes its fit from
-    ``runs``, final step included (see ``ToyImplementation``). Fits share
-    one dict of runs there when they have the same ``impl``, the same
-    canonical JSON of the configuration without the budget, and training
-    inputs and labels of the same shapes, dtypes and bytes (``_run_key``).
-    Such a step gets no stored run when that configuration is not exact
-    JSON or an input is not an array.
+    Every value passed between steps has a content key: the SHA-256 of
+    the dtype, shape and bytes of all its training and held-out arrays. It
+    is computed once, when a non-final step produces the value; the walk's
+    own input gets its key once per store, stored under ``()``. A merged
+    input's key is the tuple of its parts' keys. With ``canonical`` the
+    exact-JSON key of a configuration (``schema_model.exact_json_key``):
+
+    - a non-final step's outputs and their key are stored under ``(impl,
+      canonical(config), input key)``, and a later step with an equal key
+      is served from the store instead of fitted;
+    - a step whose implementation has a ``budget`` resumes its fit from
+      the runs stored under ``(impl, canonical(config without the budget),
+      input key, budget name)``, final step included.
+
+    A frozen trained step, a step whose configuration is not exact JSON
+    and a step whose input is not a plain array get no entry and are
+    fitted every call; a non-final one's outputs still get a content key,
+    so its successors are stored. A fit or map that raises stores nothing.
+    Stored arrays are read-only views, so an implementation that writes
+    into its input fails instead of corrupting later calls.
     """
     _check_fittable(op)
     Xs = [np.asarray(data.X, dtype=float) for data in datasets]
     Xs += [np.asarray(X, dtype=float) for X in held_out]
     ys = [np.asarray(data.y) for data in datasets]
-    _, predictions, _ = _fit_node(op, Xs, ys, False, (), store, runs)
-    return predictions
+    if () not in store:
+        store[()] = _content_key(Xs)
+    return _score_node(op, Xs, ys, store[()], store, final=True)[0]
 
 
 def _check_fittable(op: Operator) -> None:
@@ -459,104 +459,103 @@ def _contains_choice(op: Operator) -> bool:
     return False
 
 
-def _fit_node(op: Operator, Xs, ys, want_output: bool, key=None, store=None, runs=None):
-    """Trained copies of ``op``, one per label vector in ``ys``, fitted on
-    the first ``len(ys)`` inputs in ``Xs``; if wanted, op's outputs on
-    ``Xs``; and the prefix key of those outputs.
-
-    Fitting passes only the training inputs and no store. Scoring
-    (``fit_predict_each``) appends one held-out input per dataset and
-    passes both stores; it gets None for the trained copies, dataset i's fitted
-    step maps inputs i and len(ys) + i, and an unwanted output is then op's
-    predictions on the held-out inputs. ``key`` is the prefix key of
-    ``Xs``; a key is None wherever there is none.
-    """
+def _fit_node(op: Operator, X, y, as_feature: bool):
+    """A copy of ``op`` trained on ``(X, y)``, and op's output on ``X`` as
+    a feature if ``as_feature``, else None."""
     if isinstance(op, Choice):
         raise UnresolvedChoice("cannot fit an unresolved choice")
     if isinstance(op, Individual):
-        return _fit_step(op, Xs, ys, want_output, key, store, runs)
+        impl = implementation_of(op)
+        if not (op.frozen_trained and op.state == LifecycleState.TRAINED):
+            [artifacts] = impl.fit(effective_config(op), [(X, y)])
+            op = op._copy(op.bound, LifecycleState.TRAINED, artifacts)
+        return op, (_step_output(impl, op.artifacts, X) if as_feature else None)
     assert isinstance(op, Pipeline)
-    # outputs[index]: step index's output on each input; keys[index]: its key.
     outputs: dict[int, list] = {}
-    keys: dict[int, Any] = {}
     trained_steps = []
     sink_set = set(sinks(op))
     for index, step in enumerate(op.steps):
+        step_input = _input_for(op.predecessors(index), outputs, [X])[0]
+        trained, output = _fit_node(step, step_input, y, as_feature or index not in sink_set)
+        trained_steps.append(trained)
+        outputs[index] = [output]
+    trained = Pipeline(tuple(trained_steps), op.edges)
+    return trained, (outputs[_only_sink(op)][0] if as_feature else None)
+
+
+def _score_node(op: Operator, Xs, ys, key, store: dict, final: bool):
+    """Fit ``op`` on each of the first ``len(ys)`` inputs in ``Xs`` with its
+    labels; dataset i's fitted copy maps inputs i and len(ys) + i. Returns
+    op's outputs as features on all of ``Xs`` and their content key or, if
+    ``final``, its predictions on the held-out inputs and None. ``key`` is
+    the content key of ``Xs`` (None if it has none)."""
+    if isinstance(op, Choice):
+        raise UnresolvedChoice("cannot fit an unresolved choice")
+    if isinstance(op, Individual):
+        return _score_step(op, Xs, ys, key, store, final)
+    assert isinstance(op, Pipeline)
+    outputs: dict[int, list] = {}
+    keys: dict[int, Any] = {}
+    sink_set = set(sinks(op))
+    for index, step in enumerate(op.steps):
         preds = op.predecessors(index)
-        need_out = want_output or index not in sink_set
-        trained_step, outputs[index], keys[index] = _fit_node(
-            step, _input_for(preds, outputs, Xs), ys, need_out,
-            _input_key(preds, keys, key), store, runs)
-        trained_steps.append(trained_step)
-    trained = None
-    if store is None:
-        trained = [Pipeline(tuple(steps), op.edges) for steps in zip(*trained_steps)]
-        if not want_output:
-            return trained, None, None
-    only_sinks = sinks(op)
-    if len(only_sinks) != 1:
-        raise ShapeMismatch("pipeline output requires exactly one sink")
-    return trained, outputs[only_sinks[0]], keys[only_sinks[0]]
+        outputs[index], keys[index] = _score_node(
+            step, _input_for(preds, outputs, Xs), ys, _input_key(preds, keys, key), store,
+            final and index in sink_set)
+    sink = _only_sink(op)
+    return outputs[sink], keys[sink]
 
 
-def _fit_step(op: Individual, Xs, ys, want_output: bool, key, store, runs):
-    """_fit_node for one step."""
-    scoring = store is not None
-    frozen = op.frozen_trained and op.state == LifecycleState.TRAINED
-    config = None if frozen else effective_config(op)
-    if scoring and want_output and key is not None and not op.frozen_trained:
-        canonical = schema_model.exact_json_key(config)
-        key = None if canonical is None else (key, op.impl, canonical)
-        if key in store:
-            return None, store[key], key
-    else:
-        key = None
-    if frozen:
+def _score_step(op: Individual, Xs, ys, key, store: dict, final: bool):
+    """_score_node for one step."""
+    impl = implementation_of(op)
+    entry_key = None
+    if op.frozen_trained and op.state == LifecycleState.TRAINED:
         artifacts = [op.artifacts] * len(ys)
     else:
-        impl = implementation_of(op)
+        config = effective_config(op)
+        if not final:
+            entry_key = _store_key(op.impl, config, key)
+            if entry_key in store:
+                return store[entry_key]
         run_key = None
-        if scoring and impl.budget is not None:
-            run_key = _run_key(impl, config, Xs[:len(ys)], ys)
+        if impl.budget is not None:
+            rest = {name: value for name, value in config.items() if name != impl.budget}
+            run_key = _store_key(op.impl, rest, key, impl.budget)
         if run_key is None:
             artifacts = impl.fit(config, list(zip(Xs, ys)))
         else:
-            run = runs.get(run_key, {})
+            run = store.get(run_key, {})
             artifacts = impl.fit(config, list(zip(Xs, ys)), run)
-            runs[run_key] = run
-    trained = None
-    if not scoring:
-        trained = [op] * len(ys) if frozen else [
-            op._copy(op.bound, LifecycleState.TRAINED, a) for a in artifacts]
-        if not want_output:
-            return trained, None, None
-    elif not want_output:
-        impl = implementation_of(op)
-        return None, [impl.apply(a, X) for a, X in zip(artifacts, Xs[len(ys):])], None
-    impl = implementation_of(op)
-    outputs = [_step_output(impl, a, X) for a, X in zip(artifacts * (1 + scoring), Xs)]
-    if key is not None:
-        outputs = store[key] = [_read_only(out) for out in outputs]
-    return trained, outputs, key
+            store[run_key] = run
+    if final:
+        return [impl.apply(a, X) for a, X in zip(artifacts, Xs[len(ys):])], None
+    outputs = [_read_only(_step_output(impl, a, X)) for a, X in zip(artifacts * 2, Xs)]
+    entry = outputs, _content_key(outputs)
+    if entry_key is not None:
+        store[entry_key] = entry
+    return entry
 
 
-def _run_key(impl: ToyImplementation, config, Xs, ys):
-    """The key under which fits of ``impl`` on these problems share their
-    runs: its name, the canonical JSON of ``config`` without the budget,
-    every input's and label vector's dtype and shape, and a SHA-256 of
-    their bytes. Fits that differ only in the budget get one key. None when
-    the configuration is not exact JSON or an input is not a plain array."""
-    rest = schema_model.exact_json_key(
-        {name: value for name, value in config.items() if name != impl.budget})
-    parts = (*Xs, *ys)
-    if rest is None or not all(isinstance(part, np.ndarray) and not part.dtype.hasobject
-                               for part in parts):
+def _store_key(impl_name: str, config, key, *rest):
+    """``(impl_name, canonical config, key, *rest)``: the key of a store
+    entry. None when ``key`` is None or ``config`` is not exact JSON."""
+    if key is None:
         return None
+    canonical = schema_model.exact_json_key(config)
+    return None if canonical is None else (impl_name, canonical, key, *rest)
+
+
+def _content_key(values):
+    """The SHA-256 digest of the dtype, shape and bytes of every array in
+    ``values``, or None when one is not a plain array."""
     digest = hashlib.sha256()
-    for part in parts:
-        digest.update(np.ascontiguousarray(part))
-    layout = tuple((part.dtype.str, part.shape) for part in parts)
-    return impl.name, rest, layout, digest.digest()
+    for value in values:
+        if not isinstance(value, np.ndarray) or value.dtype.hasobject:
+            return None
+        digest.update(f"{value.dtype.str}{value.shape}".encode())
+        digest.update(np.ascontiguousarray(value))
+    return digest.digest()
 
 
 def _input_for(preds, outputs, Xs):
@@ -571,9 +570,8 @@ def _input_for(preds, outputs, Xs):
 
 
 def _input_key(preds, keys, key):
-    """The prefix key of ``_input_for(preds, ...)``. A merged input's key
-    is the tuple of its parts' keys, which holds no str and so never equals
-    a step's key."""
+    """The content key of ``_input_for(preds, ...)``. A merged input's key
+    is the tuple of its parts' keys, which never equals a digest."""
     if not preds:
         return key
     if len(preds) == 1:
@@ -582,10 +580,18 @@ def _input_key(preds, keys, key):
     return None if any(part is None for part in parts) else parts
 
 
+def _only_sink(op: Pipeline) -> int:
+    only_sinks = sinks(op)
+    if len(only_sinks) != 1:
+        raise ShapeMismatch("pipeline output requires exactly one sink")
+    return only_sinks[0]
+
+
 def _step_output(impl: ToyImplementation, artifacts, X):
+    """A step's output as its successors see it: mid-pipeline estimators
+    contribute their predictions as a feature column."""
     out = impl.apply(artifacts, X)
     if impl.kind == "estimator":
-        # Mid-pipeline estimators contribute predictions as a feature column.
         return np.asarray(out, dtype=float).reshape(-1, 1)
     return out
 
@@ -608,22 +614,16 @@ def predict(op: Operator, X):
 def _predict_node(op: Operator, X, as_feature: bool):
     if isinstance(op, Individual):
         impl = implementation_of(op)
-        out = impl.apply(op.artifacts, X)
-        if as_feature and impl.kind == "estimator":
-            return np.asarray(out, dtype=float).reshape(-1, 1)
-        return out
+        return _step_output(impl, op.artifacts, X) if as_feature else impl.apply(op.artifacts, X)
     if isinstance(op, Choice):
         raise UnresolvedChoice("cannot predict with an unresolved choice")
     assert isinstance(op, Pipeline)
-    only_sinks = sinks(op)
-    if len(only_sinks) != 1:
-        raise ShapeMismatch("prediction requires exactly one sink step")
+    sink = _only_sink(op)
     outputs: dict[int, list] = {}
     for index, step in enumerate(op.steps):
         step_input = _input_for(op.predecessors(index), outputs, [X])[0]
-        feature = as_feature or index != only_sinks[0]
-        outputs[index] = [_predict_node(step, step_input, as_feature=feature)]
-    return outputs[only_sinks[0]][0]
+        outputs[index] = [_predict_node(step, step_input, as_feature or index != sink)]
+    return outputs[sink][0]
 
 
 def auto_configure(op: Operator, data, spec=None, *, folds: int = 3,

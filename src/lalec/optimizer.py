@@ -105,14 +105,6 @@ class History:
             ],
         }
 
-    @staticmethod
-    def from_json(doc: Mapping[str, Any]) -> "History":
-        trials = tuple(
-            Trial(t["index"], dict(t["point"]), t["loss"], t["status"], t["elapsed"])
-            for t in doc["trials"]
-        )
-        return History(trials, doc["best"], doc["seed"], doc["spaceDigest"])
-
 
 def space_digest(space_doc: Mapping[str, Any]) -> str:
     canonical = json.dumps(space_doc, sort_keys=True, separators=(",", ":"))

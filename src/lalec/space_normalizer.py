@@ -343,41 +343,3 @@ def drop_constraints(schema: SchemaNode) -> SchemaNode:
             raise NoBaseObject("schema has no base object of hyperparameters")
         return schema.children[0]
     return schema
-
-
-def to_schema(nf: NormalForm) -> SchemaNode:
-    """Reconstruct a schema whose meaning is the normal form (test oracle).
-
-    The base object unions each property's domains across disjuncts; the
-    disjunction itself rides along as a constraint conjunct, so the result
-    has the standard base-plus-constraints layout.
-    """
-    branches = []
-    for disjunct in nf.disjuncts:
-        props = []
-        for name, domain in disjunct.items():
-            props.append((name, _domain_to_node(domain)))
-        branches.append(ObjectNode(tuple(props), additional_allowed=False))
-    if len(branches) == 1:
-        return branches[0]
-    union_props = []
-    for name in nf.names():
-        variants = []
-        for disjunct in nf.disjuncts:
-            node = _domain_to_node(disjunct[name])
-            if node not in variants:
-                variants.append(node)
-        union_props.append((name, variants[0] if len(variants) == 1 else AnyOfNode(tuple(variants))))
-    base = ObjectNode(tuple(union_props), additional_allowed=False)
-    return AllOfNode((base, AnyOfNode(tuple(branches))))
-
-
-def _domain_to_node(domain: Domain) -> SchemaNode:
-    if isinstance(domain, Cat):
-        return EnumNode(domain.values, domain.default)
-    if isinstance(domain, Cont):
-        return RangeNode(domain.lo, domain.hi, domain.lo_open, domain.hi_open,
-                         domain.integer_valued, domain.prior, domain.default)
-    if isinstance(domain, OpSlot):
-        return OperatorSlotNode()
-    raise NormalizeError(f"cannot express {domain!r} as a schema node")

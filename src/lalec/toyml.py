@@ -706,19 +706,6 @@ def load_csv(path, label_column: str) -> LabeledDataset:
     return LabeledDataset(np.array(features), np.array([mapping[l] for l in labels]), names)
 
 
-def train_test_split(ds: LabeledDataset, fraction: float, seed: int):
-    """Stratified split preserving class ratios within one row."""
-    rng = random.Random(seed)
-    train_idx, test_idx = [], []
-    for cls in range(ds.n_classes):
-        idx = [int(i) for i in np.flatnonzero(ds.y == cls)]
-        rng.shuffle(idx)
-        cut = int(round(fraction * len(idx)))
-        train_idx.extend(idx[:cut])
-        test_idx.extend(idx[cut:])
-    return ds.subset(sorted(train_idx)), ds.subset(sorted(test_idx))
-
-
 def stratified_folds(ds: LabeledDataset, k: int, seed: int) -> list[list[int]]:
     if k < 2 or k > len(ds.y):
         raise ValueError("folds must satisfy 2 <= k <= n")
@@ -741,17 +728,16 @@ def accuracy(predictions, labels) -> float:
 
 class CvSplits(list):
     """The (train subset, test X, test y) parts of one split of a dataset,
-    in fold order, and the two stores of the pipelines scored on them (see
-    ``operator_graph.fit_predict_each``). Both live as long as the splits.
-    ``prefixes`` holds at most one transformed copy of the folds per
-    distinct prefix; ``runs`` holds one raw weight vector per distinct
-    LogRegGD run (its training data, its configuration but for
-    ``iterations``, and its iteration count) scored on them."""
+    in fold order, and the store of the pipelines scored on them (see
+    ``operator_graph.fit_predict_each``), which lives as long as the
+    splits. It holds at most one transformed copy of the folds per
+    distinct step and input, and one raw weight vector per distinct
+    LogRegGD run (its input, its configuration but for ``iterations``,
+    and its iteration count) scored on them."""
 
     def __init__(self, parts):
         super().__init__(parts)
-        self.prefixes: dict = {}
-        self.runs: dict = {}
+        self.store: dict = {}
 
 
 def cv_splits(ds: LabeledDataset, k: int, seed: int = 0) -> CvSplits:
@@ -772,14 +758,16 @@ def cross_val_score(op, splits) -> float:
 
     Splitting is separate so that a search splits its folds once per
     objective (see ``optimizer.make_cv_objective``) and every trial reuses
-    the same train subsets and test slices, the prefixes their pipelines
-    share, and the shorter LogRegGD runs their descents resume from
+    the same train subsets and test slices and the splits' store: the
+    outputs of every non-final step whose implementation, configuration
+    and input an earlier trial had, and the shorter LogRegGD runs a
+    descent resumes from
     (``operator_graph.fit_predict_each``). Other sequences of splits share
     these only within one call.
     """
-    stores = (splits.prefixes, splits.runs) if isinstance(splits, CvSplits) else ({}, {})
+    store = splits.store if isinstance(splits, CvSplits) else {}
     predictions = og.fit_predict_each(op, [train for train, _, _ in splits],
-                                      [test_X for _, test_X, _ in splits], *stores)
+                                      [test_X for _, test_X, _ in splits], store)
     scores = [accuracy(predicted, test_y)
               for predicted, (_, _, test_y) in zip(predictions, splits)]
     return float(np.mean(scores))

@@ -5,11 +5,14 @@ the library had before `schema_model.defaults` replaced them; tests check
 that all four agree. `reference_cv_objective` is the cross-validation
 objective before it kept the loss of each point it scored; tests check that
 searches under both give the same histories. `reference_cross_val_score` is
-the cross-validation score before it reused pipeline prefixes; tests check
-that both give the same scores, or raise the same exception type. The range predicates and
+the cross-validation score with every fold fitted alone and nothing
+stored; tests check that both give the same scores, or raise the same
+exception type. The range predicates and
 continuous draws below are the copies the library had before
 `schema_model.in_range` and `space_backends._draw_cont` replaced them;
 tests check that the replacements give the same answers and the same draws.
+`to_schema` rebuilds a schema from a normal form; tests check that
+normalizing it again accepts the same configurations.
 """
 
 import math
@@ -23,11 +26,14 @@ from lalec.optimizer import InvalidConfigError
 from lalec.operator_graph import Choice, Individual, Operator, Pipeline, ValidationFailed
 from lalec.schema_model import (
     MISSING,
+    AllOfNode,
     AnyOfNode,
     EnumNode,
     MissingDefault,
+    ObjectNode,
     OperatorSlotNode,
     RangeNode,
+    SchemaNode,
 )
 from lalec.space_backends import (
     CompiledSpace,
@@ -37,7 +43,7 @@ from lalec.space_backends import (
     compile_space,
     emit_hierarchical,
 )
-from lalec.space_normalizer import Cat, Cont, OpSlot
+from lalec.space_normalizer import Cat, Cont, Domain, NormalForm, NormalizeError, OpSlot
 
 
 # ---------------------------------------------------------------------------
@@ -181,12 +187,10 @@ def reference_cv_objective(space, data, folds: int = 5, cv_seed: int = 0):
 
 
 def reference_cross_val_score(op, splits) -> float:
-    """toyml.cross_val_score without its prefix store: every step is fitted
-    on every fold (operator_graph.fit_each), then each fold's copy predicts
-    its test slice."""
-    trained = og.fit_each(op, [train for train, _, _ in splits])
-    scores = [toyml.accuracy(og.predict(fitted, test_X), test_y)
-              for fitted, (_, test_X, test_y) in zip(trained, splits)]
+    """toyml.cross_val_score without its store: each fold's copy is fitted
+    alone (operator_graph.fit) and predicts its test slice."""
+    scores = [toyml.accuracy(og.predict(og.fit(op, train), test_X), test_y)
+              for train, test_X, test_y in splits]
     return float(np.mean(scores))
 
 
@@ -321,3 +325,45 @@ def reference_pcs_sample(space, rng):
             else:
                 point[name] = rng.uniform(param.lo, param.hi)
     return point
+
+
+# ---------------------------------------------------------------------------
+# Normal forms back to schemas
+
+
+def to_schema(nf: NormalForm) -> SchemaNode:
+    """Reconstruct a schema whose meaning is the normal form.
+
+    The base object unions each property's domains across disjuncts; the
+    disjunction itself rides along as a constraint conjunct, so the result
+    has the standard base-plus-constraints layout.
+    """
+    branches = []
+    for disjunct in nf.disjuncts:
+        props = []
+        for name, domain in disjunct.items():
+            props.append((name, _domain_to_node(domain)))
+        branches.append(ObjectNode(tuple(props), additional_allowed=False))
+    if len(branches) == 1:
+        return branches[0]
+    union_props = []
+    for name in nf.names():
+        variants = []
+        for disjunct in nf.disjuncts:
+            node = _domain_to_node(disjunct[name])
+            if node not in variants:
+                variants.append(node)
+        union_props.append((name, variants[0] if len(variants) == 1 else AnyOfNode(tuple(variants))))
+    base = ObjectNode(tuple(union_props), additional_allowed=False)
+    return AllOfNode((base, AnyOfNode(tuple(branches))))
+
+
+def _domain_to_node(domain: Domain) -> SchemaNode:
+    if isinstance(domain, Cat):
+        return EnumNode(domain.values, domain.default)
+    if isinstance(domain, Cont):
+        return RangeNode(domain.lo, domain.hi, domain.lo_open, domain.hi_open,
+                         domain.integer_valued, domain.prior, domain.default)
+    if isinstance(domain, OpSlot):
+        return OperatorSlotNode()
+    raise NormalizeError(f"cannot express {domain!r} as a schema node")

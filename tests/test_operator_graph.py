@@ -376,16 +376,36 @@ IMPL_CASES = {
 }
 
 
-def _predictions_alone_and_together(op, datasets):
-    together = og.fit_each(op, datasets)
+def _same_bytes(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+def _fits_alone_and_together(op, datasets):
+    """One ``fit(config, problems)`` call of op's implementation gives every
+    problem the predictions, bit for bit, that one call per problem gives."""
+    impl, config = og.implementation_of(op), og.effective_config(op)
+    problems = [(data.X, data.y) for data in datasets]
+    together = impl.fit(config, problems)
+    assert len(together) == len(problems)
+    for artifacts, (X, y) in zip(together, problems):
+        [alone] = impl.fit(config, [(X, y)])
+        _same_bytes(impl.apply(artifacts, X), impl.apply(alone, X))
+
+
+def _scored_alone_and_together(op, datasets):
+    """Scoring every dataset in one walk, each on its own features, gives
+    what fitting and predicting each alone gives."""
+    together = og.fit_predict_each(op, datasets, [data.X for data in datasets], {})
     assert len(together) == len(datasets)
-    for trained, data in zip(together, datasets):
-        want = np.asarray(predict(fit(op, data), data.X))
-        got = np.asarray(predict(trained, data.X))
-        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    for got, data in zip(together, datasets):
+        _same_bytes(got, predict(fit(op, data), data.X))
 
 
 class TestFitEach:
+    """The multi-problem contract of ToyImplementation.fit, and the cases
+    of fitting a pipeline that it must keep."""
+
     def test_every_implementation_has_a_case(self):
         assert set(IMPL_CASES) == set(og.IMPLEMENTATIONS)
 
@@ -394,14 +414,14 @@ class TestFitEach:
     @settings(max_examples=15, deadline=None)
     def test_each_implementation_fits_each_dataset_as_alone(self, registry, impl, datasets):
         for name, config in IMPL_CASES[impl]:
-            _predictions_alone_and_together(configure(registry[name], config), datasets)
+            _fits_alone_and_together(configure(registry[name], config), datasets)
 
     @given(datasets=dataset_lists())
     @settings(max_examples=15, deadline=None)
     def test_boosting_a_logreg_base(self, registry, datasets):
         base = configure(registry["LogRegGD"], {"solver": "sgd", "iterations": 15})
         op = configure(registry["BoostedEnsemble"], {"base": base, "n_estimators": 3})
-        _predictions_alone_and_together(op, datasets)
+        _fits_alone_and_together(op, datasets)
 
     @given(datasets=dataset_lists())
     @settings(max_examples=15, deadline=None)
@@ -412,7 +432,7 @@ class TestFitEach:
                      configure(registry["NoOp"], {}))
         op = pipe(pipe(union, configure(registry["Concat"], {})),
                   configure(registry["KNN"], {"k": 3}))
-        _predictions_alone_and_together(op, datasets)
+        _scored_alone_and_together(op, datasets)
 
     @given(datasets=dataset_lists(kinds=("xor", "moonsApprox")))
     @settings(max_examples=15, deadline=None)
@@ -420,9 +440,9 @@ class TestFitEach:
         scaler = freeze_trained(fit(configure(registry["MinMaxScaler"], {}),
                                     toyml.synth_dataset("xor", 40, 3)))
         op = pipe(scaler, configure(registry["LogRegGD"], {"iterations": 20}))
-        _predictions_alone_and_together(op, datasets)
-        for trained in og.fit_each(op, datasets):
-            assert trained.steps[0] is scaler
+        _scored_alone_and_together(op, datasets)
+        for data in datasets:
+            assert fit(op, data).steps[0] is scaler
 
     def test_constraint_trap_raises_the_same_type(self, registry, blobs, xor_data):
         from dataclasses import replace
@@ -433,10 +453,11 @@ class TestFitEach:
         bad = configure(replace(tree, schema=drop_constraints(tree.schema)),
                         {"R": True, "C": 0.3})
         op = pipe(configure(registry["Scaler"], {}), bad)
+        for data in (blobs, xor_data):
+            with pytest.raises(toyml.ConstraintTrap):
+                fit(op, data)
         with pytest.raises(toyml.ConstraintTrap):
-            fit(op, blobs)
-        with pytest.raises(toyml.ConstraintTrap):
-            og.fit_each(op, [blobs, xor_data])
+            og.fit_predict_each(op, [blobs, xor_data], [blobs.X, xor_data.X], {})
 
     def test_trained_copy_without_artifacts_is_refused(self, registry, blobs, monkeypatch):
         # Trained copies skip dataclasses.replace; the artifacts rule holds.
@@ -445,10 +466,9 @@ class TestFitEach:
                                     apply=lambda artifact, X: X)
         monkeypatch.setitem(og.IMPLEMENTATIONS, "fits_nothing", impl)
         op = dataclasses.replace(configure(registry["KNN"], {}), impl="fits_nothing")
-        with pytest.raises(og.OperatorError, match="artifacts present iff state is Trained"):
-            fit(op, blobs)
-        with pytest.raises(og.OperatorError, match="artifacts present iff state is Trained"):
-            og.fit_each(op, [blobs, blobs])
+        for fitted in (op, pipe(op, configure(registry["KNN"], {}))):
+            with pytest.raises(og.OperatorError, match="artifacts present iff state is Trained"):
+                fit(fitted, blobs)
 
 
 # ---------------------------------------------------------------------------

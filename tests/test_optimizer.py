@@ -102,13 +102,6 @@ class TestRandomSearch:
                           OptimizerSpec(max_trials=40, seed=12))
         assert canonical(a) != canonical(c)
 
-    def test_history_round_trips_through_json(self, ablation):
-        compiled, objective = ablation["constrained"]
-        history = random_search(compiled.hierarchical(), objective,
-                                OptimizerSpec(max_trials=10, seed=3))
-        again = History.from_json(json.loads(json.dumps(history.to_json())))
-        assert canonical(again) == canonical(history)
-
     def test_best_monotone_and_valid(self, ablation):
         compiled, objective = ablation["unconstrained"]
         history = random_search(compiled.hierarchical(), objective,

@@ -9,6 +9,7 @@ from lalec import space_normalizer as norm
 from lalec.space_normalizer import Cat, Cont, EMPTY, intersect_domain, member
 
 from conftest import probe_lattice
+from oracles import to_schema
 
 
 def disjunct_sets(nf):
@@ -201,7 +202,7 @@ class TestEquivalenceOracle:
         # normal form accepts exactly the same probes.
         schema = registry[name].schema
         nf = norm.normalize(schema)
-        again = norm.normalize(norm.to_schema(nf))
+        again = norm.normalize(to_schema(nf))
         for config in equivalence_probes(registry, name):
             assert member(again, config) == member(nf, config)
 

@@ -19,7 +19,6 @@ from lalec.toyml import (
     load_csv,
     stratified_folds,
     synth_dataset,
-    train_test_split,
 )
 
 from oracles import reference_cross_val_score
@@ -86,12 +85,6 @@ class TestCsv:
 
 
 class TestSplits:
-    def test_stratified_66_split(self):
-        ds = synth_dataset("blobs", 100, 0)
-        train, test = train_test_split(ds, 0.66, 5)
-        assert len(train.y) == 66 and len(test.y) == 34
-        assert abs(int(train.y.sum()) - 33) <= 1
-
     def test_folds_partition(self):
         ds = synth_dataset("xor", 60, 0)
         folds = stratified_folds(ds, 5, 1)
@@ -748,6 +741,30 @@ def counting_fits(monkeypatch, impl_name):
     return calls
 
 
+def counting_applies(monkeypatch, impl_name):
+    """Record one entry per apply call of one implementation."""
+    calls = []
+    impl = og.IMPLEMENTATIONS[impl_name]
+
+    def apply(artifacts, X):
+        calls.append(1)
+        return impl.apply(artifacts, X)
+
+    monkeypatch.setitem(og.IMPLEMENTATIONS, impl_name, dataclasses.replace(impl, apply=apply))
+    return calls
+
+
+def step_entries(splits):
+    """The splits' stored step outputs, keyed (impl, configuration, input key)."""
+    return {key: entry for key, entry in splits.store.items() if len(key) == 3}
+
+
+def run_entries(splits):
+    """The splits' stored runs, keyed (impl, configuration without the
+    budget, input key, budget name)."""
+    return {key: run for key, run in splits.store.items() if len(key) == 4}
+
+
 class TestPrefixStore:
     @settings(max_examples=60, deadline=None)
     @given(families=st.lists(pipeline_families(), min_size=1, max_size=3),
@@ -768,10 +785,11 @@ class TestPrefixStore:
             op = og.pipe(configure(REGISTRY["StandardScaler"], {"withStd": True}),
                          configure(REGISTRY["KNN"], {"k": k}))
             assert cross_val_score(op, splits) == reference_cross_val_score(op, splits)
-        assert fits == [3, 3, 3, 3]  # once here, and once per reference call
+        assert fits == [3] + [1] * 9  # once here, and once per fold per reference call
+        del fits[:]
         cross_val_score(op, cv_splits(blobs, 3))  # other splits, another store
         cross_val_score(op, list(splits))  # a plain list has no store
-        assert fits == [3] * 6
+        assert fits == [3, 3]
 
     def test_same_implementation_with_another_configuration_is_fitted_apart(self, blobs):
         splits = cv_splits(blobs, 3)
@@ -780,7 +798,7 @@ class TestPrefixStore:
                       configure(REGISTRY["StandardScaler"], {"withStd": False})):
             op = og.pipe(first, configure(REGISTRY["KNN"], {"k": 3}))
             assert cross_val_score(op, splits) == reference_cross_val_score(op, splits)
-        assert len(splits.prefixes) == 2
+        assert len(step_entries(splits)) == 2
 
     def test_equal_branches_share_within_one_call(self, monkeypatch, xor_data):
         fits = counting_fits(monkeypatch, "minmax_scaler")
@@ -790,7 +808,7 @@ class TestPrefixStore:
                      configure(REGISTRY["KNN"], {}))
         splits = cv_splits(xor_data, 3)
         assert cross_val_score(op, list(splits)) == reference_cross_val_score(op, splits)
-        assert fits == [3, 3, 3]  # one here, two in the reference
+        assert fits == [3] + [1] * 6  # one here, two per fold in the reference
 
     def test_failing_prefix_is_not_stored(self, monkeypatch, blobs):
         fits = counting_fits(monkeypatch, "pruned_tree")
@@ -802,10 +820,15 @@ class TestPrefixStore:
             with pytest.raises(ConstraintTrap):
                 cross_val_score(op, splits)
         assert len(fits) == 3
-        [key] = splits.prefixes  # the scaler alone
-        assert key[1] == "standard_scaler"
+        [key] = step_entries(splits)  # the scaler alone
+        assert key[0] == "standard_scaler"
 
-    def test_unkeyed_steps_and_their_successors_are_not_stored(self, blobs):
+    def test_unkeyed_step_runs_every_trial_and_its_successors_are_stored(
+            self, monkeypatch, blobs):
+        # A step with an operator-valued hyperparameter and a frozen trained
+        # step have no entry, so they map both sides of every fold on every
+        # call; their outputs still get a content key, so the NoOp after
+        # them is fitted once.
         boosted = configure(REGISTRY["BoostedEnsemble"], {
             "n_estimators": 2, "base": configure(REGISTRY["KNN"], {})})
         frozen = og.freeze_trained(fit(configure(REGISTRY["MinMaxScaler"], {}), blobs))
@@ -813,8 +836,17 @@ class TestPrefixStore:
             op = functools.reduce(og.pipe, [first, configure(REGISTRY["NoOp"], {}),
                                             configure(REGISTRY["KNN"], {})])
             splits = cv_splits(blobs, 3)
-            assert cross_val_score(op, splits) == reference_cross_val_score(op, splits)
-            assert splits.prefixes == {}
+            want = reference_cross_val_score(op, splits)
+            fits, applies = counting_fits(monkeypatch, first.impl), counting_applies(
+                monkeypatch, first.impl)
+            noop_fits = counting_fits(monkeypatch, "noop")
+            for _ in range(3):
+                assert cross_val_score(op, splits) == want
+            assert fits == ([] if first is frozen else [3, 3, 3])
+            assert len(applies) == 3 * 2 * len(splits)
+            assert noop_fits == [3]
+            [key] = step_entries(splits)
+            assert key[0] == "noop" and key[2] == splits.store[key][1]
 
     def test_stored_arrays_are_read_only(self, monkeypatch, xor_data):
         op = functools.reduce(og.pipe, [configure(REGISTRY["Scaler"], {}),
@@ -822,7 +854,7 @@ class TestPrefixStore:
                                         configure(REGISTRY["KNN"], {})])
         splits = cv_splits(xor_data, 3)
         cross_val_score(op, splits)
-        stored = [out for outputs in splits.prefixes.values() for out in outputs]
+        stored = [out for outputs, _ in step_entries(splits).values() for out in outputs]
         assert len(stored) == 2 * 2 * len(splits)  # two steps, both sides of each fold
         assert all(isinstance(out, np.ndarray) and not out.flags.writeable for out in stored)
         assert all(train.X.flags.writeable for train, _, _ in splits)  # views only
@@ -904,13 +936,14 @@ class TestRunStore:
     def test_descent_resumes_from_the_longest_shorter_run(self, monkeypatch, blobs):
         calls = counting_descents(monkeypatch)
         splits = cv_splits(blobs, 3)
-        for iterations in (30, 10, 20, 50, 20, 15):
-            op = configure(REGISTRY["LogRegGD"], {"iterations": iterations, "solver": "sgd"})
-            assert cross_val_score(op, splits) == reference_cross_val_score(op, splits)
-        # Every reference call fits from scratch.
-        assert calls[::2] == [(0, 30), (0, 10), (10, 20), (30, 50), (20, 20), (10, 15)]
-        assert calls[1::2] == [(0, k) for k in (30, 10, 20, 50, 20, 15)]
-        [run] = splits.runs.values()
+        ops = [configure(REGISTRY["LogRegGD"], {"iterations": iterations, "solver": "sgd"})
+               for iterations in (30, 10, 20, 50, 20, 15)]
+        scores = [cross_val_score(op, splits) for op in ops]
+        assert calls == [(0, 30), (0, 10), (10, 20), (30, 50), (20, 20), (10, 15)]
+        assert scores == [reference_cross_val_score(op, splits) for op in ops]
+        # The reference fits every fold alone, from scratch.
+        assert calls[6:] == [(0, k) for k in (30, 10, 20, 50, 20, 15) for _ in splits]
+        [run] = run_entries(splits).values()
         assert sorted(run) == [10, 15, 20, 30, 50]
 
     def test_runs_are_kept_apart_by_input_and_configuration(self, monkeypatch, blobs):
@@ -923,26 +956,29 @@ class TestRunStore:
                         og.pipe(configure(REGISTRY["MinMaxScaler"], {}), logreg[0])]
         for op in ops:
             cross_val_score(op, splits)
-        assert len(splits.runs) == len(ops) and all(done == 0 for done, _ in calls)
+        assert len(run_entries(splits)) == len(ops) and all(done == 0 for done, _ in calls)
         cross_val_score(og.pipe(configure(REGISTRY["Scaler"], {}), configure(
             REGISTRY["LogRegGD"], {"iterations": 12})), splits)
         assert calls[-1] == (10, 12)
 
     def test_equal_inputs_share_runs_whatever_made_them(self, monkeypatch, xor_data):
         # xor data has two columns, so SelectKVariance with k >= 2 and NoOp
-        # pass it on unchanged, and a frozen step's outputs have no prefix
-        # key but still have their bytes.
+        # pass it on unchanged: their outputs have the content key of the
+        # splits' own inputs. A frozen step has no entry, but its outputs
+        # still have a content key.
         calls = counting_descents(monkeypatch)
         frozen = og.freeze_trained(fit(configure(REGISTRY["MinMaxScaler"], {}), xor_data))
         splits = cv_splits(xor_data, 3)
         firsts = [None, configure(REGISTRY["NoOp"], {}),
                   configure(REGISTRY["SelectKVariance"], {"k": 3}), frozen, frozen]
+        ops = []
         for iterations, first in zip((10, 20, 30, 10, 25), firsts):
             op = configure(REGISTRY["LogRegGD"], {"iterations": iterations})
-            op = op if first is None else og.pipe(first, op)
-            assert cross_val_score(op, splits) == reference_cross_val_score(op, splits)
-        assert calls[::2] == [(0, 10), (10, 20), (20, 30), (0, 10), (10, 25)]
-        assert len(splits.runs) == 2
+            ops.append(op if first is None else og.pipe(first, op))
+        scores = [cross_val_score(op, splits) for op in ops]
+        assert calls == [(0, 10), (10, 20), (20, 30), (0, 10), (10, 25)]
+        assert scores == [reference_cross_val_score(op, splits) for op in ops]
+        assert len(run_entries(splits)) == 2
 
     def test_failing_and_non_json_fits_store_no_run(self, blobs):
         splits = cv_splits(blobs, 3)
@@ -953,4 +989,4 @@ class TestRunStore:
             cross_val_score(merged, splits)  # an input that LogRegGD refuses
         op = configure(REGISTRY["LogRegGD"], {"iterations": 10, "learningRate": np.float64(0.1)})
         assert cross_val_score(op, splits) == reference_cross_val_score(op, splits)
-        assert splits.runs == {}
+        assert run_entries(splits) == {}
