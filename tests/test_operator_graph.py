@@ -285,6 +285,36 @@ class TestFitPredict:
         preds = predict(trained, blobs.X)
         assert preds.shape == (len(blobs.X),)
 
+    def test_fit_applies_each_step_once_and_only_for_a_successor(self, ops, blobs,
+                                                                  monkeypatch):
+        # Every step but the sink feeds a successor, so fitting applies it
+        # once; the sink's output is never needed while fitting.
+        applies = []
+        for name in ("standard_scaler", "decision_stump", "concat", "knn"):
+            impl = og.IMPLEMENTATIONS[name]
+
+            def apply(artifacts, X, name=name, inner=impl.apply):
+                applies.append(name)
+                return inner(artifacts, X)
+
+            monkeypatch.setitem(og.IMPLEMENTATIONS, name, dataclasses.replace(impl, apply=apply))
+        union = both(configure(ops["Scaler"], {}), configure(ops["DecisionStump"], {}))
+        p = pipe(pipe(union, configure(ops["Concat"], {})), configure(ops["KNN"], {"k": 1}))
+        trained = fit(p, blobs)
+        assert applies == ["standard_scaler", "decision_stump", "concat"]
+        del applies[:]
+        predict(trained, blobs.X)
+        assert applies == ["standard_scaler", "decision_stump", "concat", "knn"]
+
+    def test_two_sink_pipeline_fits_but_has_no_single_output(self, ops, blobs):
+        p = both(configure(ops["NoOp"], {}), configure(ops["KNN"], {}))
+        trained = fit(p, blobs)
+        assert state_of(trained) == LifecycleState.TRAINED
+        with pytest.raises(og.ShapeMismatch, match="exactly one sink"):
+            predict(trained, blobs.X)
+        with pytest.raises(og.ShapeMismatch, match="exactly one sink"):
+            og.fit_predict_each(p, [blobs], [blobs.X], {})
+
     def test_fit_does_not_mutate(self, ops, blobs):
         p = pipe(configure(ops["Scaler"], {}), configure(ops["KNN"], {"k": 3}))
         before = copy.deepcopy(p)

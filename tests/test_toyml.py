@@ -810,6 +810,45 @@ class TestPrefixStore:
         assert cross_val_score(op, list(splits)) == reference_cross_val_score(op, splits)
         assert fits == [3] + [1] * 6  # one here, two per fold in the reference
 
+    def test_different_prefixes_with_equal_outputs_share_entries(self, monkeypatch, xor_data):
+        # xor data has two columns, so NoOp and SelectKVariance with k >= 2
+        # pass it on unchanged: the MinMaxScaler after any of them sees one
+        # input key and is fitted once.
+        fits = counting_fits(monkeypatch, "minmax_scaler")
+        splits = cv_splits(xor_data, 3)
+        for first in (configure(REGISTRY["NoOp"], {}),
+                      configure(REGISTRY["SelectKVariance"], {"k": 2}),
+                      configure(REGISTRY["SelectKVariance"], {"k": 3})):
+            op = functools.reduce(og.pipe, [first, configure(REGISTRY["MinMaxScaler"], {}),
+                                            configure(REGISTRY["KNN"], {})])
+            assert cross_val_score(op, splits) == reference_cross_val_score(op, splits)
+        assert fits == [3] + [1] * 9  # once here, and once per fold per reference call
+        assert [key[0] for key in step_entries(splits)].count("minmax_scaler") == 1
+
+    def test_each_value_is_hashed_once(self, monkeypatch, blobs):
+        # The splits' features get their key once per store, and each
+        # non-final step's outputs once, when they are computed; a step
+        # served from the store hashes nothing.
+        digests = []
+        content_key = og._content_key
+
+        def counted(values):
+            digests.append(len(values))
+            return content_key(values)
+
+        monkeypatch.setattr(og, "_content_key", counted)
+        splits = cv_splits(blobs, 3)
+        prefix = [configure(REGISTRY["Scaler"], {}), configure(REGISTRY["MinMaxScaler"], {})]
+        for last in (configure(REGISTRY["KNN"], {}), configure(REGISTRY["KNN"], {}),
+                     configure(REGISTRY["DecisionStump"], {})):
+            cross_val_score(functools.reduce(og.pipe, prefix + [last]), splits)
+        assert digests == [2 * len(splits)] * 3  # the features, then each prefix step
+        cross_val_score(functools.reduce(og.pipe, prefix[:1] + [
+            configure(REGISTRY["NoOp"], {}), configure(REGISTRY["KNN"], {})]), splits)
+        assert len(digests) == 4
+        cross_val_score(og.pipe(prefix[0], configure(REGISTRY["KNN"], {})), cv_splits(blobs, 3))
+        assert len(digests) == 6  # another store keys its features again
+
     def test_failing_prefix_is_not_stored(self, monkeypatch, blobs):
         fits = counting_fits(monkeypatch, "pruned_tree")
         op = functools.reduce(og.pipe, [configure(REGISTRY["Scaler"], {}),
