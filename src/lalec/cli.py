@@ -14,10 +14,13 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import tempfile
+from json.encoder import c_make_encoder, encode_basestring_ascii
 from pathlib import Path
+from typing import Any
 
 from . import optimizer as opt
 from . import pipeline_dsl as dsl
@@ -64,7 +67,69 @@ def _write_text(path, text: str) -> None:
 
 
 def _write_json(path, doc) -> None:
-    _write_text(path, json.dumps(doc, indent=2) + "\n")
+    _write_text(path, _indented_json(doc) + "\n")
+
+
+def _indented_json(doc) -> str:
+    """``json.dumps(doc, indent=2)``, the same text without the pure-Python
+    encoder that json falls back to for indented output. A container of
+    scalars is one call of json's C encoder, with the line break and
+    indentation of its depth as the item separator; other containers add
+    their own line breaks around their items."""
+    parts: list[str] = []
+    _json_parts(doc, "\n", parts)
+    return "".join(parts)
+
+
+_SCALARS = frozenset((str, int, float, bool, type(None)))
+_LITERALS = {True: "true", False: "false", None: "null"}
+_C_ENCODERS: dict[str, Any] = {}  # compact C encoders by item separator
+
+
+def _c_encode(value, separator: str) -> str:
+    """``json.dumps(value, separators=(separator, ": "))`` by json's C
+    encoder, built once per separator."""
+    encode = _C_ENCODERS.get(separator)
+    if encode is None:
+        encode = _C_ENCODERS[separator] = c_make_encoder(
+            None, json.JSONEncoder().default, encode_basestring_ascii, None, ": ", separator,
+            False, False, True)
+    return "".join(encode(value, 0))
+
+
+def _json_parts(value, newline: str, parts: list) -> None:
+    """Append the indented JSON of ``value``, whose first line is already
+    written and whose later lines start with ``newline``."""
+    kind = type(value)
+    if kind is str:
+        parts.append(encode_basestring_ascii(value))
+        return
+    if kind is float:
+        parts.append(float.__repr__(value) if math.isfinite(value) else _c_encode(value, ","))
+        return
+    if kind in _SCALARS:
+        parts.append(_LITERALS[value] if kind is bool or value is None else int.__repr__(value))
+        return
+    is_dict = isinstance(value, dict)
+    if not (is_dict or isinstance(value, (list, tuple))) or not value:
+        parts.append(_c_encode(value, ","))  # an empty container or a subclass
+        return
+    inner = newline + "  "
+    items = value.values() if is_dict else value
+    if _SCALARS.issuperset(map(type, items)):
+        text = _c_encode(value, "," + inner)
+        parts.append(text[0] + inner + text[1:-1] + newline + text[-1])
+        return
+    separator = ("{" if is_dict else "[") + inner
+    for item in (value.items() if is_dict else value):
+        parts.append(separator)
+        separator = "," + inner
+        if is_dict:
+            key, item = item
+            parts.append((encode_basestring_ascii(key) if type(key) is str
+                          else _c_encode({key: None}, ",")[1:-7]) + ": ")
+        _json_parts(item, inner, parts)
+    parts.append(newline + ("}" if is_dict else "]"))
 
 
 def _load_pipeline(args, registry) -> Operator:

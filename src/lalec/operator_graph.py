@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import enum
 import hashlib
+import time
 from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Mapping
 
@@ -332,30 +333,36 @@ def _replace_properties(schema: SchemaNode, overrides) -> SchemaNode:
 
 @dataclass(frozen=True)
 class ToyImplementation:
-    """A native operator. ``fit(config, problems)`` takes the effective
-    hyperparameters and a sequence of ``(X, y)`` problems and returns one
-    artifact per problem, in order; ``apply(artifacts, X)`` maps features
+    """A native operator. ``fit(jobs, store=None)`` fits many jobs in one
+    call: each job is ``(config, problems, run)``, the effective
+    hyperparameters, a sequence of ``(X, y)`` problems and a run dict (see
+    ``budget``; None otherwise). It returns one list per job of one
+    artifact per problem, in order. ``apply(artifacts, X)`` maps features
     (transformer) or predicts labels (estimator) with one artifact.
+    ``store``, when given, lives as long as the problems' labels; an
+    implementation may keep there what depends only on the problems'
+    shapes (LogRegGD keeps its sgd rows per row count).
 
     Each problem's fit is independent and deterministic: its artifact
-    depends only on ``config`` and that problem, never on the other problems
-    or their order, so fitting many at once gives what fitting each alone
-    would, bit for bit.
+    depends only on its job's ``config`` and that problem, never on the
+    other problems or jobs or their order, so fitting many at once gives
+    what fitting each alone would, bit for bit. Most implementations loop
+    over the jobs; LogRegGD runs all their descents in lockstep.
 
     ``budget`` names a hyperparameter that counts the fit's steps and
     changes nothing else: a fit of k steps is the first k steps of every
-    longer one. Such a fit takes an optional third argument, ``runs``: a
-    dict from counts to the state that fits on these problems, with this
-    configuration but for the budget, reached after that many steps. It
-    resumes from the longest stored run not longer than its own, gets the
-    bits a fit from scratch gets, and stores its own run as it returns.
-    ``fit_predict_each`` passes one such dict per configuration without
-    the budget and input, kept in its store.
+    longer one. Such a job's ``run`` is a dict from counts to the state
+    that fits on these problems, with this configuration but for the
+    budget, reached after that many steps. The fit resumes from the
+    longest stored run not longer than its own, gets the bits a fit from
+    scratch gets, and stores its own run as it returns; jobs that share a
+    run dict may share one fit. ``fit_predict_many`` passes one such dict
+    per configuration without the budget and input, kept in its store.
     """
 
     name: str
     kind: str  # "transformer" | "estimator"
-    fit: Callable[..., list[Any]]
+    fit: Callable[..., list[list[Any]]]
     apply: Callable[[Any, Any], Any]
     inverse: Callable[[Any, Any], Any] | None = None
     budget: str | None = None
@@ -400,17 +407,29 @@ def fit(op: Operator, data) -> Operator:
     return _fit_node(op, X, y, as_feature=False)[0]
 
 
-def fit_predict_each(op: Operator, datasets, held_out, store: dict) -> list:
-    """Each dataset's held-out predictions by a copy of an operator fitted
-    on that dataset: what ``predict(fit(op, datasets[i]), held_out[i])``
-    gives, in one walk that builds no trained copies.
+def fit_predict_many(ops, datasets, held_out, store: dict) -> list:
+    """For each operator, ``(outcome, seconds)``. The outcome is each
+    dataset's held-out predictions by a copy of the operator fitted on that
+    dataset, what ``predict(fit(op, datasets[i]), held_out[i])`` gives, or
+    the exception that raises; no trained copies are built. The operators
+    are scored as one window, in three passes:
+
+    1. each operator's walk, up to and without its final step;
+    2. one ``fit`` call per implementation for all the final steps that
+       have it (LogRegGD descends them in lockstep); if that call raises,
+       each of its jobs is fitted alone, so each gets its own error;
+    3. each final step's predictions on the held-out inputs.
+
+    An operator whose walk raises leaves the window with that exception.
+    ``seconds`` is the operator's own walk and predictions plus a share of
+    each fit call its final step was in, in proportion to the steps it
+    asked for (its budget; an equal share without one).
 
     Each step's implementation fits every dataset in one call, so it can
-    share work across them (LogRegGD runs every descent in lockstep; see
-    ``ToyImplementation``), and maps the held-out inputs right after; the
-    final step maps only them. ``store`` keeps that work for later calls
-    on the same labels: it must only ever see these datasets' label
-    vectors (``toyml.cv_splits`` gives each set of splits its own store).
+    share work across them, and maps the held-out inputs right after.
+    ``store`` keeps that work for later calls on the same labels: it must
+    only ever see these datasets' label vectors (``toyml.cv_splits`` gives
+    each set of splits its own store).
 
     Every value passed between steps has a content key: the SHA-256 of
     the dtype, shape and bytes of all its training and held-out arrays. It
@@ -424,7 +443,8 @@ def fit_predict_each(op: Operator, datasets, held_out, store: dict) -> list:
       is served from the store instead of fitted;
     - a step whose implementation has a ``budget`` resumes its fit from
       the runs stored under ``(impl, canonical(config without the budget),
-      input key, budget name)``, final step included.
+      input key, budget name)``, final step included. Final steps of one
+      window with one such key share one run dict.
 
     A frozen trained step, a step whose configuration is not exact JSON
     and a step whose input is not a plain array get no entry and are
@@ -433,13 +453,106 @@ def fit_predict_each(op: Operator, datasets, held_out, store: dict) -> list:
     Stored arrays are read-only views, so an implementation that writes
     into its input fails instead of corrupting later calls.
     """
-    _check_fittable(op)
     Xs = [np.asarray(data.X, dtype=float) for data in datasets]
     Xs += [np.asarray(X, dtype=float) for X in held_out]
     ys = [np.asarray(data.y) for data in datasets]
+    outcomes: dict[int, tuple] = {}
+    finals: dict[int, _Final] = {}
+    for i, op in enumerate(ops):
+        start = time.perf_counter()
+        try:
+            finals[i] = _walk(op, Xs, ys, store)
+        except Exception as exc:
+            outcomes[i] = exc, time.perf_counter() - start
+        else:
+            finals[i].seconds += time.perf_counter() - start
+    groups: dict[str, list[_Final]] = {}
+    for final in finals.values():
+        if final.artifacts is None:
+            groups.setdefault(final.impl.name, []).append(final)
+    fresh: dict = {}  # run dicts of this window not yet in the store
+    for group in groups.values():
+        _fit_finals(group, store, fresh)
+    for i, final in finals.items():
+        start = time.perf_counter()
+        outcome = final.error
+        if outcome is None:
+            try:
+                outcome = final.predict()
+            except Exception as exc:
+                outcome = exc
+        outcomes[i] = outcome, final.seconds + time.perf_counter() - start
+    return [outcomes[i] for i in range(len(ops))]
+
+
+@dataclass(eq=False)
+class _Final:
+    """A final step met by a walk, waiting for its fit (``job``, its
+    ``(config, problems)``, or its ``artifacts`` when it is frozen trained)
+    and its predictions on ``held_out``; ``weight`` is its share of a fit
+    call."""
+    impl: ToyImplementation
+    job: tuple | None
+    run_key: Any
+    weight: float
+    held_out: list
+    artifacts: list | None = None
+    error: Exception | None = None
+    seconds: float = 0.0
+
+    def predict(self) -> list:
+        return [self.impl.apply(a, X) for a, X in zip(self.artifacts, self.held_out)]
+
+
+def _walk(op: Operator, Xs, ys, store: dict) -> _Final:
+    """Pass 1 of ``fit_predict_many`` for one operator: its final step.
+    When the walk raises after meeting final steps (a graph with several
+    sinks), they are fitted and applied first, in order, so that it raises
+    what fitting and predicting step by step would raise first."""
+    _check_fittable(op)
     if () not in store:
         store[()] = _content_key(Xs)
-    return _score_node(op, Xs, ys, store[()], store, final=True)[0]
+    pending: list[_Final] = []
+    try:
+        _score_node(op, Xs, ys, store[()], store, pending)
+    except Exception:
+        for final in pending:
+            if final.artifacts is None:
+                _fit_finals([final], store, {})
+                if final.error is not None:
+                    raise final.error from None
+            final.predict()
+        raise
+    [final] = pending
+    return final
+
+
+def _fit_finals(finals: list[_Final], store: dict, fresh: dict) -> None:
+    """Fit the finals' jobs with one call of their implementation's fit
+    and share its time by weight; if the call raises, fit each alone.
+    A run dict is stored only once a fit that used it returned."""
+    impl = finals[0].impl
+    runs = [None if f.run_key is None
+            else store[f.run_key] if f.run_key in store
+            else fresh.setdefault(f.run_key, {}) for f in finals]
+    start = time.perf_counter()
+    try:
+        fitted = impl.fit([f.job + (run,) for f, run in zip(finals, runs)], store)
+    except Exception as exc:
+        if len(finals) == 1:
+            finals[0].error = exc
+            finals[0].seconds += time.perf_counter() - start
+        else:
+            for final in finals:
+                _fit_finals([final], store, fresh)
+        return
+    elapsed = time.perf_counter() - start
+    total = sum(f.weight for f in finals)
+    for final, run, artifacts in zip(finals, runs, fitted):
+        final.artifacts = artifacts
+        final.seconds += elapsed * (final.weight / total if total else 1 / len(finals))
+        if final.run_key is not None:
+            store[final.run_key] = run
 
 
 def _check_fittable(op: Operator) -> None:
@@ -467,7 +580,7 @@ def _fit_node(op: Operator, X, y, as_feature: bool):
     if isinstance(op, Individual):
         impl = implementation_of(op)
         if not (op.frozen_trained and op.state == LifecycleState.TRAINED):
-            [artifacts] = impl.fit(effective_config(op), [(X, y)])
+            [[artifacts]] = impl.fit([(effective_config(op), [(X, y)], None)])
             op = op._copy(op.bound, LifecycleState.TRAINED, artifacts)
         return op, (_step_output(impl, op.artifacts, X) if as_feature else None)
     assert isinstance(op, Pipeline)
@@ -483,11 +596,12 @@ def _fit_node(op: Operator, X, y, as_feature: bool):
     return trained, (outputs[_only_sink(op)][0] if as_feature else None)
 
 
-def _score_node(op: Operator, Xs, ys, key, store: dict, final: bool):
+def _score_node(op: Operator, Xs, ys, key, store: dict, final: list | None):
     """Fit ``op`` on each of the first ``len(ys)`` inputs in ``Xs`` with its
     labels; dataset i's fitted copy maps inputs i and len(ys) + i. Returns
-    op's outputs as features on all of ``Xs`` and their content key or, if
-    ``final``, its predictions on the held-out inputs and None. ``key`` is
+    op's outputs as features on all of ``Xs`` and their content key. When
+    ``final`` is a list, op is final: its final steps are not fitted but
+    appended to ``final`` (``_Final``), and None is returned. ``key`` is
     the content key of ``Xs`` (None if it has none)."""
     if isinstance(op, Choice):
         raise UnresolvedChoice("cannot fit an unresolved choice")
@@ -501,20 +615,24 @@ def _score_node(op: Operator, Xs, ys, key, store: dict, final: bool):
         preds = op.predecessors(index)
         outputs[index], keys[index] = _score_node(
             step, _input_for(preds, outputs, Xs), ys, _input_key(preds, keys, key), store,
-            final and index in sink_set)
+            final if index in sink_set else None)
     sink = _only_sink(op)
     return outputs[sink], keys[sink]
 
 
-def _score_step(op: Individual, Xs, ys, key, store: dict, final: bool):
+def _score_step(op: Individual, Xs, ys, key, store: dict, final: list | None):
     """_score_node for one step."""
     impl = implementation_of(op)
-    entry_key = None
+    n = len(ys)
     if op.frozen_trained and op.state == LifecycleState.TRAINED:
-        artifacts = [op.artifacts] * len(ys)
+        if final is not None:
+            final.append(_Final(impl, None, None, 0.0, Xs[n:], [op.artifacts] * n))
+            return None, None
+        artifacts, entry_key = [op.artifacts] * n, None
     else:
         config = effective_config(op)
-        if not final:
+        entry_key = None
+        if final is None:
             entry_key = _store_key(op.impl, config, key)
             if entry_key in store:
                 return store[entry_key]
@@ -522,14 +640,16 @@ def _score_step(op: Individual, Xs, ys, key, store: dict, final: bool):
         if impl.budget is not None:
             rest = {name: value for name, value in config.items() if name != impl.budget}
             run_key = _store_key(op.impl, rest, key, impl.budget)
-        if run_key is None:
-            artifacts = impl.fit(config, list(zip(Xs, ys)))
-        else:
-            run = store.get(run_key, {})
-            artifacts = impl.fit(config, list(zip(Xs, ys)), run)
+        problems = list(zip(Xs, ys))
+        if final is not None:
+            steps = config.get(impl.budget) if impl.budget is not None else 1
+            weight = float(steps) if type(steps) is int and steps > 0 else 0.0
+            final.append(_Final(impl, (config, problems), run_key, weight, Xs[n:]))
+            return None, None
+        run = None if run_key is None else store.get(run_key, {})
+        [artifacts] = impl.fit([(config, problems, run)], store)
+        if run_key is not None:
             store[run_key] = run
-    if final:
-        return [impl.apply(a, X) for a, X in zip(artifacts, Xs[len(ys):])], None
     outputs = [_read_only(_step_output(impl, a, X)) for a, X in zip(artifacts * 2, Xs)]
     entry = outputs, _content_key(outputs)
     if entry_key is not None:

@@ -111,16 +111,42 @@ def space_digest(space_doc: Mapping[str, Any]) -> str:
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
+# Random and grid searches score their points in windows of this many
+# trials (make_cv_objective's ``many``).
+WINDOW = 64
+
+
+def _trial(index: int, point: dict, outcome, elapsed: float, spec: OptimizerSpec) -> Trial:
+    """The trial of a point whose objective returned ``outcome`` or raised
+    it."""
+    if isinstance(outcome, InvalidConfigError):
+        return Trial(index, point, spec.penalty, INVALID_CONFIG, elapsed)
+    if isinstance(outcome, Exception):
+        return Trial(index, point, spec.penalty, RUNTIME_ERROR, elapsed)
+    return Trial(index, point, outcome, VALID, elapsed)
+
+
 def _evaluate(index: int, point: dict, objective, spec: OptimizerSpec) -> Trial:
     start = time.perf_counter()
     try:
-        loss = float(objective(point))
-        status = VALID
-    except InvalidConfigError:
-        loss, status = spec.penalty, INVALID_CONFIG
-    except Exception:
-        loss, status = spec.penalty, RUNTIME_ERROR
-    return Trial(index, point, loss, status, time.perf_counter() - start)
+        outcome = float(objective(point))
+    except Exception as exc:
+        outcome = exc
+    return _trial(index, point, outcome, time.perf_counter() - start, spec)
+
+
+def _evaluate_all(points, objective, spec: OptimizerSpec) -> tuple[Trial, ...]:
+    """Every point's trial, in order: in windows of WINDOW points when the
+    objective has a ``many`` method, else one call per point."""
+    many = getattr(objective, "many", None)
+    if many is None:
+        return tuple(_evaluate(i, p, objective, spec) for i, p in enumerate(points))
+    trials = []
+    for lo in range(0, len(points), WINDOW):
+        window = points[lo:lo + WINDOW]
+        for i, (point, (outcome, elapsed)) in enumerate(zip(window, many(window)), lo):
+            trials.append(_trial(i, point, outcome, elapsed, spec))
+    return tuple(trials)
 
 
 def _pick_best(trials) -> int | None:
@@ -155,7 +181,7 @@ def random_search(space_doc: Mapping[str, Any], objective: Callable[[dict], floa
         points = [sample_space(space_doc, rng)]
     else:
         points = [sample_space(space_doc, rng) for _ in range(spec.max_trials)]
-    trials = tuple(_evaluate(i, p, objective, spec) for i, p in enumerate(points))
+    trials = _evaluate_all(points, objective, spec)
     return History(trials, _pick_best(trials), spec.seed, space_digest(space_doc))
 
 
@@ -168,7 +194,7 @@ def grid_search(grid: Mapping[str, Any], objective: Callable[[dict], float],
     cells = list(grid_cells(grid))
     if not cells:
         cells = [{}]
-    trials = tuple(_evaluate(i, p, objective, spec) for i, p in enumerate(cells))
+    trials = _evaluate_all(cells, objective, spec)
     return History(trials, _pick_best(trials), spec.seed, space_digest(dict(grid)))
 
 
@@ -239,6 +265,15 @@ def make_cv_objective(space, data, folds: int = 5, cv_seed: int = 0) -> Callable
     Each distinct valid point is scored once per objective; a repeat skips
     decoding and fitting. A failing point runs, and raises, on every call.
     Only points keyed by ``schema_model.exact_json_key`` are stored.
+
+    The objective's ``many(points)`` scores a window of points at once
+    (``toyml.cross_val_scores``) and returns ``(outcome, elapsed)`` per
+    point: the loss, or the exception that calling the objective on the
+    point would raise. A point repeated within the window is scored once.
+    ``elapsed`` is the point's own decoding and scoring, its share of the
+    window's fit calls (``operator_graph.fit_predict_many``), and an equal
+    share of the rest, so that the window's values sum to its wall time.
+    Calling the objective is a window of one.
     """
     from . import toyml
     from .operator_graph import ValidationFailed
@@ -248,20 +283,53 @@ def make_cv_objective(space, data, folds: int = 5, cv_seed: int = 0) -> Callable
     splits = None
     scored: dict[str, float] = {}
 
-    def objective(point: Mapping[str, Any]) -> float:
-        nonlocal splits
-        key = exact_json_key(point)
-        if key in scored:
-            return scored[key]
+    def decode(point):
         try:
-            candidate = compiled.decode(point)
+            return compiled.decode(point)
         except (ValidationFailed, DecodeError) as exc:
             raise InvalidConfigError(str(exc)) from exc
-        if splits is None:
-            splits = toyml.cv_splits(data, folds, cv_seed)
-        loss = 1.0 - toyml.cross_val_score(candidate, splits)
-        if key is not None:
-            scored[key] = loss
-        return loss
 
+    def many(points) -> list:
+        nonlocal splits
+        window_start = time.perf_counter()
+        outcomes: list = [None] * len(points)
+        elapsed = [0.0] * len(points)
+        keys = [exact_json_key(point) for point in points]
+        first: dict[str, int] = {}  # the window's first index of each key
+        candidates = {}
+        for i, (point, key) in enumerate(zip(points, keys)):
+            start = time.perf_counter()
+            if key in scored:
+                outcomes[i] = scored[key]
+            elif key not in first:
+                if key is not None:
+                    first[key] = i
+                try:
+                    candidate = decode(point)
+                    if splits is None:
+                        splits = toyml.cv_splits(data, folds, cv_seed)
+                    candidates[i] = candidate
+                except Exception as exc:
+                    outcomes[i] = exc
+            elapsed[i] = time.perf_counter() - start
+        if candidates:
+            for i, (score, seconds) in zip(candidates, toyml.cross_val_scores(
+                    list(candidates.values()), splits)):
+                outcomes[i] = score if isinstance(score, Exception) else 1.0 - score
+                elapsed[i] += seconds
+                if keys[i] is not None and not isinstance(score, Exception):
+                    scored[keys[i]] = outcomes[i]
+        for i, key in enumerate(keys):
+            if key in first and first[key] != i:
+                outcomes[i] = outcomes[first[key]]
+        rest = (time.perf_counter() - window_start - sum(elapsed)) / max(len(points), 1)
+        return [(outcome, seconds + rest) for outcome, seconds in zip(outcomes, elapsed)]
+
+    def objective(point: Mapping[str, Any]) -> float:
+        [(outcome, _)] = many([point])
+        if isinstance(outcome, Exception):
+            raise outcome
+        return outcome
+
+    objective.many = many
     return objective

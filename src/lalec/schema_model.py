@@ -193,16 +193,24 @@ def scalar_eq(a, b) -> bool:
 
 
 # Types whose JSON pins down type and bits (1, 1.0 and true differ, as do -0.0
-# and 0.0), unlike a tuple (printed as a list) or numpy's float64.
-_EXACT_JSON = (str, int, float, bool, type(None))
+# and 0.0), unlike a tuple (printed as a list) or numpy's float64. Their repr
+# pins the same: a float's repr is its JSON number (or nan, inf, -inf for
+# NaN, Infinity, -Infinity) and always shows a point, an exponent or a word,
+# and a str's repr is quoted.
+_EXACT_JSON = frozenset((str, int, float, bool, type(None)))
+_STR = frozenset((str,))
 
 
 def exact_json_key(mapping: Mapping[str, Any]) -> str | None:
-    """The canonical JSON of a mapping with str keys and exact JSON scalar
-    values, else None: two such mappings get one key only when every value
-    is equal in type and bits. Memos key points and configurations by it."""
-    if all(type(k) is str and type(v) in _EXACT_JSON for k, v in mapping.items()):
-        return json.dumps(dict(mapping), sort_keys=True)
+    """A key of a mapping with str keys and exact JSON scalar values, else
+    None: two such mappings get one key exactly when their sorted JSON is
+    equal, that is, when they have the same names and every value is equal
+    in type and bits (all NaNs are one value, as JSON prints them). It is
+    the repr of the sorted items, which the JSON encoder need not build.
+    Memos key points and configurations by it."""
+    if _STR.issuperset(map(type, mapping)) and _EXACT_JSON.issuperset(
+            map(type, mapping.values())):
+        return repr(sorted(mapping.items()))
     return None
 
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import math
 import random
+import time
 from dataclasses import dataclass
 from pathlib import Path
 from statistics import NormalDist
@@ -215,33 +216,74 @@ def _apply_knn(artifacts, X):
 # Logistic regression by gradient descent (one-vs-rest beyond two classes)
 
 
-def _fit_logreg(config, problems, runs=None):
-    """One artifact per problem. ``runs`` maps step counts to the raw
-    weights a descent on these problems, with this configuration but for
-    ``iterations``, reached after that many steps; the descent resumes from
-    the longest stored run not longer than its own and stores its own."""
-    lr = float(config.get("learningRate", 0.1))
-    iterations = int(config.get("iterations", 100))
-    penalty = config.get("penalty", "l2")
-    solver = config.get("solver", "gd")
-    if solver not in ("gd", "sgd"):
-        solver = "gd"
+def _fit_logreg(jobs, store=None):
+    """One list of artifacts per ``(config, problems, runs)`` job, one
+    artifact per problem, with every descent of every job in one lockstep
+    per solver and penalty (``_logreg_descent``).
+
+    ``runs`` maps step counts to the raw weights that a descent on these
+    problems, with this configuration but for ``iterations``, reached after
+    that many steps. Jobs that share one ``runs`` dict (and learning rate)
+    run as one descent: it resumes from the longest stored run not longer
+    than any of their counts and stores its weights at each of them. The
+    sgd rows drawn for each row count are kept in ``store`` when given.
+    """
+    rows = None if store is None else store.setdefault(("sgd_rows",), {})
+    # Per (solver, penalty), one descent per runs dict and learning rate:
+    # [problems with a bias column and 0/1 target rows, lr, runs, counts].
+    groups: dict = {}
+    plan = []
     # Per problem, the features with a bias column and one 0/1 target row
-    # per one-vs-rest class (only class 1 for two classes).
-    biased, class_counts = [], []
-    for X, y in problems:
-        X = _matrix(X)
-        y = np.asarray(y, dtype=int)
-        n_classes = int(y.max()) + 1
-        Xb = np.hstack([X, np.ones((len(X), 1))])
-        targets = np.arange(1, 2) if n_classes == 2 else np.arange(n_classes)
-        biased.append((Xb, (y == targets[:, None]).astype(float)))
-        class_counts.append(n_classes)
-    runs = {} if runs is None else runs
-    done = max((k for k in runs if k <= iterations), default=0)
-    weights, w = _logreg_descent(biased, lr, iterations, penalty, solver, runs.get(done), done)
-    runs[max(iterations, 0)] = w
-    return [{"weights": W, "n_classes": n_classes} for W, n_classes in zip(weights, class_counts)]
+    # per one-vs-rest class (only class 1 for two classes). Jobs of one
+    # window mostly share their inputs and labels, so each array gets one
+    # biased copy (hstack gives equal values in the same layout) or one set
+    # of target rows.
+    biases: dict = {}
+    labels: dict = {}
+    for config, problems, runs in jobs:
+        lr = float(config.get("learningRate", 0.1))
+        count = max(int(config.get("iterations", 100)), 0)
+        penalty = config.get("penalty", "l2")
+        solver = config.get("solver", "gd")
+        if solver not in ("gd", "sgd"):
+            solver = "gd"
+        biased, class_counts = [], []
+        for X, y in problems:
+            if id(X) not in biases:
+                matrix = _matrix(X)
+                biases[id(X)] = X, np.hstack([matrix, np.ones((len(matrix), 1))])
+            if id(y) not in labels:
+                classes = np.asarray(y, dtype=int)
+                n_classes = int(classes.max()) + 1
+                targets = np.arange(1, 2) if n_classes == 2 else np.arange(n_classes)
+                labels[id(y)] = y, (classes == targets[:, None]).astype(float), n_classes
+            _, T, n_classes = labels[id(y)]
+            biased.append((biases[id(X)][1], T))
+            class_counts.append(n_classes)
+        runs = {} if runs is None else runs
+        descent = groups.setdefault((solver, penalty), {}).setdefault(
+            (id(runs), lr), [biased, lr, runs, set()])
+        descent[3].add(count)
+        plan.append((descent, count, class_counts))
+    for (solver, penalty), descents in groups.items():
+        specs = []
+        for biased, lr, runs, counts in descents.values():
+            counts = sorted(counts)
+            done = max((k for k in runs if k <= counts[0]), default=0)
+            specs.append((biased, lr, runs.get(done), done, counts))
+        for (_, _, runs, _), spec, raws in zip(descents.values(), specs,
+                                               _logreg_descent(specs, penalty, solver, rows)):
+            runs.update(zip(spec[4], raws))
+    fitted = []
+    for (biased, _, runs, _), count, class_counts in plan:
+        raw, at, artifacts = runs[count], 0, []
+        for (Xb, T), n_classes in zip(biased, class_counts):
+            W = raw[at:at + T.shape[0] * Xb.shape[1]].reshape(T.shape[0], Xb.shape[1]).copy()
+            W[~np.isfinite(W).all(axis=1)] = 0.0
+            artifacts.append({"weights": W, "n_classes": n_classes})
+            at += W.size
+        fitted.append(artifacts)
+    return fitted
 
 
 def _draw_rows(rng: random.Random, n: int, count: int) -> np.ndarray:
@@ -266,19 +308,36 @@ def _draw_rows(rng: random.Random, n: int, count: int) -> np.ndarray:
     return rows[:count]
 
 
-def _logreg_descent(problems, lr, iterations, penalty, solver, start=None, done=0):
-    """Logistic-regression weights by gradient descent for every target row
-    of every ``(Xb, T)`` problem, one row of weights per target, and the
-    flat raw weights of all descents after the last step.
+def _sgd_rows(rows: dict, n: int, count: int) -> np.ndarray:
+    """The first ``count`` sgd rows of a problem of ``n`` rows:
+    ``_draw_rows(Random(13), n, count)``, kept in ``rows`` by ``n``. Fewer
+    rows are a prefix of more, so the longest drawn serves every count."""
+    drawn = rows.get(n)
+    if drawn is None or len(drawn) < count:
+        drawn = rows[n] = _draw_rows(random.Random(13), n, count)
+    return drawn[:count]
 
-    All descents share the hyperparameters and run in lockstep; each one's
-    weights are those it would reach alone. ``start``, when given, is the
-    raw weights that the same descents returned after ``done`` steps; the
-    descents continue from it with step ``done + 1``. The result is the
-    same bits: a step depends only on the weights, the data, lr and penalty,
-    sgd's rows for ``done`` steps are a prefix of its rows for more (see
-    ``_draw_rows``), and non-finite weights are zeroed only in the returned
-    matrices.
+
+# The floats (and row indices) one block of gathered sgd rows may hold, over
+# all the descents of one lockstep; one step's batches are gathered even if
+# they alone hold more.
+ROW_BLOCK_FLOATS = 1 << 14
+
+
+def _logreg_descent(descents, penalty, solver, rows=None):
+    """Logistic-regression descents in lockstep: for each ``(problems, lr,
+    start, done, counts)`` descent, its flat raw weights after each step
+    count in ``counts`` (ascending, none below ``done``).
+
+    A descent fits one row of weights per target row of every ``(Xb, T)``
+    problem, with its own learning rate; all descents share the penalty
+    and the solver. ``start``, when given, is the raw weights that the same
+    descent returned after ``done`` steps; it continues from them with step
+    ``done + 1``. Every descent's weights are those it would reach alone,
+    from scratch: a step depends only on the weights, the data, lr and
+    penalty; sgd's rows for ``done`` steps are a prefix of its rows for more
+    (see ``_draw_rows``); and raw weights are never zeroed. ``rows`` keeps
+    the sgd rows drawn per row count (``_sgd_rows``) across calls.
     """
     # Seeded search histories depend on these weights bit for bit, so every
     # step of every descent computes
@@ -287,86 +346,134 @@ def _logreg_descent(problems, lr, iterations, penalty, solver, start=None, done=
     #   w = clip(w - lr * grad, -1e6, 1e6)
     # with the same float operations in the same order: rounding depends on
     # the order, and a reassociated or fused form (say, folding lr into the
-    # gradient, or one gemm for all targets) would change the last bits. A
-    # step is at most 200x7, so the cost is the calls, not the arithmetic.
+    # gradient, or one gemm for all targets) would change the last bits. The
+    # bits also depend on the memory layout of each Xb: gemv sums in another
+    # order over a Fortran-ordered matrix than over a C-ordered copy of it,
+    # so Xb is used as given, never copied or concatenated. A step is at
+    # most 200x7, so the cost is the calls, not the arithmetic.
     # So each descent keeps its own two gemv calls, each writing into its
     # segment of a flat buffer (out passed by position, which parses faster
     # than out=), and every elementwise op runs once over all descents: z
-    # holds every descent's rows, w and grad one segment per descent, and
-    # size each segment's batch. Constants are 0-d arrays, and
+    # holds every descent's rows, w, grad and lr one segment per descent,
+    # and size each segment's batch. lr * grad has the bits of the scalar
+    # product in each element. Constants are 0-d arrays, and
     # minimum(maximum(...)) has np.clip's bits, NaN included.
     #
-    # Finiteness is checked per descent, after the loop: the clip maps +-inf
-    # to +-1e6, and a NaN weight stays NaN (w - lr * grad and the clip keep
-    # it), so a descent that ever held a NaN ends with one and returns
-    # zeros, as if it had stopped at that step. No op mixes segments, so a
-    # NaN in one descent leaves the others alone.
+    # Descents are aligned at their first step and laid out longest first,
+    # so the ones still running at any step are a prefix of every buffer and
+    # each op runs on a prefix view; a phase is a run of steps with no
+    # descent ending or recording in it.
+    #
+    # Finiteness is left to the caller: the clip maps +-inf to +-1e6, and a
+    # NaN weight stays NaN (w - lr * grad and the clip keep it), so a
+    # descent that ever held a NaN ends with one, as if it had stopped at
+    # that step. No op mixes segments, so a NaN in one descent leaves the
+    # others alone.
     sgd, l1 = solver == "sgd", penalty == "l1"
-    lam, lr = np.array(1e-2), np.array(lr)
+    lam = np.array(1e-2)
     one, z_lo, z_hi = np.array(1.0), np.array(-30.0), np.array(30.0)
     w_lo, w_hi = np.array(-1e6), np.array(1e6)
-    batches = [max(1, len(Xb) // 4) if sgd else len(Xb) for Xb, _ in problems]
-    w = np.zeros(sum(T.shape[0] * Xb.shape[1] for Xb, T in problems))
-    if start is not None:
-        w[:] = start
-    grad = np.empty_like(w)
-    z = np.empty(sum(T.shape[0] * batch for (_, T), batch in zip(problems, batches)))
-    # segments: per descent, the index of its problem and its slices of w,
-    # grad and z.
-    segments, sizes, t_parts, draws = [], [], [], []
+    rows = {} if rows is None else rows
+    order = sorted(range(len(descents)), reverse=True,
+                   key=lambda j: descents[j][4][-1] - descents[j][3])
+    # problems: per problem (Xb, sgd's rows of each aligned step or None,
+    # batch, d); segments: per descent target (problem index, w, z and t
+    # offsets); ends: per descent in layout order (w, z, segment) ends.
+    problems, segments, ends, t_parts, spans = [], [], [], [], {}
     w_at = z_at = t_at = 0
-    for g, ((Xb, T), batch) in enumerate(zip(problems, batches)):
-        n, d = Xb.shape
-        if sgd:
-            # The targets of one problem share Xb and so draw the same rows:
-            # one Random(13) stream and one gather per step serve them all.
-            draws.append(_draw_rows(random.Random(13), n, iterations * batch)
-                         .reshape(iterations, batch))
-        for target in T:
-            segments.append((g, w[w_at:w_at + d], grad[w_at:w_at + d], z[z_at:z_at + batch]))
-            t_parts.append(draws[g] + t_at if sgd else target)
-            w_at, z_at, t_at = w_at + d, z_at + batch, t_at + n
-        sizes.append(np.full(T.shape[0] * d, float(batch)))
-    size = np.concatenate(sizes)
-    if sgd:
-        # Rows are gathered per step (take is a faster copy than fancy
-        # indexing): all batches at once would take iterations * batch * d
-        # floats. Every descent's targets come from one gather over their
-        # concatenation.
-        t_all = np.concatenate([T.ravel() for _, T in problems])
-        t_rows = np.concatenate(t_parts, axis=1)
-    else:
-        ts = np.concatenate(t_parts)
-        Xs = [Xb for Xb, _ in problems]
-        XsT = [Xb.T for Xb, _ in problems]
-    for i in range(done, iterations):
-        if sgd:
-            ts = t_all[t_rows[i]]
-            Xs = [Xb.take(rows[i], axis=0) for (Xb, _), rows in zip(problems, draws)]
-            XsT = [X.T for X in Xs]
-        for g, w_k, _, z_k in segments:
-            Xs[g].dot(w_k, z_k)
-        np.maximum(z, z_lo, out=z)
-        np.minimum(z, z_hi, out=z)
-        np.negative(z, out=z)
-        np.exp(z, out=z)
-        np.add(one, z, out=z)
-        np.divide(one, z, out=z)
-        np.subtract(z, ts, out=z)
-        for g, _, grad_k, z_k in segments:
-            XsT[g].dot(z_k, grad_k)
-        grad /= size
-        grad += lam * (np.sign(w) if l1 else w)
-        w -= lr * grad
-        np.maximum(w, w_lo, out=w)
-        np.minimum(w, w_hi, out=w)
-    weights, w_at = [], 0
-    for Xb, T in problems:
-        W = w[w_at:w_at + T.shape[0] * Xb.shape[1]].reshape(T.shape[0], Xb.shape[1]).copy()
-        W[~np.isfinite(W).all(axis=1)] = 0.0
-        weights.append(W)
-        w_at += W.size
-    return weights, w
+    for j in order:
+        problem_list, _, _, done, counts = descents[j]
+        w0 = w_at
+        for Xb, T in problem_list:
+            n, d = Xb.shape
+            batch = max(1, n // 4) if sgd else n
+            steps = (_sgd_rows(rows, n, counts[-1] * batch).reshape(counts[-1], batch)[done:]
+                     if sgd else None)
+            problems.append((Xb, steps, batch, d))
+            for target in T:
+                segments.append((len(problems) - 1, w_at, z_at, t_at))
+                t_parts.append(target)
+                w_at, z_at, t_at = w_at + d, z_at + batch, t_at + len(target)
+        spans[j] = (w0, w_at)
+        ends.append((w_at, z_at, len(segments)))
+    w, grad = np.zeros(w_at), np.empty(w_at)
+    z = np.empty(z_at)
+    lrs, size = np.empty(w_at), np.empty(w_at)
+    for j in order:
+        problem_list, lr, start, _, _ = descents[j]
+        w0, w1 = spans[j]
+        lrs[w0:w1] = lr
+        if start is not None:
+            w[w0:w1] = start
+    views = []
+    for g, w0, z0, _ in segments:
+        _, _, batch, d = problems[g]
+        size[w0:w0 + d] = batch
+        views.append((g, w[w0:w0 + d], grad[w0:w0 + d], z[z0:z0 + batch]))
+    t_all = np.concatenate(t_parts) if t_parts else np.empty(0)
+    if not sgd:
+        Xs = [Xb for Xb, *_ in problems]
+        XsT = [Xb.T for Xb in Xs]
+
+    remaining = [counts[-1] - done for _, _, _, done, counts in descents]
+    records: dict = {}  # step -> the descents that record their weights after it
+    for j, (_, _, _, done, counts) in enumerate(descents):
+        for c in counts:
+            records.setdefault(c - done, []).append(j)
+    recorded = [{} for _ in descents]
+    active, step = len(order), 0
+    for stop in sorted(records):
+        while active and remaining[order[active - 1]] <= step:
+            active -= 1
+        if stop > step and active:
+            W, Z, n_seg = ends[active - 1]
+            wv, gv, zv, lv, sv = w[:W], grad[:W], z[:Z], lrs[:W], size[:W]
+            segs = views[:n_seg]
+            if sgd:
+                live = {g: problems[g] for g, *_ in segs}
+                # Per step: each problem's batch of rows, and per target its
+                # row indices, their offsets and its targets.
+                floats = sum(batch * d for _, _, batch, d in live.values()) + 3 * Z
+                block = max(1, ROW_BLOCK_FLOATS // floats)
+            else:
+                block = stop - step
+                ts = t_all[:Z]
+            for b0 in range(step, stop, block):
+                b1 = min(b0 + block, stop)
+                if sgd:
+                    # One gather per problem for the block's steps, and one
+                    # for their targets; a step's batch is a view of it.
+                    taken = {g: (Xb.take(steps[b0:b1].ravel(), axis=0), batch)
+                             for g, (Xb, steps, batch, _) in live.items()}
+                    t_block = t_all.take(np.concatenate(
+                        [problems[g][1][b0:b1] + t0 for g, _, _, t0 in segments[:n_seg]], axis=1))
+                for k in range(b1 - b0):
+                    if sgd:
+                        Xs = {g: X[k * batch:(k + 1) * batch] for g, (X, batch) in taken.items()}
+                        XsT = {g: X.T for g, X in Xs.items()}
+                        ts = t_block[k]
+                    for g, w_k, _, z_k in segs:
+                        Xs[g].dot(w_k, z_k)
+                    np.maximum(zv, z_lo, out=zv)
+                    np.minimum(zv, z_hi, out=zv)
+                    np.negative(zv, out=zv)
+                    np.exp(zv, out=zv)
+                    np.add(one, zv, out=zv)
+                    np.divide(one, zv, out=zv)
+                    np.subtract(zv, ts, out=zv)
+                    for g, _, grad_k, z_k in segs:
+                        XsT[g].dot(z_k, grad_k)
+                    gv /= sv
+                    gv += lam * (np.sign(wv) if l1 else wv)
+                    wv -= lv * gv
+                    np.maximum(wv, w_lo, out=wv)
+                    np.minimum(wv, w_hi, out=wv)
+        step = stop
+        for j in records[stop]:
+            w0, w1 = spans[j]
+            recorded[j][stop] = w[w0:w1].copy()
+    return [[recorded[j][c - done] for c in counts]
+            for j, (_, _, _, done, counts) in enumerate(descents)]
 
 
 def _apply_logreg(artifacts, X):
@@ -608,10 +715,10 @@ def _apply_boosted(artifacts, X):
 
 
 def _each(fit_one):
-    """A ``ToyImplementation.fit`` that fits the problems one at a time
-    with ``fit_one(config, X, y)``."""
-    def fit(config, problems):
-        return [fit_one(config, X, y) for X, y in problems]
+    """A ``ToyImplementation.fit`` that fits every problem of every job
+    alone with ``fit_one(config, X, y)``."""
+    def fit(jobs, store=None):
+        return [[fit_one(config, X, y) for X, y in problems] for config, problems, _ in jobs]
     return fit
 
 
@@ -729,11 +836,12 @@ def accuracy(predictions, labels) -> float:
 class CvSplits(list):
     """The (train subset, test X, test y) parts of one split of a dataset,
     in fold order, and the store of the pipelines scored on them (see
-    ``operator_graph.fit_predict_each``), which lives as long as the
+    ``operator_graph.fit_predict_many``), which lives as long as the
     splits. It holds at most one transformed copy of the folds per
-    distinct step and input, and one raw weight vector per distinct
-    LogRegGD run (its input, its configuration but for ``iterations``,
-    and its iteration count) scored on them."""
+    distinct step and input, one raw weight vector per distinct LogRegGD
+    run (its input, its configuration but for ``iterations``, and its
+    iteration count) scored on them, and the longest sgd rows drawn per
+    row count."""
 
     def __init__(self, parts):
         super().__init__(parts)
@@ -761,16 +869,36 @@ def cross_val_score(op, splits) -> float:
     the same train subsets and test slices and the splits' store: the
     outputs of every non-final step whose implementation, configuration
     and input an earlier trial had, and the shorter LogRegGD runs a
-    descent resumes from
-    (``operator_graph.fit_predict_each``). Other sequences of splits share
-    these only within one call.
+    descent resumes from (``operator_graph.fit_predict_many``). Other
+    sequences of splits share these only within one call. A window of one
+    (``cross_val_scores``) that raises what scoring raised.
     """
+    [(score, _)] = cross_val_scores([op], splits)
+    if isinstance(score, Exception):
+        raise score
+    return score
+
+
+def cross_val_scores(ops, splits) -> list:
+    """``(outcome, seconds)`` per operator: its ``cross_val_score`` or the
+    exception scoring it raised, and its seconds as
+    ``operator_graph.fit_predict_many`` counts them plus its scoring. The
+    operators are scored as one window, so their final LogRegGD steps
+    descend in one lockstep."""
     store = splits.store if isinstance(splits, CvSplits) else {}
-    predictions = og.fit_predict_each(op, [train for train, _, _ in splits],
-                                      [test_X for _, test_X, _ in splits], store)
-    scores = [accuracy(predicted, test_y)
-              for predicted, (_, _, test_y) in zip(predictions, splits)]
-    return float(np.mean(scores))
+    results = []
+    for outcome, seconds in og.fit_predict_many(
+            ops, [train for train, _, _ in splits], [test_X for _, test_X, _ in splits], store):
+        if not isinstance(outcome, Exception):
+            start = time.perf_counter()
+            try:
+                outcome = float(np.mean([accuracy(predicted, test_y)
+                                         for predicted, (_, _, test_y) in zip(outcome, splits)]))
+            except Exception as exc:
+                outcome = exc
+            seconds += time.perf_counter() - start
+        results.append((outcome, seconds))
+    return results
 
 
 # ---------------------------------------------------------------------------

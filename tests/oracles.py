@@ -13,8 +13,12 @@ continuous draws below are the copies the library had before
 tests check that the replacements give the same answers and the same draws.
 `to_schema` rebuilds a schema from a normal form; tests check that
 normalizing it again accepts the same configurations.
+`reference_exact_json_key` is the memo key as the sorted JSON of a mapping;
+tests check that `schema_model.exact_json_key` tells the same mappings
+apart.
 """
 
+import json
 import math
 
 import numpy as np
@@ -161,6 +165,18 @@ def reference_declared_default(node):
                 if d is not MISSING:
                     return d
     return MISSING
+
+
+# ---------------------------------------------------------------------------
+# Memo keys
+
+
+def reference_exact_json_key(mapping):
+    """schema_model.exact_json_key as the canonical JSON of the mapping."""
+    if all(type(k) is str and type(v) in (str, int, float, bool, type(None))
+           for k, v in mapping.items()):
+        return json.dumps(dict(mapping), sort_keys=True)
+    return None
 
 
 # ---------------------------------------------------------------------------

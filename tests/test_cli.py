@@ -1,13 +1,15 @@
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from lalec.cli import main, operator_to_dot
+from lalec.cli import _indented_json, main, operator_to_dot
 from lalec.operator_graph import configure, fit
 
 
@@ -305,3 +307,49 @@ class TestReadmeSearchExample:
         }
         assert digests == {"stdout": self.STDOUT, "history": self.HISTORY,
                            "best": self.BEST, "curve": self.CURVE}
+
+
+# ---------------------------------------------------------------------------
+# The JSON writer against json.dumps(indent=2)
+
+_JSON_SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(-2**70, 2**70), st.text(max_size=4),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([-0.0, sys.float_info.max, math.inf, -math.inf, math.nan]))
+_JSON_DOCS = st.recursive(
+    _JSON_SCALARS,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4), st.tuples(inner, inner),
+        st.dictionaries(st.one_of(st.text(max_size=3), st.integers(-3, 3), st.none(),
+                                  st.booleans(), st.floats(allow_nan=True)), inner, max_size=4)),
+    max_leaves=12)
+
+
+@st.composite
+def _histories(draw):
+    """Documents shaped as `search --out` writes them, failed trials' penalty
+    losses and infinite or NaN losses included."""
+    point = st.dictionaries(st.sampled_from(["step0__D", "knn__k", "logreggd__learningRate",
+                                             "s\u00e9l\"ect"]), _JSON_SCALARS, max_size=4)
+    trials = [{"index": i, "point": draw(point),
+               "loss": draw(st.sampled_from([0.25, sys.float_info.max, math.inf, math.nan]) |
+                            st.floats(0, 1)),
+               "status": draw(st.sampled_from(["valid", "invalidConfig", "runtimeError"])),
+               "elapsed": draw(st.floats(0, 1))}
+              for i in range(draw(st.integers(0, 6)))]
+    return {"seed": draw(st.integers(0, 2**31)), "spaceDigest": "ab" * 32,
+            "best": draw(st.none() | st.integers(0, 5)), "trials": trials}
+
+
+class TestIndentedJson:
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(_histories(), _JSON_DOCS))
+    def test_same_text_as_json_dumps(self, doc):
+        assert _indented_json(doc) == json.dumps(doc, indent=2)
+
+    @pytest.mark.parametrize("doc", [{"a": {1, 2}}, [object()], {(1, 2): 0}, {"a": [b"x"]}])
+    def test_refuses_what_json_dumps_refuses(self, doc):
+        with pytest.raises(TypeError):
+            json.dumps(doc, indent=2)
+        with pytest.raises(TypeError):
+            _indented_json(doc)

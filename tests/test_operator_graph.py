@@ -312,8 +312,8 @@ class TestFitPredict:
         assert state_of(trained) == LifecycleState.TRAINED
         with pytest.raises(og.ShapeMismatch, match="exactly one sink"):
             predict(trained, blobs.X)
-        with pytest.raises(og.ShapeMismatch, match="exactly one sink"):
-            og.fit_predict_each(p, [blobs], [blobs.X], {})
+        [(outcome, _)] = og.fit_predict_many([p], [blobs], [blobs.X], {})
+        assert isinstance(outcome, og.ShapeMismatch) and "exactly one sink" in str(outcome)
 
     def test_fit_does_not_mutate(self, ops, blobs):
         p = pipe(configure(ops["Scaler"], {}), configure(ops["KNN"], {"k": 3}))
@@ -412,21 +412,24 @@ def _same_bytes(got, want):
 
 
 def _fits_alone_and_together(op, datasets):
-    """One ``fit(config, problems)`` call of op's implementation gives every
-    problem the predictions, bit for bit, that one call per problem gives."""
+    """One ``fit(jobs)`` call of op's implementation, with one job of every
+    problem and one job per problem, gives every problem the predictions,
+    bit for bit, that one call per problem gives."""
     impl, config = og.implementation_of(op), og.effective_config(op)
     problems = [(data.X, data.y) for data in datasets]
-    together = impl.fit(config, problems)
-    assert len(together) == len(problems)
-    for artifacts, (X, y) in zip(together, problems):
-        [alone] = impl.fit(config, [(X, y)])
+    together, *each = impl.fit([(config, problems, None)]
+                               + [(config, [problem], None) for problem in problems])
+    assert len(together) == len(problems) and len(each) == len(problems)
+    for artifacts, [single], (X, y) in zip(together, each, problems):
+        [[alone]] = impl.fit([(config, [(X, y)], None)])
         _same_bytes(impl.apply(artifacts, X), impl.apply(alone, X))
+        _same_bytes(impl.apply(single, X), impl.apply(alone, X))
 
 
 def _scored_alone_and_together(op, datasets):
     """Scoring every dataset in one walk, each on its own features, gives
     what fitting and predicting each alone gives."""
-    together = og.fit_predict_each(op, datasets, [data.X for data in datasets], {})
+    [(together, _)] = og.fit_predict_many([op], datasets, [data.X for data in datasets], {})
     assert len(together) == len(datasets)
     for got, data in zip(together, datasets):
         _same_bytes(got, predict(fit(op, data), data.X))
@@ -486,13 +489,13 @@ class TestFitEach:
         for data in (blobs, xor_data):
             with pytest.raises(toyml.ConstraintTrap):
                 fit(op, data)
-        with pytest.raises(toyml.ConstraintTrap):
-            og.fit_predict_each(op, [blobs, xor_data], [blobs.X, xor_data.X], {})
+        [(outcome, _)] = og.fit_predict_many([op], [blobs, xor_data], [blobs.X, xor_data.X], {})
+        assert isinstance(outcome, toyml.ConstraintTrap)
 
     def test_trained_copy_without_artifacts_is_refused(self, registry, blobs, monkeypatch):
         # Trained copies skip dataclasses.replace; the artifacts rule holds.
         impl = og.ToyImplementation("fits_nothing", "estimator",
-                                    fit=lambda config, problems: [None for _ in problems],
+                                    fit=lambda jobs, store=None: [[None] * len(p) for _, p, _ in jobs],
                                     apply=lambda artifact, X: X)
         monkeypatch.setitem(og.IMPLEMENTATIONS, "fits_nothing", impl)
         op = dataclasses.replace(configure(registry["KNN"], {}), impl="fits_nothing")

@@ -4,6 +4,8 @@ import math
 import random
 import statistics
 import sys
+import time
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -299,16 +301,25 @@ class TestCvObjective:
         assert len(calls) == 3
 
 
-def counting(monkeypatch, score=toyml.cross_val_score):
-    """Replace toyml.cross_val_score by `score` and record each call's
-    configured values."""
+def counting(monkeypatch, score=None):
+    """Record each candidate that toyml.cross_val_scores scores; with
+    `score`, score each one by a call of it instead."""
     calls = []
+    scores = toyml.cross_val_scores
 
-    def counted(candidate, splits):
-        calls.append(candidate)
-        return score(candidate, splits)
+    def counted(candidates, splits):
+        calls.extend(candidates)
+        if score is None:
+            return scores(candidates, splits)
+        outcomes = []
+        for candidate in candidates:
+            try:
+                outcomes.append((score(candidate, splits), 0.0))
+            except Exception as exc:  # the window's outcome for this candidate
+                outcomes.append((exc, 0.0))
+        return outcomes
 
-    monkeypatch.setattr(toyml, "cross_val_score", counted)
+    monkeypatch.setattr(toyml, "cross_val_scores", counted)
     return calls
 
 
@@ -433,3 +444,97 @@ class TestMemoAgainstReference:
                                         OptimizerSpec(strategy="grid", max_trials=24)))
             histories[name] = [canonical(h) for h in runs]
         assert histories["memo"] == histories["reference"]
+
+
+# Pipelines whose trials end in LogRegGD (so windows descend in lockstep),
+# with a prefix that traps when compiled without constraints (PrunedTree's R
+# with C != 0.25 raises ConstraintTrap mid-pipeline).
+WINDOWED_EXPRS = [
+    "(Scaler | MinMaxScaler | NoOp) >> SelectKVariance >> (LogRegGD | KNN)",
+    "Scaler >> PrunedTree >> (LogRegGD | KNN)",
+    "(NoOp | MinMaxScaler) >> LogRegGD",
+]
+
+
+def _trial_fields(trials):
+    return [(t.index, json.dumps(t.point, sort_keys=True), t.loss, t.status) for t in trials]
+
+
+class TestWindows:
+    @settings(max_examples=20, deadline=None)
+    @given(expr=st.sampled_from(WINDOWED_EXPRS), keep=st.booleans(),
+           seed=st.integers(0, 2**31 - 1), window=st.sampled_from([1, 3, 64]),
+           data=st.data())
+    def test_trials_equal_the_reference_point_by_point(self, expr, keep, seed, window, data):
+        compiled = compile_space(parse_expr(expr, REGISTRY), keep_constraints=keep)
+        dataset = toyml.synth_dataset("moonsApprox", 36, seed % 5)
+        rng = random.Random(seed)
+        doc = compiled.hierarchical()
+        points = [sample_space(doc, rng) for _ in range(data.draw(st.integers(1, 10)))]
+        for _ in range(data.draw(st.integers(0, 3))):
+            # A spoiled point (NaN is no value of any domain) and repeats,
+            # also of points scored in an earlier window.
+            point = dict(data.draw(st.sampled_from(points)))
+            point[data.draw(st.sampled_from(sorted(point)))] = math.nan
+            points.append(point)
+        points += [data.draw(st.sampled_from(points)) for _ in range(data.draw(st.integers(0, 4)))]
+        points = data.draw(st.permutations(points))
+        spec = OptimizerSpec(max_trials=len(points), seed=seed)
+        objective = make_cv_objective(compiled, dataset, folds=3, cv_seed=seed)
+        reference = reference_cv_objective(compiled, dataset, folds=3, cv_seed=seed)
+        with mock.patch.object(opt, "WINDOW", window):
+            got = opt._evaluate_all(points, objective, spec)
+            again = opt._evaluate_all(points, objective, spec)  # every point seen before
+        want = [opt._evaluate(i, p, reference, spec) for i, p in enumerate(points)]
+        assert _trial_fields(got) == _trial_fields(want) == _trial_fields(again)
+        histories = {}
+        for name, make in (("windowed", make_cv_objective), ("reference", reference_cv_objective)):
+            objective = make(compiled, dataset, folds=3, cv_seed=seed)
+            histories[name] = [canonical(random_search(doc, objective, spec)),
+                               canonical(grid_search(compiled.grid(1, seed), objective,
+                                                     OptimizerSpec(strategy="grid",
+                                                                   max_trials=400)))]
+        assert histories["windowed"] == histories["reference"]
+
+    def test_failures_keep_their_status(self, registry, blobs):
+        compiled = compile_space(parse_expr("Scaler >> PrunedTree >> LogRegGD", registry),
+                                 keep_constraints=False)
+        good = {"prunedtree__R": False, "prunedtree__C": 0.25, "prunedtree__maxDepth": 3}
+        trap = dict(good, prunedtree__R=True, prunedtree__C=0.4)
+        spoiled = dict(good, prunedtree__maxDepth=math.nan)
+        objective = make_cv_objective(compiled, blobs, folds=3)
+        outcomes = objective.many([good, trap, spoiled, good, trap])
+        assert [type(o).__name__ for o, _ in outcomes] == [
+            "float", "ConstraintTrap", "InvalidConfigError", "float", "ConstraintTrap"]
+        assert outcomes[0][0] == outcomes[3][0]
+
+    def test_elapsed_sums_to_the_window_wall_time(self, registry, blobs):
+        compiled = compile_space(parse_expr("Scaler >> (LogRegGD | KNN)", registry))
+        objective = make_cv_objective(compiled, blobs, folds=3)
+        rng = random.Random(0)
+        points = [sample_space(compiled.hierarchical(), rng) for _ in range(12)]
+        start = time.perf_counter()
+        outcomes = objective.many(points)
+        wall = time.perf_counter() - start
+        elapsed = [seconds for _, seconds in outcomes]
+        assert all(seconds > 0.0 for seconds in elapsed)
+        assert 0.9 * wall <= sum(elapsed) <= wall
+
+    def test_descents_of_a_window_share_one_lockstep(self, registry, blobs, monkeypatch):
+        calls = []
+        descent = toyml._logreg_descent
+
+        def counted(descents, penalty, solver, rows=None):
+            calls.append(len(descents))
+            return descent(descents, penalty, solver, rows)
+
+        monkeypatch.setattr(toyml, "_logreg_descent", counted)
+        compiled = compile_space(parse_expr("(Scaler | NoOp) >> LogRegGD", registry))
+        objective = make_cv_objective(compiled, blobs, folds=3)
+        history = random_search(compiled.hierarchical(), objective,
+                                OptimizerSpec(max_trials=20, seed=1))
+        assert history.count(opt.VALID) == 20
+        # One window: one call per solver and penalty, one descent per trial.
+        groups = {(t.point["logreggd__solver"], t.point["logreggd__penalty"])
+                  for t in history.trials}
+        assert len(calls) == len(groups) and sum(calls) == 20

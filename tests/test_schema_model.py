@@ -1,6 +1,7 @@
 import json
 import math
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -12,6 +13,7 @@ from oracles import (
     reference_cont_admits_scalar,
     reference_declared_default,
     reference_default_config,
+    reference_exact_json_key,
     reference_in_range,
     reference_quantize_admitted,
 )
@@ -408,3 +410,31 @@ class TestOneRangePredicate:
     ])
     def test_edges(self, value, integer, admitted):
         assert sm.in_range(value, -0.0, 2.0**61, False, False, integer) is admitted
+
+
+# Values that are equal in Python but not in type or bits, NaNs of both
+# signs, values JSON cannot key (a tuple prints as a list, np.float64 as a
+# float), and strings that look like the others.
+_KEY_VALUES = st.one_of(
+    st.sampled_from([0, 1, -1, 0.0, -0.0, 1.0, math.nan, -math.nan, math.inf, -math.inf,
+                     True, False, None, "1", "1.0", "true", "nan", "", (1,), [1],
+                     np.float64(1.0), np.int64(1), np.bool_(True)]),
+    st.floats(allow_nan=True), st.integers(-2**70, 2**70), st.text(max_size=3))
+_KEY_MAPPINGS = st.dictionaries(st.one_of(st.sampled_from(["a", "b", "a__b", ""]), st.text(max_size=2),
+                                          st.sampled_from([1, None, 1.5])),
+                                _KEY_VALUES, max_size=3)
+
+
+class TestExactJsonKey:
+    @settings(max_examples=400, deadline=None)
+    @given(_KEY_MAPPINGS, _KEY_MAPPINGS, st.data())
+    def test_tells_apart_what_the_json_key_tells_apart(self, a, b, data):
+        if a and data.draw(st.booleans()):
+            # b shares a's names, and most of its values.
+            b = {**a, **{k: data.draw(_KEY_VALUES) for k in list(a)[:data.draw(st.integers(0, 1))]}}
+        keys = [sm.exact_json_key(m) for m in (a, b)]
+        references = [reference_exact_json_key(m) for m in (a, b)]
+        assert [k is None for k in keys] == [r is None for r in references]
+        if None not in keys:
+            assert (keys[0] == keys[1]) == (references[0] == references[1])
+            assert isinstance(keys[0], str)

@@ -342,6 +342,24 @@ def reference_logreg_descent(Xb, t, lr, iterations, penalty, solver):
     return w
 
 
+def weight_rows(problems, raw):
+    """Per problem, its rows of weights in the flat raw weights of one
+    descent over ``problems``, with non-finite rows zeroed."""
+    weights, at = [], 0
+    for Xb, T in problems:
+        W = raw[at:at + len(T) * Xb.shape[1]].reshape(len(T), Xb.shape[1]).copy()
+        W[~np.isfinite(W).all(axis=1)] = 0.0
+        weights.append(W)
+        at += W.size
+    return weights
+
+
+def descend(problems, lr, iterations, penalty, solver):
+    """Per problem, its rows of weights after one descent from scratch."""
+    [[raw]] = toyml._logreg_descent([(problems, lr, None, 0, [iterations])], penalty, solver)
+    return weight_rows(problems, raw)
+
+
 def reference_apply_knn(artifacts, X):
     X = np.asarray(X, dtype=float)
     train_X, train_y = artifacts["X"], artifacts["y"]
@@ -409,15 +427,18 @@ def tree_data(draw):
 
 
 @st.composite
-def descent_batches(draw, min_problems=1):
-    """1-5 ``(Xb, T)`` problems with their own row counts and widths, a
-    bias column last and 1-3 random 0/1 target rows each."""
+def descent_batches(draw, min_problems=1, max_problems=5):
+    """``(Xb, T)`` problems with their own row counts and widths, a bias
+    column last, C- or Fortran-ordered (a column selection gives the
+    latter), and 1-3 random 0/1 target rows each."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     problems = []
-    for _ in range(draw(st.integers(min_problems, 5))):
+    for _ in range(draw(st.integers(min_problems, max_problems))):
         n, d = draw(st.integers(1, 60)), draw(st.integers(1, 5))
         scale = draw(st.sampled_from([1.0, 1e3, 1e300]))
         Xb = np.hstack([rng.standard_normal((n, d)) * scale, np.ones((n, 1))])
+        if draw(st.booleans()):
+            Xb = np.asfortranarray(Xb)
         problems.append((Xb, (rng.random((draw(st.integers(1, 3)), n)) < 0.5).astype(float)))
     return problems
 
@@ -507,7 +528,7 @@ class TestReferenceOracles:
         Xb = np.hstack([rng.standard_normal((n, d)) * scale, np.ones((n, 1))])
         t = (rng.random(n) < 0.5).astype(float)
         want = reference_logreg_descent(Xb, t, lr, iterations, penalty, solver)
-        (W,), _ = toyml._logreg_descent([(Xb, t[None])], lr, iterations, penalty, solver)
+        (W,) = descend([(Xb, t[None])], lr, iterations, penalty, solver)
         assert W[0].tobytes() == want.tobytes()
 
     @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
@@ -526,7 +547,7 @@ class TestReferenceOracles:
         Xb[7, 1] = bad
         t = (rng.random(40) < 0.5).astype(float)
         want = reference_logreg_descent(Xb, t, 0.1, 30, penalty, solver)
-        (W,), _ = toyml._logreg_descent([(Xb, t[None])], 0.1, 30, penalty, solver)
+        (W,) = descend([(Xb, t[None])], 0.1, 30, penalty, solver)
         assert W[0].tobytes() == want.tobytes()
         if math.isnan(bad) or solver == "gd":
             assert not want.any()
@@ -540,7 +561,7 @@ class TestReferenceOracles:
                                                     iterations):
         # Problems of different row counts and widths, one to three targets
         # each: every descent must get the bits it gets alone.
-        got, _ = toyml._logreg_descent(problems, lr, iterations, penalty, solver)
+        got = descend(problems, lr, iterations, penalty, solver)
         assert len(got) == len(problems)
         for (Xb, T), W in zip(problems, got):
             assert W.shape == (len(T), Xb.shape[1])
@@ -562,14 +583,115 @@ class TestReferenceOracles:
         poisoned[data.draw(st.integers(0, len(Xb) - 1)),
                  data.draw(st.integers(0, Xb.shape[1] - 1))] = bad
         mixed = problems[:victim] + [(poisoned, T)] + problems[victim + 1:]
-        clean, _ = toyml._logreg_descent(problems, 0.1, 30, penalty, solver)
-        got, _ = toyml._logreg_descent(mixed, 0.1, 30, penalty, solver)
+        clean = descend(problems, 0.1, 30, penalty, solver)
+        got = descend(mixed, 0.1, 30, penalty, solver)
         for k, (W_clean, W) in enumerate(zip(clean, got)):
             if k != victim:
                 assert W.tobytes() == W_clean.tobytes()
         for t, w in zip(T, got[victim]):
             want = reference_logreg_descent(poisoned, t, 0.1, 30, penalty, solver)
             assert w.tobytes() == want.tobytes()
+
+
+@st.composite
+def lockstep_jobs(draw):
+    """LogRegGD jobs for one many-jobs fit over 1-3 sets of problems (C- or
+    Fortran-ordered features, 2-3 classes): mixed learning rates,
+    iterations, penalties and solvers. Jobs with one run key (problem set,
+    lr, penalty, solver) share one runs dict, as the splits' store gives
+    them, and some runs dicts already hold a shorter run."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    sets = []
+    for _ in range(draw(st.integers(1, 3))):
+        problems = []
+        for _ in range(draw(st.integers(1, 3))):
+            n_classes = draw(st.integers(2, 3))
+            n = draw(st.integers(n_classes, 40))
+            X = rng.standard_normal((n, draw(st.integers(1, 4)))) * draw(
+                st.sampled_from([1.0, 1e3]))
+            if draw(st.booleans()):
+                X = np.asfortranarray(X)
+            y = np.concatenate([np.arange(n_classes), rng.integers(0, n_classes, n - n_classes)])
+            problems.append((X, y))
+        sets.append(problems)
+    keys = draw(st.lists(st.tuples(st.integers(0, len(sets) - 1), st.sampled_from([0.05, 0.5, 3.0]),
+                                   st.sampled_from(["l1", "l2"]), st.sampled_from(["gd", "sgd"])),
+                         min_size=1, max_size=4, unique=True))
+    stored = [(key, draw(st.integers(0, 30))) for key in keys if draw(st.booleans())]
+    jobs = draw(st.lists(st.tuples(st.sampled_from(keys), st.integers(0, 40)),
+                         min_size=1, max_size=8))
+    return sets, keys, stored, jobs
+
+
+class TestLockstepJobs:
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @settings(max_examples=120, deadline=None)
+    @given(lockstep_jobs())
+    def test_many_jobs_match_the_reference_each(self, case):
+        sets, keys, stored, jobs = case
+        runs = {key: {} for key in keys}
+        store: dict = {}
+
+        def job(key, iterations):
+            index, lr, penalty, solver = key
+            config = {"learningRate": lr, "iterations": iterations, "penalty": penalty,
+                      "solver": solver}
+            return config, sets[index], runs[key]
+
+        for key, iterations in stored:  # shorter runs to resume from
+            toyml._fit_logreg([job(key, iterations)], store)
+        fitted = toyml._fit_logreg([job(*j) for j in jobs], store)
+        assert len(fitted) == len(jobs)
+        for ((index, lr, penalty, solver), iterations), artifacts in zip(jobs, fitted):
+            for (X, y), artifact in zip(sets[index], artifacts):
+                Xb = np.hstack([X, np.ones((len(X), 1))])
+                classes = [1] if y.max() == 1 else range(y.max() + 1)
+                assert len(artifact["weights"]) == len(classes)
+                for c, w in zip(classes, artifact["weights"]):
+                    want = reference_logreg_descent(Xb, (y == c).astype(float), lr, iterations,
+                                                    penalty, solver)
+                    assert w.tobytes() == want.tobytes()
+        # No stored run is lost, and each was drawn from the same rows.
+        for key, iterations in stored + jobs:
+            assert iterations in runs[key]
+        for n, rows in store.get(("sgd_rows",), {}).items():
+            assert rows.tolist() == toyml._draw_rows(random.Random(13), n, len(rows)).tolist()
+
+    @given(descent_batches(max_problems=3), st.lists(st.integers(0, 30), min_size=1, max_size=3,
+                                                      unique=True),
+           st.sampled_from(["gd", "sgd"]), st.sampled_from(["l1", "l2"]))
+    @settings(max_examples=60, deadline=None)
+    def test_one_descent_records_every_count(self, problems, counts, solver, penalty):
+        counts = sorted(counts)
+        [raws] = toyml._logreg_descent([(problems, 0.3, None, 0, counts)], penalty, solver)
+        for count, raw in zip(counts, raws):
+            for (Xb, T), W in zip(problems, weight_rows(problems, raw)):
+                for t, w in zip(T, W):
+                    want = reference_logreg_descent(Xb, t, 0.3, count, penalty, solver)
+                    assert w.tobytes() == want.tobytes()
+
+    def test_row_blocks_are_bounded_before_they_are_gathered(self, monkeypatch):
+        # A block holds the rows of as many steps as fit in ROW_BLOCK_FLOATS;
+        # one step's rows are gathered even when they alone hold more.
+        rng = np.random.default_rng(3)
+        problems = [(rng.standard_normal((40, 3)), (rng.random((1, 40)) < 0.5).astype(float))]
+        want = descend(problems, 0.2, 25, "l2", "sgd")
+        gathered = []
+        take = np.ndarray.take
+
+        class Xb(np.ndarray):
+            def take(self, rows, axis=None):
+                gathered.append(len(rows))
+                return take(np.asarray(self), rows, axis=axis)
+
+        watched = [(problems[0][0].view(Xb), problems[0][1])]
+        for limit, steps in ((1 << 14, 25), (130, 2), (1, 1)):
+            monkeypatch.setattr(toyml, "ROW_BLOCK_FLOATS", limit)
+            del gathered[:]
+            got = descend(watched, 0.2, 25, "l2", "sgd")
+            assert [w.tobytes() for w in got] == [w.tobytes() for w in want]
+            # A batch of 10 rows of 3 floats, and 3 * 10 for its targets.
+            assert max(gathered) == 10 * steps
 
 
 def _integer_values(draw, rng, shape):
@@ -729,13 +851,14 @@ def scored(score, op, splits):
 
 
 def counting_fits(monkeypatch, impl_name):
-    """Record the number of problems of each fit of one implementation."""
+    """Record the number of problems of each job fitted by one
+    implementation."""
     calls = []
     impl = og.IMPLEMENTATIONS[impl_name]
 
-    def fit(config, problems):
-        calls.append(len(problems))
-        return impl.fit(config, problems)
+    def fit(jobs, store=None):
+        calls.extend(len(problems) for _, problems, _ in jobs)
+        return impl.fit(jobs, store)
 
     monkeypatch.setitem(og.IMPLEMENTATIONS, impl_name, dataclasses.replace(impl, fit=fit))
     return calls
@@ -952,13 +1075,13 @@ def logreg_runs(draw):
 
 
 def counting_descents(monkeypatch):
-    """Record (done, iterations) of each LogRegGD descent."""
+    """Record (done, longest count) of each LogRegGD descent."""
     calls = []
     descent = toyml._logreg_descent
 
-    def counted(problems, lr, iterations, penalty, solver, start=None, done=0):
-        calls.append((done, iterations))
-        return descent(problems, lr, iterations, penalty, solver, start, done)
+    def counted(descents, penalty, solver, rows=None):
+        calls.extend((done, counts[-1]) for _, _, _, done, counts in descents)
+        return descent(descents, penalty, solver, rows)
 
     monkeypatch.setattr(toyml, "_logreg_descent", counted)
     return calls
@@ -1018,6 +1141,34 @@ class TestRunStore:
         assert calls == [(0, 10), (10, 20), (20, 30), (0, 10), (10, 25)]
         assert scores == [reference_cross_val_score(op, splits) for op in ops]
         assert len(run_entries(splits)) == 2
+
+    def test_a_failing_final_fit_leaves_the_others_in_the_window(self, monkeypatch, blobs):
+        calls = counting_descents(monkeypatch)
+        splits = cv_splits(blobs, 3)
+        merged = og.pipe(og.both(configure(REGISTRY["NoOp"], {}), configure(REGISTRY["NoOp"], {})),
+                         configure(REGISTRY["LogRegGD"], {"iterations": 10}))
+        good = [configure(REGISTRY["LogRegGD"], {"iterations": k, "solver": "sgd"})
+                for k in (20, 10, 20)]
+        ops = [good[0], merged, good[1], good[2]]
+        got = toyml.cross_val_scores(ops, splits)
+        for op, (outcome, seconds) in zip(ops, got):
+            kind = "raised" if isinstance(outcome, Exception) else "returned"
+            assert (kind, type(outcome) if kind == "raised" else outcome) == scored(
+                reference_cross_val_score, op, splits)
+            assert seconds >= 0.0
+        # The many-jobs fit raised before any descent, so each job was
+        # fitted alone, in order, sharing one fresh run; the merged input's
+        # run was never stored.
+        assert calls[:3] == [(0, 20), (0, 10), (20, 20)]
+        [run] = run_entries(splits).values()
+        assert sorted(run) == [10, 20]
+        # Jobs with one run key in one window run as one descent.
+        window = [configure(REGISTRY["LogRegGD"], {"iterations": k, "solver": "sgd"})
+                  for k in (40, 30, 50, 40)]
+        del calls[:]
+        toyml.cross_val_scores(window, splits)
+        assert calls == [(20, 50)]
+        assert sorted(run) == [10, 20, 30, 40, 50]
 
     def test_failing_and_non_json_fits_store_no_run(self, blobs):
         splits = cv_splits(blobs, 3)
