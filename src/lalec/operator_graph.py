@@ -334,14 +334,15 @@ def _replace_properties(schema: SchemaNode, overrides) -> SchemaNode:
 @dataclass(frozen=True)
 class ToyImplementation:
     """A native operator. ``fit(jobs, store=None)`` fits many jobs in one
-    call: each job is ``(config, problems, run)``, the effective
-    hyperparameters, a sequence of ``(X, y)`` problems and a run dict (see
-    ``budget``; None otherwise). It returns one list per job of one
-    artifact per problem, in order. ``apply(artifacts, X)`` maps features
-    (transformer) or predicts labels (estimator) with one artifact.
-    ``store``, when given, lives as long as the problems' labels; an
-    implementation may keep there what depends only on the problems'
-    shapes (LogRegGD keeps its sgd rows per row count).
+    call: each job is ``(config, problems, key)``, the effective
+    hyperparameters, a sequence of ``(X, y)`` problems and the content key
+    of the problems' inputs (None when they have none). It returns one list
+    per job of one artifact per problem, in order. ``apply(artifacts, X)``
+    maps features (transformer) or predicts labels (estimator) with one
+    artifact. ``store``, when given, lives as long as the problems' labels;
+    an implementation may keep there what depends only on them, on the
+    problems' shapes and on inputs known by their content key (LogRegGD
+    keeps its runs by key and its sgd rows by row count).
 
     Each problem's fit is independent and deterministic: its artifact
     depends only on its job's ``config`` and that problem, never on the
@@ -349,15 +350,8 @@ class ToyImplementation:
     what fitting each alone would, bit for bit. Most implementations loop
     over the jobs; LogRegGD runs all their descents in lockstep.
 
-    ``budget`` names a hyperparameter that counts the fit's steps and
-    changes nothing else: a fit of k steps is the first k steps of every
-    longer one. Such a job's ``run`` is a dict from counts to the state
-    that fits on these problems, with this configuration but for the
-    budget, reached after that many steps. The fit resumes from the
-    longest stored run not longer than its own, gets the bits a fit from
-    scratch gets, and stores its own run as it returns; jobs that share a
-    run dict may share one fit. ``fit_predict_many`` passes one such dict
-    per configuration without the budget and input, kept in its store.
+    ``budget``, when set, names the hyperparameter that counts a fit's
+    steps; ``fit_predict_many`` shares a fit call's time by it.
     """
 
     name: str
@@ -432,19 +426,15 @@ def fit_predict_many(ops, datasets, held_out, store: dict) -> list:
     each set of splits its own store).
 
     Every value passed between steps has a content key: the SHA-256 of
-    the dtype, shape and bytes of all its training and held-out arrays. It
-    is computed once, when a non-final step produces the value; the walk's
-    own input gets its key once per store, stored under ``()``. A merged
-    input's key is the tuple of its parts' keys. With ``canonical`` the
-    exact-JSON key of a configuration (``schema_model.exact_json_key``):
-
-    - a non-final step's outputs and their key are stored under ``(impl,
-      canonical(config), input key)``, and a later step with an equal key
-      is served from the store instead of fitted;
-    - a step whose implementation has a ``budget`` resumes its fit from
-      the runs stored under ``(impl, canonical(config without the budget),
-      input key, budget name)``, final step included. Final steps of one
-      window with one such key share one run dict.
+    the dtype, shape, strides and bytes of all its training and held-out
+    arrays. It is computed once, when a non-final step produces the value;
+    the walk's own input gets its key once per store, stored under ``()``.
+    A merged input's key is the tuple of its parts' keys. A non-final
+    step's outputs and their key are stored under ``(impl, canonical
+    config, input key)``, with ``canonical`` the exact-JSON key of a
+    configuration (``schema_model.exact_json_key``), and a later step with
+    an equal key is served from the store instead of fitted. Every fit gets
+    its input's key in its jobs.
 
     A frozen trained step, a step whose configuration is not exact JSON
     and a step whose input is not a plain array get no entry and are
@@ -470,9 +460,8 @@ def fit_predict_many(ops, datasets, held_out, store: dict) -> list:
     for final in finals.values():
         if final.artifacts is None:
             groups.setdefault(final.impl.name, []).append(final)
-    fresh: dict = {}  # run dicts of this window not yet in the store
     for group in groups.values():
-        _fit_finals(group, store, fresh)
+        _fit_finals(group, store)
     for i, final in finals.items():
         start = time.perf_counter()
         outcome = final.error
@@ -488,12 +477,11 @@ def fit_predict_many(ops, datasets, held_out, store: dict) -> list:
 @dataclass(eq=False)
 class _Final:
     """A final step met by a walk, waiting for its fit (``job``, its
-    ``(config, problems)``, or its ``artifacts`` when it is frozen trained)
-    and its predictions on ``held_out``; ``weight`` is its share of a fit
-    call."""
+    ``(config, problems, key)``, or its ``artifacts`` when it is frozen
+    trained) and its predictions on ``held_out``; ``weight`` is its share
+    of a fit call."""
     impl: ToyImplementation
     job: tuple | None
-    run_key: Any
     weight: float
     held_out: list
     artifacts: list | None = None
@@ -507,8 +495,8 @@ class _Final:
 def _walk(op: Operator, Xs, ys, store: dict) -> _Final:
     """Pass 1 of ``fit_predict_many`` for one operator: its final step.
     When the walk raises after meeting final steps (a graph with several
-    sinks), they are fitted and applied first, in order, so that it raises
-    what fitting and predicting step by step would raise first."""
+    sinks), they are fitted first, in order, so that it raises what fitting
+    step by step would raise first."""
     _check_fittable(op)
     if () not in store:
         store[()] = _content_key(Xs)
@@ -518,41 +506,33 @@ def _walk(op: Operator, Xs, ys, store: dict) -> _Final:
     except Exception:
         for final in pending:
             if final.artifacts is None:
-                _fit_finals([final], store, {})
+                _fit_finals([final], store)
                 if final.error is not None:
                     raise final.error from None
-            final.predict()
         raise
     [final] = pending
     return final
 
 
-def _fit_finals(finals: list[_Final], store: dict, fresh: dict) -> None:
+def _fit_finals(finals: list[_Final], store: dict) -> None:
     """Fit the finals' jobs with one call of their implementation's fit
-    and share its time by weight; if the call raises, fit each alone.
-    A run dict is stored only once a fit that used it returned."""
-    impl = finals[0].impl
-    runs = [None if f.run_key is None
-            else store[f.run_key] if f.run_key in store
-            else fresh.setdefault(f.run_key, {}) for f in finals]
+    and share its time by weight; if the call raises, fit each alone."""
     start = time.perf_counter()
     try:
-        fitted = impl.fit([f.job + (run,) for f, run in zip(finals, runs)], store)
+        fitted = finals[0].impl.fit([f.job for f in finals], store)
     except Exception as exc:
         if len(finals) == 1:
             finals[0].error = exc
             finals[0].seconds += time.perf_counter() - start
         else:
             for final in finals:
-                _fit_finals([final], store, fresh)
+                _fit_finals([final], store)
         return
     elapsed = time.perf_counter() - start
     total = sum(f.weight for f in finals)
-    for final, run, artifacts in zip(finals, runs, fitted):
+    for final, artifacts in zip(finals, fitted):
         final.artifacts = artifacts
         final.seconds += elapsed * (final.weight / total if total else 1 / len(finals))
-        if final.run_key is not None:
-            store[final.run_key] = run
 
 
 def _check_fittable(op: Operator) -> None:
@@ -626,30 +606,21 @@ def _score_step(op: Individual, Xs, ys, key, store: dict, final: list | None):
     n = len(ys)
     if op.frozen_trained and op.state == LifecycleState.TRAINED:
         if final is not None:
-            final.append(_Final(impl, None, None, 0.0, Xs[n:], [op.artifacts] * n))
+            final.append(_Final(impl, None, 0.0, Xs[n:], [op.artifacts] * n))
             return None, None
         artifacts, entry_key = [op.artifacts] * n, None
     else:
         config = effective_config(op)
-        entry_key = None
-        if final is None:
-            entry_key = _store_key(op.impl, config, key)
-            if entry_key in store:
-                return store[entry_key]
-        run_key = None
-        if impl.budget is not None:
-            rest = {name: value for name, value in config.items() if name != impl.budget}
-            run_key = _store_key(op.impl, rest, key, impl.budget)
-        problems = list(zip(Xs, ys))
+        job = config, list(zip(Xs, ys)), key
         if final is not None:
             steps = config.get(impl.budget) if impl.budget is not None else 1
             weight = float(steps) if type(steps) is int and steps > 0 else 0.0
-            final.append(_Final(impl, (config, problems), run_key, weight, Xs[n:]))
+            final.append(_Final(impl, job, weight, Xs[n:]))
             return None, None
-        run = None if run_key is None else store.get(run_key, {})
-        [artifacts] = impl.fit([(config, problems, run)], store)
-        if run_key is not None:
-            store[run_key] = run
+        entry_key = _store_key(op.impl, config, key)
+        if entry_key in store:
+            return store[entry_key]
+        [artifacts] = impl.fit([job], store)
     outputs = [_read_only(_step_output(impl, a, X)) for a, X in zip(artifacts * 2, Xs)]
     entry = outputs, _content_key(outputs)
     if entry_key is not None:
@@ -657,23 +628,25 @@ def _score_step(op: Individual, Xs, ys, key, store: dict, final: list | None):
     return entry
 
 
-def _store_key(impl_name: str, config, key, *rest):
-    """``(impl_name, canonical config, key, *rest)``: the key of a store
-    entry. None when ``key`` is None or ``config`` is not exact JSON."""
+def _store_key(impl_name: str, config, key):
+    """``(impl_name, canonical config, key)``: the key of a store entry.
+    None when ``key`` is None or ``config`` is not exact JSON."""
     if key is None:
         return None
     canonical = schema_model.exact_json_key(config)
-    return None if canonical is None else (impl_name, canonical, key, *rest)
+    return None if canonical is None else (impl_name, canonical, key)
 
 
 def _content_key(values):
-    """The SHA-256 digest of the dtype, shape and bytes of every array in
-    ``values``, or None when one is not a plain array."""
+    """The SHA-256 digest of the dtype, shape, strides and bytes of every
+    array in ``values``, or None when one is not a plain array. Equal
+    values in another memory layout get another key: a fit may give other
+    bits on them (LogRegGD's gemv sums in layout order)."""
     digest = hashlib.sha256()
     for value in values:
         if not isinstance(value, np.ndarray) or value.dtype.hasobject:
             return None
-        digest.update(f"{value.dtype.str}{value.shape}".encode())
+        digest.update(f"{value.dtype.str}{value.shape}{value.strides}".encode())
         digest.update(np.ascontiguousarray(value))
     return digest.digest()
 

@@ -216,21 +216,31 @@ def _apply_knn(artifacts, X):
 # Logistic regression by gradient descent (one-vs-rest beyond two classes)
 
 
+# The store tag of LogRegGD's runs; step entries are tagged with an
+# implementation name.
+RUNS = "logreg_gd runs"
+
+
 def _fit_logreg(jobs, store=None):
-    """One list of artifacts per ``(config, problems, runs)`` job, one
+    """One list of artifacts per ``(config, problems, key)`` job, one
     artifact per problem, with every descent of every job in one lockstep
     per solver and penalty (``_logreg_descent``).
 
-    ``runs`` maps step counts to the raw weights that a descent on these
+    A run maps step counts to the raw weights that a descent on these
     problems, with this configuration but for ``iterations``, reached after
-    that many steps. Jobs that share one ``runs`` dict (and learning rate)
-    run as one descent: it resumes from the longest stored run not longer
-    than any of their counts and stores its weights at each of them. The
-    sgd rows drawn for each row count are kept in ``store`` when given.
+    that many steps. Given ``store`` and the content ``key`` of the
+    problems' inputs, a job's run is kept in ``store`` under ``(RUNS,
+    canonical configuration without iterations, key)``; any other job gets
+    a run of its own. Jobs with one run (and learning rate) run as one
+    descent: it resumes from the longest stored count not longer than any
+    of theirs and records its weights at each of them. A new run is stored
+    only once every descent has returned. The sgd rows drawn for each row
+    count are kept in ``store`` too.
     """
     rows = None if store is None else store.setdefault(("sgd_rows",), {})
-    # Per (solver, penalty), one descent per runs dict and learning rate:
-    # [problems with a bias column and 0/1 target rows, lr, runs, counts].
+    fresh: dict = {}  # runs of this call not yet in the store
+    # Per (solver, penalty), one descent per run and learning rate:
+    # [problems with a bias column and 0/1 target rows, lr, run, counts].
     groups: dict = {}
     plan = []
     # Per problem, the features with a bias column and one 0/1 target row
@@ -240,7 +250,7 @@ def _fit_logreg(jobs, store=None):
     # of target rows.
     biases: dict = {}
     labels: dict = {}
-    for config, problems, runs in jobs:
+    for config, problems, key in jobs:
         lr = float(config.get("learningRate", 0.1))
         count = max(int(config.get("iterations", 100)), 0)
         penalty = config.get("penalty", "l2")
@@ -260,7 +270,12 @@ def _fit_logreg(jobs, store=None):
             _, T, n_classes = labels[id(y)]
             biased.append((biases[id(X)][1], T))
             class_counts.append(n_classes)
-        runs = {} if runs is None else runs
+        tag = None
+        if store is not None and key is not None:
+            canonical = schema_model.exact_json_key(
+                {name: value for name, value in config.items() if name != "iterations"})
+            tag = None if canonical is None else (RUNS, canonical, key)
+        runs = {} if tag is None else store[tag] if tag in store else fresh.setdefault(tag, {})
         descent = groups.setdefault((solver, penalty), {}).setdefault(
             (id(runs), lr), [biased, lr, runs, set()])
         descent[3].add(count)
@@ -274,6 +289,8 @@ def _fit_logreg(jobs, store=None):
         for (_, _, runs, _), spec, raws in zip(descents.values(), specs,
                                                _logreg_descent(specs, penalty, solver, rows)):
             runs.update(zip(spec[4], raws))
+    if store is not None:
+        store.update(fresh)
     fitted = []
     for (biased, _, runs, _), count, class_counts in plan:
         raw, at, artifacts = runs[count], 0, []
@@ -835,13 +852,15 @@ def accuracy(predictions, labels) -> float:
 
 class CvSplits(list):
     """The (train subset, test X, test y) parts of one split of a dataset,
-    in fold order, and the store of the pipelines scored on them (see
-    ``operator_graph.fit_predict_many``), which lives as long as the
-    splits. It holds at most one transformed copy of the folds per
-    distinct step and input, one raw weight vector per distinct LogRegGD
-    run (its input, its configuration but for ``iterations``, and its
-    iteration count) scored on them, and the longest sgd rows drawn per
-    row count."""
+    in fold order, and the store of the pipelines scored on them, which
+    lives as long as the splits. It holds at most one transformed copy of
+    the folds per distinct step and input (see
+    ``operator_graph.fit_predict_many``), and what LogRegGD keeps there
+    (``_fit_logreg``): one raw weight vector per distinct run (its input,
+    its configuration but for ``iterations``, and its iteration count) and
+    the longest sgd rows drawn per row count. An input is known by the
+    dtype, shape, strides and bytes of its arrays, so equal values in
+    another memory layout are another input."""
 
     def __init__(self, parts):
         super().__init__(parts)
@@ -869,8 +888,8 @@ def cross_val_score(op, splits) -> float:
     the same train subsets and test slices and the splits' store: the
     outputs of every non-final step whose implementation, configuration
     and input an earlier trial had, and the shorter LogRegGD runs a
-    descent resumes from (``operator_graph.fit_predict_many``). Other
-    sequences of splits share these only within one call. A window of one
+    descent resumes from (``_fit_logreg``). Other sequences of splits
+    share these only within one call. A window of one
     (``cross_val_scores``) that raises what scoring raised.
     """
     [(score, _)] = cross_val_scores([op], splits)

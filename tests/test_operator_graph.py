@@ -25,7 +25,7 @@ from lalec.operator_graph import (
     sources,
     state_of,
 )
-from oracles import graph_isomorphic, reference_best_effort_defaults
+from oracles import graph_isomorphic, reference_best_effort_defaults, reference_cross_val_score
 
 
 @pytest.fixture
@@ -314,6 +314,21 @@ class TestFitPredict:
             predict(trained, blobs.X)
         [(outcome, _)] = og.fit_predict_many([p], [blobs], [blobs.X], {})
         assert isinstance(outcome, og.ShapeMismatch) and "exactly one sink" in str(outcome)
+
+    def test_two_sink_pipeline_applies_no_sink_before_it_raises(self, ops, blobs, monkeypatch):
+        # Fitting step by step fits both sinks, then finds no single output;
+        # it never applies a sink, so a sink whose apply raises changes
+        # nothing, and scoring raises what fitting raises.
+        def apply(artifacts, X):
+            raise RuntimeError("applied")
+
+        monkeypatch.setitem(og.IMPLEMENTATIONS, "knn",
+                            dataclasses.replace(og.IMPLEMENTATIONS["knn"], apply=apply))
+        p = both(configure(ops["KNN"], {}), configure(ops["NoOp"], {}))
+        splits = toyml.cv_splits(blobs, 3)
+        for score in (reference_cross_val_score, toyml.cross_val_score):
+            with pytest.raises(og.ShapeMismatch, match="exactly one sink"):
+                score(p, splits)
 
     def test_fit_does_not_mutate(self, ops, blobs):
         p = pipe(configure(ops["Scaler"], {}), configure(ops["KNN"], {"k": 3}))

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lalec import operator_graph as og
-from lalec import toyml
+from lalec import schema_model, toyml
 from lalec.operator_graph import configure, fit, predict
 from lalec.toyml import (
     ConstraintTrap,
@@ -598,8 +598,8 @@ def lockstep_jobs(draw):
     """LogRegGD jobs for one many-jobs fit over 1-3 sets of problems (C- or
     Fortran-ordered features, 2-3 classes): mixed learning rates,
     iterations, penalties and solvers. Jobs with one run key (problem set,
-    lr, penalty, solver) share one runs dict, as the splits' store gives
-    them, and some runs dicts already hold a shorter run."""
+    lr, penalty, solver) share one run in the store, and some runs already
+    hold a shorter count."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     sets = []
     for _ in range(draw(st.integers(1, 3))):
@@ -629,14 +629,14 @@ class TestLockstepJobs:
     @given(lockstep_jobs())
     def test_many_jobs_match_the_reference_each(self, case):
         sets, keys, stored, jobs = case
-        runs = {key: {} for key in keys}
+        input_keys = [og._content_key([X for X, _ in problems]) for problems in sets]
         store: dict = {}
 
         def job(key, iterations):
             index, lr, penalty, solver = key
             config = {"learningRate": lr, "iterations": iterations, "penalty": penalty,
                       "solver": solver}
-            return config, sets[index], runs[key]
+            return config, sets[index], input_keys[index]
 
         for key, iterations in stored:  # shorter runs to resume from
             toyml._fit_logreg([job(key, iterations)], store)
@@ -652,8 +652,12 @@ class TestLockstepJobs:
                                                     penalty, solver)
                     assert w.tobytes() == want.tobytes()
         # No stored run is lost, and each was drawn from the same rows.
+        runs = run_entries(store)
+        assert len(runs) == len({key for key, _ in stored + jobs})
         for key, iterations in stored + jobs:
-            assert iterations in runs[key]
+            config, _, input_key = job(key, iterations)
+            del config["iterations"]
+            assert iterations in runs[toyml.RUNS, schema_model.exact_json_key(config), input_key]
         for n, rows in store.get(("sgd_rows",), {}).items():
             assert rows.tolist() == toyml._draw_rows(random.Random(13), n, len(rows)).tolist()
 
@@ -877,15 +881,15 @@ def counting_applies(monkeypatch, impl_name):
     return calls
 
 
-def step_entries(splits):
-    """The splits' stored step outputs, keyed (impl, configuration, input key)."""
-    return {key: entry for key, entry in splits.store.items() if len(key) == 3}
+def step_entries(store):
+    """The stored step outputs, keyed (impl, configuration, input key)."""
+    return {key: entry for key, entry in store.items() if key and key[0] in og.IMPLEMENTATIONS}
 
 
-def run_entries(splits):
-    """The splits' stored runs, keyed (impl, configuration without the
-    budget, input key, budget name)."""
-    return {key: run for key, run in splits.store.items() if len(key) == 4}
+def run_entries(store):
+    """The stored LogRegGD runs, keyed (toyml.RUNS, configuration without
+    iterations, input key)."""
+    return {key: run for key, run in store.items() if key and key[0] == toyml.RUNS}
 
 
 class TestPrefixStore:
@@ -921,7 +925,7 @@ class TestPrefixStore:
                       configure(REGISTRY["StandardScaler"], {"withStd": False})):
             op = og.pipe(first, configure(REGISTRY["KNN"], {"k": 3}))
             assert cross_val_score(op, splits) == reference_cross_val_score(op, splits)
-        assert len(step_entries(splits)) == 2
+        assert len(step_entries(splits.store)) == 2
 
     def test_equal_branches_share_within_one_call(self, monkeypatch, xor_data):
         fits = counting_fits(monkeypatch, "minmax_scaler")
@@ -935,8 +939,10 @@ class TestPrefixStore:
 
     def test_different_prefixes_with_equal_outputs_share_entries(self, monkeypatch, xor_data):
         # xor data has two columns, so NoOp and SelectKVariance with k >= 2
-        # pass it on unchanged: the MinMaxScaler after any of them sees one
-        # input key and is fitted once.
+        # pass on its values unchanged. NoOp passes on the C-ordered arrays
+        # themselves and SelectKVariance Fortran-ordered copies, so the
+        # MinMaxScaler after them sees two input keys: it is fitted once
+        # after NoOp and once after both SelectKVariance steps.
         fits = counting_fits(monkeypatch, "minmax_scaler")
         splits = cv_splits(xor_data, 3)
         for first in (configure(REGISTRY["NoOp"], {}),
@@ -945,8 +951,8 @@ class TestPrefixStore:
             op = functools.reduce(og.pipe, [first, configure(REGISTRY["MinMaxScaler"], {}),
                                             configure(REGISTRY["KNN"], {})])
             assert cross_val_score(op, splits) == reference_cross_val_score(op, splits)
-        assert fits == [3] + [1] * 9  # once here, and once per fold per reference call
-        assert [key[0] for key in step_entries(splits)].count("minmax_scaler") == 1
+        assert fits == [3, 1, 1, 1, 3] + [1] * 6  # and once per fold per reference call
+        assert [key[0] for key in step_entries(splits.store)].count("minmax_scaler") == 2
 
     def test_each_value_is_hashed_once(self, monkeypatch, blobs):
         # The splits' features get their key once per store, and each
@@ -982,7 +988,7 @@ class TestPrefixStore:
             with pytest.raises(ConstraintTrap):
                 cross_val_score(op, splits)
         assert len(fits) == 3
-        [key] = step_entries(splits)  # the scaler alone
+        [key] = step_entries(splits.store)  # the scaler alone
         assert key[0] == "standard_scaler"
 
     def test_unkeyed_step_runs_every_trial_and_its_successors_are_stored(
@@ -1007,7 +1013,7 @@ class TestPrefixStore:
             assert fits == ([] if first is frozen else [3, 3, 3])
             assert len(applies) == 3 * 2 * len(splits)
             assert noop_fits == [3]
-            [key] = step_entries(splits)
+            [key] = step_entries(splits.store)
             assert key[0] == "noop" and key[2] == splits.store[key][1]
 
     def test_stored_arrays_are_read_only(self, monkeypatch, xor_data):
@@ -1016,7 +1022,7 @@ class TestPrefixStore:
                                         configure(REGISTRY["KNN"], {})])
         splits = cv_splits(xor_data, 3)
         cross_val_score(op, splits)
-        stored = [out for outputs, _ in step_entries(splits).values() for out in outputs]
+        stored = [out for outputs, _ in step_entries(splits.store).values() for out in outputs]
         assert len(stored) == 2 * 2 * len(splits)  # two steps, both sides of each fold
         assert all(isinstance(out, np.ndarray) and not out.flags.writeable for out in stored)
         assert all(train.X.flags.writeable for train, _, _ in splits)  # views only
@@ -1105,7 +1111,7 @@ class TestRunStore:
         assert scores == [reference_cross_val_score(op, splits) for op in ops]
         # The reference fits every fold alone, from scratch.
         assert calls[6:] == [(0, k) for k in (30, 10, 20, 50, 20, 15) for _ in splits]
-        [run] = run_entries(splits).values()
+        [run] = run_entries(splits.store).values()
         assert sorted(run) == [10, 15, 20, 30, 50]
 
     def test_runs_are_kept_apart_by_input_and_configuration(self, monkeypatch, blobs):
@@ -1118,15 +1124,17 @@ class TestRunStore:
                         og.pipe(configure(REGISTRY["MinMaxScaler"], {}), logreg[0])]
         for op in ops:
             cross_val_score(op, splits)
-        assert len(run_entries(splits)) == len(ops) and all(done == 0 for done, _ in calls)
+        assert len(run_entries(splits.store)) == len(ops) and all(done == 0 for done, _ in calls)
         cross_val_score(og.pipe(configure(REGISTRY["Scaler"], {}), configure(
             REGISTRY["LogRegGD"], {"iterations": 12})), splits)
         assert calls[-1] == (10, 12)
 
     def test_equal_inputs_share_runs_whatever_made_them(self, monkeypatch, xor_data):
         # xor data has two columns, so SelectKVariance with k >= 2 and NoOp
-        # pass it on unchanged: their outputs have the content key of the
-        # splits' own inputs. A frozen step has no entry, but its outputs
+        # pass on its values unchanged. NoOp's outputs are the splits' own
+        # arrays and have their content key; SelectKVariance's are
+        # Fortran-ordered, another layout and so another key, and its run
+        # starts from scratch. A frozen step has no entry, but its outputs
         # still have a content key.
         calls = counting_descents(monkeypatch)
         frozen = og.freeze_trained(fit(configure(REGISTRY["MinMaxScaler"], {}), xor_data))
@@ -1138,9 +1146,50 @@ class TestRunStore:
             op = configure(REGISTRY["LogRegGD"], {"iterations": iterations})
             ops.append(op if first is None else og.pipe(first, op))
         scores = [cross_val_score(op, splits) for op in ops]
-        assert calls == [(0, 10), (10, 20), (20, 30), (0, 10), (10, 25)]
+        assert calls == [(0, 10), (10, 20), (0, 30), (0, 10), (10, 25)]
         assert scores == [reference_cross_val_score(op, splits) for op in ops]
-        assert len(run_entries(splits)) == 2
+        assert len(run_entries(splits.store)) == 3
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), width=st.integers(2, 4), n_classes=st.integers(2, 3),
+           lr=st.sampled_from([0.05, 0.5, 3.0]), penalty=st.sampled_from(["l1", "l2"]),
+           solver=st.sampled_from(["gd", "sgd"]), scaled=st.booleans(),
+           counts=st.lists(st.integers(10, 40), min_size=2, max_size=2, unique=True))
+    def test_runs_are_never_resumed_in_another_layout(self, seed, width, n_classes, lr, penalty,
+                                                       solver, scaled, counts):
+        # NoOp passes on the splits' C-ordered arrays, SelectKVariance with k
+        # at the width Fortran-ordered copies with the same bytes, and a
+        # Scaler after either keeps its input's layout. A descent's bits
+        # depend on the layout, so the longer fit after SelectKVariance must
+        # give the weights of a fit from scratch, whatever the store holds.
+        rng = np.random.default_rng(seed)
+        y = np.concatenate([np.repeat(np.arange(n_classes), 3),
+                            rng.integers(0, n_classes, 3 * n_classes)])
+        splits = cv_splits(LabeledDataset(rng.standard_normal((len(y), width)), y), 3)
+        config = {"learningRate": lr, "penalty": penalty, "solver": solver}
+        ops = []
+        for first, iterations in zip(("NoOp", "SelectKVariance"), sorted(counts)):
+            steps = [configure(REGISTRY[first], {"k": width} if first == "SelectKVariance" else {})]
+            steps += [configure(REGISTRY["Scaler"], {})] if scaled else []
+            steps.append(_loose("LogRegGD", {**config, "iterations": iterations}))
+            ops.append(functools.reduce(og.pipe, steps))
+        impl = og.IMPLEMENTATIONS["logreg_gd"]
+        fitted = []
+
+        def recorded(jobs, store=None):
+            out = impl.fit(jobs, store)
+            fitted.extend(out)
+            return out
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setitem(og.IMPLEMENTATIONS, "logreg_gd",
+                          dataclasses.replace(impl, fit=recorded))
+            for op in ops:
+                cross_val_score(op, splits)
+        for got, (train, _, _) in zip(fitted[-1], splits):
+            want = fit(ops[-1], train).steps[-1].artifacts
+            assert got["weights"].tobytes() == want["weights"].tobytes()
 
     def test_a_failing_final_fit_leaves_the_others_in_the_window(self, monkeypatch, blobs):
         calls = counting_descents(monkeypatch)
@@ -1157,10 +1206,10 @@ class TestRunStore:
                 reference_cross_val_score, op, splits)
             assert seconds >= 0.0
         # The many-jobs fit raised before any descent, so each job was
-        # fitted alone, in order, sharing one fresh run; the merged input's
-        # run was never stored.
+        # fitted alone, in order, each storing its run for the next; the
+        # merged input's run was never stored.
         assert calls[:3] == [(0, 20), (0, 10), (20, 20)]
-        [run] = run_entries(splits).values()
+        [run] = run_entries(splits.store).values()
         assert sorted(run) == [10, 20]
         # Jobs with one run key in one window run as one descent.
         window = [configure(REGISTRY["LogRegGD"], {"iterations": k, "solver": "sgd"})
@@ -1179,4 +1228,4 @@ class TestRunStore:
             cross_val_score(merged, splits)  # an input that LogRegGD refuses
         op = configure(REGISTRY["LogRegGD"], {"iterations": 10, "learningRate": np.float64(0.1)})
         assert cross_val_score(op, splits) == reference_cross_val_score(op, splits)
-        assert run_entries(splits) == {}
+        assert run_entries(splits.store) == {}
