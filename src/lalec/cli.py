@@ -132,11 +132,21 @@ def _json_parts(value, newline: str, parts: list) -> None:
     parts.append(newline + ("}" if is_dict else "]"))
 
 
+def _read_source(path) -> str:
+    """The text of a --pipeline or --grammar file. A file that cannot be
+    read is a parse error that names it."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except OSError as exc:
+        raise dsl.DslError(f"cannot read {path}: {exc.strerror or exc}") from None
+    except UnicodeDecodeError:
+        raise dsl.DslError(f"cannot read {path}: not UTF-8 text") from None
+
+
 def _load_pipeline(args, registry) -> Operator:
     if getattr(args, "expr", None):
         return dsl.parse_expr(args.expr, registry)
-    text = Path(args.pipeline).read_text(encoding="utf-8")
-    return dsl.parse_expr(text, registry)
+    return dsl.parse_expr(_read_source(args.pipeline), registry)
 
 
 def _add_pipeline_args(parser):
@@ -163,7 +173,7 @@ def cmd_compile(args) -> int:
             _write_text(args.out, compiled.pcs())
         else:
             _write_json(args.out, compiled.grid(args.cont_samples, args.seed))
-    except (CompileError, NormalizeError, SchemaError, OperatorError) as exc:
+    except (CompileError, NormalizeError, SchemaError, OperatorError, ValueError) as exc:
         print(f"compile error: {exc}", file=sys.stderr)
         return 2
     return 0
@@ -230,7 +240,7 @@ def _config_value(value):
 def cmd_grammar(args) -> int:
     registry = toyml.load_registry(_schemas_dir(args.schemas))
     try:
-        grammar = dsl.parse_grammar(Path(args.grammar).read_text(encoding="utf-8"), registry)
+        grammar = dsl.parse_grammar(_read_source(args.grammar), registry)
     except dsl.DslError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 3
@@ -239,7 +249,7 @@ def cmd_grammar(args) -> int:
             op = grammar_unfold(grammar, args.depth, registry)
         else:
             op = grammar_sample(grammar, args.seed, args.max_depth, registry)
-    except (GrammarError, OperatorError) as exc:
+    except (GrammarError, OperatorError, ValueError) as exc:
         print(f"grammar error: {exc}", file=sys.stderr)
         return 2
     _write_text(args.out, _operator_text(op))

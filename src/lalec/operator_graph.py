@@ -333,22 +333,19 @@ def _replace_properties(schema: SchemaNode, overrides) -> SchemaNode:
 
 @dataclass(frozen=True)
 class ToyImplementation:
-    """A native operator. ``fit(jobs, store=None)`` fits many jobs in one
-    call: each job is ``(config, problems, key)``, the effective
-    hyperparameters, a sequence of ``(X, y)`` problems and the content key
-    of the problems' inputs (None when they have none). It returns one list
-    per job of one artifact per problem, in order. ``apply(artifacts, X)``
-    maps features (transformer) or predicts labels (estimator) with one
-    artifact. ``store``, when given, lives as long as the problems' labels;
-    an implementation may keep there what depends only on them, on the
-    problems' shapes and on inputs known by their content key (LogRegGD
-    keeps its runs by key and its sgd rows by row count).
+    """A native operator. ``fit(jobs)`` fits many jobs in one call: each
+    job is ``(config, problems, key)``, the effective hyperparameters, a
+    sequence of ``(X, y)`` problems and the content key of the problems'
+    inputs (None when they have none). It returns one list per job of one
+    artifact per problem, in order. ``apply(artifacts, X)`` maps features
+    (transformer) or predicts labels (estimator) with one artifact.
 
     Each problem's fit is independent and deterministic: its artifact
     depends only on its job's ``config`` and that problem, never on the
     other problems or jobs or their order, so fitting many at once gives
     what fitting each alone would, bit for bit. Most implementations loop
-    over the jobs; LogRegGD runs all their descents in lockstep.
+    over the jobs; LogRegGD runs all their descents in lockstep, jobs with
+    one key and configuration but for ``iterations`` as one descent.
 
     ``budget``, when set, names the hyperparameter that counts a fit's
     steps; ``fit_predict_many`` shares a fit call's time by it.
@@ -419,11 +416,11 @@ def fit_predict_many(ops, datasets, held_out, store: dict) -> list:
     each fit call its final step was in, in proportion to the steps it
     asked for (its budget; an equal share without one).
 
-    Each step's implementation fits every dataset in one call, so it can
-    share work across them, and maps the held-out inputs right after.
-    ``store`` keeps that work for later calls on the same labels: it must
-    only ever see these datasets' label vectors (``toyml.cv_splits`` gives
-    each set of splits its own store).
+    Each step's implementation fits every dataset in one call and maps the
+    held-out inputs right after. ``store`` keeps the non-final steps'
+    outputs for later calls on the same labels: it must only ever see these
+    datasets' label vectors (``toyml.cv_splits`` gives each set of splits
+    its own store).
 
     Every value passed between steps has a content key: the SHA-256 of
     the dtype, shape, strides and bytes of all its training and held-out
@@ -461,7 +458,7 @@ def fit_predict_many(ops, datasets, held_out, store: dict) -> list:
         if final.artifacts is None:
             groups.setdefault(final.impl.name, []).append(final)
     for group in groups.values():
-        _fit_finals(group, store)
+        _fit_finals(group)
     for i, final in finals.items():
         start = time.perf_counter()
         outcome = final.error
@@ -506,7 +503,7 @@ def _walk(op: Operator, Xs, ys, store: dict) -> _Final:
     except Exception:
         for final in pending:
             if final.artifacts is None:
-                _fit_finals([final], store)
+                _fit_finals([final])
                 if final.error is not None:
                     raise final.error from None
         raise
@@ -514,19 +511,19 @@ def _walk(op: Operator, Xs, ys, store: dict) -> _Final:
     return final
 
 
-def _fit_finals(finals: list[_Final], store: dict) -> None:
+def _fit_finals(finals: list[_Final]) -> None:
     """Fit the finals' jobs with one call of their implementation's fit
     and share its time by weight; if the call raises, fit each alone."""
     start = time.perf_counter()
     try:
-        fitted = finals[0].impl.fit([f.job for f in finals], store)
+        fitted = finals[0].impl.fit([f.job for f in finals])
     except Exception as exc:
         if len(finals) == 1:
             finals[0].error = exc
             finals[0].seconds += time.perf_counter() - start
         else:
             for final in finals:
-                _fit_finals([final], store)
+                _fit_finals([final])
         return
     elapsed = time.perf_counter() - start
     total = sum(f.weight for f in finals)
@@ -620,7 +617,7 @@ def _score_step(op: Individual, Xs, ys, key, store: dict, final: list | None):
         entry_key = _store_key(op.impl, config, key)
         if entry_key in store:
             return store[entry_key]
-        [artifacts] = impl.fit([job], store)
+        [artifacts] = impl.fit([job])
     outputs = [_read_only(_step_output(impl, a, X)) for a, X in zip(artifacts * 2, Xs)]
     entry = outputs, _content_key(outputs)
     if entry_key is not None:

@@ -55,7 +55,6 @@ class OptimizerSpec:
     max_trials: int = 100
     seed: int = 0
     bandit_epsilon: float = 0.25
-    penalty: float = PENALTY
 
     def __post_init__(self):
         if self.strategy not in ("random", "grid", "bandit"):
@@ -116,36 +115,36 @@ def space_digest(space_doc: Mapping[str, Any]) -> str:
 WINDOW = 64
 
 
-def _trial(index: int, point: dict, outcome, elapsed: float, spec: OptimizerSpec) -> Trial:
+def _trial(index: int, point: dict, outcome, elapsed: float) -> Trial:
     """The trial of a point whose objective returned ``outcome`` or raised
     it."""
     if isinstance(outcome, InvalidConfigError):
-        return Trial(index, point, spec.penalty, INVALID_CONFIG, elapsed)
+        return Trial(index, point, PENALTY, INVALID_CONFIG, elapsed)
     if isinstance(outcome, Exception):
-        return Trial(index, point, spec.penalty, RUNTIME_ERROR, elapsed)
+        return Trial(index, point, PENALTY, RUNTIME_ERROR, elapsed)
     return Trial(index, point, outcome, VALID, elapsed)
 
 
-def _evaluate(index: int, point: dict, objective, spec: OptimizerSpec) -> Trial:
+def _evaluate(index: int, point: dict, objective) -> Trial:
     start = time.perf_counter()
     try:
         outcome = float(objective(point))
     except Exception as exc:
         outcome = exc
-    return _trial(index, point, outcome, time.perf_counter() - start, spec)
+    return _trial(index, point, outcome, time.perf_counter() - start)
 
 
-def _evaluate_all(points, objective, spec: OptimizerSpec) -> tuple[Trial, ...]:
+def _evaluate_all(points, objective) -> tuple[Trial, ...]:
     """Every point's trial, in order: in windows of WINDOW points when the
     objective has a ``many`` method, else one call per point."""
     many = getattr(objective, "many", None)
     if many is None:
-        return tuple(_evaluate(i, p, objective, spec) for i, p in enumerate(points))
+        return tuple(_evaluate(i, p, objective) for i, p in enumerate(points))
     trials = []
     for lo in range(0, len(points), WINDOW):
         window = points[lo:lo + WINDOW]
         for i, (point, (outcome, elapsed)) in enumerate(zip(window, many(window)), lo):
-            trials.append(_trial(i, point, outcome, elapsed, spec))
+            trials.append(_trial(i, point, outcome, elapsed))
     return tuple(trials)
 
 
@@ -181,7 +180,7 @@ def random_search(space_doc: Mapping[str, Any], objective: Callable[[dict], floa
         points = [sample_space(space_doc, rng)]
     else:
         points = [sample_space(space_doc, rng) for _ in range(spec.max_trials)]
-    trials = _evaluate_all(points, objective, spec)
+    trials = _evaluate_all(points, objective)
     return History(trials, _pick_best(trials), spec.seed, space_digest(space_doc))
 
 
@@ -194,7 +193,7 @@ def grid_search(grid: Mapping[str, Any], objective: Callable[[dict], float],
     cells = list(grid_cells(grid))
     if not cells:
         cells = [{}]
-    trials = _evaluate_all(cells, objective, spec)
+    trials = _evaluate_all(cells, objective)
     return History(trials, _pick_best(trials), spec.seed, space_digest(dict(grid)))
 
 
@@ -233,7 +232,7 @@ def bandit_search(space_doc: Mapping[str, Any], objective: Callable[[dict], floa
         else:
             branch = min(branch_values, key=lambda v: means[v])
         point = sample_space(space_doc, rng, force_branch={discriminant: branch})
-        trial = _evaluate(index, point, objective, spec)
+        trial = _evaluate(index, point, objective)
         trials.append(trial)
         counts[branch] += 1
         means[branch] += (trial.loss - means[branch]) / counts[branch]

@@ -861,7 +861,6 @@ class CompiledSpace:
 
     op: Operator
     ir: SearchIR
-    keep_constraints: bool = True
 
     def hierarchical(self) -> dict:
         return emit_hierarchical(self.ir)
@@ -891,4 +890,4 @@ class CompiledSpace:
 
 def compile_space(op: Operator, keep_constraints: bool = True,
                   limit: int = DEFAULT_BLOWUP_LIMIT) -> CompiledSpace:
-    return CompiledSpace(op, combine(op, keep_constraints, limit), keep_constraints)
+    return CompiledSpace(op, combine(op, keep_constraints, limit))

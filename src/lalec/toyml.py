@@ -216,31 +216,19 @@ def _apply_knn(artifacts, X):
 # Logistic regression by gradient descent (one-vs-rest beyond two classes)
 
 
-# The store tag of LogRegGD's runs; step entries are tagged with an
-# implementation name.
-RUNS = "logreg_gd runs"
-
-
-def _fit_logreg(jobs, store=None):
+def _fit_logreg(jobs):
     """One list of artifacts per ``(config, problems, key)`` job, one
     artifact per problem, with every descent of every job in one lockstep
     per solver and penalty (``_logreg_descent``).
 
-    A run maps step counts to the raw weights that a descent on these
-    problems, with this configuration but for ``iterations``, reached after
-    that many steps. Given ``store`` and the content ``key`` of the
-    problems' inputs, a job's run is kept in ``store`` under ``(RUNS,
-    canonical configuration without iterations, key)``; any other job gets
-    a run of its own. Jobs with one run (and learning rate) run as one
-    descent: it resumes from the longest stored count not longer than any
-    of theirs and records its weights at each of them. A new run is stored
-    only once every descent has returned. The sgd rows drawn for each row
-    count are kept in ``store`` too.
+    Jobs whose configurations differ at most in ``iterations``, whose
+    problems' inputs have one content ``key`` and whose problems share
+    their label arrays run as one descent, which records its weights at
+    each of their counts. A job without a key, or with a configuration
+    that is not exact JSON, descends alone. Nothing is kept between calls.
     """
-    rows = None if store is None else store.setdefault(("sgd_rows",), {})
-    fresh: dict = {}  # runs of this call not yet in the store
-    # Per (solver, penalty), one descent per run and learning rate:
-    # [problems with a bias column and 0/1 target rows, lr, run, counts].
+    # Per (solver, penalty), one descent per run: [problems with a bias
+    # column and 0/1 target rows, lr, counts, raw weights by count].
     groups: dict = {}
     plan = []
     # Per problem, the features with a bias column and one 0/1 target row
@@ -270,30 +258,22 @@ def _fit_logreg(jobs, store=None):
             _, T, n_classes = labels[id(y)]
             biased.append((biases[id(X)][1], T))
             class_counts.append(n_classes)
-        tag = None
-        if store is not None and key is not None:
-            canonical = schema_model.exact_json_key(
-                {name: value for name, value in config.items() if name != "iterations"})
-            tag = None if canonical is None else (RUNS, canonical, key)
-        runs = {} if tag is None else store[tag] if tag in store else fresh.setdefault(tag, {})
+        canonical = None if key is None else schema_model.exact_json_key(
+            {name: value for name, value in config.items() if name != "iterations"})
+        run = len(plan) if canonical is None else (
+            canonical, key, tuple(id(y) for _, y in problems))
         descent = groups.setdefault((solver, penalty), {}).setdefault(
-            (id(runs), lr), [biased, lr, runs, set()])
-        descent[3].add(count)
+            run, [biased, lr, set(), {}])
+        descent[2].add(count)
         plan.append((descent, count, class_counts))
     for (solver, penalty), descents in groups.items():
-        specs = []
-        for biased, lr, runs, counts in descents.values():
-            counts = sorted(counts)
-            done = max((k for k in runs if k <= counts[0]), default=0)
-            specs.append((biased, lr, runs.get(done), done, counts))
-        for (_, _, runs, _), spec, raws in zip(descents.values(), specs,
-                                               _logreg_descent(specs, penalty, solver, rows)):
-            runs.update(zip(spec[4], raws))
-    if store is not None:
-        store.update(fresh)
+        specs = [(biased, lr, sorted(counts)) for biased, lr, counts, _ in descents.values()]
+        for descent, (_, _, counts), raws in zip(descents.values(), specs,
+                                                 _logreg_descent(specs, penalty, solver)):
+            descent[3].update(zip(counts, raws))
     fitted = []
-    for (biased, _, runs, _), count, class_counts in plan:
-        raw, at, artifacts = runs[count], 0, []
+    for (biased, _, _, raws), count, class_counts in plan:
+        raw, at, artifacts = raws[count], 0, []
         for (Xb, T), n_classes in zip(biased, class_counts):
             W = raw[at:at + T.shape[0] * Xb.shape[1]].reshape(T.shape[0], Xb.shape[1]).copy()
             W[~np.isfinite(W).all(axis=1)] = 0.0
@@ -325,36 +305,23 @@ def _draw_rows(rng: random.Random, n: int, count: int) -> np.ndarray:
     return rows[:count]
 
 
-def _sgd_rows(rows: dict, n: int, count: int) -> np.ndarray:
-    """The first ``count`` sgd rows of a problem of ``n`` rows:
-    ``_draw_rows(Random(13), n, count)``, kept in ``rows`` by ``n``. Fewer
-    rows are a prefix of more, so the longest drawn serves every count."""
-    drawn = rows.get(n)
-    if drawn is None or len(drawn) < count:
-        drawn = rows[n] = _draw_rows(random.Random(13), n, count)
-    return drawn[:count]
-
-
 # The floats (and row indices) one block of gathered sgd rows may hold, over
 # all the descents of one lockstep; one step's batches are gathered even if
 # they alone hold more.
 ROW_BLOCK_FLOATS = 1 << 14
 
 
-def _logreg_descent(descents, penalty, solver, rows=None):
+def _logreg_descent(descents, penalty, solver):
     """Logistic-regression descents in lockstep: for each ``(problems, lr,
-    start, done, counts)`` descent, its flat raw weights after each step
-    count in ``counts`` (ascending, none below ``done``).
+    counts)`` descent, its flat raw weights after each step count in
+    ``counts`` (ascending).
 
     A descent fits one row of weights per target row of every ``(Xb, T)``
     problem, with its own learning rate; all descents share the penalty
-    and the solver. ``start``, when given, is the raw weights that the same
-    descent returned after ``done`` steps; it continues from them with step
-    ``done + 1``. Every descent's weights are those it would reach alone,
-    from scratch: a step depends only on the weights, the data, lr and
-    penalty; sgd's rows for ``done`` steps are a prefix of its rows for more
-    (see ``_draw_rows``); and raw weights are never zeroed. ``rows`` keeps
-    the sgd rows drawn per row count (``_sgd_rows``) across calls.
+    and the solver. Every descent's weights are those it would reach alone:
+    a step depends only on the weights, the data, lr and penalty, and the
+    sgd rows of a problem of n rows are drawn once, for the longest
+    descent, since fewer rows are a prefix of more (see ``_draw_rows``).
     """
     # Seeded search histories depend on these weights bit for bit, so every
     # step of every descent computes
@@ -390,22 +357,22 @@ def _logreg_descent(descents, penalty, solver, rows=None):
     lam = np.array(1e-2)
     one, z_lo, z_hi = np.array(1.0), np.array(-30.0), np.array(30.0)
     w_lo, w_hi = np.array(-1e6), np.array(1e6)
-    rows = {} if rows is None else rows
-    order = sorted(range(len(descents)), reverse=True,
-                   key=lambda j: descents[j][4][-1] - descents[j][3])
+    rows: dict = {}  # sgd rows by row count: the layout puts the longest descent first
+    order = sorted(range(len(descents)), reverse=True, key=lambda j: descents[j][2][-1])
     # problems: per problem (Xb, sgd's rows of each aligned step or None,
     # batch, d); segments: per descent target (problem index, w, z and t
     # offsets); ends: per descent in layout order (w, z, segment) ends.
     problems, segments, ends, t_parts, spans = [], [], [], [], {}
     w_at = z_at = t_at = 0
     for j in order:
-        problem_list, _, _, done, counts = descents[j]
+        problem_list, _, counts = descents[j]
         w0 = w_at
         for Xb, T in problem_list:
             n, d = Xb.shape
             batch = max(1, n // 4) if sgd else n
-            steps = (_sgd_rows(rows, n, counts[-1] * batch).reshape(counts[-1], batch)[done:]
-                     if sgd else None)
+            if sgd and n not in rows:
+                rows[n] = _draw_rows(random.Random(13), n, counts[-1] * batch)
+            steps = rows[n][:counts[-1] * batch].reshape(counts[-1], batch) if sgd else None
             problems.append((Xb, steps, batch, d))
             for target in T:
                 segments.append((len(problems) - 1, w_at, z_at, t_at))
@@ -417,11 +384,8 @@ def _logreg_descent(descents, penalty, solver, rows=None):
     z = np.empty(z_at)
     lrs, size = np.empty(w_at), np.empty(w_at)
     for j in order:
-        problem_list, lr, start, _, _ = descents[j]
         w0, w1 = spans[j]
-        lrs[w0:w1] = lr
-        if start is not None:
-            w[w0:w1] = start
+        lrs[w0:w1] = descents[j][1]
     views = []
     for g, w0, z0, _ in segments:
         _, _, batch, d = problems[g]
@@ -432,11 +396,11 @@ def _logreg_descent(descents, penalty, solver, rows=None):
         Xs = [Xb for Xb, *_ in problems]
         XsT = [Xb.T for Xb in Xs]
 
-    remaining = [counts[-1] - done for _, _, _, done, counts in descents]
+    remaining = [counts[-1] for _, _, counts in descents]
     records: dict = {}  # step -> the descents that record their weights after it
-    for j, (_, _, _, done, counts) in enumerate(descents):
+    for j, (_, _, counts) in enumerate(descents):
         for c in counts:
-            records.setdefault(c - done, []).append(j)
+            records.setdefault(c, []).append(j)
     recorded = [{} for _ in descents]
     active, step = len(order), 0
     for stop in sorted(records):
@@ -489,8 +453,7 @@ def _logreg_descent(descents, penalty, solver, rows=None):
         for j in records[stop]:
             w0, w1 = spans[j]
             recorded[j][stop] = w[w0:w1].copy()
-    return [[recorded[j][c - done] for c in counts]
-            for j, (_, _, _, done, counts) in enumerate(descents)]
+    return [[recorded[j][c] for c in counts] for j, (_, _, counts) in enumerate(descents)]
 
 
 def _apply_logreg(artifacts, X):
@@ -734,7 +697,7 @@ def _apply_boosted(artifacts, X):
 def _each(fit_one):
     """A ``ToyImplementation.fit`` that fits every problem of every job
     alone with ``fit_one(config, X, y)``."""
-    def fit(jobs, store=None):
+    def fit(jobs):
         return [[fit_one(config, X, y) for X, y in problems] for config, problems, _ in jobs]
     return fit
 
@@ -853,14 +816,9 @@ def accuracy(predictions, labels) -> float:
 class CvSplits(list):
     """The (train subset, test X, test y) parts of one split of a dataset,
     in fold order, and the store of the pipelines scored on them, which
-    lives as long as the splits. It holds at most one transformed copy of
-    the folds per distinct step and input (see
-    ``operator_graph.fit_predict_many``), and what LogRegGD keeps there
-    (``_fit_logreg``): one raw weight vector per distinct run (its input,
-    its configuration but for ``iterations``, and its iteration count) and
-    the longest sgd rows drawn per row count. An input is known by the
-    dtype, shape, strides and bytes of its arrays, so equal values in
-    another memory layout are another input."""
+    lives as long as the splits: at most one transformed copy of the folds
+    per distinct non-final step and input (see
+    ``operator_graph.fit_predict_many``)."""
 
     def __init__(self, parts):
         super().__init__(parts)
@@ -885,12 +843,10 @@ def cross_val_score(op, splits) -> float:
 
     Splitting is separate so that a search splits its folds once per
     objective (see ``optimizer.make_cv_objective``) and every trial reuses
-    the same train subsets and test slices and the splits' store: the
-    outputs of every non-final step whose implementation, configuration
-    and input an earlier trial had, and the shorter LogRegGD runs a
-    descent resumes from (``_fit_logreg``). Other sequences of splits
-    share these only within one call. A window of one
-    (``cross_val_scores``) that raises what scoring raised.
+    the same train subsets and test slices and the splits' store of
+    non-final step outputs. Other sequences of splits share these only
+    within one call. A window of one (``cross_val_scores``) that raises
+    what scoring raised.
     """
     [(score, _)] = cross_val_scores([op], splits)
     if isinstance(score, Exception):

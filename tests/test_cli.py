@@ -135,6 +135,38 @@ class TestGrammar:
         assert code == 2
 
 
+GRAMMAR = "fixtures/grammars/linear_stages.grammar"
+
+
+class TestExitCodes:
+    """Bad arguments and unreadable files exit with the documented codes,
+    not a traceback. MISSING, DIR and BINARY stand for a file that does not
+    exist, a directory and a file that is not UTF-8 text."""
+
+    @pytest.mark.parametrize("args,code,prefix", [
+        (["compile", "--expr", "KNN", "--backend", "grid", "--cont-samples", "0"],
+         2, "compile error"),
+        (["grammar", "unfold", "--grammar", GRAMMAR, "--depth", "0"], 2, "grammar error"),
+        (["grammar", "sample", "--grammar", GRAMMAR, "--max-depth", "0"], 2, "grammar error"),
+        (["compile", "--pipeline", "MISSING"], 3, "parse error"),
+        (["compile", "--pipeline", "DIR"], 3, "parse error"),
+        (["compile", "--pipeline", "BINARY"], 3, "parse error"),
+        (["search", "--pipeline", "MISSING", "--synth", "blobs,40,0"], 3, "parse error"),
+        (["render", "--pipeline", "MISSING"], 3, "parse error"),
+        (["grammar", "unfold", "--grammar", "MISSING", "--depth", "1"], 3, "parse error"),
+        (["grammar", "sample", "--grammar", "BINARY", "--max-depth", "1"], 3, "parse error"),
+    ])
+    def test_documented_exit_code(self, tmp_path, capsys, args, code, prefix):
+        (tmp_path / "binary").write_bytes(b"KNN \xff\n")
+        files = {"MISSING": str(tmp_path / "missing.pipe"), "DIR": str(tmp_path),
+                 "BINARY": str(tmp_path / "binary")}
+        assert run_cli([files.get(arg, arg) for arg in args]) == code
+        err = capsys.readouterr().err
+        assert err.startswith(prefix + ": ")
+        named = [files[arg] for arg in args if arg in files]
+        assert all(f"cannot read {path}: " in err for path in named)
+
+
 class TestSearch:
     def test_constrained_search_writes_artifacts(self, tmp_path, capsys):
         history_file = tmp_path / "history.json"

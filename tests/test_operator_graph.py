@@ -510,7 +510,7 @@ class TestFitEach:
     def test_trained_copy_without_artifacts_is_refused(self, registry, blobs, monkeypatch):
         # Trained copies skip dataclasses.replace; the artifacts rule holds.
         impl = og.ToyImplementation("fits_nothing", "estimator",
-                                    fit=lambda jobs, store=None: [[None] * len(p) for _, p, _ in jobs],
+                                    fit=lambda jobs: [[None] * len(p) for _, p, _ in jobs],
                                     apply=lambda artifact, X: X)
         monkeypatch.setitem(og.IMPLEMENTATIONS, "fits_nothing", impl)
         op = dataclasses.replace(configure(registry["KNN"], {}), impl="fits_nothing")

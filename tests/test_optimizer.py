@@ -483,9 +483,9 @@ class TestWindows:
         objective = make_cv_objective(compiled, dataset, folds=3, cv_seed=seed)
         reference = reference_cv_objective(compiled, dataset, folds=3, cv_seed=seed)
         with mock.patch.object(opt, "WINDOW", window):
-            got = opt._evaluate_all(points, objective, spec)
-            again = opt._evaluate_all(points, objective, spec)  # every point seen before
-        want = [opt._evaluate(i, p, reference, spec) for i, p in enumerate(points)]
+            got = opt._evaluate_all(points, objective)
+            again = opt._evaluate_all(points, objective)  # every point seen before
+        want = [opt._evaluate(i, p, reference) for i, p in enumerate(points)]
         assert _trial_fields(got) == _trial_fields(want) == _trial_fields(again)
         histories = {}
         for name, make in (("windowed", make_cv_objective), ("reference", reference_cv_objective)):
@@ -524,9 +524,9 @@ class TestWindows:
         calls = []
         descent = toyml._logreg_descent
 
-        def counted(descents, penalty, solver, rows=None):
+        def counted(descents, penalty, solver):
             calls.append(len(descents))
-            return descent(descents, penalty, solver, rows)
+            return descent(descents, penalty, solver)
 
         monkeypatch.setattr(toyml, "_logreg_descent", counted)
         compiled = compile_space(parse_expr("(Scaler | NoOp) >> LogRegGD", registry))

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lalec import operator_graph as og
-from lalec import schema_model, toyml
+from lalec import toyml
 from lalec.operator_graph import configure, fit, predict
 from lalec.toyml import (
     ConstraintTrap,
@@ -356,7 +356,7 @@ def weight_rows(problems, raw):
 
 def descend(problems, lr, iterations, penalty, solver):
     """Per problem, its rows of weights after one descent from scratch."""
-    [[raw]] = toyml._logreg_descent([(problems, lr, None, 0, [iterations])], penalty, solver)
+    [[raw]] = toyml._logreg_descent([(problems, lr, [iterations])], penalty, solver)
     return weight_rows(problems, raw)
 
 
@@ -499,9 +499,8 @@ class TestReferenceOracles:
            st.integers(0, 3000), st.integers(0, 3000))
     @settings(max_examples=300, deadline=None)
     def test_fewer_rows_are_a_prefix_of_more(self, n, a, b):
-        # An sgd descent resumed after a steps draws the rows of its whole
-        # run and starts at block a, which must be the rows the shorter run
-        # drew.
+        # The sgd rows of a problem are drawn once, for the longest descent
+        # on it; a shorter descent in the same lockstep reads the first a.
         a, b = sorted((a, b))
         shorter = toyml._draw_rows(random.Random(13), n, a)
         assert shorter.tolist() == toyml._draw_rows(random.Random(13), n, b)[:a].tolist()
@@ -598,8 +597,7 @@ def lockstep_jobs(draw):
     """LogRegGD jobs for one many-jobs fit over 1-3 sets of problems (C- or
     Fortran-ordered features, 2-3 classes): mixed learning rates,
     iterations, penalties and solvers. Jobs with one run key (problem set,
-    lr, penalty, solver) share one run in the store, and some runs already
-    hold a shorter count."""
+    lr, penalty, solver) run as one descent."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     sets = []
     for _ in range(draw(st.integers(1, 3))):
@@ -617,10 +615,9 @@ def lockstep_jobs(draw):
     keys = draw(st.lists(st.tuples(st.integers(0, len(sets) - 1), st.sampled_from([0.05, 0.5, 3.0]),
                                    st.sampled_from(["l1", "l2"]), st.sampled_from(["gd", "sgd"])),
                          min_size=1, max_size=4, unique=True))
-    stored = [(key, draw(st.integers(0, 30))) for key in keys if draw(st.booleans())]
     jobs = draw(st.lists(st.tuples(st.sampled_from(keys), st.integers(0, 40)),
                          min_size=1, max_size=8))
-    return sets, keys, stored, jobs
+    return sets, jobs
 
 
 class TestLockstepJobs:
@@ -628,9 +625,8 @@ class TestLockstepJobs:
     @settings(max_examples=120, deadline=None)
     @given(lockstep_jobs())
     def test_many_jobs_match_the_reference_each(self, case):
-        sets, keys, stored, jobs = case
+        sets, jobs = case
         input_keys = [og._content_key([X for X, _ in problems]) for problems in sets]
-        store: dict = {}
 
         def job(key, iterations):
             index, lr, penalty, solver = key
@@ -638,10 +634,18 @@ class TestLockstepJobs:
                       "solver": solver}
             return config, sets[index], input_keys[index]
 
-        for key, iterations in stored:  # shorter runs to resume from
-            toyml._fit_logreg([job(key, iterations)], store)
-        fitted = toyml._fit_logreg([job(*j) for j in jobs], store)
+        descents = []
+        descend_all = toyml._logreg_descent
+
+        def counted(specs, penalty, solver):
+            descents.extend(specs)
+            return descend_all(specs, penalty, solver)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(toyml, "_logreg_descent", counted)
+            fitted = toyml._fit_logreg([job(*j) for j in jobs])
         assert len(fitted) == len(jobs)
+        assert len(descents) == len({key for key, _ in jobs})  # one per run key
         for ((index, lr, penalty, solver), iterations), artifacts in zip(jobs, fitted):
             for (X, y), artifact in zip(sets[index], artifacts):
                 Xb = np.hstack([X, np.ones((len(X), 1))])
@@ -651,15 +655,6 @@ class TestLockstepJobs:
                     want = reference_logreg_descent(Xb, (y == c).astype(float), lr, iterations,
                                                     penalty, solver)
                     assert w.tobytes() == want.tobytes()
-        # No stored run is lost, and each was drawn from the same rows.
-        runs = run_entries(store)
-        assert len(runs) == len({key for key, _ in stored + jobs})
-        for key, iterations in stored + jobs:
-            config, _, input_key = job(key, iterations)
-            del config["iterations"]
-            assert iterations in runs[toyml.RUNS, schema_model.exact_json_key(config), input_key]
-        for n, rows in store.get(("sgd_rows",), {}).items():
-            assert rows.tolist() == toyml._draw_rows(random.Random(13), n, len(rows)).tolist()
 
     @given(descent_batches(max_problems=3), st.lists(st.integers(0, 30), min_size=1, max_size=3,
                                                       unique=True),
@@ -667,7 +662,7 @@ class TestLockstepJobs:
     @settings(max_examples=60, deadline=None)
     def test_one_descent_records_every_count(self, problems, counts, solver, penalty):
         counts = sorted(counts)
-        [raws] = toyml._logreg_descent([(problems, 0.3, None, 0, counts)], penalty, solver)
+        [raws] = toyml._logreg_descent([(problems, 0.3, counts)], penalty, solver)
         for count, raw in zip(counts, raws):
             for (Xb, T), W in zip(problems, weight_rows(problems, raw)):
                 for t, w in zip(T, W):
@@ -860,9 +855,9 @@ def counting_fits(monkeypatch, impl_name):
     calls = []
     impl = og.IMPLEMENTATIONS[impl_name]
 
-    def fit(jobs, store=None):
+    def fit(jobs):
         calls.extend(len(problems) for _, problems, _ in jobs)
-        return impl.fit(jobs, store)
+        return impl.fit(jobs)
 
     monkeypatch.setitem(og.IMPLEMENTATIONS, impl_name, dataclasses.replace(impl, fit=fit))
     return calls
@@ -886,10 +881,10 @@ def step_entries(store):
     return {key: entry for key, entry in store.items() if key and key[0] in og.IMPLEMENTATIONS}
 
 
-def run_entries(store):
-    """The stored LogRegGD runs, keyed (toyml.RUNS, configuration without
-    iterations, input key)."""
-    return {key: run for key, run in store.items() if key and key[0] == toyml.RUNS}
+def store_tags(store):
+    """The implementation name of every step output in a splits' store,
+    sorted: the first item of every key but ``()``, the splits' own key."""
+    return sorted(key[0] for key in store if key)
 
 
 class TestPrefixStore:
@@ -1042,7 +1037,7 @@ class TestPrefixStore:
 
 
 # ---------------------------------------------------------------------------
-# Run store: LogRegGD fits resumed from shorter runs on the same splits
+# LogRegGD runs: one descent per run within a fit call, none kept across calls
 
 
 @st.composite
@@ -1081,13 +1076,13 @@ def logreg_runs(draw):
 
 
 def counting_descents(monkeypatch):
-    """Record (done, longest count) of each LogRegGD descent."""
+    """Record the step counts of each LogRegGD descent."""
     calls = []
     descent = toyml._logreg_descent
 
-    def counted(descents, penalty, solver, rows=None):
-        calls.extend((done, counts[-1]) for _, _, _, done, counts in descents)
-        return descent(descents, penalty, solver, rows)
+    def counted(descents, penalty, solver):
+        calls.extend(counts for _, _, counts in descents)
+        return descent(descents, penalty, solver)
 
     monkeypatch.setattr(toyml, "_logreg_descent", counted)
     return calls
@@ -1098,21 +1093,22 @@ class TestRunStore:
     @settings(max_examples=120, deadline=None)
     @given(splits=logreg_splits(), ops=logreg_runs())
     def test_resumed_runs_score_as_the_reference(self, splits, ops):
-        for op in ops:
-            assert cross_val_score(op, splits) == reference_cross_val_score(op, splits)
+        want = [reference_cross_val_score(op, splits) for op in ops]
+        assert [cross_val_score(op, splits) for op in ops] == want
+        # Scored as one window, the runs that differ only in iterations
+        # descend as one.
+        assert [score for score, _ in toyml.cross_val_scores(ops, splits)] == want
 
-    def test_descent_resumes_from_the_longest_shorter_run(self, monkeypatch, blobs):
+    def test_each_call_descends_from_scratch(self, monkeypatch, blobs):
         calls = counting_descents(monkeypatch)
         splits = cv_splits(blobs, 3)
-        ops = [configure(REGISTRY["LogRegGD"], {"iterations": iterations, "solver": "sgd"})
-               for iterations in (30, 10, 20, 50, 20, 15)]
-        scores = [cross_val_score(op, splits) for op in ops]
-        assert calls == [(0, 30), (0, 10), (10, 20), (30, 50), (20, 20), (10, 15)]
-        assert scores == [reference_cross_val_score(op, splits) for op in ops]
-        # The reference fits every fold alone, from scratch.
-        assert calls[6:] == [(0, k) for k in (30, 10, 20, 50, 20, 15) for _ in splits]
-        [run] = run_entries(splits.store).values()
-        assert sorted(run) == [10, 15, 20, 30, 50]
+        op = og.pipe(configure(REGISTRY["Scaler"], {}),
+                     configure(REGISTRY["LogRegGD"], {"iterations": 20, "solver": "sgd"}))
+        scores = [cross_val_score(op, splits) for _ in range(2)]
+        assert calls == [[20], [20]]
+        # The store keeps the scaler's outputs and nothing of LogRegGD.
+        assert store_tags(splits.store) == ["standard_scaler"]
+        assert scores == [reference_cross_val_score(op, splits)] * 2
 
     def test_runs_are_kept_apart_by_input_and_configuration(self, monkeypatch, blobs):
         calls = counting_descents(monkeypatch)
@@ -1120,22 +1116,22 @@ class TestRunStore:
         logreg = [configure(REGISTRY["LogRegGD"], {"iterations": 10, **config})
                   for config in ({}, {"learningRate": 0.2}, {"penalty": "l1"},
                                  {"solver": "sgd"})]
-        ops = logreg + [og.pipe(configure(REGISTRY["Scaler"], {}), logreg[0]),
-                        og.pipe(configure(REGISTRY["MinMaxScaler"], {}), logreg[0])]
-        for op in ops:
-            cross_val_score(op, splits)
-        assert len(run_entries(splits.store)) == len(ops) and all(done == 0 for done, _ in calls)
-        cross_val_score(og.pipe(configure(REGISTRY["Scaler"], {}), configure(
-            REGISTRY["LogRegGD"], {"iterations": 12})), splits)
-        assert calls[-1] == (10, 12)
+        scaled = og.pipe(configure(REGISTRY["Scaler"], {}), logreg[0])
+        ops = logreg + [scaled, og.pipe(configure(REGISTRY["MinMaxScaler"], {}), logreg[0]),
+                        og.pipe(configure(REGISTRY["Scaler"], {}), configure(
+                            REGISTRY["LogRegGD"], {"iterations": 12}))]
+        got = [score for score, _ in toyml.cross_val_scores(ops, splits)]
+        # Only the two scaled fits that differ in iterations share a descent.
+        assert sorted(calls) == [[10]] * 5 + [[10, 12]]
+        assert got == [reference_cross_val_score(op, splits) for op in ops]
 
     def test_equal_inputs_share_runs_whatever_made_them(self, monkeypatch, xor_data):
         # xor data has two columns, so SelectKVariance with k >= 2 and NoOp
         # pass on its values unchanged. NoOp's outputs are the splits' own
         # arrays and have their content key; SelectKVariance's are
         # Fortran-ordered, another layout and so another key, and its run
-        # starts from scratch. A frozen step has no entry, but its outputs
-        # still have a content key.
+        # descends alone. A frozen step has no entry, but its outputs still
+        # have a content key.
         calls = counting_descents(monkeypatch)
         frozen = og.freeze_trained(fit(configure(REGISTRY["MinMaxScaler"], {}), xor_data))
         splits = cv_splits(xor_data, 3)
@@ -1145,10 +1141,9 @@ class TestRunStore:
         for iterations, first in zip((10, 20, 30, 10, 25), firsts):
             op = configure(REGISTRY["LogRegGD"], {"iterations": iterations})
             ops.append(op if first is None else og.pipe(first, op))
-        scores = [cross_val_score(op, splits) for op in ops]
-        assert calls == [(0, 10), (10, 20), (0, 30), (0, 10), (10, 25)]
+        scores = [score for score, _ in toyml.cross_val_scores(ops, splits)]
+        assert calls == [[10, 20], [30], [10, 25]]
         assert scores == [reference_cross_val_score(op, splits) for op in ops]
-        assert len(run_entries(splits.store)) == 3
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @settings(max_examples=60, deadline=None)
@@ -1161,8 +1156,8 @@ class TestRunStore:
         # NoOp passes on the splits' C-ordered arrays, SelectKVariance with k
         # at the width Fortran-ordered copies with the same bytes, and a
         # Scaler after either keeps its input's layout. A descent's bits
-        # depend on the layout, so the longer fit after SelectKVariance must
-        # give the weights of a fit from scratch, whatever the store holds.
+        # depend on the layout, so the two fits of one window must not run
+        # as one descent: each must give the weights of its own fit.
         rng = np.random.default_rng(seed)
         y = np.concatenate([np.repeat(np.arange(n_classes), 3),
                             rng.integers(0, n_classes, 3 * n_classes)])
@@ -1177,19 +1172,20 @@ class TestRunStore:
         impl = og.IMPLEMENTATIONS["logreg_gd"]
         fitted = []
 
-        def recorded(jobs, store=None):
-            out = impl.fit(jobs, store)
+        def recorded(jobs):
+            out = impl.fit(jobs)
             fitted.extend(out)
             return out
 
         with pytest.MonkeyPatch.context() as patch:
             patch.setitem(og.IMPLEMENTATIONS, "logreg_gd",
                           dataclasses.replace(impl, fit=recorded))
-            for op in ops:
-                cross_val_score(op, splits)
-        for got, (train, _, _) in zip(fitted[-1], splits):
-            want = fit(ops[-1], train).steps[-1].artifacts
-            assert got["weights"].tobytes() == want["weights"].tobytes()
+            toyml.cross_val_scores(ops, splits)
+        assert len(fitted) == len(ops)
+        for op, artifacts in zip(ops, fitted):
+            for got, (train, _, _) in zip(artifacts, splits):
+                want = fit(op, train).steps[-1].artifacts
+                assert got["weights"].tobytes() == want["weights"].tobytes()
 
     def test_a_failing_final_fit_leaves_the_others_in_the_window(self, monkeypatch, blobs):
         calls = counting_descents(monkeypatch)
@@ -1206,26 +1202,29 @@ class TestRunStore:
                 reference_cross_val_score, op, splits)
             assert seconds >= 0.0
         # The many-jobs fit raised before any descent, so each job was
-        # fitted alone, in order, each storing its run for the next; the
-        # merged input's run was never stored.
-        assert calls[:3] == [(0, 20), (0, 10), (20, 20)]
-        [run] = run_entries(splits.store).values()
-        assert sorted(run) == [10, 20]
+        # fitted alone, in order, each from scratch.
+        assert calls[:3] == [[20], [10], [20]]
         # Jobs with one run key in one window run as one descent.
         window = [configure(REGISTRY["LogRegGD"], {"iterations": k, "solver": "sgd"})
                   for k in (40, 30, 50, 40)]
         del calls[:]
         toyml.cross_val_scores(window, splits)
-        assert calls == [(20, 50)]
-        assert sorted(run) == [10, 20, 30, 40, 50]
+        assert calls == [[30, 40, 50]]
+        assert store_tags(splits.store) == ["noop"]
 
-    def test_failing_and_non_json_fits_store_no_run(self, blobs):
+    def test_failing_and_non_json_fits_store_no_run(self, monkeypatch, blobs):
+        calls = counting_descents(monkeypatch)
         splits = cv_splits(blobs, 3)
         merged = og.pipe(og.both(configure(REGISTRY["NoOp"], {}),
                                  configure(REGISTRY["NoOp"], {})),
                          configure(REGISTRY["LogRegGD"], {"iterations": 10}))
         with pytest.raises(og.ShapeMismatch):
             cross_val_score(merged, splits)  # an input that LogRegGD refuses
-        op = configure(REGISTRY["LogRegGD"], {"iterations": 10, "learningRate": np.float64(0.1)})
-        assert cross_val_score(op, splits) == reference_cross_val_score(op, splits)
-        assert run_entries(splits.store) == {}
+        # A configuration that is not exact JSON descends alone, even beside
+        # one that differs only in iterations.
+        ops = [configure(REGISTRY["LogRegGD"], {"iterations": k, "learningRate": np.float64(0.1)})
+               for k in (10, 20)]
+        scores = [score for score, _ in toyml.cross_val_scores(ops, splits)]
+        assert calls == [[10], [20]]
+        assert scores == [reference_cross_val_score(op, splits) for op in ops]
+        assert store_tags(splits.store) == ["noop"]
