@@ -3,7 +3,8 @@
 Exit codes: compile — 0 ok, 2 compile error, 3 parse error; validate — 0
 valid, 1 invalid, 2 unknown operator or bad input; grammar — 0 ok, 2
 grammar error, 3 parse error; search — 0 finished (even with failed
-trials), 4 no valid trial; render — 0 ok, 3 parse error.
+trials), 4 no valid trial; render — 0 ok, 3 parse error. Any command that
+cannot write its --out, --best-out or --curve file exits 5 (output error).
 
 All randomness flows from explicit --seed flags (default 0). The schemas
 directory defaults to $LALEC_SCHEMA_PATH, then to the packaged fixtures.
@@ -49,21 +50,28 @@ def _schemas_dir(value):
     return toyml.default_schemas_dir()
 
 
+class OutputError(Exception):
+    """An output file that cannot be written (exit code 5)."""
+
+
 def _write_text(path, text: str) -> None:
     if path is None or path == "-":
         sys.stdout.write(text)
         return
     target = Path(path)
-    handle = tempfile.NamedTemporaryFile(
-        "w", encoding="utf-8", dir=target.parent or Path("."),
-        prefix=f".{target.name}.", delete=False)
     try:
-        with handle:
-            handle.write(text)
-        os.replace(handle.name, target)
-    except BaseException:
-        os.unlink(handle.name)
-        raise
+        handle = tempfile.NamedTemporaryFile(
+            "w", encoding="utf-8", dir=target.parent or Path("."),
+            prefix=f".{target.name}.", delete=False)
+        try:
+            with handle:
+                handle.write(text)
+            os.replace(handle.name, target)
+        except BaseException:
+            os.unlink(handle.name)
+            raise
+    except OSError as exc:
+        raise OutputError(f"cannot write {path}: {exc.strerror or exc}") from None
 
 
 def _write_json(path, doc) -> None:
@@ -429,7 +437,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except OutputError as exc:
+        print(f"output error: {exc}", file=sys.stderr)
+        return 5
 
 
 if __name__ == "__main__":

@@ -158,65 +158,3 @@ def _expandable(ast: ExprAst, counts, max_depth) -> bool:
             _expandable(ast.right, counts, max_depth)
     return True
 
-
-# ---------------------------------------------------------------------------
-# Derivation membership (test oracle for grammars without the & combinator)
-
-
-def derives(grammar: GrammarFile, op: Operator) -> bool:
-    """Oracle: can the grammar derive this concrete linear pipeline?"""
-    chain = _linear_chain(op)
-    if chain is None:
-        raise GrammarError("the membership oracle only covers linear pipelines")
-    return _derives_expr(NontermRef(grammar.start), tuple(chain), grammar,
-                         {grammar.start: 0}, memo_depth=len(chain) + _grammar_size(grammar))
-
-
-def _grammar_size(grammar: GrammarFile) -> int:
-    return 2 * len(grammar.rules) + 2
-
-
-def _linear_chain(op: Operator):
-    from .operator_graph import Pipeline
-
-    if isinstance(op, Individual):
-        return [op.name]
-    if not isinstance(op, Pipeline):
-        return None
-    chain = []
-    order = sorted(range(len(op.steps)))
-    expected_edges = {(order[i], order[i + 1]) for i in range(len(order) - 1)}
-    if set(op.edges) != expected_edges:
-        return None
-    for index in order:
-        step = op.steps[index]
-        if not isinstance(step, Individual):
-            return None
-        chain.append(step.name)
-    return chain
-
-
-def _derives_expr(ast: ExprAst, target: tuple, grammar, counts, memo_depth) -> bool:
-    if isinstance(ast, NontermRef):
-        # Bound recursion by the target length: deeper derivations can only
-        # produce longer chains for the grammars this oracle serves.
-        if counts.get(ast.name, 0) > memo_depth:
-            return False
-        next_counts = dict(counts)
-        next_counts[ast.name] = next_counts.get(ast.name, 0) + 1
-        return _derives_expr(grammar.body(ast.name), target, grammar, next_counts, memo_depth)
-    if isinstance(ast, (Ref, Call)):
-        name = ast.name
-        return len(target) == 1 and target[0] == name
-    if isinstance(ast, Choose):
-        return any(_derives_expr(alt, target, grammar, counts, memo_depth)
-                   for alt in _choice_list(ast))
-    if isinstance(ast, Pipe):
-        return any(
-            _derives_expr(ast.left, target[:cut], grammar, counts, memo_depth)
-            and _derives_expr(ast.right, target[cut:], grammar, counts, memo_depth)
-            for cut in range(1, len(target))
-        )
-    if isinstance(ast, Both):
-        raise GrammarError("the membership oracle only covers linear pipelines")
-    return False

@@ -355,7 +355,6 @@ class ToyImplementation:
     kind: str  # "transformer" | "estimator"
     fit: Callable[..., list[list[Any]]]
     apply: Callable[[Any, Any], Any]
-    inverse: Callable[[Any, Any], Any] | None = None
     budget: str | None = None
 
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import Any, Callable, Mapping
 
 from .schema_model import exact_json_key
-from .space_backends import CompiledSpace, compile_space, grid_cells, sample_space
+from .space_backends import CompiledSpace, grid_cells, sample_space
 
 
 class NoValidTrial(Exception):
@@ -251,7 +251,8 @@ def run(compiled: CompiledSpace, objective: Callable[[dict], float], spec: Optim
     return search(compiled.hierarchical(), objective, spec)
 
 
-def make_cv_objective(space, data, folds: int = 5, cv_seed: int = 0) -> Callable[[dict], float]:
+def make_cv_objective(compiled: CompiledSpace, data, folds: int = 5,
+                      cv_seed: int = 0) -> Callable[[dict], float]:
     """Objective: one minus the mean cross-validated accuracy of the decoded
     configuration. Decode/validation failures signal invalidConfig; anything
     raised during splitting or fitting surfaces as runtimeError.
@@ -278,7 +279,6 @@ def make_cv_objective(space, data, folds: int = 5, cv_seed: int = 0) -> Callable
     from .operator_graph import ValidationFailed
     from .space_backends import DecodeError
 
-    compiled = space if isinstance(space, CompiledSpace) else compile_space(space)
     splits = None
     scored: dict[str, float] = {}
 

@@ -404,58 +404,6 @@ def _integral(value) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Serialization (inverse of parse_schema, up to key order)
-
-
-def serialize(node: SchemaNode) -> dict:
-    out: dict[str, Any] = {}
-    if getattr(node, "description", ""):
-        out["description"] = node.description
-    if isinstance(node, ObjectNode):
-        out["type"] = "object"
-        out["properties"] = {name: serialize(sub) for name, sub in node.properties}
-        if node.required:
-            out["required"] = sorted(node.required)
-        if not node.additional_allowed:
-            out["additionalProperties"] = False
-    elif isinstance(node, RangeNode):
-        out["type"] = "integer" if node.integer_valued else "number"
-        out["minimum"] = node.lo
-        out["maximum"] = node.hi
-        if node.lo_open:
-            out["exclusiveMinimum"] = True
-        if node.hi_open:
-            out["exclusiveMaximum"] = True
-        if node.prior.kind != "uniform":
-            out["distribution"] = node.prior.kind
-        if node.prior.quantization is not None:
-            out["quantization"] = node.prior.quantization
-        if node.default is not MISSING:
-            out["default"] = node.default
-    elif isinstance(node, EnumNode):
-        out["enum"] = list(node.values)
-        if node.default is not MISSING:
-            out["default"] = node.default
-    elif isinstance(node, AnyOfNode):
-        out["anyOf"] = [serialize(c) for c in node.children]
-        if node.default is not MISSING:
-            out["default"] = node.default
-    elif isinstance(node, AllOfNode):
-        out["allOf"] = [serialize(c) for c in node.children]
-    elif isinstance(node, NotNode):
-        out["not"] = serialize(node.child)
-    elif isinstance(node, OperatorSlotNode):
-        out["typeForOptimizer"] = "operator"
-        if node.default is not MISSING:
-            out["default"] = node.default
-    elif isinstance(node, AnyNode):
-        pass
-    else:  # pragma: no cover
-        raise TypeError(f"cannot serialize {type(node).__name__}")
-    return out
-
-
-# ---------------------------------------------------------------------------
 # Validation
 
 

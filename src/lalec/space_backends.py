@@ -351,47 +351,6 @@ def _real_bounds(lo, hi, lo_open, hi_open) -> tuple[float, float]:
     return (lo + eps if lo_open else float(lo), hi - eps if hi_open else float(hi))
 
 
-def default_point(ir: SearchIR) -> dict[str, Any]:
-    """The all-defaults point: first branch of every choice, first disjunct,
-    declared defaults (midpoints when a domain has none)."""
-    point: dict[str, Any] = {}
-    _default_into(ir, point)
-    return point
-
-
-def _default_into(ir: SearchIR, point) -> None:
-    if isinstance(ir, StepMapIR):
-        for _, child in ir.steps:
-            _default_into(child, point)
-        return
-    if isinstance(ir, ChoiceIR):
-        value, body = ir.branches[0]
-        point[ir.discriminant] = value
-        _default_into(body, point)
-        return
-    assert isinstance(ir, LeafIR)
-    for name, domain in ir.nf.disjuncts[0].items():
-        if isinstance(domain, OpSlot):
-            _default_into(domain.nested, point)
-            continue
-        point[_join(ir.prefix, name)] = _domain_default(domain)
-
-
-def _domain_default(domain: Domain):
-    if isinstance(domain, Cat):
-        if domain.default is not schema_model.MISSING:
-            return domain.default
-        return domain.values[0]
-    assert isinstance(domain, Cont)
-    if domain.default is not schema_model.MISSING:
-        return domain.default
-    if domain.integer_valued:
-        lo, hi = _integer_bounds(domain.lo, domain.hi, domain.lo_open, domain.hi_open)
-        return (lo + hi) // 2
-    lo, hi = _real_bounds(domain.lo, domain.hi, domain.lo_open, domain.hi_open)
-    return (lo + hi) / 2.0
-
-
 # ---------------------------------------------------------------------------
 # Flattened grid of disjuncts
 
@@ -883,9 +842,6 @@ class CompiledSpace:
 
     def decode_pcs(self, point: Mapping[str, Any]) -> Operator:
         return decode(self.ir, self.pcs_model.decode_point(point))
-
-    def default_point(self) -> dict[str, Any]:
-        return default_point(self.ir)
 
 
 def compile_space(op: Operator, keep_constraints: bool = True,

@@ -103,10 +103,6 @@ def _apply_standard_scaler(artifacts, X):
     return (_matrix(X) - artifacts["mean"]) / artifacts["scale"]
 
 
-def _inverse_standard_scaler(artifacts, X):
-    return _matrix(X) * artifacts["scale"] + artifacts["mean"]
-
-
 def _fit_minmax_scaler(config, X, y):
     X = _matrix(X)
     lo = X.min(axis=0)
@@ -117,10 +113,6 @@ def _fit_minmax_scaler(config, X, y):
 
 def _apply_minmax_scaler(artifacts, X):
     return (_matrix(X) - artifacts["lo"]) / artifacts["span"]
-
-
-def _inverse_minmax_scaler(artifacts, X):
-    return _matrix(X) * artifacts["span"] + artifacts["lo"]
 
 
 def _fit_select_k_variance(config, X, y):
@@ -703,11 +695,11 @@ def _each(fit_one):
 
 
 for _impl in (
-    ToyImplementation("noop", "transformer", _each(_fit_noop), _apply_noop, _apply_noop),
+    ToyImplementation("noop", "transformer", _each(_fit_noop), _apply_noop),
     ToyImplementation("standard_scaler", "transformer", _each(_fit_standard_scaler),
-                      _apply_standard_scaler, _inverse_standard_scaler),
+                      _apply_standard_scaler),
     ToyImplementation("minmax_scaler", "transformer", _each(_fit_minmax_scaler),
-                      _apply_minmax_scaler, _inverse_minmax_scaler),
+                      _apply_minmax_scaler),
     ToyImplementation("select_k_variance", "transformer", _each(_fit_select_k_variance),
                       _apply_select_k_variance),
     ToyImplementation("concat", "transformer", _each(_fit_concat), _apply_concat),

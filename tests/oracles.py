@@ -15,7 +15,12 @@ tests check that the replacements give the same answers and the same draws.
 normalizing it again accepts the same configurations.
 `reference_exact_json_key` is the memo key as the sorted JSON of a mapping;
 tests check that `schema_model.exact_json_key` tells the same mappings
-apart.
+apart. `derives` decides whether a grammar can derive a linear pipeline;
+tests check that every pipeline sampled from a grammar is derivable and a
+foreign one is not. `serialize` writes a schema back to JSON; tests check
+that `parse_schema` reads it back to the same schema. `default_point` is
+the all-defaults point of a space; decode tests decode it and compare it
+across encodings.
 """
 
 import json
@@ -26,25 +31,33 @@ import numpy as np
 from lalec import operator_graph as og
 from lalec import schema_model as sm
 from lalec import toyml
+from lalec.grammar_engine import GrammarError, _choice_list
 from lalec.optimizer import InvalidConfigError
 from lalec.operator_graph import Choice, Individual, Operator, Pipeline, ValidationFailed
+from lalec.pipeline_dsl import Both, Call, Choose, ExprAst, GrammarFile, NontermRef, Pipe, Ref
 from lalec.schema_model import (
     MISSING,
     AllOfNode,
+    AnyNode,
     AnyOfNode,
     EnumNode,
     MissingDefault,
+    NotNode,
     ObjectNode,
     OperatorSlotNode,
     RangeNode,
     SchemaNode,
 )
 from lalec.space_backends import (
+    ChoiceIR,
     CompiledSpace,
     DecodeError,
+    LeafIR,
+    SearchIR,
+    StepMapIR,
     _integer_bounds,
+    _join,
     _real_bounds,
-    compile_space,
     emit_hierarchical,
 )
 from lalec.space_normalizer import Cat, Cont, Domain, NormalForm, NormalizeError, OpSlot
@@ -183,10 +196,9 @@ def reference_exact_json_key(mapping):
 # Cross-validation objective
 
 
-def reference_cv_objective(space, data, folds: int = 5, cv_seed: int = 0):
+def reference_cv_objective(compiled: CompiledSpace, data, folds: int = 5, cv_seed: int = 0):
     """optimizer.make_cv_objective without its memo: every call decodes and
     fits, and the splits are made once, at the first point that decodes."""
-    compiled = space if isinstance(space, CompiledSpace) else compile_space(space)
     splits = None
 
     def objective(point):
@@ -383,3 +395,161 @@ def _domain_to_node(domain: Domain) -> SchemaNode:
     if isinstance(domain, OpSlot):
         return OperatorSlotNode()
     raise NormalizeError(f"cannot express {domain!r} as a schema node")
+
+
+# ---------------------------------------------------------------------------
+# Derivation membership (grammars without the & combinator)
+
+
+def derives(grammar: GrammarFile, op: Operator) -> bool:
+    """Oracle: can the grammar derive this concrete linear pipeline?"""
+    chain = _linear_chain(op)
+    if chain is None:
+        raise GrammarError("the membership oracle only covers linear pipelines")
+    return _derives_expr(NontermRef(grammar.start), tuple(chain), grammar,
+                         {grammar.start: 0}, memo_depth=len(chain) + _grammar_size(grammar))
+
+
+def _grammar_size(grammar: GrammarFile) -> int:
+    return 2 * len(grammar.rules) + 2
+
+
+def _linear_chain(op: Operator):
+    if isinstance(op, Individual):
+        return [op.name]
+    if not isinstance(op, Pipeline):
+        return None
+    chain = []
+    order = sorted(range(len(op.steps)))
+    expected_edges = {(order[i], order[i + 1]) for i in range(len(order) - 1)}
+    if set(op.edges) != expected_edges:
+        return None
+    for index in order:
+        step = op.steps[index]
+        if not isinstance(step, Individual):
+            return None
+        chain.append(step.name)
+    return chain
+
+
+def _derives_expr(ast: ExprAst, target: tuple, grammar, counts, memo_depth) -> bool:
+    if isinstance(ast, NontermRef):
+        # Bound recursion by the target length: deeper derivations can only
+        # produce longer chains for the grammars this oracle serves.
+        if counts.get(ast.name, 0) > memo_depth:
+            return False
+        next_counts = dict(counts)
+        next_counts[ast.name] = next_counts.get(ast.name, 0) + 1
+        return _derives_expr(grammar.body(ast.name), target, grammar, next_counts, memo_depth)
+    if isinstance(ast, (Ref, Call)):
+        name = ast.name
+        return len(target) == 1 and target[0] == name
+    if isinstance(ast, Choose):
+        return any(_derives_expr(alt, target, grammar, counts, memo_depth)
+                   for alt in _choice_list(ast))
+    if isinstance(ast, Pipe):
+        return any(
+            _derives_expr(ast.left, target[:cut], grammar, counts, memo_depth)
+            and _derives_expr(ast.right, target[cut:], grammar, counts, memo_depth)
+            for cut in range(1, len(target))
+        )
+    if isinstance(ast, Both):
+        raise GrammarError("the membership oracle only covers linear pipelines")
+    return False
+
+
+# ---------------------------------------------------------------------------
+# Schemas back to JSON (inverse of parse_schema, up to key order)
+
+
+def serialize(node: SchemaNode) -> dict:
+    out: dict = {}
+    if getattr(node, "description", ""):
+        out["description"] = node.description
+    if isinstance(node, ObjectNode):
+        out["type"] = "object"
+        out["properties"] = {name: serialize(sub) for name, sub in node.properties}
+        if node.required:
+            out["required"] = sorted(node.required)
+        if not node.additional_allowed:
+            out["additionalProperties"] = False
+    elif isinstance(node, RangeNode):
+        out["type"] = "integer" if node.integer_valued else "number"
+        out["minimum"] = node.lo
+        out["maximum"] = node.hi
+        if node.lo_open:
+            out["exclusiveMinimum"] = True
+        if node.hi_open:
+            out["exclusiveMaximum"] = True
+        if node.prior.kind != "uniform":
+            out["distribution"] = node.prior.kind
+        if node.prior.quantization is not None:
+            out["quantization"] = node.prior.quantization
+        if node.default is not MISSING:
+            out["default"] = node.default
+    elif isinstance(node, EnumNode):
+        out["enum"] = list(node.values)
+        if node.default is not MISSING:
+            out["default"] = node.default
+    elif isinstance(node, AnyOfNode):
+        out["anyOf"] = [serialize(c) for c in node.children]
+        if node.default is not MISSING:
+            out["default"] = node.default
+    elif isinstance(node, AllOfNode):
+        out["allOf"] = [serialize(c) for c in node.children]
+    elif isinstance(node, NotNode):
+        out["not"] = serialize(node.child)
+    elif isinstance(node, OperatorSlotNode):
+        out["typeForOptimizer"] = "operator"
+        if node.default is not MISSING:
+            out["default"] = node.default
+    elif isinstance(node, AnyNode):
+        pass
+    else:  # pragma: no cover
+        raise TypeError(f"cannot serialize {type(node).__name__}")
+    return out
+
+
+# ---------------------------------------------------------------------------
+# Default points
+
+
+def default_point(ir: SearchIR) -> dict:
+    """The all-defaults point: first branch of every choice, first disjunct,
+    declared defaults (midpoints when a domain has none)."""
+    point: dict = {}
+    _default_into(ir, point)
+    return point
+
+
+def _default_into(ir: SearchIR, point) -> None:
+    if isinstance(ir, StepMapIR):
+        for _, child in ir.steps:
+            _default_into(child, point)
+        return
+    if isinstance(ir, ChoiceIR):
+        value, body = ir.branches[0]
+        point[ir.discriminant] = value
+        _default_into(body, point)
+        return
+    assert isinstance(ir, LeafIR)
+    for name, domain in ir.nf.disjuncts[0].items():
+        if isinstance(domain, OpSlot):
+            _default_into(domain.nested, point)
+            continue
+        point[_join(ir.prefix, name)] = _domain_default(domain)
+
+
+def _domain_default(domain: Domain):
+    if isinstance(domain, Cat):
+        if domain.default is not MISSING:
+            return domain.default
+        return domain.values[0]
+    assert isinstance(domain, Cont)
+    if domain.default is not MISSING:
+        return domain.default
+    if domain.integer_valued:
+        lo, hi = _integer_bounds(domain.lo, domain.hi, domain.lo_open, domain.hi_open)
+        return (lo + hi) // 2
+    lo, hi = _real_bounds(domain.lo, domain.hi, domain.lo_open, domain.hi_open)
+    return (lo + hi) / 2.0

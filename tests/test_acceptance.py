@@ -14,7 +14,7 @@ from lalec import optimizer as opt
 from lalec import schema_model as sm
 from lalec import toyml
 from lalec.cli import main as cli_main
-from lalec.grammar_engine import derives, sample as grammar_sample, unfold
+from lalec.grammar_engine import sample as grammar_sample, unfold
 from lalec.operator_graph import configure
 from lalec.pipeline_dsl import parse_expr, parse_grammar
 from lalec.space_backends import (
@@ -28,6 +28,7 @@ from lalec.space_backends import (
 from lalec.space_normalizer import Cat, Cont, member, normalize
 
 from conftest import probe_lattice
+from oracles import derives
 
 
 def report(number, description, elapsed=None):

@@ -167,6 +167,37 @@ class TestExitCodes:
         assert all(f"cannot read {path}: " in err for path in named)
 
 
+SEARCH = ["search", "--expr", "KNN", "--synth", "blobs,40,0", "--max-trials", "2"]
+
+
+class TestOutputErrors:
+    """An output file that cannot be written exits 5 with an output error
+    that names the path given, and leaves no temporary file beside it. The
+    target is a file in a directory that does not exist, or an existing
+    directory."""
+
+    @pytest.mark.parametrize("target", ["missing", "directory"])
+    @pytest.mark.parametrize("args", [
+        ["compile", "--expr", "KNN", "--out"],
+        ["grammar", "unfold", "--grammar", GRAMMAR, "--depth", "1", "--out"],
+        ["render", "--expr", "KNN", "--out"],
+        SEARCH + ["--out"],
+        SEARCH + ["--best-out"],
+        SEARCH + ["--curve"],
+    ], ids=["compile", "grammar", "render", "search-out", "search-best-out", "search-curve"])
+    def test_unwritable_output_exits_5(self, tmp_path, capsys, args, target):
+        if target == "missing":
+            path = tmp_path / "missing" / "out.txt"
+        else:
+            path = tmp_path / "out.txt"
+            path.mkdir()
+        assert run_cli(args + [str(path)]) == 5
+        err = capsys.readouterr().err
+        assert err.startswith(f"output error: cannot write {path}: ")
+        assert "Traceback" not in err
+        assert list(tmp_path.glob(".out.txt.*")) == []
+
+
 class TestSearch:
     def test_constrained_search_writes_artifacts(self, tmp_path, capsys):
         history_file = tmp_path / "history.json"

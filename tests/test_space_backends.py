@@ -40,7 +40,7 @@ from lalec.space_normalizer import (
 )
 
 from conftest import probe_lattice
-from oracles import reference_domain_doc, reference_draw_cont_doc, reference_pcs_sample
+from oracles import default_point, reference_domain_doc, reference_draw_cont_doc, reference_pcs_sample
 
 
 @pytest.fixture(scope="module")
@@ -761,7 +761,7 @@ class TestDecode:
         assert og.state_of(decoded) == og.LifecycleState.TRAINABLE
 
     def test_defaults_point(self, running_example):
-        point = running_example.default_point()
+        point = default_point(running_example.ir)
         decoded = running_example.decode(point)
         assert decoded.steps[0].bound == {"N": 0.5}
         assert decoded.steps[1].name == "J48"
@@ -781,7 +781,7 @@ class TestDecode:
         assert set(nested.bound) == {"maxDepth", "R", "C"}
 
     def test_unknown_discriminant_value(self, running_example):
-        point = running_example.default_point()
+        point = default_point(running_example.ir)
         point["step1__D"] = "SVM"
         with pytest.raises(sb.UnknownMarker):
             running_example.decode(point)
@@ -1087,7 +1087,7 @@ def _encoded_points(compiled, rng, count):
     loose = compile_space(compiled.op, keep_constraints=False)
     points = [("hier", sample_space(space.hierarchical(), rng))
               for space in (compiled, loose) for _ in range(count)]
-    points.append(("hier", compiled.default_point()))
+    points.append(("hier", default_point(compiled.ir)))
     try:
         pcs = read_pcs(compiled.pcs())
         grid = compiled.grid(1, rng.randrange(4))
@@ -1201,7 +1201,7 @@ class TestDecodePlan:
         rng = random.Random(3)
         decoded = [compiled.decode(sample_space(compiled.hierarchical(), rng)),
                    compiled.decode_pcs(read_pcs(compiled.pcs()).sample(rng)),
-                   sb.decode(compiled.ir, compiled.default_point())]
+                   sb.decode(compiled.ir, default_point(compiled.ir))]
         del compiled
         gc.collect()
         assert ir() is None

@@ -9,7 +9,7 @@ from lalec import space_normalizer as norm
 from lalec.space_normalizer import Cat, Cont, EMPTY, intersect_domain, member
 
 from conftest import probe_lattice
-from oracles import to_schema
+from oracles import serialize, to_schema
 
 
 def disjunct_sets(nf):
@@ -264,7 +264,7 @@ class TestRandomizedEquivalence:
                 continue
             for config in probes:
                 assert member(nf, config) == sm.validate(config, schema).ok, \
-                    (sm.serialize(schema), config)
+                    (serialize(schema), config)
 
 
 class TestDropConstraints:
