@@ -372,6 +372,31 @@ class TestReadmeSearchExample:
                            "best": self.BEST, "curve": self.CURVE}
 
 
+class TestJsonArtifactsArePinned:
+    """The raw text of the JSON files the CLI writes, pinned by sha256:
+    indentation, key order, float spelling and the final newline."""
+
+    @pytest.mark.parametrize("backend,digest", [
+        ("hier", "bff8dc8e6e62ed21c0586b970fc8426f06c51bc5507551fea977d82b7a75c975"),
+        ("flat", "009ff760308883496963ab269f01387f5e3179178f949e98ef4b7c12b95290e5"),
+        ("grid", "fcfc7f7a4263213514455a1f6390459e5e932c38021f2d1b5fbec32e1296d2d8"),
+    ])
+    def test_compile_out(self, tmp_path, backend, digest):
+        out = tmp_path / "space.json"
+        assert run_cli(["compile", "--expr", "PCA >> (J48 | LR)", "--backend", backend,
+                        "--out", str(out)]) == 0
+        assert _sha256(out.read_text()) == digest
+
+    def test_search_best_out(self, tmp_path, capsys):
+        # The best trial is a LogRegGD with a float learning rate.
+        out = tmp_path / "best.json"
+        assert run_cli(["search", "--expr", "Scaler >> (PrunedTree | LogRegGD)",
+                        "--synth", "blobs,60,0", "--max-trials", "8", "--seed", "0",
+                        "--best-out", str(out)]) == 0
+        assert _sha256(out.read_text()) == (
+            "e70181fc35180e87a0e9fd1acbd379276778a6caa1ad642e49fa3b0d99581176")
+
+
 # ---------------------------------------------------------------------------
 # The JSON writer against json.dumps(indent=2)
 
