@@ -3,8 +3,11 @@
 Exit codes: compile — 0 ok, 2 compile error, 3 parse error; validate — 0
 valid, 1 invalid, 2 unknown operator or bad input; grammar — 0 ok, 2
 grammar error, 3 parse error; search — 0 finished (even with failed
-trials), 4 no valid trial; render — 0 ok, 3 parse error. Any command that
-cannot write its --out, --best-out or --curve file exits 5 (output error).
+trials), 4 no valid trial; render — 0 ok, 3 parse error. A schema file
+that cannot be read or parsed is a parse error that names it (exit 2 for
+validate). Any command that cannot write its --out, --best-out or --curve
+file exits 5 (output error). JSON files are ``json.dumps(doc, indent=2)``
+text plus a newline.
 
 All randomness flows from explicit --seed flags (default 0). The schemas
 directory defaults to $LALEC_SCHEMA_PATH, then to the packaged fixtures.
@@ -15,13 +18,10 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 import tempfile
-from json.encoder import c_make_encoder, encode_basestring_ascii
 from pathlib import Path
-from typing import Any
 
 from . import optimizer as opt
 from . import pipeline_dsl as dsl
@@ -41,13 +41,10 @@ from .space_backends import CompileError, compile_space, flat_doc
 from .space_normalizer import NormalizeError
 
 
-def _schemas_dir(value):
-    if value:
-        return Path(value)
-    env = os.environ.get("LALEC_SCHEMA_PATH")
-    if env:
-        return Path(env)
-    return toyml.default_schemas_dir()
+def _registry(args) -> dict:
+    """The operators of --schemas, else of $LALEC_SCHEMA_PATH, else of the
+    packaged fixtures. A bad schema file raises SchemaError naming it."""
+    return toyml.load_registry(args.schemas or os.environ.get("LALEC_SCHEMA_PATH"))
 
 
 class OutputError(Exception):
@@ -75,69 +72,7 @@ def _write_text(path, text: str) -> None:
 
 
 def _write_json(path, doc) -> None:
-    _write_text(path, _indented_json(doc) + "\n")
-
-
-def _indented_json(doc) -> str:
-    """``json.dumps(doc, indent=2)``, the same text without the pure-Python
-    encoder that json falls back to for indented output. A container of
-    scalars is one call of json's C encoder, with the line break and
-    indentation of its depth as the item separator; other containers add
-    their own line breaks around their items."""
-    parts: list[str] = []
-    _json_parts(doc, "\n", parts)
-    return "".join(parts)
-
-
-_SCALARS = frozenset((str, int, float, bool, type(None)))
-_LITERALS = {True: "true", False: "false", None: "null"}
-_C_ENCODERS: dict[str, Any] = {}  # compact C encoders by item separator
-
-
-def _c_encode(value, separator: str) -> str:
-    """``json.dumps(value, separators=(separator, ": "))`` by json's C
-    encoder, built once per separator."""
-    encode = _C_ENCODERS.get(separator)
-    if encode is None:
-        encode = _C_ENCODERS[separator] = c_make_encoder(
-            None, json.JSONEncoder().default, encode_basestring_ascii, None, ": ", separator,
-            False, False, True)
-    return "".join(encode(value, 0))
-
-
-def _json_parts(value, newline: str, parts: list) -> None:
-    """Append the indented JSON of ``value``, whose first line is already
-    written and whose later lines start with ``newline``."""
-    kind = type(value)
-    if kind is str:
-        parts.append(encode_basestring_ascii(value))
-        return
-    if kind is float:
-        parts.append(float.__repr__(value) if math.isfinite(value) else _c_encode(value, ","))
-        return
-    if kind in _SCALARS:
-        parts.append(_LITERALS[value] if kind is bool or value is None else int.__repr__(value))
-        return
-    is_dict = isinstance(value, dict)
-    if not (is_dict or isinstance(value, (list, tuple))) or not value:
-        parts.append(_c_encode(value, ","))  # an empty container or a subclass
-        return
-    inner = newline + "  "
-    items = value.values() if is_dict else value
-    if _SCALARS.issuperset(map(type, items)):
-        text = _c_encode(value, "," + inner)
-        parts.append(text[0] + inner + text[1:-1] + newline + text[-1])
-        return
-    separator = ("{" if is_dict else "[") + inner
-    for item in (value.items() if is_dict else value):
-        parts.append(separator)
-        separator = "," + inner
-        if is_dict:
-            key, item = item
-            parts.append((encode_basestring_ascii(key) if type(key) is str
-                          else _c_encode({key: None}, ",")[1:-7]) + ": ")
-        _json_parts(item, inner, parts)
-    parts.append(newline + ("}" if is_dict else "]"))
+    _write_text(path, json.dumps(doc, indent=2) + "\n")
 
 
 def _read_source(path) -> str:
@@ -151,10 +86,9 @@ def _read_source(path) -> str:
         raise dsl.DslError(f"cannot read {path}: not UTF-8 text") from None
 
 
-def _load_pipeline(args, registry) -> Operator:
-    if getattr(args, "expr", None):
-        return dsl.parse_expr(args.expr, registry)
-    return dsl.parse_expr(_read_source(args.pipeline), registry)
+def _load_pipeline(args) -> Operator:
+    source = args.expr if args.expr is not None else _read_source(args.pipeline)
+    return dsl.parse_expr(source, _registry(args))
 
 
 def _add_pipeline_args(parser):
@@ -165,10 +99,9 @@ def _add_pipeline_args(parser):
 
 
 def cmd_compile(args) -> int:
-    registry = toyml.load_registry(_schemas_dir(args.schemas))
     try:
-        op = _load_pipeline(args, registry)
-    except (dsl.DslError, OperatorError) as exc:
+        op = _load_pipeline(args)
+    except (dsl.DslError, OperatorError, SchemaError) as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 3
     try:
@@ -190,8 +123,11 @@ def cmd_compile(args) -> int:
 def cmd_validate(args) -> int:
     from . import schema_model
 
-    registry = toyml.load_registry(_schemas_dir(args.schemas))
-    op = registry.get(args.op)
+    try:
+        op = _registry(args).get(args.op)
+    except SchemaError as exc:
+        print(f"parse error: {exc}", file=sys.stderr)
+        return 2
     if op is None:
         print(f"unknown operator {args.op!r}", file=sys.stderr)
         return 2
@@ -201,7 +137,7 @@ def cmd_validate(args) -> int:
             config = json.loads(raw)
         else:
             config = json.loads(Path(raw).read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # unreadable, not UTF-8 or not JSON
         print(f"bad config: {exc}", file=sys.stderr)
         return 2
     if not isinstance(config, dict):
@@ -246,10 +182,10 @@ def _config_value(value):
 
 
 def cmd_grammar(args) -> int:
-    registry = toyml.load_registry(_schemas_dir(args.schemas))
     try:
+        registry = _registry(args)
         grammar = dsl.parse_grammar(_read_source(args.grammar), registry)
-    except dsl.DslError as exc:
+    except (dsl.DslError, SchemaError) as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 3
     try:
@@ -274,10 +210,9 @@ def _load_dataset(args) -> toyml.LabeledDataset:
 
 
 def cmd_search(args) -> int:
-    registry = toyml.load_registry(_schemas_dir(args.schemas))
     try:
-        op = _load_pipeline(args, registry)
-    except (dsl.DslError, OperatorError) as exc:
+        op = _load_pipeline(args)
+    except (dsl.DslError, OperatorError, SchemaError) as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 3
     if args.folds < 2:
@@ -363,10 +298,9 @@ def operator_to_dot(op: Operator) -> str:
 
 
 def cmd_render(args) -> int:
-    registry = toyml.load_registry(_schemas_dir(args.schemas))
     try:
-        op = _load_pipeline(args, registry)
-    except (dsl.DslError, OperatorError) as exc:
+        op = _load_pipeline(args)
+    except (dsl.DslError, OperatorError, SchemaError) as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 3
     _write_text(args.out, operator_to_dot(op))

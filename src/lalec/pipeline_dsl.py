@@ -480,9 +480,6 @@ def _print_graph(nodes: list[int], pipeline) -> tuple[str, int]:
     for cut in range(1, len(order)):
         prefix, suffix = set(order[:cut]), set(order[cut:])
         crossing = [(i, j) for i, j in internal if i in prefix and j in suffix]
-        backward = [(i, j) for i, j in internal if i in suffix and j in prefix]
-        if backward:
-            continue
         prefix_sinks = {i for i in prefix
                         if not any(a == i and b in prefix for a, b in internal)}
         suffix_sources = {j for j in suffix

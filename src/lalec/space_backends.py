@@ -104,8 +104,7 @@ def _join(prefix: str, token: str) -> str:
     return token if not prefix else f"{prefix}__{token}"
 
 
-def combine(op: Operator, keep_constraints: bool = True,
-            limit: int = DEFAULT_BLOWUP_LIMIT) -> SearchIR:
+def combine(op: Operator, keep_constraints: bool = True) -> SearchIR:
     """Build the nested IR for a planned or trainable operator.
 
     The root is always a step map; bound hyperparameters disappear from
@@ -113,9 +112,9 @@ def combine(op: Operator, keep_constraints: bool = True,
     operator-valued bindings recurse with a reconstruction marker.
     """
     if isinstance(op, Pipeline):
-        return _combine_pipeline(op, "", keep_constraints, limit)
+        return _combine_pipeline(op, "", keep_constraints)
     token = _step_token(op, 0)
-    child = _combine_node(op, token, token, keep_constraints, limit)
+    child = _combine_node(op, token, token, keep_constraints)
     return StepMapIR("", ((token, child),), wrapper=True)
 
 
@@ -125,7 +124,7 @@ def _step_token(op: Operator, index: int) -> str:
     return f"step{index}"
 
 
-def _combine_pipeline(p: Pipeline, prefix: str, keep: bool, limit: int) -> StepMapIR:
+def _combine_pipeline(p: Pipeline, prefix: str, keep: bool) -> StepMapIR:
     raw = [_step_token(s, i) for i, s in enumerate(p.steps)]
     counts: dict[str, int] = {}
     for token in raw:
@@ -137,7 +136,7 @@ def _combine_pipeline(p: Pipeline, prefix: str, keep: bool, limit: int) -> StepM
             seen[token] = seen.get(token, 0) + 1
             token = f"{token}_{seen[token]}"
         path = _join(prefix, token)
-        steps.append((token, _combine_node(step, path, path, keep, limit)))
+        steps.append((token, _combine_node(step, path, path, keep)))
     return StepMapIR(prefix, tuple(steps), p.edges)
 
 
@@ -161,24 +160,24 @@ def _branch_values(alternatives) -> list[str]:
     return out
 
 
-def _combine_node(op: Operator, path: str, unique: str, keep: bool, limit: int) -> SearchIR:
+def _combine_node(op: Operator, path: str, unique: str, keep: bool) -> SearchIR:
     if isinstance(op, Individual):
-        return _combine_individual(op, path, unique, keep, limit)
+        return _combine_individual(op, path, unique, keep)
     if isinstance(op, Choice):
         values = _branch_values(op.alternatives)
         branches = []
         for value, alt in zip(values, op.alternatives):
-            branches.append((value, _combine_node(alt, path, _join(path, value), keep, limit)))
+            branches.append((value, _combine_node(alt, path, _join(path, value), keep)))
         return ChoiceIR(path, _join(path, "D"), tuple(branches))
     if isinstance(op, Pipeline):
-        return _combine_pipeline(op, path, keep, limit)
+        return _combine_pipeline(op, path, keep)
     raise TypeError(f"not an operator: {op!r}")
 
 
 _EMPTY_NF = NormalForm(({},))
 
 
-def _combine_individual(op: Individual, path: str, unique: str, keep: bool, limit: int) -> LeafIR:
+def _combine_individual(op: Individual, path: str, unique: str, keep: bool) -> LeafIR:
     from .operator_graph import LifecycleState
 
     if op.frozen_trainable or op.frozen_trained or op.state == LifecycleState.TRAINED:
@@ -187,7 +186,7 @@ def _combine_individual(op: Individual, path: str, unique: str, keep: bool, limi
     effective_op = op if keep else replace(op, schema=schema)
     declared = schema_model.declared_domains(op.schema)
     try:
-        nf = normalize(schema, declared, limit)
+        nf = normalize(schema, declared)
     except Exception as exc:
         raise CompileError(f"{op.name}: {exc}") from exc
     disjuncts = []
@@ -202,7 +201,7 @@ def _combine_individual(op: Individual, path: str, unique: str, keep: bool, limi
                         admitted = False
                         break
                     marker = _join(unique, name)
-                    nested = _combine_node(value, marker, marker, keep, limit)
+                    nested = _combine_node(value, marker, marker, keep)
                     out[name] = OpSlot(marker=marker, nested=nested)
                 elif _domain_admits(domain, value):
                     continue  # fixed value: contributes no dimension
@@ -844,6 +843,5 @@ class CompiledSpace:
         return decode(self.ir, self.pcs_model.decode_point(point))
 
 
-def compile_space(op: Operator, keep_constraints: bool = True,
-                  limit: int = DEFAULT_BLOWUP_LIMIT) -> CompiledSpace:
-    return CompiledSpace(op, combine(op, keep_constraints, limit))
+def compile_space(op: Operator, keep_constraints: bool = True) -> CompiledSpace:
+    return CompiledSpace(op, combine(op, keep_constraints))

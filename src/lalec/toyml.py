@@ -895,11 +895,17 @@ def default_schemas_dir() -> Path:
 
 
 def load_registry(schemas_dir=None) -> dict[str, Individual]:
-    """Build the operator registry from a directory of <Name>.schema.json files."""
+    """Build the operator registry from a directory of <Name>.schema.json files.
+    A file that cannot be read or parsed raises SchemaError naming it."""
     directory = Path(schemas_dir) if schemas_dir else default_schemas_dir()
     registry = {}
     for path in sorted(directory.glob("*.schema.json")):
         name = path.name[: -len(".schema.json")]
-        schema = schema_model.parse_schema(path.read_text(encoding="utf-8"))
+        try:
+            schema = schema_model.parse_schema(path.read_text(encoding="utf-8"))
+        except OSError as exc:
+            raise schema_model.SchemaError(f"{path}: {exc.strerror or exc}") from None
+        except (UnicodeDecodeError, schema_model.SchemaError) as exc:
+            raise schema_model.SchemaError(f"{path}: {exc}") from None
         registry[name] = Individual(name=name, schema=schema, impl=IMPL_BINDINGS.get(name))
     return registry

@@ -1,15 +1,13 @@
 import hashlib
 import json
-import math
 import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
 
-from lalec.cli import _indented_json, main, operator_to_dot
+from lalec.cli import main, operator_to_dot
 from lalec.operator_graph import configure, fit
 
 
@@ -94,6 +92,13 @@ class TestValidate:
     def test_bad_config_exit_2(self):
         assert run_cli(["validate", "--op", "LR", "--config", "{broken"]) == 2
 
+    def test_non_utf8_config_file_exit_2(self, tmp_path, capsys):
+        config = tmp_path / "c.json"
+        config.write_bytes(b'{"k": "\xff"}')
+        assert run_cli(["validate", "--op", "KNN", "--config", str(config)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("bad config: ") and "Traceback" not in err
+
     @pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity", "1" + "0" * 400])
     def test_non_finite_or_huge_integer_exit_1(self, value, capsys):
         assert run_cli(["validate", "--op", "KNN", "--config", f'{{"k": {value}}}']) == 1
@@ -168,6 +173,43 @@ class TestExitCodes:
 
 
 SEARCH = ["search", "--expr", "KNN", "--synth", "blobs,40,0", "--max-trials", "2"]
+
+
+class TestBadSchemaFile:
+    """A schema file that cannot be parsed or read is a parse error naming
+    the file, from --schemas or $LALEC_SCHEMA_PATH, not a traceback."""
+
+    @pytest.mark.parametrize("args,code", [
+        (["compile", "--expr", "KNN"], 3),
+        (["grammar", "unfold", "--grammar", GRAMMAR, "--depth", "1"], 3),
+        (["grammar", "sample", "--grammar", GRAMMAR, "--max-depth", "1"], 3),
+        (SEARCH, 3),
+        (["render", "--expr", "KNN"], 3),
+        (["validate", "--op", "KNN", "--config", "{}"], 2),
+    ], ids=["compile", "grammar-unfold", "grammar-sample", "search", "render", "validate"])
+    @pytest.mark.parametrize("content", [
+        b'{"type": "object", "properties": {"k": {"type": "string"}}}', b"{\xff}"],
+        ids=["unsupported", "binary"])
+    def test_parse_error_names_the_file(self, tmp_path, capsys, args, code, content):
+        path = tmp_path / "KNN.schema.json"
+        path.write_bytes(content)
+        assert run_cli(args + ["--schemas", str(tmp_path)]) == code
+        err = capsys.readouterr().err
+        assert err.startswith(f"parse error: {path}: ")
+        assert "Traceback" not in err
+
+    def test_unreadable_schema_file(self, tmp_path, capsys):
+        (tmp_path / "KNN.schema.json").mkdir()
+        assert run_cli(["compile", "--expr", "KNN", "--schemas", str(tmp_path)]) == 3
+        assert capsys.readouterr().err.startswith(
+            f"parse error: {tmp_path / 'KNN.schema.json'}: ")
+
+    def test_env_var_schemas_dir(self, tmp_path, monkeypatch, capsys):
+        path = tmp_path / "KNN.schema.json"
+        path.write_text('{"type": "object", "properties": {"k": {"type": "string"}}}')
+        monkeypatch.setenv("LALEC_SCHEMA_PATH", str(tmp_path))
+        assert run_cli(["validate", "--op", "KNN", "--config", "{}"]) == 2
+        assert capsys.readouterr().err.startswith(f"parse error: {path}: unsupported keyword")
 
 
 class TestOutputErrors:
@@ -395,49 +437,3 @@ class TestJsonArtifactsArePinned:
                         "--best-out", str(out)]) == 0
         assert _sha256(out.read_text()) == (
             "e70181fc35180e87a0e9fd1acbd379276778a6caa1ad642e49fa3b0d99581176")
-
-
-# ---------------------------------------------------------------------------
-# The JSON writer against json.dumps(indent=2)
-
-_JSON_SCALARS = st.one_of(
-    st.none(), st.booleans(), st.integers(-2**70, 2**70), st.text(max_size=4),
-    st.floats(allow_nan=True, allow_infinity=True),
-    st.sampled_from([-0.0, sys.float_info.max, math.inf, -math.inf, math.nan]))
-_JSON_DOCS = st.recursive(
-    _JSON_SCALARS,
-    lambda inner: st.one_of(
-        st.lists(inner, max_size=4), st.tuples(inner, inner),
-        st.dictionaries(st.one_of(st.text(max_size=3), st.integers(-3, 3), st.none(),
-                                  st.booleans(), st.floats(allow_nan=True)), inner, max_size=4)),
-    max_leaves=12)
-
-
-@st.composite
-def _histories(draw):
-    """Documents shaped as `search --out` writes them, failed trials' penalty
-    losses and infinite or NaN losses included."""
-    point = st.dictionaries(st.sampled_from(["step0__D", "knn__k", "logreggd__learningRate",
-                                             "s\u00e9l\"ect"]), _JSON_SCALARS, max_size=4)
-    trials = [{"index": i, "point": draw(point),
-               "loss": draw(st.sampled_from([0.25, sys.float_info.max, math.inf, math.nan]) |
-                            st.floats(0, 1)),
-               "status": draw(st.sampled_from(["valid", "invalidConfig", "runtimeError"])),
-               "elapsed": draw(st.floats(0, 1))}
-              for i in range(draw(st.integers(0, 6)))]
-    return {"seed": draw(st.integers(0, 2**31)), "spaceDigest": "ab" * 32,
-            "best": draw(st.none() | st.integers(0, 5)), "trials": trials}
-
-
-class TestIndentedJson:
-    @settings(max_examples=300, deadline=None)
-    @given(st.one_of(_histories(), _JSON_DOCS))
-    def test_same_text_as_json_dumps(self, doc):
-        assert _indented_json(doc) == json.dumps(doc, indent=2)
-
-    @pytest.mark.parametrize("doc", [{"a": {1, 2}}, [object()], {(1, 2): 0}, {"a": [b"x"]}])
-    def test_refuses_what_json_dumps_refuses(self, doc):
-        with pytest.raises(TypeError):
-            json.dumps(doc, indent=2)
-        with pytest.raises(TypeError):
-            _indented_json(doc)

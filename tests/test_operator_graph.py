@@ -1,6 +1,7 @@
 import copy
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -80,10 +81,12 @@ class TestCombinators:
             choose([ops["KNN"]])
 
     def test_acyclicity_enforced(self, ops):
-        with pytest.raises(og.OperatorError):
-            Pipeline((ops["NoOp"], ops["KNN"]), ((0, 1), (1, 0)))
-        with pytest.raises(og.OperatorError):
-            Pipeline((ops["NoOp"],), ((0, 3),))
+        # Steps are listed in topological order, so every edge runs forward;
+        # a backward edge is refused even where the graph has no cycle.
+        for edges, named in [(((0, 1), (1, 0)), "(1, 0)"), (((1, 0),), "(1, 0)"),
+                             (((0, 0),), "(0, 0)"), (((0, 3),), "(0, 3)")]:
+            with pytest.raises(og.OperatorError, match=re.escape(f"edge {named}")):
+                Pipeline((ops["KNN"], ops["NoOp"]), edges)
 
     def test_no_mutation(self, ops):
         x = configure(ops["KNN"], {"k": 3})
