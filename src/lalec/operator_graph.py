@@ -11,6 +11,7 @@ captured); each step of the way unlocks more functionality.
 from __future__ import annotations
 
 import enum
+import functools
 import hashlib
 import time
 from dataclasses import dataclass, field, replace
@@ -333,6 +334,17 @@ class ToyImplementation:
 
     ``budget``, when set, names the hyperparameter that counts a fit's
     steps; ``fit_predict_many`` shares a fit call's time by it.
+
+    ``share``, when set, is work that depends only on a problem and on the
+    hyperparameters named in ``share_by``: ``share(config, X, y)`` gets
+    ``config`` cut down to those names. ``fit_predict_many`` then gives
+    each problem a third item, ``shared``, a function of no arguments that
+    returns ``share``'s result on that problem; ``fit`` calls it instead
+    of doing the work, and must give the same artifacts with or without
+    it. The result is kept in the store as long as the store lives and
+    handed to every fit that asks for it, so ``fit`` must never change it.
+    PrunedTree's grown tree depends on ``maxDepth`` and ``R``, and only
+    its pruning on ``C``.
     """
 
     name: str
@@ -340,6 +352,8 @@ class ToyImplementation:
     fit: Callable[..., list[list[Any]]]
     apply: Callable[[Any, Any], Any]
     budget: str | None = None
+    share: Callable[[Mapping[str, Any], Any, Any], Any] | None = None
+    share_by: tuple[str, ...] = ()
 
 
 IMPLEMENTATIONS: dict[str, ToyImplementation] = {}
@@ -422,6 +436,12 @@ def fit_predict_many(ops, datasets, held_out, store: dict) -> list:
     so its successors are stored. A fit or map that raises stores nothing.
     Stored arrays are read-only views, so an implementation that writes
     into its input fails instead of corrupting later calls.
+
+    A step whose implementation has a ``share`` hook, final or not, gets
+    the hook's result on problem i from the store, under ``(impl,
+    canonical config cut to share_by, (input key, i))``. It is computed
+    the first time a fit asks for it, so a fit that raises before it asks
+    stores nothing. Steps whose input has no key share nothing.
     """
     Xs = [np.asarray(data.X, dtype=float) for data in datasets]
     Xs += [np.asarray(X, dtype=float) for X in held_out]
@@ -591,7 +611,7 @@ def _score_step(op: Individual, Xs, ys, key, store: dict, final: list | None):
         artifacts, entry_key = [op.artifacts] * n, None
     else:
         config = effective_config(op)
-        job = config, list(zip(Xs, ys)), key
+        job = config, _problems(impl, config, Xs, ys, key, store), key
         if final is not None:
             steps = config.get(impl.budget) if impl.budget is not None else 1
             weight = float(steps) if type(steps) is int and steps > 0 else 0.0
@@ -606,6 +626,30 @@ def _score_step(op: Individual, Xs, ys, key, store: dict, final: list | None):
     if entry_key is not None:
         store[entry_key] = entry
     return entry
+
+
+def _problems(impl: ToyImplementation, config, Xs, ys, key, store: dict) -> list:
+    """The ``(X, y)`` problems of a step's job, each with a third item,
+    its ``shared`` function, when the implementation has a ``share`` hook
+    and ``_store_key`` gives an entry key. Problem i's ``shared`` keeps
+    the hook's result in ``store`` under the entry key with ``(key, i)``
+    as its input key, which never equals a content key."""
+    problems = list(zip(Xs, ys))
+    if impl.share is None:
+        return problems
+    named = {name: config[name] for name in impl.share_by if name in config}
+    entry_key = _store_key(impl.name, named, key)
+    if entry_key is None:
+        return problems
+    return [(X, y, functools.partial(_shared, store, entry_key[:2] + ((key, i),),
+                                     impl.share, named, X, y))
+            for i, (X, y) in enumerate(problems)]
+
+
+def _shared(store: dict, entry_key, share, named, X, y):
+    if entry_key not in store:
+        store[entry_key] = share(named, X, y)
+    return store[entry_key]
 
 
 def _store_key(impl_name: str, config, key):

@@ -455,11 +455,16 @@ def emit_grid(ir: SearchIR, cont_samples: int = 1, seed: int = 0,
                 values = []
                 if domain.default is not schema_model.MISSING:
                     values.append(domain.default)
+                # Keys with scalar_eq's equality: 1 == 1.0 and -0.0 == 0.0,
+                # but a bool only equals a bool. Ranges admit no NaN.
+                seen = {(isinstance(v, bool), v) for v in values}
                 log = domain.prior.kind == "loguniform"
                 for _ in range(cont_samples):
                     draw = _draw_cont(rng, domain.lo, domain.hi, domain.lo_open, domain.hi_open,
                                       domain.integer_valued, log, domain.prior.quantization)
-                    if not any(schema_model.scalar_eq(draw, v) for v in values):
+                    key = isinstance(draw, bool), draw
+                    if key not in seen:
+                        seen.add(key)
                         values.append(draw)
                 params[name] = values
         disjuncts.append({"params": params})

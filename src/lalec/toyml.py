@@ -217,7 +217,8 @@ def _fit_logreg(jobs):
     problems' inputs have one content ``key`` and whose problems share
     their label arrays run as one descent, which records its weights at
     each of their counts. A job without a key, or with a configuration
-    that is not exact JSON, descends alone. Nothing is kept between calls.
+    that is not exact JSON, descends alone. Between calls, only the sgd
+    rows of the last row count are kept (``_sgd_rows``).
     """
     # Per (solver, penalty), one descent per run: [problems with a bias
     # column and 0/1 target rows, lr, counts, raw weights by count].
@@ -297,6 +298,25 @@ def _draw_rows(rng: random.Random, n: int, count: int) -> np.ndarray:
     return rows[:count]
 
 
+# The longest sgd rows drawn so far for the last row count: (n, rows).
+_sgd_rows_memo = (0, np.empty(0, dtype=np.int64))
+
+
+def _sgd_rows(n: int, count: int) -> np.ndarray:
+    """``_draw_rows(random.Random(13), n, count)``, read-only. Rows for a
+    count are a prefix of rows for a larger one, so the longest rows drawn
+    for the last n serve every count up to theirs; a new n or a longer
+    count draws afresh and replaces them, so what is kept is never more
+    than one call draws."""
+    global _sgd_rows_memo
+    last_n, rows = _sgd_rows_memo
+    if last_n != n or len(rows) < count:
+        rows = _draw_rows(random.Random(13), n, count)
+        rows.flags.writeable = False
+        _sgd_rows_memo = n, rows
+    return rows[:count]
+
+
 # The floats (and row indices) one block of gathered sgd rows may hold, over
 # all the descents of one lockstep; one step's batches are gathered even if
 # they alone hold more.
@@ -312,8 +332,8 @@ def _logreg_descent(descents, penalty, solver):
     problem, with its own learning rate; all descents share the penalty
     and the solver. Every descent's weights are those it would reach alone:
     a step depends only on the weights, the data, lr and penalty, and the
-    sgd rows of a problem of n rows are drawn once, for the longest
-    descent, since fewer rows are a prefix of more (see ``_draw_rows``).
+    sgd rows of a problem of n rows are taken once, for the longest
+    descent, since fewer rows are a prefix of more (see ``_sgd_rows``).
     """
     # Seeded search histories depend on these weights bit for bit, so every
     # step of every descent computes
@@ -363,7 +383,7 @@ def _logreg_descent(descents, penalty, solver):
             n, d = Xb.shape
             batch = max(1, n // 4) if sgd else n
             if sgd and n not in rows:
-                rows[n] = _draw_rows(random.Random(13), n, counts[-1] * batch)
+                rows[n] = _sgd_rows(n, counts[-1] * batch)
             steps = rows[n][:counts[-1] * batch].reshape(counts[-1], batch) if sgd else None
             problems.append((Xb, steps, batch, d))
             for target in T:
@@ -553,39 +573,64 @@ def _wilson_upper(errors, n, z) -> float:
 
 
 def _prune_pessimistic(node, z):
-    if "feature" not in node:
-        return node
-    node["left"] = _prune_pessimistic(node["left"], z)
-    node["right"] = _prune_pessimistic(node["right"], z)
-    n = int(node["counts"].sum())
-    leaf_errors = n - int(node["counts"].max())
-    subtree = _subtree_pessimistic(node, z)
-    if _wilson_upper(leaf_errors, n, z) * n <= subtree + 1e-12:
-        return {"counts": node["counts"], "label": node["label"]}
-    return node
-
-
-def _subtree_pessimistic(node, z) -> float:
+    """The tree pruned bottom-up by C4.5's pessimistic error at ``z``, and
+    its pessimistic error: a subtree becomes a leaf when the leaf's error is
+    at most the sum of its pruned children's. Kept nodes are new, so
+    ``node`` is left as it is."""
     if "feature" not in node:
         n = int(node["counts"].sum())
-        return _wilson_upper(n - int(node["counts"].max()), n, z) * n
-    return _subtree_pessimistic(node["left"], z) + _subtree_pessimistic(node["right"], z)
+        return node, _wilson_upper(n - int(node["counts"].max()), n, z) * n
+    left, left_error = _prune_pessimistic(node["left"], z)
+    right, right_error = _prune_pessimistic(node["right"], z)
+    n = int(node["counts"].sum())
+    leaf_error = _wilson_upper(n - int(node["counts"].max()), n, z) * n
+    subtree = left_error + right_error
+    if leaf_error <= subtree + 1e-12:
+        return {"counts": node["counts"], "label": node["label"]}, leaf_error
+    return {**node, "left": left, "right": right}, subtree
 
 
 def _prune_reduced_error(node, X, y):
+    """The tree pruned bottom-up on the held-out rows ``(X, y)``: a subtree
+    becomes a leaf when the leaf makes no more errors on the rows that
+    reach it. Kept nodes are new, so ``node`` is left as it is."""
     if "feature" not in node or len(y) == 0:
         return node
     mask = X[:, node["feature"]] <= node["threshold"]
-    node["left"] = _prune_reduced_error(node["left"], X[mask], y[mask])
-    node["right"] = _prune_reduced_error(node["right"], X[~mask], y[~mask])
-    subtree_errors = int((_tree_predict(node, X) != y).sum())
+    pruned = {**node, "left": _prune_reduced_error(node["left"], X[mask], y[mask]),
+              "right": _prune_reduced_error(node["right"], X[~mask], y[~mask])}
+    subtree_errors = int((_tree_predict(pruned, X) != y).sum())
     leaf_errors = int((y != node["label"]).sum())
     if leaf_errors <= subtree_errors:
         return {"counts": node["counts"], "label": node["label"]}
-    return node
+    return pruned
 
 
-def _fit_pruned_tree(config, X, y):
+def _reduced_error_rows(n: int):
+    """The (grow, hold-out) row indices of reduced-error pruning on n >= 8
+    rows: a fixed shuffle, with a quarter held out."""
+    order = list(range(n))
+    random.Random(29).shuffle(order)
+    cut = max(1, n // 4)
+    return np.array(order[cut:], dtype=int), np.array(order[:cut], dtype=int)
+
+
+def _grow_unpruned(config, X, y):
+    """The tree a PrunedTree fit prunes, which depends only on the data,
+    ``maxDepth`` and ``R``: grown on every row, or for reduced-error
+    pruning of at least 8 rows on the rows ``_reduced_error_rows`` keeps
+    for growing. PrunedTree's ``share`` hook."""
+    X = _matrix(X)
+    y = np.asarray(y, dtype=int)
+    max_depth = int(config.get("maxDepth", 6))
+    n_classes = int(y.max()) + 1
+    if bool(config.get("R", False)) and len(y) >= 8:
+        grow_idx, _ = _reduced_error_rows(len(y))
+        X, y = X[grow_idx], y[grow_idx]
+    return _grow_tree(X, y, n_classes, 0, max_depth)
+
+
+def _fit_pruned_tree(config, X, y, shared=None):
     X = _matrix(X)
     y = np.asarray(y, dtype=int)
     reduced_error = bool(config.get("R", False))
@@ -596,22 +641,15 @@ def _fit_pruned_tree(config, X, y):
         raise ConstraintTrap(
             f"reduced-error pruning requires confidence 0.25, got {confidence!r}"
         )
-    max_depth = int(config.get("maxDepth", 6))
-    n_classes = int(y.max()) + 1
-    if reduced_error and len(y) >= 8:
-        order = list(range(len(y)))
-        random.Random(29).shuffle(order)
-        cut = max(1, len(y) // 4)
-        grow_idx = np.array(order[cut:], dtype=int)
-        hold_idx = np.array(order[:cut], dtype=int)
-        tree = _grow_tree(X[grow_idx], y[grow_idx], n_classes, 0, max_depth)
-        tree = _prune_reduced_error(tree, X[hold_idx], y[hold_idx])
+    tree = shared() if shared is not None else _grow_unpruned(config, X, y)
+    if reduced_error:
+        if len(y) >= 8:
+            _, hold_idx = _reduced_error_rows(len(y))
+            tree = _prune_reduced_error(tree, X[hold_idx], y[hold_idx])
     else:
-        tree = _grow_tree(X, y, n_classes, 0, max_depth)
-        if not reduced_error:
-            z = NormalDist().inv_cdf(1.0 - min(max(float(confidence), 1e-6), 0.499999))
-            tree = _prune_pessimistic(tree, z)
-    return {"tree": tree, "n_classes": n_classes}
+        z = NormalDist().inv_cdf(1.0 - min(max(float(confidence), 1e-6), 0.499999))
+        tree, _ = _prune_pessimistic(tree, z)
+    return {"tree": tree, "n_classes": int(y.max()) + 1}
 
 
 def _apply_tree(artifacts, X):
@@ -688,9 +726,11 @@ def _apply_boosted(artifacts, X):
 
 def _each(fit_one):
     """A ``ToyImplementation.fit`` that fits every problem of every job
-    alone with ``fit_one(config, X, y)``."""
+    alone with ``fit_one(config, X, y)``, or ``fit_one(config, X, y,
+    shared)`` for a problem that has a ``shared`` item."""
     def fit(jobs):
-        return [[fit_one(config, X, y) for X, y in problems] for config, problems, _ in jobs]
+        return [[fit_one(config, *problem) for problem in problems]
+                for config, problems, _ in jobs]
     return fit
 
 
@@ -706,7 +746,8 @@ for _impl in (
     ToyImplementation("knn", "estimator", _each(_fit_knn), _apply_knn),
     ToyImplementation("logreg_gd", "estimator", _fit_logreg, _apply_logreg,
                       budget="iterations"),
-    ToyImplementation("pruned_tree", "estimator", _each(_fit_pruned_tree), _apply_tree),
+    ToyImplementation("pruned_tree", "estimator", _each(_fit_pruned_tree), _apply_tree,
+                      share=_grow_unpruned, share_by=("maxDepth", "R")),
     ToyImplementation("decision_stump", "estimator", _each(_fit_stump), _apply_tree),
     ToyImplementation("boosted_ensemble", "estimator", _each(_fit_boosted), _apply_boosted),
 ):
@@ -809,8 +850,9 @@ class CvSplits(list):
     """The (train subset, test X, test y) parts of one split of a dataset,
     in fold order, and the store of the pipelines scored on them, which
     lives as long as the splits: at most one transformed copy of the folds
-    per distinct non-final step and input (see
-    ``operator_graph.fit_predict_many``)."""
+    per distinct non-final step and input, and each implementation's
+    ``share`` results, such as one grown PrunedTree per fold and distinct
+    input, ``maxDepth`` and ``R`` (see ``operator_graph.fit_predict_many``)."""
 
     def __init__(self, parts):
         super().__init__(parts)

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from lalec import toyml
@@ -27,3 +28,14 @@ def probe_lattice(lo, hi, points=17):
     inner = [lo + i * (hi - lo) / (points - 1) for i in range(1, points - 1)]
     delta = (hi - lo) * 1e-6
     return [lo + delta] + inner + [hi - delta]
+
+
+def tree_shape(node):
+    """(feature, threshold bits, counts, label) of every node, preorder."""
+    out = [(node.get("feature"),
+            None if "threshold" not in node else np.float64(node["threshold"]).tobytes(),
+            node["counts"].tolist(), node["label"])]
+    if "feature" in node:
+        assert type(node["feature"]) is int and type(node["threshold"]) is float
+        out += tree_shape(node["left"]) + tree_shape(node["right"])
+    return out

@@ -7,10 +7,15 @@ objective before it kept the loss of each point it scored; tests check that
 searches under both give the same histories. `reference_cross_val_score` is
 the cross-validation score with every fold fitted alone and nothing
 stored; tests check that both give the same scores, or raise the same
-exception type. The range predicates and
+exception type. `reference_fit_pruned_tree` is PrunedTree's fit as it
+pruned the tree it had just grown in place; tests check that fits pruning
+grown trees kept in a store give the same trees. The range predicates and
 continuous draws below are the copies the library had before
 `schema_model.in_range` and `space_backends._draw_cont` replaced them;
 tests check that the replacements give the same answers and the same draws.
+`reference_grid_params` is emit_grid with those draws and a scan of the
+values kept so far for an equal one; tests check that emit_grid keeps the
+same values.
 `to_schema` rebuilds a schema from a normal form; tests check that
 normalizing it again accepts the same configurations.
 `reference_exact_json_key` is the memo key as the sorted JSON of a mapping;
@@ -25,6 +30,8 @@ across encodings.
 
 import json
 import math
+import random
+from statistics import NormalDist
 
 import numpy as np
 
@@ -223,6 +230,72 @@ def reference_cross_val_score(op, splits) -> float:
 
 
 # ---------------------------------------------------------------------------
+# Pruned trees
+
+
+def reference_fit_pruned_tree(config, X, y):
+    """PrunedTree's fit as one growth and a pruning that rewrites the grown
+    tree's own nodes, so nothing of it can be shared."""
+    X = np.asarray(X, dtype=float)
+    y = np.asarray(y, dtype=int)
+    reduced_error = bool(config.get("R", False))
+    confidence = config.get("C", 0.25)
+    if reduced_error and confidence != 0.25:
+        raise toyml.ConstraintTrap(
+            f"reduced-error pruning requires confidence 0.25, got {confidence!r}")
+    max_depth = int(config.get("maxDepth", 6))
+    n_classes = int(y.max()) + 1
+    if reduced_error and len(y) >= 8:
+        order = list(range(len(y)))
+        random.Random(29).shuffle(order)
+        cut = max(1, len(y) // 4)
+        grow_idx = np.array(order[cut:], dtype=int)
+        hold_idx = np.array(order[:cut], dtype=int)
+        tree = toyml._grow_tree(X[grow_idx], y[grow_idx], n_classes, 0, max_depth)
+        tree = _reference_prune_reduced_error(tree, X[hold_idx], y[hold_idx])
+    else:
+        tree = toyml._grow_tree(X, y, n_classes, 0, max_depth)
+        if not reduced_error:
+            z = NormalDist().inv_cdf(1.0 - min(max(float(confidence), 1e-6), 0.499999))
+            tree = _reference_prune_pessimistic(tree, z)
+    return {"tree": tree, "n_classes": n_classes}
+
+
+def _reference_prune_pessimistic(node, z):
+    if "feature" not in node:
+        return node
+    node["left"] = _reference_prune_pessimistic(node["left"], z)
+    node["right"] = _reference_prune_pessimistic(node["right"], z)
+    n = int(node["counts"].sum())
+    leaf_errors = n - int(node["counts"].max())
+    subtree = _reference_subtree_pessimistic(node, z)
+    if toyml._wilson_upper(leaf_errors, n, z) * n <= subtree + 1e-12:
+        return {"counts": node["counts"], "label": node["label"]}
+    return node
+
+
+def _reference_subtree_pessimistic(node, z) -> float:
+    if "feature" not in node:
+        n = int(node["counts"].sum())
+        return toyml._wilson_upper(n - int(node["counts"].max()), n, z) * n
+    return (_reference_subtree_pessimistic(node["left"], z)
+            + _reference_subtree_pessimistic(node["right"], z))
+
+
+def _reference_prune_reduced_error(node, X, y):
+    if "feature" not in node or len(y) == 0:
+        return node
+    mask = X[:, node["feature"]] <= node["threshold"]
+    node["left"] = _reference_prune_reduced_error(node["left"], X[mask], y[mask])
+    node["right"] = _reference_prune_reduced_error(node["right"], X[~mask], y[~mask])
+    subtree_errors = int((toyml._tree_predict(node, X) != y).sum())
+    leaf_errors = int((y != node["label"]).sum())
+    if leaf_errors <= subtree_errors:
+        return {"counts": node["counts"], "label": node["label"]}
+    return node
+
+
+# ---------------------------------------------------------------------------
 # Range admission
 
 
@@ -353,6 +426,25 @@ def reference_pcs_sample(space, rng):
             else:
                 point[name] = rng.uniform(param.lo, param.hi)
     return point
+
+
+def reference_grid_params(compiled, cont_samples, seed):
+    """emit_grid's values before the one draw body, drawn from domain
+    documents built per flat row, and kept unless an equal value
+    (``scalar_eq``) was kept before, found by scanning them."""
+    rng = random.Random(seed)
+    out = []
+    for row in compiled.flat():
+        params = {}
+        for name, domain in row.items():
+            values = [] if domain.default is MISSING else [domain.default]
+            for _ in range(cont_samples):
+                draw = reference_draw_cont_doc(reference_domain_doc(domain), rng)
+                if not any(sm.scalar_eq(draw, v) for v in values):
+                    values.append(draw)
+            params[name] = values
+        out.append(params)
+    return out
 
 
 # ---------------------------------------------------------------------------

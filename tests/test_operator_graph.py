@@ -26,6 +26,7 @@ from lalec.operator_graph import (
     sources,
     state_of,
 )
+from conftest import tree_shape
 from oracles import graph_isomorphic, reference_best_effort_defaults, reference_cross_val_score
 
 
@@ -520,6 +521,94 @@ class TestFitEach:
         for fitted in (op, pipe(op, configure(registry["KNN"], {}))):
             with pytest.raises(og.OperatorError, match="artifacts present iff state is Trained"):
                 fit(fitted, blobs)
+
+
+# ---------------------------------------------------------------------------
+# Work a share hook declares, kept in the store
+
+
+def _tree(registry, config):
+    """A PrunedTree configured without the schema's side constraint, so
+    that R with C != 0.25 reaches the fit and traps."""
+    from lalec.space_normalizer import drop_constraints
+
+    tree = registry["PrunedTree"]
+    return configure(dataclasses.replace(tree, schema=drop_constraints(tree.schema)), config)
+
+
+def _counting_growths(monkeypatch):
+    """Record the row count of every tree grown from its root."""
+    grown, grow = [], toyml._grow_tree
+
+    def counted(X, y, n_classes, depth, max_depth):
+        if depth == 0:
+            grown.append(len(y))
+        return grow(X, y, n_classes, depth, max_depth)
+
+    monkeypatch.setattr(toyml, "_grow_tree", counted)
+    return grown
+
+
+def _kept_trees(store):
+    return {key: value for key, value in store.items() if key and key[0] == "pruned_tree"}
+
+
+class TestSharedWorkStore:
+    def test_trapped_configuration_leaves_the_store_unchanged(self, registry, blobs, xor_data):
+        datasets, held_out = [blobs, xor_data], [blobs.X, xor_data.X]
+        trapped = _tree(registry, {"R": True, "C": 0.4})
+        for warm in (False, True):
+            store = {}
+            if warm:
+                og.fit_predict_many([_tree(registry, {"C": 0.1})], datasets, held_out, store)
+                assert len(_kept_trees(store)) == 2
+            before = dict(store)
+            [(outcome, _)] = og.fit_predict_many([trapped], datasets, held_out, store)
+            assert isinstance(outcome, toyml.ConstraintTrap)
+            # Only the splits' own key, under (), may be new.
+            assert store.keys() - {()} == before.keys() - {()}
+            assert all(store[key] is value for key, value in before.items())
+
+    def test_pruning_leaves_the_grown_tree_as_grown(self, registry, blobs, xor_data,
+                                                    monkeypatch):
+        datasets, held_out = [blobs, xor_data], [blobs.X, xor_data.X]
+        fresh = [tree_shape(toyml._grow_tree(d.X, d.y, 2, 0, 5)) for d in datasets]
+        grown = _counting_growths(monkeypatch)
+        store, predictions = {}, []
+        for confidence in (0.1, 0.45, 0.1):
+            op = _tree(registry, {"maxDepth": 5, "C": confidence})
+            [(outcome, _)] = og.fit_predict_many([op], datasets, held_out, store)
+            predictions.append([p.tolist() for p in outcome])
+            assert predictions[-1] == [predict(fit(op, d), d.X).tolist() for d in datasets]
+            kept = _kept_trees(store)
+            assert len(kept) == 2
+            for (_, _, (_, i)), tree in kept.items():
+                assert tree_shape(tree) == fresh[i]
+        assert predictions[0] == predictions[2]
+        # One growth per fold for the three calls on the store, and one per
+        # plain fit beside them.
+        assert grown[:2] == [len(blobs.y), len(xor_data.y)]
+        assert len(grown) == 2 + 3 * 2
+
+    def test_input_without_a_key_shares_nothing(self, registry, blobs, xor_data, monkeypatch):
+        # A step whose outputs are lists gives them no content key, so the
+        # tree after it has no input key and grows on every call.
+        monkeypatch.setitem(og.IMPLEMENTATIONS, "as_lists", og.ToyImplementation(
+            "as_lists", "transformer", fit=lambda jobs: [[{}] * len(p) for _, p, _ in jobs],
+            apply=lambda artifacts, X: np.asarray(X).tolist()))
+        as_lists = dataclasses.replace(configure(registry["NoOp"], {}), impl="as_lists")
+        grown = _counting_growths(monkeypatch)
+        datasets, held_out = [blobs, xor_data], [blobs.X, xor_data.X]
+        store = {}
+        outcomes = [og.fit_predict_many([pipe(as_lists, _tree(registry, {"C": c}))],
+                                        datasets, held_out, store)[0][0] for c in (0.1, 0.1)]
+        assert outcomes[0][0].tolist() == outcomes[1][0].tolist()
+        assert len(grown) == 4
+        assert not _kept_trees(store)
+        # A plain fit has no store at all, and grows on every call.
+        for _ in range(2):
+            fit(_tree(registry, {"C": 0.1}), blobs)
+        assert len(grown) == 6
 
 
 # ---------------------------------------------------------------------------

@@ -40,7 +40,12 @@ from lalec.space_normalizer import (
 )
 
 from conftest import probe_lattice
-from oracles import default_point, reference_domain_doc, reference_draw_cont_doc, reference_pcs_sample
+from oracles import (
+    default_point,
+    reference_draw_cont_doc,
+    reference_grid_params,
+    reference_pcs_sample,
+)
 
 
 @pytest.fixture(scope="module")
@@ -615,6 +620,36 @@ def range_operators(draw):
     return og.Individual("Ranges", sm.parse_schema({"type": "object", "properties": props}))
 
 
+@st.composite
+def crowded_range_operators(draw):
+    """An operator of one or two numeric ranges with at most seven values,
+    so that most of many draws equal one drawn before: narrow integer
+    ranges and real ranges a few quantization steps wide, uniform or
+    loguniform, with a default or without (on an integer range, an int or
+    an integral float)."""
+    props = {}
+    for i in range(draw(st.integers(1, 2))):
+        integer, log = draw(st.booleans()), draw(st.booleans())
+        if integer:
+            lo = draw(st.integers(1 if log else -5, 10))
+            hi = lo + draw(st.integers(0, 6))
+            middle = (lo + hi) // 2
+            default = draw(st.sampled_from([middle, float(middle)]))
+        else:
+            q = draw(st.floats(0.05, 5.0))
+            lo = draw(st.floats(1e-2 if log else -10.0, 10.0))
+            hi = lo + q * draw(st.integers(1, 6))
+            default = (lo + hi) / 2
+        doc = {"type": "integer" if integer else "number", "minimum": lo, "maximum": hi,
+               "distribution": "loguniform" if log else "uniform"}
+        if not integer:
+            doc["quantization"] = q
+        if draw(st.booleans()):
+            doc["default"] = default
+        props[f"p{i}"] = doc
+    return og.Individual("Crowded", sm.parse_schema({"type": "object", "properties": props}))
+
+
 def bits(value):
     """A value's type and exact bits."""
     return type(value).__name__, value.hex() if isinstance(value, float) else value
@@ -635,24 +670,6 @@ def reference_sample_space(doc, rng):
     return point
 
 
-def reference_grid_params(compiled, cont_samples, seed):
-    """emit_grid's values before the one draw body, drawn from domain
-    documents built per flat row."""
-    rng = random.Random(seed)
-    out = []
-    for row in compiled.flat():
-        params = {}
-        for name, domain in row.items():
-            values = [] if domain.default is sm.MISSING else [domain.default]
-            for _ in range(cont_samples):
-                draw = reference_draw_cont_doc(reference_domain_doc(domain), rng)
-                if not any(sm.scalar_eq(draw, v) for v in values):
-                    values.append(draw)
-            params[name] = values
-        out.append(params)
-    return out
-
-
 class TestOneDrawBody:
     """sample_space, emit_grid and PcsSpace.sample against the draws they
     made before they shared one draw body: the same values, of the same type
@@ -667,9 +684,8 @@ class TestOneDrawBody:
             assert point_bits(sample_space(doc, new)) == point_bits(reference_sample_space(doc, old))
         assert new.getstate() == old.getstate()
 
-    @settings(max_examples=150, deadline=None)
-    @given(op=range_operators(), seed=st.integers(0, 2**32), cont_samples=st.integers(1, 6))
-    def test_grid_values(self, op, seed, cont_samples):
+    @staticmethod
+    def _same_grid_values(op, seed, cont_samples):
         compiled = compile_space(op)
         grid = compiled.grid(cont_samples, seed)
         new = [{name: [bits(v) for v in values] for name, values in d["params"].items()}
@@ -677,6 +693,19 @@ class TestOneDrawBody:
         old = [{name: [bits(v) for v in values] for name, values in params.items()}
                for params in reference_grid_params(compiled, cont_samples, seed)]
         assert new == old
+
+    @settings(max_examples=150, deadline=None)
+    @given(op=range_operators(), seed=st.integers(0, 2**32), cont_samples=st.integers(1, 6))
+    def test_grid_values(self, op, seed, cont_samples):
+        self._same_grid_values(op, seed, cont_samples)
+
+    @settings(max_examples=150, deadline=None)
+    @given(op=crowded_range_operators(), seed=st.integers(0, 2**32),
+           cont_samples=st.integers(1, 60))
+    def test_grid_values_of_crowded_ranges(self, op, seed, cont_samples):
+        # Most draws repeat a kept value, so the set lookup that replaced
+        # the scan decides almost every draw.
+        self._same_grid_values(op, seed, cont_samples)
 
     @settings(max_examples=150, deadline=None)
     @given(op=range_operators(), seed=st.integers(0, 2**32), count=st.integers(1, 6))

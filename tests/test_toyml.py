@@ -2,6 +2,7 @@ import dataclasses
 import functools
 import math
 import random
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -21,7 +22,8 @@ from lalec.toyml import (
     synth_dataset,
 )
 
-from oracles import reference_cross_val_score
+from conftest import tree_shape
+from oracles import reference_cross_val_score, reference_fit_pruned_tree
 
 
 class TestDatasets:
@@ -378,17 +380,6 @@ def reference_apply_knn(artifacts, X):
     return votes.argmax(axis=1)
 
 
-def tree_shape(node):
-    """(feature, threshold bits, counts, label) of every node, preorder."""
-    out = [(node.get("feature"),
-            None if "threshold" not in node else np.float64(node["threshold"]).tobytes(),
-            node["counts"].tolist(), node["label"])]
-    if "feature" in node:
-        assert type(node["feature"]) is int and type(node["threshold"]) is float
-        out += tree_shape(node["left"]) + tree_shape(node["right"])
-    return out
-
-
 def _adjacent_pair_values():
     # Pairs of neighbouring floats: their midpoint rounds onto one of the two,
     # and onto the upper one for about half of them.
@@ -505,6 +496,28 @@ class TestReferenceOracles:
         a, b = sorted((a, b))
         shorter = toyml._draw_rows(random.Random(13), n, a)
         assert shorter.tolist() == toyml._draw_rows(random.Random(13), n, b)[:a].tolist()
+
+    @given(st.lists(st.tuples(st.one_of(st.integers(1, 300), st.sampled_from([1, 2, 3, 64])),
+                              st.integers(0, 3000)), min_size=1, max_size=12))
+    @settings(max_examples=150, deadline=None)
+    def test_kept_sgd_rows_equal_fresh_draws(self, requests):
+        # Any sequence of (n, count) requests, with counts rising and
+        # falling and n changing or not, gives what a fresh draw gives.
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(toyml, "_sgd_rows_memo", (0, np.empty(0, dtype=np.int64)))
+            for n, count in requests:
+                got = toyml._sgd_rows(n, count)
+                assert not got.flags.writeable
+                assert got.tolist() == toyml._draw_rows(random.Random(13), n, count).tolist()
+            last_n, kept = toyml._sgd_rows_memo
+        # What is kept is the rows of the last n and no more than its
+        # longest request since n last changed.
+        run = []
+        for n, count in reversed(requests):
+            if n != last_n:
+                break
+            run.append(count)
+        assert last_n == requests[-1][0] and len(kept) <= max(run)
 
     @given(st.lists(st.floats(allow_nan=True, allow_infinity=True), max_size=40),
            st.sampled_from([(-30.0, 30.0), (-1e6, 1e6)]))
@@ -1229,3 +1242,62 @@ class TestRunStore:
         assert calls == [[10], [20]]
         assert scores == [reference_cross_val_score(op, splits) for op in ops]
         assert store_tags(splits.store) == ["noop"]
+
+
+# ---------------------------------------------------------------------------
+# Grown trees kept in a store: fits against the grow-then-prune-in-place oracle
+
+
+TREE_CONFIGS = st.fixed_dictionaries({
+    "maxDepth": st.integers(1, 6), "R": st.booleans(),
+    "C": st.sampled_from([0.05, 0.1, 0.25, 0.4, 0.45])})
+
+
+class TestSharedGrownTrees:
+    @given(data=tree_data(),
+           calls=st.lists(st.lists(TREE_CONFIGS, min_size=1, max_size=4), min_size=1, max_size=4))
+    @settings(max_examples=150, deadline=None)
+    def test_fits_on_one_store_give_the_oracle_trees(self, data, calls):
+        # Windows of PrunedTree jobs, one call after another on one store:
+        # every fit, in any order of C and across calls, gives the tree the
+        # oracle grows and prunes in place, and every kept tree is as grown.
+        X, y, _ = data
+        half = len(y) // 2 + 1
+        # Labels need not be contiguous class ids, so not LabeledDatasets.
+        datasets = [SimpleNamespace(X=X, y=y), SimpleNamespace(X=X[:half], y=y[:half])]
+        impl = og.IMPLEMENTATIONS["pruned_tree"]
+        fitted, store = [], {}
+
+        def recorded(jobs):
+            out = impl.fit(jobs)
+            fitted.extend(zip((config for config, _, _ in jobs), out))
+            return out
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setitem(og.IMPLEMENTATIONS, "pruned_tree", dataclasses.replace(impl, fit=recorded))
+            for configs in calls:
+                outcomes = og.fit_predict_many([_loose("PrunedTree", c) for c in configs],
+                                               datasets, [X, X], store)
+                for config, (outcome, _) in zip(configs, outcomes):
+                    trapped = config["R"] and config["C"] != 0.25
+                    assert isinstance(outcome, ConstraintTrap) == trapped
+        assert len(fitted) == sum(not (c["R"] and c["C"] != 0.25) for cs in calls for c in cs)
+        for config, artifacts in fitted:
+            for artifact, rows in zip(artifacts, datasets):
+                want = reference_fit_pruned_tree(config, rows.X, rows.y)
+                assert tree_shape(artifact["tree"]) == tree_shape(want["tree"])
+                assert artifact["n_classes"] == want["n_classes"]
+            # A plain fit, which keeps nothing, gives the same trees.
+            [plain] = impl.fit([(config, [(rows.X, rows.y) for rows in datasets], None)])
+            assert [tree_shape(a["tree"]) for a in plain] == [
+                tree_shape(a["tree"]) for a in artifacts]
+        grown = {}
+        for config, _ in fitted:
+            named = {"maxDepth": config["maxDepth"], "R": config["R"]}
+            for i, rows in enumerate(datasets):
+                key = og._store_key("pruned_tree", named, (store[()], i))
+                grown[key] = toyml._grow_unpruned(named, rows.X, rows.y)
+        kept = {key: tree for key, tree in store.items() if key and key[0] == "pruned_tree"}
+        assert kept.keys() == grown.keys()
+        for key, tree in kept.items():
+            assert tree_shape(tree) == tree_shape(grown[key])
