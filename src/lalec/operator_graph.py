@@ -207,7 +207,7 @@ def configure(op: Operator, partial: Mapping[str, Any]) -> Individual:
     if not isinstance(op, Individual):
         raise OperatorError("configure applies to individual operators")
     merged = {**op.bound, **partial}
-    completed = {**_best_effort_defaults(op.schema), **merged}
+    completed = {**op.schema.declared_defaults, **merged}
     try:
         valid = schema_model.validate(completed, op.schema).ok
     except Exception:  # re-raised below by the check that meets it first
@@ -224,15 +224,6 @@ def configure(op: Operator, partial: Mapping[str, Any]) -> Individual:
     if partial and op.state == LifecycleState.TRAINED:
         state, artifacts = LifecycleState.TRAINABLE, None
     return op._copy(merged, state, artifacts)
-
-
-def _best_effort_defaults(schema: SchemaNode) -> Mapping[str, Any]:
-    """The declared defaults, or none when the schema has no base object.
-    This is the schema's cached mapping: read it, never write to it."""
-    try:
-        return schema.declared_defaults
-    except schema_model.NoBaseObject:
-        return {}
 
 
 def state_of(op: Operator) -> LifecycleState:
@@ -304,12 +295,10 @@ def _replace_properties(schema: SchemaNode, overrides) -> SchemaNode:
         props = tuple((name, overrides.get(name, node)) for name, node in obj.properties)
         return replace(obj, properties=props)
 
+    base = rebuild(schema_model.base_object(schema))
     if isinstance(schema, AllOfNode):
-        base = rebuild(schema.children[0])
         return replace(schema, children=(base,) + schema.children[1:])
-    if isinstance(schema, ObjectNode):
-        return rebuild(schema)
-    raise schema_model.NoBaseObject("schema has no base object of hyperparameters")
+    return base
 
 
 # ---------------------------------------------------------------------------
@@ -373,7 +362,7 @@ def implementation_of(op: Individual) -> ToyImplementation:
 
 
 def effective_config(op: Individual) -> dict[str, Any]:
-    return {**_best_effort_defaults(op.schema), **op.bound}
+    return {**op.schema.declared_defaults, **op.bound}
 
 
 # ---------------------------------------------------------------------------

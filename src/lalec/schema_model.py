@@ -11,6 +11,7 @@ time.
 from __future__ import annotations
 
 import json
+import math
 import sys
 from dataclasses import dataclass
 from functools import cached_property
@@ -89,10 +90,17 @@ UNIFORM = Prior()
 class SchemaNode:
     @cached_property
     def declared_defaults(self) -> dict[str, Any]:
-        """What `defaults(self)` copies, resolved on first use and kept on
-        the node. Shared by every caller: read it, never write to it."""
+        """The declared default of each hyperparameter that has one, in
+        declaration order, or {} for a schema without a base object. A
+        domain's default is its own, or for an anyOf without one, the first
+        alternative's that has one. Resolved on first use and kept on the
+        node, so it is shared by every caller: read it, never write to it."""
+        try:
+            domains = declared_domains(self)
+        except NoBaseObject:
+            return {}
         out = {}
-        for name, node in declared_domains(self).items():
+        for name, node in domains.items():
             value = _default_of(node)
             if value is not MISSING:
                 out[name] = value
@@ -308,11 +316,11 @@ def _parse_enum(node, path, description) -> EnumNode:
     for v in values:
         if not is_scalar(v):
             raise InvalidSchema(path, f"enum values must be scalars, got {v!r}")
-        if any(scalar_eq(v, s) for s in seen):
+        if enum_admits(seen, v):
             raise InvalidSchema(path, f"duplicate enum value {v!r}")
         seen.append(v)
     default = node.get("default", MISSING)
-    if default is not MISSING and not any(scalar_eq(default, v) for v in values):
+    if default is not MISSING and not enum_admits(values, default):
         raise InvalidSchema(path, f"default {default!r} is not among the enum values")
     return EnumNode(tuple(values), default=default, description=description)
 
@@ -331,8 +339,10 @@ def _parse_range(node, path, kind, description) -> RangeNode:
             raise InvalidSchema(path, "range bounds must be finite")
     lo_open = bool(node.get("exclusiveMinimum", False))
     hi_open = bool(node.get("exclusiveMaximum", False))
-    if lo > hi or (lo == hi and (lo_open or hi_open)):
+    if range_is_empty(lo, hi, lo_open, hi_open, False):
         raise InvalidSchema(path, f"empty range [{lo}, {hi}]")
+    if range_is_empty(lo, hi, lo_open, hi_open, kind == "integer"):
+        raise InvalidSchema(path, f"integer range [{lo}, {hi}] contains no integers")
     dist = node.get("distribution", "uniform")
     if dist not in ("uniform", "loguniform"):
         raise InvalidSchema(path, f"unknown distribution {dist!r}")
@@ -401,6 +411,40 @@ def in_range(value, lo, hi, lo_open, hi_open, integer_valued) -> bool:
 def _integral(value) -> bool:
     # Exact for every int, however large, and False for NaN and infinities.
     return isinstance(value, int) or value.is_integer()
+
+
+def integer_bounds(lo, hi, lo_open, hi_open) -> tuple[int, int]:
+    """The least and the greatest integer of a range with finite bounds;
+    the first exceeds the second when the range holds no integer."""
+    lo_i = math.floor(lo) + 1 if (lo_open and float(lo).is_integer()) else math.ceil(lo)
+    hi_i = math.ceil(hi) - 1 if (hi_open and float(hi).is_integer()) else math.floor(hi)
+    return lo_i, hi_i
+
+
+def range_is_empty(lo, hi, lo_open, hi_open, integer_valued) -> bool:
+    """The one emptiness test of a numeric range with finite bounds, for
+    schemas, normal forms and parsed PCS alike: no number lies within the
+    bounds, or the range is integer-valued and holds no integer."""
+    if lo > hi or (lo == hi and (lo_open or hi_open)):
+        return True
+    if integer_valued:
+        lo_i, hi_i = integer_bounds(lo, hi, lo_open, hi_open)
+        return lo_i > hi_i
+    return False
+
+
+def enum_admits(values, value) -> bool:
+    """The one admission test of an enumeration: a scalar equal to one of
+    the values (a bool only equals a bool)."""
+    return is_scalar(value) and any(scalar_eq(value, v) for v in values)
+
+
+def is_operator_value(value) -> bool:
+    """The one admission test of an operator slot: an in-memory operator or
+    the serialized {"operator": ..., "config": ...} form."""
+    if isinstance(value, Mapping):
+        return "operator" in value
+    return hasattr(value, "schema") and hasattr(value, "name")
 
 
 # ---------------------------------------------------------------------------
@@ -476,7 +520,7 @@ def _check_value(value, node, path, out: list[Violation]) -> bool:
     if isinstance(node, AnyNode):
         return True
     if isinstance(node, EnumNode):
-        if is_scalar(value) and any(scalar_eq(value, v) for v in node.values):
+        if enum_admits(node.values, value):
             return True
         out.append(Violation(path, f"value {value!r} not in {list(node.values)!r}", "enum"))
         return False
@@ -492,7 +536,7 @@ def _check_value(value, node, path, out: list[Violation]) -> bool:
             return False
         return True
     if isinstance(node, OperatorSlotNode):
-        if _is_operator_value(value):
+        if is_operator_value(value):
             return True
         out.append(Violation(path, f"expected an operator, got {value!r}", "type"))
         return False
@@ -517,13 +561,6 @@ def _check_value(value, node, path, out: list[Violation]) -> bool:
     raise InvalidSchema(path, f"unsupported node {type(node).__name__}")
 
 
-def _is_operator_value(value) -> bool:
-    # Either an in-memory operator or the serialized {"operator": ..., "config": ...} form.
-    if isinstance(value, Mapping):
-        return "operator" in value
-    return hasattr(value, "schema") and hasattr(value, "name")
-
-
 def _range_text(node: RangeNode) -> str:
     lo = "(" if node.lo_open else "["
     hi = ")" if node.hi_open else "]"
@@ -545,20 +582,14 @@ def _describe(node) -> str:
 
 
 def default_config(schema: SchemaNode) -> dict[str, Any]:
-    """Collect the declared default for every hyperparameter; raises
-    MissingDefault for the first one without."""
-    found = defaults(schema)
+    """Collect the declared default for every hyperparameter, as a fresh
+    dict; raises MissingDefault for the first one without, and NoBaseObject
+    for a schema without a base object."""
+    found = dict(schema.declared_defaults)
     for name in declared_domains(schema):
         if name not in found:
             raise MissingDefault((name,))
     return found
-
-
-def defaults(schema: SchemaNode) -> dict[str, Any]:
-    """The declared default of each hyperparameter that has one, in
-    declaration order, as a fresh dict. A domain's default is its own, or
-    for an anyOf without one, the first alternative's that has one."""
-    return dict(schema.declared_defaults)
 
 
 def _default_of(node):
@@ -574,14 +605,14 @@ def _default_of(node):
 
 
 def declared_domains(schema: SchemaNode) -> dict[str, SchemaNode]:
-    """Per-hyperparameter base domains, before side constraints.
+    """Per-hyperparameter base domains, before side constraints."""
+    return base_object(schema).property_map()
 
-    The base object is the schema itself or the first conjunct of an
-    allOf-rooted schema (constraints follow it).
-    """
-    base = schema
-    if isinstance(schema, AllOfNode):
-        base = schema.children[0] if schema.children else None
+
+def base_object(schema: SchemaNode) -> ObjectNode:
+    """The object of declared domains: the schema itself or the first
+    conjunct of an allOf-rooted schema (constraints follow it)."""
+    base = schema.children[0] if isinstance(schema, AllOfNode) and schema.children else schema
     if not isinstance(base, ObjectNode):
         raise NoBaseObject("schema has no base object of hyperparameters")
-    return base.property_map()
+    return base

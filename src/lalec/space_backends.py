@@ -18,7 +18,8 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from dataclasses import dataclass, replace
+import re
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import Any, Callable, Mapping
 
@@ -196,18 +197,14 @@ def _combine_individual(op: Individual, path: str, unique: str, keep: bool) -> L
         for name, domain in disjunct.items():
             if name in op.bound:
                 value = op.bound[name]
-                if isinstance(value, Operator):
-                    if not isinstance(domain, OpSlot):
-                        admitted = False
-                        break
+                if not _domain_admits(domain, value):
+                    admitted = False
+                    break
+                if isinstance(value, Operator):  # admitted, so the domain is a slot
                     marker = _join(unique, name)
                     nested = _combine_node(value, marker, marker, keep)
                     out[name] = OpSlot(marker=marker, nested=nested)
-                elif _domain_admits(domain, value):
-                    continue  # fixed value: contributes no dimension
-                else:
-                    admitted = False
-                    break
+                # any other fixed value contributes no dimension
             elif isinstance(domain, OpSlot):
                 admitted = False  # an unbound slot cannot be searched
                 break
@@ -315,12 +312,14 @@ def _draw_cont(rng: random.Random, lo, hi, lo_open, hi_open, integer, log, q):
     """The one draw from a continuous domain, for hierarchical points, grid
     samples and parsed PCS spaces (see docs/space_formats.md)."""
     if integer:
-        lo, hi = _integer_bounds(lo, hi, lo_open, hi_open)
+        lo_i, hi_i = schema_model.integer_bounds(lo, hi, lo_open, hi_open)
+        if lo_i > hi_i:  # only a document from outside the compiler holds one
+            raise CompileError(f"integer range [{lo}, {hi}] contains no integers")
         if log:
-            value = int(round(math.exp(rng.uniform(math.log(lo), math.log(hi)))))
+            value = int(round(math.exp(rng.uniform(math.log(lo_i), math.log(hi_i)))))
         else:
-            value = rng.randint(lo, hi)
-        return min(max(value, lo), hi)
+            value = rng.randint(lo_i, hi_i)
+        return min(max(value, lo_i), hi_i)
     lo_eps, hi_eps = _real_bounds(lo, hi, lo_open, hi_open)
     if log:
         value = math.exp(rng.uniform(math.log(lo_eps), math.log(hi_eps)))
@@ -334,14 +333,6 @@ def _draw_cont(rng: random.Random, lo, hi, lo_open, hi_open, integer, log, q):
             if schema_model.in_range(candidate, lo, hi, lo_open, hi_open, False):
                 return candidate
     return min(max(value, lo_eps), hi_eps)
-
-
-def _integer_bounds(lo, hi, lo_open, hi_open) -> tuple[int, int]:
-    lo_i = int(math.floor(lo)) + 1 if (lo_open and float(lo).is_integer()) else int(math.ceil(lo))
-    hi_i = int(math.ceil(hi)) - 1 if (hi_open and float(hi).is_integer()) else int(math.floor(hi))
-    if lo_i > hi_i:
-        raise CompileError(f"integer range [{lo}, {hi}] contains no integers")
-    return lo_i, hi_i
 
 
 def _real_bounds(lo, hi, lo_open, hi_open) -> tuple[float, float]:
@@ -501,8 +492,15 @@ class PcsParameter:
 
 @dataclass
 class PcsSpace:
+    """A PCS space: what `emit_pcs` prints and what `read_pcs` returns. A
+    compiled space's own (`CompiledSpace.pcs_model`) also maps each PCS name
+    back to its hyperparameter; a parsed one has no such map, and equality
+    ignores it."""
+
     parameters: dict[str, PcsParameter]
     conditions: dict[str, list[tuple[str, str]]]
+    # pcs name -> ("param", public, domains) | ("selector",)
+    decode_map: dict[str, tuple] = field(default_factory=dict, compare=False)
 
     def sample(self, rng: random.Random) -> dict[str, Any]:
         """One assignment of every active parameter, honoring conditionals."""
@@ -523,15 +521,8 @@ class PcsSpace:
                 return False
         return True
 
-
-@dataclass
-class _PcsModel:
-    params: list[PcsParameter]
-    conditions: dict[str, list[tuple[str, str]]]
-    decode_map: dict[str, tuple[str, Any]]  # pcs name -> ("param", public, domains) | ("selector",)
-
     def decode_point(self, point: Mapping[str, Any]) -> dict[str, Any]:
-        """decode_pcs_point with this model."""
+        """decode_pcs_point with this space's decode map."""
         out: dict[str, Any] = {}
         for name, value in point.items():
             entry = self.decode_map.get(name)
@@ -556,14 +547,13 @@ def _pcs_value(value) -> str:
     return str(value)
 
 
-def _pcs_model(ir: SearchIR) -> _PcsModel:
-    model = _PcsModel([], {}, {})
-    used: set[str] = set()
-    _pcs_build(ir, (), None, model, used)
+def _pcs_model(ir: SearchIR) -> PcsSpace:
+    model = PcsSpace({}, {})
+    _pcs_build(ir, (), None, model)
     return model
 
 
-def _pcs_unique(name: str, branch_ctx, used: set[str]) -> str:
+def _pcs_unique(name: str, branch_ctx, used) -> str:
     if name not in used:
         return name
     if branch_ctx is not None:
@@ -579,31 +569,30 @@ def _pcs_unique(name: str, branch_ctx, used: set[str]) -> str:
     return f"{name}_{suffix}"
 
 
-def _pcs_add(model, used, name, branch_ctx, param: PcsParameter, ctx, decode_entry):
-    final = _pcs_unique(name, branch_ctx, used)
+def _pcs_add(model, name, branch_ctx, param: PcsParameter, ctx, decode_entry):
+    final = _pcs_unique(name, branch_ctx, model.parameters)
     param.name = final
-    used.add(final)
-    model.params.append(param)
+    model.parameters[final] = param
     if ctx:
         model.conditions[final] = list(ctx)
     model.decode_map[final] = decode_entry
     return final
 
 
-def _pcs_build(ir: SearchIR, ctx, branch_ctx, model: _PcsModel, used: set[str]) -> None:
+def _pcs_build(ir: SearchIR, ctx, branch_ctx, model: PcsSpace) -> None:
     if isinstance(ir, StepMapIR):
         for _, child in ir.steps:
-            _pcs_build(child, ctx, branch_ctx, model, used)
+            _pcs_build(child, ctx, branch_ctx, model)
         return
     if isinstance(ir, ChoiceIR):
         values = tuple(value for value, _ in ir.branches)
         disc = _pcs_add(
-            model, used, ir.discriminant, branch_ctx,
+            model, ir.discriminant, branch_ctx,
             PcsParameter(ir.discriminant, "categorical", values=values, default=values[0]),
             ctx, ("param", ir.discriminant, (Cat(values),)),
         )
         for value, body in ir.branches:
-            _pcs_build(body, ctx + ((disc, value),), (ir.prefix, value), model, used)
+            _pcs_build(body, ctx + ((disc, value),), (ir.prefix, value), model)
         return
     assert isinstance(ir, LeafIR)
     disjuncts = ir.nf.disjuncts
@@ -613,7 +602,7 @@ def _pcs_build(ir: SearchIR, ctx, branch_ctx, model: _PcsModel, used: set[str]) 
         values = tuple(str(i) for i in range(len(disjuncts)))
         selector_name = _join(ir.unique, "disjunct")
         selector = _pcs_add(
-            model, used, selector_name, branch_ctx,
+            model, selector_name, branch_ctx,
             PcsParameter(selector_name, "categorical", values=values, default="0"),
             ctx, ("selector",),
         )
@@ -621,16 +610,16 @@ def _pcs_build(ir: SearchIR, ctx, branch_ctx, model: _PcsModel, used: set[str]) 
         domains = [d[name] for d in disjuncts]
         public = _join(ir.prefix, name)
         if isinstance(domains[0], OpSlot):
-            _pcs_build(domains[0].nested, ctx, branch_ctx, model, used)
+            _pcs_build(domains[0].nested, ctx, branch_ctx, model)
             continue
         if selector is None or all(d == domains[0] for d in domains):
-            _pcs_add(model, used, public, branch_ctx,
+            _pcs_add(model, public, branch_ctx,
                      _pcs_param(public, domains[0]), ctx,
                      ("param", public, tuple(domains)))
             continue
         for index, domain in enumerate(domains):
             pcs_name = public if index == 0 else f"{public}__{index}"
-            _pcs_add(model, used, pcs_name, branch_ctx,
+            _pcs_add(model, pcs_name, branch_ctx,
                      _pcs_param(pcs_name, domain),
                      ctx + ((selector, str(index)),),
                      ("param", public, (domain,)))
@@ -645,7 +634,8 @@ def _pcs_param(name: str, domain: Domain) -> PcsParameter:
     assert isinstance(domain, Cont)
     log = domain.prior.kind == "loguniform"
     if domain.integer_valued:
-        lo, hi = _integer_bounds(domain.lo, domain.hi, domain.lo_open, domain.hi_open)
+        lo, hi = schema_model.integer_bounds(domain.lo, domain.hi, domain.lo_open,
+                                             domain.hi_open)
         default = domain.default if domain.default is not schema_model.MISSING else (lo + hi) // 2
         default = min(max(int(default), lo), hi)
         return PcsParameter(name, "integer", lo=lo, hi=hi, log=log, default=repr(default))
@@ -660,14 +650,31 @@ def _pcs_param(name: str, domain: Domain) -> PcsParameter:
 
 
 def emit_pcs(ir: SearchIR, limit: int = DEFAULT_BLOWUP_LIMIT,
-             cached: Callable[[], _PcsModel] | None = None) -> str:
+             cached: Callable[[], PcsSpace] | None = None) -> str:
     """Classic PCS text: parameters, then `child | parent == value` lines
     (several lines on one child conjoin). `cached` gives ir's PCS model
-    when the caller keeps one."""
+    when the caller keeps one. Refuses with CompileError a parameter whose
+    name or value `read_pcs` could not read back."""
     flat_size(ir, limit)  # enforce the blowup cap the flat form defines
-    model = cached() if cached else _pcs_model(ir)
+    space = cached() if cached else _pcs_model(ir)
+    for param in space.parameters.values():
+        for text in (param.name, *param.values, param.default):
+            if _PCS_UNREADABLE.search(text):
+                raise CompileError(
+                    f"PCS parameter {param.name!r}: {text!r} would not read back "
+                    "(PCS names and values hold no whitespace and none of # | , = { } [ ])")
+    return _pcs_text(space)
+
+
+# A character some PCS name or value cannot hold and still read back:
+# read_pcs strips whitespace, splits lines at line breaks (all whitespace)
+# and splits at this punctuation (see docs/pcs_format.md).
+_PCS_UNREADABLE = re.compile(r"[\s#|,={}\[\]]")
+
+
+def _pcs_text(space: PcsSpace) -> str:
     lines = ["# parameter configuration space"]
-    for param in model.params:
+    for param in space.parameters.values():
         if param.kind == "categorical":
             lines.append(f"{param.name} {{{', '.join(param.values)}}} [{param.default}]")
         elif param.kind == "integer":
@@ -678,7 +685,7 @@ def emit_pcs(ir: SearchIR, limit: int = DEFAULT_BLOWUP_LIMIT,
                          + ("l" if param.log else ""))
     conditions = [
         f"{child} | {parent} == {value}"
-        for child, pairs in model.conditions.items()
+        for child, pairs in space.conditions.items()
         for parent, value in pairs
     ]
     if conditions:
@@ -740,10 +747,9 @@ def _pcs_range_problem(lo: float, hi: float, integer: bool, log: bool) -> str | 
         return f"NaN bound in [{lo}, {hi}]"
     if math.isinf(lo) or math.isinf(hi):
         return f"infinite bound in [{lo}, {hi}]"
-    if lo > hi:
-        return f"empty range [{lo}, {hi}]"
-    if integer and math.ceil(lo) > math.floor(hi):
-        return f"integer range [{lo}, {hi}] contains no integers"
+    if schema_model.range_is_empty(lo, hi, False, False, integer):
+        return (f"empty range [{lo}, {hi}]" if lo > hi
+                else f"integer range [{lo}, {hi}] contains no integers")
     if log and lo <= 0:
         return f"log range [{lo}, {hi}] needs a positive lower bound"
     return None
@@ -838,7 +844,7 @@ class CompiledSpace:
         return emit_grid(self.ir, cont_samples, seed)
 
     @cached_property
-    def pcs_model(self) -> _PcsModel:
+    def pcs_model(self) -> PcsSpace:
         return _pcs_model(self.ir)
 
     def decode(self, point: Mapping[str, Any]) -> Operator:

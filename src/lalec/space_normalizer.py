@@ -11,7 +11,7 @@ are dropped; overlapping disjuncts are kept as-is.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Any, Mapping
 
 from .schema_model import (
@@ -27,10 +27,12 @@ from .schema_model import (
     RangeNode,
     SchemaNode,
     UnsupportedNegation,
-    NoBaseObject,
+    base_object,
+    declared_domains,
+    enum_admits,
     in_range,
-    is_scalar,
-    scalar_eq,
+    is_operator_value,
+    range_is_empty,
 )
 
 
@@ -104,7 +106,6 @@ def normalize(schema: SchemaNode, declared: Mapping[str, SchemaNode] | None = No
               limit: int = DEFAULT_BLOWUP_LIMIT) -> NormalForm:
     """Normalize a full operator schema against its declared base domains."""
     if declared is None:
-        from .schema_model import declared_domains
         declared = declared_domains(schema)
     declared_alts = {name: _domain_alternatives(node) for name, node in declared.items()}
     disjuncts = _norm(schema, declared_alts, limit)
@@ -119,20 +120,12 @@ def normalize(schema: SchemaNode, declared: Mapping[str, SchemaNode] | None = No
 
 
 def _attach_default(domain: Domain, default):
-    if default is MISSING:
+    if default is MISSING or not isinstance(domain, (Cat, Cont)):
         return domain
-    if isinstance(domain, Cat):
-        if any(is_scalar(default) and scalar_eq(default, v) for v in domain.values):
-            return Cat(domain.values, default)
-        return Cat(domain.values, MISSING)
-    if isinstance(domain, Cont):
-        if in_range(default, domain.lo, domain.hi, domain.lo_open, domain.hi_open,
-                    domain.integer_valued):
-            return Cont(domain.lo, domain.hi, domain.lo_open, domain.hi_open,
-                        domain.integer_valued, domain.prior, default)
-        return Cont(domain.lo, domain.hi, domain.lo_open, domain.hi_open,
-                    domain.integer_valued, domain.prior, MISSING)
-    return domain
+    if not _domain_admits(domain, default):
+        default = MISSING
+    # Most domains already hold this default; replace() costs several µs.
+    return domain if default is domain.default else replace(domain, default=default)
 
 
 def _domain_alternatives(node: SchemaNode) -> list[Domain]:
@@ -244,8 +237,7 @@ def _complement(child: ObjectNode, declared_alts, limit):
             raise NormalizeError(f"negated property {name!r} has no declared domain")
         if len(alts) != 1 or not isinstance(alts[0], Cat):
             raise UnsupportedNegation(f"declared domain of {name!r} is not a single enum")
-        remaining = tuple(v for v in alts[0].values
-                          if not any(scalar_eq(v, w) for w in sub.values))
+        remaining = tuple(v for v in alts[0].values if not enum_admits(sub.values, v))
         if not remaining:
             continue
         out.extend(_fill({name: Cat(remaining, alts[0].default)}, declared_alts, limit))
@@ -274,14 +266,10 @@ def intersect_domain(a: Domain, b: Domain):
     """Intersection of two domains of one hyperparameter, or EMPTY."""
     if a is EMPTY or b is EMPTY:
         return EMPTY
-    if isinstance(a, Cat) and isinstance(b, Cat):
-        values = tuple(v for v in a.values if any(scalar_eq(v, w) for w in b.values))
-        return Cat(values, a.default) if values else EMPTY
     if isinstance(a, Cont) and isinstance(b, Cat):
         a, b = b, a  # the values, their order and the default are the Cat's
-    if isinstance(a, Cat) and isinstance(b, Cont):
-        values = tuple(v for v in a.values
-                       if in_range(v, b.lo, b.hi, b.lo_open, b.hi_open, b.integer_valued))
+    if isinstance(a, Cat):
+        values = tuple(v for v in a.values if _domain_admits(b, v))
         return Cat(values, a.default) if values else EMPTY
     if isinstance(a, Cont) and isinstance(b, Cont):
         if a.lo > b.lo:
@@ -296,10 +284,10 @@ def intersect_domain(a: Domain, b: Domain):
             hi, hi_open = b.hi, b.hi_open
         else:
             hi, hi_open = a.hi, a.hi_open or b.hi_open
-        if lo > hi or (lo == hi and (lo_open or hi_open)):
+        integer_valued = a.integer_valued or b.integer_valued
+        if range_is_empty(lo, hi, lo_open, hi_open, integer_valued):
             return EMPTY
-        return Cont(lo, hi, lo_open, hi_open,
-                    a.integer_valued or b.integer_valued,
+        return Cont(lo, hi, lo_open, hi_open, integer_valued,
                     _merge_priors(a.prior, b.prior), a.default)
     if isinstance(a, OpSlot) and isinstance(b, OpSlot):
         return a
@@ -325,21 +313,19 @@ def member(nf: NormalForm, config: Mapping[str, Any]) -> bool:
 
 
 def _domain_admits(domain: Domain, value) -> bool:
+    """What the schema's own node admits (schema_model's tests), so member
+    and validate agree."""
     if isinstance(domain, Cat):
-        return is_scalar(value) and any(scalar_eq(value, v) for v in domain.values)
+        return enum_admits(domain.values, value)
     if isinstance(domain, Cont):
         return in_range(value, domain.lo, domain.hi, domain.lo_open, domain.hi_open,
                         domain.integer_valued)
     if isinstance(domain, OpSlot):
-        return not is_scalar(value) or isinstance(value, Mapping)
+        return is_operator_value(value)
     return False
 
 
 def drop_constraints(schema: SchemaNode) -> SchemaNode:
     """Keep only the base object of declared domains, discarding every
     constraint conjunct (the unconstrained-ablation compile)."""
-    if isinstance(schema, AllOfNode):
-        if not schema.children or not isinstance(schema.children[0], ObjectNode):
-            raise NoBaseObject("schema has no base object of hyperparameters")
-        return schema.children[0]
-    return schema
+    return base_object(schema)

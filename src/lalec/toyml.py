@@ -276,42 +276,21 @@ def _fit_logreg(jobs):
     return fitted
 
 
-def _draw_rows(rng: random.Random, n: int, count: int) -> np.ndarray:
-    """``[rng.randrange(n) for _ in range(count)]`` in a few bulk draws.
-
-    ``randrange(n)`` keeps the top ``k = n.bit_length()`` bits of one 32-bit
-    Mersenne Twister word and rejects values ``>= n``. ``getrandbits(32 * W)``
-    returns W such words, the first drawn least significant, so splitting it
-    into little-endian words and applying the same shift and rejection gives
-    the same sequence. Unused accepted words are discarded, so ``rng`` ends
-    further along its stream than the per-call loop would leave it; the
-    rows drawn for a count are still a prefix of those drawn for any larger
-    count from the same state.
-    """
-    k = n.bit_length()
-    rows = np.empty(0, dtype=np.int64)
-    while len(rows) < count:
-        words = (count - len(rows)) * (1 << k) // n + 16
-        bits = rng.getrandbits(32 * words).to_bytes(4 * words, "little")
-        drawn = np.frombuffer(bits, dtype="<u4") >> (32 - k)
-        rows = np.concatenate([rows, drawn[drawn < n]])
-    return rows[:count]
-
-
 # The longest sgd rows drawn so far for the last row count: (n, rows).
 _sgd_rows_memo = (0, np.empty(0, dtype=np.int64))
 
 
 def _sgd_rows(n: int, count: int) -> np.ndarray:
-    """``_draw_rows(random.Random(13), n, count)``, read-only. Rows for a
-    count are a prefix of rows for a larger one, so the longest rows drawn
-    for the last n serve every count up to theirs; a new n or a longer
-    count draws afresh and replaces them, so what is kept is never more
-    than one call draws."""
+    """``count`` rows ``random.Random(13).randrange(n)``, read-only. Rows
+    for a count are a prefix of rows for a larger one, so the longest rows
+    drawn for the last n serve every count up to theirs; a new n or a
+    longer count draws afresh and replaces them, so what is kept is never
+    more than one call draws."""
     global _sgd_rows_memo
     last_n, rows = _sgd_rows_memo
     if last_n != n or len(rows) < count:
-        rows = _draw_rows(random.Random(13), n, count)
+        rng = random.Random(13)
+        rows = np.array([rng.randrange(n) for _ in range(count)], dtype=np.int64)
         rows.flags.writeable = False
         _sgd_rows_memo = n, rows
     return rows[:count]

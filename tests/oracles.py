@@ -1,8 +1,8 @@
 """Slow reference implementations that tests compare the library against.
 
 Graph isomorphism is a test oracle only. The default resolvers are the three
-the library had before `schema_model.defaults` replaced them; tests check
-that all four agree. `reference_cv_objective` is the cross-validation
+the library had before `SchemaNode.declared_defaults` replaced them; tests
+check that all four agree. `reference_cv_objective` is the cross-validation
 objective before it kept the loss of each point it scored; tests check that
 searches under both give the same histories. `reference_cross_val_score` is
 the cross-validation score with every fold fitted alone and nothing
@@ -62,7 +62,6 @@ from lalec.space_backends import (
     LeafIR,
     SearchIR,
     StepMapIR,
-    _integer_bounds,
     _join,
     _real_bounds,
     emit_hierarchical,
@@ -386,7 +385,7 @@ def reference_draw_cont_doc(domain, rng):
     """The draw hierarchical points and grid samples made from a domain
     document."""
     if domain["integer"]:
-        lo, hi = _integer_bounds(domain["lo"], domain["hi"], domain["loOpen"], domain["hiOpen"])
+        lo, hi = sm.integer_bounds(domain["lo"], domain["hi"], domain["loOpen"], domain["hiOpen"])
         if domain["distribution"] == "loguniform":
             value = int(round(math.exp(rng.uniform(math.log(lo), math.log(hi)))))
         else:
@@ -641,7 +640,7 @@ def _domain_default(domain: Domain):
     if domain.default is not MISSING:
         return domain.default
     if domain.integer_valued:
-        lo, hi = _integer_bounds(domain.lo, domain.hi, domain.lo_open, domain.hi_open)
+        lo, hi = sm.integer_bounds(domain.lo, domain.hi, domain.lo_open, domain.hi_open)
         return (lo + hi) // 2
     lo, hi = _real_bounds(domain.lo, domain.hi, domain.lo_open, domain.hi_open)
     return (lo + hi) / 2.0

@@ -7,7 +7,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from lalec import operator_graph as og
 from lalec import schema_model as sm
-from lalec.space_normalizer import Cont
+from lalec.space_normalizer import Cont, drop_constraints
 from oracles import (
     reference_best_effort_defaults,
     reference_cont_admits_scalar,
@@ -120,6 +120,19 @@ class TestParse:
         for big in ("1e400", "1" + "0" * 400):  # a float and an int past the largest float
             with pytest.raises(sm.InvalidSchema, match="finite"):
                 sm.parse_schema(json.dumps(doc).replace("Infinity", big))
+
+    @pytest.mark.parametrize("lo,hi,lo_open,hi_open", [
+        (1.2, 1.8, False, False), (1, 2, True, True), (1, 1.5, True, False),
+        (0.5, 1, False, True), (-0.9, -0.1, True, True),
+    ])
+    def test_integer_range_without_an_integer_is_refused(self, lo, hi, lo_open, hi_open):
+        doc = {"type": "integer", "minimum": lo, "maximum": hi,
+               "exclusiveMinimum": lo_open, "exclusiveMaximum": hi_open}
+        with pytest.raises(sm.InvalidSchema, match=r"integer range \[.*\] contains no integers"):
+            sm.parse_schema(doc)
+        # The same bounds hold numbers, and one step wider holds an integer.
+        assert sm.parse_schema({**doc, "type": "number"}).integer_valued is False
+        assert sm.parse_schema({**doc, "maximum": hi + 1}).integer_valued
 
     def test_boolean_enum_distinct_from_numbers(self):
         node = sm.parse_schema('{"enum": [true, 1]}')
@@ -266,10 +279,10 @@ def _default_config_outcome(fn, schema):
 
 
 class TestOneDefaultResolver:
-    """schema_model.defaults against the three resolvers it replaced."""
+    """SchemaNode.declared_defaults against the three resolvers it replaced."""
 
     def _agree(self, schema):
-        found = sm.defaults(schema)
+        found = schema.declared_defaults
         declared = sm.declared_domains(schema)
         assert list(found.items()) == list(reference_best_effort_defaults(schema).items())
         assert list(found.items()) == [
@@ -277,7 +290,8 @@ class TestOneDefaultResolver:
             if (d := reference_declared_default(node)) is not sm.MISSING]
         assert (_default_config_outcome(sm.default_config, schema)
                 == _default_config_outcome(reference_default_config, schema))
-        assert list(og._best_effort_defaults(schema).items()) == list(found.items())
+        probe = og.Individual("Probe", schema)
+        assert list(og.effective_config(probe).items()) == list(found.items())
 
     def test_registry_schemas(self, registry):
         for op in registry.values():
@@ -296,32 +310,33 @@ class TestOneDefaultResolver:
             ("z", sm.AllOfNode((sm.EnumNode((1,), default=1),))),
         ))
         self._agree(schema)
-        assert sm.defaults(schema) == {"x": 2, "y": None}
+        assert schema.declared_defaults == {"x": 2, "y": None}
         with pytest.raises(sm.MissingDefault, match=r"\$\.z"):
             sm.default_config(schema)
 
     def test_no_base_object(self):
         schema = sm.AnyOfNode((sm.ObjectNode(()),))
         with pytest.raises(sm.NoBaseObject):
-            sm.defaults(schema)
-        assert og._best_effort_defaults(schema) == reference_best_effort_defaults(schema) == {}
+            sm.default_config(schema)
+        assert schema.declared_defaults == reference_best_effort_defaults(schema) == {}
+        assert og.effective_config(og.Individual("Probe", schema)) == {}
 
     def test_each_call_gives_a_fresh_dict(self, registry):
         schema = registry["J48"].schema
-        first = sm.defaults(schema)
+        first = sm.default_config(schema)
         first["R"] = "changed"
-        assert sm.defaults(schema) == {"R": False, "C": 0.25}
+        assert sm.default_config(schema) == {"R": False, "C": 0.25}
         op = registry["J48"]
         og.effective_config(op)["R"] = "changed"
         assert og.effective_config(op) == {"R": False, "C": 0.25}
 
     def test_mutating_a_defaults_dict_leaves_configure_alone(self, registry):
         # configure and effective_config read the schema's cached defaults;
-        # defaults hands out a copy of them.
+        # default_config and effective_config hand out copies of them.
         op = registry["J48"]
         before = (og.configure(op, {"C": 0.1}), og.effective_config(op))
-        found = sm.defaults(op.schema)
-        found.update(R="changed", C=7.0, extra=1)
+        for found in (sm.default_config(op.schema), og.effective_config(op)):
+            found.update(R="changed", C=7.0, extra=1)
         assert og.configure(op, {"C": 0.1}) == before[0]
         assert og.effective_config(op) == before[1] == {"R": False, "C": 0.25}
 
@@ -342,8 +357,13 @@ class TestDeclaredDomains:
         assert sm.declared_domains(schema) == {"x": sm.EnumNode((1,))}
 
     def test_no_base_object(self):
-        with pytest.raises(sm.NoBaseObject):
-            sm.declared_domains(sm.EnumNode((1,)))
+        # Declared domains and dropped constraints find one base object.
+        for schema in (sm.EnumNode((1,)), sm.AllOfNode(()),
+                       sm.AllOfNode((sm.AnyNode(), sm.ObjectNode(())))):
+            with pytest.raises(sm.NoBaseObject):
+                sm.declared_domains(schema)
+            with pytest.raises(sm.NoBaseObject):
+                drop_constraints(schema)
 
 
 # Finite bounds: small integers (as int and as float), ±0, and floats of any

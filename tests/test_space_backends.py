@@ -6,6 +6,7 @@ import json
 import math
 import pickle
 import random
+import sys
 import tracemalloc
 import weakref
 from pathlib import Path
@@ -21,6 +22,7 @@ from lalec.operator_graph import choose, configure, freeze_trainable, pipe
 from lalec.pipeline_dsl import parse_expr, parse_grammar
 from lalec.space_backends import (
     ChoiceIR,
+    CompileError,
     LeafIR,
     StepMapIR,
     compile_space,
@@ -992,6 +994,108 @@ def _refused(emit):
         return False, emit()
     except BlowupExceeded:
         return True, None
+
+
+@st.composite
+def enum_operators(draw):
+    """An operator of one or two enums of any text, numbers, booleans and
+    null."""
+    scalars = st.one_of(st.text(max_size=4), st.integers(-9, 9), st.booleans(), st.none(),
+                        st.floats(allow_nan=False))
+    props = {}
+    for i in range(draw(st.integers(1, 2))):
+        values = draw(st.lists(scalars, min_size=1, max_size=4,
+                               unique_by=lambda v: (isinstance(v, bool), v)))
+        props[draw(st.sampled_from(["x", "a b", "c#d", f"p{i}"]))] = {"enum": values}
+    return og.Individual("Enums", sm.parse_schema({"type": "object", "properties": props}))
+
+
+def _pcs_role_space(role, strings):
+    """A PCS space in which each string plays one role in its own lines."""
+    def cat(name, values, default):
+        return sb.PcsParameter(name, "categorical", values=tuple(values), default=default)
+
+    params, conditions = {}, {}
+    for i, s in enumerate(strings):
+        if role == "value":
+            params[f"p{i}"] = cat(f"p{i}", (s, "e"), "e")
+        elif role == "default":
+            params[f"p{i}"] = cat(f"p{i}", (s, "e"), s)
+        elif role == "categorical name":
+            params[s] = cat(s, ("u", "v"), "u")
+        elif role in ("real name", "integer name"):
+            kind = role.split()[0]
+            params[s] = sb.PcsParameter(s, kind, lo=0, hi=3, default="1")
+        elif role == "child":
+            params[f"p{i}"] = cat(f"p{i}", ("u", "v"), "u")
+            params[s] = cat(s, ("x",), "x")
+            conditions[s] = [(f"p{i}", "u")]
+        elif role == "parent":
+            params[s] = cat(s, ("u", "v"), "u")
+            params[f"q{i}"] = cat(f"q{i}", ("x",), "x")
+            conditions[f"q{i}"] = [(s, "u")]
+        else:
+            assert role == "condition value"
+            params[f"p{i}"] = cat(f"p{i}", (s, "v"), "v")
+            params[f"q{i}"] = cat(f"q{i}", ("x",), "x")
+            conditions[f"q{i}"] = [(f"p{i}", s)]
+    return sb.PcsSpace(params, conditions)
+
+
+PCS_ROLES = ["value", "default", "categorical name", "real name", "integer name", "child",
+             "parent", "condition value"]
+PCS_PLACES = [lambda c: c, lambda c: f"a{c}b", lambda c: c + "a", lambda c: "a" + c,
+              lambda c: f"a{c}{c}b"]
+
+
+def _reads_back(space):
+    try:
+        return read_pcs(sb._pcs_text(space)) == space
+    except ValueError:
+        return False
+
+
+class TestPcsRoundTrip:
+    @settings(max_examples=200, deadline=None)
+    @given(compiled=st.one_of(compiled_spaces(), range_operators().map(compile_space),
+                              enum_operators().map(compile_space)))
+    def test_read_back_equals_the_model(self, compiled):
+        try:
+            text = compiled.pcs()
+        except BlowupExceeded:
+            return
+        except CompileError as exc:
+            assert any(f"PCS parameter {name!r}:" in str(exc)
+                       for name in compiled.pcs_model.parameters)
+            return
+        assert read_pcs(text) == compiled.pcs_model
+
+    def test_unreadable_value_is_refused_naming_its_parameter(self):
+        op = og.Individual("T", sm.parse_schema({"type": "object", "properties": {
+            "x": {"enum": ["a,b", "c#d", "e"]}}}))
+        compiled = compile_space(op)
+        with pytest.raises(CompileError, match=r"^PCS parameter 't__x': 'a,b' would not"):
+            compiled.pcs()
+        # The model still decodes: only the text is refused.
+        assert compiled.decode_pcs({"t__x": "c#d"}).bound == {"x": "c#d"}
+
+    def test_refused_characters_are_those_some_name_or_value_loses(self):
+        """A refused character fails to read back in some role and place,
+        alone; every other character reads back in every role and place.
+        The reader splits at ASCII punctuation, strips whitespace and splits
+        lines at line breaks, which are whitespace; so past the first
+        0x800 code points only whitespace is probed."""
+        chars = sorted({chr(c) for c in range(0x800)}
+                       | {chr(c) for c in range(sys.maxunicode + 1) if chr(c).isspace()})
+        refused = [c for c in chars if sb._PCS_UNREADABLE.search(c)]
+        assert set(refused) == {c for c in chars if c.isspace()} | set("#|,={}[]")
+        for c in refused:
+            assert not all(_reads_back(_pcs_role_space(role, [place(c)]))
+                           for role in PCS_ROLES for place in PCS_PLACES), repr(c)
+        kept = [c for c in chars if c not in refused]
+        for role in PCS_ROLES:
+            for place in PCS_PLACES:
+                assert _reads_back(_pcs_role_space(role, [place(c) for c in kept])), role
 
 
 class TestSizeFirst:

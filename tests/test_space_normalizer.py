@@ -1,11 +1,15 @@
 import itertools
 import json
+import math
 import random
 
 import pytest
 
+from lalec import operator_graph as og
+from lalec import optimizer as opt
 from lalec import schema_model as sm
 from lalec import space_normalizer as norm
+from lalec.space_backends import CompileError, compile_space, sample_space
 from lalec.space_normalizer import Cat, Cont, EMPTY, intersect_domain, member
 
 from conftest import probe_lattice
@@ -207,6 +211,23 @@ class TestEquivalenceOracle:
             assert member(again, config) == member(nf, config)
 
 
+def _holds_a_value(domain):
+    """Whether a domain admits some value, counting the integers of an
+    integer range one by one (the ranges here are short)."""
+    if isinstance(domain, Cat):
+        return bool(domain.values)
+    if not isinstance(domain, Cont):
+        return True
+    if domain.integer_valued:
+        return any(sm.in_range(i, domain.lo, domain.hi, domain.lo_open, domain.hi_open, True)
+                   for i in range(math.floor(domain.lo), math.ceil(domain.hi) + 1))
+    return domain.lo < domain.hi or not (domain.lo_open or domain.hi_open)
+
+
+# An operator to bind into slots: it has a name and a schema, as validate asks.
+INNER = og.Individual("Inner", sm.parse_schema({"type": "object", "properties": {}}))
+
+
 class TestRandomizedEquivalence:
     """Seeded fuzz: random schemas with implication constraints, checked
     exhaustively against validation over a probe grid."""
@@ -265,6 +286,111 @@ class TestRandomizedEquivalence:
             for config in probes:
                 assert member(nf, config) == sm.validate(config, schema).ok, \
                     (serialize(schema), config)
+
+    SLOT_PROBES = [INNER, {"operator": "Inner"}, {"operator": "Inner", "config": {}},
+                   None, [1, 2], (1,), {"x": 1}, "Inner", 0]
+
+    def _slot_schema(self, rng):
+        """A slot, bare or beside null as in BoostedEnsemble, and an enum."""
+        slot = {"typeForOptimizer": "operator"}
+        if rng.random() < 0.5:
+            slot = {"anyOf": [slot, {"enum": [None]}], "default": None}
+        values = rng.sample(self.POOL, rng.randint(2, 4))
+        properties = {"base": slot, "p0": {"enum": values, "default": values[0]}}
+        doc = {"type": "object", "additionalProperties": False, "properties": properties}
+        axes = {"base": self.SLOT_PROBES, "p0": values}
+        return sm.parse_schema(json.dumps(doc)), axes
+
+    def _numeric_schema(self, rng):
+        """Integer ranges under constraint conjuncts whose number ranges
+        are narrow enough to hold no integer, beside an enum alternative."""
+        properties = {"w": {"enum": ["u", "d"], "default": "u"}}
+        axes = {"w": ["u", "d"]}
+        for index in range(rng.randint(1, 2)):
+            lo = rng.randint(-3, 5)
+            hi = lo + rng.randint(0, 20)
+            properties[f"k{index}"] = {"type": "integer", "minimum": lo, "maximum": hi,
+                                       "default": lo}
+            axes[f"k{index}"] = sorted({lo, lo + 1, (lo + hi) // 2, hi, hi + 1,
+                                        lo + 0.5, (lo + hi) / 2})
+        conjuncts = [{"type": "object", "additionalProperties": False,
+                      "properties": properties}]
+        for _ in range(rng.randint(1, 3)):
+            name = rng.choice([n for n in properties if n != "w"])
+            at = properties[name]["minimum"] + rng.randint(-1, 6)
+            lo = at + rng.choice([0.0, 0.2, 0.5])
+            hi = lo + rng.choice([0.0, 0.3, 0.6, 1.5])
+            narrow = {"type": "number", "minimum": lo, "maximum": hi,
+                      "exclusiveMinimum": rng.random() < 0.3,
+                      "exclusiveMaximum": rng.random() < 0.3}
+            if lo == hi:
+                narrow["exclusiveMinimum"] = narrow["exclusiveMaximum"] = False
+            alternatives = [{"type": "object", "properties": {name: narrow}}]
+            if rng.random() < 0.7:
+                alternatives.append({"type": "object",
+                                     "properties": {"w": {"enum": [rng.choice("ud")]}}})
+            conjuncts.append({"anyOf": alternatives})
+        return sm.parse_schema(json.dumps({"allOf": conjuncts})), axes
+
+    def _check(self, schema, axes, bound=None):
+        names = sorted(axes)
+        probes = [dict(zip(names, combo))
+                  for combo in itertools.product(*(axes[n] for n in names))]
+        try:
+            nf = norm.normalize(schema)
+        except norm.EmptySpace:
+            for config in probes:
+                assert not sm.validate(config, schema).ok, config
+            return
+        for config in probes:
+            assert member(nf, config) == sm.validate(config, schema).ok, \
+                (serialize(schema), config)
+        for disjunct in nf.disjuncts:
+            for domain in disjunct.values():
+                assert _holds_a_value(domain), (serialize(schema), domain)
+        op = og.Individual("Probe", schema)
+        if bound is not None:
+            op = og.configure(op, bound)
+        try:
+            compiled = compile_space(op)
+        except CompileError as exc:  # an unbound slot in every disjunct
+            assert bound is None and "admits no search disjunct" in str(exc)
+            return
+        hier = compiled.hierarchical()
+        rng = random.Random(len(probes))
+        for _ in range(20):
+            compiled.decode(sample_space(hier, rng))
+
+    def test_operator_slots_admit_what_validate_admits(self):
+        rng = random.Random(5150)
+        for _ in range(20):
+            schema, axes = self._slot_schema(rng)
+            self._check(schema, axes)
+            self._check(schema, axes, bound={"base": INNER})
+
+    def test_member_equals_validate_on_numeric_constraints(self):
+        rng = random.Random(1218)
+        for _ in range(80):
+            self._check(*self._numeric_schema(rng))
+
+    def test_constrained_knn_keeps_its_one_satisfiable_disjunct(self):
+        schema = sm.parse_schema({"allOf": [
+            {"type": "object", "additionalProperties": False, "properties": {
+                "k": {"type": "integer", "minimum": 1, "maximum": 25, "default": 5},
+                "weighting": {"enum": ["uniform", "distance"], "default": "uniform"}}},
+            {"anyOf": [
+                {"type": "object", "properties": {
+                    "k": {"type": "number", "minimum": 1.2, "maximum": 1.8}}},
+                {"type": "object", "properties": {"weighting": {"enum": ["distance"]}}}]}]})
+        nf = norm.normalize(schema)
+        assert len(nf.disjuncts) == 1
+        assert nf.disjuncts[0]["weighting"].values == ("distance",)
+        self._check(schema, {"k": [0, 1, 1.5, 2, 25, 26], "weighting": ["uniform", "distance"]})
+        compiled = compile_space(og.Individual("ConstrainedKNN", schema))
+        history = opt.random_search(compiled.hierarchical(),
+                                    lambda point: float(compiled.decode(point).bound["k"]),
+                                    opt.OptimizerSpec(max_trials=20, seed=0))
+        assert [t.status for t in history.trials] == [opt.VALID] * 20
 
 
 class TestDropConstraints:

@@ -435,6 +435,12 @@ def descent_batches(draw, min_problems=1, max_problems=5):
     return problems
 
 
+def reference_sgd_rows(n, count):
+    """The sgd rows of n-row problems as a randrange loop."""
+    rng = random.Random(13)
+    return [rng.randrange(n) for _ in range(count)]
+
+
 class TestReferenceOracles:
     @given(tree_data(), st.integers(1, 8))
     @settings(max_examples=300, deadline=None)
@@ -472,18 +478,12 @@ class TestReferenceOracles:
         assert got.dtype == want.dtype and np.array_equal(got, want)
         assert toyml._tree_predict(tree, queries[:0]).shape == (0,)
 
-    @given(st.integers(1, 2**16), st.integers(0, 2000), st.integers(0, 2**32 - 1))
-    @settings(max_examples=200, deadline=None)
-    def test_bulk_rows_match_randrange_loop(self, n, count, seed):
-        reference = random.Random(seed)
-        want = [reference.randrange(n) for _ in range(count)]
-        assert toyml._draw_rows(random.Random(seed), n, count).tolist() == want
-
     @pytest.mark.parametrize("n", [1, 2, 3, 2**16 - 1, 2**16, 2**16 + 1, 2**31 + 1, 2**32 - 1])
     def test_bulk_rows_at_bit_length_edges(self, n):
-        reference = random.Random(n)
-        want = [reference.randrange(n) for _ in range(500)]
-        assert toyml._draw_rows(random.Random(n), n, 500).tolist() == want
+        # The kept rows are int64, so rows up to 2**32 - 2 come back exact.
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(toyml, "_sgd_rows_memo", (0, np.empty(0, dtype=np.int64)))
+            assert toyml._sgd_rows(n, 500).tolist() == reference_sgd_rows(n, 500)
 
     @given(st.one_of(st.integers(1, 300),
                      st.sampled_from([2**k + d for k in range(9) for d in (-1, 0, 1)
@@ -492,10 +492,14 @@ class TestReferenceOracles:
     @settings(max_examples=300, deadline=None)
     def test_fewer_rows_are_a_prefix_of_more(self, n, a, b):
         # The sgd rows of a problem are drawn once, for the longest descent
-        # on it; a shorter descent in the same lockstep reads the first a.
+        # on it; a shorter descent reads the first a, which is what a fresh
+        # draw of a rows gives.
         a, b = sorted((a, b))
-        shorter = toyml._draw_rows(random.Random(13), n, a)
-        assert shorter.tolist() == toyml._draw_rows(random.Random(13), n, b)[:a].tolist()
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(toyml, "_sgd_rows_memo", (0, np.empty(0, dtype=np.int64)))
+            shorter = toyml._sgd_rows(n, a).tolist()
+            patch.setattr(toyml, "_sgd_rows_memo", (0, np.empty(0, dtype=np.int64)))
+            assert shorter == toyml._sgd_rows(n, b)[:a].tolist()
 
     @given(st.lists(st.tuples(st.one_of(st.integers(1, 300), st.sampled_from([1, 2, 3, 64])),
                               st.integers(0, 3000)), min_size=1, max_size=12))
@@ -508,7 +512,7 @@ class TestReferenceOracles:
             for n, count in requests:
                 got = toyml._sgd_rows(n, count)
                 assert not got.flags.writeable
-                assert got.tolist() == toyml._draw_rows(random.Random(13), n, count).tolist()
+                assert got.tolist() == reference_sgd_rows(n, count)
             last_n, kept = toyml._sgd_rows_memo
         # What is kept is the rows of the last n and no more than its
         # longest request since n last changed.
