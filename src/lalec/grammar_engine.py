@@ -8,6 +8,7 @@ choice with a seeded generator, so the result has no choices at all.
 
 from __future__ import annotations
 
+import functools
 import random
 from dataclasses import dataclass
 from typing import Mapping
@@ -65,15 +66,9 @@ def _expand(ast: ExprAst, grammar: GrammarFile, counts: dict[str, int], depth: i
         next_counts = dict(counts)
         next_counts[ast.name] = used + 1
         return _expand(grammar.body(ast.name), grammar, next_counts, depth)
-    if isinstance(ast, Pipe):
-        return Pipe(_expand(ast.left, grammar, counts, depth),
-                    _expand(ast.right, grammar, counts, depth))
-    if isinstance(ast, Both):
-        return Both(_expand(ast.left, grammar, counts, depth),
-                    _expand(ast.right, grammar, counts, depth))
-    if isinstance(ast, Choose):
-        return Choose(_expand(ast.left, grammar, counts, depth),
-                      _expand(ast.right, grammar, counts, depth))
+    if isinstance(ast, (Pipe, Both, Choose)):
+        return type(ast)(_expand(ast.left, grammar, counts, depth),
+                         _expand(ast.right, grammar, counts, depth))
     return ast
 
 
@@ -84,26 +79,12 @@ def _prune(node):
         return None
     if isinstance(node, (Ref, Call)):
         return node
-    if isinstance(node, Pipe):
+    if isinstance(node, (Pipe, Both)):
         left, right = _prune(node.left), _prune(node.right)
-        if left is None or right is None:
-            return None
-        return Pipe(left, right)
-    if isinstance(node, Both):
-        left, right = _prune(node.left), _prune(node.right)
-        if left is None or right is None:
-            return None
-        return Both(left, right)
+        return None if left is None or right is None else type(node)(left, right)
     if isinstance(node, Choose):
-        alternatives = [a for a in (_prune(c) for c in _choice_list(node)) if a is not None]
-        if not alternatives:
-            return None
-        if len(alternatives) == 1:
-            return alternatives[0]
-        out = alternatives[0]
-        for alt in alternatives[1:]:
-            out = Choose(out, alt)
-        return out
+        alternatives = [a for a in map(_prune, _choice_list(node)) if a is not None]
+        return functools.reduce(Choose, alternatives) if alternatives else None
     raise TypeError(f"unexpected node {node!r}")
 
 
@@ -140,12 +121,9 @@ def _sample(ast: ExprAst, grammar, counts, max_depth, rng) -> ExprAst:
         if not eligible:
             raise NoTerminatingAlternative("no alternative free of exhausted nonterminals")
         return _sample(rng.choice(eligible), grammar, counts, max_depth, rng)
-    if isinstance(ast, Pipe):
-        return Pipe(_sample(ast.left, grammar, counts, max_depth, rng),
-                    _sample(ast.right, grammar, counts, max_depth, rng))
-    if isinstance(ast, Both):
-        return Both(_sample(ast.left, grammar, counts, max_depth, rng),
-                    _sample(ast.right, grammar, counts, max_depth, rng))
+    if isinstance(ast, (Pipe, Both)):
+        return type(ast)(_sample(ast.left, grammar, counts, max_depth, rng),
+                         _sample(ast.right, grammar, counts, max_depth, rng))
     return ast
 
 

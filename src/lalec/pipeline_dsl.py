@@ -153,7 +153,10 @@ def _tokenize(text: str) -> list[_Token]:
             if j >= n:
                 raise SyntaxError_(line, start_col, "unterminated string literal")
             tokens.append(_Token("string", "".join(chars), line, start_col))
-            col += j + 1 - i
+            literal = text[i:j + 1]
+            breaks = literal.count("\n")
+            line += breaks
+            col = len(literal) - literal.rfind("\n") if breaks else col + len(literal)
             i = j + 1
             continue
         if c.isdigit() or (c in "+-" and i + 1 < n and (text[i + 1].isdigit() or text[i + 1] == ".")) \
@@ -193,6 +196,10 @@ def _tokenize(text: str) -> list[_Token]:
 # Parser (recursive descent following the precedence ladder)
 
 
+# Loosest first; each rung's operands are the next rung's, the last one's atoms.
+_PRECEDENCE = (("|", Choose), ("&", Both), (">>", Pipe))
+
+
 class _Parser:
     def __init__(self, tokens: list[_Token]):
         self.tokens = tokens
@@ -206,48 +213,39 @@ class _Parser:
         self.pos += 1
         return token
 
-    def expect(self, value: str) -> _Token:
+    def accept(self, value: str) -> bool:
+        """Consume the punctuation `value` if it comes next."""
         token = self.peek()
         if token.kind == "punct" and token.value == value:
-            return self.advance()
-        raise SyntaxError_(token.line, token.col, f"expected {value!r}")
+            self.pos += 1
+            return True
+        return False
+
+    def expect(self, value: str) -> None:
+        if not self.accept(value):
+            self.fail(f"expected {value!r}")
 
     def fail(self, message: str):
         token = self.peek()
         raise SyntaxError_(token.line, token.col, message)
 
-    def parse_expression(self) -> ExprAst:
-        node = self.parse_both()
-        while self.peek().kind == "punct" and self.peek().value == "|":
-            self.advance()
-            node = Choose(node, self.parse_both())
-        return node
-
-    def parse_both(self) -> ExprAst:
-        node = self.parse_pipe()
-        while self.peek().kind == "punct" and self.peek().value == "&":
-            self.advance()
-            node = Both(node, self.parse_pipe())
-        return node
-
-    def parse_pipe(self) -> ExprAst:
-        node = self.parse_atom()
-        while self.peek().kind == "punct" and self.peek().value == ">>":
-            self.advance()
-            node = Pipe(node, self.parse_atom())
+    def parse_expression(self, level: int = 0) -> ExprAst:
+        punct, node_class = _PRECEDENCE[level]
+        last = level + 1 == len(_PRECEDENCE)
+        node = self.parse_atom() if last else self.parse_expression(level + 1)
+        while self.accept(punct):
+            node = node_class(node, self.parse_atom() if last else self.parse_expression(level + 1))
         return node
 
     def parse_atom(self) -> ExprAst:
-        token = self.peek()
-        if token.kind == "punct" and token.value == "(":
-            self.advance()
+        if self.accept("("):
             node = self.parse_expression()
             self.expect(")")
             return node
+        token = self.peek()
         if token.kind == "name":
             self.advance()
-            if self.peek().kind == "punct" and self.peek().value == "(":
-                self.advance()
+            if self.accept("("):
                 args = self.parse_args()
                 self.expect(")")
                 return Call(token.value, args)
@@ -265,10 +263,8 @@ class _Parser:
             self.advance()
             self.expect("=")
             args.append((name_token.value, self.parse_literal()))
-            if self.peek().kind == "punct" and self.peek().value == ",":
-                self.advance()
-                continue
-            return tuple(args)
+            if not self.accept(","):
+                return tuple(args)
 
     def parse_literal(self):
         token = self.peek()
@@ -299,6 +295,9 @@ def parse_expr_ast(text: str) -> ExprAst:
 # Building operators from ASTs
 
 
+_COMBINATORS = {Pipe: pipe, Both: both, Choose: lambda left, right: choose([left, right])}
+
+
 def build_operator(ast: ExprAst, registry: Mapping[str, Individual]) -> Operator:
     if isinstance(ast, Ref):
         return _resolve(ast.name, registry)
@@ -312,12 +311,9 @@ def build_operator(ast: ExprAst, registry: Mapping[str, Individual]) -> Operator
                 value = _resolve(value.name, registry)
             config[key] = value
         return configure(op, config)
-    if isinstance(ast, Pipe):
-        return pipe(build_operator(ast.left, registry), build_operator(ast.right, registry))
-    if isinstance(ast, Both):
-        return both(build_operator(ast.left, registry), build_operator(ast.right, registry))
-    if isinstance(ast, Choose):
-        return choose([build_operator(ast.left, registry), build_operator(ast.right, registry)])
+    if isinstance(ast, (Pipe, Both, Choose)):
+        return _COMBINATORS[type(ast)](build_operator(ast.left, registry),
+                                       build_operator(ast.right, registry))
     raise TypeError(f"not an expression node: {ast!r}")
 
 
@@ -360,50 +356,27 @@ def parse_grammar(text: str, registry: Mapping[str, Individual],
             raise DslError(f"rule {name!r} shadows a registered operator")
         if not name[0].islower():
             raise DslError(f"rule names must start lowercase, got {name!r}")
-    resolved = tuple((name, _mark_nonterminals(body, set(rule_names), registry))
-                     for name, body in rules)
     if start not in rule_names:
         raise MissingStart(f"grammar has no {start!r} rule")
-    for name, body in resolved:
-        _check_refs(body, set(rule_names), registry)
-    return GrammarFile(resolved, start)
+    names = set(rule_names)
+    return GrammarFile(tuple((name, _resolve_refs(body, names, registry))
+                             for name, body in rules), start)
 
 
-def _mark_nonterminals(ast: ExprAst, rule_names, registry) -> ExprAst:
-    if isinstance(ast, Ref):
-        if ast.name not in registry and ast.name[0].islower():
-            return NontermRef(ast.name)
-        return ast
-    if isinstance(ast, (Call, NontermRef)):
-        return ast
-    if isinstance(ast, Pipe):
-        return Pipe(_mark_nonterminals(ast.left, rule_names, registry),
-                    _mark_nonterminals(ast.right, rule_names, registry))
-    if isinstance(ast, Both):
-        return Both(_mark_nonterminals(ast.left, rule_names, registry),
-                    _mark_nonterminals(ast.right, rule_names, registry))
-    if isinstance(ast, Choose):
-        return Choose(_mark_nonterminals(ast.left, rule_names, registry),
-                      _mark_nonterminals(ast.right, rule_names, registry))
-    return ast
-
-
-def _check_refs(ast: ExprAst, rule_names, registry) -> None:
+def _resolve_refs(ast: ExprAst, rule_names, registry) -> ExprAst:
+    """Mark bare lowercase names that are not registered operators as
+    nonterminal references, and check every reference left to right."""
+    if isinstance(ast, (Pipe, Both, Choose)):
+        return type(ast)(_resolve_refs(ast.left, rule_names, registry),
+                         _resolve_refs(ast.right, rule_names, registry))
+    if isinstance(ast, Ref) and ast.name not in registry and ast.name[0].islower():
+        ast = NontermRef(ast.name)
     if isinstance(ast, NontermRef):
         if ast.name not in rule_names:
             raise UndefinedNonterminal(f"nonterminal {ast.name!r} has no rule")
-        return
-    if isinstance(ast, Ref):
-        if ast.name not in registry:
-            raise UnknownOperator(f"unknown operator {ast.name!r}")
-        return
-    if isinstance(ast, Call):
-        if ast.name not in registry:
-            raise UnknownOperator(f"unknown operator {ast.name!r}")
-        return
-    if isinstance(ast, (Pipe, Both, Choose)):
-        _check_refs(ast.left, rule_names, registry)
-        _check_refs(ast.right, rule_names, registry)
+    elif ast.name not in registry:
+        raise UnknownOperator(f"unknown operator {ast.name!r}")
+    return ast
 
 
 # ---------------------------------------------------------------------------

@@ -612,7 +612,7 @@ def _pcs_build(ir: SearchIR, ctx, branch_ctx, model: PcsSpace) -> None:
         if isinstance(domains[0], OpSlot):
             _pcs_build(domains[0].nested, ctx, branch_ctx, model)
             continue
-        if selector is None or all(d == domains[0] for d in domains):
+        if selector is None or all(_same_domain(d, domains[0]) for d in domains):
             _pcs_add(model, public, branch_ctx,
                      _pcs_param(public, domains[0]), ctx,
                      ("param", public, tuple(domains)))
@@ -623,6 +623,17 @@ def _pcs_build(ir: SearchIR, ctx, branch_ctx, model: PcsSpace) -> None:
                      _pcs_param(pcs_name, domain),
                      ctx + ((selector, str(index)),),
                      ("param", public, (domain,)))
+
+
+def _same_domain(a: Domain, b: Domain) -> bool:
+    """Domain equality in which a boolean equals only a boolean (scalar_eq's
+    rule), where dataclass equality has 1 == True."""
+    return a is b or (a == b and _bool_places(a) == _bool_places(b))
+
+
+def _bool_places(domain: Domain) -> list[bool]:
+    values = domain.values if isinstance(domain, Cat) else ()
+    return [type(v) is bool for v in (*values, domain.default)]
 
 
 def _pcs_param(name: str, domain: Domain) -> PcsParameter:
@@ -654,7 +665,8 @@ def emit_pcs(ir: SearchIR, limit: int = DEFAULT_BLOWUP_LIMIT,
     """Classic PCS text: parameters, then `child | parent == value` lines
     (several lines on one child conjoin). `cached` gives ir's PCS model
     when the caller keeps one. Refuses with CompileError a parameter whose
-    name or value `read_pcs` could not read back."""
+    name or value `read_pcs` could not read back, or whose values spell
+    alike (as 1 and "1" do), since the text could not tell them apart."""
     flat_size(ir, limit)  # enforce the blowup cap the flat form defines
     space = cached() if cached else _pcs_model(ir)
     for param in space.parameters.values():
@@ -663,6 +675,10 @@ def emit_pcs(ir: SearchIR, limit: int = DEFAULT_BLOWUP_LIMIT,
                 raise CompileError(
                     f"PCS parameter {param.name!r}: {text!r} would not read back "
                     "(PCS names and values hold no whitespace and none of # | , = { } [ ])")
+        if len(set(param.values)) < len(param.values):
+            raise CompileError(
+                f"PCS parameter {param.name!r}: values {{{', '.join(param.values)}}} "
+                "spell alike, so PCS text cannot tell them apart")
     return _pcs_text(space)
 
 
@@ -725,11 +741,11 @@ def read_pcs(text: str) -> PcsSpace:
             values = tuple(v.strip() for v in domain_text.split(","))
             parameters[name] = PcsParameter(name, "categorical", values=values, default=default)
             continue
+        kind = "integer" if "i" in flags else "real"
         try:
-            lo, hi = (float(bound) for bound in domain_text.split(","))
+            lo, hi = (_pcs_bound(bound, kind == "integer") for bound in domain_text.split(","))
         except ValueError:
             raise ValueError(f"line {lineno}: expected two numbers in [{domain_text}]") from None
-        kind = "integer" if "i" in flags else "real"
         problem = _pcs_range_problem(lo, hi, kind == "integer", "l" in flags)
         if problem:
             raise ValueError(f"line {lineno}: {problem}")
@@ -739,6 +755,19 @@ def read_pcs(text: str) -> PcsSpace:
         if child not in parameters:
             raise ValueError(f"condition references unknown parameter {child!r}")
     return PcsSpace(parameters, conditions)
+
+
+def _pcs_bound(text: str, integer: bool) -> float | int:
+    """A range bound: an integer range's bound spelled as an integer reads
+    exactly (float() would round one above 2**53); other spellings, such as
+    3.0, read as floats."""
+    number = float(text)
+    if integer and math.isfinite(number):
+        try:
+            return int(text)
+        except ValueError:
+            pass
+    return number
 
 
 def _pcs_range_problem(lo: float, hi: float, integer: bool, log: bool) -> str | None:
@@ -763,11 +792,17 @@ def decode_pcs_point(ir: SearchIR, point: Mapping[str, Any]) -> dict[str, Any]:
 
 
 def _coerce(domains, value):
+    # Exact equality first, so that a value some other candidate spells like
+    # in PCS (1 and "1", true and "true") still decodes to itself.
     for domain in domains:
         if isinstance(domain, Cat):
             for candidate in domain.values:
-                if (schema_model.scalar_eq(candidate, value)
-                        or _pcs_value(candidate) == str(value)):
+                if schema_model.scalar_eq(candidate, value):
+                    return candidate
+    for domain in domains:
+        if isinstance(domain, Cat):
+            for candidate in domain.values:
+                if _pcs_value(candidate) == str(value):
                     return candidate
         elif isinstance(domain, Cont) and not isinstance(value, bool):
             try:
@@ -777,7 +812,8 @@ def _coerce(domains, value):
             if domain.integer_valued:
                 if not math.isfinite(number):
                     continue
-                number = int(round(number))
+                # An int is kept exact: float() rounds one above 2**53.
+                number = value if isinstance(value, int) else int(round(number))
             if schema_model.in_range(number, domain.lo, domain.hi, domain.lo_open,
                                      domain.hi_open, domain.integer_valued):
                 return number

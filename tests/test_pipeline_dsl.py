@@ -61,11 +61,16 @@ class TestParseExpr:
         with pytest.raises(dsl.UnknownOperator):
             parse_expr("Nonesuch", registry)
 
-    def test_syntax_error_position(self, registry):
+    @pytest.mark.parametrize("text, line, col", [
+        pytest.param("PCA >>", 1, 7, id="end_of_input"),
+        # A string literal's line breaks count; the column restarts after the last.
+        pytest.param('KNN(weighting="uni\nform") >> \n >> KNN', 3, 2,
+                     id="after_multiline_string"),
+    ])
+    def test_syntax_error_position(self, registry, text, line, col):
         with pytest.raises(dsl.SyntaxError_) as err:
-            parse_expr("PCA >>", registry)
-        assert err.value.line == 1
-        assert err.value.col == 7
+            parse_expr(text, registry)
+        assert (err.value.line, err.value.col) == (line, col)
 
     def test_comments_ignored(self, registry):
         op = parse_expr("# choose an estimator\nKNN | LR", registry)
@@ -116,6 +121,23 @@ class TestParseGrammar:
     def test_missing_start(self, registry):
         with pytest.raises(dsl.MissingStart):
             parse_grammar("loop := KNN;", registry)
+
+    @pytest.mark.parametrize("text, error, message", [
+        # Rule-name errors, then a missing start, then the first bad
+        # reference in rule order and left to right.
+        ("loop := foo; KNN := LR;", dsl.DslError, "rule 'KNN' shadows a registered operator"),
+        ("loop := KNN >> foo;", dsl.MissingStart, "grammar has no 'start' rule"),
+        ("start := KNN >> foo | Nope; other := bar;", dsl.UndefinedNonterminal,
+         "nonterminal 'foo' has no rule"),
+        ("start := (Nope & KNN) >> foo; other := bar;", dsl.UnknownOperator,
+         "unknown operator 'Nope'"),
+        ("start := KNN | other; other := bar >> Nope(k=1);", dsl.UndefinedNonterminal,
+         "nonterminal 'bar' has no rule"),
+    ])
+    def test_error_order(self, registry, text, error, message):
+        with pytest.raises(dsl.DslError) as err:
+            parse_grammar(text, registry)
+        assert (type(err.value), str(err.value)) == (error, message)
 
     def test_rule_shadowing_operator_rejected(self, registry):
         with pytest.raises(dsl.DslError):

@@ -996,18 +996,33 @@ def _refused(emit):
         return True, None
 
 
+def _scalar_key(value):
+    return isinstance(value, bool), value
+
+
 @st.composite
-def enum_operators(draw):
+def enum_operators(draw, disjuncts=False):
     """An operator of one or two enums of any text, numbers, booleans and
-    null."""
-    scalars = st.one_of(st.text(max_size=4), st.integers(-9, 9), st.booleans(), st.none(),
-                        st.floats(allow_nan=False))
+    null, often of values that compare or spell alike in PCS; with
+    `disjuncts`, also an anyOf whose alternatives each narrow every enum to
+    one or two of its values."""
+    alike = st.sampled_from([1, "1", 1.5, "1.5", True, "true", "True", None, "null"])
+    scalars = st.one_of(alike, st.text(max_size=4), st.integers(-9, 9), st.booleans(),
+                        st.none(), st.floats(allow_nan=False))
     props = {}
     for i in range(draw(st.integers(1, 2))):
-        values = draw(st.lists(scalars, min_size=1, max_size=4,
-                               unique_by=lambda v: (isinstance(v, bool), v)))
+        values = draw(st.lists(scalars, min_size=1, max_size=4, unique_by=_scalar_key))
         props[draw(st.sampled_from(["x", "a b", "c#d", f"p{i}"]))] = {"enum": values}
-    return og.Individual("Enums", sm.parse_schema({"type": "object", "properties": props}))
+    schema = {"type": "object", "properties": props}
+    if disjuncts:
+        narrowed = st.fixed_dictionaries({
+            name: st.lists(st.sampled_from(prop["enum"]), min_size=1, max_size=2,
+                           unique_by=_scalar_key).map(lambda values: {"enum": values})
+            for name, prop in props.items()})
+        alternatives = draw(st.lists(narrowed, min_size=1, max_size=3))
+        schema = {"allOf": [schema, {"anyOf": [{"type": "object", "properties": a}
+                                               for a in alternatives]}]}
+    return og.Individual("Enums", sm.parse_schema(schema))
 
 
 def _pcs_role_space(role, strings):
@@ -1055,6 +1070,27 @@ def _reads_back(space):
         return False
 
 
+def _drawn_values_decode(compiled, point):
+    """The point of a one-operator space decodes to a configuration holding
+    exactly its values."""
+    bound = compiled.decode(point).bound
+    prefix = compiled.op.name.lower()
+    return ({f"{prefix}__{name}": repr(value) for name, value in bound.items()}
+            == {key: repr(value) for key, value in point.items()})
+
+
+def _parsed_pcs_failures(compiled, draws, seed=0):
+    """How many of `draws` points sampled from the space's read-back PCS
+    text fail to decode."""
+    space, rng, failures = read_pcs(compiled.pcs()), random.Random(seed), 0
+    for _ in range(draws):
+        try:
+            compiled.decode_pcs(space.sample(rng))
+        except (sb.DecodeError, og.OperatorError):
+            failures += 1
+    return failures
+
+
 class TestPcsRoundTrip:
     @settings(max_examples=200, deadline=None)
     @given(compiled=st.one_of(compiled_spaces(), range_operators().map(compile_space),
@@ -1096,6 +1132,69 @@ class TestPcsRoundTrip:
         for role in PCS_ROLES:
             for place in PCS_PLACES:
                 assert _reads_back(_pcs_role_space(role, [place(c) for c in kept])), role
+
+    def test_integer_bounds_above_2_to_53_read_back(self):
+        op = og.Individual("Big", sm.parse_schema({"type": "object", "properties": {
+            "n": {"type": "integer", "minimum": 2**60, "maximum": 2**60 + 4096,
+                  "exclusiveMinimum": True}}}))
+        compiled = compile_space(op)
+        assert read_pcs(compiled.pcs()) == compiled.pcs_model
+        assert _parsed_pcs_failures(compiled, 200) == 0
+        rng = random.Random(0)
+        doc = compiled.hierarchical()
+        for _ in range(200):
+            assert _drawn_values_decode(compiled, sample_space(doc, rng))
+
+
+class TestMixedEnums:
+    """Enums mixing values that compare alike (1 and true) or spell alike
+    in PCS (1 and "1") decode to the values drawn, from every encoding."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(op=enum_operators(disjuncts=True), seed=st.integers(0, 2**31 - 1))
+    def test_every_draw_decodes_to_itself(self, op, seed):
+        compiled = compile_space(op)
+        rng = random.Random(seed)
+        doc = compiled.hierarchical()
+        for _ in range(20):
+            assert _drawn_values_decode(compiled, sample_space(doc, rng))
+        for cell in sb.grid_cells(compiled.grid()):
+            assert _drawn_values_decode(compiled, cell)
+        try:
+            assert _parsed_pcs_failures(compiled, 20, seed) == 0
+        except CompileError as exc:
+            assert any(f"PCS parameter {name!r}:" in str(exc)
+                       for name in compiled.pcs_model.parameters)
+
+    def test_disjuncts_differing_only_in_a_boolean_keep_apart(self):
+        """x=1 goes with y=a and x=true with y=b; one merged PCS parameter
+        for x would pair either value with either y."""
+        op = og.Individual("T", sm.parse_schema({"allOf": [
+            {"type": "object", "properties": {"x": {"enum": [1, True]},
+                                              "y": {"enum": ["a", "b"]}}},
+            {"anyOf": [
+                {"type": "object", "properties": {"x": {"enum": [1]}, "y": {"enum": ["a"]}}},
+                {"type": "object", "properties": {"x": {"enum": [True]}, "y": {"enum": ["b"]}}},
+            ]},
+        ]}))
+        compiled = compile_space(op)
+        assert "t__x {1} [1]" in compiled.pcs()
+        assert "t__x__1 {true} [true]" in compiled.pcs()
+        assert _parsed_pcs_failures(compiled, 200) == 0
+
+    def test_values_spelled_alike_decode_apart_and_refuse_pcs(self):
+        op = og.Individual("T", sm.parse_schema({"type": "object", "properties": {
+            "x": {"enum": ["1", 1, True, "true"]}}}))
+        compiled = compile_space(op)
+        rng = random.Random(0)
+        doc = compiled.hierarchical()
+        drawn = {repr(compiled.decode(sample_space(doc, rng)).bound["x"]) for _ in range(200)}
+        assert drawn == {"'1'", "1", "True", "'true'"}
+        grid = [compiled.decode(cell).bound["x"] for cell in sb.grid_cells(compiled.grid())]
+        assert list(map(repr, grid)) == ["'1'", "1", "True", "'true'"]
+        with pytest.raises(CompileError, match=r"^PCS parameter 't__x': values \{1, 1, true, true\} "
+                                               "spell alike"):
+            compiled.pcs()
 
 
 class TestSizeFirst:
