@@ -66,6 +66,8 @@ class TestParseExpr:
         # A string literal's line breaks count; the column restarts after the last.
         pytest.param('KNN(weighting="uni\nform") >> \n >> KNN', 3, 2,
                      id="after_multiline_string"),
+        pytest.param('KNN(weighting="uni\nform") >> >> KNN', 2, 11,
+                     id="on_multiline_string_last_line"),
     ])
     def test_syntax_error_position(self, registry, text, line, col):
         with pytest.raises(dsl.SyntaxError_) as err:
