@@ -21,6 +21,7 @@ import random
 import re
 from dataclasses import dataclass, field, replace
 from functools import cached_property
+from operator import add, mul
 from typing import Any, Callable, Mapping
 
 from . import schema_model
@@ -40,8 +41,8 @@ from .space_normalizer import (
     drop_constraints,
     normalize,
     DEFAULT_BLOWUP_LIMIT,
-    BlowupExceeded,
     _domain_admits,
+    capped_fold,
 )
 
 
@@ -185,9 +186,8 @@ def _combine_individual(op: Individual, path: str, unique: str, keep: bool) -> L
         return LeafIR(path, unique, op, _EMPTY_NF)
     schema = op.schema if keep else drop_constraints(op.schema)
     effective_op = op if keep else replace(op, schema=schema)
-    declared = schema_model.declared_domains(op.schema)
     try:
-        nf = normalize(schema, declared)
+        nf = normalize(schema)
     except Exception as exc:
         raise CompileError(f"{op.name}: {exc}") from exc
     disjuncts = []
@@ -351,32 +351,21 @@ def flat_size(ir: SearchIR, limit: int = DEFAULT_BLOWUP_LIMIT) -> int:
     Raises BlowupExceeded at the first partial size beyond `limit`, so the
     numbers stay small and nothing is built."""
     if isinstance(ir, StepMapIR):
-        size = 1
-        for _, child in ir.steps:
-            size *= flat_size(child, limit)
-            if size > limit:
-                raise BlowupExceeded(limit)
-        return size
+        steps = (flat_size(child, limit) for _, child in ir.steps)
+        return capped_fold(mul, 1, steps, limit)
     if isinstance(ir, ChoiceIR):
-        size = 0
-        for _, body in ir.branches:
-            size += flat_size(body, limit)
-            if size > limit:
-                raise BlowupExceeded(limit)
-        return size
+        branches = (flat_size(body, limit) for _, body in ir.branches)
+        return capped_fold(add, 0, branches, limit)
     assert isinstance(ir, LeafIR)
-    size = 0
-    for disjunct in ir.nf.disjuncts:
-        rows = 1
-        for domain in disjunct.values():
-            if isinstance(domain, OpSlot):
-                rows *= flat_size(domain.nested, limit)
-                if rows > limit:
-                    raise BlowupExceeded(limit)
-        size += rows
-        if size > limit:
-            raise BlowupExceeded(limit)
-    return size
+    rows = (_disjunct_rows(disjunct, limit) for disjunct in ir.nf.disjuncts)
+    return capped_fold(add, 0, rows, limit)
+
+
+def _disjunct_rows(disjunct: Mapping[str, Domain], limit: int) -> int:
+    """Flat rows of one leaf disjunct: a product over its nested slots."""
+    slots = (flat_size(domain.nested, limit)
+             for domain in disjunct.values() if isinstance(domain, OpSlot))
+    return capped_fold(mul, 1, slots, limit)
 
 
 def emit_flat(ir: SearchIR, limit: int = DEFAULT_BLOWUP_LIMIT) -> list[dict[str, Domain]]:
@@ -743,7 +732,7 @@ def read_pcs(text: str) -> PcsSpace:
             continue
         kind = "integer" if "i" in flags else "real"
         try:
-            lo, hi = (_pcs_bound(bound, kind == "integer") for bound in domain_text.split(","))
+            lo, hi = (_pcs_number(bound, kind == "integer") for bound in domain_text.split(","))
         except ValueError:
             raise ValueError(f"line {lineno}: expected two numbers in [{domain_text}]") from None
         problem = _pcs_range_problem(lo, hi, kind == "integer", "l" in flags)
@@ -757,8 +746,8 @@ def read_pcs(text: str) -> PcsSpace:
     return PcsSpace(parameters, conditions)
 
 
-def _pcs_bound(text: str, integer: bool) -> float | int:
-    """A range bound: an integer range's bound spelled as an integer reads
+def _pcs_number(text: str, integer: bool) -> float | int:
+    """A number in PCS text: for an integer range, an integer spelling reads
     exactly (float() would round one above 2**53); other spellings, such as
     3.0, read as floats."""
     number = float(text)
@@ -812,8 +801,10 @@ def _coerce(domains, value):
             if domain.integer_valued:
                 if not math.isfinite(number):
                     continue
-                # An int is kept exact: float() rounds one above 2**53.
-                number = value if isinstance(value, int) else int(round(number))
+                # An int or an integer spelling is kept exact: float() rounds
+                # one above 2**53. Other spellings, such as "3.0", round.
+                exact = _pcs_number(value, True) if isinstance(value, str) else value
+                number = exact if isinstance(exact, int) else int(round(number))
             if schema_model.in_range(number, domain.lo, domain.hi, domain.lo_open,
                                      domain.hi_open, domain.integer_valued):
                 return number

@@ -5,14 +5,15 @@ hyperparameter to a categorical or continuous domain. The rewrite is a
 bottom-up pass: ``anyOf`` hoists disjunctions to the top, ``allOf``
 distributes over them by pairwise intersection, and ``not`` turns into the
 relative complement against the declared base domains. Empty intersections
-are dropped; overlapping disjuncts are kept as-is.
+are dropped; overlapping disjuncts are kept as-is. Every list the pass
+builds goes through capped_list, so none grows past the blowup cap.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, replace
-from typing import Any, Mapping
+from typing import Any, Callable, Iterable, Mapping
 
 from .schema_model import (
     MISSING,
@@ -43,6 +44,30 @@ class NormalizeError(Exception):
 class BlowupExceeded(NormalizeError):
     def __init__(self, limit):
         super().__init__(f"disjunct count exceeds the cap of {limit}")
+
+
+def capped_list(items: Iterable, limit: int) -> list:
+    """The items as a list, refused with BlowupExceeded as soon as it holds
+    more than `limit` of them, so no more than limit + 1 are ever built."""
+    out = []
+    for item in items:
+        out.append(item)
+        if len(out) > limit:
+            raise BlowupExceeded(limit)
+    return out
+
+
+def capped_fold(combine: Callable[[int, int], int], start: int, sizes: Iterable[int],
+                limit: int) -> int:
+    """Fold sizes with `combine` (a sum or a product) from `start`, refused
+    with BlowupExceeded at the first partial total beyond `limit`. The sizes
+    are drawn one at a time, so none is computed past the refusal."""
+    total = start
+    for size in sizes:
+        total = combine(total, size)
+        if total > limit:
+            raise BlowupExceeded(limit)
+    return total
 
 
 class EmptySpace(NormalizeError):
@@ -102,12 +127,12 @@ class NormalForm:
         return tuple(self.disjuncts[0]) if self.disjuncts else ()
 
 
-def normalize(schema: SchemaNode, declared: Mapping[str, SchemaNode] | None = None,
-              limit: int = DEFAULT_BLOWUP_LIMIT) -> NormalForm:
-    """Normalize a full operator schema against its declared base domains."""
-    if declared is None:
-        declared = declared_domains(schema)
-    declared_alts = {name: _domain_alternatives(node) for name, node in declared.items()}
+def normalize(schema: SchemaNode, limit: int = DEFAULT_BLOWUP_LIMIT) -> NormalForm:
+    """Normalize a full operator schema against its declared base domains.
+    Every list of alternatives built on the way, per operator and per
+    property, is refused with BlowupExceeded once it passes `limit`."""
+    declared = declared_domains(schema)
+    declared_alts = {name: _domain_alternatives(node, limit) for name, node in declared.items()}
     disjuncts = _norm(schema, declared_alts, limit)
     disjuncts = [d for d in disjuncts if all(v is not EMPTY for v in d.values())]
     if not disjuncts:
@@ -128,7 +153,7 @@ def _attach_default(domain: Domain, default):
     return domain if default is domain.default else replace(domain, default=default)
 
 
-def _domain_alternatives(node: SchemaNode) -> list[Domain]:
+def _domain_alternatives(node: SchemaNode, limit: int) -> list[Domain]:
     """A property schema as a list of alternative domains (anyOf hoisted)."""
     if isinstance(node, RangeNode):
         return [Cont(node.lo, node.hi, node.lo_open, node.hi_open,
@@ -138,21 +163,11 @@ def _domain_alternatives(node: SchemaNode) -> list[Domain]:
     if isinstance(node, OperatorSlotNode):
         return [OpSlot()]
     if isinstance(node, AnyOfNode):
-        out = []
-        for child in node.children:
-            out.extend(_domain_alternatives(child))
-        return out
+        alts = (alt for child in node.children for alt in _domain_alternatives(child, limit))
+        return capped_list(alts, limit)
     if isinstance(node, AllOfNode):
-        alts = [EMPTY]
-        first = True
-        for child in node.children:
-            child_alts = _domain_alternatives(child)
-            if first:
-                alts, first = child_alts, False
-            else:
-                alts = [d for a in alts for b in child_alts
-                        if (d := intersect_domain(a, b)) is not EMPTY]
-        return alts
+        child_alts = (_domain_alternatives(child, limit) for child in node.children)
+        return _conjoin(child_alts, intersect_domain, limit)
     if isinstance(node, NotNode):
         raise UnsupportedNegation("negation of a single property domain is not supported")
     raise NormalizeError(f"{type(node).__name__} is not a hyperparameter domain")
@@ -161,53 +176,43 @@ def _domain_alternatives(node: SchemaNode) -> list[Domain]:
 def _norm(node: SchemaNode, declared_alts, limit) -> list[dict[str, Domain]]:
     """Bottom-up: return the node's disjuncts over a subset of the names."""
     if isinstance(node, AnyOfNode):
-        out = []
-        for child in node.children:
-            out.extend(_norm(child, declared_alts, limit))
-            if len(out) > limit:
-                raise BlowupExceeded(limit)
-        return out
+        records = (record for child in node.children
+                   for record in _norm(child, declared_alts, limit))
+        return capped_list(records, limit)
     if isinstance(node, AllOfNode):
-        result: list[dict[str, Domain]] | None = None
-        for child in node.children:
-            branch = _norm(child, declared_alts, limit)
-            if result is None:
-                result = branch
-                continue
-            merged = []
-            for left in result:
-                for right in branch:
-                    combined = _intersect_records(left, right)
-                    if combined is not None:
-                        merged.append(combined)
-                    if len(merged) > limit:
-                        raise BlowupExceeded(limit)
-            result = merged
-        return result if result is not None else []
+        branches = (_norm(child, declared_alts, limit) for child in node.children)
+        return _conjoin(branches, _intersect_records, limit)
     if isinstance(node, NotNode):
-        return _complement(node.child, declared_alts, limit)
+        return capped_list(_complement(node.child, declared_alts, limit), limit)
     if isinstance(node, ObjectNode):
-        return _norm_object(node, declared_alts, limit)
+        return capped_list(_norm_object(node, declared_alts, limit), limit)
     if isinstance(node, AnyNode):
         return _fill({}, declared_alts, limit)
     raise NormalizeError(f"cannot normalize {type(node).__name__} as a constraint")
 
 
+def _conjoin(branches, intersect, limit) -> list:
+    """Distribute allOf over its branches' alternatives, left to right: each
+    next branch is intersected pairwise with the product so far, and empty
+    intersections are dropped."""
+    result = None
+    for branch in branches:
+        if result is None:
+            result = branch
+            continue
+        merged = (intersect(left, right) for left in result for right in branch)
+        result = capped_list((m for m in merged if m is not EMPTY), limit)
+    return [] if result is None else result
+
+
 def _norm_object(node: ObjectNode, declared_alts, limit):
+    """Yield the filled records of each combination of the properties' own
+    alternatives. The combinations are capped themselves: a declared domain
+    with no alternative fills each of them to nothing."""
     names = [name for name, _ in node.properties]
-    per_prop = [_domain_alternatives(sub) for _, sub in node.properties]
-    count = 1
-    for alts in per_prop:
-        count *= max(len(alts), 1)
-        if count > limit:
-            raise BlowupExceeded(limit)
-    records = [dict(zip(names, combo)) for combo in itertools.product(*per_prop)]
-    out = []
-    for record in records:
-        out.extend(_fill(record, declared_alts, limit))
-        if len(out) > limit:
-            raise BlowupExceeded(limit)
-    return out
+    per_prop = [_domain_alternatives(sub, limit) for _, sub in node.properties]
+    for combo in capped_list(itertools.product(*per_prop), limit):
+        yield from _fill(dict(zip(names, combo)), declared_alts, limit)
 
 
 def _fill(record: dict[str, Domain], declared_alts, limit):
@@ -215,20 +220,14 @@ def _fill(record: dict[str, Domain], declared_alts, limit):
     missing = [name for name in declared_alts if name not in record]
     if not missing:
         return [dict(record)]
-    out = []
-    for combo in itertools.product(*(declared_alts[name] for name in missing)):
-        filled = dict(record)
-        filled.update(zip(missing, combo))
-        out.append(filled)
-        if len(out) > limit:
-            raise BlowupExceeded(limit)
-    return out
+    combos = itertools.product(*(declared_alts[name] for name in missing))
+    return capped_list((record | dict(zip(missing, combo)) for combo in combos), limit)
 
 
 def _complement(child: ObjectNode, declared_alts, limit):
     """Relative complement of an enum-object: one disjunct per property,
-    complementing that property against its declared values."""
-    out = []
+    complementing that property against its declared values. Yields each
+    property's records before checking the next property."""
     for name, sub in child.properties:
         if not isinstance(sub, EnumNode):
             raise UnsupportedNegation(f"cannot complement non-enum property {name!r}")
@@ -238,12 +237,8 @@ def _complement(child: ObjectNode, declared_alts, limit):
         if len(alts) != 1 or not isinstance(alts[0], Cat):
             raise UnsupportedNegation(f"declared domain of {name!r} is not a single enum")
         remaining = tuple(v for v in alts[0].values if not enum_admits(sub.values, v))
-        if not remaining:
-            continue
-        out.extend(_fill({name: Cat(remaining, alts[0].default)}, declared_alts, limit))
-        if len(out) > limit:
-            raise BlowupExceeded(limit)
-    return out
+        if remaining:
+            yield from _fill({name: Cat(remaining, alts[0].default)}, declared_alts, limit)
 
 
 def _intersect_records(a: dict[str, Domain], b: dict[str, Domain]):
@@ -254,7 +249,7 @@ def _intersect_records(a: dict[str, Domain], b: dict[str, Domain]):
             continue
         domain = intersect_domain(a[name], b[name])
         if domain is EMPTY:
-            return None
+            return EMPTY
         merged[name] = domain
     for name in b:
         if name not in a:

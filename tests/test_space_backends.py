@@ -1145,6 +1145,25 @@ class TestPcsRoundTrip:
         for _ in range(200):
             assert _drawn_values_decode(compiled, sample_space(doc, rng))
 
+    def _big(self):
+        return compile_space(og.Individual("Big", sm.parse_schema({
+            "type": "object", "properties": {
+                "n": {"type": "integer", "minimum": 2**60, "maximum": 2**60 + 4096,
+                      "exclusiveMinimum": True}}})))
+
+    def test_integer_spelling_next_to_an_open_bound_decodes(self):
+        # float() rounds 2**60 + 1 onto the open bound 2**60.
+        compiled = self._big()
+        assert compiled.decode_pcs({"big__n": str(2**60 + 1)}).bound["n"] == 2**60 + 1
+
+    def test_integer_spelling_above_2_to_53_decodes_exactly(self):
+        # float() would turn 2**60 + 2025 into its neighbour 2**60 + 2048.
+        compiled = self._big()
+        for decode in (compiled.decode_pcs, compiled.decode):
+            assert decode({"big__n": str(2**60 + 2025)}).bound["n"] == 2**60 + 2025
+        # Other spellings of an integer still read through float().
+        assert compiled.decode_pcs({"big__n": "1152921504606849024.0"}).bound["n"] == 2**60 + 2048
+
 
 class TestMixedEnums:
     """Enums mixing values that compare alike (1 and true) or spell alike

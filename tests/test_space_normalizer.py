@@ -4,6 +4,7 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lalec import operator_graph as og
 from lalec import optimizer as opt
@@ -391,6 +392,70 @@ class TestRandomizedEquivalence:
                                     lambda point: float(compiled.decode(point).bound["k"]),
                                     opt.OptimizerSpec(max_trials=20, seed=0))
         assert [t.status for t in history.trials] == [opt.VALID] * 20
+
+
+def _property_schema(prop):
+    return sm.parse_schema({"type": "object", "properties": {"x": prop}})
+
+
+class TestBlowupCap:
+    """The cap applies to every list the normal form builds, property
+    alternatives included, as the list grows."""
+
+    def test_property_product_refused_as_it_grows(self, monkeypatch):
+        calls = 0
+
+        def counting(a, b):
+            nonlocal calls
+            calls += 1
+            return intersect_domain(a, b)
+
+        monkeypatch.setattr(norm, "intersect_domain", counting)
+        # Every pair of these ranges overlaps: 1,000 alternatives in full.
+        schema = _property_schema({"allOf": [
+            {"anyOf": [{"type": "number", "minimum": 0, "maximum": 10 + i + j}
+                       for i in range(10)]}
+            for j in range(3)]})
+        with pytest.raises(norm.BlowupExceeded):
+            norm.normalize(schema, limit=50)
+        assert calls <= 2 * (50 + 1)
+
+    def test_intermediate_property_product_is_refused_before_narrowing(self):
+        # 40,000 intersections, of which a later conjunct keeps one.
+        ranges = {"anyOf": [{"type": "number", "minimum": 0, "maximum": 10 + i}
+                            for i in range(200)]}
+        schema = _property_schema({"allOf": [
+            ranges, ranges, {"type": "number", "minimum": 208.5, "maximum": 300}]})
+        with pytest.raises(norm.BlowupExceeded):
+            norm.normalize(schema)
+
+    def test_object_combinations_capped_when_a_declared_domain_is_empty(self):
+        # x admits nothing, so each of the constraint's 2**20 combinations
+        # fills to no record; the combinations alone must meet the cap.
+        properties = {f"p{i}": {"enum": [0, 1], "default": 0} for i in range(20)}
+        empty = {"allOf": [{"type": "number", "minimum": 0, "maximum": 1},
+                           {"type": "number", "minimum": 2, "maximum": 3}]}
+        constraint = {f"p{i}": {"anyOf": [{"enum": [0]}, {"enum": [1]}]} for i in range(20)}
+        schema = sm.parse_schema({"allOf": [
+            {"type": "object", "properties": dict(properties, x=empty)},
+            {"type": "object", "properties": constraint}]})
+        with pytest.raises(norm.BlowupExceeded):
+            norm.normalize(schema)
+
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2**31 - 1), limit=st.integers(1, 6))
+    def test_a_capped_normal_form_is_the_full_one(self, seed, limit):
+        schema, _ = TestRandomizedEquivalence()._random_schema(random.Random(seed))
+        try:
+            full = norm.normalize(schema)
+        except norm.EmptySpace:
+            return
+        try:
+            capped = norm.normalize(schema, limit=limit)
+        except norm.BlowupExceeded:
+            return
+        assert limit >= len(full.disjuncts)
+        assert capped.disjuncts == full.disjuncts
 
 
 class TestDropConstraints:
