@@ -328,12 +328,18 @@ class ToyImplementation:
     hyperparameters named in ``share_by``: ``share(config, X, y)`` gets
     ``config`` cut down to those names. ``fit_predict_many`` then gives
     each problem a third item, ``shared``, a function of no arguments that
-    returns ``share``'s result on that problem; ``fit`` calls it instead
-    of doing the work, and must give the same artifacts with or without
-    it. The result is kept in the store as long as the store lives and
-    handed to every fit that asks for it, so ``fit`` must never change it.
-    PrunedTree's grown tree depends on ``maxDepth`` and ``R``, and only
-    its pruning on ``C``.
+    returns ``share``'s result on that problem and the problem's own
+    held-out input, the very object ``apply`` gets for that problem;
+    ``fit`` calls it instead of doing the work, and must give the same
+    artifacts, and ``apply`` the same answers, with or without it. The
+    result is kept in the store as long as the store lives and handed to
+    every fit that asks for it, so what it answers must never change: it
+    may only grow. PrunedTree's grown tree depends on ``maxDepth`` and
+    ``R``, and only its pruning on ``C``. KNN's neighbour table depends
+    on nothing but the problem (``share_by=()``): ``apply`` widens it to
+    the largest ``k`` asked for so far and reads it only for the held-out
+    input that came with it, told by identity, since another array with
+    equal values may be in another layout or belong to another input.
     """
 
     name: str
@@ -428,9 +434,12 @@ def fit_predict_many(ops, datasets, held_out, store: dict) -> list:
 
     A step whose implementation has a ``share`` hook, final or not, gets
     the hook's result on problem i from the store, under ``(impl,
-    canonical config cut to share_by, (input key, i))``. It is computed
-    the first time a fit asks for it, so a fit that raises before it asks
-    stores nothing. Steps whose input has no key share nothing.
+    canonical config cut to share_by, (input key, i))``; the input key
+    covers the problem's held-out input too. It is computed the first
+    time a fit asks for it, so a fit that raises before it asks stores
+    nothing. Steps whose input has no key share nothing. Two kinds share:
+    PrunedTree its grown trees (one per fold, input, ``maxDepth`` and
+    ``R``) and KNN its neighbour tables (one per fold and input).
     """
     Xs = [np.asarray(data.X, dtype=float) for data in datasets]
     Xs += [np.asarray(X, dtype=float) for X in held_out]
@@ -622,7 +631,8 @@ def _problems(impl: ToyImplementation, config, Xs, ys, key, store: dict) -> list
     its ``shared`` function, when the implementation has a ``share`` hook
     and ``_store_key`` gives an entry key. Problem i's ``shared`` keeps
     the hook's result in ``store`` under the entry key with ``(key, i)``
-    as its input key, which never equals a content key."""
+    as its input key, which never equals a content key, and returns it
+    with the problem's own held-out input ``Xs[len(ys) + i]``."""
     problems = list(zip(Xs, ys))
     if impl.share is None:
         return problems
@@ -631,14 +641,14 @@ def _problems(impl: ToyImplementation, config, Xs, ys, key, store: dict) -> list
     if entry_key is None:
         return problems
     return [(X, y, functools.partial(_shared, store, entry_key[:2] + ((key, i),),
-                                     impl.share, named, X, y))
+                                     impl.share, named, X, y, Xs[len(ys) + i]))
             for i, (X, y) in enumerate(problems)]
 
 
-def _shared(store: dict, entry_key, share, named, X, y):
+def _shared(store: dict, entry_key, share, named, X, y, held_out):
     if entry_key not in store:
         store[entry_key] = share(named, X, y)
-    return store[entry_key]
+    return store[entry_key], held_out
 
 
 def _store_key(impl_name: str, config, key):

@@ -33,6 +33,7 @@ from .operator_graph import (
     configure,
 )
 from .space_normalizer import (
+    BlowupExceeded,
     Cat,
     Cont,
     Domain,
@@ -64,7 +65,11 @@ class UnknownMarker(DecodeError):
 
 @dataclass(frozen=True)
 class SearchIR:
-    pass
+    @cached_property
+    def flat_sizes(self) -> dict:
+        """`flat_size`'s answers on this IR, kept on it: per limit, the
+        size, or None for a refusal."""
+        return {}
 
 
 @dataclass(frozen=True)
@@ -349,12 +354,27 @@ def flat_size(ir: SearchIR, limit: int = DEFAULT_BLOWUP_LIMIT) -> int:
     """|emit_flat(ir)| by arithmetic: a product over steps, a sum over choice
     branches, and per leaf disjunct a product over its nested operator slots.
     Raises BlowupExceeded at the first partial size beyond `limit`, so the
-    numbers stay small and nothing is built."""
+    numbers stay small and nothing is built. The IR keeps the answer, the
+    refusal included (`SearchIR.flat_sizes`), so the flat, PCS and grid
+    emitters of one compiled space size it once."""
+    sizes = ir.flat_sizes
+    if limit not in sizes:
+        try:
+            sizes[limit] = _flat_size(ir, limit)
+        except BlowupExceeded:
+            sizes[limit] = None
+            raise
+    if sizes[limit] is None:
+        raise BlowupExceeded(limit)
+    return sizes[limit]
+
+
+def _flat_size(ir: SearchIR, limit: int) -> int:
     if isinstance(ir, StepMapIR):
-        steps = (flat_size(child, limit) for _, child in ir.steps)
+        steps = (_flat_size(child, limit) for _, child in ir.steps)
         return capped_fold(mul, 1, steps, limit)
     if isinstance(ir, ChoiceIR):
-        branches = (flat_size(body, limit) for _, body in ir.branches)
+        branches = (_flat_size(body, limit) for _, body in ir.branches)
         return capped_fold(add, 0, branches, limit)
     assert isinstance(ir, LeafIR)
     rows = (_disjunct_rows(disjunct, limit) for disjunct in ir.nf.disjuncts)
@@ -363,7 +383,7 @@ def flat_size(ir: SearchIR, limit: int = DEFAULT_BLOWUP_LIMIT) -> int:
 
 def _disjunct_rows(disjunct: Mapping[str, Domain], limit: int) -> int:
     """Flat rows of one leaf disjunct: a product over its nested slots."""
-    slots = (flat_size(domain.nested, limit)
+    slots = (_flat_size(domain.nested, limit)
              for domain in disjunct.values() if isinstance(domain, OpSlot))
     return capped_fold(mul, 1, slots, limit)
 

@@ -142,7 +142,7 @@ def _apply_concat(artifacts, X):
 # k-nearest neighbors
 
 
-def _fit_knn(config, X, y):
+def _fit_knn(config, X, y, shared=None):
     X = _matrix(X)
     return {
         "X": X,
@@ -150,7 +150,37 @@ def _fit_knn(config, X, y):
         "k": int(config.get("k", 5)),
         "weighting": config.get("weighting", "uniform"),
         "n_classes": int(np.max(y)) + 1,
+        # The problem's _Neighbours and its own held-out input, when shared.
+        "neighbours": shared() if shared is not None else (None, None),
     }
+
+
+def _distances(X, train_X):
+    """Squared distances of every row of X to every training row."""
+    return ((X[:, None, :] - train_X[None, :, :]) ** 2).sum(axis=2)
+
+
+class _Neighbours:
+    """KNN's ``share`` result on one problem: for its held-out rows, the
+    first ``width`` training rows in stable order of squared distance
+    (int32) and those distances, read-only, where ``width`` is the largest
+    ``k`` asked for so far, at most the training rows. The first k of a
+    stable order are a prefix of the first k' > k, so a larger k recomputes
+    the table and what it answers for a smaller one never changes. The
+    distances are kept, not recomputed from the order: that would not
+    always give the same bits."""
+
+    def __init__(self):
+        self.order = self.d2 = np.empty((0, 0))
+
+    def first(self, k, train_X, X):
+        """The first k columns; ``(train_X, X)`` must be the problem's
+        training and held-out inputs, or arrays with their content key."""
+        if self.order.shape[1] < k:
+            order, d2 = _smallest_k(_distances(_matrix(X), train_X), k)
+            self.order, self.d2 = order.astype(np.int32), d2
+            self.order.flags.writeable = self.d2.flags.writeable = False
+        return self.order[:, :k], self.d2[:, :k]
 
 
 def _smallest_k(d2, k):
@@ -192,11 +222,13 @@ def _votes(labels, weights, n_classes):
 
 
 def _apply_knn(artifacts, X):
-    X = _matrix(X)
     train_X, train_y = artifacts["X"], artifacts["y"]
     k = max(1, min(artifacts["k"], len(train_X)))
-    d2 = ((X[:, None, :] - train_X[None, :, :]) ** 2).sum(axis=2)
-    order, nearest = _smallest_k(d2, k)
+    table, held_out = artifacts.get("neighbours", (None, None))
+    if table is not None and X is held_out:
+        order, nearest = table.first(k, train_X, X)
+    else:
+        order, nearest = _smallest_k(_distances(_matrix(X), train_X), k)
     if artifacts["weighting"] == "distance":
         w = 1.0 / (np.sqrt(nearest) + 1e-12)
     else:
@@ -620,7 +652,7 @@ def _fit_pruned_tree(config, X, y, shared=None):
         raise ConstraintTrap(
             f"reduced-error pruning requires confidence 0.25, got {confidence!r}"
         )
-    tree = shared() if shared is not None else _grow_unpruned(config, X, y)
+    tree = shared()[0] if shared is not None else _grow_unpruned(config, X, y)
     if reduced_error:
         if len(y) >= 8:
             _, hold_idx = _reduced_error_rows(len(y))
@@ -722,7 +754,8 @@ for _impl in (
     ToyImplementation("select_k_variance", "transformer", _each(_fit_select_k_variance),
                       _apply_select_k_variance),
     ToyImplementation("concat", "transformer", _each(_fit_concat), _apply_concat),
-    ToyImplementation("knn", "estimator", _each(_fit_knn), _apply_knn),
+    ToyImplementation("knn", "estimator", _each(_fit_knn), _apply_knn,
+                      share=lambda config, X, y: _Neighbours()),
     ToyImplementation("logreg_gd", "estimator", _fit_logreg, _apply_logreg,
                       budget="iterations"),
     ToyImplementation("pruned_tree", "estimator", _each(_fit_pruned_tree), _apply_tree,
@@ -830,8 +863,11 @@ class CvSplits(list):
     in fold order, and the store of the pipelines scored on them, which
     lives as long as the splits: at most one transformed copy of the folds
     per distinct non-final step and input, and each implementation's
-    ``share`` results, such as one grown PrunedTree per fold and distinct
-    input, ``maxDepth`` and ``R`` (see ``operator_graph.fit_predict_many``)."""
+    ``share`` results (see ``operator_graph.fit_predict_many``): one grown
+    PrunedTree per fold and distinct input, ``maxDepth`` and ``R``, and one
+    KNN neighbour table per fold and distinct input, of at most ``(held-out
+    rows) x min(largest k asked, training rows)`` int32 indices and float64
+    distances (``_Neighbours``)."""
 
     def __init__(self, parts):
         super().__init__(parts)

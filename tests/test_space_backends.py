@@ -1245,6 +1245,26 @@ class TestSizeFirst:
                 tracemalloc.stop()
             assert peak < 1_000_000
 
+    def test_a_compiled_space_is_sized_once(self, monkeypatch, registry):
+        # The flat, PCS and grid emitters each check the cap; the IR keeps
+        # its size, or its refusal, so a compiled space is sized once.
+        sized = []
+        flat_size = sb._flat_size
+
+        def counted(ir, limit):
+            sized.append(ir)
+            return flat_size(ir, limit)
+
+        monkeypatch.setattr(sb, "_flat_size", counted)
+        for op, refused in ((parse_expr("Scaler >> (KNN | LR)", registry), False),
+                            (grammar_engine.unfold(_grammar("feature_union"), 4, registry), True)):
+            compiled = compile_space(op)
+            for emit in (compiled.flat, compiled.pcs, lambda: compiled.grid(1, 0)) * 2:
+                assert _refused(emit)[0] == refused
+            assert sum(ir is compiled.ir for ir in sized) == 1
+            assert compiled.ir.flat_sizes == {
+                DEFAULT_BLOWUP_LIMIT: None if refused else len(compiled.flat())}
+
     # Unfolds up to depth 2 keep grids under 17k cells at two draws each.
     @settings(max_examples=60, deadline=None)
     @given(ir=compiled_irs(unfolds=[u for u in UNFOLDS if u[1] <= 2]),

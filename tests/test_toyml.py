@@ -894,15 +894,29 @@ def counting_applies(monkeypatch, impl_name):
     return calls
 
 
+def is_share_key(key):
+    """Whether a store key is a ``share`` result's: its third item is
+    ``(input key, fold index)``, where a step output's is a content key (a
+    digest, or a tuple of its parts' keys), which never ends with an int."""
+    return isinstance(key[2], tuple) and isinstance(key[2][-1], int)
+
+
 def step_entries(store):
-    """The stored step outputs, keyed (impl, configuration, input key)."""
-    return {key: entry for key, entry in store.items() if key and key[0] in og.IMPLEMENTATIONS}
+    """The stored step outputs, keyed (impl, configuration, input key):
+    every key but ``()``, the splits' own, and the share results'."""
+    return {key: entry for key, entry in store.items() if key and not is_share_key(key)}
+
+
+def share_entries(store):
+    """The stored ``share`` results, keyed (impl, configuration cut to
+    share_by, (input key, fold index))."""
+    return {key: entry for key, entry in store.items() if key and is_share_key(key)}
 
 
 def store_tags(store):
     """The implementation name of every step output in a splits' store,
-    sorted: the first item of every key but ``()``, the splits' own key."""
-    return sorted(key[0] for key in store if key)
+    sorted."""
+    return sorted(key[0] for key in step_entries(store))
 
 
 class TestPrefixStore:
@@ -1037,6 +1051,9 @@ class TestPrefixStore:
         cross_val_score(op, splits)
         stored = [out for outputs, _ in step_entries(splits.store).values() for out in outputs]
         assert len(stored) == 2 * 2 * len(splits)  # two steps, both sides of each fold
+        tables = share_entries(splits.store).values()  # KNN's, one per fold
+        assert len(tables) == len(splits)
+        stored += [array for table in tables for array in (table.order, table.d2)]
         assert all(isinstance(out, np.ndarray) and not out.flags.writeable for out in stored)
         assert all(train.X.flags.writeable for train, _, _ in splits)  # views only
 
@@ -1305,3 +1322,95 @@ class TestSharedGrownTrees:
         assert kept.keys() == grown.keys()
         for key, tree in kept.items():
             assert tree_shape(tree) == tree_shape(grown[key])
+
+
+# ---------------------------------------------------------------------------
+# KNN neighbour tables: one per input and fold, widened as k grows
+
+
+@st.composite
+def knn_splits(draw):
+    """One to three folds of two integer-valued columns (ties are common,
+    sometimes NaN or +-inf cells) and up to 20 training rows, with C- or
+    Fortran-ordered held-out inputs."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    parts = []
+    for _ in range(draw(st.integers(1, 3))):
+        n_train = draw(st.integers(2, 20))
+        pool = _integer_values(draw, rng, (draw(st.integers(1, n_train)), 2))
+        train = SimpleNamespace(X=pool[rng.integers(0, len(pool), n_train)],
+                                y=rng.integers(0, 3, n_train))
+        test_X = _integer_values(draw, rng, (draw(st.integers(1, 10)), 2))
+        if draw(st.booleans()):
+            test_X = np.asfortranarray(test_X)
+        parts.append((train, test_X, rng.integers(0, 3, len(test_X))))
+    return toyml.CvSplits(parts)
+
+
+# Steps before KNN. On two columns NoOp passes on views of the pipeline's
+# input, with its content key, and SelectKVariance with k=2 and k=3 gives
+# distinct copies with one content key, so each pair's KNN steps read one
+# table through held-out inputs that are not the arrays it was made from. A
+# KNN first step also maps the training inputs of the folds.
+KNN_INPUTS = {
+    "none": lambda: None,
+    "noop": lambda: configure(REGISTRY["NoOp"], {}),
+    "select2": lambda: configure(REGISTRY["SelectKVariance"], {"k": 2}),
+    "select3": lambda: configure(REGISTRY["SelectKVariance"], {"k": 3}),
+    "knn": lambda: configure(REGISTRY["KNN"], {"k": 2}),
+}
+
+
+def knn_pipeline(first, k, weighting="uniform"):
+    knn = configure(REGISTRY["KNN"], {"k": k, "weighting": weighting})
+    step = KNN_INPUTS[first]()
+    return knn if step is None else og.pipe(step, knn)
+
+
+class TestSharedNeighbours:
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    @given(splits=knn_splits(),
+           windows=st.lists(st.lists(st.tuples(st.sampled_from(sorted(KNN_INPUTS)),
+                                               st.integers(1, 25),
+                                               st.sampled_from(["uniform", "distance"])),
+                                     min_size=1, max_size=3), min_size=1, max_size=4))
+    @settings(max_examples=150, deadline=None)
+    def test_predictions_equal_the_reference(self, splits, windows):
+        # Windows one after another on one store, their k growing and
+        # shrinking, and often at least the training rows.
+        datasets = [train for train, _, _ in splits]
+        held_out = [test_X for _, test_X, _ in splits]
+        for window in windows:
+            ops = [knn_pipeline(*spec) for spec in window]
+            for op, (outcome, _) in zip(ops, og.fit_predict_many(ops, datasets, held_out,
+                                                                 splits.store)):
+                for got, train, test_X in zip(outcome, datasets, held_out):
+                    want = predict(fit(op, train), test_X)
+                    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+            assert [score for score, _ in toyml.cross_val_scores(ops, splits)] == [
+                reference_cross_val_score(op, splits) for op in ops]
+        assert share_entries(splits.store)
+
+    def test_each_table_is_sorted_once_per_larger_k(self, monkeypatch):
+        calls = []
+        smallest_k = toyml._smallest_k
+
+        def counted(d2, k):
+            calls.append(k)
+            return smallest_k(d2, k)
+
+        monkeypatch.setattr(toyml, "_smallest_k", counted)
+        splits = cv_splits(synth_dataset("xor", 24, 1), 3)  # 16 training rows per fold
+        asked = [("none", 3), ("noop", 1), ("noop", 5), ("none", 5), ("select2", 2),
+                 ("select3", 9), ("noop", 2), ("select2", 25), ("select3", 20), ("none", 4)]
+        scores = [cross_val_score(knn_pipeline(first, k), splits) for first, k in asked]
+        # Per fold: the KNN alone and after NoOp at k = 3 and 5, after either
+        # SelectKVariance at 2, 9 and all 16 rows.
+        assert calls == [k for k in (3, 5, 2, 9, 16) for _ in splits]
+        tables = share_entries(splits.store).values()
+        assert sorted(table.order.shape[1] for table in tables) == [5] * 3 + [16] * 3
+        for table, (_, test_X, _) in zip(tables, splits + splits):
+            assert table.order.dtype == np.int32 and table.d2.dtype == np.float64
+            assert table.order.shape == table.d2.shape and len(table.order) == len(test_X)
+        assert scores == [reference_cross_val_score(knn_pipeline(first, k), splits)
+                          for first, k in asked]
