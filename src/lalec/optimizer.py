@@ -111,7 +111,7 @@ def space_digest(space_doc: Mapping[str, Any]) -> str:
 
 
 # Random and grid searches score their points in windows of this many
-# trials (make_cv_objective's ``many``).
+# trials, bandit search in windows of one (see _scorer).
 WINDOW = 64
 
 
@@ -125,37 +125,43 @@ def _trial(index: int, point: dict, outcome, elapsed: float) -> Trial:
     return Trial(index, point, outcome, VALID, elapsed)
 
 
-def _evaluate(index: int, point: dict, objective) -> Trial:
-    start = time.perf_counter()
-    try:
-        outcome = float(objective(point))
-    except Exception as exc:
-        outcome = exc
-    return _trial(index, point, outcome, time.perf_counter() - start)
+def _scorer(objective):
+    """The objective's ``many``, mapping points to ``(outcome, elapsed)``
+    pairs, the outcome being the loss or the exception scoring raised. A
+    plain callable gets one that calls it once per point, timed."""
+    if hasattr(objective, "many"):
+        return objective.many
+
+    def many(points) -> list:
+        results = []
+        for point in points:
+            start = time.perf_counter()
+            try:
+                outcome = float(objective(point))
+            except Exception as exc:
+                outcome = exc
+            results.append((outcome, time.perf_counter() - start))
+        return results
+
+    return many
 
 
-def _evaluate_all(points, objective) -> tuple[Trial, ...]:
-    """Every point's trial, in order: in windows of WINDOW points when the
-    objective has a ``many`` method, else one call per point."""
-    many = getattr(objective, "many", None)
-    if many is None:
-        return tuple(_evaluate(i, p, objective) for i, p in enumerate(points))
+def _evaluate_all(points, objective) -> list[Trial]:
+    """Every point's trial, in order, scored in windows of WINDOW points."""
+    many = _scorer(objective)
     trials = []
     for lo in range(0, len(points), WINDOW):
         window = points[lo:lo + WINDOW]
         for i, (point, (outcome, elapsed)) in enumerate(zip(window, many(window)), lo):
             trials.append(_trial(i, point, outcome, elapsed))
-    return tuple(trials)
+    return trials
 
 
-def _pick_best(trials) -> int | None:
-    best = None
-    for t in trials:
-        if t.status != VALID:
-            continue
-        if best is None or t.loss < trials[best].loss:
-            best = t.index
-    return best
+def _history(trials, spec: OptimizerSpec, doc: Mapping[str, Any]) -> History:
+    """The search's history; its best is the first valid trial of least loss."""
+    best = min((t for t in trials if t.status == VALID), key=lambda t: t.loss, default=None)
+    return History(tuple(trials), None if best is None else best.index, spec.seed,
+                   space_digest(doc))
 
 
 def _space_dimensions(doc: Mapping[str, Any]) -> int:
@@ -180,8 +186,7 @@ def random_search(space_doc: Mapping[str, Any], objective: Callable[[dict], floa
         points = [sample_space(space_doc, rng)]
     else:
         points = [sample_space(space_doc, rng) for _ in range(spec.max_trials)]
-    trials = _evaluate_all(points, objective)
-    return History(trials, _pick_best(trials), spec.seed, space_digest(space_doc))
+    return _history(_evaluate_all(points, objective), spec, space_doc)
 
 
 def grid_search(grid: Mapping[str, Any], objective: Callable[[dict], float],
@@ -193,8 +198,7 @@ def grid_search(grid: Mapping[str, Any], objective: Callable[[dict], float],
     cells = list(grid_cells(grid))
     if not cells:
         cells = [{}]
-    trials = _evaluate_all(cells, objective)
-    return History(trials, _pick_best(trials), spec.seed, space_digest(dict(grid)))
+    return _history(_evaluate_all(cells, objective), spec, dict(grid))
 
 
 def _top_level_choice(space_doc) -> tuple[str, list[str]] | None:
@@ -222,6 +226,7 @@ def bandit_search(space_doc: Mapping[str, Any], objective: Callable[[dict], floa
     # finite arithmetic.
     means = {value: 0.0 for value in branch_values}
     counts = {value: 0 for value in branch_values}
+    many = _scorer(objective)
     trials = []
     for index in range(spec.max_trials):
         unvisited = [v for v in branch_values if counts[v] == 0]
@@ -232,12 +237,11 @@ def bandit_search(space_doc: Mapping[str, Any], objective: Callable[[dict], floa
         else:
             branch = min(branch_values, key=lambda v: means[v])
         point = sample_space(space_doc, rng, force_branch={discriminant: branch})
-        trial = _evaluate(index, point, objective)
+        trial = _trial(index, point, *many([point])[0])
         trials.append(trial)
         counts[branch] += 1
         means[branch] += (trial.loss - means[branch]) / counts[branch]
-    trials = tuple(trials)
-    return History(trials, _pick_best(trials), spec.seed, space_digest(space_doc))
+    return _history(trials, spec, space_doc)
 
 
 def run(compiled: CompiledSpace, objective: Callable[[dict], float], spec: OptimizerSpec,

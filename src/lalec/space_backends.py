@@ -22,7 +22,7 @@ import re
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from operator import add, mul
-from typing import Any, Callable, Mapping
+from typing import Any, Mapping
 
 from . import schema_model
 from .operator_graph import (
@@ -70,6 +70,13 @@ class SearchIR:
         """`flat_size`'s answers on this IR, kept on it: per limit, the
         size, or None for a refusal."""
         return {}
+
+    @cached_property
+    def pcs_model(self) -> PcsSpace:
+        """This IR's PCS model, built on first use."""
+        model = PcsSpace({}, {})
+        _pcs_build(self, (), None, model)
+        return model
 
 
 @dataclass(frozen=True)
@@ -501,10 +508,9 @@ class PcsParameter:
 
 @dataclass
 class PcsSpace:
-    """A PCS space: what `emit_pcs` prints and what `read_pcs` returns. A
-    compiled space's own (`CompiledSpace.pcs_model`) also maps each PCS name
-    back to its hyperparameter; a parsed one has no such map, and equality
-    ignores it."""
+    """A PCS space: what `emit_pcs` prints and what `read_pcs` returns. An
+    IR's own (`SearchIR.pcs_model`) also maps each PCS name back to its
+    hyperparameter; a parsed one has no such map, and equality ignores it."""
 
     parameters: dict[str, PcsParameter]
     conditions: dict[str, list[tuple[str, str]]]
@@ -530,19 +536,6 @@ class PcsSpace:
                 return False
         return True
 
-    def decode_point(self, point: Mapping[str, Any]) -> dict[str, Any]:
-        """decode_pcs_point with this space's decode map."""
-        out: dict[str, Any] = {}
-        for name, value in point.items():
-            entry = self.decode_map.get(name)
-            if entry is None:
-                raise UnknownMarker(f"point names unknown parameter {name!r}")
-            if entry[0] == "selector":
-                continue
-            _, public, domains = entry
-            out[public] = _coerce(domains, value)
-        return out
-
 
 def _pcs_value(value) -> str:
     if value is True:
@@ -554,12 +547,6 @@ def _pcs_value(value) -> str:
     if isinstance(value, float):
         return repr(value)
     return str(value)
-
-
-def _pcs_model(ir: SearchIR) -> PcsSpace:
-    model = PcsSpace({}, {})
-    _pcs_build(ir, (), None, model)
-    return model
 
 
 def _pcs_unique(name: str, branch_ctx, used) -> str:
@@ -669,15 +656,14 @@ def _pcs_param(name: str, domain: Domain) -> PcsParameter:
     return PcsParameter(name, "real", lo=lo, hi=hi, log=log, default=repr(default))
 
 
-def emit_pcs(ir: SearchIR, limit: int = DEFAULT_BLOWUP_LIMIT,
-             cached: Callable[[], PcsSpace] | None = None) -> str:
-    """Classic PCS text: parameters, then `child | parent == value` lines
-    (several lines on one child conjoin). `cached` gives ir's PCS model
-    when the caller keeps one. Refuses with CompileError a parameter whose
-    name or value `read_pcs` could not read back, or whose values spell
-    alike (as 1 and "1" do), since the text could not tell them apart."""
+def emit_pcs(ir: SearchIR, limit: int = DEFAULT_BLOWUP_LIMIT) -> str:
+    """Classic PCS text of `ir.pcs_model`: parameters, then `child | parent
+    == value` lines (several lines on one child conjoin). Refuses with
+    CompileError a parameter whose name or value `read_pcs` could not read
+    back, or whose values spell alike (as 1 and "1" do), since the text
+    could not tell them apart."""
     flat_size(ir, limit)  # enforce the blowup cap the flat form defines
-    space = cached() if cached else _pcs_model(ir)
+    space = ir.pcs_model
     for param in space.parameters.values():
         for text in (param.name, *param.values, param.default):
             if _PCS_UNREADABLE.search(text):
@@ -795,9 +781,18 @@ def _pcs_range_problem(lo: float, hi: float, integer: bool, log: bool) -> str | 
 
 def decode_pcs_point(ir: SearchIR, point: Mapping[str, Any]) -> dict[str, Any]:
     """Translate a PCS assignment (raw strings, per-disjunct copies) back to
-    the public mangled names with schema-typed values. Builds the PCS model
-    for this call; a CompiledSpace keeps its own."""
-    return _pcs_model(ir).decode_point(point)
+    the public mangled names with schema-typed values, by `ir.pcs_model`."""
+    decode_map = ir.pcs_model.decode_map
+    out: dict[str, Any] = {}
+    for name, value in point.items():
+        entry = decode_map.get(name)
+        if entry is None:
+            raise UnknownMarker(f"point names unknown parameter {name!r}")
+        if entry[0] == "selector":
+            continue
+        _, public, domains = entry
+        out[public] = _coerce(domains, value)
+    return out
 
 
 def _coerce(domains, value):
@@ -871,7 +866,7 @@ class CompiledSpace:
 
     Decoding keeps what it derives on the object it comes from: each
     schema's defaults on the schema (through `configure`), each leaf's
-    entries on the leaf, and the PCS model on the space, built by the first
+    entries on the leaf, and the PCS model on the IR, built by the first
     `pcs` or `decode_pcs`. Compiling and the other emitters build neither.
     """
 
@@ -885,20 +880,16 @@ class CompiledSpace:
         return emit_flat(self.ir)
 
     def pcs(self) -> str:
-        return emit_pcs(self.ir, cached=lambda: self.pcs_model)
+        return emit_pcs(self.ir)
 
     def grid(self, cont_samples: int = 1, seed: int = 0) -> dict:
         return emit_grid(self.ir, cont_samples, seed)
-
-    @cached_property
-    def pcs_model(self) -> PcsSpace:
-        return _pcs_model(self.ir)
 
     def decode(self, point: Mapping[str, Any]) -> Operator:
         return decode(self.ir, point)
 
     def decode_pcs(self, point: Mapping[str, Any]) -> Operator:
-        return decode(self.ir, self.pcs_model.decode_point(point))
+        return decode(self.ir, decode_pcs_point(self.ir, point))
 
 
 def compile_space(op: Operator, keep_constraints: bool = True) -> CompiledSpace:

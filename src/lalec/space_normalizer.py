@@ -128,13 +128,16 @@ class NormalForm:
 
 
 def normalize(schema: SchemaNode, limit: int = DEFAULT_BLOWUP_LIMIT) -> NormalForm:
-    """Normalize a full operator schema against its declared base domains.
-    Every list of alternatives built on the way, per operator and per
-    property, is refused with BlowupExceeded once it passes `limit`."""
+    """Normalize a full operator schema against its declared base domains,
+    conjoined with each constraint after the base object. Every list of
+    alternatives built on the way, per operator and per property, is refused
+    with BlowupExceeded once it passes `limit`."""
     declared = declared_domains(schema)
     declared_alts = {name: _domain_alternatives(node, limit) for name, node in declared.items()}
-    disjuncts = _norm(schema, declared_alts, limit)
-    disjuncts = [d for d in disjuncts if all(v is not EMPTY for v in d.values())]
+    constraints = schema.children[1:] if isinstance(schema, AllOfNode) else ()
+    conjuncts = itertools.chain([_fill({}, declared_alts, limit)],
+                                (_norm(child, declared_alts, limit) for child in constraints))
+    disjuncts = _conjoin(conjuncts, _intersect_records, limit)
     if not disjuncts:
         raise EmptySpace("no satisfiable disjunct remains")
     defaults = schema.declared_defaults
@@ -259,8 +262,6 @@ def _intersect_records(a: dict[str, Domain], b: dict[str, Domain]):
 
 def intersect_domain(a: Domain, b: Domain):
     """Intersection of two domains of one hyperparameter, or EMPTY."""
-    if a is EMPTY or b is EMPTY:
-        return EMPTY
     if isinstance(a, Cont) and isinstance(b, Cat):
         a, b = b, a  # the values, their order and the default are the Cat's
     if isinstance(a, Cat):

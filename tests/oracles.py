@@ -26,16 +26,21 @@ foreign one is not. `serialize` writes a schema back to JSON; tests check
 that `parse_schema` reads it back to the same schema. `default_point` is
 the all-defaults point of a space; decode tests decode it and compare it
 across encodings.
+`reference_bandit_search` is bandit search as it called the objective
+once per trial; tests check that bandit search through ``many`` gives the
+same histories.
 """
 
 import json
 import math
 import random
+import time
 from statistics import NormalDist
 
 import numpy as np
 
 from lalec import operator_graph as og
+from lalec import optimizer as opt
 from lalec import schema_model as sm
 from lalec import toyml
 from lalec.grammar_engine import GrammarError, _choice_list
@@ -65,6 +70,7 @@ from lalec.space_backends import (
     _join,
     _real_bounds,
     emit_hierarchical,
+    sample_space,
 )
 from lalec.space_normalizer import Cat, Cont, Domain, NormalForm, NormalizeError, OpSlot
 
@@ -218,6 +224,43 @@ def reference_cv_objective(compiled: CompiledSpace, data, folds: int = 5, cv_see
         return 1.0 - toyml.cross_val_score(candidate, splits)
 
     return objective
+
+
+def reference_bandit_search(space_doc, objective, spec) -> opt.History:
+    """optimizer.bandit_search before every search scored through ``many``:
+    the objective is called once per trial, timed, and the best trial is
+    the first valid one no later trial's loss is below."""
+    found = opt._top_level_choice(space_doc)
+    if found is None:
+        return opt.random_search(space_doc, objective, spec)
+    discriminant, branch_values = found
+    rng = random.Random(spec.seed)
+    means = {value: 0.0 for value in branch_values}
+    counts = {value: 0 for value in branch_values}
+    trials = []
+    for index in range(spec.max_trials):
+        unvisited = [v for v in branch_values if counts[v] == 0]
+        if unvisited:
+            branch = unvisited[0]
+        elif rng.random() < spec.bandit_epsilon:
+            branch = branch_values[rng.randrange(len(branch_values))]
+        else:
+            branch = min(branch_values, key=lambda v: means[v])
+        point = sample_space(space_doc, rng, force_branch={discriminant: branch})
+        start = time.perf_counter()
+        try:
+            outcome = float(objective(point))
+        except Exception as exc:
+            outcome = exc
+        trial = opt._trial(index, point, outcome, time.perf_counter() - start)
+        trials.append(trial)
+        counts[branch] += 1
+        means[branch] += (trial.loss - means[branch]) / counts[branch]
+    best = None
+    for t in trials:
+        if t.status == opt.VALID and (best is None or t.loss < trials[best].loss):
+            best = t.index
+    return opt.History(tuple(trials), best, spec.seed, opt.space_digest(space_doc))
 
 
 def reference_cross_val_score(op, splits) -> float:

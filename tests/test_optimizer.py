@@ -26,7 +26,7 @@ from lalec.optimizer import (
     make_cv_objective,
     random_search,
 )
-from oracles import reference_cv_objective
+from oracles import reference_bandit_search, reference_cv_objective
 
 
 @pytest.fixture(scope="module")
@@ -485,7 +485,7 @@ class TestWindows:
         with mock.patch.object(opt, "WINDOW", window):
             got = opt._evaluate_all(points, objective)
             again = opt._evaluate_all(points, objective)  # every point seen before
-        want = [opt._evaluate(i, p, reference) for i, p in enumerate(points)]
+        want = opt._evaluate_all(points, reference)  # a plain callable: point by point
         assert _trial_fields(got) == _trial_fields(want) == _trial_fields(again)
         histories = {}
         for name, make in (("windowed", make_cv_objective), ("reference", reference_cv_objective)):
@@ -538,3 +538,93 @@ class TestWindows:
         groups = {(t.point["logreggd__solver"], t.point["logreggd__penalty"])
                   for t in history.trials}
         assert len(calls) == len(groups) and sum(calls) == 20
+
+
+# Spaces with a top-level choice of two or three branches, and one without
+# (where bandit search falls back to random search).
+BANDIT_EXPRS = [
+    "Scaler >> (PrunedTree | LogRegGD | KNN)",
+    "(NoOp | MinMaxScaler) >> LogRegGD",
+    "Scaler >> KNN",
+]
+
+
+@functools.cache
+def _bandit_doc(expr: str, keep: bool) -> dict:
+    return compile_space(parse_expr(expr, REGISTRY), keep_constraints=keep).hierarchical()
+
+
+class DrawnOutcomes:
+    """An objective whose outcome is a seeded draw per point from a pool of
+    losses and exception types: a small pool gives ties, and PENALTY-sized
+    losses test the running means."""
+
+    def __init__(self, pool, seed):
+        self.pool = pool
+        self.seed = seed
+
+    def __call__(self, point):
+        outcome = random.Random(f"{self.seed}:{json.dumps(point, sort_keys=True)}").choice(
+            self.pool)
+        if isinstance(outcome, type):
+            raise outcome("drawn to fail")
+        return outcome
+
+
+class DrawnOutcomesMany(DrawnOutcomes):
+    """The same outcomes, also scored a window at a time."""
+
+    def many(self, points):
+        results = []
+        for point in points:
+            try:
+                results.append((self(point), 0.0))
+            except Exception as exc:
+                results.append((exc, 0.0))
+        return results
+
+
+class TestBanditAgainstReference:
+    @settings(max_examples=80, deadline=None)
+    @given(expr=st.sampled_from(BANDIT_EXPRS), keep=st.booleans(),
+           seed=st.integers(0, 2**31 - 1),
+           epsilon=st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)),
+           trials=st.integers(1, 40),
+           pool=st.lists(st.one_of(
+               st.sampled_from([0.0, 0.5, 1.0, opt.PENALTY, opt.PENALTY / 3]),
+               st.floats(0.0, 1.0),
+               st.sampled_from([opt.InvalidConfigError, RuntimeError])), min_size=1, max_size=6),
+           windowed=st.booleans())
+    def test_histories_equal_the_reference(self, expr, keep, seed, epsilon, trials, pool,
+                                           windowed):
+        doc = _bandit_doc(expr, keep)
+        spec = OptimizerSpec(strategy="bandit", max_trials=trials, seed=seed,
+                             bandit_epsilon=epsilon)
+        make = DrawnOutcomesMany if windowed else DrawnOutcomes
+        got = bandit_search(doc, make(pool, seed), spec)
+        want = reference_bandit_search(doc, make(pool, seed), spec)
+        assert got.to_json(include_timing=False) == want.to_json(include_timing=False)
+
+    def test_cv_objective_is_scored_through_many_a_point_at_a_time(self, ablation):
+        compiled, objective = ablation["unconstrained"]
+
+        class Spy:
+            def __init__(self):
+                self.calls = 0
+                self.windows = []
+
+            def __call__(self, point):
+                self.calls += 1
+                return objective(point)
+
+            def many(self, points):
+                self.windows.append(len(points))
+                return objective.many(points)
+
+        spy = Spy()
+        spec = OptimizerSpec(strategy="bandit", max_trials=30, seed=2)
+        history = bandit_search(compiled.hierarchical(), spy, spec)
+        assert spy.calls == 0 and spy.windows == [1] * 30
+        assert history.invalid_count() >= 1  # failures arrive as outcomes, not raised
+        assert canonical(history) == canonical(
+            reference_bandit_search(compiled.hierarchical(), objective, spec))

@@ -286,7 +286,7 @@ class TestFlat:
         compiled = compile_space(op)
         with pytest.raises(BlowupExceeded):
             compiled.pcs()
-        assert "pcs_model" not in vars(compiled)
+        assert "pcs_model" not in vars(compiled.ir)
 
 
 class TestHierarchical:
@@ -1102,9 +1102,9 @@ class TestPcsRoundTrip:
             return
         except CompileError as exc:
             assert any(f"PCS parameter {name!r}:" in str(exc)
-                       for name in compiled.pcs_model.parameters)
+                       for name in compiled.ir.pcs_model.parameters)
             return
-        assert read_pcs(text) == compiled.pcs_model
+        assert read_pcs(text) == compiled.ir.pcs_model
 
     def test_unreadable_value_is_refused_naming_its_parameter(self):
         op = og.Individual("T", sm.parse_schema({"type": "object", "properties": {
@@ -1138,7 +1138,7 @@ class TestPcsRoundTrip:
             "n": {"type": "integer", "minimum": 2**60, "maximum": 2**60 + 4096,
                   "exclusiveMinimum": True}}}))
         compiled = compile_space(op)
-        assert read_pcs(compiled.pcs()) == compiled.pcs_model
+        assert read_pcs(compiled.pcs()) == compiled.ir.pcs_model
         assert _parsed_pcs_failures(compiled, 200) == 0
         rng = random.Random(0)
         doc = compiled.hierarchical()
@@ -1183,7 +1183,7 @@ class TestMixedEnums:
             assert _parsed_pcs_failures(compiled, 20, seed) == 0
         except CompileError as exc:
             assert any(f"PCS parameter {name!r}:" in str(exc)
-                       for name in compiled.pcs_model.parameters)
+                       for name in compiled.ir.pcs_model.parameters)
 
     def test_disjuncts_differing_only_in_a_boolean_keep_apart(self):
         """x=1 goes with y=a and x=true with y=b; one merged PCS parameter
@@ -1310,7 +1310,8 @@ def reference_decode(ir, point):
 
 def reference_decode_pcs_point(ir, point):
     """decode_pcs_point as it was: the PCS model built again per point."""
-    model = sb._pcs_model(ir)
+    model = sb.PcsSpace({}, {})
+    sb._pcs_build(ir, (), None, model)
     out = {}
     for name, value in point.items():
         entry = model.decode_map.get(name)
@@ -1435,7 +1436,7 @@ class TestDecodePlan:
                 compiled.decode_pcs(pcs.sample(rng))
             for restored in (pickle.loads(pickle.dumps(compiled)), copy.deepcopy(compiled)):
                 ir = restored.ir
-                assert "pcs_model" in vars(restored) and "entries" in vars(ir.steps[0][1])
+                assert "pcs_model" in vars(ir) and "entries" in vars(ir.steps[0][1])
                 for _ in range(10):
                     point = sample_space(hier, rng)
                     assert (_outcome(restored.decode, point)
@@ -1452,18 +1453,41 @@ class TestDecodePlan:
         compiled.grid(2, 0)
         pca = compiled.ir.steps[0][1]
         leaves = [pca, *(body for _, body in compiled.ir.steps[1][1].branches)]
-        assert "pcs_model" not in vars(compiled)
+        assert "pcs_model" not in vars(compiled.ir)
         text = compiled.pcs()
         assert text == emit_pcs(compiled.ir)
         assert not any("entries" in vars(leaf) for leaf in leaves)
-        model = vars(compiled)["pcs_model"]  # the PCS emitter keeps its model
+        model = vars(compiled.ir)["pcs_model"]  # the PCS emitter keeps its model
         pcs = read_pcs(text)
         rng = random.Random(2)
         for _ in range(3):
             compiled.decode(sample_space(compiled.hierarchical(), rng))
             compiled.decode_pcs(pcs.sample(rng))
-        assert compiled.pcs() == text and compiled.pcs_model is model
+        assert compiled.pcs() == text and compiled.ir.pcs_model is model
         assert "entries" in vars(pca)
+
+    def test_the_pcs_model_is_built_once_per_ir(self, registry, monkeypatch):
+        compiled = compile_space(parse_expr("PCA >> (J48 | LR)", registry))
+        pcs = read_pcs(emit_pcs(sb.combine(compiled.op)))
+        rng = random.Random(4)
+        points = [pcs.sample(rng) for _ in range(3)]
+        expected = [reference_decode_pcs_point(compiled.ir, point) for point in points]
+        roots = []
+        build = sb._pcs_build
+
+        def counted(ir, ctx, branch_ctx, model):
+            if ir is compiled.ir:
+                roots.append(model)
+            return build(ir, ctx, branch_ctx, model)
+
+        monkeypatch.setattr(sb, "_pcs_build", counted)
+        assert read_pcs(compiled.pcs()) == pcs
+        assert read_pcs(emit_pcs(compiled.ir)) == pcs
+        for point, want in zip(points, expected):
+            assert sb.decode_pcs_point(compiled.ir, point) == want
+            assert sb.decode_pcs_point(compiled.ir, point) == want
+            compiled.decode_pcs(point)
+        assert roots == [compiled.ir.pcs_model]
 
     def test_a_decoded_space_frees_its_ir(self, registry):
         compiled = compile_space(pipe(registry["Scaler"], configure(

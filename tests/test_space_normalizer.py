@@ -458,6 +458,72 @@ class TestBlowupCap:
         assert capped.disjuncts == full.disjuncts
 
 
+def _whole_schema_normal_form(schema, limit):
+    """normalize as it was: the base object normalized again as a
+    conjunct, its declared domains expanded a second time."""
+    declared = sm.declared_domains(schema)
+    declared_alts = {name: norm._domain_alternatives(node, limit)
+                     for name, node in declared.items()}
+    disjuncts = [d for d in norm._norm(schema, declared_alts, limit)
+                 if all(v is not EMPTY for v in d.values())]
+    if not disjuncts:
+        raise norm.EmptySpace("no satisfiable disjunct remains")
+    defaults = schema.declared_defaults
+    return tuple({name: norm._attach_default(d[name], defaults.get(name, sm.MISSING))
+                  for name in declared} for d in disjuncts)
+
+
+def _normal_form_outcome(normalize, schema, limit):
+    try:
+        return normalize(schema, limit)
+    except norm.NormalizeError as exc:
+        return type(exc)
+
+
+class TestDeclaredDomainsExpandedOnce:
+    def test_disjoint_range_lists_are_intersected_once(self, monkeypatch):
+        calls = 0
+
+        def counting(a, b):
+            nonlocal calls
+            calls += 1
+            return intersect_domain(a, b)
+
+        monkeypatch.setattr(norm, "intersect_domain", counting)
+        # No range of the first list meets one of the second.
+        schema = _property_schema({"allOf": [
+            {"anyOf": [{"type": "number", "minimum": 2 * i, "maximum": 2 * i + 0.5}
+                       for i in range(300)]},
+            {"anyOf": [{"type": "number", "minimum": 2 * i + 1, "maximum": 2 * i + 1.5}
+                       for i in range(300)]}]})
+        with pytest.raises(norm.EmptySpace):
+            norm.normalize(schema)
+        assert calls == 300 * 300
+
+    def test_each_declared_property_is_expanded_once(self, registry, monkeypatch):
+        expanded = []
+        alternatives = norm._domain_alternatives
+
+        def counting(node, limit):
+            expanded.append(node)
+            return alternatives(node, limit)
+
+        monkeypatch.setattr(norm, "_domain_alternatives", counting)
+        for name, op in sorted(registry.items()):
+            expanded.clear()
+            norm.normalize(op.schema)
+            for prop, node in sm.declared_domains(op.schema).items():
+                assert sum(1 for seen in expanded if seen is node) == 1, (name, prop)
+
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2**31 - 1), limit=st.integers(1, 12))
+    def test_records_and_refusals_equal_the_whole_schema_pass(self, seed, limit):
+        schema, _ = TestRandomizedEquivalence()._random_schema(random.Random(seed))
+        got = _normal_form_outcome(norm.normalize, schema, limit)
+        want = _normal_form_outcome(_whole_schema_normal_form, schema, limit)
+        assert (got if isinstance(got, type) else got.disjuncts) == want
+
+
 class TestDropConstraints:
     def test_j48(self, registry):
         dropped = norm.drop_constraints(registry["J48"].schema)
