@@ -3,11 +3,12 @@
 Exit codes: compile — 0 ok, 2 compile error, 3 parse error; validate — 0
 valid, 1 invalid, 2 unknown operator or bad input; grammar — 0 ok, 2
 grammar error, 3 parse error; search — 0 finished (even with failed
-trials), 4 no valid trial; render — 0 ok, 3 parse error. A schema file
-that cannot be read or parsed is a parse error that names it (exit 2 for
-validate). Any command that cannot write its --out, --best-out or --curve
-file exits 5 (output error). JSON files are ``json.dumps(doc, indent=2)``
-text plus a newline.
+trials), 2 search error (a bad flag value, unusable data or a compile
+error), 3 parse error, 4 no valid trial; render — 0 ok, 3 parse error. A
+schema file that cannot be read or parsed is a parse error that names it
+(exit 2 for validate). Any command that cannot write its --out,
+--best-out or --curve file exits 5 (output error). JSON files are
+``json.dumps(doc, indent=2)`` text plus a newline.
 
 All randomness flows from explicit --seed flags (default 0). The schemas
 directory defaults to $LALEC_SCHEMA_PATH, then to the packaged fixtures.
@@ -202,8 +203,12 @@ def cmd_grammar(args) -> int:
 
 def _load_dataset(args) -> toyml.LabeledDataset:
     if args.synth:
-        kind, n, seed = args.synth.split(",")
-        return toyml.synth_dataset(kind, int(n), int(seed))
+        try:
+            kind, n, seed = args.synth.split(",")
+            n, seed = int(n), int(seed)
+        except ValueError:
+            raise ValueError(f"--synth takes KIND,N,SEED, not {args.synth!r}") from None
+        return toyml.synth_dataset(kind, n, seed)
     if not args.label:
         raise toyml.LabelColumnMissing("--label is required with --data")
     return toyml.load_csv(args.data, args.label)
@@ -215,11 +220,10 @@ def cmd_search(args) -> int:
     except (dsl.DslError, OperatorError, SchemaError) as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 3
-    if args.folds < 2:
-        print("search error: --folds must be at least 2", file=sys.stderr)
-        return 2
     try:
         data = _load_dataset(args)
+        if not 2 <= args.folds <= len(data.y):
+            raise ValueError(f"--folds must lie between 2 and the {len(data.y)} rows of the data")
         compiled = compile_space(op, keep_constraints=not args.no_constraints)
         spec = opt.OptimizerSpec(strategy=args.optimizer, max_trials=args.max_trials,
                                  seed=args.seed, bandit_epsilon=args.epsilon)
@@ -362,7 +366,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("render", help="render a pipeline as DOT")
     _add_pipeline_args(p)
-    p.add_argument("--format", choices=["dot"], default="dot")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_render)
 

@@ -21,7 +21,6 @@ import random
 import re
 from dataclasses import dataclass, field, replace
 from functools import cached_property
-from operator import add, mul
 from typing import Any, Mapping
 
 from . import schema_model
@@ -43,7 +42,6 @@ from .space_normalizer import (
     normalize,
     DEFAULT_BLOWUP_LIMIT,
     _domain_admits,
-    capped_fold,
 )
 
 
@@ -66,10 +64,9 @@ class UnknownMarker(DecodeError):
 @dataclass(frozen=True)
 class SearchIR:
     @cached_property
-    def flat_sizes(self) -> dict:
-        """`flat_size`'s answers on this IR, kept on it: per limit, the
-        size, or None for a refusal."""
-        return {}
+    def flat_count(self) -> int:
+        """|emit_flat(self)|, counted on first use whatever the cap."""
+        return _flat_count(self)
 
     @cached_property
     def pcs_model(self) -> PcsSpace:
@@ -358,41 +355,26 @@ def _real_bounds(lo, hi, lo_open, hi_open) -> tuple[float, float]:
 
 
 def flat_size(ir: SearchIR, limit: int = DEFAULT_BLOWUP_LIMIT) -> int:
-    """|emit_flat(ir)| by arithmetic: a product over steps, a sum over choice
-    branches, and per leaf disjunct a product over its nested operator slots.
-    Raises BlowupExceeded at the first partial size beyond `limit`, so the
-    numbers stay small and nothing is built. The IR keeps the answer, the
-    refusal included (`SearchIR.flat_sizes`), so the flat, PCS and grid
-    emitters of one compiled space size it once."""
-    sizes = ir.flat_sizes
-    if limit not in sizes:
-        try:
-            sizes[limit] = _flat_size(ir, limit)
-        except BlowupExceeded:
-            sizes[limit] = None
-            raise
-    if sizes[limit] is None:
+    """|emit_flat(ir)|, refused with BlowupExceeded when it exceeds `limit`.
+    The IR keeps its count (`SearchIR.flat_count`), so the flat, PCS and
+    grid emitters of one compiled space count it once, and nothing is built
+    before a refusal."""
+    if ir.flat_count > limit:
         raise BlowupExceeded(limit)
-    return sizes[limit]
+    return ir.flat_count
 
 
-def _flat_size(ir: SearchIR, limit: int) -> int:
+def _flat_count(ir: SearchIR) -> int:
+    """A product over steps, a sum over choice branches, and per leaf
+    disjunct a product over its nested operator slots."""
     if isinstance(ir, StepMapIR):
-        steps = (_flat_size(child, limit) for _, child in ir.steps)
-        return capped_fold(mul, 1, steps, limit)
+        return math.prod(_flat_count(child) for _, child in ir.steps)
     if isinstance(ir, ChoiceIR):
-        branches = (_flat_size(body, limit) for _, body in ir.branches)
-        return capped_fold(add, 0, branches, limit)
+        return sum(_flat_count(body) for _, body in ir.branches)
     assert isinstance(ir, LeafIR)
-    rows = (_disjunct_rows(disjunct, limit) for disjunct in ir.nf.disjuncts)
-    return capped_fold(add, 0, rows, limit)
-
-
-def _disjunct_rows(disjunct: Mapping[str, Domain], limit: int) -> int:
-    """Flat rows of one leaf disjunct: a product over its nested slots."""
-    slots = (_flat_size(domain.nested, limit)
-             for domain in disjunct.values() if isinstance(domain, OpSlot))
-    return capped_fold(mul, 1, slots, limit)
+    return sum(math.prod(_flat_count(domain.nested)
+                         for domain in disjunct.values() if isinstance(domain, OpSlot))
+               for disjunct in ir.nf.disjuncts)
 
 
 def emit_flat(ir: SearchIR, limit: int = DEFAULT_BLOWUP_LIMIT) -> list[dict[str, Domain]]:
@@ -746,9 +728,16 @@ def read_pcs(text: str) -> PcsSpace:
             raise ValueError(f"line {lineno}: {problem}")
         parameters[name] = PcsParameter(
             name, kind, lo=lo, hi=hi, log="l" in flags, default=default)
-    for child in conditions:
-        if child not in parameters:
+    # PcsSpace.sample draws in line order, so a condition whose parent is
+    # unknown or comes later could never hold.
+    order = {name: index for index, name in enumerate(parameters)}
+    for child, pairs in conditions.items():
+        if child not in order:
             raise ValueError(f"condition references unknown parameter {child!r}")
+        for parent, _ in pairs:
+            if order.get(parent, len(order)) >= order[child]:
+                raise ValueError(f"condition of {child!r} names {parent!r}, "
+                                 "which has no parameter line before it")
     return PcsSpace(parameters, conditions)
 
 

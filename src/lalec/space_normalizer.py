@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, replace
-from typing import Any, Callable, Iterable, Mapping
+from typing import Any, Iterable, Mapping
 
 from .schema_model import (
     MISSING,
@@ -55,19 +55,6 @@ def capped_list(items: Iterable, limit: int) -> list:
         if len(out) > limit:
             raise BlowupExceeded(limit)
     return out
-
-
-def capped_fold(combine: Callable[[int, int], int], start: int, sizes: Iterable[int],
-                limit: int) -> int:
-    """Fold sizes with `combine` (a sum or a product) from `start`, refused
-    with BlowupExceeded at the first partial total beyond `limit`. The sizes
-    are drawn one at a time, so none is computed past the refusal."""
-    total = start
-    for size in sizes:
-        total = combine(total, size)
-        if total > limit:
-            raise BlowupExceeded(limit)
-    return total
 
 
 class EmptySpace(NormalizeError):

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 import os
 import subprocess
@@ -160,6 +161,11 @@ class TestExitCodes:
         (["render", "--pipeline", "MISSING"], 3, "parse error"),
         (["grammar", "unfold", "--grammar", "MISSING", "--depth", "1"], 3, "parse error"),
         (["grammar", "sample", "--grammar", "BINARY", "--max-depth", "1"], 3, "parse error"),
+        (["search", "--expr", "KNN", "--synth", "blobs,40,0", "--folds", "1"], 2, "search error"),
+        (["search", "--expr", "KNN", "--synth", "blobs,40,0", "--folds", "41"], 2, "search error"),
+        (["search", "--expr", "KNN", "--synth", "blobs,40"], 2, "search error"),
+        (["search", "--expr", "KNN", "--synth", "blobs,40,0", "--epsilon", "2"],
+         2, "search error"),
     ])
     def test_documented_exit_code(self, tmp_path, capsys, args, code, prefix):
         (tmp_path / "binary").write_bytes(b"KNN \xff\n")
@@ -170,6 +176,19 @@ class TestExitCodes:
         assert err.startswith(prefix + ": ")
         named = [files[arg] for arg in args if arg in files]
         assert all(f"cannot read {path}: " in err for path in named)
+
+    @pytest.mark.parametrize("flag,value", [
+        ("--folds", "1"), ("--folds", "41"), ("--synth", "blobs,40"), ("--synth", "blobs,x,0")])
+    def test_search_usage_error_names_the_flag(self, capsys, flag, value):
+        args = {"--synth": "blobs,40,0", "--max-trials": "2", flag: value}
+        assert run_cli(["search", "--expr", "KNN", *itertools.chain(*args.items())]) == 2
+        assert capsys.readouterr().err.startswith(f"search error: {flag} ")
+
+    def test_render_takes_no_format(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(["render", "--expr", "KNN", "--format", "dot"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --format dot" in capsys.readouterr().err
 
 
 SEARCH = ["search", "--expr", "KNN", "--synth", "blobs,40,0", "--max-trials", "2"]

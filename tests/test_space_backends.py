@@ -416,6 +416,19 @@ class TestPcs:
         with pytest.raises(ValueError, match=f"^line 2: {problem}$"):
             read_pcs(f"y {{a, b}} [a]\n{line}\n")
 
+    @pytest.mark.parametrize("text,problem", [
+        ("a {x, y} [x]\nc | a == x\n", "condition references unknown parameter 'c'"),
+        ("b [0, 1] [0.5]\nb | c == x\n", "condition of 'b' names 'c', which has no parameter "
+                                         "line before it"),
+        ("b [0, 1] [0.5]\na {x, y} [x]\nb | a == x\n",
+         "condition of 'b' names 'a', which has no parameter line before it"),
+        ("b {x, y} [x]\nb | b == x\n",
+         "condition of 'b' names 'b', which has no parameter line before it"),
+    ], ids=["unknown_child", "unknown_parent", "parent_after_child", "own_parent"])
+    def test_condition_that_can_never_hold_is_refused(self, text, problem):
+        with pytest.raises(ValueError, match=f"^{problem}$"):
+            read_pcs(text)
+
     def test_one_point_ranges_parse(self):
         space = read_pcs("x [2.5, 2.5] [2.5]\nn [1.5, 2.5] [2]i\n")
         assert space.sample(random.Random(0)) == {"x": 2.5, "n": 2}
@@ -1247,23 +1260,38 @@ class TestSizeFirst:
 
     def test_a_compiled_space_is_sized_once(self, monkeypatch, registry):
         # The flat, PCS and grid emitters each check the cap; the IR keeps
-        # its size, or its refusal, so a compiled space is sized once.
-        sized = []
-        flat_size = sb._flat_size
+        # its count, refused or not, so a compiled space is counted once.
+        counted = []
+        flat_count = sb._flat_count
 
-        def counted(ir, limit):
-            sized.append(ir)
-            return flat_size(ir, limit)
+        def counting(ir):
+            counted.append(ir)
+            return flat_count(ir)
 
-        monkeypatch.setattr(sb, "_flat_size", counted)
-        for op, refused in ((parse_expr("Scaler >> (KNN | LR)", registry), False),
-                            (grammar_engine.unfold(_grammar("feature_union"), 4, registry), True)):
+        monkeypatch.setattr(sb, "_flat_count", counting)
+        for op, count in ((parse_expr("Scaler >> (KNN | LR)", registry), 3),
+                          (grammar_engine.unfold(_grammar("feature_union"), 4, registry),
+                           366_630_275)):
             compiled = compile_space(op)
             for emit in (compiled.flat, compiled.pcs, lambda: compiled.grid(1, 0)) * 2:
-                assert _refused(emit)[0] == refused
-            assert sum(ir is compiled.ir for ir in sized) == 1
-            assert compiled.ir.flat_sizes == {
-                DEFAULT_BLOWUP_LIMIT: None if refused else len(compiled.flat())}
+                assert _refused(emit)[0] == (count > DEFAULT_BLOWUP_LIMIT)
+            assert sum(ir is compiled.ir for ir in counted) == 1
+            assert compiled.ir.flat_count == count
+
+    @pytest.mark.parametrize("depth,count", [(3, 30_275), (4, 366_630_275)])
+    def test_count_above_the_cap_is_exact(self, registry, depth, count):
+        compiled = compile_space(grammar_engine.unfold(_grammar("feature_union"), depth, registry))
+        assert compiled.ir.flat_count == count
+        for emit in (compiled.flat, compiled.pcs, lambda: compiled.grid(1, 0)):
+            with pytest.raises(BlowupExceeded):
+                emit()
+
+    @settings(max_examples=100, deadline=None)
+    @given(ir=compiled_irs())
+    def test_every_space_counts_at_least_one(self, ir):
+        # So partial totals never fall, and the cap refuses a space exactly
+        # when some partial total of its count exceeds the cap.
+        assert ir.flat_count >= 1
 
     # Unfolds up to depth 2 keep grids under 17k cells at two draws each.
     @settings(max_examples=60, deadline=None)
