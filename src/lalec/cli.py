@@ -114,6 +114,7 @@ def cmd_compile(args) -> int:
         elif args.backend == "pcs":
             _write_text(args.out, compiled.pcs())
         else:
+            _check_cont_samples(args)
             _write_json(args.out, compiled.grid(args.cont_samples, args.seed))
     except (CompileError, NormalizeError, SchemaError, OperatorError, ValueError) as exc:
         print(f"compile error: {exc}", file=sys.stderr)
@@ -214,6 +215,22 @@ def _load_dataset(args) -> toyml.LabeledDataset:
     return toyml.load_csv(args.data, args.label)
 
 
+def _check_cont_samples(args) -> None:
+    if args.cont_samples < 1:
+        raise ValueError("--cont-samples must be positive")
+
+
+def _check_search_flags(args) -> None:
+    """Refuse bad flag values under the flags' names, before the library
+    would refuse them under its own parameter names."""
+    if args.max_trials < 1:
+        raise ValueError("--max-trials must be positive")
+    if not 0.0 <= args.epsilon <= 1.0:
+        raise ValueError("--epsilon must lie in [0, 1]")
+    if args.optimizer == "grid":
+        _check_cont_samples(args)
+
+
 def cmd_search(args) -> int:
     try:
         op = _load_pipeline(args)
@@ -225,6 +242,7 @@ def cmd_search(args) -> int:
         if not 2 <= args.folds <= len(data.y):
             raise ValueError(f"--folds must lie between 2 and the {len(data.y)} rows of the data")
         compiled = compile_space(op, keep_constraints=not args.no_constraints)
+        _check_search_flags(args)
         spec = opt.OptimizerSpec(strategy=args.optimizer, max_trials=args.max_trials,
                                  seed=args.seed, bandit_epsilon=args.epsilon)
         objective = opt.make_cv_objective(compiled, data, folds=args.folds)

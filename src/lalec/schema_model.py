@@ -106,6 +106,16 @@ class SchemaNode:
                 out[name] = value
         return out
 
+    @cached_property
+    def normal_form(self):
+        """normalize(self) at the default blowup cap, built by the first
+        compile and kept on the node, so it is shared by every caller: read
+        it, never write to it. A schema that fails to normalize keeps
+        nothing, so each access raises again."""
+        from .space_normalizer import normalize
+
+        return normalize(self)
+
 
 @dataclass(frozen=True)
 class ObjectNode(SchemaNode):

@@ -39,7 +39,6 @@ from .space_normalizer import (
     NormalForm,
     OpSlot,
     drop_constraints,
-    normalize,
     DEFAULT_BLOWUP_LIMIT,
     _domain_admits,
 )
@@ -189,16 +188,21 @@ _EMPTY_NF = NormalForm(({},))
 
 
 def _combine_individual(op: Individual, path: str, unique: str, keep: bool) -> LeafIR:
+    """The operator's leaf: the disjuncts of its schema's normal form (of
+    the base object alone when constraints are dropped) that admit its
+    bound values, bound names removed. The normal form is the one the
+    schema keeps, so it is only read here; each leaf builds its own
+    disjuncts."""
     from .operator_graph import LifecycleState
 
     if op.frozen_trainable or op.frozen_trained or op.state == LifecycleState.TRAINED:
         return LeafIR(path, unique, op, _EMPTY_NF)
-    schema = op.schema if keep else drop_constraints(op.schema)
-    effective_op = op if keep else replace(op, schema=schema)
     try:
-        nf = normalize(schema)
+        schema = op.schema if keep else drop_constraints(op.schema)
+        nf = schema.normal_form
     except Exception as exc:
         raise CompileError(f"{op.name}: {exc}") from exc
+    effective_op = op if keep else replace(op, schema=schema)
     disjuncts = []
     for disjunct in nf.disjuncts:
         out: dict[str, Domain] = {}

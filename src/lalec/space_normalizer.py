@@ -118,7 +118,9 @@ def normalize(schema: SchemaNode, limit: int = DEFAULT_BLOWUP_LIMIT) -> NormalFo
     """Normalize a full operator schema against its declared base domains,
     conjoined with each constraint after the base object. Every list of
     alternatives built on the way, per operator and per property, is refused
-    with BlowupExceeded once it passes `limit`."""
+    with BlowupExceeded once it passes `limit`. Computed afresh on each call;
+    the compiler reads the copy at the default cap that each schema keeps
+    (SchemaNode.normal_form)."""
     declared = declared_domains(schema)
     declared_alts = {name: _domain_alternatives(node, limit) for name, node in declared.items()}
     constraints = schema.children[1:] if isinstance(schema, AllOfNode) else ()
@@ -310,5 +312,7 @@ def _domain_admits(domain: Domain, value) -> bool:
 
 def drop_constraints(schema: SchemaNode) -> SchemaNode:
     """Keep only the base object of declared domains, discarding every
-    constraint conjunct (the unconstrained-ablation compile)."""
+    constraint conjunct (the unconstrained-ablation compile). This is the
+    schema's own base node, not a copy, so every unconstrained compile of
+    the schema shares that node's normal form."""
     return base_object(schema)

@@ -8,8 +8,11 @@ from pathlib import Path
 
 import pytest
 
+from lalec import optimizer as opt
 from lalec.cli import main, operator_to_dot
 from lalec.operator_graph import configure, fit
+from lalec.space_backends import compile_space
+from lalec.toyml import load_registry
 
 
 def run_cli(args):
@@ -144,6 +147,9 @@ class TestGrammar:
 GRAMMAR = "fixtures/grammars/linear_stages.grammar"
 
 
+SEARCH = ["search", "--expr", "KNN", "--synth", "blobs,40,0", "--max-trials", "2"]
+
+
 class TestExitCodes:
     """Bad arguments and unreadable files exit with the documented codes,
     not a traceback. MISSING, DIR and BINARY stand for a file that does not
@@ -178,20 +184,38 @@ class TestExitCodes:
         assert all(f"cannot read {path}: " in err for path in named)
 
     @pytest.mark.parametrize("flag,value", [
-        ("--folds", "1"), ("--folds", "41"), ("--synth", "blobs,40"), ("--synth", "blobs,x,0")])
+        ("--folds", "1"), ("--folds", "41"), ("--synth", "blobs,40"), ("--synth", "blobs,x,0"),
+        ("--epsilon", "2"), ("--epsilon", "-0.5"), ("--max-trials", "0")])
     def test_search_usage_error_names_the_flag(self, capsys, flag, value):
         args = {"--synth": "blobs,40,0", "--max-trials": "2", flag: value}
         assert run_cli(["search", "--expr", "KNN", *itertools.chain(*args.items())]) == 2
         assert capsys.readouterr().err.startswith(f"search error: {flag} ")
+
+    @pytest.mark.parametrize("args,prefix", [
+        (SEARCH + ["--optimizer", "grid", "--cont-samples", "0"], "search error"),
+        (["compile", "--expr", "KNN", "--backend", "grid", "--cont-samples", "0"], "compile error"),
+    ], ids=["search", "compile"])
+    def test_cont_samples_error_names_the_flag(self, capsys, args, prefix):
+        assert run_cli(args) == 2
+        assert capsys.readouterr().err == f"{prefix}: --cont-samples must be positive\n"
+
+    def test_cont_samples_unused_by_random_search(self, capsys):
+        assert run_cli(SEARCH + ["--cont-samples", "0"]) == 0
+
+    def test_library_keeps_its_parameter_names(self):
+        with pytest.raises(ValueError, match="^max_trials must be positive$"):
+            opt.OptimizerSpec(max_trials=0)
+        with pytest.raises(ValueError, match=r"^bandit_epsilon must lie in \[0, 1\]$"):
+            opt.OptimizerSpec(bandit_epsilon=2)
+        compiled = compile_space(load_registry()["KNN"])
+        with pytest.raises(ValueError, match="^cont_samples must be positive$"):
+            compiled.grid(0)
 
     def test_render_takes_no_format(self, capsys):
         with pytest.raises(SystemExit) as exc:
             run_cli(["render", "--expr", "KNN", "--format", "dot"])
         assert exc.value.code == 2
         assert "unrecognized arguments: --format dot" in capsys.readouterr().err
-
-
-SEARCH = ["search", "--expr", "KNN", "--synth", "blobs,40,0", "--max-trials", "2"]
 
 
 class TestBadSchemaFile:

@@ -10,6 +10,7 @@ from lalec import operator_graph as og
 from lalec import optimizer as opt
 from lalec import schema_model as sm
 from lalec import space_normalizer as norm
+from lalec import toyml
 from lalec.space_backends import CompileError, compile_space, sample_space
 from lalec.space_normalizer import Cat, Cont, EMPTY, intersect_domain, member
 
@@ -553,3 +554,83 @@ class TestDropConstraints:
         for name in ("J48", "LR", "LogRegGD", "PrunedTree", "KNN", "StandardScaler"):
             nf = norm.normalize(norm.drop_constraints(registry[name].schema))
             assert len(nf.disjuncts) == 1, name
+
+
+def _emitted(op, keep, seed):
+    """What compiling and emitting `op` gives: the compile error's message,
+    or each encoding (or the type and message of its refusal)."""
+    try:
+        compiled = compile_space(op, keep_constraints=keep)
+    except CompileError as exc:
+        return str(exc)
+    outputs = []
+    for emit in (compiled.hierarchical, compiled.flat, compiled.pcs,
+                 lambda: compiled.grid(2, seed)):
+        try:
+            outputs.append(emit())
+        except Exception as exc:
+            outputs.append((type(exc), str(exc)))
+    return outputs
+
+
+class TestNormalFormKeptOnSchema:
+    """SchemaNode.normal_form, the form every compile reads, against a
+    fresh normalize as the reference."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data(), drop=st.booleans(), seed=st.integers(0, 2**16))
+    def test_kept_normal_form_is_a_fresh_one(self, registry, data, drop, seed):
+        source = data.draw(st.one_of(st.integers(0, 2**31 - 1), st.sampled_from(sorted(registry))))
+        if isinstance(source, int):
+            schema, _ = TestRandomizedEquivalence()._random_schema(random.Random(source))
+        else:
+            schema = registry[source].schema
+        if drop:
+            schema = norm.drop_constraints(schema)
+        op = og.Individual("Kept", schema)
+        for keep in (True, False):
+            # A random schema is parsed afresh, so the first compile builds
+            # the kept form and the second only reads it.
+            assert _emitted(op, keep, seed) == _emitted(op, keep, seed)
+        # No compile wrote into the shared disjuncts.
+        want = _normal_form_outcome(norm.normalize, schema, norm.DEFAULT_BLOWUP_LIMIT)
+        got = _normal_form_outcome(lambda s, _: s.normal_form, schema, None)
+        if isinstance(want, type):
+            assert got is want
+        else:
+            assert got.disjuncts == want.disjuncts
+            assert schema.normal_form is got
+
+    @pytest.mark.parametrize("keep", [True, False])
+    def test_a_second_compile_expands_no_domain(self, monkeypatch, keep):
+        op = toyml.load_registry()["J48"]  # parsed afresh: nothing kept yet
+        expanded = []
+        alternatives = norm._domain_alternatives
+
+        def counting(node, limit):
+            expanded.append(node)
+            return alternatives(node, limit)
+
+        monkeypatch.setattr(norm, "_domain_alternatives", counting)
+        first = compile_space(op, keep_constraints=keep)
+        assert expanded
+        expanded.clear()
+        second = compile_space(op, keep_constraints=keep)
+        assert expanded == []
+        assert second.hierarchical() == first.hierarchical()
+
+    @pytest.mark.parametrize("schema,keeps,error", [
+        (sm.ObjectNode((("x", sm.NotNode(sm.EnumNode((1, 2)))),)), (True, False),
+         "negation of a single property domain is not supported"),
+        (sm.AllOfNode((sm.ObjectNode((("x", sm.EnumNode((1, 2))),)), sm.AllOfNode(()))), (True,),
+         "no satisfiable disjunct remains"),
+        (sm.AnyOfNode((sm.ObjectNode(()), sm.ObjectNode(()))), (True, False),
+         "schema has no base object of hyperparameters"),
+    ], ids=["not-on-a-property", "empty-allOf", "no-base-object"])
+    def test_a_schema_that_fails_fails_on_every_compile(self, schema, keeps, error):
+        op = og.Individual("Broken", schema)
+        for keep in keeps:
+            for _ in range(2):
+                with pytest.raises(CompileError, match=f"^Broken: {error}$"):
+                    compile_space(op, keep_constraints=keep)
+        assert "normal_form" not in vars(schema)
