@@ -100,11 +100,7 @@ def _add_pipeline_args(parser):
 
 
 def cmd_compile(args) -> int:
-    try:
-        op = _load_pipeline(args)
-    except (dsl.DslError, OperatorError, SchemaError) as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
-        return 3
+    op = _load_pipeline(args)
     try:
         compiled = compile_space(op, keep_constraints=not args.no_constraints)
         if args.backend == "hier":
@@ -155,6 +151,7 @@ def cmd_validate(args) -> int:
     return 1
 
 
+@dsl.refuse_deep_nesting(GrammarError, "the pipeline nests too deeply to print")
 def _operator_text(op: Operator) -> str:
     try:
         return dsl.pretty_print(op) + "\n"
@@ -184,21 +181,18 @@ def _config_value(value):
 
 
 def cmd_grammar(args) -> int:
-    try:
-        registry = _registry(args)
-        grammar = dsl.parse_grammar(_read_source(args.grammar), registry)
-    except (dsl.DslError, SchemaError) as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
-        return 3
+    registry = _registry(args)
+    grammar = dsl.parse_grammar(_read_source(args.grammar), registry)
     try:
         if args.mode == "unfold":
             op = grammar_unfold(grammar, args.depth, registry)
         else:
             op = grammar_sample(grammar, args.seed, args.max_depth, registry)
+        text = _operator_text(op)
     except (GrammarError, OperatorError, ValueError) as exc:
         print(f"grammar error: {exc}", file=sys.stderr)
         return 2
-    _write_text(args.out, _operator_text(op))
+    _write_text(args.out, text)
     return 0
 
 
@@ -232,11 +226,7 @@ def _check_search_flags(args) -> None:
 
 
 def cmd_search(args) -> int:
-    try:
-        op = _load_pipeline(args)
-    except (dsl.DslError, OperatorError, SchemaError) as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
-        return 3
+    op = _load_pipeline(args)
     try:
         data = _load_dataset(args)
         if not 2 <= args.folds <= len(data.y):
@@ -320,11 +310,7 @@ def operator_to_dot(op: Operator) -> str:
 
 
 def cmd_render(args) -> int:
-    try:
-        op = _load_pipeline(args)
-    except (dsl.DslError, OperatorError, SchemaError) as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
-        return 3
+    op = _load_pipeline(args)
     _write_text(args.out, operator_to_dot(op))
     return 0
 
@@ -394,6 +380,11 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
+    except (dsl.DslError, OperatorError, SchemaError) as exc:
+        # Each command catches its later stages' errors itself, so these
+        # come from reading its pipeline or grammar.
+        print(f"parse error: {exc}", file=sys.stderr)
+        return 3
     except OutputError as exc:
         print(f"output error: {exc}", file=sys.stderr)
         return 5

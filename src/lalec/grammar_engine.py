@@ -24,6 +24,7 @@ from .pipeline_dsl import (
     Pipe,
     Ref,
     build_operator,
+    refuse_deep_nesting,
 )
 
 
@@ -46,6 +47,7 @@ class _Blocked:
     name: str
 
 
+@refuse_deep_nesting(GrammarError, "the unfolded pipeline nests too deeply")
 def unfold(grammar: GrammarFile, depth: int, registry: Mapping[str, Individual]) -> Operator:
     """Expand the start rule, bounding each nonterminal to `depth` expansions
     per derivation path, then prune unresolved alternatives."""
@@ -94,6 +96,7 @@ def _choice_list(node) -> list:
     return [node]
 
 
+@refuse_deep_nesting(GrammarError, "the sampled pipeline nests too deeply")
 def sample(grammar: GrammarFile, seed: int, max_depth: int,
            registry: Mapping[str, Individual]) -> Operator:
     """Draw one concrete pipeline: choices resolve uniformly at random, and

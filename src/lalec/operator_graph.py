@@ -324,22 +324,21 @@ class ToyImplementation:
     ``budget``, when set, names the hyperparameter that counts a fit's
     steps; ``fit_predict_many`` shares a fit call's time by it.
 
-    ``share``, when set, is work that depends only on a problem and on the
-    hyperparameters named in ``share_by``: ``share(config, X, y)`` gets
-    ``config`` cut down to those names. ``fit_predict_many`` then gives
-    each problem a third item, ``shared``, a function of no arguments that
-    returns ``share``'s result on that problem and the problem's own
-    held-out input, the very object ``apply`` gets for that problem;
-    ``fit`` calls it instead of doing the work, and must give the same
-    artifacts, and ``apply`` the same answers, with or without it. The
-    result is kept in the store as long as the store lives and handed to
-    every fit that asks for it, so what it answers must never change: it
-    may only grow. PrunedTree's grown tree depends on ``maxDepth`` and
-    ``R``, and only its pruning on ``C``. KNN's neighbour table depends
-    on nothing but the problem (``share_by=()``): ``apply`` widens it to
-    the largest ``k`` asked for so far and reads it only for the held-out
-    input that came with it, told by identity, since another array with
-    equal values may be in another layout or belong to another input.
+    ``share``, when set, is work that depends only on a problem, its
+    held-out input and the hyperparameters named in ``share_by``:
+    ``share(config, X, y, held_out)`` gets ``config`` cut down to those
+    names. ``fit_predict_many`` then gives each problem a third item,
+    ``shared``, a function of no arguments that returns ``share``'s result
+    on that problem and the problem's own held-out input, the very object
+    ``apply`` gets for that problem; ``fit`` calls it instead of doing the
+    work, and must give the same artifacts, and ``apply`` the same
+    answers, with or without it. The result is built once, then kept and
+    never changed as long as the store lives. PrunedTree's grown tree
+    depends on ``maxDepth`` and ``R``, and only its pruning on ``C``.
+    KNN's neighbour table depends on nothing but the problem
+    (``share_by=()``); ``apply`` reads it only for the held-out input that
+    came with it, told by identity, since another array with equal values
+    may be in another layout or belong to another input.
     """
 
     name: str
@@ -347,7 +346,7 @@ class ToyImplementation:
     fit: Callable[..., list[list[Any]]]
     apply: Callable[[Any, Any], Any]
     budget: str | None = None
-    share: Callable[[Mapping[str, Any], Any, Any], Any] | None = None
+    share: Callable[[Mapping[str, Any], Any, Any, Any], Any] | None = None
     share_by: tuple[str, ...] = ()
 
 
@@ -439,7 +438,8 @@ def fit_predict_many(ops, datasets, held_out, store: dict) -> list:
     time a fit asks for it, so a fit that raises before it asks stores
     nothing. Steps whose input has no key share nothing. Two kinds share:
     PrunedTree its grown trees (one per fold, input, ``maxDepth`` and
-    ``R``) and KNN its neighbour tables (one per fold and input).
+    ``R``) and KNN its neighbour tables (one per fold and input, of (test
+    rows) x min(25, training rows) cells).
     """
     Xs = [np.asarray(data.X, dtype=float) for data in datasets]
     Xs += [np.asarray(X, dtype=float) for X in held_out]
@@ -534,12 +534,10 @@ def _fit_finals(finals: list[_Final]) -> None:
 
 
 def _check_fittable(op: Operator) -> None:
+    if _contains_choice(op):
+        raise UnresolvedChoice("resolve operator choices before fitting")
     if state_of(op) < LifecycleState.TRAINABLE:
-        if isinstance(op, Choice) or _contains_choice(op):
-            raise UnresolvedChoice("resolve operator choices before fitting")
         raise NotTrainable("operator is still planned; configure it first")
-    if isinstance(op, Choice):
-        raise UnresolvedChoice("cannot fit an unresolved choice")
 
 
 def _contains_choice(op: Operator) -> bool:
@@ -553,8 +551,6 @@ def _contains_choice(op: Operator) -> bool:
 def _fit_node(op: Operator, X, y, as_feature: bool):
     """A copy of ``op`` trained on ``(X, y)``, and op's output on ``X`` as
     a feature if ``as_feature``, else None."""
-    if isinstance(op, Choice):
-        raise UnresolvedChoice("cannot fit an unresolved choice")
     if isinstance(op, Individual):
         impl = implementation_of(op)
         if not (op.frozen_trained and op.state == LifecycleState.TRAINED):
@@ -581,8 +577,6 @@ def _score_node(op: Operator, Xs, ys, key, store: dict, final: list | None):
     ``final`` is a list, op is final: its final steps are not fitted but
     appended to ``final`` (``_Final``), and None is returned. ``key`` is
     the content key of ``Xs`` (None if it has none)."""
-    if isinstance(op, Choice):
-        raise UnresolvedChoice("cannot fit an unresolved choice")
     if isinstance(op, Individual):
         return _score_step(op, Xs, ys, key, store, final)
     assert isinstance(op, Pipeline)
@@ -647,7 +641,7 @@ def _problems(impl: ToyImplementation, config, Xs, ys, key, store: dict) -> list
 
 def _shared(store: dict, entry_key, share, named, X, y, held_out):
     if entry_key not in store:
-        store[entry_key] = share(named, X, y)
+        store[entry_key] = share(named, X, y, held_out)
     return store[entry_key], held_out
 
 

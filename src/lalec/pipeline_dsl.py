@@ -10,6 +10,7 @@ names not present in the operator registry are nonterminal references.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -41,6 +42,19 @@ class MissingStart(DslError):
 
 class NotExpressible(DslError):
     """The operator graph is not a series-parallel shape the DSL can spell."""
+
+
+def refuse_deep_nesting(error: type[Exception], message: str):
+    """Make a recursive function raise ``error(message)``, not RecursionError."""
+    def decorate(func):
+        @functools.wraps(func)
+        def refusing(*args, **kwargs):
+            try:
+                return func(*args, **kwargs)
+            except RecursionError:
+                raise error(message) from None
+        return refusing
+    return decorate
 
 
 # ---------------------------------------------------------------------------
@@ -324,6 +338,7 @@ def _resolve(name: str, registry: Mapping[str, Individual]) -> Individual:
         raise UnknownOperator(f"unknown operator {name!r}") from None
 
 
+@refuse_deep_nesting(DslError, "the expression nests too deeply")
 def parse_expr(text: str, registry: Mapping[str, Individual]) -> Operator:
     """Parse a combinator expression into a planned operator."""
     return build_operator(parse_expr_ast(text), registry)
@@ -333,6 +348,7 @@ def parse_expr(text: str, registry: Mapping[str, Individual]) -> Operator:
 # Grammar files
 
 
+@refuse_deep_nesting(DslError, "the grammar nests too deeply")
 def parse_grammar(text: str, registry: Mapping[str, Individual],
                   start: str = "start") -> GrammarFile:
     """Parse ``name := expression ;`` rules; bare lowercase names that are

@@ -150,7 +150,7 @@ def _fit_knn(config, X, y, shared=None):
         "k": int(config.get("k", 5)),
         "weighting": config.get("weighting", "uniform"),
         "n_classes": int(np.max(y)) + 1,
-        # The problem's _Neighbours and its own held-out input, when shared.
+        # The problem's neighbour table and its own held-out input, when shared.
         "neighbours": shared() if shared is not None else (None, None),
     }
 
@@ -160,27 +160,21 @@ def _distances(X, train_X):
     return ((X[:, None, :] - train_X[None, :, :]) ** 2).sum(axis=2)
 
 
-class _Neighbours:
-    """KNN's ``share`` result on one problem: for its held-out rows, the
-    first ``width`` training rows in stable order of squared distance
-    (int32) and those distances, read-only, where ``width`` is the largest
-    ``k`` asked for so far, at most the training rows. The first k of a
-    stable order are a prefix of the first k' > k, so a larger k recomputes
-    the table and what it answers for a smaller one never changes. The
-    distances are kept, not recomputed from the order: that would not
-    always give the same bits."""
+# The largest k that KNN's schema admits (schemas/KNN.schema.json).
+KNN_TABLE_K = 25
 
-    def __init__(self):
-        self.order = self.d2 = np.empty((0, 0))
 
-    def first(self, k, train_X, X):
-        """The first k columns; ``(train_X, X)`` must be the problem's
-        training and held-out inputs, or arrays with their content key."""
-        if self.order.shape[1] < k:
-            order, d2 = _smallest_k(_distances(_matrix(X), train_X), k)
-            self.order, self.d2 = order.astype(np.int32), d2
-            self.order.flags.writeable = self.d2.flags.writeable = False
-        return self.order[:, :k], self.d2[:, :k]
+def _neighbour_table(config, X, y, held_out):
+    """KNN's ``share`` hook: for every held-out row, the first ``min(
+    KNN_TABLE_K, training rows)`` training rows in stable order of squared
+    distance (int32) and those distances, read-only. The first k of a stable
+    order are a prefix of this one for every k up to its width. The
+    distances are kept, not recomputed from the order: that would not always
+    give the same bits."""
+    order, d2 = _smallest_k(_distances(_matrix(held_out), _matrix(X)), min(KNN_TABLE_K, len(X)))
+    order = order.astype(np.int32)
+    order.flags.writeable = d2.flags.writeable = False
+    return order, d2
 
 
 def _smallest_k(d2, k):
@@ -225,8 +219,8 @@ def _apply_knn(artifacts, X):
     train_X, train_y = artifacts["X"], artifacts["y"]
     k = max(1, min(artifacts["k"], len(train_X)))
     table, held_out = artifacts.get("neighbours", (None, None))
-    if table is not None and X is held_out:
-        order, nearest = table.first(k, train_X, X)
+    if table is not None and X is held_out and k <= table[0].shape[1]:
+        order, nearest = table[0][:, :k], table[1][:, :k]
     else:
         order, nearest = _smallest_k(_distances(_matrix(X), train_X), k)
     if artifacts["weighting"] == "distance":
@@ -588,13 +582,12 @@ def _prune_pessimistic(node, z):
     its pessimistic error: a subtree becomes a leaf when the leaf's error is
     at most the sum of its pruned children's. Kept nodes are new, so
     ``node`` is left as it is."""
-    if "feature" not in node:
-        n = int(node["counts"].sum())
-        return node, _wilson_upper(n - int(node["counts"].max()), n, z) * n
-    left, left_error = _prune_pessimistic(node["left"], z)
-    right, right_error = _prune_pessimistic(node["right"], z)
     n = int(node["counts"].sum())
     leaf_error = _wilson_upper(n - int(node["counts"].max()), n, z) * n
+    if "feature" not in node:
+        return node, leaf_error
+    left, left_error = _prune_pessimistic(node["left"], z)
+    right, right_error = _prune_pessimistic(node["right"], z)
     subtree = left_error + right_error
     if leaf_error <= subtree + 1e-12:
         return {"counts": node["counts"], "label": node["label"]}, leaf_error
@@ -626,11 +619,11 @@ def _reduced_error_rows(n: int):
     return np.array(order[cut:], dtype=int), np.array(order[:cut], dtype=int)
 
 
-def _grow_unpruned(config, X, y):
+def _grow_unpruned(config, X, y, held_out=None):
     """The tree a PrunedTree fit prunes, which depends only on the data,
     ``maxDepth`` and ``R``: grown on every row, or for reduced-error
     pruning of at least 8 rows on the rows ``_reduced_error_rows`` keeps
-    for growing. PrunedTree's ``share`` hook."""
+    for growing. PrunedTree's ``share`` hook, which ignores ``held_out``."""
     X = _matrix(X)
     y = np.asarray(y, dtype=int)
     max_depth = int(config.get("maxDepth", 6))
@@ -755,7 +748,7 @@ for _impl in (
                       _apply_select_k_variance),
     ToyImplementation("concat", "transformer", _each(_fit_concat), _apply_concat),
     ToyImplementation("knn", "estimator", _each(_fit_knn), _apply_knn,
-                      share=lambda config, X, y: _Neighbours()),
+                      share=_neighbour_table),
     ToyImplementation("logreg_gd", "estimator", _fit_logreg, _apply_logreg,
                       budget="iterations"),
     ToyImplementation("pruned_tree", "estimator", _each(_fit_pruned_tree), _apply_tree,
@@ -865,9 +858,9 @@ class CvSplits(list):
     per distinct non-final step and input, and each implementation's
     ``share`` results (see ``operator_graph.fit_predict_many``): one grown
     PrunedTree per fold and distinct input, ``maxDepth`` and ``R``, and one
-    KNN neighbour table per fold and distinct input, of at most ``(held-out
-    rows) x min(largest k asked, training rows)`` int32 indices and float64
-    distances (``_Neighbours``)."""
+    KNN neighbour table per fold and distinct input, of ``(held-out rows) x
+    min(KNN_TABLE_K, training rows)`` int32 indices and float64 distances
+    (``_neighbour_table``)."""
 
     def __init__(self, parts):
         super().__init__(parts)

@@ -172,6 +172,10 @@ class TestExitCodes:
         (["search", "--expr", "KNN", "--synth", "blobs,40"], 2, "search error"),
         (["search", "--expr", "KNN", "--synth", "blobs,40,0", "--epsilon", "2"],
          2, "search error"),
+        (["compile", "--expr", " >> ".join(["NoOp"] * 1000 + ["KNN"])], 3, "parse error"),
+        (["compile", "--expr", "(" * 2000 + "KNN" + ")" * 2000], 3, "parse error"),
+        (["grammar", "unfold", "--grammar", GRAMMAR, "--depth", "200"], 2, "grammar error"),
+        (["grammar", "unfold", "--grammar", GRAMMAR, "--depth", "400"], 2, "grammar error"),
     ])
     def test_documented_exit_code(self, tmp_path, capsys, args, code, prefix):
         (tmp_path / "binary").write_bytes(b"KNN \xff\n")

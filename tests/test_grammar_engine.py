@@ -3,7 +3,13 @@ from pathlib import Path
 
 import pytest
 
-from lalec.grammar_engine import EmptyAfterPruning, NoTerminatingAlternative, sample, unfold
+from lalec.grammar_engine import (
+    EmptyAfterPruning,
+    GrammarError,
+    NoTerminatingAlternative,
+    sample,
+    unfold,
+)
 from lalec.operator_graph import Choice, Individual, Pipeline
 from lalec.pipeline_dsl import parse_grammar, pretty_print
 
@@ -80,6 +86,10 @@ class TestUnfold:
         with pytest.raises(ValueError):
             unfold(linear_grammar, 0, registry)
 
+    def test_deep_nesting_is_a_grammar_error(self, linear_grammar, registry):
+        with pytest.raises(GrammarError, match="^the unfolded pipeline nests too deeply$"):
+            unfold(linear_grammar, 400, registry)
+
 
 class TestSample:
     def test_deterministic_per_seed(self, union_grammar, registry):
@@ -130,6 +140,11 @@ class TestSample:
         grammar = parse_grammar("start := NoOp >> start;", registry)
         with pytest.raises(NoTerminatingAlternative):
             sample(grammar, 0, 3, registry)
+
+    def test_deep_nesting_is_a_grammar_error(self, registry):
+        grammar = parse_grammar("start := NoOp >> start;", registry)
+        with pytest.raises(GrammarError, match="^the sampled pipeline nests too deeply$"):
+            sample(grammar, 0, 2000, registry)
 
     def test_derives_rejects_foreign_pipeline(self, linear_grammar, registry):
         from lalec.operator_graph import pipe

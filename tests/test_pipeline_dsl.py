@@ -78,6 +78,12 @@ class TestParseExpr:
         op = parse_expr("# choose an estimator\nKNN | LR", registry)
         assert isinstance(op, Choice)
 
+    @pytest.mark.parametrize("text", [" >> ".join(["NoOp"] * 1000 + ["KNN"]),
+                                      "(" * 2000 + "KNN" + ")" * 2000])
+    def test_deep_nesting_is_a_dsl_error(self, registry, text):
+        with pytest.raises(dsl.DslError, match="^the expression nests too deeply$"):
+            parse_expr(text, registry)
+
     @given(st.text(max_size=40))
     @settings(max_examples=300, deadline=None)
     def test_parser_total(self, text):
@@ -95,6 +101,11 @@ class TestParseGrammar:
     tfm   := SelectKVariance >> tfm | SelectKVariance | NoOp;
     est   := PrunedTree | LogRegGD | KNN;
     """
+
+    def test_deep_nesting_is_a_dsl_error(self, registry):
+        text = "start := " + "(" * 2000 + "KNN" + ")" * 2000 + ";"
+        with pytest.raises(dsl.DslError, match="^the grammar nests too deeply$"):
+            parse_grammar(text, registry)
 
     def test_recursive_rules(self, registry):
         grammar = parse_grammar(self.GRAMMAR, registry)

@@ -1,5 +1,6 @@
 import dataclasses
 import functools
+import json
 import math
 import random
 from types import SimpleNamespace
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lalec import operator_graph as og
-from lalec import toyml
+from lalec import schema_model, toyml
 from lalec.operator_graph import configure, fit, predict
 from lalec.toyml import (
     ConstraintTrap,
@@ -1053,7 +1054,7 @@ class TestPrefixStore:
         assert len(stored) == 2 * 2 * len(splits)  # two steps, both sides of each fold
         tables = share_entries(splits.store).values()  # KNN's, one per fold
         assert len(tables) == len(splits)
-        stored += [array for table in tables for array in (table.order, table.d2)]
+        stored += [array for table in tables for array in table]
         assert all(isinstance(out, np.ndarray) and not out.flags.writeable for out in stored)
         assert all(train.X.flags.writeable for train, _, _ in splits)  # views only
 
@@ -1325,18 +1326,19 @@ class TestSharedGrownTrees:
 
 
 # ---------------------------------------------------------------------------
-# KNN neighbour tables: one per input and fold, widened as k grows
+# KNN neighbour tables: one per input and fold, built whole
 
 
 @st.composite
 def knn_splits(draw):
     """One to three folds of two integer-valued columns (ties are common,
-    sometimes NaN or +-inf cells) and up to 20 training rows, with C- or
+    sometimes NaN or +-inf cells) and up to 20 training rows, or 26 to 45
+    so that a k above the table's width takes the direct path, with C- or
     Fortran-ordered held-out inputs."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     parts = []
     for _ in range(draw(st.integers(1, 3))):
-        n_train = draw(st.integers(2, 20))
+        n_train = draw(st.one_of(st.integers(2, 20), st.integers(toyml.KNN_TABLE_K + 1, 45)))
         pool = _integer_values(draw, rng, (draw(st.integers(1, n_train)), 2))
         train = SimpleNamespace(X=pool[rng.integers(0, len(pool), n_train)],
                                 y=rng.integers(0, 3, n_train))
@@ -1361,8 +1363,13 @@ KNN_INPUTS = {
 }
 
 
+# KNN with k admitted up to 40, above the width of its neighbour tables.
+WIDE_KNN = og.customize_schema(
+    REGISTRY["KNN"], {"k": schema_model.RangeNode(1, 40, integer_valued=True, default=5)})
+
+
 def knn_pipeline(first, k, weighting="uniform"):
-    knn = configure(REGISTRY["KNN"], {"k": k, "weighting": weighting})
+    knn = configure(WIDE_KNN, {"k": k, "weighting": weighting})
     step = KNN_INPUTS[first]()
     return knn if step is None else og.pipe(step, knn)
 
@@ -1371,7 +1378,7 @@ class TestSharedNeighbours:
     @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
     @given(splits=knn_splits(),
            windows=st.lists(st.lists(st.tuples(st.sampled_from(sorted(KNN_INPUTS)),
-                                               st.integers(1, 25),
+                                               st.integers(1, 40),
                                                st.sampled_from(["uniform", "distance"])),
                                      min_size=1, max_size=3), min_size=1, max_size=4))
     @settings(max_examples=150, deadline=None)
@@ -1391,7 +1398,7 @@ class TestSharedNeighbours:
                 reference_cross_val_score(op, splits) for op in ops]
         assert share_entries(splits.store)
 
-    def test_each_table_is_sorted_once_per_larger_k(self, monkeypatch):
+    def test_each_table_is_sorted_once(self, monkeypatch):
         calls = []
         smallest_k = toyml._smallest_k
 
@@ -1400,17 +1407,23 @@ class TestSharedNeighbours:
             return smallest_k(d2, k)
 
         monkeypatch.setattr(toyml, "_smallest_k", counted)
-        splits = cv_splits(synth_dataset("xor", 24, 1), 3)  # 16 training rows per fold
-        asked = [("none", 3), ("noop", 1), ("noop", 5), ("none", 5), ("select2", 2),
-                 ("select3", 9), ("noop", 2), ("select2", 25), ("select3", 20), ("none", 4)]
-        scores = [cross_val_score(knn_pipeline(first, k), splits) for first, k in asked]
-        # Per fold: the KNN alone and after NoOp at k = 3 and 5, after either
-        # SelectKVariance at 2, 9 and all 16 rows.
-        assert calls == [k for k in (3, 5, 2, 9, 16) for _ in splits]
-        tables = share_entries(splits.store).values()
-        assert sorted(table.order.shape[1] for table in tables) == [5] * 3 + [16] * 3
-        for table, (_, test_X, _) in zip(tables, splits + splits):
-            assert table.order.dtype == np.int32 and table.d2.dtype == np.float64
-            assert table.order.shape == table.d2.shape and len(table.order) == len(test_X)
-        assert scores == [reference_cross_val_score(knn_pipeline(first, k), splits)
-                          for first, k in asked]
+        for n, width in ((24, 16), (48, 25)):  # 16 and 32 training rows per fold
+            calls.clear()
+            splits = cv_splits(synth_dataset("xor", n, 1), 3)
+            asked = [("none", 3), ("noop", 1), ("noop", 5), ("none", 25), ("select2", 2),
+                     ("select3", 9), ("noop", 2), ("select2", 25), ("select3", 20), ("none", 30)]
+            scores = [cross_val_score(knn_pipeline(first, k), splits) for first, k in asked]
+            # Per fold: one table for the KNN alone and after NoOp, one after
+            # either SelectKVariance, each sorted once; k = 30 on 32 training
+            # rows is wider than the tables and sorts its own distances.
+            assert calls == [width] * 6 + [30] * 3 * (n == 48)
+            tables = share_entries(splits.store).values()
+            for (order, d2), (_, test_X, _) in zip(tables, splits + splits):
+                assert order.dtype == np.int32 and d2.dtype == np.float64
+                assert order.shape == d2.shape == (len(test_X), width)
+            assert scores == [reference_cross_val_score(knn_pipeline(first, k), splits)
+                              for first, k in asked]
+
+    def test_table_width_is_the_schema_maximum(self):
+        doc = json.loads((toyml.default_schemas_dir() / "KNN.schema.json").read_text())
+        assert toyml.KNN_TABLE_K == doc["properties"]["k"]["maximum"]
