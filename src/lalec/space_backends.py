@@ -313,39 +313,66 @@ def _sample_into(doc, rng, point, force_branch) -> None:
         if domain["kind"] == "categorical":
             point[name] = domain["values"][rng.randrange(len(domain["values"]))]
         elif domain["kind"] == "continuous":
-            point[name] = _draw_cont(rng, domain["lo"], domain["hi"], domain["loOpen"],
-                                     domain["hiOpen"], domain["integer"],
-                                     domain["distribution"] == "loguniform",
-                                     domain.get("quantization"))
+            point[name] = _draw(rng, _draw_plan(
+                domain["lo"], domain["hi"], domain["loOpen"], domain["hiOpen"],
+                domain["integer"], domain["distribution"] == "loguniform",
+                domain.get("quantization")))
         else:
             _sample_into(domain["space"], rng, point, force_branch)
 
 
-def _draw_cont(rng: random.Random, lo, hi, lo_open, hi_open, integer, log, q):
-    """The one draw from a continuous domain, for hierarchical points, grid
-    samples and parsed PCS spaces (see docs/space_formats.md)."""
+def _draw_plan(lo, hi, lo_open, hi_open, integer, log, q) -> tuple:
+    """The one definition of a draw from a continuous domain, for
+    hierarchical points, grid samples and parsed PCS spaces (see
+    docs/space_formats.md): what depends only on the domain, computed once,
+    as a tuple `_draw` reads. An integer range keeps its lowest value and
+    width, a loguniform one its log bounds; a real range keeps its bounds
+    and the start and span of the uniform draw (in log space when
+    loguniform), and a quantized one its declared range and `q`."""
     if integer:
         lo_i, hi_i = schema_model.integer_bounds(lo, hi, lo_open, hi_open)
         if lo_i > hi_i:  # only a document from outside the compiler holds one
             raise CompileError(f"integer range [{lo}, {hi}] contains no integers")
         if log:
-            value = int(round(math.exp(rng.uniform(math.log(lo_i), math.log(hi_i)))))
-        else:
-            value = rng.randint(lo_i, hi_i)
-        return min(max(value, lo_i), hi_i)
+            return ("logint", lo_i, hi_i, math.log(lo_i), math.log(hi_i) - math.log(lo_i))
+        width = hi_i - lo_i + 1
+        return ("int", lo_i, width, width.bit_length())
     lo_eps, hi_eps = _real_bounds(lo, hi, lo_open, hi_open)
     if log:
-        value = math.exp(rng.uniform(math.log(lo_eps), math.log(hi_eps)))
+        start, span = math.log(lo_eps), math.log(hi_eps) - math.log(lo_eps)
     else:
-        value = rng.uniform(lo_eps, hi_eps)
-    if q:
+        start, span = lo_eps, hi_eps - lo_eps
+    return ("real", lo_eps, hi_eps, start, span, log, (lo, hi, lo_open, hi_open, q) if q else None)
+
+
+def _draw(rng: random.Random, plan: tuple):
+    """One draw by a `_draw_plan`. A uniform integer draw is what
+    `random.Random.randint` draws, its rejection loop on `getrandbits`
+    written out so that no range is checked again per draw. Any other draw
+    is what `rng.uniform` draws: `start + span * rng.random()`."""
+    kind = plan[0]
+    if kind == "int":
+        _, lo, width, bits = plan
+        r = rng.getrandbits(bits)
+        while r >= width:
+            r = rng.getrandbits(bits)
+        return lo + r
+    if kind == "logint":
+        _, lo, hi, start, span = plan
+        return min(max(int(round(math.exp(start + span * rng.random()))), lo), hi)
+    _, lo, hi, start, span, log, quantized = plan
+    value = start + span * rng.random()
+    if log:
+        value = math.exp(value)
+    if quantized:
         # Round to a multiple of q; when that lands on or beyond an open
         # bound, step inward by whole multiples so it stays a multiple of q.
+        lo_raw, hi_raw, lo_open, hi_open, q = quantized
         k = round(value / q)
         for candidate in (k * q, (k - 1) * q, (k + 1) * q):
-            if schema_model.in_range(candidate, lo, hi, lo_open, hi_open, False):
+            if schema_model.in_range(candidate, lo_raw, hi_raw, lo_open, hi_open, False):
                 return candidate
-    return min(max(value, lo_eps), hi_eps)
+    return min(max(value, lo), hi)
 
 
 def _real_bounds(lo, hi, lo_open, hi_open) -> tuple[float, float]:
@@ -385,87 +412,108 @@ def emit_flat(ir: SearchIR, limit: int = DEFAULT_BLOWUP_LIMIT) -> list[dict[str,
     """Cross product across steps, concatenation across choice branches:
     |flat| = product over steps of the per-step disjunct totals. Refuses
     with BlowupExceeded, before building any row, when flat_size exceeds
-    `limit`."""
+    `limit`. Rows share their Domain objects."""
     flat_size(ir, limit)
-    return _flat_rows(ir)
+    return _flat_rows(ir, _as_domains)
 
 
-def _flat_rows(ir: SearchIR) -> list[dict[str, Domain]]:
+def _as_domains(domains: dict[str, Domain]) -> dict[str, Domain]:
+    return domains
+
+
+def _flat_rows(ir: SearchIR, render) -> list[dict]:
+    """The one cross-product walker, for the flat and grid emitters. Each
+    leaf disjunct's domains (by mangled name) and each choice's stamp are
+    rendered once per walk, by `render`, and each row merges rendered
+    fragments. Every row is a dict of its own; its values are shared."""
     if isinstance(ir, StepMapIR):
-        rows: list[dict[str, Domain]] = [{}]
+        rows: list[dict] = [{}]
         for _, child in ir.steps:
-            child_rows = _flat_rows(child)
+            child_rows = _flat_rows(child, render)
             rows = [{**a, **b} for a in rows for b in child_rows]
         return rows
     if isinstance(ir, ChoiceIR):
         rows = []
         for value, body in ir.branches:
-            stamp = {ir.discriminant: Cat((value,), value)}
-            for row in _flat_rows(body):
-                rows.append({**stamp, **row})
+            stamp = render({ir.discriminant: Cat((value,), value)})
+            rows += [{**stamp, **row} for row in _flat_rows(body, render)]
         return rows
     assert isinstance(ir, LeafIR)
     rows = []
     for disjunct in ir.nf.disjuncts:
         base: dict[str, Domain] = {}
-        slot_rows: list[dict[str, Domain]] = [{}]
+        slot_rows: list[dict] = [{}]
         for name, domain in disjunct.items():
             if isinstance(domain, OpSlot):
-                nested_rows = _flat_rows(domain.nested)
+                nested_rows = _flat_rows(domain.nested, render)
                 slot_rows = [{**a, **b} for a in slot_rows for b in nested_rows]
             else:
                 base[_join(ir.prefix, name)] = domain
-        for extra in slot_rows:
-            rows.append({**base, **extra})
+        base = render(base)
+        rows += [{**base, **extra} for extra in slot_rows]
     return rows
 
 
 def flat_doc(rows: list[dict[str, Domain]]) -> dict:
-    return {"disjuncts": [{name: _domain_doc(domain) for name, domain in row.items()}
+    """The flat JSON document of `emit_flat` rows. Each distinct Domain's
+    document is built once per call, keyed by identity, and every row that
+    holds the domain holds that document: read it, never write to it."""
+    docs: dict[int, dict] = {}
+    return {"disjuncts": [{name: docs.get(id(domain))
+                                 or docs.setdefault(id(domain), _domain_doc(domain))
+                           for name, domain in row.items()}
                           for row in rows]}
 
 
 # ---------------------------------------------------------------------------
 # Discretized grid
 
+# The most values one grid may draw or keep from its continuous domains:
+# each continuous domain of each flat row keeps at most its default and its
+# `cont_samples` draws. `emit_grid` counts them before its first draw.
+GRID_DRAW_LIMIT = 100_000
+
 
 def emit_grid(ir: SearchIR, cont_samples: int = 1, seed: int = 0,
               limit: int = DEFAULT_BLOWUP_LIMIT) -> dict:
     """Per flat disjunct, every continuous domain becomes the list of its
-    default (when the domain contains it) plus `cont_samples` seeded draws."""
+    default (when the domain contains it) plus `cont_samples` seeded draws.
+    Refuses with BlowupExceeded, before any draw, a grid whose flat size
+    exceeds `limit` or whose continuous domains would draw or keep more
+    than GRID_DRAW_LIMIT values. Rows share their categorical value lists."""
     if cont_samples < 1:
         raise ValueError("cont_samples must be positive")
+    flat_size(ir, limit)
+    rows = _flat_rows(ir, _grid_fragment)
+    slots = [(params, name, slot) for params in rows for name, slot in params.items()
+             if slot.__class__ is tuple]
+    if len(slots) * (cont_samples + 1) > GRID_DRAW_LIMIT:
+        raise BlowupExceeded(GRID_DRAW_LIMIT, "grid draw count")
     rng = random.Random(seed)
-    disjuncts = []
-    cell_count = 0
-    for row in emit_flat(ir, limit):
-        params: dict[str, list] = {}
-        for name, domain in row.items():
-            if isinstance(domain, Cat):
-                params[name] = list(domain.values)
-            else:
-                assert isinstance(domain, Cont)
-                values = []
-                if domain.default is not schema_model.MISSING:
-                    values.append(domain.default)
-                # Keys with scalar_eq's equality: 1 == 1.0 and -0.0 == 0.0,
-                # but a bool only equals a bool. Ranges admit no NaN.
-                seen = {(isinstance(v, bool), v) for v in values}
-                log = domain.prior.kind == "loguniform"
-                for _ in range(cont_samples):
-                    draw = _draw_cont(rng, domain.lo, domain.hi, domain.lo_open, domain.hi_open,
-                                      domain.integer_valued, log, domain.prior.quantization)
-                    key = isinstance(draw, bool), draw
-                    if key not in seen:
-                        seen.add(key)
-                        values.append(draw)
-                params[name] = values
-        disjuncts.append({"params": params})
-        cells = 1
-        for values in params.values():
-            cells *= len(values)
-        cell_count += cells
-    return {"disjuncts": disjuncts, "cellCount": cell_count}
+    for params, name, (plan, default) in slots:  # row by row, in each row's order
+        values = [] if default is schema_model.MISSING else [default]
+        # Equal under scalar_eq: 1 == 1.0 and -0.0 == 0.0, but a bool only
+        # equals a bool, and a draw never is one. Ranges admit no NaN.
+        seen = set() if isinstance(default, bool) else set(values)
+        for _ in range(cont_samples):
+            draw = _draw(rng, plan)
+            if draw not in seen:
+                seen.add(draw)
+                values.append(draw)
+        params[name] = values
+    return {"disjuncts": [{"params": params} for params in rows],
+            "cellCount": sum(math.prod(map(len, params.values())) for params in rows)}
+
+
+def _grid_fragment(domains: dict[str, Domain]) -> dict[str, list | tuple]:
+    """A leaf disjunct's grid parameters: each categorical's value list, and
+    for each continuous domain a slot (draw plan, default) that every row
+    holding it replaces with its own draws, in row order."""
+    return {name: list(domain.values) if isinstance(domain, Cat) else
+            (_draw_plan(domain.lo, domain.hi, domain.lo_open, domain.hi_open,
+                        domain.integer_valued, domain.prior.kind == "loguniform",
+                        domain.prior.quantization), domain.default)
+            for name, domain in domains.items()}
 
 
 def grid_cells(grid: Mapping[str, Any]):
@@ -512,8 +560,8 @@ class PcsSpace:
             if param.kind == "categorical":
                 point[name] = param.values[rng.randrange(len(param.values))]
             else:
-                point[name] = _draw_cont(rng, param.lo, param.hi, False, False,
-                                         param.kind == "integer", param.log, None)
+                point[name] = _draw(rng, _draw_plan(param.lo, param.hi, False, False,
+                                                    param.kind == "integer", param.log, None))
         return point
 
     def _active(self, name: str, point) -> bool:

@@ -42,8 +42,8 @@ class NormalizeError(Exception):
 
 
 class BlowupExceeded(NormalizeError):
-    def __init__(self, limit):
-        super().__init__(f"disjunct count exceeds the cap of {limit}")
+    def __init__(self, limit, what="disjunct count"):
+        super().__init__(f"{what} exceeds the cap of {limit}")
 
 
 def capped_list(items: Iterable, limit: int) -> list:

@@ -11,11 +11,17 @@ exception type. `reference_fit_pruned_tree` is PrunedTree's fit as it
 pruned the tree it had just grown in place; tests check that fits pruning
 grown trees kept in a store give the same trees. The range predicates and
 continuous draws below are the copies the library had before
-`schema_model.in_range` and `space_backends._draw_cont` replaced them;
+`schema_model.in_range` and the one continuous draw (now
+`space_backends._draw_plan`) replaced them;
 tests check that the replacements give the same answers and the same draws.
 `reference_grid_params` is emit_grid with those draws and a scan of the
 values kept so far for an equal one; tests check that emit_grid keeps the
-same values.
+same values. `reference_draw_cont`, `reference_flat_doc` and
+`reference_emit_grid` are the draw, the flat document and the grid as they
+were before each domain was rendered once per call: `rng.randint` and
+`rng.uniform` on every draw, and a new document or value list for each
+domain of each flat row; tests check that the draw plans and documents
+give the same text.
 `to_schema` rebuilds a schema from a normal form; tests check that
 normalizing it again accepts the same configurations.
 `reference_exact_json_key` is the memo key as the sorted JSON of a mapping;
@@ -69,10 +75,19 @@ from lalec.space_backends import (
     StepMapIR,
     _join,
     _real_bounds,
+    emit_flat,
     emit_hierarchical,
     sample_space,
 )
-from lalec.space_normalizer import Cat, Cont, Domain, NormalForm, NormalizeError, OpSlot
+from lalec.space_normalizer import (
+    DEFAULT_BLOWUP_LIMIT,
+    Cat,
+    Cont,
+    Domain,
+    NormalForm,
+    NormalizeError,
+    OpSlot,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -487,6 +502,69 @@ def reference_grid_params(compiled, cont_samples, seed):
             params[name] = values
         out.append(params)
     return out
+
+
+def reference_draw_cont(rng, lo, hi, lo_open, hi_open, integer, log, q):
+    """space_backends' continuous draw before draw plans: `rng.randint` and
+    `rng.uniform`, with the bounds worked out again on every draw."""
+    if integer:
+        lo_i, hi_i = sm.integer_bounds(lo, hi, lo_open, hi_open)
+        if log:
+            value = int(round(math.exp(rng.uniform(math.log(lo_i), math.log(hi_i)))))
+        else:
+            value = rng.randint(lo_i, hi_i)
+        return min(max(value, lo_i), hi_i)
+    lo_eps, hi_eps = _real_bounds(lo, hi, lo_open, hi_open)
+    if log:
+        value = math.exp(rng.uniform(math.log(lo_eps), math.log(hi_eps)))
+    else:
+        value = rng.uniform(lo_eps, hi_eps)
+    if q:
+        k = round(value / q)
+        for candidate in (k * q, (k - 1) * q, (k + 1) * q):
+            if sm.in_range(candidate, lo, hi, lo_open, hi_open, False):
+                return candidate
+    return min(max(value, lo_eps), hi_eps)
+
+
+def reference_flat_doc(rows):
+    """flat_doc as it built a new document for each domain of each row."""
+    return {"disjuncts": [{name: reference_domain_doc(domain) for name, domain in row.items()}
+                          for row in rows]}
+
+
+def reference_emit_grid(ir, cont_samples=1, seed=0, limit=DEFAULT_BLOWUP_LIMIT):
+    """emit_grid as it scanned each row of emit_flat, with a new value list
+    for each domain of each row and `reference_draw_cont` for each draw. It
+    has no draw limit."""
+    if cont_samples < 1:
+        raise ValueError("cont_samples must be positive")
+    rng = random.Random(seed)
+    disjuncts = []
+    cell_count = 0
+    for row in emit_flat(ir, limit):
+        params = {}
+        for name, domain in row.items():
+            if isinstance(domain, Cat):
+                params[name] = list(domain.values)
+            else:
+                values = [] if domain.default is MISSING else [domain.default]
+                seen = {(isinstance(v, bool), v) for v in values}
+                for _ in range(cont_samples):
+                    draw = reference_draw_cont(
+                        rng, domain.lo, domain.hi, domain.lo_open, domain.hi_open,
+                        domain.integer_valued, domain.prior.kind == "loguniform",
+                        domain.prior.quantization)
+                    if (isinstance(draw, bool), draw) not in seen:
+                        seen.add((isinstance(draw, bool), draw))
+                        values.append(draw)
+                params[name] = values
+        disjuncts.append({"params": params})
+        cells = 1
+        for values in params.values():
+            cells *= len(values)
+        cell_count += cells
+    return {"disjuncts": disjuncts, "cellCount": cell_count}
 
 
 # ---------------------------------------------------------------------------

@@ -203,6 +203,16 @@ class TestExitCodes:
         assert run_cli(args) == 2
         assert capsys.readouterr().err == f"{prefix}: --cont-samples must be positive\n"
 
+    @pytest.mark.parametrize("args,prefix", [
+        (SEARCH + ["--optimizer", "grid"], "search error"),
+        (["compile", "--expr", "KNN", "--backend", "grid"], "compile error"),
+    ], ids=["search", "compile"])
+    def test_grid_past_the_draw_cap_is_refused(self, tmp_path, capsys, args, prefix):
+        out = tmp_path / "out.json"
+        assert run_cli(args + ["--cont-samples", "100000000", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"{prefix}: grid draw count exceeds the cap of 100000\n"
+        assert not out.exists()
+
     def test_cont_samples_unused_by_random_search(self, capsys):
         assert run_cli(SEARCH + ["--cont-samples", "0"]) == 0
 

@@ -10,6 +10,7 @@ import sys
 import tracemalloc
 import weakref
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -37,6 +38,7 @@ from lalec.space_normalizer import (
     DEFAULT_BLOWUP_LIMIT,
     BlowupExceeded,
     Cat,
+    Cont,
     OpSlot,
     _domain_admits,
 )
@@ -44,7 +46,10 @@ from lalec.space_normalizer import (
 from conftest import probe_lattice
 from oracles import (
     default_point,
+    reference_draw_cont,
     reference_draw_cont_doc,
+    reference_emit_grid,
+    reference_flat_doc,
     reference_grid_params,
     reference_pcs_sample,
 )
@@ -685,10 +690,41 @@ def reference_sample_space(doc, rng):
     return point
 
 
+@st.composite
+def draw_domains(draw):
+    """The arguments of `_draw_plan`: every draw kind, integer ranges from
+    one value to about 2**70 values (powers of two, where the rejection
+    loop redraws least, among them) and bounds far beyond 2**53."""
+    integer, log = draw(st.booleans()), draw(st.booleans())
+    lo_open, hi_open = draw(st.booleans()), draw(st.booleans())
+    q = draw(st.one_of(st.none(), st.floats(0.01, 50.0)))
+    if integer:
+        lo = draw(st.one_of(st.integers(1 if log else -5, 5),
+                            st.integers(1 if log else -2**70, 2**70)))
+        width = draw(st.one_of(st.integers(0, 10), st.integers(0, 70).map(lambda k: 2**k),
+                               st.integers(0, 2**70)))
+        # Open integer ends step one inward, so the range holds width + 1 values.
+        return lo, lo + width + lo_open + hi_open, lo_open, hi_open, True, log, q
+    lo = draw(st.floats(1e-6 if log else -1e6, 1e6))
+    hi = lo + draw(st.floats(1e-6 if lo_open or hi_open else 0.0, 1e6))
+    return lo, hi, lo_open, hi_open, False, log, q
+
+
 class TestOneDrawBody:
     """sample_space, emit_grid and PcsSpace.sample against the draws they
     made before they shared one draw body: the same values, of the same type
     and bits, and the rng left in the same state."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(domain=draw_domains(), seed=st.integers(0, 2**32), count=st.integers(1, 8))
+    def test_every_draw_kind_draws_like_randint_and_uniform(self, domain, seed, count):
+        # The reference calls this interpreter's own rng.randint and
+        # rng.uniform, which the draw plan writes out.
+        plan = sb._draw_plan(*domain)
+        new, old = random.Random(seed), random.Random(seed)
+        for _ in range(count):
+            assert bits(sb._draw(new, plan)) == bits(reference_draw_cont(old, *domain))
+        assert new.getstate() == old.getstate()
 
     @settings(max_examples=150, deadline=None)
     @given(op=range_operators(), seed=st.integers(0, 2**32), count=st.integers(1, 6))
@@ -983,8 +1019,8 @@ def registry_operators(draw, budget=6):
 
 
 @st.composite
-def compiled_spaces(draw, unfolds=UNFOLDS):
-    source = draw(st.sampled_from(["unfold", "sample", "registry"]))
+def compiled_spaces(draw, unfolds=UNFOLDS, sources=("unfold", "sample", "registry")):
+    source = draw(st.sampled_from(sources))
     if source == "unfold":
         name, depth = draw(st.sampled_from(unfolds))
         op = grammar_engine.unfold(_grammar(name), depth, REGISTRY)
@@ -1303,6 +1339,108 @@ class TestSizeFirst:
         assert grid["cellCount"] == len(list(sb.grid_cells(grid)))
 
 
+def _containers(doc):
+    """Every list and dict in a JSON tree, each once, however often shared."""
+    found, stack = {}, [doc]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (list, dict)) and id(node) not in found:
+            found[id(node)] = node
+            stack.extend(node.values() if isinstance(node, dict) else node)
+    return list(found.values())
+
+
+def _continuous_names(compiled):
+    """Per flat row, the names of its continuous domains."""
+    return [[name for name, domain in row.items() if isinstance(domain, Cont)]
+            for row in compiled.flat()]
+
+
+class TestRenderedOnce:
+    """flat_doc and emit_grid, which render each domain once per call,
+    against the emitters that rendered it once per flat row, and the grid's
+    draw count, checked before its first draw."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(compiled=st.one_of(compiled_spaces(sources=("sample",)),
+                              range_operators().map(compile_space)),
+           cont_samples=st.integers(1, 6), seed=st.integers(0, 2**32))
+    def test_documents_match_the_per_row_emitters(self, compiled, cont_samples, seed):
+        # json.dumps without sort_keys, so key order, draw order, types and
+        # bits must all match.
+        def text(emit):
+            refused, doc = _refused(emit)
+            return refused, None if refused else json.dumps(doc)
+
+        assert (text(lambda: sb.flat_doc(compiled.flat()))
+                == text(lambda: reference_flat_doc(compiled.flat())))
+        refused, grid = _refused(lambda: emit_grid(compiled.ir, cont_samples, seed))
+        expected_refused, expected = _refused(
+            lambda: reference_emit_grid(compiled.ir, cont_samples, seed))
+        if not expected_refused:
+            count = sum(map(len, _continuous_names(compiled))) * (cont_samples + 1)
+            expected_refused = count > sb.GRID_DRAW_LIMIT
+        assert refused == expected_refused
+        if not refused:
+            assert json.dumps(grid) == json.dumps(expected)
+            assert grid["cellCount"] == expected["cellCount"]
+
+    @settings(max_examples=100, deadline=None)
+    @given(compiled=st.one_of(compiled_spaces(sources=("sample",)),
+                              range_operators().map(compile_space)),
+           cont_samples=st.integers(1, 6), seed=st.integers(0, 2**32))
+    def test_the_draw_count_bounds_the_kept_values(self, compiled, cont_samples, seed):
+        names = _refused(lambda: _continuous_names(compiled))[1]
+        if names is None:
+            return  # refused by the flat cap
+        count = sum(map(len, names)) * (cont_samples + 1)
+        with mock.patch.object(sb, "GRID_DRAW_LIMIT", count):
+            grid = emit_grid(compiled.ir, cont_samples, seed)
+        kept = sum(len(disjunct["params"][name])
+                   for disjunct, row in zip(grid["disjuncts"], names) for name in row)
+        assert kept <= count
+        if count:
+            with mock.patch.object(sb, "GRID_DRAW_LIMIT", count - 1):
+                with pytest.raises(BlowupExceeded, match="grid draw count"):
+                    emit_grid(compiled.ir, cont_samples, seed)
+
+    def test_draws_beyond_the_limit_are_refused_before_the_first(self, registry):
+        # KNN's one continuous domain at 10^8 samples: refused at once,
+        # with no memory spent on draws.
+        compiled = compile_space(registry["KNN"])
+        tracemalloc.start()
+        try:
+            with pytest.raises(BlowupExceeded, match="grid draw count"):
+                compiled.grid(100_000_000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 100_000
+
+    def test_the_limit_admits_large_single_operator_grids(self, registry):
+        grid = compile_space(registry["LogRegGD"]).grid(4000)
+        assert sum(map(len, grid["disjuncts"][0]["params"].values())) > 4000
+
+    def test_documents_share_nothing_between_calls(self, registry):
+        # Rows of one document share domain documents and value lists, so
+        # writing into one call's output must leave the next call's, and the
+        # IR, as they were.
+        spaces = [compile_space(parse_expr("PCA >> (J48 | LR)", registry)),
+                  compile_space(pipe(registry["Scaler"], configure(
+                      registry["BoostedEnsemble"], {"base": registry["PrunedTree"]})))]
+        for compiled in spaces:
+            emitters = (lambda: sb.flat_doc(compiled.flat()), lambda: compiled.grid(3, 5),
+                        compiled.flat, compiled.hierarchical)
+            before = [repr(emit()) for emit in emitters]
+            for emit in emitters[:3]:
+                for node in _containers(emit()):
+                    if isinstance(node, list):
+                        node.append("scribbled")
+                    else:
+                        node["scribbled"] = True
+            assert [repr(emit()) for emit in emitters] == before
+
+
 # ---------------------------------------------------------------------------
 # Decoding through a space's plan against the decoder it replaced
 
@@ -1457,6 +1595,8 @@ class TestDecodePlan:
                       registry["BoostedEnsemble"], {"base": registry["PrunedTree"]})))]
         rng = random.Random(6)
         for compiled in spaces:
+            compiled.grid(2, 0)  # emitting keeps nothing that would not pickle
+            sb.flat_doc(compiled.flat())
             hier = compiled.hierarchical()
             pcs = read_pcs(compiled.pcs())
             for _ in range(5):
