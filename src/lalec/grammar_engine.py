@@ -26,6 +26,7 @@ from .pipeline_dsl import (
     build_operator,
     refuse_deep_nesting,
 )
+from .space_normalizer import DEFAULT_BLOWUP_LIMIT
 
 
 class GrammarError(Exception):
@@ -40,6 +41,10 @@ class NoTerminatingAlternative(GrammarError):
     pass
 
 
+class UnfoldTooLarge(GrammarError):
+    """The unfolded expression would have more nodes than the cap."""
+
+
 @dataclass(frozen=True)
 class _Blocked:
     """Marks a nonterminal left unexpanded because its depth ran out."""
@@ -50,9 +55,15 @@ class _Blocked:
 @refuse_deep_nesting(GrammarError, "the unfolded pipeline nests too deeply")
 def unfold(grammar: GrammarFile, depth: int, registry: Mapping[str, Individual]) -> Operator:
     """Expand the start rule, bounding each nonterminal to `depth` expansions
-    per derivation path, then prune unresolved alternatives."""
+    per derivation path, then prune unresolved alternatives. Refuses with
+    UnfoldTooLarge, before expanding, when the expansion would have more
+    than DEFAULT_BLOWUP_LIMIT nodes."""
     if depth < 1:
         raise ValueError("depth must be at least 1")
+    size = _expanded_size(grammar.body(grammar.start), grammar, {grammar.start: 1}, depth, {})
+    if size > DEFAULT_BLOWUP_LIMIT:
+        raise UnfoldTooLarge(f"unfolding at depth {depth} would build {size} nodes, "
+                             f"above the cap of {DEFAULT_BLOWUP_LIMIT}")
     expanded = _expand(grammar.body(grammar.start), grammar, {grammar.start: 1}, depth)
     pruned = _prune(expanded)
     if pruned is None:
@@ -72,6 +83,26 @@ def _expand(ast: ExprAst, grammar: GrammarFile, counts: dict[str, int], depth: i
         return type(ast)(_expand(ast.left, grammar, counts, depth),
                          _expand(ast.right, grammar, counts, depth))
     return ast
+
+
+def _expanded_size(ast: ExprAst, grammar: GrammarFile, counts: dict[str, int], depth: int,
+                   memo: dict) -> int:
+    """The number of nodes _expand(ast, grammar, counts, depth) builds,
+    counted without building them. A rule's expansion depends only on the
+    rule and the counts along its path, so each pair is counted once."""
+    if isinstance(ast, NontermRef):
+        used = counts.get(ast.name, 0)
+        if used >= depth:
+            return 1
+        next_counts = {**counts, ast.name: used + 1}
+        key = ast.name, frozenset(next_counts.items())
+        if key not in memo:
+            memo[key] = _expanded_size(grammar.body(ast.name), grammar, next_counts, depth, memo)
+        return memo[key]
+    if isinstance(ast, (Pipe, Both, Choose)):
+        return (1 + _expanded_size(ast.left, grammar, counts, depth, memo)
+                + _expanded_size(ast.right, grammar, counts, depth, memo))
+    return 1
 
 
 def _prune(node):

@@ -94,11 +94,15 @@ class Individual(Operator):
             raise OperatorError("trained artifacts present iff state is Trained")
 
     def _copy(self, bound: dict[str, Any], state: LifecycleState, artifacts: Any) -> Individual:
-        """This operator with new bound values, state and artifacts. Calls the
-        constructor directly, which costs about half of dataclasses.replace;
-        __post_init__ still checks the artifacts rule."""
-        return Individual(self.name, self.schema, bound, self.impl, state,
-                          self.frozen_trainable, self.frozen_trained, artifacts)
+        """This operator with new bound values, state and artifacts. Builds
+        the copy with one update of its __dict__, not the dataclass
+        __init__, so it checks the artifacts rule of __post_init__ itself;
+        the copy equals, pickles and deep-copies as a constructed one."""
+        if (artifacts is not None) != (state == LifecycleState.TRAINED):
+            raise OperatorError("trained artifacts present iff state is Trained")
+        copy = object.__new__(Individual)
+        copy.__dict__.update(self.__dict__, bound=bound, state=state, artifacts=artifacts)
+        return copy
 
 
 @dataclass(frozen=True)
@@ -207,7 +211,10 @@ def configure(op: Operator, partial: Mapping[str, Any]) -> Individual:
     if not isinstance(op, Individual):
         raise OperatorError("configure applies to individual operators")
     merged = {**op.bound, **partial}
-    completed = {**op.schema.declared_defaults, **merged}
+    defaults = op.schema.declared_defaults
+    # Validation only reads the completed configuration, so when one side is
+    # empty the other serves as it is.
+    completed = {**defaults, **merged} if defaults and merged else merged or defaults
     try:
         valid = schema_model.validate(completed, op.schema).ok
     except Exception:  # re-raised below by the check that meets it first

@@ -125,6 +125,14 @@ class ObjectNode(SchemaNode):
     description: str = ""
 
     def property_map(self) -> dict[str, SchemaNode]:
+        """Each hyperparameter's schema by name, as a fresh dict the caller
+        may change."""
+        return dict(self.properties)
+
+    @cached_property
+    def _by_name(self) -> dict[str, SchemaNode]:
+        """property_map() built on first validation and kept on the node for
+        validation alone, which only reads it; it is never handed out."""
         return dict(self.properties)
 
 
@@ -197,6 +205,11 @@ class ValidationReport:
         return "; ".join(
             f"{render_path(v.path)}: {v.constraint} [{v.kind}]" for v in self.violations
         )
+
+
+# The report of every configuration without violations: one shared, frozen
+# value, so a valid configuration allocates no report.
+VALID = ValidationReport(ok=True)
 
 
 def is_scalar(value) -> bool:
@@ -446,7 +459,11 @@ def range_is_empty(lo, hi, lo_open, hi_open, integer_valued) -> bool:
 def enum_admits(values, value) -> bool:
     """The one admission test of an enumeration: a scalar equal to one of
     the values (a bool only equals a bool)."""
-    return is_scalar(value) and any(scalar_eq(value, v) for v in values)
+    if is_scalar(value):
+        for v in values:
+            if scalar_eq(value, v):
+                return True
+    return False
 
 
 def is_operator_value(value) -> bool:
@@ -466,20 +483,34 @@ def validate(config: Mapping[str, Any], schema: SchemaNode) -> ValidationReport:
 
     Missing hyperparameters are latent and never violations: the empty
     config satisfies every schema, and defaults fill latents at fit time.
-    Unknown names are violations when the base object forbids them.
+    Unknown names are violations when the base object forbids them. A
+    configuration without violations gets the shared, frozen VALID report.
     """
     violations: list[Violation] = []
     _check_config(config, schema, (), violations)
+    if not violations:
+        return VALID
     # Report only the first failing constraint per path.
     first: dict[tuple, Violation] = {}
     for v in violations:
         first.setdefault(v.path, v)
-    kept = tuple(first.values())
-    return ValidationReport(ok=not kept, violations=kept)
+    return ValidationReport(ok=False, violations=tuple(first.values()))
 
 
 def _check_config(config, node, path, out: list[Violation]) -> bool:
     """Append violations for `config` under `node`; return True when ok."""
+    if isinstance(node, ObjectNode):
+        ok = True
+        props = node._by_name
+        for name, value in config.items():
+            sub = props.get(name)
+            if sub is None:
+                if not node.additional_allowed:
+                    out.append(Violation(path + (name,), "unknown hyperparameter", "unknownName"))
+                    ok = False
+                continue
+            ok = _check_value(value, sub, path + (name,), out) and ok
+        return ok
     if isinstance(node, AllOfNode):
         ok = True
         for child in node.children:
@@ -500,18 +531,6 @@ def _check_config(config, node, path, out: list[Violation]) -> bool:
             out.append(Violation(path, _describe(node), "constraintViolated"))
             return False
         return True
-    if isinstance(node, ObjectNode):
-        ok = True
-        props = node.property_map()
-        for name, value in config.items():
-            sub = props.get(name)
-            if sub is None:
-                if not node.additional_allowed:
-                    out.append(Violation(path + (name,), "unknown hyperparameter", "unknownName"))
-                    ok = False
-                continue
-            ok = _check_value(value, sub, path + (name,), out) and ok
-        return ok
     if isinstance(node, AnyNode):
         return True
     raise InvalidSchema(path, f"{type(node).__name__} cannot constrain a configuration")
@@ -527,8 +546,6 @@ def _negation_triggered(config, child: ObjectNode) -> bool:
 
 
 def _check_value(value, node, path, out: list[Violation]) -> bool:
-    if isinstance(node, AnyNode):
-        return True
     if isinstance(node, EnumNode):
         if enum_admits(node.values, value):
             return True
@@ -544,6 +561,8 @@ def _check_value(value, node, path, out: list[Violation]) -> bool:
         if not in_range(value, node.lo, node.hi, node.lo_open, node.hi_open, node.integer_valued):
             out.append(Violation(path, f"value {value!r} outside {_range_text(node)}", "range"))
             return False
+        return True
+    if isinstance(node, AnyNode):
         return True
     if isinstance(node, OperatorSlotNode):
         if is_operator_value(value):

@@ -10,7 +10,8 @@ default). Points from any encoding decode back to configured operators.
 Name mangling joins step-path tokens with double underscores: an individual
 step contributes its lowercased operator name, a choice step contributes
 ``step<index>``, and each choice adds a synthetic discriminant ``<path>__D``
-recording which alternative a point belongs to.
+recording which alternative a point belongs to (a choice directly inside
+another takes its branch's path, ``<path>__<branch>__D``).
 """
 
 from __future__ import annotations
@@ -119,13 +120,17 @@ def combine(op: Operator, keep_constraints: bool = True) -> SearchIR:
 
     The root is always a step map; bound hyperparameters disappear from
     their operator's disjuncts, frozen steps contribute no dimensions, and
-    operator-valued bindings recurse with a reconstruction marker.
+    operator-valued bindings recurse with a reconstruction marker. A space
+    in which two parameters would share one key is refused (`_point_keys`).
     """
     if isinstance(op, Pipeline):
-        return _combine_pipeline(op, "", keep_constraints)
-    token = _step_token(op, 0)
-    child = _combine_node(op, token, token, keep_constraints)
-    return StepMapIR("", ((token, child),), wrapper=True)
+        ir = _combine_pipeline(op, "", keep_constraints)
+    else:
+        token = _step_token(op, 0)
+        child = _combine_node(op, token, token, keep_constraints)
+        ir = StepMapIR("", ((token, child),), wrapper=True)
+    _point_keys(ir)
+    return ir
 
 
 def _step_token(op: Operator, index: int) -> str:
@@ -178,7 +183,7 @@ def _combine_node(op: Operator, path: str, unique: str, keep: bool) -> SearchIR:
         branches = []
         for value, alt in zip(values, op.alternatives):
             branches.append((value, _combine_node(alt, path, _join(path, value), keep)))
-        return ChoiceIR(path, _join(path, "D"), tuple(branches))
+        return ChoiceIR(path, _join(unique, "D"), tuple(branches))
     if isinstance(op, Pipeline):
         return _combine_pipeline(op, path, keep)
     raise TypeError(f"not an operator: {op!r}")
@@ -228,6 +233,51 @@ def _combine_individual(op: Individual, path: str, unique: str, keep: bool) -> L
     if not disjuncts:
         raise CompileError(f"{op.name}: bound configuration admits no search disjunct")
     return LeafIR(path, unique, effective_op, NormalForm(tuple(disjuncts)))
+
+
+def _point_keys(ir: SearchIR) -> dict[str, tuple[str | None, str]]:
+    """Each key a point of `ir` can hold, with its owner: (operator name,
+    hyperparameter name) for a leaf's parameter, (None, choice path) for a
+    choice's discriminant. One choice's branches may share keys, since a
+    point holds one branch; any other repeat would make two parameters
+    share one value, so it is refused with a CompileError that names the
+    operator and the key."""
+    keys: dict[str, tuple[str | None, str]] = {}
+    if isinstance(ir, StepMapIR):
+        for _, child in ir.steps:
+            _add_keys(keys, _point_keys(child))
+    elif isinstance(ir, ChoiceIR):
+        keys[ir.discriminant] = None, ir.prefix
+        branches: dict[str, tuple[str | None, str]] = {}
+        for _, body in ir.branches:
+            for key, owner in _point_keys(body).items():
+                branches.setdefault(key, owner)
+        _add_keys(keys, branches)
+    else:
+        assert isinstance(ir, LeafIR)
+        slots = {}
+        for disjunct in ir.nf.disjuncts:
+            for name, domain in disjunct.items():
+                if isinstance(domain, OpSlot):
+                    slots.setdefault(name, domain.nested)
+                else:
+                    keys[_join(ir.prefix, name)] = ir.op.name, name
+        for nested in slots.values():
+            _add_keys(keys, _point_keys(nested))
+    return keys
+
+
+def _add_keys(keys: dict, more: dict) -> None:
+    for key, owner in more.items():
+        if key in keys:
+            (name, what), (other, other_what) = owner, keys[key]
+            if name is None:  # name the operator: a discriminant meets only hyperparameters
+                (name, what), (other, other_what) = keys[key], owner
+            held = (f"the discriminant of the choice at {other_what!r}" if other is None
+                    else f"hyperparameter {other_what!r} of {other}")
+            raise CompileError(f"{name}: hyperparameter {what!r} mangles to {key!r}, "
+                               f"as does {held}")
+        keys[key] = owner
 
 
 # ---------------------------------------------------------------------------

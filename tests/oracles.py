@@ -35,12 +35,18 @@ across encodings.
 `reference_bandit_search` is bandit search as it called the objective
 once per trial; tests check that bandit search through ``many`` gives the
 same histories.
+`reference_validate`, `reference_configure` and `reference_copy` are
+validation, configuration and the operator copy as they were before the
+valid path stopped allocating (a report per call, a property dict per
+object, both merges always, the dataclass constructor); tests check that
+the library gives equal reports and operators equal in `exact_form`.
 """
 
 import json
 import math
 import random
 import time
+from collections.abc import Mapping
 from statistics import NormalDist
 
 import numpy as np
@@ -765,3 +771,166 @@ def _domain_default(domain: Domain):
         return (lo + hi) // 2
     lo, hi = _real_bounds(domain.lo, domain.hi, domain.lo_open, domain.hi_open)
     return (lo + hi) / 2.0
+
+
+# ---------------------------------------------------------------------------
+# Validation and configuration
+
+
+def reference_validate(config, schema) -> sm.ValidationReport:
+    """schema_model.validate as it built a report, a property dict per
+    object and an enum generator on every call."""
+    violations: list = []
+    _reference_check_config(config, schema, (), violations)
+    first: dict = {}
+    for v in violations:
+        first.setdefault(v.path, v)
+    kept = tuple(first.values())
+    return sm.ValidationReport(ok=not kept, violations=kept)
+
+
+def _reference_enum_admits(values, value) -> bool:
+    return sm.is_scalar(value) and any(sm.scalar_eq(value, v) for v in values)
+
+
+def _reference_check_config(config, node, path, out) -> bool:
+    if isinstance(node, AllOfNode):
+        ok = True
+        for child in node.children:
+            ok = _reference_check_config(config, child, path, out) and ok
+        return ok
+    if isinstance(node, AnyOfNode):
+        for child in node.children:
+            if _reference_check_config(config, child, path, []):
+                return True
+        out.append(sm.Violation(path, sm._describe(node), "constraintViolated"))
+        return False
+    if isinstance(node, NotNode):
+        if _reference_negation_triggered(config, node.child):
+            out.append(sm.Violation(path, sm._describe(node), "constraintViolated"))
+            return False
+        return True
+    if isinstance(node, ObjectNode):
+        ok = True
+        props = node.property_map()
+        for name, value in config.items():
+            sub = props.get(name)
+            if sub is None:
+                if not node.additional_allowed:
+                    out.append(sm.Violation(path + (name,), "unknown hyperparameter",
+                                            "unknownName"))
+                    ok = False
+                continue
+            ok = _reference_check_value(value, sub, path + (name,), out) and ok
+        return ok
+    if isinstance(node, AnyNode):
+        return True
+    raise sm.InvalidSchema(path, f"{type(node).__name__} cannot constrain a configuration")
+
+
+def _reference_negation_triggered(config, child) -> bool:
+    for name, sub in child.properties:
+        if name not in config:
+            return False
+        if not _reference_check_value(config[name], sub, (name,), []):
+            return False
+    return True
+
+
+def _reference_check_value(value, node, path, out) -> bool:
+    if isinstance(node, AnyNode):
+        return True
+    if isinstance(node, EnumNode):
+        if _reference_enum_admits(node.values, value):
+            return True
+        out.append(sm.Violation(path, f"value {value!r} not in {list(node.values)!r}", "enum"))
+        return False
+    if isinstance(node, RangeNode):
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            out.append(sm.Violation(path, f"expected a number, got {value!r}", "type"))
+            return False
+        if node.integer_valued and not sm._integral(value):
+            out.append(sm.Violation(path, f"expected an integer, got {value!r}", "type"))
+            return False
+        if not sm.in_range(value, node.lo, node.hi, node.lo_open, node.hi_open,
+                           node.integer_valued):
+            out.append(sm.Violation(path, f"value {value!r} outside {sm._range_text(node)}",
+                                    "range"))
+            return False
+        return True
+    if isinstance(node, OperatorSlotNode):
+        if sm.is_operator_value(value):
+            return True
+        out.append(sm.Violation(path, f"expected an operator, got {value!r}", "type"))
+        return False
+    if isinstance(node, AnyOfNode):
+        for child in node.children:
+            if _reference_check_value(value, child, path, []):
+                return True
+        out.append(sm.Violation(path, sm._describe(node), "constraintViolated"))
+        return False
+    if isinstance(node, AllOfNode):
+        ok = True
+        for child in node.children:
+            ok = _reference_check_value(value, child, path, out) and ok
+        return ok
+    if isinstance(node, NotNode):
+        raise sm.UnsupportedNegation(
+            f"negation is not allowed at property level ({sm.render_path(path)})")
+    if isinstance(node, ObjectNode):
+        if isinstance(value, Mapping):
+            return _reference_check_config(value, node, path, out)
+        out.append(sm.Violation(path, f"expected an object, got {value!r}", "type"))
+        return False
+    raise sm.InvalidSchema(path, f"unsupported node {type(node).__name__}")
+
+
+def reference_configure(op, partial):
+    """operator_graph.configure as it merged both sides of every merge,
+    validated with `reference_validate` and built each copy through the
+    dataclass constructor."""
+    if not isinstance(op, Individual):
+        raise og.OperatorError("configure applies to individual operators")
+    merged = {**op.bound, **partial}
+    completed = {**op.schema.declared_defaults, **merged}
+    try:
+        valid = reference_validate(completed, op.schema).ok
+    except Exception:
+        valid = False
+    if not valid:
+        for config in (partial, completed):
+            report = reference_validate(config, op.schema)
+            if not report.ok:
+                raise ValidationFailed(report, op.name)
+    if not partial and op.state != og.LifecycleState.PLANNED:
+        return op
+    state = op.state if op.state != og.LifecycleState.PLANNED else og.LifecycleState.TRAINABLE
+    artifacts = op.artifacts
+    if partial and op.state == og.LifecycleState.TRAINED:
+        state, artifacts = og.LifecycleState.TRAINABLE, None
+    return reference_copy(op, merged, state, artifacts)
+
+
+def reference_copy(op, bound, state, artifacts):
+    """Individual._copy as it called the constructor, whose __post_init__
+    checks the artifacts rule."""
+    return Individual(op.name, op.schema, bound, op.impl, state,
+                      op.frozen_trainable, op.frozen_trained, artifacts)
+
+
+def exact_form(value):
+    """A form of a decoded value that two values share only when they are
+    equal in class, name, state, artifacts and bound values, those in the
+    same order and equal in type and bits (1, 1.0 and True differ, as do
+    0.0 and -0.0, and NaN equals NaN); schemas are compared by identity."""
+    if isinstance(value, Individual):
+        return ("Individual", value.name, id(value.schema), value.impl, value.state,
+                value.frozen_trainable, value.frozen_trained, repr(value.artifacts),
+                tuple((name, exact_form(v)) for name, v in value.bound.items()))
+    if isinstance(value, Pipeline):
+        return "Pipeline", value.edges, tuple(exact_form(step) for step in value.steps)
+    if isinstance(value, Choice):
+        return "Choice", tuple(exact_form(alt) for alt in value.alternatives)
+    if isinstance(value, float):
+        return "float", value.hex()
+    return type(value).__name__, repr(value)

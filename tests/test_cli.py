@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -12,7 +13,7 @@ from lalec import optimizer as opt
 from lalec.cli import main, operator_to_dot
 from lalec.operator_graph import configure, fit
 from lalec.space_backends import compile_space
-from lalec.toyml import load_registry
+from lalec.toyml import default_schemas_dir, load_registry
 
 
 def run_cli(args):
@@ -267,6 +268,32 @@ class TestBadSchemaFile:
         monkeypatch.setenv("LALEC_SCHEMA_PATH", str(tmp_path))
         assert run_cli(["validate", "--op", "KNN", "--config", "{}"]) == 2
         assert capsys.readouterr().err.startswith(f"parse error: {path}: unsupported keyword")
+
+
+class TestRefusedBeforeBuilding:
+    """A space whose keys collide and an unfold above the cap exit 2 with
+    an error that names what was refused."""
+
+    @pytest.mark.parametrize("args,prefix", [
+        (["compile", "--expr", "Dee | KNN"], "compile error"),
+        (["search", "--expr", "Dee | KNN", "--synth", "blobs,40,0", "--max-trials", "2"],
+         "search error")])
+    def test_a_hyperparameter_named_like_a_discriminant(self, tmp_path, capsys, args, prefix):
+        for path in default_schemas_dir().glob("*.schema.json"):
+            shutil.copy(path, tmp_path)
+        (tmp_path / "Dee.schema.json").write_text(
+            '{"type": "object", "properties": {"D": {"enum": ["x", "y"]}}}')
+        assert run_cli(args + ["--schemas", str(tmp_path)]) == 2
+        assert capsys.readouterr().err.startswith(
+            f"{prefix}: Dee: hyperparameter 'D' mangles to 'step0__D', as does the "
+            f"discriminant of the choice at 'step0'")
+
+    def test_an_unfold_above_the_cap(self, capsys):
+        args = ["grammar", "unfold", "--grammar", "fixtures/grammars/feature_union.grammar",
+                "--depth", "7"]
+        assert run_cli(args) == 2
+        assert capsys.readouterr().err.startswith(
+            "grammar error: unfolding at depth 7 would build 98305 nodes, above the cap of ")
 
 
 class TestOutputErrors:

@@ -1,17 +1,22 @@
 import itertools
+import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
+from lalec import grammar_engine
 from lalec.grammar_engine import (
     EmptyAfterPruning,
     GrammarError,
     NoTerminatingAlternative,
+    UnfoldTooLarge,
     sample,
     unfold,
 )
 from lalec.operator_graph import Choice, Individual, Pipeline
-from lalec.pipeline_dsl import parse_grammar, pretty_print
+from lalec.pipeline_dsl import Both, Choose, Pipe, parse_grammar, pretty_print
+from lalec.space_normalizer import DEFAULT_BLOWUP_LIMIT
 
 from oracles import derives
 
@@ -89,6 +94,51 @@ class TestUnfold:
     def test_deep_nesting_is_a_grammar_error(self, linear_grammar, registry):
         with pytest.raises(GrammarError, match="^the unfolded pipeline nests too deeply$"):
             unfold(linear_grammar, 400, registry)
+
+
+def _node_count(ast) -> int:
+    if isinstance(ast, (Pipe, Both, Choose)):
+        return 1 + _node_count(ast.left) + _node_count(ast.right)
+    return 1
+
+
+class TestUnfoldSizeCap:
+    """unfold counts the nodes its expansion would build and refuses above
+    DEFAULT_BLOWUP_LIMIT before building any."""
+
+    @pytest.mark.parametrize("name,depths", [
+        ("linear_stages", range(1, 9)), ("feature_union", range(1, 6)),
+        ("start := a | KNN; a := a >> a | a & a | NoOp;", range(1, 5)),
+        ("start := start;", range(1, 4))])
+    def test_count_equals_the_expansion(self, registry, name, depths):
+        text = (FIXTURES / f"{name}.grammar").read_text() if " " not in name else name
+        grammar = parse_grammar(text, registry)
+        for depth in depths:
+            args = grammar.body(grammar.start), grammar, {grammar.start: 1}, depth
+            assert (grammar_engine._expanded_size(*args, {})
+                    == _node_count(grammar_engine._expand(*args)))
+
+    @pytest.mark.parametrize("depth,size", [(6, 24577), (7, 98305), (12, 100663297)])
+    def test_deep_feature_union_is_refused_before_expanding(self, union_grammar, registry,
+                                                            depth, size):
+        tracemalloc.start()
+        start = time.perf_counter()
+        try:
+            with pytest.raises(UnfoldTooLarge, match=f"^unfolding at depth {depth} would build "
+                                                     f"{size} nodes, above the cap of "
+                                                     f"{DEFAULT_BLOWUP_LIMIT}$"):
+                unfold(union_grammar, depth, registry)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert time.perf_counter() - start < 1.0
+        assert peak < 1_000_000
+        assert issubclass(UnfoldTooLarge, GrammarError)
+
+    def test_shallower_unfolds_still_build(self, union_grammar, linear_grammar, registry):
+        for grammar, depths in ((union_grammar, range(1, 6)), (linear_grammar, range(1, 9))):
+            for depth in depths:
+                assert unfold(grammar, depth, registry) is not None
 
 
 class TestSample:

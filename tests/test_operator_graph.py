@@ -1,6 +1,7 @@
 import copy
 import dataclasses
 import math
+import pickle
 import re
 
 import numpy as np
@@ -27,7 +28,14 @@ from lalec.operator_graph import (
     state_of,
 )
 from conftest import tree_shape
-from oracles import graph_isomorphic, reference_best_effort_defaults, reference_cross_val_score
+from oracles import (
+    exact_form,
+    graph_isomorphic,
+    reference_best_effort_defaults,
+    reference_configure,
+    reference_copy,
+    reference_cross_val_score,
+)
 
 
 @pytest.fixture
@@ -615,7 +623,7 @@ class TestSharedWorkStore:
 # configure: one validation when valid, against the two-check reference
 
 
-def reference_configure(op, partial):
+def reference_two_check_configure(op, partial):
     """configure as it validated every call twice: `partial` alone, then the
     completed configuration (defaults, then bound values, then `partial`)."""
     if not isinstance(op, og.Individual):
@@ -722,7 +730,7 @@ def configure_cases(draw):
     # binding leaves the operator as it was.
     if draw(st.booleans()):
         try:
-            op = reference_configure(op, draw(partial_configs(op, odd=False)))
+            op = reference_two_check_configure(op, draw(partial_configs(op, odd=False)))
         except og.ValidationFailed:
             pass
     return op, draw(partial_configs(op, odd=draw(st.booleans())))
@@ -733,7 +741,8 @@ class TestConfigureMatchesReference:
     @given(case=configure_cases())
     def test_same_result_or_same_exception(self, case):
         op, partial = case
-        assert _outcome(configure, op, partial) == _outcome(reference_configure, op, partial)
+        assert (_outcome(configure, op, partial)
+                == _outcome(reference_two_check_configure, op, partial))
 
     def test_cases_cover_every_outcome(self):
         # The two hand-built schemas reach each way configure can end.
@@ -748,5 +757,75 @@ class TestConfigureMatchesReference:
         ]
         for op, partial, expected in cases:
             got = _outcome(configure, op, partial)
-            assert got == _outcome(reference_configure, op, partial)
+            assert got == _outcome(reference_two_check_configure, op, partial)
             assert got[0] == expected
+
+
+# ---------------------------------------------------------------------------
+# configure and the operator copy without per-call allocation, against the
+# constructor-built reference
+
+
+def _exact_outcome(fn, op, partial):
+    try:
+        result = fn(op, partial)
+    except Exception as exc:
+        return ("raised", type(exc), str(exc), getattr(exc, "report", None))
+    return ("returned", result is op, exact_form(result))
+
+
+@st.composite
+def configure_cases_in_every_state(draw):
+    """configure_cases, with the operator sometimes trained first."""
+    op, partial = draw(configure_cases())
+    if draw(st.booleans()):
+        op = reference_copy(op, op.bound, LifecycleState.TRAINED, ("artifact",))
+    return op, partial
+
+
+class TestConfigureWithoutAllocation:
+    @settings(max_examples=400, deadline=None)
+    @given(case=configure_cases_in_every_state())
+    def test_equals_the_allocating_reference(self, case):
+        op, partial = case
+        assert _exact_outcome(configure, op, partial) == \
+            _exact_outcome(reference_configure, op, partial)
+
+    def test_configured_bound_values_are_the_callers_own(self, registry):
+        # A skipped merge must not hand out the schema's defaults or the
+        # caller's partial as the new operator's bound values.
+        partial = {"k": 3}
+        for op, given_partial in ((registry["NoOp"], {}), (registry["KNN"], {}),
+                                  (registry["KNN"], partial)):
+            configured = configure(op, given_partial)
+            assert configured.bound is not given_partial
+            assert configured.bound is not op.schema.declared_defaults
+        configured = configure(registry["KNN"], partial)
+        partial["k"] = 4
+        assert configured.bound == {"k": 3}
+
+    def test_copy_refuses_artifacts_without_the_trained_state(self, registry):
+        op = configure(registry["KNN"], {"k": 3})
+        with pytest.raises(og.OperatorError, match="artifacts present iff state is Trained"):
+            op._copy(op.bound, LifecycleState.TRAINED, None)
+        for state in (LifecycleState.PLANNED, LifecycleState.TRAINABLE):
+            with pytest.raises(og.OperatorError,
+                               match="artifacts present iff state is Trained"):
+                op._copy(op.bound, state, ["artifact"])
+
+    def test_fast_copies_behave_like_constructed_ones(self, registry):
+        op = configure(registry["BoostedEnsemble"], {"base": registry["PrunedTree"]})
+        for state, artifacts in ((LifecycleState.TRAINABLE, None),
+                                 (LifecycleState.TRAINED, ["artifact"])):
+            fast = op._copy({"rounds": 3, **op.bound}, state, artifacts)
+            built = reference_copy(op, {"rounds": 3, **op.bound}, state, artifacts)
+            assert type(fast) is og.Individual
+            assert fast == built and exact_form(fast) == exact_form(built)
+            assert list(vars(fast)) == list(vars(built))
+            assert pickle.dumps(fast) == pickle.dumps(built)
+            for restored in (pickle.loads(pickle.dumps(fast)), copy.deepcopy(fast)):
+                assert type(restored) is og.Individual and restored == built
+                assert list(vars(restored)) == list(vars(built))
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                fast.name = "Other"
+            assert dataclasses.replace(fast, name="Other").name == "Other"

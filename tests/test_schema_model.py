@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -364,6 +365,41 @@ class TestDeclaredDomains:
                 sm.declared_domains(schema)
             with pytest.raises(sm.NoBaseObject):
                 drop_constraints(schema)
+
+
+class TestValidationKeepsNothingItHandsOut:
+    """The valid report is one shared, frozen value, and the property dict
+    validation reads is its own: what callers get can be changed freely."""
+
+    def test_every_valid_configuration_gets_the_shared_report(self, registry, lr_schema):
+        assert sm.VALID.ok and sm.VALID.violations == () and sm.VALID.message() == "ok"
+        assert sm.validate({"S": "linear", "P": "l1"}, lr_schema) is sm.VALID
+        for op in registry.values():
+            assert sm.validate({}, op.schema) is sm.VALID
+        assert sm.validate({"S": "sag", "P": "l1"}, lr_schema) is not sm.VALID
+
+    def test_the_shared_report_is_frozen(self):
+        for field, value in (("ok", False), ("violations", (sm.Violation((), "x", "type"),))):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(sm.VALID, field, value)
+        assert sm.VALID == sm.ValidationReport(ok=True)
+
+    def test_changing_handed_out_maps_does_not_change_validation(self, registry, lr_schema):
+        configs = [{"S": "sag", "P": "l1"}, {"S": "linear", "P": "l1"}, {"Q": 1}, {"P": "l3"}]
+        before = [sm.validate(c, lr_schema) for c in configs]
+        props = sm.base_object(lr_schema).property_map()
+        domains = sm.declared_domains(lr_schema)
+        assert props is not domains
+        for handed_out in (props, domains):
+            handed_out["P"] = sm.AnyNode()
+            handed_out["Q"] = sm.AnyNode()
+            del handed_out["S"]
+        assert [sm.validate(c, lr_schema) for c in configs] == before
+        assert sm.base_object(lr_schema).property_map() == dict(
+            sm.base_object(lr_schema).properties)
+        knn = registry["KNN"].schema
+        sm.declared_domains(knn).clear()
+        assert not sm.validate({"k": 0}, knn).ok
 
 
 # Finite bounds: small integers (as int and as float), ±0, and floats of any

@@ -46,6 +46,8 @@ from lalec.space_normalizer import (
 from conftest import probe_lattice
 from oracles import (
     default_point,
+    exact_form,
+    reference_configure,
     reference_draw_cont,
     reference_draw_cont_doc,
     reference_emit_grid,
@@ -200,6 +202,68 @@ class TestCombine:
         ir = sb.combine(c)
         (_, node), = ir.steps
         assert [v for v, _ in node.branches] == ["KNN", "KNN_2", "LR"]
+
+
+# An operator whose hyperparameter D mangles, under a choice, to the
+# choice's discriminant <path>__D.
+DEE = og.Individual("Dee", sm.parse_schema(
+    {"type": "object", "properties": {"D": {"enum": ["x", "y"]}}}), impl="noop")
+
+
+class TestPointKeys:
+    """Every key a point can hold has one owner: a choice's discriminant or
+    one operator's hyperparameter (the branches of one choice excepted)."""
+
+    def test_a_hyperparameter_named_like_the_discriminant_is_refused(self, registry):
+        for op, key in ((choose([DEE, registry["KNN"]]), "step0__D"),
+                        (pipe(registry["NoOp"], choose([registry["KNN"], DEE])), "step1__D")):
+            for keep in (True, False):
+                with pytest.raises(CompileError, match=f"^Dee: hyperparameter 'D' mangles to "
+                                                       f"'{key}', as does the discriminant"):
+                    compile_space(op, keep_constraints=keep)
+
+    def test_the_same_operator_outside_a_choice_compiles(self, registry):
+        for op, key in ((DEE, "dee__D"), (pipe(DEE, registry["KNN"]), "dee__D"),
+                        (choose([pipe(DEE, registry["KNN"]), registry["LR"]]), "step0__dee__D")):
+            compiled = compile_space(op)
+            assert key in compiled.flat()[0]
+            for value in ("x", "y"):
+                decoded = compiled.decode({**default_point(compiled.ir), key: value})
+                dee = decoded if isinstance(decoded, og.Individual) else decoded.steps[0]
+                assert dee.name == "Dee" and dee.bound == {"D": value}
+
+    def test_a_slot_value_sharing_a_key_is_refused(self):
+        # A hyperparameter spelled with the separator meets the slot's keys.
+        inner = og.Individual("In", sm.parse_schema(
+            {"type": "object", "properties": {"x": {"enum": [1, 2]}}}), impl="noop")
+        outer = og.Individual("Out", sm.parse_schema({"type": "object", "properties": {
+            "s": {"typeForOptimizer": "operator"}, "s__x": {"enum": [3, 4]}}}), impl="noop")
+        with pytest.raises(CompileError, match="^(In|Out): hyperparameter .* mangles to "
+                                               "'out__s__x'"):
+            compile_space(configure(outer, {"s": inner}))
+
+    def test_branches_of_one_choice_share_keys(self, registry):
+        # J48 and PrunedTree both have R and C under one discriminant.
+        compiled = compile_space(choose([registry["J48"], registry["PrunedTree"]]))
+        assert {"step0__R", "step0__C"} <= set(compiled.flat()[0])
+
+    def test_nested_choices_decode(self, registry):
+        # A choice held as an alternative of another (not flattened by
+        # choose) gets its own discriminant under its branch's path.
+        nested = compile_space(
+            og.Choice((registry["KNN"], og.Choice((registry["LR"], registry["J48"])))))
+        (_, outer), = nested.ir.steps
+        inner = dict(outer.branches)["Choice"]
+        assert (outer.discriminant, inner.discriminant) == ("step0__D", "step0__Choice__D")
+        rng = random.Random(1)
+        names = set()
+        for _ in range(30):
+            names.add(nested.decode(sample_space(nested.hierarchical(), rng)).name)
+        for row in nested.flat():
+            point = {key: (domain.values[0] if isinstance(domain, Cat) else domain.default)
+                     for key, domain in row.items()}
+            names.add(nested.decode(point).name)
+        assert names == {"KNN", "LR", "J48"}
 
 
 class TestFlat:
@@ -1669,3 +1733,47 @@ class TestDecodePlan:
         gc.collect()
         assert ir() is None
         assert len(decoded) == 3  # decoded operators do not hold the IR
+
+
+# ---------------------------------------------------------------------------
+# Decoding with the allocation-free configure against the allocating one
+
+
+ADVERSARIAL_VALUES = [True, False, 1, 1.0, "1", -0.0, 0.0, math.nan, math.inf, -math.inf,
+                      2**53 + 1, 10**400, None, "", "x", [], [1], {}, {"x": 1},
+                      og.Individual("Inner", sm.parse_schema({"type": "object"})),
+                      {"operator": "Inner"}]
+
+
+def _adversarial(point, rng):
+    """The point with one value replaced by an adversarial one, or with an
+    unknown name added, or unchanged."""
+    point = dict(point)
+    kind = rng.randrange(3)
+    if kind == 1 and point:
+        point[rng.choice(sorted(point))] = rng.choice(ADVERSARIAL_VALUES)
+    elif kind == 2:
+        point[rng.choice(["no__such__param", "unknown"])] = rng.choice(ADVERSARIAL_VALUES)
+    return point
+
+
+def _exact_decode(decode, point):
+    try:
+        return "returned", exact_form(decode(point))
+    except Exception as exc:
+        return "raised", type(exc), str(exc), getattr(exc, "report", None)
+
+
+class TestDecodeMatchesAllocatingReference:
+    @settings(max_examples=100, deadline=None)
+    @given(compiled=compiled_spaces(), seed=st.integers(0, 2**31 - 1))
+    def test_same_operators_bit_for_bit(self, compiled, seed):
+        rng = random.Random(seed)
+        cases = [(compiled.decode_pcs if encoding == "pcs" else compiled.decode,
+                  _adversarial(point, rng))
+                 for encoding, point in _encoded_points(compiled, rng, 3)]
+        got = [_exact_decode(decode, point) for decode, point in cases]
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(sb, "configure", reference_configure)
+            expected = [_exact_decode(decode, point) for decode, point in cases]
+        assert got == expected

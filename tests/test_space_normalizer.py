@@ -15,7 +15,7 @@ from lalec.space_backends import CompileError, compile_space, sample_space
 from lalec.space_normalizer import Cat, Cont, EMPTY, intersect_domain, member
 
 from conftest import probe_lattice
-from oracles import serialize, to_schema
+from oracles import reference_validate, serialize, to_schema
 
 
 def disjunct_sets(nf):
@@ -397,6 +397,77 @@ class TestRandomizedEquivalence:
 
 def _property_schema(prop):
     return sm.parse_schema({"type": "object", "properties": {"x": prop}})
+
+
+REGISTRY_SCHEMAS = {name: op.schema for name, op in toyml.load_registry().items()}
+# Values that compare, print or convert alike (1, 1.0 and True; 0.0 and
+# -0.0), that no range admits (NaN, infinities), ints beyond a float's
+# reach, and values of every other kind validation meets.
+ADVERSARIAL = [True, False, 0, 1, 1.0, -1, 0.0, -0.0, 0.5, 3, 3.0, 25, 25.5, math.nan,
+               math.inf, -math.inf, 2**53 + 1, 10**400, -(10**30), None, "", "a", "1",
+               "true", "uniform", [], [1], (1,), {}, {"x": 1}, INNER, {"operator": "Inner"}]
+
+
+def _domain_probes(node) -> list:
+    """Values in and at the edges of a declared domain."""
+    if isinstance(node, sm.EnumNode):
+        return list(node.values)
+    if isinstance(node, sm.RangeNode):
+        return [node.lo, node.hi, (node.lo + node.hi) / 2, node.lo - 1, node.hi + 1]
+    if isinstance(node, sm.AnyOfNode):
+        return [v for child in node.children for v in _domain_probes(child)]
+    return []
+
+
+@st.composite
+def schemas_and_configs(draw):
+    """A registry schema or a TestRandomizedEquivalence random schema, and
+    a configuration of some declared names and an unknown one, each holding
+    a value of its domain or an adversarial one."""
+    if draw(st.booleans()):
+        schema = REGISTRY_SCHEMAS[draw(st.sampled_from(sorted(REGISTRY_SCHEMAS)))]
+    else:
+        seed = draw(st.integers(0, 2**32))
+        schema = TestRandomizedEquivalence()._random_schema(random.Random(seed))[0]
+    domains = sm.declared_domains(schema)
+    names = draw(st.lists(st.sampled_from(sorted(domains) + ["unknown"]), max_size=4,
+                          unique=True))
+    config = {}
+    for name in names:
+        values = st.sampled_from(_domain_probes(domains.get(name)) + ADVERSARIAL)
+        config[name] = draw(values | st.integers() | st.floats() | st.text(max_size=3))
+    return schema, config
+
+
+def _report(validate, config, schema):
+    try:
+        report = validate(config, schema)
+    except Exception as exc:
+        return "raised", type(exc), str(exc)
+    return report.ok, [(v.path, v.constraint, v.kind) for v in report.violations]
+
+
+class TestValidateMatchesReference:
+    @settings(max_examples=500, deadline=None)
+    @given(case=schemas_and_configs())
+    def test_same_report(self, case):
+        schema, config = case
+        got = _report(sm.validate, config, schema)
+        assert got == _report(reference_validate, config, schema)
+        if got[0] is True:
+            assert sm.validate(config, schema) is sm.VALID
+
+    def test_cases_reach_every_kind_of_violation(self):
+        # Fixed cases of each kind, in case the draws above miss one.
+        j48, knn = REGISTRY_SCHEMAS["J48"], REGISTRY_SCHEMAS["KNN"]
+        cases = [(j48, {"R": True, "C": 0.3}, "constraintViolated"),
+                 (j48, {"C": math.nan}, "range"), (j48, {"C": "0.3"}, "type"),
+                 (knn, {"k": 3.5}, "type"), (knn, {"k": 10**400}, "range"),
+                 (knn, {"weighting": 1}, "enum"), (knn, {"unknown": 1}, "unknownName")]
+        for schema, config, kind in cases:
+            got = _report(sm.validate, config, schema)
+            assert got == _report(reference_validate, config, schema)
+            assert got[0] is False and got[1][0][2] == kind
 
 
 class TestBlowupCap:
