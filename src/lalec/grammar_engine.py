@@ -1,28 +1,29 @@
 """Turn pipeline grammars into planned pipelines.
 
 Unfolding expands every nonterminal up to a per-nonterminal depth along each
-derivation path, then prunes choice alternatives that still contain an
-unresolved nonterminal. Sampling walks the grammar once, resolving each
-choice with a seeded generator, so the result has no choices at all.
+derivation path and prunes the choice alternatives that still contain an
+unresolved nonterminal. One walk does both and counts the nodes of the
+unpruned expansion, keeping one pruned node and count per rule and set of
+expansion counts along its path; so it refuses an expansion past the size
+cap before building any operator, after work bounded by the number of those
+states, not by the size of the expansion. Sampling walks the grammar once,
+resolving each choice with a seeded generator, so the result has no choices
+at all.
 """
 
 from __future__ import annotations
 
-import functools
 import random
-from dataclasses import dataclass
 from typing import Mapping
 
 from .operator_graph import Individual, Operator
 from .pipeline_dsl import (
     Both,
-    Call,
     Choose,
     ExprAst,
     GrammarFile,
     NontermRef,
     Pipe,
-    Ref,
     build_operator,
     refuse_deep_nesting,
 )
@@ -45,80 +46,49 @@ class UnfoldTooLarge(GrammarError):
     """The unfolded expression would have more nodes than the cap."""
 
 
-@dataclass(frozen=True)
-class _Blocked:
-    """Marks a nonterminal left unexpanded because its depth ran out."""
-
-    name: str
-
-
 @refuse_deep_nesting(GrammarError, "the unfolded pipeline nests too deeply")
 def unfold(grammar: GrammarFile, depth: int, registry: Mapping[str, Individual]) -> Operator:
     """Expand the start rule, bounding each nonterminal to `depth` expansions
-    per derivation path, then prune unresolved alternatives. Refuses with
-    UnfoldTooLarge, before expanding, when the expansion would have more
-    than DEFAULT_BLOWUP_LIMIT nodes."""
+    per derivation path, and prune the alternatives that reach a nonterminal
+    past its bound. One walk builds the pruned expansion and counts the
+    nodes of the unpruned one, once per rule and expansion counts along its
+    path. Refuses with UnfoldTooLarge when that count is above
+    DEFAULT_BLOWUP_LIMIT, before any operator is built."""
     if depth < 1:
         raise ValueError("depth must be at least 1")
-    size = _expanded_size(grammar.body(grammar.start), grammar, {grammar.start: 1}, depth, {})
+    pruned, size = _unfold(grammar.body(grammar.start), grammar, {grammar.start: 1}, depth, {})
     if size > DEFAULT_BLOWUP_LIMIT:
         raise UnfoldTooLarge(f"unfolding at depth {depth} would build {size} nodes, "
                              f"above the cap of {DEFAULT_BLOWUP_LIMIT}")
-    expanded = _expand(grammar.body(grammar.start), grammar, {grammar.start: 1}, depth)
-    pruned = _prune(expanded)
     if pruned is None:
         raise EmptyAfterPruning("every alternative still contained a nonterminal")
     return build_operator(pruned, registry)
 
 
-def _expand(ast: ExprAst, grammar: GrammarFile, counts: dict[str, int], depth: int):
+def _unfold(ast: ExprAst, grammar: GrammarFile, counts: dict[str, int], depth: int,
+            memo: dict) -> tuple[ExprAst | None, int]:
+    """The expansion of `ast` with its unresolved alternatives pruned (None
+    when nothing is left), and the node count of the expansion before
+    pruning. A rule's expansion depends only on the rule and the counts
+    along its path, so each pair is walked once and its result shared."""
     if isinstance(ast, NontermRef):
         used = counts.get(ast.name, 0)
         if used >= depth:
-            return _Blocked(ast.name)
-        next_counts = dict(counts)
-        next_counts[ast.name] = used + 1
-        return _expand(grammar.body(ast.name), grammar, next_counts, depth)
-    if isinstance(ast, (Pipe, Both, Choose)):
-        return type(ast)(_expand(ast.left, grammar, counts, depth),
-                         _expand(ast.right, grammar, counts, depth))
-    return ast
-
-
-def _expanded_size(ast: ExprAst, grammar: GrammarFile, counts: dict[str, int], depth: int,
-                   memo: dict) -> int:
-    """The number of nodes _expand(ast, grammar, counts, depth) builds,
-    counted without building them. A rule's expansion depends only on the
-    rule and the counts along its path, so each pair is counted once."""
-    if isinstance(ast, NontermRef):
-        used = counts.get(ast.name, 0)
-        if used >= depth:
-            return 1
+            return None, 1
         next_counts = {**counts, ast.name: used + 1}
         key = ast.name, frozenset(next_counts.items())
         if key not in memo:
-            memo[key] = _expanded_size(grammar.body(ast.name), grammar, next_counts, depth, memo)
+            memo[key] = _unfold(grammar.body(ast.name), grammar, next_counts, depth, memo)
         return memo[key]
     if isinstance(ast, (Pipe, Both, Choose)):
-        return (1 + _expanded_size(ast.left, grammar, counts, depth, memo)
-                + _expanded_size(ast.right, grammar, counts, depth, memo))
-    return 1
-
-
-def _prune(node):
-    """Drop choice alternatives containing blocked nonterminals; collapse
-    single-alternative choices; None means the whole subtree is unresolved."""
-    if isinstance(node, _Blocked):
-        return None
-    if isinstance(node, (Ref, Call)):
-        return node
-    if isinstance(node, (Pipe, Both)):
-        left, right = _prune(node.left), _prune(node.right)
-        return None if left is None or right is None else type(node)(left, right)
-    if isinstance(node, Choose):
-        alternatives = [a for a in map(_prune, _choice_list(node)) if a is not None]
-        return functools.reduce(Choose, alternatives) if alternatives else None
-    raise TypeError(f"unexpected node {node!r}")
+        left, left_size = _unfold(ast.left, grammar, counts, depth, memo)
+        right, right_size = _unfold(ast.right, grammar, counts, depth, memo)
+        size = 1 + left_size + right_size
+        if left is None or right is None:
+            kept = left if right is None else right
+            return (kept if isinstance(ast, Choose) else None), size
+        return type(ast)(left, right), size
+    return ast, 1
 
 
 def _choice_list(node) -> list:

@@ -164,28 +164,15 @@ def _history(trials, spec: OptimizerSpec, doc: Mapping[str, Any]) -> History:
                    space_digest(doc))
 
 
-def _space_dimensions(doc: Mapping[str, Any]) -> int:
-    kind = doc["kind"]
-    if kind == "steps":
-        return sum(_space_dimensions(c) for c in doc["steps"].values())
-    if kind == "choice":
-        return 1 + sum(_space_dimensions(b) for b in doc["branches"].values())
-    count = 0
-    for disjunct in doc["disjuncts"]:
-        for domain in disjunct.values():
-            count += _space_dimensions(domain["space"]) if domain["kind"] == "operator" else 1
-    return count
-
-
 def random_search(space_doc: Mapping[str, Any], objective: Callable[[dict], float],
                   spec: OptimizerSpec) -> History:
     """Seeded independent draws: branches and disjuncts uniform, continuous
-    domains by their prior. A zero-dimension space runs one default trial."""
+    domains by their prior. A space whose first point is empty has no
+    dimension, so it runs that one default trial."""
     rng = random.Random(spec.seed)
-    if _space_dimensions(space_doc) == 0:
-        points = [sample_space(space_doc, rng)]
-    else:
-        points = [sample_space(space_doc, rng) for _ in range(spec.max_trials)]
+    points = [sample_space(space_doc, rng)]
+    if points[0]:
+        points += [sample_space(space_doc, rng) for _ in range(spec.max_trials - 1)]
     return _history(_evaluate_all(points, objective), spec, space_doc)
 
 

@@ -349,8 +349,7 @@ def parse_expr(text: str, registry: Mapping[str, Individual]) -> Operator:
 
 
 @refuse_deep_nesting(DslError, "the grammar nests too deeply")
-def parse_grammar(text: str, registry: Mapping[str, Individual],
-                  start: str = "start") -> GrammarFile:
+def parse_grammar(text: str, registry: Mapping[str, Individual]) -> GrammarFile:
     """Parse ``name := expression ;`` rules; bare lowercase names that are
     not registered operators become nonterminal references."""
     parser = _Parser(_tokenize(text))
@@ -372,16 +371,17 @@ def parse_grammar(text: str, registry: Mapping[str, Individual],
             raise DslError(f"rule {name!r} shadows a registered operator")
         if not name[0].islower():
             raise DslError(f"rule names must start lowercase, got {name!r}")
-    if start not in rule_names:
-        raise MissingStart(f"grammar has no {start!r} rule")
+    if "start" not in rule_names:
+        raise MissingStart("grammar has no 'start' rule")
     names = set(rule_names)
     return GrammarFile(tuple((name, _resolve_refs(body, names, registry))
-                             for name, body in rules), start)
+                             for name, body in rules))
 
 
 def _resolve_refs(ast: ExprAst, rule_names, registry) -> ExprAst:
     """Mark bare lowercase names that are not registered operators as
-    nonterminal references, and check every reference left to right."""
+    nonterminal references, and check every reference left to right, the
+    operator arguments of a call after the call's own name."""
     if isinstance(ast, (Pipe, Both, Choose)):
         return type(ast)(_resolve_refs(ast.left, rule_names, registry),
                          _resolve_refs(ast.right, rule_names, registry))
@@ -392,6 +392,11 @@ def _resolve_refs(ast: ExprAst, rule_names, registry) -> ExprAst:
             raise UndefinedNonterminal(f"nonterminal {ast.name!r} has no rule")
     elif ast.name not in registry:
         raise UnknownOperator(f"unknown operator {ast.name!r}")
+    arguments = ast.args if isinstance(ast, Call) else ()
+    for key, value in arguments:
+        if isinstance(value, Ref) and value.name not in registry:
+            raise UnknownOperator(f"unknown operator {value.name!r} "
+                                  f"in argument {key!r} of {ast.name}")
     return ast
 
 

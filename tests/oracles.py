@@ -40,13 +40,21 @@ validation, configuration and the operator copy as they were before the
 valid path stopped allocating (a report per call, a property dict per
 object, both merges always, the dataclass constructor); tests check that
 the library gives equal reports and operators equal in `exact_form`.
+`reference_unfold` is grammar unfolding as it counted the expansion,
+built it whole with blocked nonterminals marked, and then pruned it, in
+three walks; tests check that the one walk gives equal operators, or the
+same error. `space_dimensions` counts the dimensions of a hierarchical
+document, as random search did; tests check that a drawn point is empty
+exactly when there are none.
 """
 
+import functools
 import json
 import math
 import random
 import time
 from collections.abc import Mapping
+from dataclasses import dataclass
 from statistics import NormalDist
 
 import numpy as np
@@ -55,10 +63,21 @@ from lalec import operator_graph as og
 from lalec import optimizer as opt
 from lalec import schema_model as sm
 from lalec import toyml
-from lalec.grammar_engine import GrammarError, _choice_list
+from lalec.grammar_engine import EmptyAfterPruning, GrammarError, UnfoldTooLarge, _choice_list
 from lalec.optimizer import InvalidConfigError
 from lalec.operator_graph import Choice, Individual, Operator, Pipeline, ValidationFailed
-from lalec.pipeline_dsl import Both, Call, Choose, ExprAst, GrammarFile, NontermRef, Pipe, Ref
+from lalec.pipeline_dsl import (
+    Both,
+    Call,
+    Choose,
+    ExprAst,
+    GrammarFile,
+    NontermRef,
+    Pipe,
+    Ref,
+    build_operator,
+    refuse_deep_nesting,
+)
 from lalec.schema_model import (
     MISSING,
     AllOfNode,
@@ -282,6 +301,22 @@ def reference_bandit_search(space_doc, objective, spec) -> opt.History:
         if t.status == opt.VALID and (best is None or t.loss < trials[best].loss):
             best = t.index
     return opt.History(tuple(trials), best, spec.seed, opt.space_digest(space_doc))
+
+
+def space_dimensions(doc) -> int:
+    """The number of dimensions of a hierarchical space document: one per
+    choice and per domain of each leaf disjunct, nested operator spaces
+    counted through."""
+    kind = doc["kind"]
+    if kind == "steps":
+        return sum(space_dimensions(c) for c in doc["steps"].values())
+    if kind == "choice":
+        return 1 + sum(space_dimensions(b) for b in doc["branches"].values())
+    count = 0
+    for disjunct in doc["disjuncts"]:
+        for domain in disjunct.values():
+            count += space_dimensions(domain["space"]) if domain["kind"] == "operator" else 1
+    return count
 
 
 def reference_cross_val_score(op, splits) -> float:
@@ -613,6 +648,85 @@ def _domain_to_node(domain: Domain) -> SchemaNode:
     if isinstance(domain, OpSlot):
         return OperatorSlotNode()
     raise NormalizeError(f"cannot express {domain!r} as a schema node")
+
+
+# ---------------------------------------------------------------------------
+# Grammar unfolding in three walks
+
+
+@refuse_deep_nesting(GrammarError, "the unfolded pipeline nests too deeply")
+def reference_unfold(grammar: GrammarFile, depth: int, registry) -> Operator:
+    """grammar_engine.unfold as it counted the expansion, built it with
+    blocked nonterminals marked, and then copied what survived pruning."""
+    if depth < 1:
+        raise ValueError("depth must be at least 1")
+    args = grammar.body(grammar.start), grammar, {grammar.start: 1}, depth
+    size = reference_expanded_size(*args, {})
+    if size > DEFAULT_BLOWUP_LIMIT:
+        raise UnfoldTooLarge(f"unfolding at depth {depth} would build {size} nodes, "
+                             f"above the cap of {DEFAULT_BLOWUP_LIMIT}")
+    pruned = _reference_prune(reference_expand(*args))
+    if pruned is None:
+        raise EmptyAfterPruning("every alternative still contained a nonterminal")
+    return build_operator(pruned, registry)
+
+
+@dataclass(frozen=True)
+class Blocked:
+    """Marks a nonterminal left unexpanded because its depth ran out."""
+
+    name: str
+
+
+def reference_expand(ast: ExprAst, grammar: GrammarFile, counts: dict, depth: int):
+    """The whole expansion, with a Blocked marker per exhausted nonterminal."""
+    if isinstance(ast, NontermRef):
+        used = counts.get(ast.name, 0)
+        if used >= depth:
+            return Blocked(ast.name)
+        next_counts = dict(counts)
+        next_counts[ast.name] = used + 1
+        return reference_expand(grammar.body(ast.name), grammar, next_counts, depth)
+    if isinstance(ast, (Pipe, Both, Choose)):
+        return type(ast)(reference_expand(ast.left, grammar, counts, depth),
+                         reference_expand(ast.right, grammar, counts, depth))
+    return ast
+
+
+def reference_expanded_size(ast: ExprAst, grammar: GrammarFile, counts: dict, depth: int,
+                            memo: dict) -> int:
+    """The number of nodes reference_expand builds, counted once per rule
+    and counts along its path."""
+    if isinstance(ast, NontermRef):
+        used = counts.get(ast.name, 0)
+        if used >= depth:
+            return 1
+        next_counts = {**counts, ast.name: used + 1}
+        key = ast.name, frozenset(next_counts.items())
+        if key not in memo:
+            memo[key] = reference_expanded_size(grammar.body(ast.name), grammar, next_counts,
+                                                depth, memo)
+        return memo[key]
+    if isinstance(ast, (Pipe, Both, Choose)):
+        return (1 + reference_expanded_size(ast.left, grammar, counts, depth, memo)
+                + reference_expanded_size(ast.right, grammar, counts, depth, memo))
+    return 1
+
+
+def _reference_prune(node):
+    """Drop choice alternatives containing blocked nonterminals; collapse
+    single-alternative choices; None means the whole subtree is unresolved."""
+    if isinstance(node, Blocked):
+        return None
+    if isinstance(node, (Ref, Call)):
+        return node
+    if isinstance(node, (Pipe, Both)):
+        left, right = _reference_prune(node.left), _reference_prune(node.right)
+        return None if left is None or right is None else type(node)(left, right)
+    if isinstance(node, Choose):
+        alternatives = [a for a in map(_reference_prune, _choice_list(node)) if a is not None]
+        return functools.reduce(Choose, alternatives) if alternatives else None
+    raise TypeError(f"unexpected node {node!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -144,6 +144,14 @@ class TestGrammar:
         code = run_cli(["grammar", "unfold", "--grammar", str(grammar), "--depth", "3"])
         assert code == 2
 
+    def test_bad_call_argument_refused_at_parse(self, tmp_path, capsys):
+        # No unfold reaches the argument: its alternative does not resolve.
+        grammar = tmp_path / "bad.grammar"
+        grammar.write_text("start := KNN | a >> BoostedEnsemble(base=Nonesuch); a := a;")
+        assert run_cli(["grammar", "unfold", "--grammar", str(grammar), "--depth", "3"]) == 3
+        assert capsys.readouterr().err == ("parse error: unknown operator 'Nonesuch' in "
+                                           "argument 'base' of BoostedEnsemble\n")
+
 
 GRAMMAR = "fixtures/grammars/linear_stages.grammar"
 

@@ -4,6 +4,7 @@ import tracemalloc
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lalec import grammar_engine
 from lalec.grammar_engine import (
@@ -15,10 +16,20 @@ from lalec.grammar_engine import (
     unfold,
 )
 from lalec.operator_graph import Choice, Individual, Pipeline
-from lalec.pipeline_dsl import Both, Choose, Pipe, parse_grammar, pretty_print
+from lalec.pipeline_dsl import (
+    Both,
+    Call,
+    Choose,
+    GrammarFile,
+    NontermRef,
+    Pipe,
+    Ref,
+    parse_grammar,
+    pretty_print,
+)
 from lalec.space_normalizer import DEFAULT_BLOWUP_LIMIT
 
-from oracles import derives
+from oracles import derives, exact_form, reference_expand, reference_unfold
 
 FIXTURES = Path(__file__).parent.parent / "fixtures" / "grammars"
 
@@ -81,6 +92,11 @@ class TestUnfold:
         with pytest.raises(EmptyAfterPruning):
             unfold(grammar, 3, registry)
 
+    def test_pruned_alternative_is_never_configured(self, registry):
+        # KNN(k=1000) does not validate, but its alternative never resolves.
+        grammar = parse_grammar("start := KNN | a >> KNN(k=1000); a := a;", registry)
+        assert unfold(grammar, 3, registry) == registry["KNN"]
+
     def test_pruned_choice_collapses_to_single_alternative(self, registry):
         grammar = parse_grammar("start := loop | KNN; loop := NoOp >> loop;", registry)
         op = unfold(grammar, 2, registry)
@@ -102,6 +118,40 @@ def _node_count(ast) -> int:
     return 1
 
 
+def _outcome(unfolding, grammar, depth, registry):
+    """The exact form of the unfolded operator, or the error's type and text."""
+    try:
+        return exact_form(unfolding(grammar, depth, registry))
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+RULES = ["start", "a", "b", "c"]
+LEAVES = [Ref(name) for name in ("KNN", "NoOp", "Concat", "StandardScaler", "LogRegGD")] + [
+    Call("KNN", (("k", 3),)), Call("KNN", (("k", 1000),)),
+    Call("BoostedEnsemble", (("base", Ref("PrunedTree")), ("n_estimators", 4)))]
+
+
+@st.composite
+def grammars(draw):
+    """Grammars of one to four rules over registered operators, configured
+    calls (one that does not validate) and references to the rules."""
+    names = RULES[:draw(st.integers(1, len(RULES)))]
+    leaves = st.sampled_from(LEAVES + [NontermRef(name) for name in names])
+    bodies = st.recursive(leaves, lambda inner: st.builds(
+        lambda kind, left, right: kind(left, right),
+        st.sampled_from([Pipe, Both, Choose]), inner, inner), max_leaves=6)
+    return GrammarFile(tuple((name, draw(bodies)) for name in names))
+
+
+class TestUnfoldMatchesReference:
+    @settings(max_examples=300, deadline=None)
+    @given(grammar=grammars(), depth=st.integers(1, 5))
+    def test_equal_operators_or_equal_errors(self, registry, grammar, depth):
+        assert _outcome(unfold, grammar, depth, registry) == \
+            _outcome(reference_unfold, grammar, depth, registry)
+
+
 class TestUnfoldSizeCap:
     """unfold counts the nodes its expansion would build and refuses above
     DEFAULT_BLOWUP_LIMIT before building any."""
@@ -110,13 +160,20 @@ class TestUnfoldSizeCap:
         ("linear_stages", range(1, 9)), ("feature_union", range(1, 6)),
         ("start := a | KNN; a := a >> a | a & a | NoOp;", range(1, 5)),
         ("start := start;", range(1, 4))])
-    def test_count_equals_the_expansion(self, registry, name, depths):
+    def test_count_equals_the_expansion(self, registry, monkeypatch, name, depths):
         text = (FIXTURES / f"{name}.grammar").read_text() if " " not in name else name
         grammar = parse_grammar(text, registry)
         for depth in depths:
-            args = grammar.body(grammar.start), grammar, {grammar.start: 1}, depth
-            assert (grammar_engine._expanded_size(*args, {})
-                    == _node_count(grammar_engine._expand(*args)))
+            assert _outcome(unfold, grammar, depth, registry) == \
+                _outcome(reference_unfold, grammar, depth, registry)
+        # With no room at all, every unfold refuses and names its count.
+        monkeypatch.setattr(grammar_engine, "DEFAULT_BLOWUP_LIMIT", 0)
+        for depth in depths:
+            size = _node_count(reference_expand(grammar.body(grammar.start), grammar,
+                                                {grammar.start: 1}, depth))
+            with pytest.raises(UnfoldTooLarge, match=f"^unfolding at depth {depth} would "
+                                                     f"build {size} nodes, above the cap of 0$"):
+                unfold(grammar, depth, registry)
 
     @pytest.mark.parametrize("depth,size", [(6, 24577), (7, 98305), (12, 100663297)])
     def test_deep_feature_union_is_refused_before_expanding(self, union_grammar, registry,
@@ -134,6 +191,17 @@ class TestUnfoldSizeCap:
         assert time.perf_counter() - start < 1.0
         assert peak < 1_000_000
         assert issubclass(UnfoldTooLarge, GrammarError)
+
+    def test_depth_5_feature_union_peaks_small(self, union_grammar, registry):
+        # The expansion has 6,145 nodes; the walk keeps one pruned node per
+        # rule state, so it never holds the unpruned expansion.
+        tracemalloc.start()
+        try:
+            unfold(union_grammar, 5, registry)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 200_000
 
     def test_shallower_unfolds_still_build(self, union_grammar, linear_grammar, registry):
         for grammar, depths in ((union_grammar, range(1, 6)), (linear_grammar, range(1, 9))):

@@ -5,18 +5,20 @@ import random
 import statistics
 import sys
 import time
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from lalec import grammar_engine
 from lalec import operator_graph as og
 from lalec import optimizer as opt
 from lalec import schema_model as sm
 from lalec import toyml
 from lalec.operator_graph import choose, configure, freeze_trainable, pipe
-from lalec.pipeline_dsl import parse_expr
+from lalec.pipeline_dsl import parse_expr, parse_grammar
 from lalec.space_backends import compile_space, sample_space
 from lalec.optimizer import (
     History,
@@ -26,7 +28,7 @@ from lalec.optimizer import (
     make_cv_objective,
     random_search,
 )
-from oracles import reference_bandit_search, reference_cv_objective
+from oracles import reference_bandit_search, reference_cv_objective, space_dimensions
 
 
 @pytest.fixture(scope="module")
@@ -628,3 +630,38 @@ class TestBanditAgainstReference:
         assert history.invalid_count() >= 1  # failures arrive as outcomes, not raised
         assert canonical(history) == canonical(
             reference_bandit_search(compiled.hierarchical(), objective, spec))
+
+
+FIXTURE_GRAMMARS = [parse_grammar(path.read_text(), REGISTRY) for path in
+                    sorted((Path(__file__).parent.parent / "fixtures" / "grammars").iterdir())]
+
+
+@st.composite
+def search_spaces(draw):
+    """The hierarchical document of a registry operator (also frozen), a
+    narrow pipeline or a sampled grammar topology, with or without constraints."""
+    kind = draw(st.sampled_from(["operator", "pipeline", "topology"]))
+    if kind == "operator":
+        op = REGISTRY[draw(st.sampled_from(sorted(REGISTRY)))]
+        if draw(st.booleans()):
+            op = freeze_trainable(configure(op, {}))
+    elif kind == "pipeline":
+        op = draw(narrow_pipelines())
+    else:
+        op = grammar_engine.sample(draw(st.sampled_from(FIXTURE_GRAMMARS)),
+                                   draw(st.integers(0, 2**31 - 1)), draw(st.integers(1, 4)),
+                                   REGISTRY)
+    return compile_space(op, keep_constraints=draw(st.booleans())).hierarchical()
+
+
+class TestEmptyFirstPoint:
+    """random_search learns that a space has no dimension from its first
+    point being empty; space_dimensions counts them."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(doc=search_spaces(), seed=st.integers(0, 2**31 - 1))
+    def test_a_point_is_empty_exactly_when_the_space_has_no_dimension(self, doc, seed):
+        rng = random.Random(seed)
+        empty = space_dimensions(doc) == 0
+        for _ in range(20):
+            assert (sample_space(doc, rng) == {}) == empty

@@ -146,6 +146,18 @@ class TestParseGrammar:
          "unknown operator 'Nope'"),
         ("start := KNN | other; other := bar >> Nope(k=1);", dsl.UndefinedNonterminal,
          "nonterminal 'bar' has no rule"),
+        # A call's operator arguments are checked after its name, left to
+        # right, also where no unfold would reach them.
+        ("start := BoostedEnsemble(base=Nonesuch) | KNN;", dsl.UnknownOperator,
+         "unknown operator 'Nonesuch' in argument 'base' of BoostedEnsemble"),
+        ("start := KNN | a >> BoostedEnsemble(base=Nonesuch); a := a;", dsl.UnknownOperator,
+         "unknown operator 'Nonesuch' in argument 'base' of BoostedEnsemble"),
+        ("start := BoostedEnsemble(base=est); est := KNN;", dsl.UnknownOperator,
+         "unknown operator 'est' in argument 'base' of BoostedEnsemble"),
+        ("start := Nope(base=Nonesuch);", dsl.UnknownOperator, "unknown operator 'Nope'"),
+        ("start := BoostedEnsemble(n_estimators=2, base=Bad, other=Worse) >> foo;",
+         dsl.UnknownOperator, "unknown operator 'Bad' in argument 'base' of BoostedEnsemble"),
+        ("start := KNN(k=1) >> foo;", dsl.UndefinedNonterminal, "nonterminal 'foo' has no rule"),
     ])
     def test_error_order(self, registry, text, error, message):
         with pytest.raises(dsl.DslError) as err:
