@@ -221,7 +221,7 @@ def _check_search_flags(args) -> None:
         raise ValueError("--max-trials must be positive")
     if not 0.0 <= args.epsilon <= 1.0:
         raise ValueError("--epsilon must lie in [0, 1]")
-    if args.optimizer == "grid":
+    if args.optimizer == opt.GRID:
         _check_cont_samples(args)
 
 
@@ -356,7 +356,7 @@ def build_parser() -> argparse.ArgumentParser:
     data.add_argument("--data", help="CSV file with a header row")
     data.add_argument("--synth", help="kind,n,seed synthetic dataset")
     p.add_argument("--label", help="label column name for --data")
-    p.add_argument("--optimizer", choices=["random", "grid", "bandit"], default="random")
+    p.add_argument("--optimizer", choices=opt.STRATEGIES, default=opt.RANDOM)
     p.add_argument("--max-trials", type=int, default=100)
     p.add_argument("--folds", type=int, default=3)
     p.add_argument("--seed", type=int, default=0)

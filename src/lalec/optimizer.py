@@ -49,15 +49,19 @@ class Trial:
     elapsed: float
 
 
+# The search strategies, in the order `lalec search --optimizer` lists them.
+STRATEGIES = RANDOM, GRID, BANDIT = ("random", "grid", "bandit")
+
+
 @dataclass(frozen=True)
 class OptimizerSpec:
-    strategy: str = "random"  # random | grid | bandit
+    strategy: str = RANDOM  # one of STRATEGIES
     max_trials: int = 100
     seed: int = 0
     bandit_epsilon: float = 0.25
 
     def __post_init__(self):
-        if self.strategy not in ("random", "grid", "bandit"):
+        if self.strategy not in STRATEGIES:
             raise ValueError(f"unknown strategy {self.strategy!r}")
         if self.max_trials < 1:
             raise ValueError("max_trials must be positive")
@@ -236,9 +240,9 @@ def run(compiled: CompiledSpace, objective: Callable[[dict], float], spec: Optim
     """Search a compiled space with the spec's strategy: grid search over its
     grid of `cont_samples` draws per continuous domain, seeded by the spec;
     random and bandit search over its hierarchical document."""
-    if spec.strategy == "grid":
+    if spec.strategy == GRID:
         return grid_search(compiled.grid(cont_samples, spec.seed), objective, spec)
-    search = bandit_search if spec.strategy == "bandit" else random_search
+    search = bandit_search if spec.strategy == BANDIT else random_search
     return search(compiled.hierarchical(), objective, spec)
 
 

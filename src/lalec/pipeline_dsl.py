@@ -11,6 +11,7 @@ names not present in the operator registry are nonterminal references.
 from __future__ import annotations
 
 import functools
+import re
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -124,85 +125,51 @@ class _Token:
     col: int
 
 
-_PUNCT = (">>", ":=", "(", ")", "|", "&", ",", "=", ";")
+# str.isdigit's digits: \d and numerals that int() and float() refuse.
+_DIGIT = (r"\d\u00b2\u00b3\u00b9\u1369-\u1371\u19da\u2070\u2074-\u2079\u2080-\u2089"
+          r"\u2460-\u2468\u2474-\u247c\u2488-\u2490\u24ea\u24f5-\u24fd\u24ff\u2776-\u277e"
+          r"\u2780-\u2788\u278a-\u2792\U00010a40-\U00010a43\U00010e60-\U00010e68"
+          r"\U00011052-\U0001105a\U0001f100-\U0001f10a")
+
+# One token per match. Only a numeral such as ² could start two kinds, and
+# number comes before name.
+_TOKEN = re.compile(rf"""
+    (?P<skip>(?:\s|\#[^\n]*)+)
+  | (?P<punct>>>|:=|[()|&,=;])
+  | (?P<string>"(?:\\[\s\S]|[^"\\])*")
+  | (?P<number>(?:[+-][.{_DIGIT}]|\.?[{_DIGIT}])(?:[.eE{_DIGIT}]|(?<=[eE])[+-])*)
+  | (?P<name>[^\W\d]\w*)
+""", re.VERBOSE)
 
 
 def _tokenize(text: str) -> list[_Token]:
     tokens = []
-    line, col = 1, 1
-    i = 0
-    n = len(text)
-    while i < n:
-        c = text[i]
-        if c == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if c.isspace():
-            i += 1
-            col += 1
-            continue
-        if c == "#":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        start_col = col
-        matched = next((p for p in _PUNCT if text.startswith(p, i)), None)
-        if matched:
-            tokens.append(_Token("punct", matched, line, start_col))
-            i += len(matched)
-            col += len(matched)
-            continue
-        if c == '"':
-            j = i + 1
-            chars = []
-            while j < n and text[j] != '"':
-                if text[j] == "\\" and j + 1 < n:
-                    chars.append(text[j + 1])
-                    j += 2
-                else:
-                    chars.append(text[j])
-                    j += 1
-            if j >= n:
-                raise SyntaxError_(line, start_col, "unterminated string literal")
-            tokens.append(_Token("string", "".join(chars), line, start_col))
-            literal = text[i:j + 1]
-            breaks = literal.count("\n")
-            line += breaks
-            col = len(literal) - literal.rfind("\n") if breaks else col + len(literal)
-            i = j + 1
-            continue
-        if c.isdigit() or (c in "+-" and i + 1 < n and (text[i + 1].isdigit() or text[i + 1] == ".")) \
-                or (c == "." and i + 1 < n and text[i + 1].isdigit()):
-            j = i
-            if text[j] in "+-":
-                j += 1
-            while j < n and (text[j].isdigit() or text[j] in ".eE" or
-                             (text[j] in "+-" and text[j - 1] in "eE")):
-                j += 1
-            literal = text[i:j]
-            try:
-                value = int(literal)
+    line, line_start, pos = 1, 0, 0
+    while pos < len(text):
+        match = _TOKEN.match(text, pos)
+        col = pos - line_start + 1
+        if match is None:
+            c = text[pos]
+            raise SyntaxError_(line, col, "unterminated string literal" if c == '"'
+                               else f"unexpected character {c!r}")
+        kind, lexeme, pos = match.lastgroup, match.group(), match.end()
+        value = lexeme
+        if kind == "string":
+            value = re.sub(r"\\([\s\S])", r"\1", lexeme[1:-1])
+        elif kind == "number":
+            try:  # int() reads exactly a sign and decimal digits
+                value = int(lexeme) if lexeme.lstrip("+-").isdecimal() else float(lexeme)
             except ValueError:
-                try:
-                    value = float(literal)
-                except ValueError:
-                    raise SyntaxError_(line, start_col, f"bad number literal {literal!r}") from None
-            tokens.append(_Token("number", value, line, start_col))
-            col += j - i
-            i = j
-            continue
-        if c.isalpha() or c == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            tokens.append(_Token("name", text[i:j], line, start_col))
-            col += j - i
-            i = j
-            continue
-        raise SyntaxError_(line, start_col, f"unexpected character {c!r}")
-    tokens.append(_Token("end", None, line, col))
+                raise SyntaxError_(line, col, f"bad number literal {lexeme!r}") from None
+        elif kind == "name" and not (lexeme[0].isalpha() or lexeme[0] == "_"):
+            # [^\W\d] admits numerals that are not digits, such as ½.
+            raise SyntaxError_(line, col, f"unexpected character {lexeme[0]!r}")
+        if kind != "skip":
+            tokens.append(_Token(kind, value, line, col))
+        if "\n" in lexeme:
+            line += lexeme.count("\n")
+            line_start = text.rindex("\n", 0, pos) + 1
+    tokens.append(_Token("end", None, line, len(text) - line_start + 1))
     return tokens
 
 
@@ -313,22 +280,31 @@ _COMBINATORS = {Pipe: pipe, Both: both, Choose: lambda left, right: choose([left
 
 
 def build_operator(ast: ExprAst, registry: Mapping[str, Individual]) -> Operator:
+    """The operator an expression spells. A node that several places share,
+    as in an unfolded grammar, is built once and its operator reused."""
+    return _build(ast, registry, {})
+
+
+def _build(ast: ExprAst, registry, built: dict[int, Operator]) -> Operator:
+    # Keyed by identity: the AST dataclasses hash and compare recursively.
+    op = built.get(id(ast))
+    if op is not None:
+        return op
     if isinstance(ast, Ref):
-        return _resolve(ast.name, registry)
-    if isinstance(ast, NontermRef):
-        raise UnknownOperator(f"nonterminal {ast.name!r} outside a grammar")
-    if isinstance(ast, Call):
         op = _resolve(ast.name, registry)
-        config = {}
-        for key, value in ast.args:
-            if isinstance(value, Ref):
-                value = _resolve(value.name, registry)
-            config[key] = value
-        return configure(op, config)
-    if isinstance(ast, (Pipe, Both, Choose)):
-        return _COMBINATORS[type(ast)](build_operator(ast.left, registry),
-                                       build_operator(ast.right, registry))
-    raise TypeError(f"not an expression node: {ast!r}")
+    elif isinstance(ast, NontermRef):
+        raise UnknownOperator(f"nonterminal {ast.name!r} outside a grammar")
+    elif isinstance(ast, Call):
+        op = _resolve(ast.name, registry)
+        op = configure(op, {key: _resolve(value.name, registry) if isinstance(value, Ref)
+                            else value for key, value in ast.args})
+    elif isinstance(ast, (Pipe, Both, Choose)):
+        op = _COMBINATORS[type(ast)](_build(ast.left, registry, built),
+                                     _build(ast.right, registry, built))
+    else:
+        raise TypeError(f"not an expression node: {ast!r}")
+    built[id(ast)] = op
+    return op
 
 
 def _resolve(name: str, registry: Mapping[str, Individual]) -> Individual:

@@ -537,10 +537,9 @@ def _check_config(config, node, path, out: list[Violation]) -> bool:
 
 
 def _negation_triggered(config, child: ObjectNode) -> bool:
+    # _check_negation_form admits only enum properties under `not`.
     for name, sub in child.properties:
-        if name not in config:
-            return False
-        if not _check_value(config[name], sub, (name,), []):
+        if name not in config or not enum_admits(sub.values, config[name]):
             return False
     return True
 

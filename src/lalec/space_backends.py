@@ -718,10 +718,11 @@ def _bool_places(domain: Domain) -> list[bool]:
 
 def _pcs_param(name: str, domain: Domain) -> PcsParameter:
     if isinstance(domain, Cat):
-        values = tuple(_pcs_value(v) for v in domain.values)
-        default = (_pcs_value(domain.default)
-                   if domain.default is not schema_model.MISSING else values[0])
-        return PcsParameter(name, "categorical", values=values, default=default)
+        # The default is spelled as the value it equals: 1 as 1.0 in {1.0, 2.0}.
+        default = next((v for v in domain.values if schema_model.scalar_eq(v, domain.default)),
+                       domain.values[0])
+        return PcsParameter(name, "categorical", values=tuple(map(_pcs_value, domain.values)),
+                            default=_pcs_value(default))
     assert isinstance(domain, Cont)
     log = domain.prior.kind == "loguniform"
     if domain.integer_valued:
@@ -732,12 +733,13 @@ def _pcs_param(name: str, domain: Domain) -> PcsParameter:
         return PcsParameter(name, "integer", lo=lo, hi=hi, log=log, default=repr(default))
     lo, hi = _real_bounds(domain.lo, domain.hi, domain.lo_open, domain.hi_open)
     if domain.default is not schema_model.MISSING:
-        default = min(max(float(domain.default), lo), hi)
-    elif log:
+        default = float(domain.default)
+    elif log:  # exp(log(lo)) can round above hi = lo
         default = math.exp((math.log(lo) + math.log(hi)) / 2.0)
     else:
         default = (lo + hi) / 2.0
-    return PcsParameter(name, "real", lo=lo, hi=hi, log=log, default=repr(default))
+    return PcsParameter(name, "real", lo=lo, hi=hi, log=log,
+                        default=repr(min(max(default, lo), hi)))
 
 
 def emit_pcs(ir: SearchIR, limit: int = DEFAULT_BLOWUP_LIMIT) -> str:
@@ -813,23 +815,38 @@ def read_pcs(text: str) -> PcsSpace:
         if not closed:
             raise ValueError(f"line {lineno}: unclosed {'{' if categorical else '['}")
         name, default_text = name.strip(), default_text.strip()
+        if not name:
+            raise ValueError(f"line {lineno}: missing parameter name")
+        if name in parameters:
+            raise ValueError(f"line {lineno}: a second line for parameter {name!r}")
         if not default_text.startswith("[") or "]" not in default_text:
             raise ValueError(f"line {lineno}: missing default")
         default, flags = (part.strip() for part in default_text[1:].split("]", 1))
         if categorical:
             values = tuple(v.strip() for v in domain_text.split(","))
+            if len(set(values)) < len(values):
+                raise ValueError(f"line {lineno}: repeated value in {{{domain_text}}}")
+            if default not in values:
+                raise ValueError(f"line {lineno}: default {default!r} outside {{{domain_text}}}")
             parameters[name] = PcsParameter(name, "categorical", values=values, default=default)
             continue
-        kind = "integer" if "i" in flags else "real"
+        integer = "i" in flags
         try:
-            lo, hi = (_pcs_number(bound, kind == "integer") for bound in domain_text.split(","))
+            lo, hi = (_pcs_number(bound, integer) for bound in domain_text.split(","))
         except ValueError:
             raise ValueError(f"line {lineno}: expected two numbers in [{domain_text}]") from None
-        problem = _pcs_range_problem(lo, hi, kind == "integer", "l" in flags)
+        problem = _pcs_range_problem(lo, hi, integer, "l" in flags)
         if problem:
             raise ValueError(f"line {lineno}: {problem}")
-        parameters[name] = PcsParameter(
-            name, kind, lo=lo, hi=hi, log="l" in flags, default=default)
+        try:
+            admitted = schema_model.in_range(_pcs_number(default, integer), lo, hi,
+                                             False, False, integer)
+        except ValueError:
+            admitted = False
+        if not admitted:
+            raise ValueError(f"line {lineno}: default {default!r} outside [{domain_text}]")
+        parameters[name] = PcsParameter(name, "integer" if integer else "real",
+                                        lo=lo, hi=hi, log="l" in flags, default=default)
     # PcsSpace.sample draws in line order, so a condition whose parent is
     # unknown or comes later could never hold.
     order = {name: index for index, name in enumerate(parameters)}

@@ -42,10 +42,15 @@ object, both merges always, the dataclass constructor); tests check that
 the library gives equal reports and operators equal in `exact_form`.
 `reference_unfold` is grammar unfolding as it counted the expansion,
 built it whole with blocked nonterminals marked, and then pruned it, in
-three walks; tests check that the one walk gives equal operators, or the
-same error. `space_dimensions` counts the dimensions of a hierarchical
-document, as random search did; tests check that a drawn point is empty
-exactly when there are none.
+three walks, and built its operator with `reference_build_operator`, which
+walks the pruned expansion as a tree; tests check that the one walk,
+building each shared node once, gives equal operators, or the same error.
+`space_dimensions` counts the dimensions of a hierarchical document, as
+random search did; tests check that a drawn point is empty exactly when
+there are none.
+`reference_tokenize` is the pipeline language's hand scanner; tests check
+that the one token pattern gives equal tokens and equal errors, apart from
+the end of a text that ends inside a comment.
 """
 
 import functools
@@ -65,8 +70,16 @@ from lalec import schema_model as sm
 from lalec import toyml
 from lalec.grammar_engine import EmptyAfterPruning, GrammarError, UnfoldTooLarge, _choice_list
 from lalec.optimizer import InvalidConfigError
-from lalec.operator_graph import Choice, Individual, Operator, Pipeline, ValidationFailed
+from lalec.operator_graph import (
+    Choice,
+    Individual,
+    Operator,
+    Pipeline,
+    ValidationFailed,
+    configure,
+)
 from lalec.pipeline_dsl import (
+    _COMBINATORS,
     Both,
     Call,
     Choose,
@@ -75,7 +88,10 @@ from lalec.pipeline_dsl import (
     NontermRef,
     Pipe,
     Ref,
-    build_operator,
+    SyntaxError_,
+    UnknownOperator,
+    _resolve,
+    _Token,
     refuse_deep_nesting,
 )
 from lalec.schema_model import (
@@ -668,7 +684,7 @@ def reference_unfold(grammar: GrammarFile, depth: int, registry) -> Operator:
     pruned = _reference_prune(reference_expand(*args))
     if pruned is None:
         raise EmptyAfterPruning("every alternative still contained a nonterminal")
-    return build_operator(pruned, registry)
+    return reference_build_operator(pruned, registry)
 
 
 @dataclass(frozen=True)
@@ -1048,3 +1064,112 @@ def exact_form(value):
     if isinstance(value, float):
         return "float", value.hex()
     return type(value).__name__, repr(value)
+
+
+# ---------------------------------------------------------------------------
+# The pipeline language's scanner and operator builder
+
+
+_PUNCT = (">>", ":=", "(", ")", "|", "&", ",", "=", ";")
+
+
+def reference_tokenize(text: str) -> list[_Token]:
+    """pipeline_dsl._tokenize as a hand scanner moving its position, line
+    and column by hand, character by character."""
+    tokens = []
+    line, col = 1, 1
+    i = 0
+    n = len(text)
+    while i < n:
+        c = text[i]
+        if c == "\n":
+            line += 1
+            col = 1
+            i += 1
+            continue
+        if c.isspace():
+            i += 1
+            col += 1
+            continue
+        if c == "#":
+            while i < n and text[i] != "\n":
+                i += 1
+            continue
+        start_col = col
+        matched = next((p for p in _PUNCT if text.startswith(p, i)), None)
+        if matched:
+            tokens.append(_Token("punct", matched, line, start_col))
+            i += len(matched)
+            col += len(matched)
+            continue
+        if c == '"':
+            j = i + 1
+            chars = []
+            while j < n and text[j] != '"':
+                if text[j] == "\\" and j + 1 < n:
+                    chars.append(text[j + 1])
+                    j += 2
+                else:
+                    chars.append(text[j])
+                    j += 1
+            if j >= n:
+                raise SyntaxError_(line, start_col, "unterminated string literal")
+            tokens.append(_Token("string", "".join(chars), line, start_col))
+            literal = text[i:j + 1]
+            breaks = literal.count("\n")
+            line += breaks
+            col = len(literal) - literal.rfind("\n") if breaks else col + len(literal)
+            i = j + 1
+            continue
+        if c.isdigit() or (c in "+-" and i + 1 < n and (text[i + 1].isdigit() or text[i + 1] == ".")) \
+                or (c == "." and i + 1 < n and text[i + 1].isdigit()):
+            j = i
+            if text[j] in "+-":
+                j += 1
+            while j < n and (text[j].isdigit() or text[j] in ".eE" or
+                             (text[j] in "+-" and text[j - 1] in "eE")):
+                j += 1
+            literal = text[i:j]
+            try:
+                value = int(literal)
+            except ValueError:
+                try:
+                    value = float(literal)
+                except ValueError:
+                    raise SyntaxError_(line, start_col, f"bad number literal {literal!r}") from None
+            tokens.append(_Token("number", value, line, start_col))
+            col += j - i
+            i = j
+            continue
+        if c.isalpha() or c == "_":
+            j = i
+            while j < n and (text[j].isalnum() or text[j] == "_"):
+                j += 1
+            tokens.append(_Token("name", text[i:j], line, start_col))
+            col += j - i
+            i = j
+            continue
+        raise SyntaxError_(line, start_col, f"unexpected character {c!r}")
+    tokens.append(_Token("end", None, line, col))
+    return tokens
+
+
+def reference_build_operator(ast: ExprAst, registry) -> Operator:
+    """pipeline_dsl.build_operator as it walked the expression as a tree,
+    building a shared node again at each place that shares it."""
+    if isinstance(ast, Ref):
+        return _resolve(ast.name, registry)
+    if isinstance(ast, NontermRef):
+        raise UnknownOperator(f"nonterminal {ast.name!r} outside a grammar")
+    if isinstance(ast, Call):
+        op = _resolve(ast.name, registry)
+        config = {}
+        for key, value in ast.args:
+            if isinstance(value, Ref):
+                value = _resolve(value.name, registry)
+            config[key] = value
+        return configure(op, config)
+    if isinstance(ast, (Pipe, Both, Choose)):
+        return _COMBINATORS[type(ast)](reference_build_operator(ast.left, registry),
+                                       reference_build_operator(ast.right, registry))
+    raise TypeError(f"not an expression node: {ast!r}")

@@ -43,6 +43,10 @@ class TestCompile:
         err = capsys.readouterr().err
         assert "line 1" in err and "column 7" in err
 
+    def test_parse_error_after_a_tail_comment_is_at_the_end(self, capsys):
+        assert run_cli(["compile", "--expr", "KNN >> # tail comment"]) == 3
+        assert capsys.readouterr().err.startswith("parse error: line 1, column 22: ")
+
     def test_unknown_operator_exit_3(self, capsys):
         assert run_cli(["compile", "--expr", "Nonesuch", "--backend", "flat"]) == 3
 

@@ -235,6 +235,13 @@ class TestRun:
             expected = random_search(compiled.hierarchical(), objective, spec)
         assert canonical(opt.run(compiled, objective, spec, 2)) == canonical(expected)
 
+    def test_strategy_names_are_defined_once(self):
+        # The CLI lists the strategies in this order.
+        assert opt.STRATEGIES == ("random", "grid", "bandit")
+        assert OptimizerSpec().strategy == opt.STRATEGIES[0]
+        with pytest.raises(ValueError, match="^unknown strategy 'Grid'$"):
+            OptimizerSpec(strategy="Grid")
+
 
 class TestCvObjective:
     def test_separable_blobs_reach_zero_loss(self, registry, blobs):

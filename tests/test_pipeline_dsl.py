@@ -1,4 +1,6 @@
 import random
+import re
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -7,6 +9,7 @@ from lalec import pipeline_dsl as dsl
 from lalec import operator_graph as og
 from lalec.operator_graph import Choice, Pipeline, both, choose, pipe
 from lalec.pipeline_dsl import (
+    Call,
     Choose,
     NontermRef,
     Pipe,
@@ -16,7 +19,7 @@ from lalec.pipeline_dsl import (
     parse_grammar,
     pretty_print,
 )
-from oracles import graph_isomorphic
+from oracles import graph_isomorphic, reference_build_operator, reference_tokenize
 
 
 class TestParseExpr:
@@ -87,11 +90,79 @@ class TestParseExpr:
     @given(st.text(max_size=40))
     @settings(max_examples=300, deadline=None)
     def test_parser_total(self, text):
-        # Every input either parses or raises a positioned error.
+        # Every input either parses or raises an error positioned inside it:
+        # on one of its lines, at most one column past that line's end.
         try:
             parse_expr_ast(text)
         except dsl.SyntaxError_ as err:
-            assert err.line >= 1 and err.col >= 1
+            lines = text.split("\n")
+            assert 1 <= err.line <= len(lines)
+            assert 1 <= err.col <= len(lines[err.line - 1]) + 1
+
+    def test_shared_node_is_built_once(self, registry, monkeypatch):
+        shared = Call("KNN", (("k", 3),))
+        ast = Pipe(Choose(shared, Ref("LR")), Choose(shared, Ref("LR")))
+        calls = []
+        monkeypatch.setattr(dsl, "configure", lambda op, config: calls.append(op) or
+                            og.configure(op, config))
+        op = dsl.build_operator(ast, registry)
+        assert len(calls) == 1
+        assert op == reference_build_operator(ast, registry)
+
+
+# Characters the language gives a meaning to, and numerals and letters
+# beyond ASCII: ² is a digit but not a decimal one, ½ and Ⅻ are numerals
+# but not digits, ٣ is a decimal digit, é and 一 are letters.
+_DSL_TEXT = st.text(st.sampled_from(list('#"\\+-eE.\n \t\r()|&,=;>:_aKz09²½Ⅻ٣é一')),
+                    max_size=30)
+
+
+def _scan(tokenize, text):
+    try:
+        return tokenize(text)
+    except dsl.SyntaxError_ as err:
+        return err.line, err.col, str(err)
+
+
+class TestTokenizerAgainstReference:
+    """The token pattern gives the hand scanner's tokens and errors, except
+    that a text ending inside a comment ends at its true end, where the
+    scanner left the end of input at the comment's `#`."""
+
+    @given(st.one_of(st.text(max_size=30), _DSL_TEXT))
+    @settings(max_examples=1500, deadline=None)
+    def test_equal_tokens_and_errors(self, text):
+        tokens, expected = _scan(dsl._tokenize, text), _scan(reference_tokenize, text)
+        if tokens != expected and isinstance(expected, list):
+            end, last_line = expected[-1], text.split("\n")[-1]
+            assert last_line[end.col - 1] == "#"
+            expected[-1] = dsl._Token("end", None, end.line, len(last_line) + 1)
+        assert tokens == expected
+
+    def test_text_ending_in_a_comment_ends_at_its_end(self):
+        text = "KNN >> # tail comment"
+        with pytest.raises(dsl.SyntaxError_, match="^line 1, column 22: "):
+            parse_expr_ast(text)
+        assert reference_tokenize(text)[-1].col == 8
+
+    def test_digits_are_those_of_str_isdigit(self):
+        digit = re.compile(f"[{dsl._DIGIT}]")
+        assert [c for c in map(chr, range(sys.maxunicode + 1))
+                if bool(digit.match(c)) != c.isdigit()] == []
+
+    @pytest.mark.parametrize("text, col, message", [
+        ("KNN(k=²)", 7, "bad number literal '²'"),
+        ("KNN(k=1²3)", 7, "bad number literal '1²3'"),
+        ("KNN(k=½)", 7, "unexpected character '½'"),
+        ("KNN >> Ⅻ", 8, "unexpected character 'Ⅻ'"),
+    ])
+    def test_numerals_that_are_not_decimal_digits_are_refused(self, text, col, message):
+        # Neither a name nor a number: str.isdigit admits ², and \w admits all four.
+        with pytest.raises(dsl.SyntaxError_) as err:
+            dsl._tokenize(text)
+        assert (err.value.line, err.value.col, str(err.value)) == \
+            (1, col, f"line 1, column {col}: {message}")
+        assert _scan(reference_tokenize, text) == (1, col, str(err.value))
 
 
 class TestParseGrammar:

@@ -211,6 +211,16 @@ class TestValidate:
         assert sm.validate({"base": registry["PrunedTree"]}, schema).ok
         assert not sm.validate({"base": 3}, schema).ok
 
+    @pytest.mark.parametrize("name, config", [
+        ("PrunedTree", {"R": False, "C": 0.3, "maxDepth": 4}),
+        ("LogRegGD", {"solver": "gd"}),
+    ])
+    def test_unmatched_negation_builds_no_violation(self, registry, monkeypatch, name, config):
+        built = []
+        monkeypatch.setattr(sm, "Violation", lambda *args: built.append(args))
+        assert sm.validate(config, registry[name].schema) is sm.VALID
+        assert built == []
+
     @given(st.one_of(st.booleans(), st.integers(-5, 5), st.text(max_size=4)))
     def test_enum_membership_matches_python_semantics(self, value):
         node = sm.EnumNode((True, False, 1, "a"))

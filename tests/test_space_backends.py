@@ -485,6 +485,35 @@ class TestPcs:
         with pytest.raises(ValueError, match=f"^line 2: {problem}$"):
             read_pcs(f"y {{a, b}} [a]\n{line}\n")
 
+    @pytest.mark.parametrize("line,problem", [
+        ("y {c, d} [c]", "a second line for parameter 'y'"),
+        ("y [0, 1] [0.5]", "a second line for parameter 'y'"),
+        (" {a, b} [a]", "missing parameter name"),
+        ("x {a, a} [a]", "repeated value in \\{a, a\\}"),
+        ("x {a, b} [c]", "default 'c' outside \\{a, b\\}"),
+        ("x [0, 1] [5]", "default '5' outside \\[0, 1\\]"),
+        ("x [0, 10] [zz]i", "default 'zz' outside \\[0, 10\\]"),
+        ("x [0, 10] [2.5]i", "default '2.5' outside \\[0, 10\\]"),
+        ("x [0, 1] [nan]", "default 'nan' outside \\[0, 1\\]"),
+    ], ids=["second_categorical_line", "second_range_line", "empty_name", "repeated_value",
+            "categorical_default", "range_default", "integer_default_not_a_number",
+            "integer_default_not_integral", "nan_default"])
+    def test_ambiguous_or_out_of_domain_line_is_refused(self, line, problem):
+        with pytest.raises(ValueError, match=f"^line 2: {problem}$"):
+            read_pcs(f"y {{a, b}} [a]\n{line}\n")
+
+    @pytest.mark.parametrize("prop,line,value", [
+        ({"enum": [1.0, 2.0], "default": 1}, "t__a {1.0, 2.0} [1.0]", 1.0),
+        ({"type": "number", "minimum": 0.1, "maximum": 0.1, "distribution": "loguniform"},
+         "t__a [0.1, 0.1] [0.1]l", 0.1),
+    ], ids=["enum_default_spelled_as_its_value", "log_midpoint_clamped"])
+    def test_default_is_written_inside_its_domain(self, prop, line, value):
+        op = og.Individual("T", sm.parse_schema({"type": "object", "properties": {"a": prop}}))
+        compiled = compile_space(op)
+        assert line in compiled.pcs().splitlines()
+        default = read_pcs(compiled.pcs()).parameters["t__a"].default
+        assert compiled.decode_pcs({"t__a": default}).bound == {"a": value}
+
     @pytest.mark.parametrize("text,problem", [
         ("a {x, y} [x]\nc | a == x\n", "condition references unknown parameter 'c'"),
         ("b [0, 1] [0.5]\nb | c == x\n", "condition of 'b' names 'c', which has no parameter "
@@ -1145,10 +1174,11 @@ def _pcs_role_space(role, strings):
 
     params, conditions = {}, {}
     for i, s in enumerate(strings):
+        other = "f" if s == "e" else "e"  # read_pcs refuses a repeated value
         if role == "value":
-            params[f"p{i}"] = cat(f"p{i}", (s, "e"), "e")
+            params[f"p{i}"] = cat(f"p{i}", (s, other), other)
         elif role == "default":
-            params[f"p{i}"] = cat(f"p{i}", (s, "e"), s)
+            params[f"p{i}"] = cat(f"p{i}", (s, other), s)
         elif role == "categorical name":
             params[s] = cat(s, ("u", "v"), "u")
         elif role in ("real name", "integer name"):
@@ -1164,7 +1194,7 @@ def _pcs_role_space(role, strings):
             conditions[f"q{i}"] = [(s, "u")]
         else:
             assert role == "condition value"
-            params[f"p{i}"] = cat(f"p{i}", (s, "v"), "v")
+            params[f"p{i}"] = cat(f"p{i}", (s, other), other)
             params[f"q{i}"] = cat(f"q{i}", ("x",), "x")
             conditions[f"q{i}"] = [(f"p{i}", s)]
     return sb.PcsSpace(params, conditions)
