@@ -120,6 +120,16 @@ class Pipeline(Operator):
             if not 0 <= i < j < n:
                 raise OperatorError(f"edge ({i}, {j}) must run forward: 0 <= i < j < {n}")
 
+    @staticmethod
+    def _unchecked(steps: tuple[Operator, ...], edges: tuple[tuple[int, int], ...]) -> Pipeline:
+        """A pipeline whose edges were checked already against as many
+        steps. Built as Individual._copy builds copies, with one update of
+        its __dict__ and no __post_init__; it equals, pickles and deep-copies
+        as a constructed one."""
+        pipeline = object.__new__(Pipeline)
+        pipeline.__dict__.update(steps=steps, edges=edges)
+        return pipeline
+
     def predecessors(self, index: int) -> tuple[int, ...]:
         return tuple(i for i, j in self.edges if j == index)
 

@@ -474,6 +474,19 @@ def is_operator_value(value) -> bool:
     return hasattr(value, "schema") and hasattr(value, "name")
 
 
+def leaf_admits(node: SchemaNode, value) -> bool:
+    """The one admission test of a leaf node (an enum, a range or an operator
+    slot), by the tests above, for normal forms and compiled leaves alike, so
+    that membership and validate agree. Any other node admits nothing."""
+    if isinstance(node, EnumNode):
+        return enum_admits(node.values, value)
+    if isinstance(node, RangeNode):
+        return in_range(value, node.lo, node.hi, node.lo_open, node.hi_open, node.integer_valued)
+    if isinstance(node, OperatorSlotNode):
+        return is_operator_value(value)
+    return False
+
+
 # ---------------------------------------------------------------------------
 # Validation
 
@@ -497,8 +510,9 @@ def validate(config: Mapping[str, Any], schema: SchemaNode) -> ValidationReport:
     return ValidationReport(ok=False, violations=tuple(first.values()))
 
 
-def _check_config(config, node, path, out: list[Violation]) -> bool:
-    """Append violations for `config` under `node`; return True when ok."""
+def _check_config(config, node, path, out: list[Violation] | None) -> bool:
+    """Append violations for `config` under `node`; return True when ok. A
+    probe (an anyOf alternative) passes no list and builds no violation."""
     if isinstance(node, ObjectNode):
         ok = True
         props = node._by_name
@@ -506,7 +520,9 @@ def _check_config(config, node, path, out: list[Violation]) -> bool:
             sub = props.get(name)
             if sub is None:
                 if not node.additional_allowed:
-                    out.append(Violation(path + (name,), "unknown hyperparameter", "unknownName"))
+                    if out is not None:
+                        out.append(Violation(path + (name,), "unknown hyperparameter",
+                                             "unknownName"))
                     ok = False
                 continue
             ok = _check_value(value, sub, path + (name,), out) and ok
@@ -518,9 +534,10 @@ def _check_config(config, node, path, out: list[Violation]) -> bool:
         return ok
     if isinstance(node, AnyOfNode):
         for child in node.children:
-            if _check_config(config, child, path, []):
+            if _check_config(config, child, path, None):
                 return True
-        out.append(Violation(path, _describe(node), "constraintViolated"))
+        if out is not None:
+            out.append(Violation(path, _describe(node), "constraintViolated"))
         return False
     if isinstance(node, NotNode):
         # A negation fires only on provided evidence: every property the
@@ -528,7 +545,8 @@ def _check_config(config, node, path, out: list[Violation]) -> bool:
         # cannot prove a violation (and for total configs this coincides
         # with the standard vacuous-match semantics).
         if _negation_triggered(config, node.child):
-            out.append(Violation(path, _describe(node), "constraintViolated"))
+            if out is not None:
+                out.append(Violation(path, _describe(node), "constraintViolated"))
             return False
         return True
     if isinstance(node, AnyNode):
@@ -544,35 +562,35 @@ def _negation_triggered(config, child: ObjectNode) -> bool:
     return True
 
 
-def _check_value(value, node, path, out: list[Violation]) -> bool:
+def _check_value(value, node, path, out: list[Violation] | None) -> bool:
+    """Append violations for `value` under `node`; return True when ok. A
+    probe passes no list and builds no violation."""
     if isinstance(node, EnumNode):
         if enum_admits(node.values, value):
             return True
-        out.append(Violation(path, f"value {value!r} not in {list(node.values)!r}", "enum"))
+        if out is not None:
+            out.append(Violation(path, f"value {value!r} not in {list(node.values)!r}", "enum"))
         return False
     if isinstance(node, RangeNode):
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            out.append(Violation(path, f"expected a number, got {value!r}", "type"))
-            return False
-        if node.integer_valued and not _integral(value):
-            out.append(Violation(path, f"expected an integer, got {value!r}", "type"))
-            return False
-        if not in_range(value, node.lo, node.hi, node.lo_open, node.hi_open, node.integer_valued):
-            out.append(Violation(path, f"value {value!r} outside {_range_text(node)}", "range"))
-            return False
-        return True
+        if in_range(value, node.lo, node.hi, node.lo_open, node.hi_open, node.integer_valued):
+            return True
+        if out is not None:
+            out.append(_range_violation(value, node, path))
+        return False
     if isinstance(node, AnyNode):
         return True
     if isinstance(node, OperatorSlotNode):
         if is_operator_value(value):
             return True
-        out.append(Violation(path, f"expected an operator, got {value!r}", "type"))
+        if out is not None:
+            out.append(Violation(path, f"expected an operator, got {value!r}", "type"))
         return False
     if isinstance(node, AnyOfNode):
         for child in node.children:
-            if _check_value(value, child, path, []):
+            if _check_value(value, child, path, None):
                 return True
-        out.append(Violation(path, _describe(node), "constraintViolated"))
+        if out is not None:
+            out.append(Violation(path, _describe(node), "constraintViolated"))
         return False
     if isinstance(node, AllOfNode):
         ok = True
@@ -584,9 +602,19 @@ def _check_value(value, node, path, out: list[Violation]) -> bool:
     if isinstance(node, ObjectNode):
         if isinstance(value, Mapping):
             return _check_config(value, node, path, out)
-        out.append(Violation(path, f"expected an object, got {value!r}", "type"))
+        if out is not None:
+            out.append(Violation(path, f"expected an object, got {value!r}", "type"))
         return False
     raise InvalidSchema(path, f"unsupported node {type(node).__name__}")
+
+
+def _range_violation(value, node: RangeNode, path) -> Violation:
+    """Why a range does not admit `value`, which in_range refuses."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return Violation(path, f"expected a number, got {value!r}", "type")
+    if node.integer_valued and not _integral(value):
+        return Violation(path, f"expected an integer, got {value!r}", "type")
+    return Violation(path, f"value {value!r} outside {_range_text(node)}", "range")
 
 
 def _range_text(node: RangeNode) -> str:

@@ -32,16 +32,13 @@ from .operator_graph import (
     Pipeline,
     configure,
 )
+from .schema_model import EnumNode, OperatorSlotNode, RangeNode
 from .space_normalizer import (
     BlowupExceeded,
-    Cat,
-    Cont,
     Domain,
     NormalForm,
-    OpSlot,
     drop_constraints,
     DEFAULT_BLOWUP_LIMIT,
-    _domain_admits,
 )
 
 
@@ -91,7 +88,7 @@ class LeafIR(SearchIR):
         entries = []
         for name in self.nf.names():
             domains = tuple(d[name] for d in self.nf.disjuncts if name in d)
-            nested = domains[0].nested if isinstance(domains[0], OpSlot) else None
+            nested = domains[0] if isinstance(domains[0], SearchIR) else None
             entries.append((name, _join(self.prefix, name), domains, nested))
         return tuple(entries)
 
@@ -120,8 +117,9 @@ def combine(op: Operator, keep_constraints: bool = True) -> SearchIR:
 
     The root is always a step map; bound hyperparameters disappear from
     their operator's disjuncts, frozen steps contribute no dimensions, and
-    operator-valued bindings recurse with a reconstruction marker. A space
-    in which two parameters would share one key is refused (`_point_keys`).
+    an operator bound into a slot stands in its disjuncts as its own IR,
+    whose prefix is the slot's mangled path. A space in which two
+    parameters would share one key is refused (`_point_keys`).
     """
     if isinstance(op, Pipeline):
         ir = _combine_pipeline(op, "", keep_constraints)
@@ -197,7 +195,7 @@ def _combine_individual(op: Individual, path: str, unique: str, keep: bool) -> L
     the base object alone when constraints are dropped) that admit its
     bound values, bound names removed. The normal form is the one the
     schema keeps, so it is only read here; each leaf builds its own
-    disjuncts."""
+    disjuncts, in which an operator bound into a slot stands as its IR."""
     from .operator_graph import LifecycleState
 
     if op.frozen_trainable or op.frozen_trained or op.state == LifecycleState.TRAINED:
@@ -210,20 +208,19 @@ def _combine_individual(op: Individual, path: str, unique: str, keep: bool) -> L
     effective_op = op if keep else replace(op, schema=schema)
     disjuncts = []
     for disjunct in nf.disjuncts:
-        out: dict[str, Domain] = {}
+        out: dict[str, Domain | SearchIR] = {}
         admitted = True
         for name, domain in disjunct.items():
             if name in op.bound:
                 value = op.bound[name]
-                if not _domain_admits(domain, value):
+                if not schema_model.leaf_admits(domain, value):
                     admitted = False
                     break
                 if isinstance(value, Operator):  # admitted, so the domain is a slot
                     marker = _join(unique, name)
-                    nested = _combine_node(value, marker, marker, keep)
-                    out[name] = OpSlot(marker=marker, nested=nested)
+                    out[name] = _combine_node(value, marker, marker, keep)
                 # any other fixed value contributes no dimension
-            elif isinstance(domain, OpSlot):
+            elif isinstance(domain, OperatorSlotNode):
                 admitted = False  # an unbound slot cannot be searched
                 break
             else:
@@ -258,8 +255,8 @@ def _point_keys(ir: SearchIR) -> dict[str, tuple[str | None, str]]:
         slots = {}
         for disjunct in ir.nf.disjuncts:
             for name, domain in disjunct.items():
-                if isinstance(domain, OpSlot):
-                    slots.setdefault(name, domain.nested)
+                if isinstance(domain, SearchIR):
+                    slots.setdefault(name, domain)
                 else:
                     keys[_join(ir.prefix, name)] = ir.op.name, name
         for nested in slots.values():
@@ -309,13 +306,13 @@ def emit_hierarchical(ir: SearchIR) -> dict:
     }
 
 
-def _domain_doc(domain: Domain) -> dict:
-    if isinstance(domain, Cat):
+def _domain_doc(domain: Domain | SearchIR) -> dict:
+    if isinstance(domain, EnumNode):
         doc: dict[str, Any] = {"kind": "categorical", "values": list(domain.values)}
         if domain.default is not schema_model.MISSING:
             doc["default"] = domain.default
         return doc
-    if isinstance(domain, Cont):
+    if isinstance(domain, RangeNode):
         doc = {
             "kind": "continuous",
             "lo": domain.lo,
@@ -330,9 +327,8 @@ def _domain_doc(domain: Domain) -> dict:
         if domain.default is not schema_model.MISSING:
             doc["default"] = domain.default
         return doc
-    assert isinstance(domain, OpSlot)
-    return {"kind": "operator", "marker": domain.marker,
-            "space": emit_hierarchical(domain.nested)}
+    assert isinstance(domain, SearchIR)
+    return {"kind": "operator", "marker": domain.prefix, "space": emit_hierarchical(domain)}
 
 
 def sample_space(doc: Mapping[str, Any], rng: random.Random,
@@ -453,8 +449,8 @@ def _flat_count(ir: SearchIR) -> int:
     if isinstance(ir, ChoiceIR):
         return sum(_flat_count(body) for _, body in ir.branches)
     assert isinstance(ir, LeafIR)
-    return sum(math.prod(_flat_count(domain.nested)
-                         for domain in disjunct.values() if isinstance(domain, OpSlot))
+    return sum(math.prod(_flat_count(domain)
+                         for domain in disjunct.values() if isinstance(domain, SearchIR))
                for disjunct in ir.nf.disjuncts)
 
 
@@ -485,7 +481,7 @@ def _flat_rows(ir: SearchIR, render) -> list[dict]:
     if isinstance(ir, ChoiceIR):
         rows = []
         for value, body in ir.branches:
-            stamp = render({ir.discriminant: Cat((value,), value)})
+            stamp = render({ir.discriminant: EnumNode((value,), value)})
             rows += [{**stamp, **row} for row in _flat_rows(body, render)]
         return rows
     assert isinstance(ir, LeafIR)
@@ -494,8 +490,8 @@ def _flat_rows(ir: SearchIR, render) -> list[dict]:
         base: dict[str, Domain] = {}
         slot_rows: list[dict] = [{}]
         for name, domain in disjunct.items():
-            if isinstance(domain, OpSlot):
-                nested_rows = _flat_rows(domain.nested, render)
+            if isinstance(domain, SearchIR):
+                nested_rows = _flat_rows(domain, render)
                 slot_rows = [{**a, **b} for a in slot_rows for b in nested_rows]
             else:
                 base[_join(ir.prefix, name)] = domain
@@ -559,7 +555,7 @@ def _grid_fragment(domains: dict[str, Domain]) -> dict[str, list | tuple]:
     """A leaf disjunct's grid parameters: each categorical's value list, and
     for each continuous domain a slot (draw plan, default) that every row
     holding it replaces with its own draws, in row order."""
-    return {name: list(domain.values) if isinstance(domain, Cat) else
+    return {name: list(domain.values) if isinstance(domain, EnumNode) else
             (_draw_plan(domain.lo, domain.hi, domain.lo_open, domain.hi_open,
                         domain.integer_valued, domain.prior.kind == "loguniform",
                         domain.prior.quantization), domain.default)
@@ -669,7 +665,7 @@ def _pcs_build(ir: SearchIR, ctx, branch_ctx, model: PcsSpace) -> None:
         disc = _pcs_add(
             model, ir.discriminant, branch_ctx,
             PcsParameter(ir.discriminant, "categorical", values=values, default=values[0]),
-            ctx, ("param", ir.discriminant, (Cat(values),)),
+            ctx, ("param", ir.discriminant, (EnumNode(values),)),
         )
         for value, body in ir.branches:
             _pcs_build(body, ctx + ((disc, value),), (ir.prefix, value), model)
@@ -689,8 +685,8 @@ def _pcs_build(ir: SearchIR, ctx, branch_ctx, model: PcsSpace) -> None:
     for name in names:
         domains = [d[name] for d in disjuncts]
         public = _join(ir.prefix, name)
-        if isinstance(domains[0], OpSlot):
-            _pcs_build(domains[0].nested, ctx, branch_ctx, model)
+        if isinstance(domains[0], SearchIR):
+            _pcs_build(domains[0], ctx, branch_ctx, model)
             continue
         if selector is None or all(_same_domain(d, domains[0]) for d in domains):
             _pcs_add(model, public, branch_ctx,
@@ -712,18 +708,18 @@ def _same_domain(a: Domain, b: Domain) -> bool:
 
 
 def _bool_places(domain: Domain) -> list[bool]:
-    values = domain.values if isinstance(domain, Cat) else ()
+    values = domain.values if isinstance(domain, EnumNode) else ()
     return [type(v) is bool for v in (*values, domain.default)]
 
 
 def _pcs_param(name: str, domain: Domain) -> PcsParameter:
-    if isinstance(domain, Cat):
+    if isinstance(domain, EnumNode):
         # The default is spelled as the value it equals: 1 as 1.0 in {1.0, 2.0}.
         default = next((v for v in domain.values if schema_model.scalar_eq(v, domain.default)),
                        domain.values[0])
         return PcsParameter(name, "categorical", values=tuple(map(_pcs_value, domain.values)),
                             default=_pcs_value(default))
-    assert isinstance(domain, Cont)
+    assert isinstance(domain, RangeNode)
     log = domain.prior.kind == "loguniform"
     if domain.integer_valued:
         lo, hi = schema_model.integer_bounds(domain.lo, domain.hi, domain.lo_open,
@@ -796,6 +792,7 @@ def read_pcs(text: str) -> PcsSpace:
     """Parse the bundled PCS dialect back into a sampleable space."""
     parameters: dict[str, PcsParameter] = {}
     conditions: dict[str, list[tuple[str, str]]] = {}
+    condition_lines = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -806,6 +803,7 @@ def read_pcs(text: str) -> PcsSpace:
                 raise ValueError(f"line {lineno}: malformed condition")
             parent, value = (part.strip() for part in rest.split("==", 1))
             conditions.setdefault(child, []).append((parent, value))
+            condition_lines.append((lineno, child, parent, value))
             continue
         categorical = "{" in line
         if not categorical and "[" not in line:
@@ -847,17 +845,38 @@ def read_pcs(text: str) -> PcsSpace:
             raise ValueError(f"line {lineno}: default {default!r} outside [{domain_text}]")
         parameters[name] = PcsParameter(name, "integer" if integer else "real",
                                         lo=lo, hi=hi, log="l" in flags, default=default)
-    # PcsSpace.sample draws in line order, so a condition whose parent is
-    # unknown or comes later could never hold.
+    # PcsSpace.sample draws in line order and compares the parent's draw as
+    # text, so a condition whose parent is unknown, comes later or is never
+    # drawn as the value could never hold. A real draw all but never equals
+    # a given value, so a real parent is refused too.
     order = {name: index for index, name in enumerate(parameters)}
-    for child, pairs in conditions.items():
+    for lineno, child, parent, value in condition_lines:
         if child not in order:
             raise ValueError(f"condition references unknown parameter {child!r}")
-        for parent, _ in pairs:
-            if order.get(parent, len(order)) >= order[child]:
-                raise ValueError(f"condition of {child!r} names {parent!r}, "
-                                 "which has no parameter line before it")
+        if order.get(parent, len(order)) >= order[child]:
+            raise ValueError(f"condition of {child!r} names {parent!r}, "
+                             "which has no parameter line before it")
+        if parameters[parent].kind == "real":
+            raise ValueError(f"line {lineno}: condition of {child!r} names real parameter "
+                             f"{parent!r}, whose draws all but never equal a value")
+        if not _drawn_as(parameters[parent], value):
+            raise ValueError(f"line {lineno}: condition of {child!r} can never hold: "
+                             f"{parent!r} is never drawn as {value!r}")
     return PcsSpace(parameters, conditions)
+
+
+def _drawn_as(param: PcsParameter, text: str) -> bool:
+    """Whether a draw of a categorical or integer `param` by PcsSpace.sample
+    can print as `text`: as one of its values, or as the decimal spelling of
+    an integer in its range."""
+    if param.kind == "categorical":
+        return text in param.values
+    lo, hi = schema_model.integer_bounds(param.lo, param.hi, False, False)
+    try:
+        number = int(text)
+    except ValueError:
+        return False
+    return str(number) == text and lo <= number <= hi
 
 
 def _pcs_number(text: str, integer: bool) -> float | int:
@@ -907,16 +926,16 @@ def _coerce(domains, value):
     # Exact equality first, so that a value some other candidate spells like
     # in PCS (1 and "1", true and "true") still decodes to itself.
     for domain in domains:
-        if isinstance(domain, Cat):
+        if isinstance(domain, EnumNode):
             for candidate in domain.values:
                 if schema_model.scalar_eq(candidate, value):
                     return candidate
     for domain in domains:
-        if isinstance(domain, Cat):
+        if isinstance(domain, EnumNode):
             for candidate in domain.values:
                 if _pcs_value(candidate) == str(value):
                     return candidate
-        elif isinstance(domain, Cont) and not isinstance(value, bool):
+        elif isinstance(domain, RangeNode) and not isinstance(value, bool):
             try:
                 number = float(value)
             except (TypeError, ValueError, OverflowError):
@@ -940,12 +959,14 @@ def _coerce(domains, value):
 
 def decode(ir: SearchIR, point: Mapping[str, Any]) -> Operator:
     """Rebuild the configured operator a point denotes: resolve choices by
-    their discriminants, bind leaf values, instantiate marked slots."""
+    their discriminants, bind leaf values, instantiate bound slots. A step
+    map's edges were checked by the pipeline it was combined from, so its
+    pipeline is rebuilt without checking them again."""
     if isinstance(ir, StepMapIR):
         decoded = [decode(child, point) for _, child in ir.steps]
         if ir.wrapper:
             return decoded[0]
-        return Pipeline(tuple(decoded), ir.edges)
+        return Pipeline._unchecked(tuple(decoded), ir.edges)
     if isinstance(ir, ChoiceIR):
         value = point.get(ir.discriminant)
         if value is None:

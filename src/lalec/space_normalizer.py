@@ -1,12 +1,15 @@
 """Rewrite an operator schema into search normal form.
 
 Normal form is a disjunction of flat records, each mapping every
-hyperparameter to a categorical or continuous domain. The rewrite is a
-bottom-up pass: ``anyOf`` hoists disjunctions to the top, ``allOf``
-distributes over them by pairwise intersection, and ``not`` turns into the
-relative complement against the declared base domains. Empty intersections
-are dropped; overlapping disjuncts are kept as-is. Every list the pass
-builds goes through capped_list, so none grows past the blowup cap.
+hyperparameter to a domain written in the schema's own leaf nodes: an
+EnumNode, a RangeNode or an OperatorSlotNode, without its description, so
+two domains are equal exactly when their values or bounds, default and
+prior are. The rewrite is a bottom-up pass: ``anyOf`` hoists disjunctions
+to the top, ``allOf`` distributes over them by pairwise intersection, and
+``not`` turns into the relative complement against the declared base
+domains. Empty intersections are dropped; overlapping disjuncts are kept
+as-is. Every list the pass builds goes through capped_list, so none grows
+past the blowup cap.
 """
 
 from __future__ import annotations
@@ -31,8 +34,7 @@ from .schema_model import (
     base_object,
     declared_domains,
     enum_admits,
-    in_range,
-    is_operator_value,
+    leaf_admits,
     range_is_empty,
 )
 
@@ -64,38 +66,9 @@ class EmptySpace(NormalizeError):
 DEFAULT_BLOWUP_LIMIT = 10_000
 
 
-@dataclass(frozen=True)
-class Domain:
-    pass
-
-
-@dataclass(frozen=True)
-class Cat(Domain):
-    values: tuple
-    default: Any = MISSING
-
-
-@dataclass(frozen=True)
-class Cont(Domain):
-    lo: float
-    hi: float
-    lo_open: bool = False
-    hi_open: bool = False
-    integer_valued: bool = False
-    prior: Prior = Prior()
-    default: Any = MISSING
-
-
-@dataclass(frozen=True)
-class OpSlot(Domain):
-    """Placeholder for an operator-valued hyperparameter.
-
-    The backend fills in the marker (mangled slot path) and the nested
-    search structure once it knows which operator is bound into the slot.
-    """
-
-    marker: str | None = None
-    nested: Any = None
+# A hyperparameter's domain in a normal form. In a compiled leaf
+# (space_backends.LeafIR) an operator bound into a slot stands as its SearchIR.
+Domain = EnumNode | RangeNode | OperatorSlotNode
 
 
 class _Empty:
@@ -137,23 +110,21 @@ def normalize(schema: SchemaNode, limit: int = DEFAULT_BLOWUP_LIMIT) -> NormalFo
 
 
 def _attach_default(domain: Domain, default):
-    if default is MISSING or not isinstance(domain, (Cat, Cont)):
+    if default is MISSING or isinstance(domain, OperatorSlotNode):
         return domain
-    if not _domain_admits(domain, default):
+    if not leaf_admits(domain, default):
         default = MISSING
     # Most domains already hold this default; replace() costs several µs.
     return domain if default is domain.default else replace(domain, default=default)
 
 
 def _domain_alternatives(node: SchemaNode, limit: int) -> list[Domain]:
-    """A property schema as a list of alternative domains (anyOf hoisted)."""
-    if isinstance(node, RangeNode):
-        return [Cont(node.lo, node.hi, node.lo_open, node.hi_open,
-                     node.integer_valued, node.prior, node.default)]
-    if isinstance(node, EnumNode):
-        return [Cat(node.values, node.default)]
+    """A property schema as a list of alternative domains (anyOf hoisted):
+    each leaf as it is, but without its description."""
+    if isinstance(node, (RangeNode, EnumNode)):
+        return [replace(node, description="") if node.description else node]
     if isinstance(node, OperatorSlotNode):
-        return [OpSlot()]
+        return [OperatorSlotNode()]
     if isinstance(node, AnyOfNode):
         alts = (alt for child in node.children for alt in _domain_alternatives(child, limit))
         return capped_list(alts, limit)
@@ -226,11 +197,11 @@ def _complement(child: ObjectNode, declared_alts, limit):
         alts = declared_alts.get(name)
         if alts is None:
             raise NormalizeError(f"negated property {name!r} has no declared domain")
-        if len(alts) != 1 or not isinstance(alts[0], Cat):
+        if len(alts) != 1 or not isinstance(alts[0], EnumNode):
             raise UnsupportedNegation(f"declared domain of {name!r} is not a single enum")
         remaining = tuple(v for v in alts[0].values if not enum_admits(sub.values, v))
         if remaining:
-            yield from _fill({name: Cat(remaining, alts[0].default)}, declared_alts, limit)
+            yield from _fill({name: EnumNode(remaining, alts[0].default)}, declared_alts, limit)
 
 
 def _intersect_records(a: dict[str, Domain], b: dict[str, Domain]):
@@ -251,12 +222,12 @@ def _intersect_records(a: dict[str, Domain], b: dict[str, Domain]):
 
 def intersect_domain(a: Domain, b: Domain):
     """Intersection of two domains of one hyperparameter, or EMPTY."""
-    if isinstance(a, Cont) and isinstance(b, Cat):
-        a, b = b, a  # the values, their order and the default are the Cat's
-    if isinstance(a, Cat):
-        values = tuple(v for v in a.values if _domain_admits(b, v))
-        return Cat(values, a.default) if values else EMPTY
-    if isinstance(a, Cont) and isinstance(b, Cont):
+    if isinstance(a, RangeNode) and isinstance(b, EnumNode):
+        a, b = b, a  # the values, their order and the default are the enum's
+    if isinstance(a, EnumNode):
+        values = tuple(v for v in a.values if leaf_admits(b, v))
+        return EnumNode(values, a.default) if values else EMPTY
+    if isinstance(a, RangeNode) and isinstance(b, RangeNode):
         if a.lo > b.lo:
             lo, lo_open = a.lo, a.lo_open
         elif b.lo > a.lo:
@@ -272,9 +243,9 @@ def intersect_domain(a: Domain, b: Domain):
         integer_valued = a.integer_valued or b.integer_valued
         if range_is_empty(lo, hi, lo_open, hi_open, integer_valued):
             return EMPTY
-        return Cont(lo, hi, lo_open, hi_open, integer_valued,
-                    _merge_priors(a.prior, b.prior), a.default)
-    if isinstance(a, OpSlot) and isinstance(b, OpSlot):
+        return RangeNode(lo, hi, lo_open, hi_open, integer_valued,
+                         _merge_priors(a.prior, b.prior), a.default)
+    if isinstance(a, OperatorSlotNode) and isinstance(b, OperatorSlotNode):
         return a
     # Operator slots intersect with nothing else.
     return EMPTY
@@ -290,23 +261,10 @@ def _merge_priors(a: Prior, b: Prior) -> Prior:
 def member(nf: NormalForm, config: Mapping[str, Any]) -> bool:
     """True iff some disjunct admits every value of the config."""
     for disjunct in nf.disjuncts:
-        if all(_domain_admits(disjunct[name], value)
+        if all(leaf_admits(disjunct[name], value)
                for name, value in config.items() if name in disjunct):
             if all(name in disjunct for name in config):
                 return True
-    return False
-
-
-def _domain_admits(domain: Domain, value) -> bool:
-    """What the schema's own node admits (schema_model's tests), so member
-    and validate agree."""
-    if isinstance(domain, Cat):
-        return enum_admits(domain.values, value)
-    if isinstance(domain, Cont):
-        return in_range(value, domain.lo, domain.hi, domain.lo_open, domain.hi_open,
-                        domain.integer_valued)
-    if isinstance(domain, OpSlot):
-        return is_operator_value(value)
     return False
 
 

@@ -120,15 +120,7 @@ from lalec.space_backends import (
     emit_hierarchical,
     sample_space,
 )
-from lalec.space_normalizer import (
-    DEFAULT_BLOWUP_LIMIT,
-    Cat,
-    Cont,
-    Domain,
-    NormalForm,
-    NormalizeError,
-    OpSlot,
-)
+from lalec.space_normalizer import DEFAULT_BLOWUP_LIMIT, Domain, NormalForm
 
 
 # ---------------------------------------------------------------------------
@@ -426,7 +418,7 @@ def reference_in_range(value, lo, hi, lo_open, hi_open, integer_valued) -> bool:
     return True
 
 
-def reference_cont_admits(domain: Cont, value) -> bool:
+def reference_cont_admits(domain: RangeNode, value) -> bool:
     """space_normalizer's range test, without a type check."""
     if domain.integer_valued and float(value) != int(value):
         return False
@@ -437,7 +429,7 @@ def reference_cont_admits(domain: Cont, value) -> bool:
     return True
 
 
-def reference_cont_admits_scalar(domain: Cont, value) -> bool:
+def reference_cont_admits_scalar(domain: RangeNode, value) -> bool:
     """space_normalizer's range test for values of any type."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         return False
@@ -471,12 +463,12 @@ def reference_quantize(value, q, lo, hi, lo_open, hi_open, lo_eps, hi_eps):
 
 def reference_domain_doc(domain) -> dict:
     """space_backends' domain document, which the grid drew from."""
-    if isinstance(domain, Cat):
+    if isinstance(domain, EnumNode):
         doc = {"kind": "categorical", "values": list(domain.values)}
         if domain.default is not MISSING:
             doc["default"] = domain.default
         return doc
-    if isinstance(domain, Cont):
+    if isinstance(domain, RangeNode):
         doc = {
             "kind": "continuous",
             "lo": domain.lo,
@@ -491,9 +483,8 @@ def reference_domain_doc(domain) -> dict:
         if domain.default is not MISSING:
             doc["default"] = domain.default
         return doc
-    assert isinstance(domain, OpSlot)
-    return {"kind": "operator", "marker": domain.marker,
-            "space": emit_hierarchical(domain.nested)}
+    assert isinstance(domain, SearchIR)
+    return {"kind": "operator", "marker": domain.prefix, "space": emit_hierarchical(domain)}
 
 
 def reference_draw_cont_doc(domain, rng):
@@ -602,7 +593,7 @@ def reference_emit_grid(ir, cont_samples=1, seed=0, limit=DEFAULT_BLOWUP_LIMIT):
     for row in emit_flat(ir, limit):
         params = {}
         for name, domain in row.items():
-            if isinstance(domain, Cat):
+            if isinstance(domain, EnumNode):
                 params[name] = list(domain.values)
             else:
                 values = [] if domain.default is MISSING else [domain.default]
@@ -637,33 +628,19 @@ def to_schema(nf: NormalForm) -> SchemaNode:
     """
     branches = []
     for disjunct in nf.disjuncts:
-        props = []
-        for name, domain in disjunct.items():
-            props.append((name, _domain_to_node(domain)))
-        branches.append(ObjectNode(tuple(props), additional_allowed=False))
+        branches.append(ObjectNode(tuple(disjunct.items()), additional_allowed=False))
     if len(branches) == 1:
         return branches[0]
     union_props = []
     for name in nf.names():
         variants = []
         for disjunct in nf.disjuncts:
-            node = _domain_to_node(disjunct[name])
+            node = disjunct[name]
             if node not in variants:
                 variants.append(node)
         union_props.append((name, variants[0] if len(variants) == 1 else AnyOfNode(tuple(variants))))
     base = ObjectNode(tuple(union_props), additional_allowed=False)
     return AllOfNode((base, AnyOfNode(tuple(branches))))
-
-
-def _domain_to_node(domain: Domain) -> SchemaNode:
-    if isinstance(domain, Cat):
-        return EnumNode(domain.values, domain.default)
-    if isinstance(domain, Cont):
-        return RangeNode(domain.lo, domain.hi, domain.lo_open, domain.hi_open,
-                         domain.integer_valued, domain.prior, domain.default)
-    if isinstance(domain, OpSlot):
-        return OperatorSlotNode()
-    raise NormalizeError(f"cannot express {domain!r} as a schema node")
 
 
 # ---------------------------------------------------------------------------
@@ -882,18 +859,18 @@ def _default_into(ir: SearchIR, point) -> None:
         return
     assert isinstance(ir, LeafIR)
     for name, domain in ir.nf.disjuncts[0].items():
-        if isinstance(domain, OpSlot):
-            _default_into(domain.nested, point)
+        if isinstance(domain, SearchIR):
+            _default_into(domain, point)
             continue
         point[_join(ir.prefix, name)] = _domain_default(domain)
 
 
 def _domain_default(domain: Domain):
-    if isinstance(domain, Cat):
+    if isinstance(domain, EnumNode):
         if domain.default is not MISSING:
             return domain.default
         return domain.values[0]
-    assert isinstance(domain, Cont)
+    assert isinstance(domain, RangeNode)
     if domain.default is not MISSING:
         return domain.default
     if domain.integer_valued:

@@ -25,7 +25,7 @@ from lalec.space_backends import (
     read_pcs,
     sample_space,
 )
-from lalec.space_normalizer import Cat, Cont, member, normalize
+from lalec.space_normalizer import member, normalize
 
 from conftest import probe_lattice
 from oracles import derives
@@ -41,7 +41,7 @@ def canon_nf(nf):
     for disjunct in nf.disjuncts:
         row = {}
         for name, domain in disjunct.items():
-            if isinstance(domain, Cat):
+            if isinstance(domain, sm.EnumNode):
                 row[name] = ("cat", tuple(domain.values))
             else:
                 row[name] = ("cont", domain.lo, domain.hi, domain.lo_open, domain.hi_open)
@@ -120,7 +120,7 @@ def test_criterion_3_ir_and_flat_backend(registry):
     def canon(row):
         out = {}
         for name, domain in row.items():
-            out[name] = (tuple(domain.values) if isinstance(domain, Cat)
+            out[name] = (tuple(domain.values) if isinstance(domain, sm.EnumNode)
                          else (domain.lo, domain.hi))
         return tuple(sorted(out.items()))
 
@@ -172,7 +172,7 @@ def test_criterion_5_grid_structure(registry):
             size = 1
             for name, values in disjunct["params"].items():
                 domain = row[name]
-                if isinstance(domain, Cont):
+                if isinstance(domain, sm.RangeNode):
                     assert len(values) == 2, (seed, name, values)
                     assert values[0] == domain.default
                     assert all(isinstance(v, float) for v in values)

@@ -1,0 +1,196 @@
+"""The paper's consistency claim as one property: a space compiled from any
+topology reads the same in each of its four encodings (hierarchical, flat,
+PCS and grid) and under validation.
+
+- Soundness: every point drawn from the hierarchical document, from the
+  PCS text read back, and from the grid decodes, and every step of the
+  decoded operator validates against its schema.
+- Agreement: every hierarchical point and every grid cell is a member of
+  the flat rows, and the PCS names map back onto every name a hierarchical
+  point holds.
+- Unconstrained compiles: a point of the space without side constraints
+  fails validation exactly when the constrained space does not hold it.
+"""
+
+import itertools
+import random
+from pathlib import Path
+
+from hypothesis import given, settings, strategies as st
+
+from lalec import grammar_engine, toyml
+from lalec import operator_graph as og
+from lalec import schema_model as sm
+from lalec.pipeline_dsl import parse_grammar
+from lalec.space_backends import (
+    ChoiceIR,
+    SearchIR,
+    StepMapIR,
+    _join,
+    compile_space,
+    decode_pcs_point,
+    grid_cells,
+    read_pcs,
+    sample_space,
+)
+from lalec.space_normalizer import BlowupExceeded
+
+REGISTRY = toyml.load_registry()
+GRAMMARS = {path.stem: parse_grammar(path.read_text(encoding="utf-8"), REGISTRY)
+            for path in sorted((Path(__file__).parent.parent / "fixtures" / "grammars")
+                               .glob("*.grammar"))}
+STEPS = ["NoOp", "Scaler", "StandardScaler", "MinMaxScaler", "SelectKVariance", "PCA",
+         "KNN", "LR", "J48", "LogRegGD", "PrunedTree", "DecisionStump", "BoostedEnsemble"]
+BASES = ["PrunedTree", "DecisionStump", "KNN", "J48", "LR"]
+POINTS = 10
+GRID_CELLS = 30
+
+
+@st.composite
+def individuals(draw, names=STEPS):
+    """A registered operator, sometimes with one hyperparameter bound: an
+    enum to one of its values, any other domain to its default."""
+    op = REGISTRY[draw(st.sampled_from(names))]
+    declared = sm.declared_domains(op.schema)
+    if not declared or draw(st.booleans()):
+        return op
+    name = draw(st.sampled_from(sorted(declared)))
+    node = declared[name]
+    value = (draw(st.sampled_from(node.values)) if isinstance(node, sm.EnumNode)
+             else op.schema.declared_defaults[name])
+    try:
+        return og.configure(op, {name: value})
+    except og.ValidationFailed:  # the value breaks a side constraint
+        return op
+
+
+@st.composite
+def boosted(draw, depth):
+    """BoostedEnsemble with an operator bound as its base: a registered
+    estimator, or another boosted ensemble."""
+    if depth < 2 and draw(st.booleans()):
+        base = draw(boosted(depth + 1))
+    else:
+        base = draw(individuals(BASES))
+    return og.configure(REGISTRY["BoostedEnsemble"], {"base": base})
+
+
+@st.composite
+def topologies(draw, depth=0):
+    """Operators combined by pipe, both (joined by Concat) and choose, down
+    to individuals and boosted ensembles."""
+    kinds = ["individual", "boosted"] + (["pipe", "both", "choose"] if depth < 2 else [])
+    kind = draw(st.sampled_from(kinds))
+    if kind == "individual":
+        return draw(individuals())
+    if kind == "boosted":
+        return draw(boosted(0))
+    left, right = draw(topologies(depth + 1)), draw(topologies(depth + 1))
+    if kind == "pipe":
+        return og.pipe(left, right)
+    if kind == "both":
+        return og.pipe(og.both(left, right), REGISTRY["Concat"])
+    return og.choose([left, right])
+
+
+grammar_topologies = st.builds(
+    lambda name, seed: grammar_engine.sample(GRAMMARS[name], seed, 4, REGISTRY),
+    st.sampled_from(sorted(GRAMMARS)), st.integers(0, 2**31 - 1))
+
+
+def _individuals(op):
+    """Every individual of a decoded operator, operators bound into slots
+    included."""
+    if isinstance(op, og.Individual):
+        yield op
+        for value in op.bound.values():
+            if isinstance(value, og.Operator):
+                yield from _individuals(value)
+    elif isinstance(op, og.Pipeline):
+        for step in op.steps:
+            yield from _individuals(step)
+
+
+def _validates(op) -> bool:
+    """Whether every step, completed with its defaults, validates against the
+    registered schema with its side constraints."""
+    for step in _individuals(op):
+        schema = REGISTRY[step.name].schema
+        if not sm.validate({**schema.declared_defaults, **step.bound}, schema).ok:
+            return False
+    return True
+
+
+def _contains(ir, point) -> bool:
+    """Whether the compiled space holds the point: each choice's branch by
+    its discriminant, and in each leaf a disjunct that admits the point's
+    values and whose bound slots hold it."""
+    if isinstance(ir, StepMapIR):
+        return all(_contains(child, point) for _, child in ir.steps)
+    if isinstance(ir, ChoiceIR):
+        body = dict(ir.branches).get(point[ir.discriminant])
+        return body is not None and _contains(body, point)
+    return any(all(_contains(domain, point) if isinstance(domain, SearchIR)
+                   else sm.leaf_admits(domain, point[_join(ir.prefix, name)])
+                   for name, domain in disjunct.items())
+               for disjunct in ir.nf.disjuncts)
+
+
+def _flat_member(rows_by_names, point) -> bool:
+    return any(all(sm.leaf_admits(row[name], value) for name, value in point.items())
+               for row in rows_by_names.get(frozenset(point), ()))
+
+
+def _check_encodings(op, seed):
+    rng = random.Random(seed)
+    compiled = compile_space(op)
+    hier = compiled.hierarchical()
+    points = [sample_space(hier, rng) for _ in range(POINTS)]
+    for point in points:
+        assert _validates(compiled.decode(point)), point
+    try:
+        pcs = read_pcs(compiled.pcs())
+        rows = compiled.flat()
+        grid = compiled.grid(1, seed)
+    except BlowupExceeded:
+        return compiled
+    for point in (pcs.sample(rng) for _ in range(POINTS)):
+        assert _validates(compiled.decode_pcs(point)), point
+    defaults = {name: param.default for name, param in pcs.parameters.items()}
+    pcs_names = set(decode_pcs_point(compiled.ir, defaults))
+    assert all(pcs_names.issuperset(point) for point in points)
+    rows_by_names = {}
+    for row in rows:
+        rows_by_names.setdefault(frozenset(row), []).append(row)
+    for point in points:
+        assert _flat_member(rows_by_names, point), point
+    for cell in itertools.islice(grid_cells(grid), GRID_CELLS):
+        assert _flat_member(rows_by_names, cell), cell
+        assert _validates(compiled.decode(cell)), cell
+    return compiled
+
+
+def _check_unconstrained(op, constrained, seed):
+    rng = random.Random(seed)
+    unconstrained = compile_space(op, keep_constraints=False)
+    hier = unconstrained.hierarchical()
+    for _ in range(POINTS):
+        point = sample_space(hier, rng)
+        held = _contains(constrained.ir, point)
+        assert _validates(unconstrained.decode(point)) == held, point
+
+
+def _check(op, seed):
+    _check_unconstrained(op, _check_encodings(op, seed), seed)
+
+
+class TestOneSpaceInEveryEncoding:
+    @settings(max_examples=100, deadline=None)
+    @given(op=topologies(), seed=st.integers(0, 2**16))
+    def test_random_topologies(self, op, seed):
+        _check(op, seed)
+
+    @settings(max_examples=40, deadline=None)
+    @given(op=grammar_topologies, seed=st.integers(0, 2**16))
+    def test_grammar_topologies(self, op, seed):
+        _check(op, seed)

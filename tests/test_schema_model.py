@@ -8,7 +8,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from lalec import operator_graph as og
 from lalec import schema_model as sm
-from lalec.space_normalizer import Cont, drop_constraints
+from lalec.space_normalizer import drop_constraints
 from oracles import (
     reference_best_effort_defaults,
     reference_cont_admits_scalar,
@@ -219,6 +219,26 @@ class TestValidate:
         built = []
         monkeypatch.setattr(sm, "Violation", lambda *args: built.append(args))
         assert sm.validate(config, registry[name].schema) is sm.VALID
+        assert built == []
+
+    @pytest.mark.parametrize("config", [
+        {"x": "b"}, {"x": 2.5}, {"y": 2}, {"x": "b", "y": 1}, {"z": {"w": 1}},
+    ])
+    def test_failed_anyof_alternatives_build_no_violation(self, monkeypatch, config):
+        schema = sm.parse_schema({"allOf": [
+            {"type": "object", "properties": {
+                "x": {"anyOf": [{"enum": ["a"]}, {"type": "number", "minimum": 2, "maximum": 3},
+                                {"enum": ["b"]}]},
+                "y": {"type": "integer", "minimum": 0, "maximum": 3},
+                "z": {"anyOf": [{"typeForOptimizer": "operator"}, {"type": "integer",
+                                 "minimum": 0, "maximum": 1}, {"type": "object",
+                                 "additionalProperties": False, "properties": {}}, {}]}}},
+            {"anyOf": [{"type": "object", "properties": {"y": {"enum": [0]}}},
+                       {"type": "object", "properties": {"x": {"enum": ["a"]}}},
+                       {}]}]})
+        built = []
+        monkeypatch.setattr(sm, "Violation", lambda *args: built.append(args))
+        assert sm.validate(config, schema) is sm.VALID
         assert built == []
 
     @given(st.one_of(st.booleans(), st.integers(-5, 5), st.text(max_size=4)))
@@ -451,7 +471,7 @@ class TestOneRangePredicate:
     def test_agrees_with_each_old_predicate(self, case):
         lo, hi, lo_open, hi_open, integer, value = case
         new = sm.in_range(value, lo, hi, lo_open, hi_open, integer)
-        domain = Cont(lo, hi, lo_open, hi_open, integer)
+        domain = sm.RangeNode(lo, hi, lo_open, hi_open, integer)
         olds = [_outcome(reference_in_range, value, lo, hi, lo_open, hi_open, integer),
                 _outcome(reference_cont_admits_scalar, domain, value)]
         if not integer and isinstance(value, (int, float)) and not isinstance(value, bool):

@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import functools
 import gc
 import itertools
@@ -21,10 +22,12 @@ from lalec import schema_model as sm
 from lalec import space_backends as sb
 from lalec.operator_graph import choose, configure, freeze_trainable, pipe
 from lalec.pipeline_dsl import parse_expr, parse_grammar
+from lalec.schema_model import EnumNode, RangeNode, leaf_admits
 from lalec.space_backends import (
     ChoiceIR,
     CompileError,
     LeafIR,
+    SearchIR,
     StepMapIR,
     compile_space,
     emit_flat,
@@ -34,14 +37,7 @@ from lalec.space_backends import (
     read_pcs,
     sample_space,
 )
-from lalec.space_normalizer import (
-    DEFAULT_BLOWUP_LIMIT,
-    BlowupExceeded,
-    Cat,
-    Cont,
-    OpSlot,
-    _domain_admits,
-)
+from lalec.space_normalizer import DEFAULT_BLOWUP_LIMIT, BlowupExceeded
 
 from conftest import probe_lattice
 from oracles import (
@@ -94,7 +90,7 @@ def flat_member(rows, point):
     for row in rows:
         if set(row) != set(point):
             continue
-        if all(_domain_admits(row[k], v) for k, v in point.items()):
+        if all(leaf_admits(row[k], v) for k, v in point.items()):
             return True
     return False
 
@@ -178,10 +174,9 @@ class TestCombine:
         ir = sb.combine(op)
         (_, leaf), = ir.steps
         disjunct = leaf.nf.disjuncts[0]
-        slot = disjunct["base"]
-        assert slot.marker == "boostedensemble__base"
-        nested_leaf = slot.nested
+        nested_leaf = disjunct["base"]
         assert isinstance(nested_leaf, LeafIR)
+        assert nested_leaf.prefix == "boostedensemble__base"
         assert nested_leaf.op.name == "PrunedTree"
         assert "maxDepth" in nested_leaf.nf.disjuncts[0] or \
             "maxDepth" in nested_leaf.nf.disjuncts[1]
@@ -260,7 +255,7 @@ class TestPointKeys:
         for _ in range(30):
             names.add(nested.decode(sample_space(nested.hierarchical(), rng)).name)
         for row in nested.flat():
-            point = {key: (domain.values[0] if isinstance(domain, Cat) else domain.default)
+            point = {key: (domain.values[0] if isinstance(domain, EnumNode) else domain.default)
                      for key, domain in row.items()}
             names.add(nested.decode(point).name)
         assert names == {"KNN", "LR", "J48"}
@@ -275,7 +270,7 @@ class TestFlat:
         def canon(row):
             out = {}
             for name, domain in row.items():
-                if isinstance(domain, Cat):
+                if isinstance(domain, EnumNode):
                     out[name] = tuple(domain.values)
                 else:
                     out[name] = (domain.lo, domain.hi)
@@ -522,10 +517,27 @@ class TestPcs:
          "condition of 'b' names 'a', which has no parameter line before it"),
         ("b {x, y} [x]\nb | b == x\n",
          "condition of 'b' names 'b', which has no parameter line before it"),
-    ], ids=["unknown_child", "unknown_parent", "parent_after_child", "own_parent"])
+        ("a {x, y} [x]\nb {u, v} [u]\nb | a == z\n",
+         "line 3: condition of 'b' can never hold: 'a' is never drawn as 'z'"),
+        ("r [0, 1] [0.5]\nb {u, v} [u]\nb | r == 0.5\n",
+         "line 3: condition of 'b' names real parameter 'r', whose draws all but never "
+         "equal a value"),
+        ("n [0.5, 3.5] [1]i\nb {u, v} [u]\n\nb | n == 2\nb | n == 0\n",
+         "line 5: condition of 'b' can never hold: 'n' is never drawn as '0'"),
+        ("n [0, 3] [1]i\nb {u, v} [u]\nb | n == 2.0\n",
+         "line 3: condition of 'b' can never hold: 'n' is never drawn as '2.0'"),
+    ], ids=["unknown_child", "unknown_parent", "parent_after_child", "own_parent",
+            "not_a_parent_value", "real_parent", "integer_outside_range", "integer_spelling"])
     def test_condition_that_can_never_hold_is_refused(self, text, problem):
         with pytest.raises(ValueError, match=f"^{problem}$"):
             read_pcs(text)
+
+    def test_condition_on_an_integer_parent_can_hold(self):
+        space = read_pcs("n [0, 3] [1]i\nb {u, v} [u]\nb | n == 2\n")
+        rng = random.Random(0)
+        draws = [space.sample(rng) for _ in range(200)]
+        assert all(("b" in point) == (point["n"] == 2) for point in draws)
+        assert any("b" in point for point in draws)
 
     def test_one_point_ranges_parse(self):
         space = read_pcs("x [2.5, 2.5] [2.5]\nn [1.5, 2.5] [2]i\n")
@@ -645,7 +657,7 @@ def _activity_matches_row(active, assignment, row):
 
 
 def _param_matches_domain(param, domain):
-    if isinstance(domain, Cat):
+    if isinstance(domain, EnumNode):
         if param.kind != "categorical":
             return False
         from lalec.space_backends import _pcs_value
@@ -1051,7 +1063,7 @@ def reference_emit_flat(ir, limit=DEFAULT_BLOWUP_LIMIT):
     if isinstance(ir, ChoiceIR):
         rows = []
         for value, body in ir.branches:
-            stamp = {ir.discriminant: Cat((value,), value)}
+            stamp = {ir.discriminant: EnumNode((value,), value)}
             for row in reference_emit_flat(body, limit):
                 rows.append({**stamp, **row})
                 if len(rows) > limit:
@@ -1063,8 +1075,8 @@ def reference_emit_flat(ir, limit=DEFAULT_BLOWUP_LIMIT):
         base = {}
         slot_rows = [{}]
         for name, domain in disjunct.items():
-            if isinstance(domain, OpSlot):
-                nested_rows = reference_emit_flat(domain.nested, limit)
+            if isinstance(domain, SearchIR):
+                nested_rows = reference_emit_flat(domain, limit)
                 slot_rows = [{**a, **b} for a in slot_rows for b in nested_rows]
                 if len(slot_rows) > limit:
                     raise BlowupExceeded(limit)
@@ -1446,7 +1458,7 @@ def _containers(doc):
 
 def _continuous_names(compiled):
     """Per flat row, the names of its continuous domains."""
-    return [[name for name, domain in row.items() if isinstance(domain, Cont)]
+    return [[name for name, domain in row.items() if isinstance(domain, RangeNode)]
             for row in compiled.flat()]
 
 
@@ -1559,8 +1571,8 @@ def reference_decode(ir, point):
     config = {}
     for name in ir.nf.names():
         domains = [d[name] for d in ir.nf.disjuncts if name in d]
-        if isinstance(domains[0], OpSlot):
-            config[name] = reference_decode(domains[0].nested, point)
+        if isinstance(domains[0], SearchIR):
+            config[name] = reference_decode(domains[0], point)
             continue
         key = sb._join(ir.prefix, name)
         if key in point:
@@ -1707,6 +1719,48 @@ class TestDecodePlan:
                     assert (_outcome(restored.decode_pcs, point)
                             == _outcome(lambda: reference_decode(
                                 ir, reference_decode_pcs_point(ir, point))))
+
+    def test_decoded_pipelines_behave_like_constructed_ones(self, registry, monkeypatch):
+        spaces = [compile_space(parse_expr(expr, registry)) for expr in
+                  ("PCA >> (J48 | LR)", "(Scaler & PCA) >> Concat >> KNN")]
+        spaces.append(compile_space(pipe(registry["Scaler"], configure(
+            registry["BoostedEnsemble"], {"base": registry["PrunedTree"]}))))
+        rng = random.Random(8)
+        points = [(compiled, sample_space(compiled.hierarchical(), rng))
+                  for compiled in spaces for _ in range(5)]
+        checks = []
+        check = og.Pipeline.__post_init__
+        monkeypatch.setattr(og.Pipeline, "__post_init__",
+                            lambda self: checks.append(self) or check(self))
+        decoded = [compiled.decode(point) for compiled, point in points]
+        assert checks == []
+        for op, (compiled, point) in zip(decoded, points):
+            built = reference_decode(compiled.ir, point)
+            assert type(op) is og.Pipeline and op == built
+            assert exact_form(op) == exact_form(built)
+            assert list(vars(op)) == list(vars(built))
+            assert pickle.dumps(op) == pickle.dumps(built)
+            for restored in (pickle.loads(pickle.dumps(op)), copy.deepcopy(op)):
+                assert type(restored) is og.Pipeline and restored == built
+                assert list(vars(restored)) == list(vars(built))
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                op.edges = ()
+        assert len(checks) == len(points)  # the reference went through the constructor
+
+    def test_valid_decodes_build_no_violation(self, registry, monkeypatch):
+        # Each failed anyOf alternative of a valid configuration is a probe,
+        # which records no violation.
+        built = []
+        init = sm.Violation.__init__
+        monkeypatch.setattr(sm.Violation, "__init__",
+                            lambda self, *args: built.append(args) or init(self, *args))
+        rng = random.Random(1)
+        for expr in ("Scaler >> (PrunedTree | LogRegGD | KNN)", "PCA >> (J48 | LR)"):
+            compiled = compile_space(parse_expr(expr, registry))
+            hier = compiled.hierarchical()
+            for _ in range(300):
+                compiled.decode(sample_space(hier, rng))
+        assert built == []
 
     def test_compiling_and_emitting_cache_no_decode_data(self, registry):
         compiled = compile_space(parse_expr("PCA >> (J48 | LR)", registry))

@@ -12,7 +12,7 @@ from lalec import schema_model as sm
 from lalec import space_normalizer as norm
 from lalec import toyml
 from lalec.space_backends import CompileError, compile_space, sample_space
-from lalec.space_normalizer import Cat, Cont, EMPTY, intersect_domain, member
+from lalec.space_normalizer import EMPTY, intersect_domain, member
 
 from conftest import probe_lattice
 from oracles import reference_validate, serialize, to_schema
@@ -24,7 +24,7 @@ def disjunct_sets(nf):
     for disjunct in nf.disjuncts:
         canon = {}
         for name, domain in disjunct.items():
-            if isinstance(domain, Cat):
+            if isinstance(domain, sm.EnumNode):
                 canon[name] = ("cat", tuple(domain.values))
             else:
                 canon[name] = ("cont", domain.lo, domain.hi, domain.lo_open, domain.hi_open)
@@ -117,40 +117,40 @@ class TestNormalize:
 
 
 class TestIntersect:
-    def test_cat_inside_range(self):
-        got = intersect_domain(Cat((0.25,), 0.25), Cont(0.0, 0.5, True, True))
-        assert got == Cat((0.25,), 0.25)
+    def test_enum_inside_range(self):
+        got = intersect_domain(sm.EnumNode((0.25,), 0.25), sm.RangeNode(0.0, 0.5, True, True))
+        assert got == sm.EnumNode((0.25,), 0.25)
 
-    def test_cat_cat(self):
-        assert intersect_domain(Cat(("l1", "l2")), Cat(("l2",))) == Cat(("l2",))
+    def test_enum_enum(self):
+        assert intersect_domain(sm.EnumNode(("l1", "l2")), sm.EnumNode(("l2",))) == sm.EnumNode(("l2",))
 
     def test_disjoint_ranges(self):
-        assert intersect_domain(Cont(0, 1), Cont(2, 3)) is EMPTY
+        assert intersect_domain(sm.RangeNode(0, 1), sm.RangeNode(2, 3)) is EMPTY
 
     def test_openness_or_at_coinciding_bounds(self):
-        got = intersect_domain(Cont(0, 1, False, True), Cont(0, 1, True, False))
+        got = intersect_domain(sm.RangeNode(0, 1, False, True), sm.RangeNode(0, 1, True, False))
         assert (got.lo_open, got.hi_open) == (True, True)
 
     def test_degenerate_closed_point(self):
-        got = intersect_domain(Cont(0, 1), Cont(1, 2))
+        got = intersect_domain(sm.RangeNode(0, 1), sm.RangeNode(1, 2))
         assert (got.lo, got.hi, got.lo_open, got.hi_open) == (1, 1, False, False)
-        assert intersect_domain(Cont(0, 1, False, True), Cont(1, 2)) is EMPTY
+        assert intersect_domain(sm.RangeNode(0, 1, False, True), sm.RangeNode(1, 2)) is EMPTY
 
     def test_prior_prefers_non_uniform(self):
         log = norm.Prior("loguniform", None)
-        got = intersect_domain(Cont(1, 2, prior=norm.Prior()), Cont(1, 2, prior=log))
+        got = intersect_domain(sm.RangeNode(1, 2, prior=norm.Prior()), sm.RangeNode(1, 2, prior=log))
         assert got.prior.kind == "loguniform"
 
     def test_range_narrowing(self):
-        got = intersect_domain(Cont(0, 10), Cont(3, 20, True, False))
+        got = intersect_domain(sm.RangeNode(0, 10), sm.RangeNode(3, 20, True, False))
         assert (got.lo, got.hi, got.lo_open, got.hi_open) == (3, 10, True, False)
 
-    def test_cat_range_filters_values(self):
-        got = intersect_domain(Cat((0.1, 0.7, 0.3)), Cont(0.0, 0.5, True, True))
+    def test_enum_range_filters_values(self):
+        got = intersect_domain(sm.EnumNode((0.1, 0.7, 0.3)), sm.RangeNode(0.0, 0.5, True, True))
         assert got.values == (0.1, 0.3)
 
     def test_boolean_values_never_match_numbers(self):
-        assert intersect_domain(Cat((True,)), Cont(0.0, 2.0)) is EMPTY
+        assert intersect_domain(sm.EnumNode((True,)), sm.RangeNode(0.0, 2.0)) is EMPTY
 
 
 class TestMember:
@@ -216,9 +216,9 @@ class TestEquivalenceOracle:
 def _holds_a_value(domain):
     """Whether a domain admits some value, counting the integers of an
     integer range one by one (the ranges here are short)."""
-    if isinstance(domain, Cat):
+    if isinstance(domain, sm.EnumNode):
         return bool(domain.values)
-    if not isinstance(domain, Cont):
+    if not isinstance(domain, sm.RangeNode):
         return True
     if domain.integer_valued:
         return any(sm.in_range(i, domain.lo, domain.hi, domain.lo_open, domain.hi_open, True)
@@ -445,6 +445,47 @@ def _report(validate, config, schema):
     except Exception as exc:
         return "raised", type(exc), str(exc)
     return report.ok, [(v.path, v.constraint, v.kind) for v in report.violations]
+
+
+def assert_schema_leaves(nf):
+    for disjunct in nf.disjuncts:
+        for domain in disjunct.values():
+            assert type(domain) in (sm.EnumNode, sm.RangeNode, sm.OperatorSlotNode), domain
+            assert domain.description == "", domain
+
+
+class TestNormalFormsHoldSchemaLeaves:
+    """A normal form is written in the schema's own leaf nodes, without their
+    descriptions, so two domains are equal exactly when they admit the same
+    values under the same default and prior."""
+
+    def test_every_registry_schema(self, registry):
+        for op in registry.values():
+            for schema in (op.schema, norm.drop_constraints(op.schema)):
+                assert_schema_leaves(norm.normalize(schema))
+
+    def test_random_schemas(self):
+        rng = random.Random(424242)
+        for _ in range(60):
+            schema, _ = TestRandomizedEquivalence()._random_schema(rng)
+            for each in (schema, norm.drop_constraints(schema)):
+                try:
+                    assert_schema_leaves(norm.normalize(each))
+                except norm.EmptySpace:
+                    pass
+
+    def test_a_description_splits_no_domain(self):
+        schema = sm.parse_schema({"type": "object", "properties": {
+            "x": {"anyOf": [{"enum": ["a", "b"], "description": "first"},
+                            {"enum": ["a", "b"], "description": "second"}]},
+            "y": {"anyOf": [{"type": "number", "minimum": 0, "maximum": 1},
+                            {"enum": ["c"]}]}}})
+        nf = norm.normalize(schema)
+        assert len(nf.disjuncts) == 4
+        assert len({repr(d["x"]) for d in nf.disjuncts}) == 1
+        pcs = compile_space(og.Individual("T", schema)).pcs()
+        assert [line.split()[0] for line in pcs.splitlines() if line.startswith("t__x")] == \
+            ["t__x"]
 
 
 class TestValidateMatchesReference:
