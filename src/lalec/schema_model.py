@@ -84,6 +84,7 @@ class Prior:
 
 
 UNIFORM = Prior()
+LOGUNIFORM = Prior("loguniform")
 
 
 @dataclass(frozen=True)
@@ -355,22 +356,14 @@ def _parse_range(node, path, kind, description) -> RangeNode:
     for bound in (lo, hi):
         if isinstance(bound, bool) or not isinstance(bound, (int, float)):
             raise InvalidSchema(path, "range bounds must be numbers")
-        if bound != bound:  # NaN, the one number unequal to itself
-            raise InvalidSchema(path, "range bounds must not be NaN")
-        # Refuses ±inf, and an int too large for a float (JSON reads 1e400 as inf).
-        if not -sys.float_info.max <= bound <= sys.float_info.max:
-            raise InvalidSchema(path, "range bounds must be finite")
     lo_open = bool(node.get("exclusiveMinimum", False))
     hi_open = bool(node.get("exclusiveMaximum", False))
-    if range_is_empty(lo, hi, lo_open, hi_open, False):
-        raise InvalidSchema(path, f"empty range [{lo}, {hi}]")
-    if range_is_empty(lo, hi, lo_open, hi_open, kind == "integer"):
-        raise InvalidSchema(path, f"integer range [{lo}, {hi}] contains no integers")
     dist = node.get("distribution", "uniform")
+    problem = range_problem(lo, hi, lo_open, hi_open, kind == "integer", dist == "loguniform")
+    if problem:
+        raise InvalidSchema(path, problem)
     if dist not in ("uniform", "loguniform"):
         raise InvalidSchema(path, f"unknown distribution {dist!r}")
-    if dist == "loguniform" and lo <= 0:
-        raise InvalidSchema(path, "loguniform requires a positive lower bound")
     quant = node.get("quantization")
     if quant is not None and (isinstance(quant, bool) or not isinstance(quant, (int, float)) or quant <= 0):
         raise InvalidSchema(path, "quantization must be a positive number")
@@ -454,6 +447,26 @@ def range_is_empty(lo, hi, lo_open, hi_open, integer_valued) -> bool:
         lo_i, hi_i = integer_bounds(lo, hi, lo_open, hi_open)
         return lo_i > hi_i
     return False
+
+
+def range_problem(lo, hi, lo_open, hi_open, integer_valued, log) -> str | None:
+    """The one rule for which numeric bounds can be sampled, for schemas and
+    parsed PCS alike: why a range with these bounds is refused, or None. It
+    refuses a NaN bound, an infinite one (an int too large for a float is
+    one: JSON reads 1e400 as inf), an empty range, an integer range that
+    holds no integer, and a log range whose lower bound is not positive."""
+    if lo != lo or hi != hi:  # NaN, the one number unequal to itself
+        return f"NaN bound in [{lo}, {hi}]"
+    if not (-sys.float_info.max <= lo <= sys.float_info.max
+            and -sys.float_info.max <= hi <= sys.float_info.max):
+        return f"infinite bound in [{lo}, {hi}]"
+    if range_is_empty(lo, hi, lo_open, hi_open, False):
+        return f"empty range [{lo}, {hi}]"
+    if range_is_empty(lo, hi, lo_open, hi_open, integer_valued):
+        return f"integer range [{lo}, {hi}] contains no integers"
+    if log and lo <= 0:
+        return f"log range [{lo}, {hi}] needs a positive lower bound"
+    return None
 
 
 def enum_admits(values, value) -> bool:

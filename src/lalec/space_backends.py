@@ -391,6 +391,12 @@ def _draw_plan(lo, hi, lo_open, hi_open, integer, log, q) -> tuple:
     return ("real", lo_eps, hi_eps, start, span, log, (lo, hi, lo_open, hi_open, q) if q else None)
 
 
+def _node_plan(node: RangeNode) -> tuple:
+    """The `_draw_plan` of a schema range leaf."""
+    return _draw_plan(node.lo, node.hi, node.lo_open, node.hi_open, node.integer_valued,
+                      node.prior.kind == "loguniform", node.prior.quantization)
+
+
 def _draw(rng: random.Random, plan: tuple):
     """One draw by a `_draw_plan`. A uniform integer draw is what
     `random.Random.randint` draws, its rejection loop on `getrandbits`
@@ -556,9 +562,7 @@ def _grid_fragment(domains: dict[str, Domain]) -> dict[str, list | tuple]:
     for each continuous domain a slot (draw plan, default) that every row
     holding it replaces with its own draws, in row order."""
     return {name: list(domain.values) if isinstance(domain, EnumNode) else
-            (_draw_plan(domain.lo, domain.hi, domain.lo_open, domain.hi_open,
-                        domain.integer_valued, domain.prior.kind == "loguniform",
-                        domain.prior.quantization), domain.default)
+            (_node_plan(domain), domain.default)
             for name, domain in domains.items()}
 
 
@@ -576,23 +580,15 @@ def grid_cells(grid: Mapping[str, Any]):
 
 
 @dataclass
-class PcsParameter:
-    name: str
-    kind: str            # "categorical" | "real" | "integer"
-    values: tuple = ()   # categorical values as raw strings
-    lo: float = 0.0
-    hi: float = 0.0
-    log: bool = False
-    default: str = ""
-
-
-@dataclass
 class PcsSpace:
-    """A PCS space: what `emit_pcs` prints and what `read_pcs` returns. An
-    IR's own (`SearchIR.pcs_model`) also maps each PCS name back to its
-    hyperparameter; a parsed one has no such map, and equality ignores it."""
+    """A PCS space: what `emit_pcs` prints and what `read_pcs` returns. Each
+    parameter is a schema leaf that holds its default: an EnumNode of its
+    PCS text values, or a closed RangeNode with a uniform or loguniform
+    prior and no quantization. An IR's own (`SearchIR.pcs_model`) also maps
+    each PCS name back to its hyperparameter; a parsed one has no such map,
+    and equality ignores it."""
 
-    parameters: dict[str, PcsParameter]
+    parameters: dict[str, EnumNode | RangeNode]
     conditions: dict[str, list[tuple[str, str]]]
     # pcs name -> ("param", public, domains) | ("selector",)
     decode_map: dict[str, tuple] = field(default_factory=dict, compare=False)
@@ -600,14 +596,13 @@ class PcsSpace:
     def sample(self, rng: random.Random) -> dict[str, Any]:
         """One assignment of every active parameter, honoring conditionals."""
         point: dict[str, Any] = {}
-        for name, param in self.parameters.items():
+        for name, node in self.parameters.items():
             if not self._active(name, point):
                 continue
-            if param.kind == "categorical":
-                point[name] = param.values[rng.randrange(len(param.values))]
+            if isinstance(node, EnumNode):
+                point[name] = node.values[rng.randrange(len(node.values))]
             else:
-                point[name] = _draw(rng, _draw_plan(param.lo, param.hi, False, False,
-                                                    param.kind == "integer", param.log, None))
+                point[name] = _draw(rng, _node_plan(node))
         return point
 
     def _active(self, name: str, point) -> bool:
@@ -645,10 +640,9 @@ def _pcs_unique(name: str, branch_ctx, used) -> str:
     return f"{name}_{suffix}"
 
 
-def _pcs_add(model, name, branch_ctx, param: PcsParameter, ctx, decode_entry):
+def _pcs_add(model, name, branch_ctx, node: EnumNode | RangeNode, ctx, decode_entry):
     final = _pcs_unique(name, branch_ctx, model.parameters)
-    param.name = final
-    model.parameters[final] = param
+    model.parameters[final] = node
     if ctx:
         model.conditions[final] = list(ctx)
     model.decode_map[final] = decode_entry
@@ -661,12 +655,9 @@ def _pcs_build(ir: SearchIR, ctx, branch_ctx, model: PcsSpace) -> None:
             _pcs_build(child, ctx, branch_ctx, model)
         return
     if isinstance(ir, ChoiceIR):
-        values = tuple(value for value, _ in ir.branches)
-        disc = _pcs_add(
-            model, ir.discriminant, branch_ctx,
-            PcsParameter(ir.discriminant, "categorical", values=values, default=values[0]),
-            ctx, ("param", ir.discriminant, (EnumNode(values),)),
-        )
+        node = EnumNode(tuple(value for value, _ in ir.branches), ir.branches[0][0])
+        disc = _pcs_add(model, ir.discriminant, branch_ctx, node, ctx,
+                        ("param", ir.discriminant, (node,)))
         for value, body in ir.branches:
             _pcs_build(body, ctx + ((disc, value),), (ir.prefix, value), model)
         return
@@ -675,13 +666,9 @@ def _pcs_build(ir: SearchIR, ctx, branch_ctx, model: PcsSpace) -> None:
     names = list(disjuncts[0]) if disjuncts else []
     selector = None
     if len(disjuncts) > 1:
-        values = tuple(str(i) for i in range(len(disjuncts)))
-        selector_name = _join(ir.unique, "disjunct")
-        selector = _pcs_add(
-            model, selector_name, branch_ctx,
-            PcsParameter(selector_name, "categorical", values=values, default="0"),
-            ctx, ("selector",),
-        )
+        node = EnumNode(tuple(str(i) for i in range(len(disjuncts))), "0")
+        selector = _pcs_add(model, _join(ir.unique, "disjunct"), branch_ctx, node, ctx,
+                            ("selector",))
     for name in names:
         domains = [d[name] for d in disjuncts]
         public = _join(ir.prefix, name)
@@ -689,14 +676,12 @@ def _pcs_build(ir: SearchIR, ctx, branch_ctx, model: PcsSpace) -> None:
             _pcs_build(domains[0], ctx, branch_ctx, model)
             continue
         if selector is None or all(_same_domain(d, domains[0]) for d in domains):
-            _pcs_add(model, public, branch_ctx,
-                     _pcs_param(public, domains[0]), ctx,
+            _pcs_add(model, public, branch_ctx, _pcs_param(domains[0]), ctx,
                      ("param", public, tuple(domains)))
             continue
         for index, domain in enumerate(domains):
             pcs_name = public if index == 0 else f"{public}__{index}"
-            _pcs_add(model, pcs_name, branch_ctx,
-                     _pcs_param(pcs_name, domain),
+            _pcs_add(model, pcs_name, branch_ctx, _pcs_param(domain),
                      ctx + ((selector, str(index)),),
                      ("param", public, (domain,)))
 
@@ -712,21 +697,21 @@ def _bool_places(domain: Domain) -> list[bool]:
     return [type(v) is bool for v in (*values, domain.default)]
 
 
-def _pcs_param(name: str, domain: Domain) -> PcsParameter:
+def _pcs_param(domain: Domain) -> EnumNode | RangeNode:
     if isinstance(domain, EnumNode):
         # The default is spelled as the value it equals: 1 as 1.0 in {1.0, 2.0}.
         default = next((v for v in domain.values if schema_model.scalar_eq(v, domain.default)),
                        domain.values[0])
-        return PcsParameter(name, "categorical", values=tuple(map(_pcs_value, domain.values)),
-                            default=_pcs_value(default))
+        return EnumNode(tuple(map(_pcs_value, domain.values)), _pcs_value(default))
     assert isinstance(domain, RangeNode)
     log = domain.prior.kind == "loguniform"
+    prior = schema_model.LOGUNIFORM if log else schema_model.UNIFORM
     if domain.integer_valued:
         lo, hi = schema_model.integer_bounds(domain.lo, domain.hi, domain.lo_open,
                                              domain.hi_open)
         default = domain.default if domain.default is not schema_model.MISSING else (lo + hi) // 2
-        default = min(max(int(default), lo), hi)
-        return PcsParameter(name, "integer", lo=lo, hi=hi, log=log, default=repr(default))
+        return RangeNode(lo, hi, integer_valued=True, prior=prior,
+                         default=min(max(int(default), lo), hi))
     lo, hi = _real_bounds(domain.lo, domain.hi, domain.lo_open, domain.hi_open)
     if domain.default is not schema_model.MISSING:
         default = float(domain.default)
@@ -734,8 +719,7 @@ def _pcs_param(name: str, domain: Domain) -> PcsParameter:
         default = math.exp((math.log(lo) + math.log(hi)) / 2.0)
     else:
         default = (lo + hi) / 2.0
-    return PcsParameter(name, "real", lo=lo, hi=hi, log=log,
-                        default=repr(min(max(default, lo), hi)))
+    return RangeNode(lo, hi, prior=prior, default=min(max(default, lo), hi))
 
 
 def emit_pcs(ir: SearchIR, limit: int = DEFAULT_BLOWUP_LIMIT) -> str:
@@ -746,15 +730,17 @@ def emit_pcs(ir: SearchIR, limit: int = DEFAULT_BLOWUP_LIMIT) -> str:
     could not tell them apart."""
     flat_size(ir, limit)  # enforce the blowup cap the flat form defines
     space = ir.pcs_model
-    for param in space.parameters.values():
-        for text in (param.name, *param.values, param.default):
+    for name, node in space.parameters.items():
+        # A compiled enum's default is one of its values; a range's is a number.
+        values = node.values if isinstance(node, EnumNode) else ()
+        for text in (name, *values):
             if _PCS_UNREADABLE.search(text):
                 raise CompileError(
-                    f"PCS parameter {param.name!r}: {text!r} would not read back "
+                    f"PCS parameter {name!r}: {text!r} would not read back "
                     "(PCS names and values hold no whitespace and none of # | , = { } [ ])")
-        if len(set(param.values)) < len(param.values):
+        if len(set(values)) < len(values):
             raise CompileError(
-                f"PCS parameter {param.name!r}: values {{{', '.join(param.values)}}} "
+                f"PCS parameter {name!r}: values {{{', '.join(values)}}} "
                 "spell alike, so PCS text cannot tell them apart")
     return _pcs_text(space)
 
@@ -767,15 +753,13 @@ _PCS_UNREADABLE = re.compile(r"[\s#|,={}\[\]]")
 
 def _pcs_text(space: PcsSpace) -> str:
     lines = ["# parameter configuration space"]
-    for param in space.parameters.values():
-        if param.kind == "categorical":
-            lines.append(f"{param.name} {{{', '.join(param.values)}}} [{param.default}]")
-        elif param.kind == "integer":
-            lines.append(f"{param.name} [{int(param.lo)}, {int(param.hi)}] [{param.default}]i"
-                         + ("l" if param.log else ""))
-        else:
-            lines.append(f"{param.name} [{param.lo!r}, {param.hi!r}] [{param.default}]"
-                         + ("l" if param.log else ""))
+    for name, node in space.parameters.items():
+        if isinstance(node, EnumNode):
+            lines.append(f"{name} {{{', '.join(node.values)}}} [{node.default}]")
+            continue
+        integer = "i" if node.integer_valued else ""
+        log = "l" if node.prior.kind == "loguniform" else ""
+        lines.append(f"{name} [{node.lo!r}, {node.hi!r}] [{node.default!r}]{integer}{log}")
     conditions = [
         f"{child} | {parent} == {value}"
         for child, pairs in space.conditions.items()
@@ -790,7 +774,7 @@ def _pcs_text(space: PcsSpace) -> str:
 
 def read_pcs(text: str) -> PcsSpace:
     """Parse the bundled PCS dialect back into a sampleable space."""
-    parameters: dict[str, PcsParameter] = {}
+    parameters: dict[str, EnumNode | RangeNode] = {}
     conditions: dict[str, list[tuple[str, str]]] = {}
     condition_lines = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -826,25 +810,25 @@ def read_pcs(text: str) -> PcsSpace:
                 raise ValueError(f"line {lineno}: repeated value in {{{domain_text}}}")
             if default not in values:
                 raise ValueError(f"line {lineno}: default {default!r} outside {{{domain_text}}}")
-            parameters[name] = PcsParameter(name, "categorical", values=values, default=default)
+            parameters[name] = EnumNode(values, default)
             continue
-        integer = "i" in flags
+        integer, log = "i" in flags, "l" in flags
         try:
-            lo, hi = (_pcs_number(bound, integer) for bound in domain_text.split(","))
+            lo, hi = (_pcs_number(bound) for bound in domain_text.split(","))
         except ValueError:
             raise ValueError(f"line {lineno}: expected two numbers in [{domain_text}]") from None
-        problem = _pcs_range_problem(lo, hi, integer, "l" in flags)
+        problem = schema_model.range_problem(lo, hi, False, False, integer, log)
         if problem:
             raise ValueError(f"line {lineno}: {problem}")
         try:
-            admitted = schema_model.in_range(_pcs_number(default, integer), lo, hi,
-                                             False, False, integer)
+            number = _pcs_number(default)
         except ValueError:
-            admitted = False
-        if not admitted:
+            number = None
+        node = RangeNode(lo, hi, integer_valued=integer, default=number,
+                         prior=schema_model.LOGUNIFORM if log else schema_model.UNIFORM)
+        if not schema_model.leaf_admits(node, number):
             raise ValueError(f"line {lineno}: default {default!r} outside [{domain_text}]")
-        parameters[name] = PcsParameter(name, "integer" if integer else "real",
-                                        lo=lo, hi=hi, log="l" in flags, default=default)
+        parameters[name] = node
     # PcsSpace.sample draws in line order and compares the parent's draw as
     # text, so a condition whose parent is unknown, comes later or is never
     # drawn as the value could never hold. A real draw all but never equals
@@ -852,58 +836,45 @@ def read_pcs(text: str) -> PcsSpace:
     order = {name: index for index, name in enumerate(parameters)}
     for lineno, child, parent, value in condition_lines:
         if child not in order:
-            raise ValueError(f"condition references unknown parameter {child!r}")
+            raise ValueError(f"line {lineno}: condition references unknown parameter {child!r}")
         if order.get(parent, len(order)) >= order[child]:
-            raise ValueError(f"condition of {child!r} names {parent!r}, "
+            raise ValueError(f"line {lineno}: condition of {child!r} names {parent!r}, "
                              "which has no parameter line before it")
-        if parameters[parent].kind == "real":
+        node = parameters[parent]
+        if isinstance(node, RangeNode) and not node.integer_valued:
             raise ValueError(f"line {lineno}: condition of {child!r} names real parameter "
                              f"{parent!r}, whose draws all but never equal a value")
-        if not _drawn_as(parameters[parent], value):
+        if not _drawn_as(node, value):
             raise ValueError(f"line {lineno}: condition of {child!r} can never hold: "
                              f"{parent!r} is never drawn as {value!r}")
     return PcsSpace(parameters, conditions)
 
 
-def _drawn_as(param: PcsParameter, text: str) -> bool:
-    """Whether a draw of a categorical or integer `param` by PcsSpace.sample
-    can print as `text`: as one of its values, or as the decimal spelling of
-    an integer in its range."""
-    if param.kind == "categorical":
-        return text in param.values
-    lo, hi = schema_model.integer_bounds(param.lo, param.hi, False, False)
+def _drawn_as(node: EnumNode | RangeNode, text: str) -> bool:
+    """Whether a draw of a categorical or integer parameter by
+    PcsSpace.sample can print as `text`: as one of its values, or as the
+    decimal spelling of an integer in its range."""
+    if isinstance(node, EnumNode):
+        return text in node.values
     try:
         number = int(text)
     except ValueError:
         return False
-    return str(number) == text and lo <= number <= hi
+    return str(number) == text and schema_model.leaf_admits(node, number)
 
 
-def _pcs_number(text: str, integer: bool) -> float | int:
-    """A number in PCS text: for an integer range, an integer spelling reads
-    exactly (float() would round one above 2**53); other spellings, such as
-    3.0, read as floats."""
+def _pcs_number(text: str) -> float | int:
+    """A number in PCS text, read as JSON reads one: an integer spelling as
+    an exact int (float() would round one above 2**53, and make one past the
+    largest float inf), any other spelling, such as 3.0 or 1e400, as a
+    float."""
     number = float(text)
-    if integer and math.isfinite(number):
+    if number.is_integer() or not math.isfinite(number):  # else no integer spelling
         try:
             return int(text)
         except ValueError:
             pass
     return number
-
-
-def _pcs_range_problem(lo: float, hi: float, integer: bool, log: bool) -> str | None:
-    """Why the closed range [lo, hi] cannot be sampled, or None."""
-    if math.isnan(lo) or math.isnan(hi):
-        return f"NaN bound in [{lo}, {hi}]"
-    if math.isinf(lo) or math.isinf(hi):
-        return f"infinite bound in [{lo}, {hi}]"
-    if schema_model.range_is_empty(lo, hi, False, False, integer):
-        return (f"empty range [{lo}, {hi}]" if lo > hi
-                else f"integer range [{lo}, {hi}] contains no integers")
-    if log and lo <= 0:
-        return f"log range [{lo}, {hi}] needs a positive lower bound"
-    return None
 
 
 def decode_pcs_point(ir: SearchIR, point: Mapping[str, Any]) -> dict[str, Any]:
@@ -923,8 +894,19 @@ def decode_pcs_point(ir: SearchIR, point: Mapping[str, Any]) -> dict[str, Any]:
 
 
 def _coerce(domains, value):
-    # Exact equality first, so that a value some other candidate spells like
-    # in PCS (1 and "1", true and "true") still decodes to itself.
+    # A value some domain holds as it is decodes to itself: an enum value of
+    # its type, an int in an integer range or a float in a real one. Only
+    # then may an equal value (1.0 for 1), then one spelled alike in PCS ("1"
+    # for 1, "true" for true), or a range's reading of it stand in for it.
+    kind = value.__class__
+    for domain in domains:
+        if isinstance(domain, EnumNode):
+            for candidate in domain.values:
+                if candidate.__class__ is kind and candidate == value:
+                    return candidate
+        elif (kind is (int if domain.integer_valued else float)
+              and schema_model.leaf_admits(domain, value)):
+            return value
     for domain in domains:
         if isinstance(domain, EnumNode):
             for candidate in domain.values:
@@ -945,7 +927,7 @@ def _coerce(domains, value):
                     continue
                 # An int or an integer spelling is kept exact: float() rounds
                 # one above 2**53. Other spellings, such as "3.0", round.
-                exact = _pcs_number(value, True) if isinstance(value, str) else value
+                exact = _pcs_number(value) if isinstance(value, str) else value
                 number = exact if isinstance(exact, int) else int(round(number))
             if schema_model.in_range(number, domain.lo, domain.hi, domain.lo_open,
                                      domain.hi_open, domain.integer_valued):

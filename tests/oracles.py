@@ -516,17 +516,17 @@ def reference_pcs_sample(space, rng):
     for name, param in space.parameters.items():
         if not space._active(name, point):
             continue
-        if param.kind == "categorical":
+        if isinstance(param, EnumNode):
             point[name] = param.values[rng.randrange(len(param.values))]
-        elif param.kind == "integer":
+        elif param.integer_valued:
             lo, hi = int(param.lo), int(param.hi)
-            if param.log:
+            if param.prior.kind == "loguniform":
                 point[name] = min(max(int(round(math.exp(
                     rng.uniform(math.log(lo), math.log(hi))))), lo), hi)
             else:
                 point[name] = rng.randint(lo, hi)
         else:
-            if param.log:
+            if param.prior.kind == "loguniform":
                 point[name] = math.exp(rng.uniform(math.log(param.lo), math.log(param.hi)))
             else:
                 point[name] = rng.uniform(param.lo, param.hi)

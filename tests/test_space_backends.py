@@ -14,7 +14,7 @@ from pathlib import Path
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from lalec import grammar_engine, toyml
 from lalec import operator_graph as og
@@ -434,6 +434,16 @@ class TestEquivalenceAtProbeResolution:
             domains_without_discriminants(nested_choice)
 
 
+# Bounds of every kind the one bounds rule sorts: NaN, infinities, ints past
+# the largest float, equal and reversed pairs, fractions between integers,
+# and zero and negative lower bounds for log ranges.
+PCS_BOUNDS = st.one_of(
+    st.sampled_from([math.nan, math.inf, -math.inf, 10**400, -10**400, 2**60 + 1,
+                     sys.float_info.max, 1e-300, 0, 0.0, -0.0]),
+    st.integers(-3, 3),
+    st.integers(-12, 12).map(lambda n: n / 4))
+
+
 class TestPcs:
     def test_reparses_and_contains_conditionals(self, running_example):
         text = running_example.pcs()
@@ -460,6 +470,31 @@ class TestPcs:
     def test_unsampleable_range_is_refused_with_its_line(self, line, problem):
         with pytest.raises(ValueError, match=f"^line 2: .*{problem}"):
             read_pcs(f"y {{a, b}} [a]\n{line}\n")
+
+    @settings(max_examples=400, deadline=None)
+    @given(lo=PCS_BOUNDS, hi=PCS_BOUNDS, integer=st.booleans(), log=st.booleans())
+    @example(lo=0, hi=10**400, integer=True, log=False)
+    @example(lo=-10**400, hi=1.5, integer=False, log=True)
+    @example(lo=0.25, hi=0.75, integer=True, log=False)
+    def test_bounds_are_refused_as_parse_schema_refuses_them(self, lo, hi, integer, log):
+        """One rule for both readers: a numeric line is refused exactly when
+        parse_schema refuses the same range, kind and distribution, and for
+        the same reason."""
+        try:
+            sm.parse_schema({"type": "integer" if integer else "number", "minimum": lo,
+                             "maximum": hi, "distribution": "loguniform" if log else "uniform"})
+            reason = None
+        except sm.InvalidSchema as exc:
+            reason = str(exc).removesuffix(" at $")
+        # repr spells a float so that it reads back exactly, and an int as digits.
+        default = sm.integer_bounds(lo, hi, False, False)[0] if integer and not reason else lo
+        line = f"x [{lo!r}, {hi!r}] [{default!r}]{'i' if integer else ''}{'l' if log else ''}"
+        if reason is None:
+            assert read_pcs(line + "\n").parameters["x"].lo == lo
+        else:
+            with pytest.raises(ValueError) as refused:
+                read_pcs(line + "\n")
+            assert str(refused.value) == f"line 1: {reason}"
 
     @pytest.mark.parametrize("line,problem", [
         ("x 5", "expected {values} or \\[lo, hi\\]"),
@@ -510,13 +545,13 @@ class TestPcs:
         assert compiled.decode_pcs({"t__a": default}).bound == {"a": value}
 
     @pytest.mark.parametrize("text,problem", [
-        ("a {x, y} [x]\nc | a == x\n", "condition references unknown parameter 'c'"),
-        ("b [0, 1] [0.5]\nb | c == x\n", "condition of 'b' names 'c', which has no parameter "
-                                         "line before it"),
+        ("a {x, y} [x]\nc | a == x\n", "line 2: condition references unknown parameter 'c'"),
+        ("b [0, 1] [0.5]\nb | c == x\n", "line 2: condition of 'b' names 'c', which has no "
+                                         "parameter line before it"),
         ("b [0, 1] [0.5]\na {x, y} [x]\nb | a == x\n",
-         "condition of 'b' names 'a', which has no parameter line before it"),
+         "line 3: condition of 'b' names 'a', which has no parameter line before it"),
         ("b {x, y} [x]\nb | b == x\n",
-         "condition of 'b' names 'b', which has no parameter line before it"),
+         "line 2: condition of 'b' names 'b', which has no parameter line before it"),
         ("a {x, y} [x]\nb {u, v} [u]\nb | a == z\n",
          "line 3: condition of 'b' can never hold: 'a' is never drawn as 'z'"),
         ("r [0, 1] [0.5]\nb {u, v} [u]\nb | r == 0.5\n",
@@ -542,6 +577,7 @@ class TestPcs:
     def test_one_point_ranges_parse(self):
         space = read_pcs("x [2.5, 2.5] [2.5]\nn [1.5, 2.5] [2]i\n")
         assert space.sample(random.Random(0)) == {"x": 2.5, "n": 2}
+        assert read_pcs(sb._pcs_text(space)) == space  # fractional bounds written as read
 
     def test_single_categorical_no_conditionals(self, registry):
         text = emit_pcs(sb.combine(registry["StandardScaler"]))
@@ -649,8 +685,8 @@ def _activity_matches_row(active, assignment, row):
             continue
         expected[name] = domain
     for name, domain in expected.items():
-        matches = [p for p in active.values()
-                   if p.name == name or p.name.startswith(name + "__")]
+        matches = [p for n, p in active.items()
+                   if n == name or n.startswith(name + "__")]
         if not any(_param_matches_domain(p, domain) for p in matches):
             return False
     return True
@@ -658,12 +694,12 @@ def _activity_matches_row(active, assignment, row):
 
 def _param_matches_domain(param, domain):
     if isinstance(domain, EnumNode):
-        if param.kind != "categorical":
+        if not isinstance(param, EnumNode):
             return False
         from lalec.space_backends import _pcs_value
 
         return param.values == tuple(_pcs_value(v) for v in domain.values)
-    if param.kind == "categorical":
+    if isinstance(param, EnumNode):
         return False
     return abs(param.lo - domain.lo) <= 1e-6 * max(1.0, abs(domain.lo) + 1) and \
         abs(param.hi - domain.hi) <= 1e-6 * max(1.0, abs(domain.hi) + 1)
@@ -873,7 +909,7 @@ class TestOneDrawBody:
             for name, value in expected.items():
                 # The one change: a real draw off the written bounds is clamped.
                 param = space.parameters[name]
-                if param.kind == "real":
+                if isinstance(param, RangeNode) and not param.integer_valued:
                     expected[name] = min(max(value, param.lo), param.hi)
             assert point_bits(space.sample(new)) == point_bits(expected)
         assert new.getstate() == old.getstate()
@@ -1154,25 +1190,44 @@ def _scalar_key(value):
     return isinstance(value, bool), value
 
 
+# Ranges put beside an enum. Each holds a value that an enum value may equal
+# or spell alike in PCS: the integer 1 (1.0, "1"), or a real default, which
+# the grid keeps as a cell (1.0 beside 1, 1.5 beside "1.5").
+RANGES_BESIDE_ENUMS = [
+    {"type": "integer", "minimum": 0, "maximum": 5},
+    {"type": "integer", "minimum": 0, "maximum": 3},
+    {"type": "number", "minimum": 0.0, "maximum": 2.0, "default": 1.0},
+    {"type": "number", "minimum": 0.5, "maximum": 2.0, "default": 1.5},
+]
+
+
 @st.composite
 def enum_operators(draw, disjuncts=False):
     """An operator of one or two enums of any text, numbers, booleans and
-    null, often of values that compare or spell alike in PCS; with
+    null, often of values that compare or spell alike in PCS, some with a
+    range beside them (an anyOf of the enum and the range); with
     `disjuncts`, also an anyOf whose alternatives each narrow every enum to
-    one or two of its values."""
-    alike = st.sampled_from([1, "1", 1.5, "1.5", True, "true", "True", None, "null"])
+    one or two of its values, or to its range."""
+    alike = st.sampled_from([1, 1.0, "1", 1.5, "1.5", True, "true", "True", None, "null"])
     scalars = st.one_of(alike, st.text(max_size=4), st.integers(-9, 9), st.booleans(),
                         st.none(), st.floats(allow_nan=False))
-    props = {}
+    props, beside = {}, {}
     for i in range(draw(st.integers(1, 2))):
         values = draw(st.lists(scalars, min_size=1, max_size=4, unique_by=_scalar_key))
-        props[draw(st.sampled_from(["x", "a b", "c#d", f"p{i}"]))] = {"enum": values}
+        name = draw(st.sampled_from(["x", "a b", "c#d", f"p{i}"]))
+        props[name] = {"enum": values}
+        beside[name] = draw(st.none() | st.sampled_from(RANGES_BESIDE_ENUMS))
+        if beside[name]:
+            props[name] = {"anyOf": [props[name], beside[name]]}
     schema = {"type": "object", "properties": props}
     if disjuncts:
-        narrowed = st.fixed_dictionaries({
-            name: st.lists(st.sampled_from(prop["enum"]), min_size=1, max_size=2,
-                           unique_by=_scalar_key).map(lambda values: {"enum": values})
-            for name, prop in props.items()})
+        def narrowings(name):
+            enum = props[name]["anyOf"][0] if beside[name] else props[name]
+            subsets = st.lists(st.sampled_from(enum["enum"]), min_size=1, max_size=2,
+                               unique_by=_scalar_key).map(lambda values: {"enum": values})
+            return subsets | st.just(beside[name]) if beside[name] else subsets
+
+        narrowed = st.fixed_dictionaries({name: narrowings(name) for name in props})
         alternatives = draw(st.lists(narrowed, min_size=1, max_size=3))
         schema = {"allOf": [schema, {"anyOf": [{"type": "object", "properties": a}
                                                for a in alternatives]}]}
@@ -1181,33 +1236,33 @@ def enum_operators(draw, disjuncts=False):
 
 def _pcs_role_space(role, strings):
     """A PCS space in which each string plays one role in its own lines."""
-    def cat(name, values, default):
-        return sb.PcsParameter(name, "categorical", values=tuple(values), default=default)
+    def cat(values, default):
+        return EnumNode(tuple(values), default)
 
     params, conditions = {}, {}
     for i, s in enumerate(strings):
         other = "f" if s == "e" else "e"  # read_pcs refuses a repeated value
         if role == "value":
-            params[f"p{i}"] = cat(f"p{i}", (s, other), other)
+            params[f"p{i}"] = cat((s, other), other)
         elif role == "default":
-            params[f"p{i}"] = cat(f"p{i}", (s, other), s)
+            params[f"p{i}"] = cat((s, other), s)
         elif role == "categorical name":
-            params[s] = cat(s, ("u", "v"), "u")
+            params[s] = cat(("u", "v"), "u")
         elif role in ("real name", "integer name"):
             kind = role.split()[0]
-            params[s] = sb.PcsParameter(s, kind, lo=0, hi=3, default="1")
+            params[s] = RangeNode(0, 3, integer_valued=kind == "integer", default=1)
         elif role == "child":
-            params[f"p{i}"] = cat(f"p{i}", ("u", "v"), "u")
-            params[s] = cat(s, ("x",), "x")
+            params[f"p{i}"] = cat(("u", "v"), "u")
+            params[s] = cat(("x",), "x")
             conditions[s] = [(f"p{i}", "u")]
         elif role == "parent":
-            params[s] = cat(s, ("u", "v"), "u")
-            params[f"q{i}"] = cat(f"q{i}", ("x",), "x")
+            params[s] = cat(("u", "v"), "u")
+            params[f"q{i}"] = cat(("x",), "x")
             conditions[f"q{i}"] = [(s, "u")]
         else:
             assert role == "condition value"
-            params[f"p{i}"] = cat(f"p{i}", (s, other), other)
-            params[f"q{i}"] = cat(f"q{i}", ("x",), "x")
+            params[f"p{i}"] = cat((s, other), other)
+            params[f"q{i}"] = cat(("x",), "x")
             conditions[f"q{i}"] = [(f"p{i}", s)]
     return sb.PcsSpace(params, conditions)
 
@@ -1355,6 +1410,24 @@ class TestMixedEnums:
         assert "t__x {1} [1]" in compiled.pcs()
         assert "t__x__1 {true} [true]" in compiled.pcs()
         assert _parsed_pcs_failures(compiled, 200) == 0
+
+    @pytest.mark.parametrize("prop,alike", [
+        ({"anyOf": [{"enum": ["a", "1"]}, {"type": "integer", "minimum": 0, "maximum": 5}]},
+         {"1", "'1'"}),
+        ({"anyOf": [{"enum": [1.0, "z"]}, {"type": "integer", "minimum": 0, "maximum": 3}]},
+         {"1", "1.0"}),
+    ], ids=["range_beside_a_spelling", "range_beside_an_equal_float"])
+    def test_a_draw_decodes_to_itself_beside_an_enum(self, prop, alike):
+        """A value that one domain holds exactly decodes to itself, though an
+        enum of another disjunct equals it or spells it alike."""
+        compiled = compile_space(og.Individual("T", sm.parse_schema(
+            {"type": "object", "properties": {"x": prop}})))
+        rng = random.Random(0)
+        doc = compiled.hierarchical()
+        points = [sample_space(doc, rng) for _ in range(400)]
+        points += sb.grid_cells(compiled.grid(3, 0))
+        assert all(_drawn_values_decode(compiled, point) for point in points)
+        assert {repr(point["t__x"]) for point in points} >= alike  # both were drawn
 
     def test_values_spelled_alike_decode_apart_and_refuse_pcs(self):
         op = og.Individual("T", sm.parse_schema({"type": "object", "properties": {
