@@ -26,12 +26,12 @@ from pathlib import Path
 
 from . import optimizer as opt
 from . import pipeline_dsl as dsl
+from . import schema_model
 from . import toyml
 from .grammar_engine import GrammarError, sample as grammar_sample, unfold as grammar_unfold
 from .operator_graph import (
     Choice,
     Individual,
-    LifecycleState,
     Operator,
     OperatorError,
     Pipeline,
@@ -119,8 +119,6 @@ def cmd_compile(args) -> int:
 
 
 def cmd_validate(args) -> int:
-    from . import schema_model
-
     try:
         op = _registry(args).get(args.op)
     except SchemaError as exc:
@@ -261,12 +259,6 @@ def cmd_search(args) -> int:
     return 0
 
 
-_STATE_FILL = {
-    LifecycleState.PLANNED: "planned",
-    LifecycleState.TRAINABLE: "trainable",
-    LifecycleState.TRAINED: "trained",
-}
-
 _FILL_COLORS = {"planned": "#2f4b7c", "trainable": "#a8c8f0", "trained": "#ffffff"}
 
 
@@ -280,7 +272,7 @@ def operator_to_dot(op: Operator) -> str:
         if isinstance(node, Individual):
             ident = f"n{counter[0]}"
             counter[0] += 1
-            state = _STATE_FILL[state_of(node)]
+            state = state_of(node).name.lower()
             lines.append(
                 f'{indent}{ident} [label="{node.name}" lifecycle="{state}" '
                 f'fillcolor="{_FILL_COLORS[state]}"];'

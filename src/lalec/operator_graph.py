@@ -258,32 +258,29 @@ def state_of(op: Operator) -> LifecycleState:
 def freeze_trainable(op: Operator) -> Operator:
     """Fill latents with defaults and pin the hyperparameters: later
     auto-configuration contributes no search dimensions for this operator."""
-    if isinstance(op, Individual):
-        defaults = schema_model.default_config(op.schema)
-        merged = {**defaults, **op.bound}
-        state = max(op.state, LifecycleState.TRAINABLE)
-        return replace(op, bound=merged, state=state, frozen_trainable=True)
-    if isinstance(op, Pipeline):
-        return Pipeline(tuple(freeze_trainable(s) for s in op.steps), op.edges)
-    if isinstance(op, Choice):
-        return Choice(tuple(freeze_trainable(a) for a in op.alternatives))
-    raise TypeError(f"not an operator: {op!r}")
+    def pin(ind: Individual) -> Individual:
+        merged = {**schema_model.default_config(ind.schema), **ind.bound}
+        state = max(ind.state, LifecycleState.TRAINABLE)
+        return replace(ind, bound=merged, state=state, frozen_trainable=True)
+    return _rebuild(op, pin)
 
 
 def freeze_trained(op: Operator) -> Operator:
     """Pin learned coefficients: later fits return the operator unchanged."""
     if state_of(op) != LifecycleState.TRAINED:
         raise NotTrained("freeze_trained requires a trained operator")
-    return _freeze_trained(op)
+    return _rebuild(op, lambda ind: replace(ind, frozen_trained=True))
 
 
-def _freeze_trained(op: Operator) -> Operator:
+def _rebuild(op: Operator, change: Callable[[Individual], Individual]) -> Operator:
+    """`op` with `change` applied to each individual, and its pipelines and
+    choices rebuilt around the changed steps."""
     if isinstance(op, Individual):
-        return replace(op, frozen_trained=True)
+        return change(op)
     if isinstance(op, Pipeline):
-        return Pipeline(tuple(_freeze_trained(s) for s in op.steps), op.edges)
+        return Pipeline(tuple(_rebuild(s, change) for s in op.steps), op.edges)
     if isinstance(op, Choice):
-        return Choice(tuple(_freeze_trained(a) for a in op.alternatives))
+        return Choice(tuple(_rebuild(a, change) for a in op.alternatives))
     raise TypeError(f"not an operator: {op!r}")
 
 
@@ -760,6 +757,7 @@ def auto_configure(op: Operator, data, spec=None, *, folds: int = 3,
     Deterministic given the optimizer spec's seed. Returns the trained
     operator; use the cli/optimizer modules directly to keep the history.
     """
+    # optimizer and space_backends import this module, so they are imported here.
     from . import optimizer as opt
     from .space_backends import compile_space
 

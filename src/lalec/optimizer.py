@@ -17,8 +17,10 @@ import time
 from dataclasses import dataclass
 from typing import Any, Callable, Mapping
 
+from . import toyml
+from .operator_graph import ValidationFailed
 from .schema_model import exact_json_key
-from .space_backends import CompiledSpace, grid_cells, sample_space
+from .space_backends import CompiledSpace, DecodeError, grid_cells, sample_space
 
 
 class NoValidTrial(Exception):
@@ -270,10 +272,6 @@ def make_cv_objective(compiled: CompiledSpace, data, folds: int = 5,
     share of the rest, so that the window's values sum to its wall time.
     Calling the objective is a window of one.
     """
-    from . import toyml
-    from .operator_graph import ValidationFailed
-    from .space_backends import DecodeError
-
     splits = None
     scored: dict[str, float] = {}
 

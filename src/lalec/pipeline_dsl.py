@@ -15,7 +15,7 @@ import re
 from dataclasses import dataclass
 from typing import Mapping
 
-from .operator_graph import Individual, Operator, both, choose, configure, pipe
+from .operator_graph import Choice, Individual, Operator, Pipeline, both, choose, configure, pipe
 
 
 class DslError(Exception):
@@ -394,8 +394,6 @@ def pretty_print(op: Operator) -> str:
 
 
 def _print(op: Operator) -> tuple[str, int]:
-    from .operator_graph import Choice, Pipeline
-
     if isinstance(op, Individual):
         if not op.bound:
             return op.name, _PREC_ATOM

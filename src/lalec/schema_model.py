@@ -113,6 +113,7 @@ class SchemaNode:
         compile and kept on the node, so it is shared by every caller: read
         it, never write to it. A schema that fails to normalize keeps
         nothing, so each access raises again."""
+        # space_normalizer imports this module, so it is imported here.
         from .space_normalizer import normalize
 
         return normalize(self)
@@ -372,7 +373,8 @@ def _parse_range(node, path, kind, description) -> RangeNode:
         if isinstance(default, bool) or not isinstance(default, (int, float)):
             raise InvalidSchema(path, "range default must be a number")
         if not in_range(default, lo, hi, lo_open, hi_open, kind == "integer"):
-            raise InvalidSchema(path, f"default {default!r} lies outside the range")
+            raise InvalidSchema(path, f"default {default!r} lies outside "
+                                      f"{range_text(lo, hi, lo_open, hi_open)}")
     return RangeNode(
         lo=lo, hi=hi, lo_open=lo_open, hi_open=hi_open,
         integer_valued=(kind == "integer"),
@@ -456,17 +458,23 @@ def range_problem(lo, hi, lo_open, hi_open, integer_valued, log) -> str | None:
     one: JSON reads 1e400 as inf), an empty range, an integer range that
     holds no integer, and a log range whose lower bound is not positive."""
     if lo != lo or hi != hi:  # NaN, the one number unequal to itself
-        return f"NaN bound in [{lo}, {hi}]"
+        return f"NaN bound in {range_text(lo, hi, lo_open, hi_open)}"
     if not (-sys.float_info.max <= lo <= sys.float_info.max
             and -sys.float_info.max <= hi <= sys.float_info.max):
-        return f"infinite bound in [{lo}, {hi}]"
+        return f"infinite bound in {range_text(lo, hi, lo_open, hi_open)}"
     if range_is_empty(lo, hi, lo_open, hi_open, False):
-        return f"empty range [{lo}, {hi}]"
+        return f"empty range {range_text(lo, hi, lo_open, hi_open)}"
     if range_is_empty(lo, hi, lo_open, hi_open, integer_valued):
-        return f"integer range [{lo}, {hi}] contains no integers"
+        return f"integer range {range_text(lo, hi, lo_open, hi_open)} contains no integers"
     if log and lo <= 0:
-        return f"log range [{lo}, {hi}] needs a positive lower bound"
+        return f"log range {range_text(lo, hi, lo_open, hi_open)} needs a positive lower bound"
     return None
+
+
+def range_text(lo, hi, lo_open, hi_open) -> str:
+    """The one way a message writes a range: a bracket at a closed end and a
+    parenthesis at an open one, as in ``[0, 1)``."""
+    return f"{'(' if lo_open else '['}{lo}, {hi}{')' if hi_open else ']'}"
 
 
 def enum_admits(values, value) -> bool:
@@ -627,13 +635,8 @@ def _range_violation(value, node: RangeNode, path) -> Violation:
         return Violation(path, f"expected a number, got {value!r}", "type")
     if node.integer_valued and not _integral(value):
         return Violation(path, f"expected an integer, got {value!r}", "type")
-    return Violation(path, f"value {value!r} outside {_range_text(node)}", "range")
-
-
-def _range_text(node: RangeNode) -> str:
-    lo = "(" if node.lo_open else "["
-    hi = ")" if node.hi_open else "]"
-    return f"{lo}{node.lo}, {node.hi}{hi}"
+    text = range_text(node.lo, node.hi, node.lo_open, node.hi_open)
+    return Violation(path, f"value {value!r} outside {text}", "range")
 
 
 def _describe(node) -> str:

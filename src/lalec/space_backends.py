@@ -28,6 +28,7 @@ from . import schema_model
 from .operator_graph import (
     Choice,
     Individual,
+    LifecycleState,
     Operator,
     Pipeline,
     configure,
@@ -196,8 +197,6 @@ def _combine_individual(op: Individual, path: str, unique: str, keep: bool) -> L
     bound values, bound names removed. The normal form is the one the
     schema keeps, so it is only read here; each leaf builds its own
     disjuncts, in which an operator bound into a slot stands as its IR."""
-    from .operator_graph import LifecycleState
-
     if op.frozen_trainable or op.frozen_trained or op.state == LifecycleState.TRAINED:
         return LeafIR(path, unique, op, _EMPTY_NF)
     try:
@@ -378,7 +377,7 @@ def _draw_plan(lo, hi, lo_open, hi_open, integer, log, q) -> tuple:
     if integer:
         lo_i, hi_i = schema_model.integer_bounds(lo, hi, lo_open, hi_open)
         if lo_i > hi_i:  # only a document from outside the compiler holds one
-            raise CompileError(f"integer range [{lo}, {hi}] contains no integers")
+            raise CompileError(schema_model.range_problem(lo, hi, lo_open, hi_open, True, log))
         if log:
             return ("logint", lo_i, hi_i, math.log(lo_i), math.log(hi_i) - math.log(lo_i))
         width = hi_i - lo_i + 1

@@ -595,19 +595,20 @@ def _prune_pessimistic(node, z):
 
 
 def _prune_reduced_error(node, X, y):
-    """The tree pruned bottom-up on the held-out rows ``(X, y)``: a subtree
-    becomes a leaf when the leaf makes no more errors on the rows that
-    reach it. Kept nodes are new, so ``node`` is left as it is."""
-    if "feature" not in node or len(y) == 0:
-        return node
-    mask = X[:, node["feature"]] <= node["threshold"]
-    pruned = {**node, "left": _prune_reduced_error(node["left"], X[mask], y[mask]),
-              "right": _prune_reduced_error(node["right"], X[~mask], y[~mask])}
-    subtree_errors = int((_tree_predict(pruned, X) != y).sum())
+    """The tree pruned bottom-up on the held-out rows ``(X, y)``, and its
+    errors on them: a subtree becomes a leaf when the leaf makes no more
+    errors on the rows that reach it than its pruned children together.
+    Kept nodes are new, so ``node`` is left as it is."""
     leaf_errors = int((y != node["label"]).sum())
+    if "feature" not in node or len(y) == 0:
+        return node, leaf_errors
+    mask = X[:, node["feature"]] <= node["threshold"]
+    left, left_errors = _prune_reduced_error(node["left"], X[mask], y[mask])
+    right, right_errors = _prune_reduced_error(node["right"], X[~mask], y[~mask])
+    subtree_errors = left_errors + right_errors
     if leaf_errors <= subtree_errors:
-        return {"counts": node["counts"], "label": node["label"]}
-    return pruned
+        return {"counts": node["counts"], "label": node["label"]}, leaf_errors
+    return {**node, "left": left, "right": right}, subtree_errors
 
 
 def _reduced_error_rows(n: int):
@@ -649,7 +650,7 @@ def _fit_pruned_tree(config, X, y, shared=None):
     if reduced_error:
         if len(y) >= 8:
             _, hold_idx = _reduced_error_rows(len(y))
-            tree = _prune_reduced_error(tree, X[hold_idx], y[hold_idx])
+            tree, _ = _prune_reduced_error(tree, X[hold_idx], y[hold_idx])
     else:
         z = NormalDist().inv_cdf(1.0 - min(max(float(confidence), 1e-6), 0.499999))
         tree, _ = _prune_pessimistic(tree, z)
@@ -720,8 +721,6 @@ def _fit_boosted(config, X, y):
 def _apply_boosted(artifacts, X):
     X = _matrix(X)
     members = artifacts["members"]
-    if len(members) == 1:
-        return np.asarray(og.predict(members[0][0], X), dtype=int)
     preds = np.stack([np.asarray(og.predict(trained, X), dtype=int) for trained, _ in members],
                      axis=1)
     alphas = np.broadcast_to(np.array([alpha for _, alpha in members], dtype=float), preds.shape)

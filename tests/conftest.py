@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from lalec import schema_model as sm
 from lalec import toyml
 
 
@@ -39,3 +40,36 @@ def tree_shape(node):
         assert type(node["feature"]) is int and type(node["threshold"]) is float
         out += tree_shape(node["left"]) + tree_shape(node["right"])
     return out
+
+
+def hier_member(doc, point):
+    """Whether a hierarchical document, read as JSON, holds the point."""
+    kind = doc["kind"]
+    if kind == "steps":
+        return all(hier_member(child, point) for child in doc["steps"].values())
+    if kind == "choice":
+        branch = point.get(doc["discriminant"])
+        if branch not in doc["branches"]:
+            return False
+        return hier_member(doc["branches"][branch], point)
+    for disjunct in doc["disjuncts"]:
+        if all(_doc_admits(domain, point.get(name), point)
+               for name, domain in disjunct.items()):
+            return True
+    return False
+
+
+def _doc_admits(domain, value, point):
+    if domain["kind"] == "categorical":
+        return any(sm.scalar_eq(value, v) for v in domain["values"])
+    if domain["kind"] == "continuous":
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            return False
+        if domain["integer"] and float(value) != int(value):
+            return False
+        if value < domain["lo"] or (domain["loOpen"] and value == domain["lo"]):
+            return False
+        if value > domain["hi"] or (domain["hiOpen"] and value == domain["hi"]):
+            return False
+        return True
+    return hier_member(domain["space"], point)  # an operator slot

@@ -961,8 +961,8 @@ def _reference_check_value(value, node, path, out) -> bool:
             return False
         if not sm.in_range(value, node.lo, node.hi, node.lo_open, node.hi_open,
                            node.integer_valued):
-            out.append(sm.Violation(path, f"value {value!r} outside {sm._range_text(node)}",
-                                    "range"))
+            text = sm.range_text(node.lo, node.hi, node.lo_open, node.hi_open)
+            out.append(sm.Violation(path, f"value {value!r} outside {text}", "range"))
             return False
         return True
     if isinstance(node, OperatorSlotNode):

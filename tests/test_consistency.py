@@ -10,9 +10,13 @@ PCS and grid) and under validation.
   point holds.
 - Unconstrained compiles: a point of the space without side constraints
   fails validation exactly when the constrained space does not hold it.
+- Completeness at probe resolution: a point moved to any boundary value of
+  one of its hyperparameters' schema validates exactly when the flat rows
+  and the hierarchical document hold it.
 """
 
 import itertools
+import math
 import random
 from pathlib import Path
 
@@ -35,6 +39,8 @@ from lalec.space_backends import (
 )
 from lalec.space_normalizer import BlowupExceeded
 
+from conftest import hier_member
+
 REGISTRY = toyml.load_registry()
 GRAMMARS = {path.stem: parse_grammar(path.read_text(encoding="utf-8"), REGISTRY)
             for path in sorted((Path(__file__).parent.parent / "fixtures" / "grammars")
@@ -44,6 +50,7 @@ STEPS = ["NoOp", "Scaler", "StandardScaler", "MinMaxScaler", "SelectKVariance", 
 BASES = ["PrunedTree", "DecisionStump", "KNN", "J48", "LR"]
 POINTS = 10
 GRID_CELLS = 30
+PROBED_POINTS = 5
 
 
 @st.composite
@@ -184,6 +191,67 @@ def _check(op, seed):
     _check_unconstrained(op, _check_encodings(op, seed), seed)
 
 
+def _leaf_keys(ir, point, out):
+    """Each key of the point that a leaf of the IR holds, mapped to the leaf
+    and its hyperparameter, down the branches the point takes."""
+    if isinstance(ir, StepMapIR):
+        for _, child in ir.steps:
+            _leaf_keys(child, point, out)
+    elif isinstance(ir, ChoiceIR):
+        _leaf_keys(dict(ir.branches)[point[ir.discriminant]], point, out)
+    else:
+        for disjunct in ir.nf.disjuncts:
+            for name, domain in disjunct.items():
+                if isinstance(domain, SearchIR):
+                    _leaf_keys(domain, point, out)
+                elif _join(ir.prefix, name) in point:
+                    out[_join(ir.prefix, name)] = (ir, name)
+    return out
+
+
+def _boundary_values(schema, name):
+    """The values on and next to each bound of the hyperparameter's domains
+    in every disjunct of the schema's normal form, and each enum value."""
+    values = []
+    for disjunct in schema.normal_form.disjuncts:
+        node = disjunct.get(name)
+        if isinstance(node, sm.EnumNode):
+            values += node.values
+        elif isinstance(node, sm.RangeNode) and node.integer_valued:
+            lo, hi = sm.integer_bounds(node.lo, node.hi, node.lo_open, node.hi_open)
+            values += [lo - 1, lo, hi, hi + 1, lo + 0.5]
+        elif isinstance(node, sm.RangeNode):
+            values += [bound for edge in (node.lo, node.hi)
+                       for bound in (math.nextafter(edge, -math.inf), edge,
+                                     math.nextafter(edge, math.inf))]
+    return values
+
+
+def _check_probes(op, seed):
+    rng = random.Random(seed)
+    compiled = compile_space(op)
+    hier = compiled.hierarchical()
+    try:
+        rows = compiled.flat()
+    except BlowupExceeded:
+        return
+    rows_by_names = {}
+    for row in rows:
+        rows_by_names.setdefault(frozenset(row), []).append(row)
+    for _ in range(PROBED_POINTS):
+        point = sample_space(hier, rng)
+        keys = _leaf_keys(compiled.ir, point, {})
+        for key, (leaf, name) in keys.items():
+            schema = REGISTRY[leaf.op.name].schema
+            config = {**schema.declared_defaults, **leaf.op.bound,
+                      **{n: point[k] for k, (other, n) in keys.items() if other is leaf}}
+            for value in _boundary_values(schema, name):
+                probe = {**point, key: value}
+                valid = sm.validate({**config, name: value}, schema).ok
+                assert _flat_member(rows_by_names, probe) == valid, (key, value)
+                assert hier_member(hier, probe) == valid, (key, value)
+
+
 class TestOneSpaceInEveryEncoding:
     @settings(max_examples=100, deadline=None)
     @given(op=topologies(), seed=st.integers(0, 2**16))
@@ -194,3 +262,8 @@ class TestOneSpaceInEveryEncoding:
     @given(op=grammar_topologies, seed=st.integers(0, 2**16))
     def test_grammar_topologies(self, op, seed):
         _check(op, seed)
+
+    @settings(max_examples=100, deadline=None)
+    @given(op=grammar_topologies, seed=st.integers(0, 2**16))
+    def test_grammar_topologies_at_probe_resolution(self, op, seed):
+        _check_probes(op, seed)

@@ -8,6 +8,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from lalec import operator_graph as og
 from lalec import schema_model as sm
+from lalec.space_backends import read_pcs
 from lalec.space_normalizer import drop_constraints
 from oracles import (
     reference_best_effort_defaults,
@@ -122,15 +123,17 @@ class TestParse:
             with pytest.raises(sm.InvalidSchema, match="finite"):
                 sm.parse_schema(json.dumps(doc).replace("Infinity", big))
 
-    @pytest.mark.parametrize("lo,hi,lo_open,hi_open", [
-        (1.2, 1.8, False, False), (1, 2, True, True), (1, 1.5, True, False),
-        (0.5, 1, False, True), (-0.9, -0.1, True, True),
+    @pytest.mark.parametrize("lo,hi,lo_open,hi_open,text", [
+        (1.2, 1.8, False, False, "[1.2, 1.8]"), (1, 2, True, True, "(1, 2)"),
+        (1, 1.5, True, False, "(1, 1.5]"), (0.5, 1, False, True, "[0.5, 1)"),
+        (-0.9, -0.1, True, True, "(-0.9, -0.1)"),
     ])
-    def test_integer_range_without_an_integer_is_refused(self, lo, hi, lo_open, hi_open):
+    def test_integer_range_without_an_integer_is_refused(self, lo, hi, lo_open, hi_open, text):
         doc = {"type": "integer", "minimum": lo, "maximum": hi,
                "exclusiveMinimum": lo_open, "exclusiveMaximum": hi_open}
-        with pytest.raises(sm.InvalidSchema, match=r"integer range \[.*\] contains no integers"):
+        with pytest.raises(sm.InvalidSchema) as refused:
             sm.parse_schema(doc)
+        assert str(refused.value) == f"integer range {text} contains no integers at $"
         # The same bounds hold numbers, and one step wider holds an integer.
         assert sm.parse_schema({**doc, "type": "number"}).integer_valued is False
         assert sm.parse_schema({**doc, "maximum": hi + 1}).integer_valued
@@ -438,6 +441,11 @@ BOUNDS = st.one_of(st.integers(-20, 20), st.integers(-20, 20).map(float),
                    st.sampled_from([0.0, -0.0]), st.floats(allow_nan=False, allow_infinity=False))
 
 
+WRITTEN_BOUNDS = st.one_of(
+    st.sampled_from([math.nan, math.inf, -math.inf, 0, 0.0, -0.0]),
+    st.integers(-3, 3), st.integers(-12, 12).map(lambda n: n / 4))
+
+
 @st.composite
 def range_cases(draw):
     """(lo, hi, lo_open, hi_open, integer_valued, value), the value often on
@@ -497,6 +505,45 @@ class TestOneRangePredicate:
     ])
     def test_edges(self, value, integer, admitted):
         assert sm.in_range(value, -0.0, 2.0**61, False, False, integer) is admitted
+
+
+class TestOneRangeWriter:
+    """schema_model.range_text writes every range a message names: a
+    bracket at a closed end and a parenthesis at an open one."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(lo=WRITTEN_BOUNDS, hi=WRITTEN_BOUNDS, lo_open=st.booleans(), hi_open=st.booleans(),
+           integer=st.booleans(), log=st.booleans())
+    @example(lo=1, hi=1, lo_open=True, hi_open=False, integer=False, log=False)
+    @example(lo=1, hi=2, lo_open=True, hi_open=True, integer=True, log=False)
+    @example(lo=0, hi=1, lo_open=False, hi_open=True, integer=False, log=False)
+    def test_refusal_and_violation_write_the_same_range(self, lo, hi, lo_open, hi_open,
+                                                        integer, log):
+        text = sm.range_text(lo, hi, lo_open, hi_open)
+        doc = {"type": "integer" if integer else "number", "minimum": lo, "maximum": hi,
+               "exclusiveMinimum": lo_open, "exclusiveMaximum": hi_open,
+               "distribution": "loguniform" if log else "uniform"}
+        try:
+            schema = sm.parse_schema({"type": "object", "properties": {"x": doc}})
+        except sm.InvalidSchema as exc:
+            reason = sm.range_problem(lo, hi, lo_open, hi_open, integer, log)
+            assert str(exc) == f"{reason} at $.x" and text in reason
+        else:
+            # Past the upper bound, and integral, so only the range refuses it.
+            value = math.floor(hi) + 1
+            [violation] = sm.validate({"x": value}, schema).violations
+            assert violation.constraint == f"value {value!r} outside {text}"
+            if lo_open:
+                with pytest.raises(sm.InvalidSchema) as refused:
+                    sm.parse_schema({**doc, "default": lo})
+                assert str(refused.value) == f"default {lo!r} lies outside {text} at $"
+        # A PCS range is closed, and its reader's reasons write it so.
+        line = f"x [{lo!r}, {hi!r}] [{lo!r}]{'i' if integer else ''}{'l' if log else ''}"
+        reason = sm.range_problem(lo, hi, False, False, integer, log)
+        if reason is not None:
+            with pytest.raises(ValueError) as refused:
+                read_pcs(line + "\n")
+            assert str(refused.value) == f"line 1: {reason}" and f"[{lo}, {hi}]" in reason
 
 
 # Values that are equal in Python but not in type or bits, NaNs of both

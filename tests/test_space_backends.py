@@ -39,7 +39,7 @@ from lalec.space_backends import (
 )
 from lalec.space_normalizer import DEFAULT_BLOWUP_LIMIT, BlowupExceeded
 
-from conftest import probe_lattice
+from conftest import hier_member, probe_lattice
 from oracles import (
     default_point,
     exact_form,
@@ -93,37 +93,6 @@ def flat_member(rows, point):
         if all(leaf_admits(row[k], v) for k, v in point.items()):
             return True
     return False
-
-
-def hier_member(doc, point):
-    kind = doc["kind"]
-    if kind == "steps":
-        return all(hier_member(child, point) for child in doc["steps"].values())
-    if kind == "choice":
-        branch = point.get(doc["discriminant"])
-        if branch not in doc["branches"]:
-            return False
-        return hier_member(doc["branches"][branch], point)
-    for disjunct in doc["disjuncts"]:
-        if all(_doc_admits(domain, point.get(name)) for name, domain in disjunct.items()):
-            return True
-    return False
-
-
-def _doc_admits(domain, value):
-    if domain["kind"] == "categorical":
-        return any(sm.scalar_eq(value, v) for v in domain["values"])
-    if domain["kind"] == "continuous":
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            return False
-        if domain["integer"] and float(value) != int(value):
-            return False
-        if value < domain["lo"] or (domain["loOpen"] and value == domain["lo"]):
-            return False
-        if value > domain["hi"] or (domain["hiOpen"] and value == domain["hi"]):
-            return False
-        return True
-    return True
 
 
 class TestCombine:
@@ -866,6 +835,18 @@ class TestOneDrawBody:
         for _ in range(count):
             assert bits(sb._draw(new, plan)) == bits(reference_draw_cont(old, *domain))
         assert new.getstate() == old.getstate()
+
+    @pytest.mark.parametrize("lo,hi,lo_open,hi_open,text", [
+        (1.2, 1.8, False, False, "[1.2, 1.8]"), (1, 2, True, True, "(1, 2)")])
+    def test_document_integer_range_without_an_integer_is_refused(self, lo, hi, lo_open,
+                                                                   hi_open, text):
+        # Only a document from outside the compiler holds such a range.
+        doc = {"kind": "disjuncts", "disjuncts": [{"x": {
+            "kind": "continuous", "lo": lo, "hi": hi, "loOpen": lo_open, "hiOpen": hi_open,
+            "integer": True, "distribution": "uniform"}}]}
+        with pytest.raises(CompileError) as refused:
+            sample_space(doc, random.Random(0))
+        assert str(refused.value) == f"integer range {text} contains no integers"
 
     @settings(max_examples=150, deadline=None)
     @given(op=range_operators(), seed=st.integers(0, 2**32), count=st.integers(1, 6))

@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import functools
 import json
@@ -24,7 +25,11 @@ from lalec.toyml import (
 )
 
 from conftest import tree_shape
-from oracles import reference_cross_val_score, reference_fit_pruned_tree
+from oracles import (
+    _reference_prune_reduced_error,
+    reference_cross_val_score,
+    reference_fit_pruned_tree,
+)
 
 
 class TestDatasets:
@@ -450,6 +455,24 @@ class TestReferenceOracles:
         got = toyml._grow_tree(X, y, n_classes, 0, max_depth)
         want = reference_grow_tree(X, y, n_classes, 0, max_depth)
         assert tree_shape(got) == tree_shape(want)
+
+    @given(tree_data(), st.integers(1, 8), st.integers(0, 6), st.integers(0, 2**32 - 1))
+    @settings(max_examples=200, deadline=None)
+    def test_prune_reduced_error_matches_in_place_reference(self, data, max_depth, held, seed):
+        # Held-out rows drawn from the data and beside it, often too few to
+        # reach every subtree, so that some subtrees see no rows at all.
+        X, y, n_classes = data
+        tree = toyml._grow_tree(X, y, n_classes, 0, max_depth)
+        grown = tree_shape(tree)
+        rng = np.random.default_rng(seed)
+        rows = rng.integers(0, len(y), held)
+        hold_X = np.vstack([X[rows], rng.standard_normal((held // 2, X.shape[1]))])
+        hold_y = np.concatenate([y[rows], rng.integers(0, n_classes, held // 2)])
+        got, errors = toyml._prune_reduced_error(tree, hold_X, hold_y)
+        want = _reference_prune_reduced_error(copy.deepcopy(tree), hold_X, hold_y)
+        assert tree_shape(got) == tree_shape(want)
+        assert errors == int((toyml._tree_predict(want, hold_X) != hold_y).sum())
+        assert tree_shape(tree) == grown  # kept nodes are new
 
     def test_midpoint_rounding_onto_upper_value_keeps_mask_semantics(self):
         # Neighbouring floats a < b whose midpoint rounds onto b: the cut
