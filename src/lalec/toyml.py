@@ -237,7 +237,8 @@ def _apply_knn(artifacts, X):
 def _fit_logreg(jobs):
     """One list of artifacts per ``(config, problems, key)`` job, one
     artifact per problem, with every descent of every job in one lockstep
-    per solver and penalty (``_logreg_descent``).
+    per solver and penalty (``_logreg_descent``), which steps the problems
+    of one input shape together, on stacked copies of their inputs.
 
     Jobs whose configurations differ at most in ``iterations``, whose
     problems' inputs have one content ``key`` and whose problems share
@@ -253,8 +254,8 @@ def _fit_logreg(jobs):
     # Per problem, the features with a bias column and one 0/1 target row
     # per one-vs-rest class (only class 1 for two classes). Jobs of one
     # window mostly share their inputs and labels, so each array gets one
-    # biased copy (hstack gives equal values in the same layout) or one set
-    # of target rows.
+    # biased copy or one set of target rows. hstack keeps the input's memory
+    # order, and so do the lockstep's stacks, on which the bits depend.
     biases: dict = {}
     labels: dict = {}
     for config, problems, key in jobs:
@@ -322,9 +323,10 @@ def _sgd_rows(n: int, count: int) -> np.ndarray:
     return rows[:count]
 
 
-# The floats (and row indices) one block of gathered sgd rows may hold, over
-# all the descents of one lockstep; one step's batches are gathered even if
-# they alone hold more.
+# The floats one stack of copied LogRegGD inputs may hold, and those (row
+# indices included) one block of a stack's gathered sgd rows may hold. A
+# segment whose input alone holds more runs on that input uncopied, and one
+# step's rows are gathered even if they alone hold more.
 ROW_BLOCK_FLOATS = 1 << 14
 
 
@@ -341,136 +343,127 @@ def _logreg_descent(descents, penalty, solver):
     descent, since fewer rows are a prefix of more (see ``_sgd_rows``).
     """
     # Seeded search histories depend on these weights bit for bit, so every
-    # step of every descent computes
+    # step of every segment (one target row of one problem of one descent)
+    # computes
     #   z = clip(Xs @ w, -30, 30); p = 1 / (1 + exp(-z))
     #   grad = Xs.T @ (p - ts) / batch + lam * (sign(w) or w)
     #   w = clip(w - lr * grad, -1e6, 1e6)
     # with the same float operations in the same order: rounding depends on
     # the order, and a reassociated or fused form (say, folding lr into the
-    # gradient, or one gemm for all targets) would change the last bits. The
-    # bits also depend on the memory layout of each Xb: gemv sums in another
-    # order over a Fortran-ordered matrix than over a C-ordered copy of it,
-    # so Xb is used as given, never copied or concatenated. A step is at
-    # most 200x7, so the cost is the calls, not the arithmetic.
-    # So each descent keeps its own two gemv calls, each writing into its
-    # segment of a flat buffer (out passed by position, which parses faster
-    # than out=), and every elementwise op runs once over all descents: z
-    # holds every descent's rows, w, grad and lr one segment per descent,
-    # and size each segment's batch. lr * grad has the bits of the scalar
-    # product in each element. Constants are 0-d arrays, and
-    # minimum(maximum(...)) has np.clip's bits, NaN included.
+    # gradient, or one gemm for all targets) would change the last bits.
+    # A step is at most 200x7, so the cost is the calls, not the arithmetic.
     #
-    # Descents are aligned at their first step and laid out longest first,
-    # so the ones still running at any step are a prefix of every buffer and
-    # each op runs on a prefix view; a phase is a run of steps with no
-    # descent ending or recording in it.
+    # So segments whose inputs have one shape (and, for gd, one memory
+    # order) step together in a stack: a copy of each segment's input, one
+    # item per segment, at most ROW_BLOCK_FLOATS floats. A step makes one
+    # np.matmul per stack for Xs @ w and one for Xs.T @ (p - ts), written as
+    # the row (p - ts) @ Xs, and each elementwise op once over the stack.
+    # numpy's matmul calls cblas_dgemv once per item, with the order, trans,
+    # m, n and lda that Xs.dot(w) and Xs.T.dot(z) end up with (a row times
+    # a matrix is passed as the matrix's transpose times a vector), so each
+    # item gets the bits its own .dot calls give. (A 1x1 item aside: there
+    # .dot multiplies as scalars, and a zero product may differ in sign,
+    # which no weight shows: w is never -0, and exp(-0) is exp(0).) The bits
+    # depend on the memory order: gemv sums in another order over a
+    # Fortran-ordered matrix than over a C-ordered copy of it. So a copy
+    # keeps its input's order (a Fortran-ordered input is stacked as the
+    # transpose of a C stack). sgd multiplies by its gathered rows, which
+    # take gives C-ordered whatever the input's order, so its stacks only
+    # need one shape. A stack of one segment runs on that segment's input
+    # uncopied. lr * grad has the bits of the scalar product in each
+    # element; constants are 0-d arrays, and minimum(maximum(...)) has
+    # np.clip's bits, NaN included.
+    #
+    # A stack's segments are laid out longest first, so the ones still
+    # running at any step are a prefix of it and each op runs on a prefix
+    # view; a phase is a run of steps with no segment ending or recording
+    # in it. Stacks share no op, so each runs all its steps before the next
+    # is built, and only one stack and its gathered rows are held at once.
     #
     # Finiteness is left to the caller: the clip maps +-inf to +-1e6, and a
     # NaN weight stays NaN (w - lr * grad and the clip keep it), so a
-    # descent that ever held a NaN ends with one, as if it had stopped at
-    # that step. No op mixes segments, so a NaN in one descent leaves the
-    # others alone.
+    # segment that ever held a NaN ends with one, as if it had stopped at
+    # that step. No op mixes segments, so a NaN in one leaves the others
+    # alone.
     sgd, l1 = solver == "sgd", penalty == "l1"
     lam = np.array(1e-2)
     one, z_lo, z_hi = np.array(1.0), np.array(-30.0), np.array(30.0)
     w_lo, w_hi = np.array(-1e6), np.array(1e6)
-    rows: dict = {}  # sgd rows by row count: the layout puts the longest descent first
-    order = sorted(range(len(descents)), reverse=True, key=lambda j: descents[j][2][-1])
-    # problems: per problem (Xb, sgd's rows of each aligned step or None,
-    # batch, d); segments: per descent target (problem index, w, z and t
-    # offsets); ends: per descent in layout order (w, z, segment) ends.
-    problems, segments, ends, t_parts, spans = [], [], [], [], {}
-    w_at = z_at = t_at = 0
-    for j in order:
-        problem_list, _, counts = descents[j]
-        w0 = w_at
-        for Xb, T in problem_list:
+    rows: dict = {}  # sgd rows by row count: the longest descent comes first
+    # Segments by stack key, longest first, as (Xb, target, descent, slot);
+    # parts: per descent, its segments' (stack snapshots by count, item).
+    groups: dict = {}
+    parts = [[] for _ in descents]
+    for j in sorted(range(len(descents)), reverse=True, key=lambda j: descents[j][2][-1]):
+        problems, _, counts = descents[j]
+        for Xb, T in problems:
             n, d = Xb.shape
-            batch = max(1, n // 4) if sgd else n
             if sgd and n not in rows:
-                rows[n] = _sgd_rows(n, counts[-1] * batch)
-            steps = rows[n][:counts[-1] * batch].reshape(counts[-1], batch) if sgd else None
-            problems.append((Xb, steps, batch, d))
-            for target in T:
-                segments.append((len(problems) - 1, w_at, z_at, t_at))
-                t_parts.append(target)
-                w_at, z_at, t_at = w_at + d, z_at + batch, t_at + len(target)
-        spans[j] = (w0, w_at)
-        ends.append((w_at, z_at, len(segments)))
-    w, grad = np.zeros(w_at), np.empty(w_at)
-    z = np.empty(z_at)
-    lrs, size = np.empty(w_at), np.empty(w_at)
-    for j in order:
-        w0, w1 = spans[j]
-        lrs[w0:w1] = descents[j][1]
-    views = []
-    for g, w0, z0, _ in segments:
-        _, _, batch, d = problems[g]
-        size[w0:w0 + d] = batch
-        views.append((g, w[w0:w0 + d], grad[w0:w0 + d], z[z0:z0 + batch]))
-    t_all = np.concatenate(t_parts) if t_parts else np.empty(0)
-    if not sgd:
-        Xs = [Xb for Xb, *_ in problems]
-        XsT = [Xb.T for Xb in Xs]
-
-    remaining = [counts[-1] for _, _, counts in descents]
-    records: dict = {}  # step -> the descents that record their weights after it
-    for j, (_, _, counts) in enumerate(descents):
-        for c in counts:
-            records.setdefault(c, []).append(j)
-    recorded = [{} for _ in descents]
-    active, step = len(order), 0
-    for stop in sorted(records):
-        while active and remaining[order[active - 1]] <= step:
-            active -= 1
-        if stop > step and active:
-            W, Z, n_seg = ends[active - 1]
-            wv, gv, zv, lv, sv = w[:W], grad[:W], z[:Z], lrs[:W], size[:W]
-            segs = views[:n_seg]
-            if sgd:
-                live = {g: problems[g] for g, *_ in segs}
-                # Per step: each problem's batch of rows, and per target its
-                # row indices, their offsets and its targets.
-                floats = sum(batch * d for _, _, batch, d in live.values()) + 3 * Z
-                block = max(1, ROW_BLOCK_FLOATS // floats)
+                rows[n] = _sgd_rows(n, counts[-1] * max(1, n // 4))
+            fortran = not sgd and Xb.flags.f_contiguous and not Xb.flags.c_contiguous
+            for t in T:
+                groups.setdefault((n, d, fortran), []).append((Xb, t, j, len(parts[j])))
+                parts[j].append(None)
+    for (n, d, fortran), group in groups.items():
+        per = max(1, ROW_BLOCK_FLOATS // (n * d))
+        for stack in (group[i:i + per] for i in range(0, len(group), per)):
+            if len(stack) == 1:
+                source = stack[0][0][None]
+            elif fortran:
+                source = np.stack([Xb.T for Xb, *_ in stack]).transpose(0, 2, 1)
             else:
-                block = stop - step
-                ts = t_all[:Z]
-            for b0 in range(step, stop, block):
-                b1 = min(b0 + block, stop)
-                if sgd:
-                    # One gather per problem for the block's steps, and one
-                    # for their targets; a step's batch is a view of it.
-                    taken = {g: (Xb.take(steps[b0:b1].ravel(), axis=0), batch)
-                             for g, (Xb, steps, batch, _) in live.items()}
-                    t_block = t_all.take(np.concatenate(
-                        [problems[g][1][b0:b1] + t0 for g, _, _, t0 in segments[:n_seg]], axis=1))
-                for k in range(b1 - b0):
+                source = np.stack([Xb for Xb, *_ in stack])
+            targets = np.stack([t for _, t, _, _ in stack])
+            batch = max(1, n // 4) if sgd else n
+            w, grad = np.zeros((len(stack), d)), np.empty((len(stack), d))
+            z = np.empty((len(stack), batch))
+            lrs = np.array([[descents[j][1]] * d for _, _, j, _ in stack])
+            size = np.array(float(batch))
+            lengths = [descents[j][2][-1] for _, _, j, _ in stack]
+            snapshots, step, active = {}, 0, len(stack)
+            for stop in sorted({c for _, _, j, _ in stack for c in descents[j][2]}):
+                while active and lengths[active - 1] <= step:
+                    active -= 1
+                if stop > step and active:
+                    wv, gv, zv, lv = w[:active], grad[:active], z[:active], lrs[:active]
+                    W, G, Z, Zrow = wv[:, :, None], gv[:, None, :], zv[:, :, None], zv[:, None, :]
                     if sgd:
-                        Xs = {g: X[k * batch:(k + 1) * batch] for g, (X, batch) in taken.items()}
-                        XsT = {g: X.T for g, X in Xs.items()}
-                        ts = t_block[k]
-                    for g, w_k, _, z_k in segs:
-                        Xs[g].dot(w_k, z_k)
-                    np.maximum(zv, z_lo, out=zv)
-                    np.minimum(zv, z_hi, out=zv)
-                    np.negative(zv, out=zv)
-                    np.exp(zv, out=zv)
-                    np.add(one, zv, out=zv)
-                    np.divide(one, zv, out=zv)
-                    np.subtract(zv, ts, out=zv)
-                    for g, _, grad_k, z_k in segs:
-                        XsT[g].dot(z_k, grad_k)
-                    gv /= sv
-                    gv += lam * (np.sign(wv) if l1 else wv)
-                    wv -= lv * gv
-                    np.maximum(wv, w_lo, out=wv)
-                    np.minimum(wv, w_hi, out=wv)
-        step = stop
-        for j in records[stop]:
-            w0, w1 = spans[j]
-            recorded[j][stop] = w[w0:w1].copy()
-    return [[recorded[j][c] for c in counts] for j, (_, _, counts) in enumerate(descents)]
+                        # Per step: each segment's batch of rows and targets,
+                        # and the batch's row indices.
+                        block = max(1, ROW_BLOCK_FLOATS // (batch * (active * (d + 1) + 1)))
+                    else:
+                        block = stop - step
+                    for b0 in range(step, stop, block):
+                        b1 = min(b0 + block, stop)
+                        if sgd:
+                            # One gather per stack for the block's steps, and
+                            # one for their targets; a step's batch is a view.
+                            picked = rows[n][b0 * batch:b1 * batch].reshape(b1 - b0, batch)
+                            Xs = np.take(source[:active], picked, axis=1).swapaxes(0, 1)
+                            ts = np.take(targets[:active], picked, axis=1).swapaxes(0, 1)
+                        else:
+                            Xs, ts = [source[:active]] * (b1 - b0), [targets[:active]] * (b1 - b0)
+                        for X, t in zip(Xs, ts):
+                            np.matmul(X, W, out=Z)
+                            np.maximum(zv, z_lo, out=zv)
+                            np.minimum(zv, z_hi, out=zv)
+                            np.negative(zv, out=zv)
+                            np.exp(zv, out=zv)
+                            np.add(one, zv, out=zv)
+                            np.divide(one, zv, out=zv)
+                            np.subtract(zv, t, out=zv)
+                            np.matmul(Zrow, X, out=G)
+                            gv /= size
+                            gv += lam * (np.sign(wv) if l1 else wv)
+                            wv -= lv * gv
+                            np.maximum(wv, w_lo, out=wv)
+                            np.minimum(wv, w_hi, out=wv)
+                step = stop
+                snapshots[stop] = w.copy()
+            for i, (_, _, j, slot) in enumerate(stack):
+                parts[j][slot] = snapshots, i
+    return [[np.concatenate([snapshots[c][i] for snapshots, i in parts[j]] or [np.zeros(0)])
+             for c in counts] for j, (_, _, counts) in enumerate(descents)]
 
 
 def _apply_logreg(artifacts, X):

@@ -51,6 +51,9 @@ there are none.
 `reference_tokenize` is the pipeline language's hand scanner; tests check
 that the one token pattern gives equal tokens and equal errors, apart from
 the end of a text that ends inside a comment.
+`reference_lockstep_descent` is LogRegGD's lockstep as it made two `.dot`
+calls per segment on each input as given; tests check that the stacked
+lockstep gives the same weights, bit for bit.
 """
 
 import functools
@@ -399,6 +402,155 @@ def _reference_prune_reduced_error(node, X, y):
     if leaf_errors <= subtree_errors:
         return {"counts": node["counts"], "label": node["label"]}
     return node
+
+
+# ---------------------------------------------------------------------------
+# LogRegGD descents
+
+
+def reference_lockstep_descent(descents, penalty, solver):
+    """Logistic-regression descents in lockstep: for each ``(problems, lr,
+    counts)`` descent, its flat raw weights after each step count in
+    ``counts`` (ascending).
+
+    A descent fits one row of weights per target row of every ``(Xb, T)``
+    problem, with its own learning rate; all descents share the penalty
+    and the solver. Every descent's weights are those it would reach alone:
+    a step depends only on the weights, the data, lr and penalty, and the
+    sgd rows of a problem of n rows are taken once, for the longest
+    descent, since fewer rows are a prefix of more (see ``toyml._sgd_rows``).
+    """
+    # Seeded search histories depend on these weights bit for bit, so every
+    # step of every descent computes
+    #   z = clip(Xs @ w, -30, 30); p = 1 / (1 + exp(-z))
+    #   grad = Xs.T @ (p - ts) / batch + lam * (sign(w) or w)
+    #   w = clip(w - lr * grad, -1e6, 1e6)
+    # with the same float operations in the same order: rounding depends on
+    # the order, and a reassociated or fused form (say, folding lr into the
+    # gradient, or one gemm for all targets) would change the last bits. The
+    # bits also depend on the memory layout of each Xb: gemv sums in another
+    # order over a Fortran-ordered matrix than over a C-ordered copy of it,
+    # so Xb is used as given, never copied or concatenated. A step is at
+    # most 200x7, so the cost is the calls, not the arithmetic.
+    # So each descent keeps its own two gemv calls, each writing into its
+    # segment of a flat buffer (out passed by position, which parses faster
+    # than out=), and every elementwise op runs once over all descents: z
+    # holds every descent's rows, w, grad and lr one segment per descent,
+    # and size each segment's batch. lr * grad has the bits of the scalar
+    # product in each element. Constants are 0-d arrays, and
+    # minimum(maximum(...)) has np.clip's bits, NaN included.
+    #
+    # Descents are aligned at their first step and laid out longest first,
+    # so the ones still running at any step are a prefix of every buffer and
+    # each op runs on a prefix view; a phase is a run of steps with no
+    # descent ending or recording in it.
+    #
+    # Finiteness is left to the caller: the clip maps +-inf to +-1e6, and a
+    # NaN weight stays NaN (w - lr * grad and the clip keep it), so a
+    # descent that ever held a NaN ends with one, as if it had stopped at
+    # that step. No op mixes segments, so a NaN in one descent leaves the
+    # others alone.
+    sgd, l1 = solver == "sgd", penalty == "l1"
+    lam = np.array(1e-2)
+    one, z_lo, z_hi = np.array(1.0), np.array(-30.0), np.array(30.0)
+    w_lo, w_hi = np.array(-1e6), np.array(1e6)
+    rows: dict = {}  # sgd rows by row count: the layout puts the longest descent first
+    order = sorted(range(len(descents)), reverse=True, key=lambda j: descents[j][2][-1])
+    # problems: per problem (Xb, sgd's rows of each aligned step or None,
+    # batch, d); segments: per descent target (problem index, w, z and t
+    # offsets); ends: per descent in layout order (w, z, segment) ends.
+    problems, segments, ends, t_parts, spans = [], [], [], [], {}
+    w_at = z_at = t_at = 0
+    for j in order:
+        problem_list, _, counts = descents[j]
+        w0 = w_at
+        for Xb, T in problem_list:
+            n, d = Xb.shape
+            batch = max(1, n // 4) if sgd else n
+            if sgd and n not in rows:
+                rows[n] = toyml._sgd_rows(n, counts[-1] * batch)
+            steps = rows[n][:counts[-1] * batch].reshape(counts[-1], batch) if sgd else None
+            problems.append((Xb, steps, batch, d))
+            for target in T:
+                segments.append((len(problems) - 1, w_at, z_at, t_at))
+                t_parts.append(target)
+                w_at, z_at, t_at = w_at + d, z_at + batch, t_at + len(target)
+        spans[j] = (w0, w_at)
+        ends.append((w_at, z_at, len(segments)))
+    w, grad = np.zeros(w_at), np.empty(w_at)
+    z = np.empty(z_at)
+    lrs, size = np.empty(w_at), np.empty(w_at)
+    for j in order:
+        w0, w1 = spans[j]
+        lrs[w0:w1] = descents[j][1]
+    views = []
+    for g, w0, z0, _ in segments:
+        _, _, batch, d = problems[g]
+        size[w0:w0 + d] = batch
+        views.append((g, w[w0:w0 + d], grad[w0:w0 + d], z[z0:z0 + batch]))
+    t_all = np.concatenate(t_parts) if t_parts else np.empty(0)
+    if not sgd:
+        Xs = [Xb for Xb, *_ in problems]
+        XsT = [Xb.T for Xb in Xs]
+
+    remaining = [counts[-1] for _, _, counts in descents]
+    records: dict = {}  # step -> the descents that record their weights after it
+    for j, (_, _, counts) in enumerate(descents):
+        for c in counts:
+            records.setdefault(c, []).append(j)
+    recorded = [{} for _ in descents]
+    active, step = len(order), 0
+    for stop in sorted(records):
+        while active and remaining[order[active - 1]] <= step:
+            active -= 1
+        if stop > step and active:
+            W, Z, n_seg = ends[active - 1]
+            wv, gv, zv, lv, sv = w[:W], grad[:W], z[:Z], lrs[:W], size[:W]
+            segs = views[:n_seg]
+            if sgd:
+                live = {g: problems[g] for g, *_ in segs}
+                # Per step: each problem's batch of rows, and per target its
+                # row indices, their offsets and its targets.
+                floats = sum(batch * d for _, _, batch, d in live.values()) + 3 * Z
+                block = max(1, toyml.ROW_BLOCK_FLOATS // floats)
+            else:
+                block = stop - step
+                ts = t_all[:Z]
+            for b0 in range(step, stop, block):
+                b1 = min(b0 + block, stop)
+                if sgd:
+                    # One gather per problem for the block's steps, and one
+                    # for their targets; a step's batch is a view of it.
+                    taken = {g: (Xb.take(steps[b0:b1].ravel(), axis=0), batch)
+                             for g, (Xb, steps, batch, _) in live.items()}
+                    t_block = t_all.take(np.concatenate(
+                        [problems[g][1][b0:b1] + t0 for g, _, _, t0 in segments[:n_seg]], axis=1))
+                for k in range(b1 - b0):
+                    if sgd:
+                        Xs = {g: X[k * batch:(k + 1) * batch] for g, (X, batch) in taken.items()}
+                        XsT = {g: X.T for g, X in Xs.items()}
+                        ts = t_block[k]
+                    for g, w_k, _, z_k in segs:
+                        Xs[g].dot(w_k, z_k)
+                    np.maximum(zv, z_lo, out=zv)
+                    np.minimum(zv, z_hi, out=zv)
+                    np.negative(zv, out=zv)
+                    np.exp(zv, out=zv)
+                    np.add(one, zv, out=zv)
+                    np.divide(one, zv, out=zv)
+                    np.subtract(zv, ts, out=zv)
+                    for g, _, grad_k, z_k in segs:
+                        XsT[g].dot(z_k, grad_k)
+                    gv /= sv
+                    gv += lam * (np.sign(wv) if l1 else wv)
+                    wv -= lv * gv
+                    np.maximum(wv, w_lo, out=wv)
+                    np.minimum(wv, w_hi, out=wv)
+        step = stop
+        for j in records[stop]:
+            w0, w1 = spans[j]
+            recorded[j][stop] = w[w0:w1].copy()
+    return [[recorded[j][c] for c in counts] for j, (_, _, counts) in enumerate(descents)]
 
 
 # ---------------------------------------------------------------------------

@@ -29,6 +29,7 @@ from oracles import (
     _reference_prune_reduced_error,
     reference_cross_val_score,
     reference_fit_pruned_tree,
+    reference_lockstep_descent,
 )
 
 
@@ -713,26 +714,119 @@ class TestLockstepJobs:
 
     def test_row_blocks_are_bounded_before_they_are_gathered(self, monkeypatch):
         # A block holds the rows of as many steps as fit in ROW_BLOCK_FLOATS;
-        # one step's rows are gathered even when they alone hold more.
+        # one step's rows are gathered even when they alone hold more. The
+        # gather is one np.take on the row axis of the problem's stack.
         rng = np.random.default_rng(3)
         problems = [(rng.standard_normal((40, 3)), (rng.random((1, 40)) < 0.5).astype(float))]
         want = descend(problems, 0.2, 25, "l2", "sgd")
         gathered = []
-        take = np.ndarray.take
+        take = np.take
 
-        class Xb(np.ndarray):
-            def take(self, rows, axis=None):
-                gathered.append(len(rows))
-                return take(np.asarray(self), rows, axis=axis)
+        def watched(a, indices, axis=None, **kwargs):
+            gathered.append((a.shape, axis, np.size(indices)))
+            return take(a, indices, axis=axis, **kwargs)
 
-        watched = [(problems[0][0].view(Xb), problems[0][1])]
+        monkeypatch.setattr(np, "take", watched)
         for limit, steps in ((1 << 14, 25), (130, 2), (1, 1)):
             monkeypatch.setattr(toyml, "ROW_BLOCK_FLOATS", limit)
             del gathered[:]
-            got = descend(watched, 0.2, 25, "l2", "sgd")
+            got = descend(problems, 0.2, 25, "l2", "sgd")
             assert [w.tobytes() for w in got] == [w.tobytes() for w in want]
-            # A batch of 10 rows of 3 floats, and 3 * 10 for its targets.
-            assert max(gathered) == 10 * steps
+            # A step's batch of 10 rows of 3 floats, their 10 targets and
+            # their 10 row indices.
+            rows = [size for shape, axis, size in gathered if shape == (1, 40, 3)]
+            assert {axis for _, axis, _ in gathered} == {1}
+            assert len(rows) == len(gathered) // 2
+            assert max(rows) == 10 * steps
+
+    @pytest.mark.parametrize("solver", ["gd", "sgd"])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_stacks_are_bounded_before_they_are_allocated(self, monkeypatch, solver, seed):
+        # Ten segments of 20x3 inputs (five descents, two targets each) go
+        # in stacks of at most 200 floats, three items each; the 60x4 input
+        # alone holds more and runs uncopied.
+        rng = np.random.default_rng(seed)
+        small = rng.standard_normal((20, 3))
+        big = np.asfortranarray(rng.standard_normal((60, 4)))
+        problems = [(small, (rng.random((2, 20)) < 0.5).astype(float)),
+                    (big, (rng.random((1, 60)) < 0.5).astype(float))]
+        descents = [(problems, lr, [count]) for lr, count in
+                    zip((0.05, 0.1, 0.5, 1.0, 3.0), rng.integers(0, 30, 5))]
+        monkeypatch.setattr(toyml, "ROW_BLOCK_FLOATS", 200)
+        want = reference_lockstep_descent(descents, "l2", solver)
+        stacked, operands = [], []
+        stack, matmul, take = np.stack, np.matmul, np.take
+
+        def watched_stack(arrays, *args, **kwargs):
+            out = stack(arrays, *args, **kwargs)
+            stacked.append(out.size)
+            return out
+
+        def watched_matmul(a, b, **kwargs):
+            # The stack is the left operand of X @ W and the right one of the
+            # row (p - t) @ X.
+            operands.append(b if a.shape[1] == 1 else a)
+            return matmul(a, b, **kwargs)
+
+        def watched_take(a, indices, **kwargs):
+            operands.append(a)
+            return take(a, indices, **kwargs)
+
+        monkeypatch.setattr(np, "stack", watched_stack)
+        monkeypatch.setattr(np, "matmul", watched_matmul)
+        monkeypatch.setattr(np, "take", watched_take)
+        got = toyml._logreg_descent(descents, "l2", solver)
+        assert [[raw.tobytes() for raw in raws] for raws in got] == [
+            [raw.tobytes() for raw in raws] for raws in want]
+        assert stacked and max(stacked) <= 200
+        big_operands = [op for op in operands if op.shape[1:] == big.shape]
+        assert all(np.shares_memory(op, big) for op in big_operands)
+        assert bool(big_operands) == any(count > 0 for _, _, [count] in descents)
+
+
+@st.composite
+def stacked_descents(draw):
+    """One lockstep's descents over 2-4 inputs of at least two shapes, the
+    first C- and the second Fortran-ordered, n down to 1, with a bias
+    column last. Every descent fits the first input and some of the
+    others, 1-4 target rows each, so segments far outnumber inputs; counts
+    run from 0 to 40, and the first descent records after 0 steps."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    inputs = []
+    for k in range(draw(st.integers(2, 4))):
+        n, d = draw(st.integers(1, 30)), draw(st.integers(0, 3))
+        if k == 1 and (n, d + 1) == inputs[0].shape:
+            n += 1
+        Xb = np.hstack([rng.standard_normal((n, d)) * draw(st.sampled_from([1.0, 1e3])),
+                        np.ones((n, 1))])
+        inputs.append(np.asfortranarray(Xb) if k == 1 or (k > 1 and draw(st.booleans()))
+                      else Xb)
+    descents = []
+    for k in range(draw(st.integers(3, 8))):
+        chosen = [0] + draw(st.lists(st.integers(1, len(inputs) - 1), max_size=2))
+        problems = [(inputs[i], (rng.random((draw(st.integers(1, 4)), len(inputs[i])))
+                                 < 0.5).astype(float)) for i in chosen]
+        counts = draw(st.lists(st.integers(0, 40), min_size=1, max_size=3, unique=True))
+        descents.append((problems, draw(st.sampled_from([0.05, 0.5, 3.0])),
+                         sorted(set(counts) | ({0} if k == 0 else set()))))
+    return descents
+
+
+class TestStackedLockstep:
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @given(stacked_descents(), st.sampled_from(["gd", "sgd"]), st.sampled_from(["l1", "l2"]))
+    @settings(max_examples=60, deadline=None)
+    def test_stacked_lockstep_matches_the_references(self, descents, solver, penalty):
+        got = toyml._logreg_descent(descents, penalty, solver)
+        want = reference_lockstep_descent(descents, penalty, solver)
+        assert [[raw.tobytes() for raw in raws] for raws in got] == [
+            [raw.tobytes() for raw in raws] for raws in want]
+        for (problems, lr, counts), raws in zip(descents, got):
+            for count, raw in zip(counts, raws):
+                for (Xb, T), W in zip(problems, weight_rows(problems, raw)):
+                    for t, w in zip(T, W):
+                        ref = reference_logreg_descent(Xb, t, lr, count, penalty, solver)
+                        assert w.tobytes() == ref.tobytes()
 
 
 def _integer_values(draw, rng, shape):
