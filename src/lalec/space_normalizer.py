@@ -4,12 +4,14 @@ Normal form is a disjunction of flat records, each mapping every
 hyperparameter to a domain written in the schema's own leaf nodes: an
 EnumNode, a RangeNode or an OperatorSlotNode, without its description, so
 two domains are equal exactly when their values or bounds, default and
-prior are. The rewrite is a bottom-up pass: ``anyOf`` hoists disjunctions
-to the top, ``allOf`` distributes over them by pairwise intersection, and
-``not`` turns into the relative complement against the declared base
-domains. Empty intersections are dropped; overlapping disjuncts are kept
-as-is. Every list the pass builds goes through capped_list, so none grows
-past the blowup cap.
+prior are. The base records are the product of the declared domains'
+alternatives. Each constraint is rewritten bottom-up into records naming
+only the hyperparameters it mentions (``anyOf`` hoists disjunctions to the
+top, ``allOf`` distributes over them by pairwise intersection, ``not`` is
+the complement against the declared domains); conjoined with the base, it
+takes every other name from the base records. Empty intersections are
+dropped, overlapping disjuncts kept, and every list goes through
+capped_list, so none grows past the blowup cap.
 """
 
 from __future__ import annotations
@@ -97,7 +99,7 @@ def normalize(schema: SchemaNode, limit: int = DEFAULT_BLOWUP_LIMIT) -> NormalFo
     declared = declared_domains(schema)
     declared_alts = {name: _domain_alternatives(node, limit) for name, node in declared.items()}
     constraints = schema.children[1:] if isinstance(schema, AllOfNode) else ()
-    conjuncts = itertools.chain([_fill({}, declared_alts, limit)],
+    conjuncts = itertools.chain([_records(declared_alts, limit)],
                                 (_norm(child, declared_alts, limit) for child in constraints))
     disjuncts = _conjoin(conjuncts, _intersect_records, limit)
     if not disjuncts:
@@ -136,8 +138,15 @@ def _domain_alternatives(node: SchemaNode, limit: int) -> list[Domain]:
     raise NormalizeError(f"{type(node).__name__} is not a hyperparameter domain")
 
 
+def _records(alternatives: Mapping[str, list[Domain]], limit) -> list[dict[str, Domain]]:
+    """One record per combination of each name's alternatives."""
+    names = list(alternatives)
+    combos = itertools.product(*alternatives.values())
+    return capped_list((dict(zip(names, combo)) for combo in combos), limit)
+
+
 def _norm(node: SchemaNode, declared_alts, limit) -> list[dict[str, Domain]]:
-    """Bottom-up: return the node's disjuncts over a subset of the names."""
+    """Bottom-up: return the node's disjuncts over the names it mentions."""
     if isinstance(node, AnyOfNode):
         records = (record for child in node.children
                    for record in _norm(child, declared_alts, limit))
@@ -146,11 +155,12 @@ def _norm(node: SchemaNode, declared_alts, limit) -> list[dict[str, Domain]]:
         branches = (_norm(child, declared_alts, limit) for child in node.children)
         return _conjoin(branches, _intersect_records, limit)
     if isinstance(node, NotNode):
-        return capped_list(_complement(node.child, declared_alts, limit), limit)
+        return capped_list(_complement(node.child, declared_alts), limit)
     if isinstance(node, ObjectNode):
-        return capped_list(_norm_object(node, declared_alts, limit), limit)
+        return _records({name: _domain_alternatives(sub, limit)
+                         for name, sub in node.properties}, limit)
     if isinstance(node, AnyNode):
-        return _fill({}, declared_alts, limit)
+        return [{}]
     raise NormalizeError(f"cannot normalize {type(node).__name__} as a constraint")
 
 
@@ -168,29 +178,10 @@ def _conjoin(branches, intersect, limit) -> list:
     return [] if result is None else result
 
 
-def _norm_object(node: ObjectNode, declared_alts, limit):
-    """Yield the filled records of each combination of the properties' own
-    alternatives. The combinations are capped themselves: a declared domain
-    with no alternative fills each of them to nothing."""
-    names = [name for name, _ in node.properties]
-    per_prop = [_domain_alternatives(sub, limit) for _, sub in node.properties]
-    for combo in capped_list(itertools.product(*per_prop), limit):
-        yield from _fill(dict(zip(names, combo)), declared_alts, limit)
-
-
-def _fill(record: dict[str, Domain], declared_alts, limit):
-    """Complete a partial record with the declared domains of missing names."""
-    missing = [name for name in declared_alts if name not in record]
-    if not missing:
-        return [dict(record)]
-    combos = itertools.product(*(declared_alts[name] for name in missing))
-    return capped_list((record | dict(zip(missing, combo)) for combo in combos), limit)
-
-
-def _complement(child: ObjectNode, declared_alts, limit):
-    """Relative complement of an enum-object: one disjunct per property,
-    complementing that property against its declared values. Yields each
-    property's records before checking the next property."""
+def _complement(child: ObjectNode, declared_alts):
+    """Relative complement of an enum-object: one record per property,
+    naming that property alone, complemented against its declared values.
+    Yields each property's record before checking the next property."""
     for name, sub in child.properties:
         if not isinstance(sub, EnumNode):
             raise UnsupportedNegation(f"cannot complement non-enum property {name!r}")
@@ -201,22 +192,19 @@ def _complement(child: ObjectNode, declared_alts, limit):
             raise UnsupportedNegation(f"declared domain of {name!r} is not a single enum")
         remaining = tuple(v for v in alts[0].values if not enum_admits(sub.values, v))
         if remaining:
-            yield from _fill({name: EnumNode(remaining, alts[0].default)}, declared_alts, limit)
+            yield {name: EnumNode(remaining, alts[0].default)}
 
 
 def _intersect_records(a: dict[str, Domain], b: dict[str, Domain]):
-    merged = {}
+    """Every name of either record with its domain, intersected where both
+    hold it, or EMPTY when one intersection is empty."""
+    merged = a | b
     for name in a:
-        if name not in b:
-            merged[name] = a[name]
-            continue
-        domain = intersect_domain(a[name], b[name])
-        if domain is EMPTY:
-            return EMPTY
-        merged[name] = domain
-    for name in b:
-        if name not in a:
-            merged[name] = b[name]
+        if name in b:
+            domain = intersect_domain(a[name], b[name])
+            if domain is EMPTY:
+                return EMPTY
+            merged[name] = domain
     return merged
 
 

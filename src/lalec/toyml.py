@@ -67,7 +67,16 @@ class LabeledDataset:
 
     def subset(self, indices) -> "LabeledDataset":
         idx = np.asarray(indices, dtype=int)
-        return LabeledDataset(self.X[idx], self.y[idx], self.column_names)
+        return _derived(self.X[idx], self.y[idx], self.column_names)
+
+
+def _derived(X, y, column_names=None) -> LabeledDataset:
+    """A dataset of rows taken from checked data, built without the checks:
+    a training fold or a boosting sample may lack a class the data holds."""
+    ds = object.__new__(LabeledDataset)
+    for field, value in (("X", X), ("y", y), ("column_names", column_names)):
+        object.__setattr__(ds, field, value)
+    return ds
 
 
 def _matrix(X):
@@ -681,8 +690,9 @@ def _fit_boosted(config, X, y):
     base = og.configure(base, {})
     n_estimators = int(config.get("n_estimators", 10))
     n_classes = int(y.max()) + 1
+    classes = np.unique(y)
     rng = np.random.default_rng(911)
-    data = LabeledDataset(X, y)
+    data = _derived(X, y)
     weights = np.full(len(y), 1.0 / len(y))
     members = []
     for round_index in range(n_estimators):
@@ -690,8 +700,8 @@ def _fit_boosted(config, X, y):
             sample = data  # uniform weights: fit on the data as-is
         else:
             idx = rng.choice(len(y), size=len(y), replace=True, p=weights)
-            if len(np.unique(y[idx])) < n_classes:
-                idx = np.concatenate([idx, [int(np.argmax(y == c)) for c in range(n_classes)]])
+            if len(np.unique(y[idx])) < len(classes):
+                idx = np.concatenate([idx, [int(np.argmax(y == c)) for c in classes]])
             sample = data.subset(idx)
         trained = og.fit(base, sample)
         pred = og.predict(trained, X)
@@ -796,7 +806,7 @@ def synth_dataset(kind: str, n: int, seed: int) -> LabeledDataset:
 def load_csv(path, label_column: str) -> LabeledDataset:
     """Load a headered numeric CSV, mapping the label column to class ids."""
     try:
-        with open(path, newline="", encoding="utf-8") as handle:
+        with open(path, newline="", encoding="utf-8-sig") as handle:
             rows = list(csv.reader(handle))
     except OSError as exc:
         raise BadCsv(str(exc)) from exc

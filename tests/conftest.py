@@ -1,7 +1,11 @@
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from lalec import schema_model as sm
+from lalec import space_normalizer as norm
 from lalec import toyml
 
 
@@ -73,3 +77,68 @@ def _doc_admits(domain, value, point):
             return False
         return True
     return hier_member(domain["space"], point)  # an operator slot
+
+
+ENUM_POOL = ["a", "b", 1, 2, True]
+
+
+@st.composite
+def _ranges(draw, most):
+    """anyOf of integer ranges within [0, 8], which often overlap."""
+    bounds = []
+    for _ in range(draw(st.integers(1, most))):
+        lo = draw(st.integers(0, 7))
+        bounds.append((lo, draw(st.integers(lo, 8))))
+    return {"anyOf": [{"type": "integer", "minimum": lo, "maximum": hi} for lo, hi in bounds]}
+
+
+@st.composite
+def _constraint(draw, kinds):
+    """A negated enum, an object on one property (a name may be
+    undeclared), anyOf with an empty object, or the empty schema."""
+    kind = draw(st.sampled_from(["not", "object", "anyOf", "empty"]))
+    name = draw(st.sampled_from(sorted(kinds) + ["q"]))
+    if kind == "not":
+        values = draw(st.lists(st.sampled_from(ENUM_POOL), min_size=1, max_size=3, unique=True))
+        return {"not": {"type": "object", "properties": {name: {"enum": values}}}}
+    if kind == "object":
+        if kinds.get(name) == "range":
+            domain = draw(_ranges(2))
+        else:
+            domain = {"enum": draw(st.lists(st.sampled_from(ENUM_POOL), min_size=1, max_size=3,
+                                            unique=True))}
+        return {"type": "object", "properties": {name: domain}}
+    if kind == "anyOf":
+        return {"anyOf": [draw(_constraint(kinds)), {"type": "object"}]}
+    return {}
+
+
+@st.composite
+def partial_record_cases(draw):
+    """A schema of enum properties and anyOf range properties, with up to
+    three constraints, and the kind of each property."""
+    properties, kinds = {}, {}
+    for index in range(draw(st.integers(1, 3))):
+        name = f"p{index}"
+        if draw(st.booleans()):
+            values = draw(st.lists(st.sampled_from(ENUM_POOL), min_size=1, max_size=4,
+                                   unique=True))
+            properties[name] = {"enum": values, "default": values[0]}
+            kinds[name] = "enum"
+        else:
+            properties[name] = draw(_ranges(3))
+            kinds[name] = "range"
+    base = {"type": "object", "additionalProperties": False, "properties": properties}
+    constraints = draw(st.lists(_constraint(kinds), max_size=3))
+    return sm.parse_schema({"allOf": [base] + constraints}), kinds
+
+
+def has_overlapping_alternatives(schema):
+    """Whether a declared property of the schema has two alternatives that
+    share a value."""
+    for node in sm.declared_domains(schema).values():
+        alts = norm._domain_alternatives(node, norm.DEFAULT_BLOWUP_LIMIT)
+        if any(norm.intersect_domain(a, b) is not norm.EMPTY
+               for a, b in itertools.combinations(alts, 2)):
+            return True
+    return False

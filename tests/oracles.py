@@ -24,6 +24,11 @@ domain of each flat row; tests check that the draw plans and documents
 give the same text.
 `to_schema` rebuilds a schema from a normal form; tests check that
 normalizing it again accepts the same configurations.
+`reference_normalize` is normalization as it filled every constraint
+record with the declared domains of the names the constraint leaves
+alone, and intersected records name by name; tests check that partial records admit the same configurations
+with no more disjuncts, and the same disjuncts where no declared property
+has two overlapping alternatives.
 `reference_exact_json_key` is the memo key as the sorted JSON of a mapping;
 tests check that `schema_model.exact_json_key` tells the same mappings
 apart. `derives` decides whether a grammar can derive a linear pipeline;
@@ -57,6 +62,7 @@ lockstep gives the same weights, bit for bit.
 """
 
 import functools
+import itertools
 import json
 import math
 import random
@@ -123,6 +129,7 @@ from lalec.space_backends import (
     emit_hierarchical,
     sample_space,
 )
+from lalec import space_normalizer as norm
 from lalec.space_normalizer import DEFAULT_BLOWUP_LIMIT, Domain, NormalForm
 
 
@@ -793,6 +800,92 @@ def to_schema(nf: NormalForm) -> SchemaNode:
         union_props.append((name, variants[0] if len(variants) == 1 else AnyOfNode(tuple(variants))))
     base = ObjectNode(tuple(union_props), additional_allowed=False)
     return AllOfNode((base, AnyOfNode(tuple(branches))))
+
+
+# ---------------------------------------------------------------------------
+# Normalizing with every record filled to every declared name
+
+
+def reference_normalize(schema: SchemaNode, limit: int = DEFAULT_BLOWUP_LIMIT) -> NormalForm:
+    """space_normalizer.normalize as it filled each constraint record with
+    the declared domains of every name the constraint leaves alone."""
+    declared = sm.declared_domains(schema)
+    declared_alts = {name: norm._domain_alternatives(node, limit)
+                     for name, node in declared.items()}
+    constraints = schema.children[1:] if isinstance(schema, AllOfNode) else ()
+    conjuncts = itertools.chain([_reference_fill({}, declared_alts, limit)],
+                                (_reference_norm(child, declared_alts, limit)
+                                 for child in constraints))
+    disjuncts = norm._conjoin(conjuncts, _reference_intersect_records, limit)
+    if not disjuncts:
+        raise norm.EmptySpace("no satisfiable disjunct remains")
+    defaults = schema.declared_defaults
+    return NormalForm(tuple(
+        {name: norm._attach_default(d[name], defaults.get(name, MISSING)) for name in declared}
+        for d in disjuncts))
+
+
+def _reference_norm(node, declared_alts, limit):
+    if isinstance(node, AnyOfNode):
+        records = (record for child in node.children
+                   for record in _reference_norm(child, declared_alts, limit))
+        return norm.capped_list(records, limit)
+    if isinstance(node, AllOfNode):
+        branches = (_reference_norm(child, declared_alts, limit) for child in node.children)
+        return norm._conjoin(branches, _reference_intersect_records, limit)
+    if isinstance(node, NotNode):
+        return norm.capped_list(_reference_complement(node.child, declared_alts, limit), limit)
+    if isinstance(node, ObjectNode):
+        return norm.capped_list(_reference_norm_object(node, declared_alts, limit), limit)
+    if isinstance(node, AnyNode):
+        return _reference_fill({}, declared_alts, limit)
+    raise norm.NormalizeError(f"cannot normalize {type(node).__name__} as a constraint")
+
+
+def _reference_norm_object(node, declared_alts, limit):
+    names = [name for name, _ in node.properties]
+    per_prop = [norm._domain_alternatives(sub, limit) for _, sub in node.properties]
+    for combo in norm.capped_list(itertools.product(*per_prop), limit):
+        yield from _reference_fill(dict(zip(names, combo)), declared_alts, limit)
+
+
+def _reference_fill(record, declared_alts, limit):
+    missing = [name for name in declared_alts if name not in record]
+    if not missing:
+        return [dict(record)]
+    combos = itertools.product(*(declared_alts[name] for name in missing))
+    return norm.capped_list((record | dict(zip(missing, combo)) for combo in combos), limit)
+
+
+def _reference_intersect_records(a, b):
+    merged = {}
+    for name in a:
+        if name not in b:
+            merged[name] = a[name]
+            continue
+        domain = norm.intersect_domain(a[name], b[name])
+        if domain is norm.EMPTY:
+            return norm.EMPTY
+        merged[name] = domain
+    for name in b:
+        if name not in a:
+            merged[name] = b[name]
+    return merged
+
+
+def _reference_complement(child, declared_alts, limit):
+    for name, sub in child.properties:
+        if not isinstance(sub, EnumNode):
+            raise sm.UnsupportedNegation(f"cannot complement non-enum property {name!r}")
+        alts = declared_alts.get(name)
+        if alts is None:
+            raise norm.NormalizeError(f"negated property {name!r} has no declared domain")
+        if len(alts) != 1 or not isinstance(alts[0], EnumNode):
+            raise sm.UnsupportedNegation(f"declared domain of {name!r} is not a single enum")
+        remaining = tuple(v for v in alts[0].values if not sm.enum_admits(sub.values, v))
+        if remaining:
+            yield from _reference_fill({name: EnumNode(remaining, alts[0].default)},
+                                       declared_alts, limit)
 
 
 # ---------------------------------------------------------------------------

@@ -399,6 +399,17 @@ class TestSearch:
                         "--label", "target", "--max-trials", "8", "--folds", "2"])
         assert code == 0
 
+    def test_a_label_on_one_row_leaves_every_trial_valid(self, tmp_path, capsys):
+        # The label sorts first, so a training fold without its row lacks class 0.
+        rows = ["f1,f2,y", "0.1,1.0,a"]
+        rows += [f"{i / 10},{(9 - i) / 10},b" for i in range(8)]
+        data = tmp_path / "rare.csv"
+        data.write_text("\n".join(rows) + "\n")
+        code = run_cli(["search", "--expr", "KNN", "--data", str(data),
+                        "--label", "y", "--max-trials", "3"])
+        assert code == 0
+        assert capsys.readouterr().out.endswith("; 0 invalid trials out of 3\n")
+
 
 class TestRender:
     def test_two_node_graph(self, tmp_path):

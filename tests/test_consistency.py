@@ -28,9 +28,11 @@ from lalec import schema_model as sm
 from lalec.pipeline_dsl import parse_grammar
 from lalec.space_backends import (
     ChoiceIR,
+    CompileError,
     SearchIR,
     StepMapIR,
     _join,
+    _pcs_text,
     compile_space,
     decode_pcs_point,
     grid_cells,
@@ -39,7 +41,7 @@ from lalec.space_backends import (
 )
 from lalec.space_normalizer import BlowupExceeded
 
-from conftest import hier_member
+from conftest import has_overlapping_alternatives, hier_member, partial_record_cases
 
 REGISTRY = toyml.load_registry()
 GRAMMARS = {path.stem: parse_grammar(path.read_text(encoding="utf-8"), REGISTRY)
@@ -120,9 +122,10 @@ def _individuals(op):
 
 def _validates(op) -> bool:
     """Whether every step, completed with its defaults, validates against the
-    registered schema with its side constraints."""
+    registered schema with its side constraints (an unregistered step against
+    its own schema)."""
     for step in _individuals(op):
-        schema = REGISTRY[step.name].schema
+        schema = REGISTRY[step.name].schema if step.name in REGISTRY else step.schema
         if not sm.validate({**schema.declared_defaults, **step.bound}, schema).ok:
             return False
     return True
@@ -267,3 +270,16 @@ class TestOneSpaceInEveryEncoding:
     @given(op=grammar_topologies, seed=st.integers(0, 2**16))
     def test_grammar_topologies_at_probe_resolution(self, op, seed):
         _check_probes(op, seed)
+
+    @settings(max_examples=40, deadline=None)
+    @given(case=partial_record_cases().filter(lambda case: has_overlapping_alternatives(case[0])),
+           seed=st.integers(0, 2**16))
+    def test_overlapping_alternatives_beside_constraints(self, case, seed):
+        # Schemas whose constraint records leave overlapping declared
+        # alternatives to the base records.
+        op = og.Individual("Overlapping", case[0])
+        try:
+            text = _check_encodings(op, seed).pcs()
+        except (CompileError, BlowupExceeded):  # a refused schema or encoding
+            return
+        assert _pcs_text(read_pcs(text)) == text

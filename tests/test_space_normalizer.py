@@ -14,8 +14,8 @@ from lalec import toyml
 from lalec.space_backends import CompileError, compile_space, sample_space
 from lalec.space_normalizer import EMPTY, intersect_domain, member
 
-from conftest import probe_lattice
-from oracles import reference_validate, serialize, to_schema
+from conftest import ENUM_POOL, has_overlapping_alternatives, partial_record_cases, probe_lattice
+from oracles import reference_normalize, reference_validate, serialize, to_schema
 
 
 def disjunct_sets(nf):
@@ -635,6 +635,51 @@ class TestDeclaredDomainsExpandedOnce:
         got = _normal_form_outcome(norm.normalize, schema, limit)
         want = _normal_form_outcome(_whole_schema_normal_form, schema, limit)
         assert (got if isinstance(got, type) else got.disjuncts) == want
+
+
+# Every value a drawn range can hold, a value beside each end, a value
+# between integers and every enum value.
+PROBES = {"range": list(range(-1, 10)) + [2.5], "enum": ENUM_POOL + ["z"]}
+
+
+def _outcome(normalize, schema, limit):
+    try:
+        return normalize(schema, limit)
+    except (norm.NormalizeError, sm.SchemaError) as exc:
+        return exc
+
+
+class TestPartialRecords:
+    """Constraint records that name only what they constrain, against the
+    reference that filled them with every declared domain."""
+
+    def test_registry_normal_forms_equal_the_reference(self, registry):
+        for name, op in sorted(registry.items()):
+            for schema in (op.schema, norm.drop_constraints(op.schema)):
+                got, want = norm.normalize(schema), reference_normalize(schema)
+                assert [list(d.items()) for d in got.disjuncts] == \
+                    [list(d.items()) for d in want.disjuncts], name
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=partial_record_cases(), limit=st.integers(1, 60))
+    def test_same_configurations_from_no_more_disjuncts(self, case, limit):
+        schema, kinds = case
+        want = _outcome(reference_normalize, schema, limit)
+        got = _outcome(norm.normalize, schema, limit)
+        if isinstance(want, norm.BlowupExceeded):
+            assert isinstance(got, (norm.NormalForm, norm.NormalizeError, sm.SchemaError))
+            return
+        if isinstance(want, Exception):
+            assert (type(got), str(got)) == (type(want), str(want))
+            return
+        assert isinstance(got, norm.NormalForm), got
+        assert len(got.disjuncts) <= len(want.disjuncts)
+        names = sorted(kinds)
+        for combo in itertools.product(*(PROBES[kinds[n]] for n in names)):
+            config = dict(zip(names, combo))
+            assert member(got, config) == member(want, config), config
+        if not has_overlapping_alternatives(schema):
+            assert got.disjuncts == want.disjuncts
 
 
 class TestDropConstraints:

@@ -92,6 +92,13 @@ class TestCsv:
         with pytest.raises(toyml.BadCsv):
             load_csv(path, "label")
 
+    def test_byte_order_mark(self, tmp_path):
+        path = tmp_path / "data.csv"
+        path.write_text("label,a\nyes,1\nno,2\n", encoding="utf-8-sig")
+        ds = load_csv(path, "label")
+        assert ds.column_names == ("a",)
+        assert ds.y.tolist() == [1, 0]
+
 
 class TestSplits:
     def test_folds_partition(self):
@@ -112,6 +119,13 @@ class TestSplits:
             d2[i] = np.inf
             hits += ds.y[int(np.argmin(d2))] == ds.y[i]
         assert got == pytest.approx(hits / len(ds.y))
+
+    def test_a_training_fold_may_lack_class_0(self, registry):
+        ds = LabeledDataset(np.arange(24.0).reshape(12, 2), np.array([0] + [1] * 11))
+        splits = cv_splits(ds, 3)
+        assert sorted(sorted(set(train.y.tolist())) for train, _, _ in splits) == \
+            [[0, 1], [0, 1], [1]]
+        assert 0 <= cross_val_score(configure(registry["KNN"], {}), splits) <= 1
 
     def test_cross_val_frozen_trained_is_plain_accuracy(self, registry, blobs):
         trained = og.freeze_trained(fit(configure(registry["KNN"], {"k": 3}), blobs))
@@ -247,6 +261,13 @@ class TestBoostedEnsemble:
     def test_null_base_uses_stump(self, registry, blobs):
         trained = fit(configure(registry["BoostedEnsemble"], {"n_estimators": 3}), blobs)
         assert trained.artifacts["members"]
+
+    def test_fits_labels_without_class_0(self, registry, blobs):
+        # Blobs' classes 0 and 1 as ids 1 and 2, beside one row of class 0.
+        whole = LabeledDataset(np.vstack([blobs.X, blobs.X[:1]]), np.append(blobs.y + 1, 0))
+        data = whole.subset(range(len(blobs.y)))
+        trained = fit(configure(registry["BoostedEnsemble"], {}), data)
+        assert set(predict(trained, data.X).tolist()) <= {1, 2}
 
     def test_deterministic(self, registry, xor_data):
         ens = configure(registry["BoostedEnsemble"], {"n_estimators": 5})
