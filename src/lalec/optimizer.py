@@ -1,5 +1,6 @@
 """Search strategies over emitted spaces: random, exhaustive grid, and an
-epsilon-greedy bandit over the top-level operator choice.
+epsilon-greedy bandit over the top-level operator choice. Each strategy
+plans its points, and one loop (_search) scores them a window at a time.
 
 Failures never abort a run: a trial whose configuration cannot be decoded
 records status invalidConfig, a trial whose objective raises records
@@ -9,12 +10,14 @@ they can never outrank a valid trial.
 
 from __future__ import annotations
 
+import functools
 import hashlib
+import itertools
 import json
 import random
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Any, Callable, Mapping
 
 from . import toyml
@@ -116,8 +119,8 @@ def space_digest(space_doc: Mapping[str, Any]) -> str:
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
-# Random and grid searches score their points in windows of this many
-# trials, bandit search in windows of one (see _scorer).
+# Every search scores its points in windows of this many trials through the
+# objective's ``many``, and a bandit plans windows this long (see _search).
 WINDOW = 64
 
 
@@ -152,19 +155,25 @@ def _scorer(objective):
     return many
 
 
-def _evaluate_all(points, objective) -> list[Trial]:
-    """Every point's trial, in order, scored in windows of WINDOW points."""
+def _search(plan, objective, spec: OptimizerSpec, doc: Mapping[str, Any]) -> History:
+    """Score the plan's ``(point, keep)`` steps in windows of WINDOW (of one
+    if the objective has no ``many`` of its own), up to max_trials. A window
+    keeps its trials in order up to the first whose ``keep`` is given and
+    false; the dropped rest share their elapsed among the kept."""
     many = _scorer(objective)
+    size = WINDOW if hasattr(objective, "many") else 1
     trials = []
-    for lo in range(0, len(points), WINDOW):
-        window = points[lo:lo + WINDOW]
-        for i, (point, (outcome, elapsed)) in enumerate(zip(window, many(window)), lo):
-            trials.append(_trial(i, point, outcome, elapsed))
-    return trials
-
-
-def _history(trials, spec: OptimizerSpec, doc: Mapping[str, Any]) -> History:
-    """The search's history; its best is the first valid trial of least loss."""
+    while steps := list(itertools.islice(plan, min(size, spec.max_trials - len(trials)))):
+        scored = many([point for point, _ in steps])
+        kept = []
+        for (point, keep), (outcome, elapsed) in zip(steps, scored):
+            trial = _trial(len(trials) + len(kept), point, outcome, elapsed)
+            if keep and not keep(trial):
+                share = sum(seconds for _, seconds in scored[len(kept):]) / len(kept)
+                kept = [replace(t, elapsed=t.elapsed + share) for t in kept]
+                break
+            kept.append(trial)
+        trials += kept
     best = min((t for t in trials if t.status == VALID), key=lambda t: t.loss, default=None)
     return History(tuple(trials), None if best is None else best.index, spec.seed,
                    space_digest(doc))
@@ -173,13 +182,13 @@ def _history(trials, spec: OptimizerSpec, doc: Mapping[str, Any]) -> History:
 def random_search(space_doc: Mapping[str, Any], objective: Callable[[dict], float],
                   spec: OptimizerSpec) -> History:
     """Seeded independent draws: branches and disjuncts uniform, continuous
-    domains by their prior. A space whose first point is empty has no
-    dimension, so it runs that one default trial."""
+    domains by their prior, drawn as each window starts. A space whose first
+    point is empty has no dimension, so it runs that one default trial."""
     rng = random.Random(spec.seed)
-    points = [sample_space(space_doc, rng)]
-    if points[0]:
-        points += [sample_space(space_doc, rng) for _ in range(spec.max_trials - 1)]
-    return _history(_evaluate_all(points, objective), spec, space_doc)
+    first = sample_space(space_doc, rng)
+    rest = (sample_space(space_doc, rng) for _ in range(spec.max_trials - 1 if first else 0))
+    return _search(((p, None) for p in itertools.chain([first], rest)), objective, spec,
+                   space_doc)
 
 
 def grid_search(grid: Mapping[str, Any], objective: Callable[[dict], float],
@@ -188,10 +197,8 @@ def grid_search(grid: Mapping[str, Any], objective: Callable[[dict], float],
     grid's cellCount is checked against max_trials before any cell is built."""
     if grid["cellCount"] > spec.max_trials:
         raise GridTooLarge(f"{grid['cellCount']} cells exceed the cap of {spec.max_trials} trials")
-    cells = list(grid_cells(grid))
-    if not cells:
-        cells = [{}]
-    return _history(_evaluate_all(cells, objective), spec, dict(grid))
+    cells = list(grid_cells(grid)) or [{}]
+    return _search(((cell, None) for cell in cells), objective, spec, dict(grid))
 
 
 def _top_level_choice(space_doc) -> tuple[str, list[str]] | None:
@@ -207,34 +214,47 @@ def bandit_search(space_doc: Mapping[str, Any], objective: Callable[[dict], floa
                   spec: OptimizerSpec) -> History:
     """Epsilon-greedy allocation over the top-level operator choice; within
     the chosen branch, points are drawn as in random search. Falls back to
-    random search when the pipeline has no top-level choice. Sequential by
-    contract: each draw depends on the losses before it."""
+    random search when the pipeline has no top-level choice.
+
+    Only a greedy step reads the losses, so a window is planned with the
+    means held and the counts advanced. Its trials are kept by replaying
+    the plan against the real means: at the first greedy step whose arm is
+    no longer the least mean, the rng gets back its state from before that
+    step, and the rest of the window is dropped and planned again."""
     found = _top_level_choice(space_doc)
     if found is None:
         return random_search(space_doc, objective, spec)
     discriminant, branch_values = found
     rng = random.Random(spec.seed)
-    # Running means are updated incrementally: summing several penalty
-    # losses would overflow to infinity, and the allocation must stay in
-    # finite arithmetic.
+    # Running means, updated incrementally: a sum of penalty losses would
+    # overflow to infinity, and the allocation must stay finite.
     means = {value: 0.0 for value in branch_values}
     counts = {value: 0 for value in branch_values}
-    many = _scorer(objective)
-    trials = []
-    for index in range(spec.max_trials):
-        unvisited = [v for v in branch_values if counts[v] == 0]
-        if unvisited:
-            branch = unvisited[0]
-        elif rng.random() < spec.bandit_epsilon:
-            branch = branch_values[rng.randrange(len(branch_values))]
-        else:
-            branch = min(branch_values, key=lambda v: means[v])
-        point = sample_space(space_doc, rng, force_branch={discriminant: branch})
-        trial = _trial(index, point, *many([point])[0])
-        trials.append(trial)
+    planned = set()  # arms with a planned step; a plan is cut only once all have one
+
+    def keep(branch, state, trial):
+        if state is not None and branch != min(branch_values, key=means.__getitem__):
+            rng.setstate(state)
+            return False
         counts[branch] += 1
         means[branch] += (trial.loss - means[branch]) / counts[branch]
-    return _history(trials, spec, space_doc)
+        return True
+
+    def plan():
+        while True:
+            state = rng.getstate()  # kept for a greedy step only
+            unvisited = [v for v in branch_values if v not in planned]
+            if unvisited:
+                branch, state = unvisited[0], None
+            elif rng.random() < spec.bandit_epsilon:
+                branch, state = branch_values[rng.randrange(len(branch_values))], None
+            else:
+                branch = min(branch_values, key=means.__getitem__)
+            planned.add(branch)
+            point = sample_space(space_doc, rng, force_branch={discriminant: branch})
+            yield point, functools.partial(keep, branch, state)
+
+    return _search(plan(), objective, spec, space_doc)
 
 
 def run(compiled: CompiledSpace, objective: Callable[[dict], float], spec: OptimizerSpec,

@@ -11,7 +11,8 @@ top, ``allOf`` distributes over them by pairwise intersection, ``not`` is
 the complement against the declared domains); conjoined with the base, it
 takes every other name from the base records. Empty intersections are
 dropped, overlapping disjuncts kept, and every list goes through
-capped_list, so none grows past the blowup cap.
+capped_list, so none grows past the blowup cap. A constraint record that
+can meet no base record is dropped as soon as it is built.
 """
 
 from __future__ import annotations
@@ -146,22 +147,38 @@ def _records(alternatives: Mapping[str, list[Domain]], limit) -> list[dict[str, 
 
 
 def _norm(node: SchemaNode, declared_alts, limit) -> list[dict[str, Domain]]:
-    """Bottom-up: return the node's disjuncts over the names it mentions."""
+    """Bottom-up: return the node's disjuncts over the names it mentions,
+    each one that can meet a base record (see _meets_base)."""
     if isinstance(node, AnyOfNode):
         records = (record for child in node.children
                    for record in _norm(child, declared_alts, limit))
         return capped_list(records, limit)
     if isinstance(node, AllOfNode):
+        def intersect(a, b):
+            merged = _intersect_records(a, b)
+            return merged if merged is EMPTY or _meets_base(merged, declared_alts) else EMPTY
+
         branches = (_norm(child, declared_alts, limit) for child in node.children)
-        return _conjoin(branches, _intersect_records, limit)
+        return _conjoin(branches, intersect, limit)
     if isinstance(node, NotNode):
-        return capped_list(_complement(node.child, declared_alts), limit)
-    if isinstance(node, ObjectNode):
-        return _records({name: _domain_alternatives(sub, limit)
-                         for name, sub in node.properties}, limit)
-    if isinstance(node, AnyNode):
-        return [{}]
-    raise NormalizeError(f"cannot normalize {type(node).__name__} as a constraint")
+        records = capped_list(_complement(node.child, declared_alts), limit)
+    elif isinstance(node, ObjectNode):
+        records = _records({name: _domain_alternatives(sub, limit)
+                            for name, sub in node.properties}, limit)
+    elif isinstance(node, AnyNode):
+        records = [{}]
+    else:
+        raise NormalizeError(f"cannot normalize {type(node).__name__} as a constraint")
+    return [record for record in records if _meets_base(record, declared_alts)]
+
+
+def _meets_base(record, declared_alts) -> bool:
+    """Whether a constraint record can meet a base record: every declared
+    name has an alternative, and each one the record holds meets one of
+    them. Others are dropped before a conjoin in their constraint can
+    multiply them, so with no base record every constraint's list is empty."""
+    return all(any(intersect_domain(record[name], alt) is not EMPTY for alt in alts)
+               if name in record else alts for name, alts in declared_alts.items())
 
 
 def _conjoin(branches, intersect, limit) -> list:

@@ -95,8 +95,9 @@ def _ranges(draw, most):
 @st.composite
 def _constraint(draw, kinds):
     """A negated enum, an object on one property (a name may be
-    undeclared), anyOf with an empty object, or the empty schema."""
-    kind = draw(st.sampled_from(["not", "object", "anyOf", "empty"]))
+    undeclared), anyOf of one to four constraints (perhaps with an empty
+    object), allOf of two, or the empty schema."""
+    kind = draw(st.sampled_from(["not", "object", "anyOf", "allOf", "empty"]))
     name = draw(st.sampled_from(sorted(kinds) + ["q"]))
     if kind == "not":
         values = draw(st.lists(st.sampled_from(ENUM_POOL), min_size=1, max_size=3, unique=True))
@@ -109,25 +110,32 @@ def _constraint(draw, kinds):
                                             unique=True))}
         return {"type": "object", "properties": {name: domain}}
     if kind == "anyOf":
-        return {"anyOf": [draw(_constraint(kinds)), {"type": "object"}]}
+        children = draw(st.lists(_constraint(kinds), min_size=1, max_size=4))
+        return {"anyOf": children + [{"type": "object"}] * draw(st.integers(0, 1))}
+    if kind == "allOf":
+        return {"allOf": [draw(_constraint(kinds)), draw(_constraint(kinds))]}
     return {}
 
 
 @st.composite
 def partial_record_cases(draw):
-    """A schema of enum properties and anyOf range properties, with up to
-    three constraints, and the kind of each property."""
+    """A schema of enum properties and anyOf range properties, now and then
+    one with no alternative (allOf of disjoint ranges), with up to three
+    constraints, and the kind of each property."""
     properties, kinds = {}, {}
     for index in range(draw(st.integers(1, 3))):
         name = f"p{index}"
-        if draw(st.booleans()):
+        shape = draw(st.sampled_from(["enum", "range", "enum", "range", "empty"]))
+        if shape == "enum":
             values = draw(st.lists(st.sampled_from(ENUM_POOL), min_size=1, max_size=4,
                                    unique=True))
             properties[name] = {"enum": values, "default": values[0]}
-            kinds[name] = "enum"
-        else:
+        elif shape == "range":
             properties[name] = draw(_ranges(3))
-            kinds[name] = "range"
+        else:
+            properties[name] = {"allOf": [{"type": "integer", "minimum": 0, "maximum": 3},
+                                          {"type": "integer", "minimum": 5, "maximum": 8}]}
+        kinds[name] = "enum" if shape == "enum" else "range"
     base = {"type": "object", "additionalProperties": False, "properties": properties}
     constraints = draw(st.lists(_constraint(kinds), max_size=3))
     return sm.parse_schema({"allOf": [base] + constraints}), kinds

@@ -38,8 +38,9 @@ that `parse_schema` reads it back to the same schema. `default_point` is
 the all-defaults point of a space; decode tests decode it and compare it
 across encodings.
 `reference_bandit_search` is bandit search as it called the objective
-once per trial; tests check that bandit search through ``many`` gives the
-same histories.
+once per trial; tests check that bandit search, which plans a window of
+steps and cuts the plan where a greedy pick changes, gives the same
+histories at every window length.
 `reference_validate`, `reference_configure` and `reference_copy` are
 validation, configuration and the operator copy as they were before the
 valid path stopped allocating (a report per call, a property dict per

@@ -489,13 +489,24 @@ class TestWindows:
         points += [data.draw(st.sampled_from(points)) for _ in range(data.draw(st.integers(0, 4)))]
         points = data.draw(st.permutations(points))
         spec = OptimizerSpec(max_trials=len(points), seed=seed)
+
+        def searched(objective):
+            # Random search draws these points, and grid search has them as
+            # its cells.
+            with mock.patch.object(opt, "sample_space", side_effect=points), \
+                    mock.patch.object(opt, "grid_cells", return_value=iter(points)):
+                return [_trial_fields(random_search(doc, objective, spec).trials),
+                        _trial_fields(grid_search({"cellCount": len(points)}, objective,
+                                                  OptimizerSpec(strategy="grid",
+                                                                max_trials=len(points))).trials)]
+
         objective = make_cv_objective(compiled, dataset, folds=3, cv_seed=seed)
-        reference = reference_cv_objective(compiled, dataset, folds=3, cv_seed=seed)
         with mock.patch.object(opt, "WINDOW", window):
-            got = opt._evaluate_all(points, objective)
-            again = opt._evaluate_all(points, objective)  # every point seen before
-        want = opt._evaluate_all(points, reference)  # a plain callable: point by point
-        assert _trial_fields(got) == _trial_fields(want) == _trial_fields(again)
+            got = searched(objective)
+            again = searched(objective)  # every point seen before
+        # A plain callable is scored point by point.
+        want = searched(reference_cv_objective(compiled, dataset, folds=3, cv_seed=seed))
+        assert got == again == want
         histories = {}
         for name, make in (("windowed", make_cv_objective), ("reference", reference_cv_objective)):
             objective = make(compiled, dataset, folds=3, cv_seed=seed)
@@ -581,19 +592,25 @@ class DrawnOutcomes:
 
 
 class DrawnOutcomesMany(DrawnOutcomes):
-    """The same outcomes, also scored a window at a time."""
+    """The same outcomes, also scored a window at a time, each point taking
+    one second."""
+
+    scored = 0
 
     def many(self, points):
+        self.scored += len(points)
         results = []
         for point in points:
             try:
-                results.append((self(point), 0.0))
+                results.append((self(point), 1.0))
             except Exception as exc:
-                results.append((exc, 0.0))
+                results.append((exc, 1.0))
         return results
 
 
 class TestBanditAgainstReference:
+    # Plans of these lengths are cut at many offsets.
+    @pytest.mark.parametrize("window", [1, 2, 3, 64])
     @settings(max_examples=80, deadline=None)
     @given(expr=st.sampled_from(BANDIT_EXPRS), keep=st.booleans(),
            seed=st.integers(0, 2**31 - 1),
@@ -604,17 +621,20 @@ class TestBanditAgainstReference:
                st.floats(0.0, 1.0),
                st.sampled_from([opt.InvalidConfigError, RuntimeError])), min_size=1, max_size=6),
            windowed=st.booleans())
-    def test_histories_equal_the_reference(self, expr, keep, seed, epsilon, trials, pool,
-                                           windowed):
+    def test_histories_equal_the_reference(self, window, expr, keep, seed, epsilon, trials,
+                                           pool, windowed):
         doc = _bandit_doc(expr, keep)
         spec = OptimizerSpec(strategy="bandit", max_trials=trials, seed=seed,
                              bandit_epsilon=epsilon)
-        make = DrawnOutcomesMany if windowed else DrawnOutcomes
-        got = bandit_search(doc, make(pool, seed), spec)
-        want = reference_bandit_search(doc, make(pool, seed), spec)
+        objective = (DrawnOutcomesMany if windowed else DrawnOutcomes)(pool, seed)
+        with mock.patch.object(opt, "WINDOW", window):
+            got = bandit_search(doc, objective, spec)
+        want = reference_bandit_search(doc, DrawnOutcomes(pool, seed), spec)
         assert got.to_json(include_timing=False) == want.to_json(include_timing=False)
+        if windowed:  # the kept trials' elapsed includes the dropped points'
+            assert sum(t.elapsed for t in got.trials) == pytest.approx(objective.scored)
 
-    def test_cv_objective_is_scored_through_many_a_point_at_a_time(self, ablation):
+    def test_cv_objective_is_scored_through_many_in_windows(self, ablation):
         compiled, objective = ablation["unconstrained"]
 
         class Spy:
@@ -633,10 +653,55 @@ class TestBanditAgainstReference:
         spy = Spy()
         spec = OptimizerSpec(strategy="bandit", max_trials=30, seed=2)
         history = bandit_search(compiled.hierarchical(), spy, spec)
-        assert spy.calls == 0 and spy.windows == [1] * 30
+        assert spy.calls == 0 and spy.windows[0] == 30  # the whole run planned at once
         assert history.invalid_count() >= 1  # failures arrive as outcomes, not raised
         assert canonical(history) == canonical(
             reference_bandit_search(compiled.hierarchical(), objective, spec))
+
+    @settings(max_examples=30, deadline=None)
+    @given(expr=st.sampled_from(BANDIT_EXPRS), seed=st.integers(0, 2**31 - 1),
+           epsilon=st.floats(0.0, 1.0), trials=st.integers(1, 40),
+           pool=st.lists(st.one_of(st.floats(0.0, 1.0), st.just(RuntimeError)),
+                         min_size=1, max_size=4))
+    def test_a_plain_callable_is_called_once_per_trial(self, expr, seed, epsilon, trials, pool):
+        called = []
+
+        def objective(point):
+            called.append(point)
+            return DrawnOutcomes(pool, seed)(point)
+
+        spec = OptimizerSpec(strategy="bandit", max_trials=trials, seed=seed,
+                             bandit_epsilon=epsilon)
+        history = bandit_search(_bandit_doc(expr, False), objective, spec)
+        assert called == [t.point for t in history.trials]
+        assert len(called) == trials
+
+
+class TestRandomDrawsAhead:
+    @pytest.mark.parametrize("window, trials", [(5, 23), (64, 200), (64, 1)])
+    def test_never_more_than_a_window_ahead_of_scoring(self, ablation, window, trials):
+        compiled, _ = ablation["constrained"]
+        draws, ahead = [], []
+
+        def counted(*args, **kwargs):
+            draws.append(None)
+            return sample_space(*args, **kwargs)
+
+        class Objective:
+            scored = 0
+
+            def many(self, points):
+                # Points drawn but not yet scored, this window's included.
+                ahead.append(len(draws) - self.scored)
+                self.scored += len(points)
+                return [(0.5, 0.0)] * len(points)
+
+        with mock.patch.object(opt, "WINDOW", window), \
+                mock.patch.object(opt, "sample_space", counted):
+            history = random_search(compiled.hierarchical(), Objective(),
+                                    OptimizerSpec(max_trials=trials, seed=3))
+        assert len(history.trials) == len(draws) == trials
+        assert max(ahead) <= window and sum(ahead) == trials
 
 
 FIXTURE_GRAMMARS = [parse_grammar(path.read_text(), REGISTRY) for path in

@@ -660,6 +660,40 @@ class TestPartialRecords:
                 assert [list(d.items()) for d in got.disjuncts] == \
                     [list(d.items()) for d in want.disjuncts], name
 
+    def test_records_that_meet_no_base_record_drop_before_a_nested_conjoin(self):
+        # Each constraint's lists pass the cap of 10 unless a record that can
+        # meet no base record is dropped early: a leaf outside the declared
+        # enum, an intersection in the gap between declared ranges, or any
+        # record at all when a declared property has no alternative.
+        def one(name, domain):
+            return {"type": "object", "properties": {name: domain}}
+
+        def ints(lo, hi):
+            return {"type": "integer", "minimum": lo, "maximum": hi}
+
+        def schema(properties, constraint):
+            return sm.parse_schema({"allOf": [{"type": "object", "additionalProperties": False,
+                                               "properties": properties}, constraint]})
+
+        b_values = {"anyOf": [one("b", {"enum": [v]}) for v in range(4)]}
+        cases = [
+            (schema({"a": {"enum": [0]}, "b": {"enum": [0, 1]}},
+                    {"allOf": [{"anyOf": [one("a", {"enum": [v]}) for v in range(8)]},
+                               {"anyOf": [one("b", {"enum": [v]}) for v in range(2)]}]}), 2),
+            (schema({"a": {"anyOf": [ints(0, 2), ints(5, 7)]}, "b": {"enum": [0, 1, 2, 3]}},
+                    {"allOf": [{"allOf": [{"anyOf": [one("a", ints(-i, 3)) for i in range(4)]},
+                                          one("a", ints(3, 6))]}, b_values]}), None),
+            (schema({"x": {"allOf": [ints(0, 2), ints(5, 8)]}, "y": {"enum": list(range(20))}},
+                    {"anyOf": [one("y", {"enum": [v]}) for v in range(20)]}), None),
+        ]
+        for nested, count in cases:
+            want = _outcome(reference_normalize, nested, 10)
+            got = _outcome(norm.normalize, nested, 10)
+            if count is None:
+                assert type(got) is type(want) is norm.EmptySpace
+            else:
+                assert got.disjuncts == want.disjuncts and len(got.disjuncts) == count
+
     @settings(max_examples=300, deadline=None)
     @given(case=partial_record_cases(), limit=st.integers(1, 60))
     def test_same_configurations_from_no_more_disjuncts(self, case, limit):
