@@ -394,9 +394,10 @@ def fit(op: Operator, data) -> Operator:
     Pipelines fit steps in topological order: a source step trains on the
     pipeline's data, every other step on its predecessors' outputs. Labels
     pass through unchanged; only a Concat step may merge multiple
-    predecessor outputs. Each step is fitted once and applied once, only
-    when a successor needs its output. A frozen trained step is kept as it
-    is.
+    predecessor outputs. A pipeline hands on its sinks' outputs, merged as
+    a step's predecessors' are. Each step is fitted once and applied once,
+    only when a successor needs its output. A frozen trained step is kept
+    as it is.
     """
     _check_fittable(op)
     X, y = np.asarray(data.X, dtype=float), np.asarray(data.y)
@@ -416,7 +417,9 @@ def fit_predict_many(ops, datasets, held_out, store: dict) -> list:
        each of its jobs is fitted alone, so each gets its own error;
     3. each final step's predictions on the held-out inputs.
 
-    An operator whose walk raises leaves the window with that exception.
+    An operator whose walk raises leaves the window with that exception,
+    and one whose labels would come from several sinks raises
+    ``ShapeMismatch`` before it fits a step, even where ``fit`` would raise.
     ``seconds`` is the operator's own walk and predictions plus a share of
     each fit call its final step was in, in proportion to the steps it
     asked for (its budget; an equal share without one).
@@ -463,7 +466,11 @@ def fit_predict_many(ops, datasets, held_out, store: dict) -> list:
     for i, op in enumerate(ops):
         start = time.perf_counter()
         try:
-            finals[i] = _walk(op, Xs, ys, store)
+            _check_fittable(op)
+            _only_sink(op)
+            if () not in store:
+                store[()] = _content_key(Xs)
+            finals[i] = _score_node(op, Xs, ys, store[()], store, final=True)
         except Exception as exc:
             outcomes[i] = exc, time.perf_counter() - start
         else:
@@ -502,28 +509,6 @@ class _Final:
 
     def predict(self) -> list:
         return [self.impl.apply(a, X) for a, X in zip(self.artifacts, self.held_out)]
-
-
-def _walk(op: Operator, Xs, ys, store: dict) -> _Final:
-    """Pass 1 of ``fit_predict_many`` for one operator: its final step.
-    When the walk raises after meeting final steps (a graph with several
-    sinks), they are fitted first, in order, so that it raises what fitting
-    step by step would raise first."""
-    _check_fittable(op)
-    if () not in store:
-        store[()] = _content_key(Xs)
-    pending: list[_Final] = []
-    try:
-        _score_node(op, Xs, ys, store[()], store, pending)
-    except Exception:
-        for final in pending:
-            if final.artifacts is None:
-                _fit_finals([final])
-                if final.error is not None:
-                    raise final.error from None
-        raise
-    [final] = pending
-    return final
 
 
 def _fit_finals(finals: list[_Final]) -> None:
@@ -574,55 +559,55 @@ def _fit_node(op: Operator, X, y, as_feature: bool):
     assert isinstance(op, Pipeline)
     outputs: dict[int, list] = {}
     trained_steps = []
-    sink_set = set(sinks(op))
+    op_sinks = sinks(op)
     for index, step in enumerate(op.steps):
         step_input = _input_for(op.predecessors(index), outputs, [X])[0]
-        trained, output = _fit_node(step, step_input, y, as_feature or index not in sink_set)
+        trained, output = _fit_node(step, step_input, y, as_feature or index not in op_sinks)
         trained_steps.append(trained)
         outputs[index] = [output]
     trained = Pipeline(tuple(trained_steps), op.edges)
-    return trained, (outputs[_only_sink(op)][0] if as_feature else None)
+    return trained, (_input_for(op_sinks, outputs, [X])[0] if as_feature else None)
 
 
-def _score_node(op: Operator, Xs, ys, key, store: dict, final: list | None):
+def _score_node(op: Operator, Xs, ys, key, store: dict, final: bool):
     """Fit ``op`` on each of the first ``len(ys)`` inputs in ``Xs`` with its
     labels; dataset i's fitted copy maps inputs i and len(ys) + i. Returns
-    op's outputs as features on all of ``Xs`` and their content key. When
-    ``final`` is a list, op is final: its final steps are not fitted but
-    appended to ``final`` (``_Final``), and None is returned. ``key`` is
-    the content key of ``Xs`` (None if it has none)."""
+    op's outputs as features on all of ``Xs``, its sinks' outputs merged
+    as ``_input_for`` merges, and their content key. When ``final``, op's
+    labels come from its one final step (``_only_sink`` has checked it),
+    which is not fitted; its ``_Final`` is returned. ``key`` is the
+    content key of ``Xs`` (None if it has none)."""
     if isinstance(op, Individual):
         return _score_step(op, Xs, ys, key, store, final)
     assert isinstance(op, Pipeline)
     outputs: dict[int, list] = {}
     keys: dict[int, Any] = {}
-    sink_set = set(sinks(op))
+    op_sinks = sinks(op)
     for index, step in enumerate(op.steps):
         preds = op.predecessors(index)
-        outputs[index], keys[index] = _score_node(
-            step, _input_for(preds, outputs, Xs), ys, _input_key(preds, keys, key), store,
-            final if index in sink_set else None)
-    sink = _only_sink(op)
-    return outputs[sink], keys[sink]
+        output = _score_node(step, _input_for(preds, outputs, Xs), ys,
+                             _input_key(preds, keys, key), store, final and index in op_sinks)
+        if isinstance(output, _Final):  # a final pipeline's one sink is its last step
+            return output
+        outputs[index], keys[index] = output
+    return _input_for(op_sinks, outputs, Xs), _input_key(op_sinks, keys, key)
 
 
-def _score_step(op: Individual, Xs, ys, key, store: dict, final: list | None):
+def _score_step(op: Individual, Xs, ys, key, store: dict, final: bool):
     """_score_node for one step."""
     impl = implementation_of(op)
     n = len(ys)
     if op.frozen_trained and op.state == LifecycleState.TRAINED:
-        if final is not None:
-            final.append(_Final(impl, None, 0.0, Xs[n:], [op.artifacts] * n))
-            return None, None
+        if final:
+            return _Final(impl, None, 0.0, Xs[n:], [op.artifacts] * n)
         artifacts, entry_key = [op.artifacts] * n, None
     else:
         config = effective_config(op)
         job = config, _problems(impl, config, Xs, ys, key, store), key
-        if final is not None:
+        if final:
             steps = config.get(impl.budget) if impl.budget is not None else 1
             weight = float(steps) if type(steps) is int and steps > 0 else 0.0
-            final.append(_Final(impl, job, weight, Xs[n:]))
-            return None, None
+            return _Final(impl, job, weight, Xs[n:])
         entry_key = _store_key(op.impl, config, key)
         if entry_key in store:
             return store[entry_key]
@@ -685,12 +670,14 @@ def _content_key(values):
 def _input_for(preds, outputs, Xs):
     """Each input's value for a step with predecessors ``preds``: the
     pipeline's input for a source step, else its predecessor's output, or
-    for several predecessors a tuple of their outputs in index order."""
+    for several predecessors a tuple of their outputs in index order, a
+    merged output (a pipeline's several sinks) giving its parts."""
     if not preds:
         return Xs
     if len(preds) == 1:
         return outputs[preds[0]]
-    return list(zip(*(outputs[p] for p in sorted(preds))))
+    return [sum((part if isinstance(part, tuple) else (part,) for part in parts), ())
+            for parts in zip(*(outputs[p] for p in sorted(preds)))]
 
 
 def _input_key(preds, keys, key):
@@ -704,11 +691,14 @@ def _input_key(preds, keys, key):
     return None if any(part is None for part in parts) else parts
 
 
-def _only_sink(op: Pipeline) -> int:
-    only_sinks = sinks(op)
-    if len(only_sinks) != 1:
-        raise ShapeMismatch("pipeline output requires exactly one sink")
-    return only_sinks[0]
+def _only_sink(op: Operator) -> None:
+    """Labels come from one step: raise ShapeMismatch unless a pipeline
+    ``op`` has exactly one sink, and so on down that sink."""
+    while isinstance(op, Pipeline):
+        only_sinks = sinks(op)
+        if len(only_sinks) != 1:
+            raise ShapeMismatch("pipeline output requires exactly one sink")
+        op = op.steps[only_sinks[0]]
 
 
 def _step_output(impl: ToyImplementation, artifacts, X):
@@ -732,6 +722,7 @@ def predict(op: Operator, X):
     if state_of(op) != LifecycleState.TRAINED:
         raise NotTrained("operator is not trained")
     X = np.asarray(getattr(X, "X", X), dtype=float)
+    _only_sink(op)
     return _predict_node(op, X, as_feature=False)
 
 
@@ -742,12 +733,12 @@ def _predict_node(op: Operator, X, as_feature: bool):
     if isinstance(op, Choice):
         raise UnresolvedChoice("cannot predict with an unresolved choice")
     assert isinstance(op, Pipeline)
-    sink = _only_sink(op)
+    op_sinks = sinks(op)
     outputs: dict[int, list] = {}
     for index, step in enumerate(op.steps):
         step_input = _input_for(op.predecessors(index), outputs, [X])[0]
-        outputs[index] = [_predict_node(step, step_input, as_feature or index != sink)]
-    return outputs[sink][0]
+        outputs[index] = [_predict_node(step, step_input, as_feature or index not in op_sinks)]
+    return _input_for(op_sinks, outputs, [X])[0]
 
 
 def auto_configure(op: Operator, data, spec=None, *, folds: int = 3,

@@ -268,7 +268,7 @@ def run(compiled: CompiledSpace, objective: Callable[[dict], float], spec: Optim
     return search(compiled.hierarchical(), objective, spec)
 
 
-def make_cv_objective(compiled: CompiledSpace, data, folds: int = 5,
+def make_cv_objective(compiled: CompiledSpace, data, folds: int,
                       cv_seed: int = 0) -> Callable[[dict], float]:
     """Objective: one minus the mean cross-validated accuracy of the decoded
     configuration. Decode/validation failures signal invalidConfig; anything

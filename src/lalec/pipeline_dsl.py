@@ -241,6 +241,8 @@ class _Parser:
             name_token = self.peek()
             if name_token.kind != "name":
                 self.fail("expected an argument name")
+            if any(name == name_token.value for name, _ in args):
+                self.fail(f"repeated argument {name_token.value!r}")
             self.advance()
             self.expect("=")
             args.append((name_token.value, self.parse_literal()))

@@ -948,8 +948,11 @@ def default_schemas_dir() -> Path:
 
 def load_registry(schemas_dir=None) -> dict[str, Individual]:
     """Build the operator registry from a directory of <Name>.schema.json files.
-    A file that cannot be read or parsed raises SchemaError naming it."""
+    A path that is not a directory, and a file that cannot be read or
+    parsed, raise SchemaError naming it."""
     directory = Path(schemas_dir) if schemas_dir else default_schemas_dir()
+    if not directory.is_dir():
+        raise schema_model.SchemaError(f"{directory}: not a directory")
     registry = {}
     for path in sorted(directory.glob("*.schema.json")):
         name = path.name[: -len(".schema.json")]

@@ -249,7 +249,7 @@ class TestBadSchemaFile:
     """A schema file that cannot be parsed or read is a parse error naming
     the file, from --schemas or $LALEC_SCHEMA_PATH, not a traceback."""
 
-    @pytest.mark.parametrize("args,code", [
+    COMMANDS = pytest.mark.parametrize("args,code", [
         (["compile", "--expr", "KNN"], 3),
         (["grammar", "unfold", "--grammar", GRAMMAR, "--depth", "1"], 3),
         (["grammar", "sample", "--grammar", GRAMMAR, "--max-depth", "1"], 3),
@@ -257,6 +257,8 @@ class TestBadSchemaFile:
         (["render", "--expr", "KNN"], 3),
         (["validate", "--op", "KNN", "--config", "{}"], 2),
     ], ids=["compile", "grammar-unfold", "grammar-sample", "search", "render", "validate"])
+
+    @COMMANDS
     @pytest.mark.parametrize("content", [
         b'{"type": "object", "properties": {"k": {"type": "string"}}}', b"{\xff}"],
         ids=["unsupported", "binary"])
@@ -267,6 +269,15 @@ class TestBadSchemaFile:
         err = capsys.readouterr().err
         assert err.startswith(f"parse error: {path}: ")
         assert "Traceback" not in err
+
+    @COMMANDS
+    def test_a_missing_directory_is_named(self, tmp_path, monkeypatch, capsys, args, code):
+        missing = tmp_path / "nonexistent"
+        assert run_cli(args + ["--schemas", str(missing)]) == code
+        assert capsys.readouterr().err == f"parse error: {missing}: not a directory\n"
+        monkeypatch.setenv("LALEC_SCHEMA_PATH", str(missing))
+        assert run_cli(args) == code
+        assert capsys.readouterr().err == f"parse error: {missing}: not a directory\n"
 
     def test_unreadable_schema_file(self, tmp_path, capsys):
         (tmp_path / "KNN.schema.json").mkdir()

@@ -27,6 +27,7 @@ from lalec.operator_graph import (
     sources,
     state_of,
 )
+from lalec.pipeline_dsl import parse_expr
 from conftest import tree_shape
 from oracles import (
     exact_form,
@@ -353,6 +354,80 @@ class TestFitPredict:
         trained = fit(op, blobs)
         assert state_of(trained) == LifecycleState.TRAINED
         assert state_of(fit(trained, blobs)) == LifecycleState.TRAINED
+
+
+class TestMergedSinks:
+    """A pipeline hands on its sinks' outputs merged as a step's inputs
+    are, so a union chosen as a branch acts as the union written out."""
+
+    def branch(self, ops, text, knn=None):
+        # The expression with its choice resolved to the first alternative
+        # and its last step, if given `knn`, configured with it.
+        parsed = parse_expr(text, ops)
+        steps = [s.alternatives[0] if isinstance(s, Choice) else s for s in parsed.steps]
+        if knn:
+            steps[-1] = configure(steps[-1], knn)
+        return freeze_trainable(Pipeline(tuple(steps), parsed.edges))
+
+    def test_a_union_branch_gives_what_the_flat_union_gives(self, ops, blobs):
+        knn = {"k": 3, "weighting": "distance"}
+        nested = self.branch(ops, "(Scaler & NoOp | MinMaxScaler) >> Concat >> KNN", knn)
+        assert isinstance(nested.steps[0], Pipeline) and len(sinks(nested.steps[0])) == 2
+        flat = parse_expr('(Scaler & NoOp) >> Concat >> KNN(k=3, weighting="distance")', ops)
+        flat = freeze_trainable(flat)
+        assert len(flat.steps) == 4  # no pipeline step: never merges a pipeline's sinks
+        got, want = (predict(fit(op, blobs), blobs.X) for op in (nested, flat))
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        got, want = (toyml.cross_val_scores([op], toyml.cv_splits(blobs, 3)) for op in (nested, flat))
+        assert [score for score, _ in got] == [score for score, _ in want]
+        assert isinstance(got[0][0], float)
+
+    def test_a_search_over_the_choice_records_no_runtime_error(self, ops, blobs):
+        from lalec import optimizer as opt
+        from lalec.space_backends import compile_space
+
+        compiled = compile_space(parse_expr("(Scaler & NoOp | MinMaxScaler) >> Concat >> KNN", ops))
+        history = opt.run(compiled, opt.make_cv_objective(compiled, blobs, folds=3),
+                          opt.OptimizerSpec(max_trials=30, seed=0))
+        assert [t.status for t in history.trials] == [opt.VALID] * 30
+        branches = {isinstance(compiled.decode(t.point).steps[0], Pipeline) for t in history.trials}
+        assert branches == {True, False}
+
+    def test_a_union_branch_feeds_only_concat(self, ops, blobs):
+        nested = self.branch(ops, "(Scaler & NoOp | MinMaxScaler) >> KNN")
+        flat = freeze_trainable(parse_expr("(Scaler & NoOp) >> KNN", ops))
+        for op in (nested, flat):
+            with pytest.raises(og.ShapeMismatch, match="only a Concat step accepts multiple inputs"):
+                fit(op, blobs)
+            with pytest.raises(og.ShapeMismatch, match="only a Concat step accepts multiple inputs"):
+                toyml.cross_val_score(op, toyml.cv_splits(blobs, 3))
+
+    def test_a_merged_output_merges_again_as_its_parts(self, ops, blobs):
+        nested = self.branch(ops, "((Scaler & NoOp | MinMaxScaler) & MinMaxScaler) >> Concat >> KNN")
+        flat = freeze_trainable(parse_expr("(Scaler & NoOp & MinMaxScaler) >> Concat >> KNN", ops))
+        got, want = (predict(fit(op, blobs), blobs.X) for op in (nested, flat))
+        assert got.tobytes() == want.tobytes()
+        got, want = (toyml.cross_val_score(op, toyml.cv_splits(blobs, 3)) for op in (nested, flat))
+        assert got == want
+
+    def test_labels_from_a_final_union_branch_are_refused_before_any_fit(self, ops, blobs,
+                                                                        monkeypatch):
+        fitted = []
+        for name, impl in list(og.IMPLEMENTATIONS.items()):
+            def fit_jobs(jobs, name=name, inner=impl.fit):
+                fitted.append(name)
+                return inner(jobs)
+
+            monkeypatch.setitem(og.IMPLEMENTATIONS, name, dataclasses.replace(impl, fit=fit_jobs))
+        nested = self.branch(ops, "Scaler >> (KNN & NoOp | MinMaxScaler)")
+        trained = fit(nested, blobs)  # fit is the reference: it fits every step
+        assert fitted == ["standard_scaler", "knn", "noop"]
+        with pytest.raises(og.ShapeMismatch, match="exactly one sink"):
+            predict(trained, blobs.X)
+        del fitted[:]
+        with pytest.raises(og.ShapeMismatch, match="exactly one sink"):
+            toyml.cross_val_score(nested, toyml.cv_splits(blobs, 3))
+        assert fitted == []
 
 
 class TestAutoConfigure:

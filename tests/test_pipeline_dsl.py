@@ -77,6 +77,11 @@ class TestParseExpr:
             parse_expr(text, registry)
         assert (err.value.line, err.value.col) == (line, col)
 
+    def test_a_repeated_argument_is_refused_at_its_name(self, registry):
+        with pytest.raises(dsl.SyntaxError_) as err:
+            parse_expr("KNN(k=1,\n    k=2)", registry)
+        assert str(err.value) == "line 2, column 5: repeated argument 'k'"
+
     def test_comments_ignored(self, registry):
         op = parse_expr("# choose an estimator\nKNN | LR", registry)
         assert isinstance(op, Choice)
@@ -197,6 +202,11 @@ class TestParseGrammar:
     def test_single_rule(self, registry):
         grammar = parse_grammar("start := KNN;", registry)
         assert grammar.body("start") == Ref("KNN")
+
+    def test_a_repeated_argument_is_refused_at_its_name(self, registry):
+        with pytest.raises(dsl.SyntaxError_) as err:
+            parse_grammar('start := KNN(k=1, weighting="uniform", k=3);', registry)
+        assert str(err.value) == "line 1, column 40: repeated argument 'k'"
 
     def test_undefined_nonterminal(self, registry):
         with pytest.raises(dsl.UndefinedNonterminal):

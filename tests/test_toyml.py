@@ -979,18 +979,22 @@ SHAPES = {
                                             configure(REGISTRY["Concat"], {})), steps[2]),
     "nested": _nested,
     "two_sinks": lambda steps: og.both(*steps),
+    # A pipeline step with two sinks, whose merged output feeds Concat.
+    "nested_sinks": lambda steps: og.Pipeline(
+        (og.both(steps[0], steps[1]), configure(REGISTRY["Concat"], {}), steps[2]),
+        ((0, 1), (1, 2))),
 }
 
 
 @st.composite
 def pipeline_families(draw):
     """1-4 pipelines of one shape and one group per slot: linear pipelines,
-    Concat merges, nested pipelines and two-sink graphs, with estimators
-    also in the middle."""
+    Concat merges, nested pipelines, two-sink graphs and pipeline steps
+    with two sinks, with estimators also in the middle."""
     groups = TRANSFORMER_GROUPS + ESTIMATOR_GROUPS
     shape = draw(st.sampled_from(sorted(SHAPES)))
     count = {"linear": draw(st.integers(0, 2)), "concat": 2, "two_sinks": 1,
-             "nested": 2 + draw(st.integers(0, 1))}[shape]
+             "nested": 2 + draw(st.integers(0, 1)), "nested_sinks": 2}[shape]
     slots = [draw(st.sampled_from(groups)) for _ in range(count)]
     slots.append(draw(st.sampled_from(ESTIMATOR_GROUPS)))
     if shape == "nested":
@@ -1068,8 +1072,23 @@ class TestPrefixStore:
         splits = cv_splits(synth_dataset("xor", 36, seed), 3, seed)
         ops = [op for family in families for op in family]
         for op in ops + ops:
-            assert scored(cross_val_score, op, splits) == scored(
-                reference_cross_val_score, op, splits)
+            reference = scored(reference_cross_val_score, op, splits)
+            if len(og.sinks(op)) == 1:
+                assert scored(cross_val_score, op, splits) == reference
+                continue
+            # Labels from two sinks: scoring refuses them before any fit,
+            # the reference after fitting every step, if no fit raises.
+            with pytest.MonkeyPatch.context() as patch:
+                fits = [counting_fits(patch, name) for name in list(og.IMPLEMENTATIONS)]
+                assert scored(cross_val_score, op, splits) == ("raised", og.ShapeMismatch)
+            assert not any(fits)
+            train, _, _ = next(iter(splits))
+            try:
+                fit(op, train)
+            except Exception as exc:  # the reference's first fit error
+                assert reference == ("raised", type(exc))
+            else:
+                assert reference == ("raised", og.ShapeMismatch)
 
     def test_shared_prefix_is_fitted_once_per_splits(self, monkeypatch, blobs):
         fits = counting_fits(monkeypatch, "standard_scaler")
