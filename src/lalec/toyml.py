@@ -337,6 +337,23 @@ def _sgd_rows(n: int, count: int) -> np.ndarray:
 # segment whose input alone holds more runs on that input uncopied, and one
 # step's rows are gathered even if they alone hold more.
 ROW_BLOCK_FLOATS = 1 << 14
+# The steps of one gd block: the clips a block's weight bound proves idle
+# are skipped for the whole block (see _logreg_descent).
+GD_BLOCK_STEPS = 32
+
+
+def _abs_bounds(source):
+    """The largest |x| and the largest row sum of |x| in a stack of inputs
+    (items x rows x columns), NaN if a cell is NaN, read in row blocks of
+    at most ROW_BLOCK_FLOATS floats so that no full-size copy is made."""
+    items, n, d = source.shape
+    rows = max(1, ROW_BLOCK_FLOATS // (items * d))
+    tops, sums = [], []
+    for r in range(0, n, rows):
+        block = np.abs(source[:, r:r + rows])
+        tops.append(block.max())
+        sums.append(block.sum(axis=2).max())
+    return float(np.array(tops).max()), float(np.array(sums).max())
 
 
 def _logreg_descent(descents, penalty, solver):
@@ -357,9 +374,10 @@ def _logreg_descent(descents, penalty, solver):
     #   z = clip(Xs @ w, -30, 30); p = 1 / (1 + exp(-z))
     #   grad = Xs.T @ (p - ts) / batch + lam * (sign(w) or w)
     #   w = clip(w - lr * grad, -1e6, 1e6)
-    # with the same float operations in the same order: rounding depends on
-    # the order, and a reassociated or fused form (say, folding lr into the
-    # gradient, or one gemm for all targets) would change the last bits.
+    # with the same float operations in the same order (but for a clip
+    # proved idle, see below): rounding depends on the order, and a
+    # reassociated or fused form (say, folding lr into the gradient, or one
+    # gemm for all targets) would change the last bits.
     # A step is at most 200x7, so the cost is the calls, not the arithmetic.
     #
     # So segments whose inputs have one shape (and, for gd, one memory
@@ -372,7 +390,8 @@ def _logreg_descent(descents, penalty, solver):
     # a matrix is passed as the matrix's transpose times a vector), so each
     # item gets the bits its own .dot calls give. (A 1x1 item aside: there
     # .dot multiplies as scalars, and a zero product may differ in sign,
-    # which no weight shows: w is never -0, and exp(-0) is exp(0).) The bits
+    # which no weight shows: w is never -0, and exp(-0) is exp(0). A NaN
+    # may differ in sign too, and the caller zeroes NaN weights.) The bits
     # depend on the memory order: gemv sums in another order over a
     # Fortran-ordered matrix than over a C-ordered copy of it. So a copy
     # keeps its input's order (a Fortran-ordered input is stacked as the
@@ -381,7 +400,26 @@ def _logreg_descent(descents, penalty, solver):
     # need one shape. A stack of one segment runs on that segment's input
     # uncopied. lr * grad has the bits of the scalar product in each
     # element; constants are 0-d arrays, and minimum(maximum(...)) has
-    # np.clip's bits, NaN included.
+    # np.clip's bits, NaN included. A step allocates nothing: lam * w (or
+    # lam * sign(w)) and lr * grad are written into one scratch buffer. The
+    # ufuncs are bound to locals on each call, not at import, so that a
+    # patched np.matmul is still the one called; out goes by position except
+    # to maximum and minimum (numpy 2.4 deprecates that) and to matmul.
+    #
+    # Most steps' clips change nothing, so each block of steps (sgd's row
+    # blocks; for gd, GD_BLOCK_STEPS steps of a phase) first bounds the
+    # weights it can reach and drops each clip that bound proves idle. The
+    # targets are 0 or 1, so |p - ts| <= 1 and no gradient entry exceeds
+    # M + lam * |w| (l2) or M + lam (l1), with M the largest |x| of the
+    # stack; so over L steps from weights of at most m in magnitude, at the
+    # stack's largest lr eta, no weight leaves
+    #   B = (m + eta * (M + lam) * L) * (1 + eta * lam) ** L,
+    # and no |z| exceeds R * B, with R the largest row sum of |x|. The w
+    # clip is skipped when 2B < 1e6 and the z clip when 2RB < 30; the
+    # factor 2 covers rounding. M and R are read once per stack. A NaN or
+    # an inf in the inputs, lrs or weights fails both comparisons, and so
+    # does an M at which a gradient's sum over a batch could overflow before
+    # its mean is taken; there the clips are kept.
     #
     # A stack's segments are laid out longest first, so the ones still
     # running at any step are a prefix of it and each op runs on a prefix
@@ -395,6 +433,8 @@ def _logreg_descent(descents, penalty, solver):
     # that step. No op mixes segments, so a NaN in one leaves the others
     # alone.
     sgd, l1 = solver == "sgd", penalty == "l1"
+    matmul, maximum, minimum, negative, exp = np.matmul, np.maximum, np.minimum, np.negative, np.exp
+    add, subtract, multiply, divide, sign = np.add, np.subtract, np.multiply, np.divide, np.sign
     lam = np.array(1e-2)
     one, z_lo, z_hi = np.array(1.0), np.array(-30.0), np.array(30.0)
     w_lo, w_hi = np.array(-1e6), np.array(1e6)
@@ -424,10 +464,18 @@ def _logreg_descent(descents, penalty, solver):
                 source = np.stack([Xb for Xb, *_ in stack])
             targets = np.stack([t for _, t, _, _ in stack])
             batch = max(1, n // 4) if sgd else n
-            w, grad = np.zeros((len(stack), d)), np.empty((len(stack), d))
+            w, grad, scratch = (np.zeros((len(stack), d)), np.empty((len(stack), d)),
+                                np.empty((len(stack), d)))
             z = np.empty((len(stack), batch))
             lrs = np.array([[descents[j][1]] * d for _, _, j, _ in stack])
             size = np.array(float(batch))
+            # Per block of L steps from weights of at most m, no weight leaves
+            # (m + move * L) * growth ** L (see above).
+            top, row_sum = _abs_bounds(source)
+            if not batch * top < 1e300:
+                top = math.inf
+            eta = float(np.abs(lrs).max())
+            move, growth = eta * (top + float(lam)), 1.0 + eta * float(lam)
             lengths = [descents[j][2][-1] for _, _, j, _ in stack]
             snapshots, step, active = {}, 0, len(stack)
             for stop in sorted({c for _, _, j, _ in stack for c in descents[j][2]}):
@@ -435,13 +483,14 @@ def _logreg_descent(descents, penalty, solver):
                     active -= 1
                 if stop > step and active:
                     wv, gv, zv, lv = w[:active], grad[:active], z[:active], lrs[:active]
+                    sv = scratch[:active]
                     W, G, Z, Zrow = wv[:, :, None], gv[:, None, :], zv[:, :, None], zv[:, None, :]
                     if sgd:
                         # Per step: each segment's batch of rows and targets,
                         # and the batch's row indices.
                         block = max(1, ROW_BLOCK_FLOATS // (batch * (active * (d + 1) + 1)))
                     else:
-                        block = stop - step
+                        block = GD_BLOCK_STEPS
                     for b0 in range(step, stop, block):
                         b1 = min(b0 + block, stop)
                         if sgd:
@@ -452,21 +501,34 @@ def _logreg_descent(descents, penalty, solver):
                             ts = np.take(targets[:active], picked, axis=1).swapaxes(0, 1)
                         else:
                             Xs, ts = [source[:active]] * (b1 - b0), [targets[:active]] * (b1 - b0)
+                        m = float(np.abs(wv, sv).max())
+                        try:
+                            reach = (m + move * (b1 - b0)) * growth ** (b1 - b0)
+                        except OverflowError:
+                            reach = math.inf
+                        clip_z, clip_w = not 2 * row_sum * reach < 30, not 2 * reach < 1e6
                         for X, t in zip(Xs, ts):
-                            np.matmul(X, W, out=Z)
-                            np.maximum(zv, z_lo, out=zv)
-                            np.minimum(zv, z_hi, out=zv)
-                            np.negative(zv, out=zv)
-                            np.exp(zv, out=zv)
-                            np.add(one, zv, out=zv)
-                            np.divide(one, zv, out=zv)
-                            np.subtract(zv, t, out=zv)
-                            np.matmul(Zrow, X, out=G)
-                            gv /= size
-                            gv += lam * (np.sign(wv) if l1 else wv)
-                            wv -= lv * gv
-                            np.maximum(wv, w_lo, out=wv)
-                            np.minimum(wv, w_hi, out=wv)
+                            matmul(X, W, out=Z)
+                            if clip_z:
+                                maximum(zv, z_lo, out=zv)
+                                minimum(zv, z_hi, out=zv)
+                            negative(zv, zv)
+                            exp(zv, zv)
+                            add(one, zv, zv)
+                            divide(one, zv, zv)
+                            subtract(zv, t, zv)
+                            matmul(Zrow, X, out=G)
+                            divide(gv, size, gv)
+                            if l1:
+                                multiply(lam, sign(wv, sv), sv)
+                            else:
+                                multiply(lam, wv, sv)
+                            add(gv, sv, gv)
+                            multiply(lv, gv, sv)
+                            subtract(wv, sv, wv)
+                            if clip_w:
+                                maximum(wv, w_lo, out=wv)
+                                minimum(wv, w_hi, out=wv)
                 step = stop
                 snapshots[stop] = w.copy()
             for i, (_, _, j, slot) in enumerate(stack):
@@ -804,7 +866,8 @@ def synth_dataset(kind: str, n: int, seed: int) -> LabeledDataset:
 
 
 def load_csv(path, label_column: str) -> LabeledDataset:
-    """Load a headered numeric CSV, mapping the label column to class ids."""
+    """Load a headered numeric CSV, mapping the label column to class ids.
+    Blank lines after the header are skipped; errors name the file's line."""
     try:
         with open(path, newline="", encoding="utf-8-sig") as handle:
             rows = list(csv.reader(handle))
@@ -818,6 +881,8 @@ def load_csv(path, label_column: str) -> LabeledDataset:
     label_idx = header.index(label_column)
     features, labels = [], []
     for lineno, row in enumerate(rows[1:], start=2):
+        if not row:
+            continue
         if len(row) != len(header):
             raise BadCsv(f"line {lineno}: expected {len(header)} cells, got {len(row)}")
         try:

@@ -92,6 +92,21 @@ class TestCsv:
         with pytest.raises(toyml.BadCsv):
             load_csv(path, "label")
 
+    @pytest.mark.parametrize("text", ["a,b,label\n1,2,yes\n3,4,no\n\n",
+                                      "a,b,label\n1,2,yes\n\n3,4,no\n"])
+    def test_blank_lines_are_skipped(self, tmp_path, text):
+        path = tmp_path / "data.csv"
+        path.write_text(text, encoding="utf-8")
+        ds = load_csv(path, "label")
+        assert ds.X.tolist() == [[1, 2], [3, 4]]
+        assert ds.y.tolist() == [1, 0]
+
+    def test_short_row_after_a_blank_line_names_its_line(self, tmp_path):
+        path = tmp_path / "data.csv"
+        path.write_text("a,b,label\n1,2,yes\n\n3,no\n", encoding="utf-8")
+        with pytest.raises(toyml.BadCsv, match="^line 4: expected 3 cells, got 2$"):
+            load_csv(path, "label")
+
     def test_byte_order_mark(self, tmp_path):
         path = tmp_path / "data.csv"
         path.write_text("label,a\nyes,1\nno,2\n", encoding="utf-8-sig")
@@ -848,6 +863,109 @@ class TestStackedLockstep:
                     for t, w in zip(T, W):
                         ref = reference_logreg_descent(Xb, t, lr, count, penalty, solver)
                         assert w.tobytes() == ref.tobytes()
+
+
+@st.composite
+def clipped_descents(draw):
+    """One lockstep's descents over 1-3 inputs whose shapes often match, so
+    that several descents share a stack: input scales 1, 1e3 and 1e300, C-
+    or Fortran-ordered, sometimes with a non-finite cell, and 2-5 descents
+    of 1-2 target rows per input, learning rates from 1e-4 to 10 and up to
+    200 steps. Targets are random or follow the first feature's sign, which
+    makes the weights grow until a clip bites. Inputs have two columns at
+    least: on a 1x1 input a NaN weight may differ in sign from the
+    reference's (see _logreg_descent)."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n, d = draw(st.integers(1, 40)), draw(st.integers(1, 4))
+    inputs = []
+    for _ in range(draw(st.integers(1, 3))):
+        shape = (n, d) if draw(st.booleans()) else (draw(st.integers(1, 40)), d)
+        Xb = np.hstack([rng.standard_normal(shape) * draw(st.sampled_from([1.0, 1e3, 1e300])),
+                        np.ones((shape[0], 1))])
+        if draw(st.integers(0, 4)) == 0:
+            Xb[draw(st.integers(0, shape[0] - 1)), draw(st.integers(0, d))] = draw(
+                st.sampled_from([math.nan, math.inf, -math.inf]))
+        inputs.append(np.asfortranarray(Xb) if draw(st.booleans()) else Xb)
+    descents = []
+    for _ in range(draw(st.integers(2, 5))):
+        chosen = draw(st.lists(st.integers(0, len(inputs) - 1), min_size=1, max_size=3,
+                               unique=True))
+        problems = []
+        for i in chosen:
+            targets = np.vstack([inputs[i][:, 0] > 0, rng.random(len(inputs[i])) < 0.5])
+            rows = draw(st.sampled_from([[0], [1], [0, 1]]))
+            problems.append((inputs[i], targets[rows].astype(float)))
+        counts = draw(st.lists(st.integers(0, 200), min_size=1, max_size=2, unique=True))
+        descents.append((problems, 10.0 ** draw(st.floats(-4, 1)), sorted(counts)))
+    return descents
+
+
+def bandit_shaped_stack(lr, scale):
+    """Three 80x7 inputs (six features and a bias column) with one 0/1
+    target row each, as a gd lockstep of bandit_ablation holds."""
+    rng = np.random.default_rng(8)
+    problems = [(np.hstack([rng.standard_normal((80, 6)) * scale, np.ones((80, 1))]),
+                 (rng.random((1, 80)) < 0.5).astype(float)) for _ in range(3)]
+    return [(problems, lr, [100])]
+
+
+class TestClipBounds:
+    # A block of steps drops a clip only where a bound on the weights it can
+    # reach proves the clip changes nothing; these check the fast path that
+    # gives against the reference, which clips every step.
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @given(clipped_descents(), st.sampled_from(["gd", "sgd"]), st.sampled_from(["l1", "l2"]),
+           st.sampled_from([1, 2, 3, 4, 5, 6, 7, toyml.GD_BLOCK_STEPS]))
+    @settings(max_examples=120, deadline=None)
+    def test_skipped_clips_keep_the_reference_bits(self, descents, solver, penalty, steps):
+        # Blocks of 1-7 gd steps let the bound hold early in a descent and
+        # fail later on, as the weights grow.
+        want = reference_lockstep_descent(descents, penalty, solver)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(toyml, "GD_BLOCK_STEPS", steps)
+            got = toyml._logreg_descent(descents, penalty, solver)
+        assert [[raw.tobytes() for raw in raws] for raws in got] == [
+            [raw.tobytes() for raw in raws] for raws in want]
+
+    @pytest.mark.parametrize("penalty", ["l1", "l2"])
+    @pytest.mark.parametrize("lr, scale, clipped", [(0.01, 1.0, False), (10.0, 1e3, True),
+                                                    (1e12, 1.0, True)])
+    def test_clips_run_only_where_the_bound_needs_them(self, monkeypatch, penalty, lr, scale,
+                                                       clipped):
+        # At bandit_ablation's shape and a small learning rate no clip can
+        # change a value, so none runs; at lr 10 and inputs of 1e3 both the
+        # z clip (+-30) and the w clip (+-1e6) run, and so they do at lr
+        # 1e12, where the bound's growth factor overflows a float.
+        descents = bandit_shaped_stack(lr, scale)
+        want = reference_lockstep_descent(descents, penalty, "gd")
+        bounds = []
+
+        def watched(ufunc):
+            def call(a, b, *, out=None):  # numpy 2.4 takes out only by keyword here
+                bounds.append(float(b))
+                return ufunc(a, b, out=out)
+            return call
+
+        monkeypatch.setattr(np, "maximum", watched(np.maximum))
+        monkeypatch.setattr(np, "minimum", watched(np.minimum))
+        got = toyml._logreg_descent(descents, penalty, "gd")
+        assert [[raw.tobytes() for raw in raws] for raws in got] == [
+            [raw.tobytes() for raw in raws] for raws in want]
+        assert set(bounds) == ({-30.0, 30.0, -1e6, 1e6} if clipped else set())
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_a_gradient_sum_that_overflows_keeps_the_clips(self):
+        # Cells of 1e307 and a tiny learning rate: each step could move a
+        # weight by little, but the gradient's sum over 80 rows overflows to
+        # inf before its mean is taken, and only the w clip turns -inf into
+        # -1e6.
+        X = np.hstack([np.full((80, 1), 1e307), np.ones((80, 1))])
+        descents = [([(X, np.ones((1, 80)))], 1e-310, [1, 3])]
+        want = reference_lockstep_descent(descents, "l2", "gd")
+        got = toyml._logreg_descent(descents, "l2", "gd")
+        assert [[raw.tobytes() for raw in raws] for raws in got] == [
+            [raw.tobytes() for raw in raws] for raws in want]
 
 
 def _integer_values(draw, rng, shape):
