@@ -391,7 +391,7 @@ def _draw_plan(lo, hi, lo_open, hi_open, integer, log, q) -> tuple:
 
 
 def _node_plan(node: RangeNode) -> tuple:
-    """The `_draw_plan` of a schema range leaf."""
+    """The `_draw_plan` of a schema range leaf, read through `_kept`."""
     return _draw_plan(node.lo, node.hi, node.lo_open, node.hi_open, node.integer_valued,
                       node.prior.kind == "loguniform", node.prior.quantization)
 
@@ -424,6 +424,20 @@ def _draw(rng: random.Random, plan: tuple):
             if schema_model.in_range(candidate, lo_raw, hi_raw, lo_open, hi_open, False):
                 return candidate
     return min(max(value, lo), hi)
+
+
+def _kept(leaf: EnumNode | RangeNode, build):
+    """`build(leaf)`, for a `build` that reads nothing but the schema leaf
+    `leaf`: built on first use and kept on the leaf itself under `build`'s
+    name, as `SchemaNode.normal_form` is, so it lives as long as the leaf
+    and every compile that shares the leaf shares it. It is never keyed by
+    value: EnumNode((1,), 1) == EnumNode((True,), True), and the two hash
+    alike, yet one prints 1 in PCS and the other true."""
+    kept = leaf.__dict__
+    fragment = kept.get(build.__name__)
+    if fragment is None:
+        fragment = kept[build.__name__] = build(leaf)
+    return fragment
 
 
 def _real_bounds(lo, hi, lo_open, hi_open) -> tuple[float, float]:
@@ -561,7 +575,7 @@ def _grid_fragment(domains: dict[str, Domain]) -> dict[str, list | tuple]:
     for each continuous domain a slot (draw plan, default) that every row
     holding it replaces with its own draws, in row order."""
     return {name: list(domain.values) if isinstance(domain, EnumNode) else
-            (_node_plan(domain), domain.default)
+            (_kept(domain, _node_plan), domain.default)
             for name, domain in domains.items()}
 
 
@@ -601,7 +615,7 @@ class PcsSpace:
             if isinstance(node, EnumNode):
                 point[name] = node.values[rng.randrange(len(node.values))]
             else:
-                point[name] = _draw(rng, _node_plan(node))
+                point[name] = _draw(rng, _kept(node, _node_plan))
         return point
 
     def _active(self, name: str, point) -> bool:
@@ -675,12 +689,12 @@ def _pcs_build(ir: SearchIR, ctx, branch_ctx, model: PcsSpace) -> None:
             _pcs_build(domains[0], ctx, branch_ctx, model)
             continue
         if selector is None or all(_same_domain(d, domains[0]) for d in domains):
-            _pcs_add(model, public, branch_ctx, _pcs_param(domains[0]), ctx,
+            _pcs_add(model, public, branch_ctx, _kept(domains[0], _pcs_param), ctx,
                      ("param", public, tuple(domains)))
             continue
         for index, domain in enumerate(domains):
             pcs_name = public if index == 0 else f"{public}__{index}"
-            _pcs_add(model, pcs_name, branch_ctx, _pcs_param(domain),
+            _pcs_add(model, pcs_name, branch_ctx, _kept(domain, _pcs_param),
                      ctx + ((selector, str(index)),),
                      ("param", public, (domain,)))
 
@@ -697,6 +711,7 @@ def _bool_places(domain: Domain) -> list[bool]:
 
 
 def _pcs_param(domain: Domain) -> EnumNode | RangeNode:
+    """The PCS parameter of a domain, read through `_kept`."""
     if isinstance(domain, EnumNode):
         # The default is spelled as the value it equals: 1 as 1.0 in {1.0, 2.0}.
         default = next((v for v in domain.values if schema_model.scalar_eq(v, domain.default)),
@@ -730,16 +745,16 @@ def emit_pcs(ir: SearchIR, limit: int = DEFAULT_BLOWUP_LIMIT) -> str:
     flat_size(ir, limit)  # enforce the blowup cap the flat form defines
     space = ir.pcs_model
     for name, node in space.parameters.items():
-        # A compiled enum's default is one of its values; a range's is a number.
-        values = node.values if isinstance(node, EnumNode) else ()
-        for text in (name, *values):
-            if _PCS_UNREADABLE.search(text):
-                raise CompileError(
-                    f"PCS parameter {name!r}: {text!r} would not read back "
-                    "(PCS names and values hold no whitespace and none of # | , = { } [ ])")
-        if len(set(values)) < len(values):
+        _, unreadable, alike = _kept(node, _pcs_line)
+        if _PCS_UNREADABLE.search(name):
+            unreadable = name
+        if unreadable is not None:
             raise CompileError(
-                f"PCS parameter {name!r}: values {{{', '.join(values)}}} "
+                f"PCS parameter {name!r}: {unreadable!r} would not read back "
+                "(PCS names and values hold no whitespace and none of # | , = { } [ ])")
+        if alike:
+            raise CompileError(
+                f"PCS parameter {name!r}: values {{{', '.join(node.values)}}} "
                 "spell alike, so PCS text cannot tell them apart")
     return _pcs_text(space)
 
@@ -750,15 +765,24 @@ def emit_pcs(ir: SearchIR, limit: int = DEFAULT_BLOWUP_LIMIT) -> str:
 _PCS_UNREADABLE = re.compile(r"[\s#|,={}\[\]]")
 
 
+def _pcs_line(node: EnumNode | RangeNode) -> tuple[str, str | None, bool]:
+    """A PCS parameter's line after its name, read through `_kept`, with its
+    verdicts: the first value read_pcs could not read back (None when every
+    value reads back), and whether two values spell alike. A compiled
+    enum's default is one of its values; a range's is a number."""
+    if isinstance(node, EnumNode):
+        values = node.values
+        tail = f"{{{', '.join(values)}}} [{node.default}]"
+        unreadable = next((text for text in values if _PCS_UNREADABLE.search(text)), None)
+        return tail, unreadable, len(set(values)) < len(values)
+    integer = "i" if node.integer_valued else ""
+    log = "l" if node.prior.kind == "loguniform" else ""
+    return f"[{node.lo!r}, {node.hi!r}] [{node.default!r}]{integer}{log}", None, False
+
+
 def _pcs_text(space: PcsSpace) -> str:
     lines = ["# parameter configuration space"]
-    for name, node in space.parameters.items():
-        if isinstance(node, EnumNode):
-            lines.append(f"{name} {{{', '.join(node.values)}}} [{node.default}]")
-            continue
-        integer = "i" if node.integer_valued else ""
-        log = "l" if node.prior.kind == "loguniform" else ""
-        lines.append(f"{name} [{node.lo!r}, {node.hi!r}] [{node.default!r}]{integer}{log}")
+    lines += [f"{name} {_kept(node, _pcs_line)[0]}" for name, node in space.parameters.items()]
     conditions = [
         f"{child} | {parent} == {value}"
         for child, pairs in space.conditions.items()

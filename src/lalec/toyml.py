@@ -340,6 +340,8 @@ ROW_BLOCK_FLOATS = 1 << 14
 # The steps of one gd block: the clips a block's weight bound proves idle
 # are skipped for the whole block (see _logreg_descent).
 GD_BLOCK_STEPS = 32
+# LogRegGD's penalty weight.
+LAM = 1e-2
 
 
 def _abs_bounds(source):
@@ -354,6 +356,17 @@ def _abs_bounds(source):
         tops.append(block.max())
         sums.append(block.sum(axis=2).max())
     return float(np.array(tops).max()), float(np.array(sums).max())
+
+
+def _weight_bound(m, top, eta, steps):
+    """B = (m + eta * (top + LAM) * steps) * (1 + eta * LAM) ** steps: no
+    weight of a LogRegGD descent leaves B over `steps` steps from weights of
+    at most m, at learning rates of at most eta, on inputs whose |x| are at
+    most top (see _logreg_descent); inf where the power overflows."""
+    try:
+        return (m + eta * (top + LAM) * steps) * (1.0 + eta * LAM) ** steps
+    except OverflowError:
+        return math.inf
 
 
 def _logreg_descent(descents, penalty, solver):
@@ -391,7 +404,11 @@ def _logreg_descent(descents, penalty, solver):
     # item gets the bits its own .dot calls give. (A 1x1 item aside: there
     # .dot multiplies as scalars, and a zero product may differ in sign,
     # which no weight shows: w is never -0, and exp(-0) is exp(0). A NaN
-    # may differ in sign too, and the caller zeroes NaN weights.) The bits
+    # may differ in sign too, and the caller zeroes NaN weights. A
+    # one-column item of more rows aside too: there .dot scales the column
+    # by its one weight, and a zero weight gives 0 whatever the cell, where
+    # matmul gives inf * 0 = NaN; a fit's one-column input is its bias
+    # column alone, all ones.) The bits
     # depend on the memory order: gemv sums in another order over a
     # Fortran-ordered matrix than over a C-ordered copy of it. So a copy
     # keeps its input's order (a Fortran-ordered input is stacked as the
@@ -413,7 +430,7 @@ def _logreg_descent(descents, penalty, solver):
     # M + lam * |w| (l2) or M + lam (l1), with M the largest |x| of the
     # stack; so over L steps from weights of at most m in magnitude, at the
     # stack's largest lr eta, no weight leaves
-    #   B = (m + eta * (M + lam) * L) * (1 + eta * lam) ** L,
+    #   B = (m + eta * (M + lam) * L) * (1 + eta * lam) ** L  (_weight_bound),
     # and no |z| exceeds R * B, with R the largest row sum of |x|. The w
     # clip is skipped when 2B < 1e6 and the z clip when 2RB < 30; the
     # factor 2 covers rounding. M and R are read once per stack. A NaN or
@@ -435,7 +452,7 @@ def _logreg_descent(descents, penalty, solver):
     sgd, l1 = solver == "sgd", penalty == "l1"
     matmul, maximum, minimum, negative, exp = np.matmul, np.maximum, np.minimum, np.negative, np.exp
     add, subtract, multiply, divide, sign = np.add, np.subtract, np.multiply, np.divide, np.sign
-    lam = np.array(1e-2)
+    lam = np.array(LAM)
     one, z_lo, z_hi = np.array(1.0), np.array(-30.0), np.array(30.0)
     w_lo, w_hi = np.array(-1e6), np.array(1e6)
     rows: dict = {}  # sgd rows by row count: the longest descent comes first
@@ -469,13 +486,10 @@ def _logreg_descent(descents, penalty, solver):
             z = np.empty((len(stack), batch))
             lrs = np.array([[descents[j][1]] * d for _, _, j, _ in stack])
             size = np.array(float(batch))
-            # Per block of L steps from weights of at most m, no weight leaves
-            # (m + move * L) * growth ** L (see above).
             top, row_sum = _abs_bounds(source)
             if not batch * top < 1e300:
                 top = math.inf
             eta = float(np.abs(lrs).max())
-            move, growth = eta * (top + float(lam)), 1.0 + eta * float(lam)
             lengths = [descents[j][2][-1] for _, _, j, _ in stack]
             snapshots, step, active = {}, 0, len(stack)
             for stop in sorted({c for _, _, j, _ in stack for c in descents[j][2]}):
@@ -501,11 +515,7 @@ def _logreg_descent(descents, penalty, solver):
                             ts = np.take(targets[:active], picked, axis=1).swapaxes(0, 1)
                         else:
                             Xs, ts = [source[:active]] * (b1 - b0), [targets[:active]] * (b1 - b0)
-                        m = float(np.abs(wv, sv).max())
-                        try:
-                            reach = (m + move * (b1 - b0)) * growth ** (b1 - b0)
-                        except OverflowError:
-                            reach = math.inf
+                        reach = _weight_bound(float(np.abs(wv, sv).max()), top, eta, b1 - b0)
                         clip_z, clip_w = not 2 * row_sum * reach < 30, not 2 * reach < 1e6
                         for X, t in zip(Xs, ts):
                             matmul(X, W, out=Z)

@@ -39,6 +39,7 @@ from lalec.space_backends import (
 )
 from lalec.space_normalizer import DEFAULT_BLOWUP_LIMIT, BlowupExceeded
 
+import test_space_normalizer
 from conftest import hier_member, probe_lattice
 from oracles import (
     default_point,
@@ -1599,6 +1600,130 @@ class TestRenderedOnce:
                     else:
                         node["scribbled"] = True
             assert [repr(emit()) for emit in emitters] == before
+
+
+def _emitted(operator, keep, cont_samples, seed):
+    """The PCS text and grid JSON of `operator()` compiled, or the
+    refusal of its compile or of each emission."""
+    try:
+        compiled = compile_space(operator(), keep)
+    except CompileError as exc:
+        return f"CompileError: {exc}"
+    out = []
+    for emit in (compiled.pcs, lambda: json.dumps(compiled.grid(cont_samples, seed))):
+        try:
+            out.append(emit())
+        except (BlowupExceeded, CompileError) as exc:
+            out.append(f"{type(exc).__name__}: {exc}")
+    return out
+
+
+class TestKeptFragments:
+    """A schema leaf keeps its PCS parameter, that parameter's PCS line and
+    verdicts, and a range's draw plan, built on first use: what any later
+    compile emits from them is what fresh leaves give."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(name=st.sampled_from(["linear_stages", "feature_union"]),
+           seed=st.integers(0, 2**31 - 1), depth=st.integers(1, 4),
+           warm=st.lists(st.integers(0, 2**31 - 1), max_size=3), keep=st.booleans(),
+           cont_samples=st.integers(1, 3), grid_seed=st.integers(0, 2**32))
+    def test_grammar_samples_emit_what_a_fresh_registry_does(self, name, seed, depth, warm,
+                                                              keep, cont_samples, grid_seed):
+        registry = toyml.load_registry()
+        grammar = parse_grammar((GRAMMAR_DIR / f"{name}.grammar").read_text(), registry)
+        fresh = _emitted(lambda: grammar_engine.sample(grammar, seed, depth, registry), keep,
+                         cont_samples, grid_seed)
+        # The shared registry's leaves, warmed by other compiles and emissions.
+        for other in (seed, *warm):
+            for other_keep in (True, False):
+                _emitted(lambda: grammar_engine.sample(_grammar(name), other, depth, REGISTRY),
+                         other_keep, 2, other)
+        _emitted(lambda: grammar_engine.unfold(_grammar(name), 2, REGISTRY), keep, 1, 0)
+        for _ in range(2):
+            assert _emitted(lambda: grammar_engine.sample(_grammar(name), seed, depth, REGISTRY),
+                            keep, cont_samples, grid_seed) == fresh
+
+    @settings(max_examples=100, deadline=None)
+    @given(source=st.integers(0, 2**32 - 1), keep=st.booleans(),
+           cont_samples=st.integers(1, 3), grid_seed=st.integers(0, 2**32))
+    def test_random_schemas_emit_what_fresh_ones_do(self, source, keep, cont_samples, grid_seed):
+        def operator():
+            schema = test_space_normalizer.TestRandomizedEquivalence()._random_schema(
+                random.Random(source))[0]
+            return og.Individual("R", schema)
+
+        fresh = _emitted(operator, keep, cont_samples, grid_seed)
+        op = operator()
+        for warm in (lambda: pipe(op, REGISTRY["KNN"]), lambda: choose([REGISTRY["KNN"], op]),
+                     lambda: op):
+            for warm_keep in (True, False):
+                _emitted(warm, warm_keep, 2, source)
+        for _ in range(2):
+            assert _emitted(lambda: op, keep, cont_samples, grid_seed) == fresh
+
+    def test_equal_enum_leaves_keep_their_own_spelling(self):
+        # The three leaves are equal and hash alike, so fragments kept by
+        # value would print whichever compiled first.
+        def operators():
+            return [og.Individual(f"E{i}", sm.parse_schema({"type": "object", "properties": {
+                "x": {"enum": [value]}}})) for i, value in enumerate([1, True, 1.0])]
+
+        tails = [" {1} [1]\n", " {true} [true]\n", " {1.0} [1.0]\n"]
+        leaves = [op.schema.normal_form.disjuncts[0]["x"] for op in operators()]
+        assert leaves[0] == leaves[1] == leaves[2]
+        assert len({hash(leaf) for leaf in leaves}) == 1
+        for order in itertools.permutations(range(3)):
+            ops = operators()
+            for i in order:
+                assert f"e{i}__x{tails[i]}" in compile_space(ops[i]).pcs()
+            text = compile_space(choose([ops[i] for i in order])).pcs()
+            assert all(tail in text for tail in tails)
+
+    def test_a_parsed_space_builds_one_plan_per_numeric_node(self, registry, monkeypatch):
+        text = compile_space(parse_expr("Scaler >> (PrunedTree | LogRegGD | KNN)",
+                                        registry)).pcs()
+        space, again = read_pcs(text), read_pcs(text)
+        numeric = [name for name, node in space.parameters.items()
+                   if isinstance(node, RangeNode)]
+        plans = []
+        draw_plan = sb._draw_plan
+        monkeypatch.setattr(sb, "_draw_plan", lambda *args: plans.append(args) or draw_plan(*args))
+        rng = random.Random(5)
+        points = [space.sample(rng) for _ in range(300)]
+        assert {name for point in points for name in point} >= set(numeric)  # each was drawn
+        assert len(plans) == len(numeric) > 0
+        # Another parsed space builds its own plans, and draws the same.
+        rng = random.Random(5)
+        assert [again.sample(rng) for _ in range(300)] == points
+        assert len(plans) == 2 * len(numeric)
+
+    def test_a_grid_builds_its_plans_once_per_leaf(self, registry, monkeypatch):
+        compiled = compile_space(parse_expr("Scaler >> (PrunedTree | LogRegGD | KNN)", registry))
+        plans = []
+        draw_plan = sb._draw_plan
+        monkeypatch.setattr(sb, "_draw_plan", lambda *args: plans.append(args) or draw_plan(*args))
+        first = json.dumps(compiled.grid(3, 1))
+        built = len(plans)
+        assert json.dumps(compile_space(compiled.op).grid(3, 1)) == first
+        assert len(plans) == built
+
+    @pytest.mark.parametrize("prop,message", [
+        ({"a b": {"enum": ["c,d", 1, "1"]}}, "PCS parameter 't__a b': 't__a b' would not read back "
+         "(PCS names and values hold no whitespace and none of # | , = { } [ ])"),
+        ({"x": {"enum": [1, "c,d", "1"]}}, "PCS parameter 't__x': 'c,d' would not read back "
+         "(PCS names and values hold no whitespace and none of # | , = { } [ ])"),
+        ({"x": {"enum": [1, "e", "1"]}}, "PCS parameter 't__x': values {1, e, 1} spell alike, "
+         "so PCS text cannot tell them apart"),
+    ], ids=["unreadable_name", "unreadable_value", "spelled_alike"])
+    def test_refusals_keep_their_messages(self, prop, message):
+        # The name is refused before its values, and an unreadable value
+        # before values that spell alike; again from the kept verdicts.
+        op = og.Individual("T", sm.parse_schema({"type": "object", "properties": prop}))
+        for _ in range(2):
+            with pytest.raises(CompileError) as refused:
+                compile_space(op).pcs()
+            assert str(refused.value) == message
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from lalec import operator_graph as og
 from lalec import schema_model, toyml
@@ -872,17 +872,19 @@ def clipped_descents(draw):
     or Fortran-ordered, sometimes with a non-finite cell, and 2-5 descents
     of 1-2 target rows per input, learning rates from 1e-4 to 10 and up to
     200 steps. Targets are random or follow the first feature's sign, which
-    makes the weights grow until a clip bites. Inputs have two columns at
-    least: on a 1x1 input a NaN weight may differ in sign from the
-    reference's (see _logreg_descent)."""
+    makes the weights grow until a clip bites. An input is 0-4 features and
+    a bias column, so some have one column (see `same_weights`). A
+    one-column input of two rows or more gets no non-finite cell: .dot
+    gives 0 for such a cell times a zero weight, where the lockstep gives
+    NaN (see _logreg_descent); a fit's one-column input is all ones."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    n, d = draw(st.integers(1, 40)), draw(st.integers(1, 4))
+    n, d = draw(st.integers(1, 40)), draw(st.integers(0, 4))
     inputs = []
     for _ in range(draw(st.integers(1, 3))):
         shape = (n, d) if draw(st.booleans()) else (draw(st.integers(1, 40)), d)
         Xb = np.hstack([rng.standard_normal(shape) * draw(st.sampled_from([1.0, 1e3, 1e300])),
                         np.ones((shape[0], 1))])
-        if draw(st.integers(0, 4)) == 0:
+        if draw(st.integers(0, 4)) == 0 and (d or shape[0] == 1):
             Xb[draw(st.integers(0, shape[0] - 1)), draw(st.integers(0, d))] = draw(
                 st.sampled_from([math.nan, math.inf, -math.inf]))
         inputs.append(np.asfortranarray(Xb) if draw(st.booleans()) else Xb)
@@ -898,6 +900,17 @@ def clipped_descents(draw):
         counts = draw(st.lists(st.integers(0, 200), min_size=1, max_size=2, unique=True))
         descents.append((problems, 10.0 ** draw(st.floats(-4, 1)), sorted(counts)))
     return descents
+
+
+def same_weights(got, want):
+    """Whether two descents' recorded weights are equal bit for bit, but
+    that a NaN equals any NaN: on a 1x1 input .dot multiplies as scalars,
+    and a NaN may differ in sign (see _logreg_descent)."""
+    def bits(raws):
+        return [(np.isnan(raw).tobytes(), np.where(np.isnan(raw), 0.0, raw).tobytes())
+                for raw in raws]
+
+    return [bits(raws) for raws in got] == [bits(raws) for raws in want]
 
 
 def bandit_shaped_stack(lr, scale):
@@ -925,8 +938,46 @@ class TestClipBounds:
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(toyml, "GD_BLOCK_STEPS", steps)
             got = toyml._logreg_descent(descents, penalty, solver)
-        assert [[raw.tobytes() for raw in raws] for raws in got] == [
-            [raw.tobytes() for raw in raws] for raws in want]
+        assert same_weights(got, want)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @example([([(np.array([[3.0, 1.0], [-3.0, 1.0]] * 2), np.array([[1.0, 0.0] * 2]))],
+               0.1, [64])], "gd", "l2", toyml.GD_BLOCK_STEPS)
+    @given(clipped_descents(), st.sampled_from(["gd", "sgd"]), st.sampled_from(["l1", "l2"]),
+           st.sampled_from([1, 2, 3, 4, 5, 6, 7, toyml.GD_BLOCK_STEPS]))
+    @settings(max_examples=120, deadline=None)
+    def test_each_block_stays_within_its_bound(self, descents, solver, penalty, steps):
+        # The reference, recorded after every step, against the bound the
+        # lockstep puts on a block: over each block of `steps` steps of a
+        # phase, no weight leaves _weight_bound(m, M, lr, L), and no |z|
+        # exceeds R times that. Each target row is checked with its own
+        # input's M and R and its own lr, which bound it at least as tightly
+        # as its stack's largest do. The bound holds for any block, so sgd's
+        # descents are checked on the same blocks; |Xb @ w| over all rows
+        # bounds the |z| of any batch. Inputs on which the lockstep keeps
+        # both clips whatever the bound (a non-finite cell, or an |x| at
+        # which a gradient's sum may overflow) are left out.
+        stepped = [(problems, lr, list(range(counts[-1] + 1)))
+                   for problems, lr, counts in descents]
+        raws = reference_lockstep_descent(stepped, penalty, solver)
+        for (problems, lr, counts), after in zip(descents, raws):
+            path = np.vstack(after)  # the weights after 0, 1, 2, ... steps
+            blocks = [(b0, min(b0 + steps, stop)) for start, stop in zip([0, *counts], counts)
+                      for b0 in range(start, stop, steps)]
+            at = 0
+            for Xb, T in problems:
+                n, d = Xb.shape
+                top, row_sum = toyml._abs_bounds(Xb[None])
+                for _ in T:
+                    w, at = path[:, at:at + d], at + d
+                    if not n * top < 1e300:
+                        continue
+                    reached = np.abs(w).max(axis=1)
+                    z = np.abs(w @ Xb.T).max(axis=1)  # the |z| of the step after each
+                    for b0, b1 in blocks:
+                        bound = toyml._weight_bound(reached[b0], top, lr, b1 - b0)
+                        assert reached[b0:b1 + 1].max() <= bound, (b0, b1)
+                        assert z[b0:b1].max() <= row_sum * bound, (b0, b1)
 
     @pytest.mark.parametrize("penalty", ["l1", "l2"])
     @pytest.mark.parametrize("lr, scale, clipped", [(0.01, 1.0, False), (10.0, 1e3, True),
