@@ -102,7 +102,28 @@ class Individual(Operator):
             raise OperatorError("trained artifacts present iff state is Trained")
         copy = object.__new__(Individual)
         copy.__dict__.update(self.__dict__, bound=bound, state=state, artifacts=artifacts)
+        copy.__dict__.pop(_LEAF_IRS, None)
         return copy
+
+    def leaf_irs(self) -> dict:
+        """The search IRs compiled from this operator, which
+        space_backends keeps here by (path, unique path, keep_constraints):
+        built on first use and kept as long as the operator, as
+        `SchemaNode.normal_form` is. Equality ignores them, and a copy made
+        by `_copy`, `dataclasses.replace`, pickle or deepcopy starts with
+        none, since a copy may bind other values."""
+        return self.__dict__.setdefault(_LEAF_IRS, {})
+
+    def __getstate__(self) -> dict:
+        """What pickle and deepcopy copy: all but the kept leaf IRs."""
+        if _LEAF_IRS not in self.__dict__:
+            return self.__dict__
+        state = dict(self.__dict__)
+        del state[_LEAF_IRS]
+        return state
+
+
+_LEAF_IRS = "_leaf_irs"
 
 
 @dataclass(frozen=True)

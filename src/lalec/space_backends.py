@@ -76,10 +76,70 @@ class SearchIR:
 
 @dataclass(frozen=True)
 class LeafIR(SearchIR):
+    """An operator's leaf. Its operator keeps it (`_combine_individual`),
+    so what it derives on first use below is kept across compiles."""
+
     prefix: str   # mangled path parameters live under
     unique: str   # collision-free path for synthetic selector parameters
     op: Individual
     nf: NormalForm
+
+    @cached_property
+    def mangled(self) -> tuple[tuple[dict[str, Domain | SearchIR], dict[str, Domain],
+                                     tuple[SearchIR, ...]], ...]:
+        """Per disjunct: each name's mangled key with its domain, or its
+        nested IR for an operator slot, in the disjunct's order; the same
+        without the slots; and the slots' IRs. Read them, never write to
+        them."""
+        out = []
+        for disjunct in self.nf.disjuncts:
+            pairs = {_join(self.prefix, name): domain for name, domain in disjunct.items()}
+            slots = tuple(d for d in pairs.values() if isinstance(d, SearchIR))
+            base = {key: d for key, d in pairs.items() if not isinstance(d, SearchIR)}
+            out.append((pairs, base if slots else pairs, slots))
+        return tuple(out)
+
+    @cached_property
+    def point_keys(self) -> dict[str, tuple[str | None, str]]:
+        """`_point_keys` of this leaf: its own parameters' keys, then its
+        operator slots'. Read it, never write to it."""
+        keys: dict[str, tuple[str | None, str]] = {}
+        slots = {}
+        for disjunct in self.nf.disjuncts:
+            for name, domain in disjunct.items():
+                if isinstance(domain, SearchIR):
+                    slots.setdefault(name, domain)
+                else:
+                    keys[_join(self.prefix, name)] = self.op.name, name
+        for nested in slots.values():
+            _add_keys(keys, _point_keys(nested))
+        return keys
+
+    @cached_property
+    def pcs_plan(self) -> tuple[tuple[str, EnumNode] | None, tuple]:
+        """What `_pcs_build` adds for this leaf under any context: the name
+        and node of its disjunct selector (None for one disjunct), then per
+        name its nested IR, or per PCS parameter (name, node, decode entry,
+        the selector value its condition names or None)."""
+        disjuncts = self.nf.disjuncts
+        selector = None
+        if len(disjuncts) > 1:
+            selector = (_join(self.unique, "disjunct"),
+                        EnumNode(tuple(str(i) for i in range(len(disjuncts))), "0"))
+        params: list = []
+        for name in (disjuncts[0] if disjuncts else ()):
+            domains = tuple(d[name] for d in disjuncts)
+            public = _join(self.prefix, name)
+            if isinstance(domains[0], SearchIR):
+                params.append(domains[0])
+            elif selector is None or all(_same_domain(d, domains[0]) for d in domains):
+                params.append((public, _kept(domains[0], _pcs_param),
+                               ("param", public, domains), None))
+            else:
+                params += [(public if index == 0 else f"{public}__{index}",
+                            _kept(domain, _pcs_param), ("param", public, (domain,)), str(index))
+                           for index, domain in enumerate(domains)]
+        return selector, tuple(params)
 
     @cached_property
     def entries(self) -> tuple[tuple[str, str, tuple[Domain, ...], SearchIR | None], ...]:
@@ -192,11 +252,22 @@ _EMPTY_NF = NormalForm(({},))
 
 
 def _combine_individual(op: Individual, path: str, unique: str, keep: bool) -> LeafIR:
-    """The operator's leaf: the disjuncts of its schema's normal form (of
-    the base object alone when constraints are dropped) that admit its
-    bound values, bound names removed. The normal form is the one the
-    schema keeps, so it is only read here; each leaf builds its own
-    disjuncts, in which an operator bound into a slot stands as its IR."""
+    """The operator's leaf at `path`, built by its first compile there and
+    kept on the operator (`Individual.leaf_irs`), so every later compile
+    at that path shares it and what it derives. A refusal keeps nothing."""
+    kept = op.leaf_irs()
+    ir = kept.get((path, unique, keep))
+    if ir is None:
+        ir = kept[path, unique, keep] = _build_leaf(op, path, unique, keep)
+    return ir
+
+
+def _build_leaf(op: Individual, path: str, unique: str, keep: bool) -> LeafIR:
+    """The disjuncts of the operator's schema's normal form (of the base
+    object alone when constraints are dropped) that admit its bound values,
+    bound names removed. The normal form is the one the schema keeps, so it
+    is only read here; an operator bound into a slot stands in the
+    disjuncts as its IR."""
     if op.frozen_trainable or op.frozen_trained or op.state == LifecycleState.TRAINED:
         return LeafIR(path, unique, op, _EMPTY_NF)
     try:
@@ -237,29 +308,21 @@ def _point_keys(ir: SearchIR) -> dict[str, tuple[str | None, str]]:
     choice's discriminant. One choice's branches may share keys, since a
     point holds one branch; any other repeat would make two parameters
     share one value, so it is refused with a CompileError that names the
-    operator and the key."""
+    operator and the key. A leaf keeps its own (`LeafIR.point_keys`)."""
+    if isinstance(ir, LeafIR):
+        return ir.point_keys
     keys: dict[str, tuple[str | None, str]] = {}
     if isinstance(ir, StepMapIR):
         for _, child in ir.steps:
             _add_keys(keys, _point_keys(child))
-    elif isinstance(ir, ChoiceIR):
+    else:
+        assert isinstance(ir, ChoiceIR)
         keys[ir.discriminant] = None, ir.prefix
         branches: dict[str, tuple[str | None, str]] = {}
         for _, body in ir.branches:
             for key, owner in _point_keys(body).items():
                 branches.setdefault(key, owner)
         _add_keys(keys, branches)
-    else:
-        assert isinstance(ir, LeafIR)
-        slots = {}
-        for disjunct in ir.nf.disjuncts:
-            for name, domain in disjunct.items():
-                if isinstance(domain, SearchIR):
-                    slots.setdefault(name, domain)
-                else:
-                    keys[_join(ir.prefix, name)] = ir.op.name, name
-        for nested in slots.values():
-            _add_keys(keys, _point_keys(nested))
     return keys
 
 
@@ -298,10 +361,8 @@ def emit_hierarchical(ir: SearchIR) -> dict:
     return {
         "kind": "disjuncts",
         "operator": ir.op.name,
-        "disjuncts": [
-            {_join(ir.prefix, name): _domain_doc(domain) for name, domain in disjunct.items()}
-            for disjunct in ir.nf.disjuncts
-        ],
+        "disjuncts": [{key: _domain_doc(domain) for key, domain in pairs.items()}
+                      for pairs, _, _ in ir.mangled],
     }
 
 
@@ -456,21 +517,20 @@ def flat_size(ir: SearchIR, limit: int = DEFAULT_BLOWUP_LIMIT) -> int:
     grid emitters of one compiled space count it once, and nothing is built
     before a refusal."""
     if ir.flat_count > limit:
-        raise BlowupExceeded(limit)
+        raise BlowupExceeded(limit, f"flat size {ir.flat_count}")
     return ir.flat_count
 
 
 def _flat_count(ir: SearchIR) -> int:
     """A product over steps, a sum over choice branches, and per leaf
-    disjunct a product over its nested operator slots."""
+    disjunct a product over its nested operator slots, each part's count
+    kept on the part."""
     if isinstance(ir, StepMapIR):
-        return math.prod(_flat_count(child) for _, child in ir.steps)
+        return math.prod(child.flat_count for _, child in ir.steps)
     if isinstance(ir, ChoiceIR):
-        return sum(_flat_count(body) for _, body in ir.branches)
+        return sum(body.flat_count for _, body in ir.branches)
     assert isinstance(ir, LeafIR)
-    return sum(math.prod(_flat_count(domain)
-                         for domain in disjunct.values() if isinstance(domain, SearchIR))
-               for disjunct in ir.nf.disjuncts)
+    return sum(math.prod(slot.flat_count for slot in slots) for _, _, slots in ir.mangled)
 
 
 def emit_flat(ir: SearchIR, limit: int = DEFAULT_BLOWUP_LIMIT) -> list[dict[str, Domain]]:
@@ -505,15 +565,11 @@ def _flat_rows(ir: SearchIR, render) -> list[dict]:
         return rows
     assert isinstance(ir, LeafIR)
     rows = []
-    for disjunct in ir.nf.disjuncts:
-        base: dict[str, Domain] = {}
+    for _, base, slots in ir.mangled:
         slot_rows: list[dict] = [{}]
-        for name, domain in disjunct.items():
-            if isinstance(domain, SearchIR):
-                nested_rows = _flat_rows(domain, render)
-                slot_rows = [{**a, **b} for a in slot_rows for b in nested_rows]
-            else:
-                base[_join(ir.prefix, name)] = domain
+        for slot in slots:
+            nested_rows = _flat_rows(slot, render)
+            slot_rows = [{**a, **b} for a in slot_rows for b in nested_rows]
         base = render(base)
         rows += [{**base, **extra} for extra in slot_rows]
     return rows
@@ -675,28 +731,17 @@ def _pcs_build(ir: SearchIR, ctx, branch_ctx, model: PcsSpace) -> None:
             _pcs_build(body, ctx + ((disc, value),), (ir.prefix, value), model)
         return
     assert isinstance(ir, LeafIR)
-    disjuncts = ir.nf.disjuncts
-    names = list(disjuncts[0]) if disjuncts else []
-    selector = None
-    if len(disjuncts) > 1:
-        node = EnumNode(tuple(str(i) for i in range(len(disjuncts))), "0")
-        selector = _pcs_add(model, _join(ir.unique, "disjunct"), branch_ctx, node, ctx,
-                            ("selector",))
-    for name in names:
-        domains = [d[name] for d in disjuncts]
-        public = _join(ir.prefix, name)
-        if isinstance(domains[0], SearchIR):
-            _pcs_build(domains[0], ctx, branch_ctx, model)
+    selector, params = ir.pcs_plan
+    if selector is not None:
+        name, node = selector
+        selector = _pcs_add(model, name, branch_ctx, node, ctx, ("selector",))
+    for param in params:
+        if isinstance(param, SearchIR):
+            _pcs_build(param, ctx, branch_ctx, model)
             continue
-        if selector is None or all(_same_domain(d, domains[0]) for d in domains):
-            _pcs_add(model, public, branch_ctx, _kept(domains[0], _pcs_param), ctx,
-                     ("param", public, tuple(domains)))
-            continue
-        for index, domain in enumerate(domains):
-            pcs_name = public if index == 0 else f"{public}__{index}"
-            _pcs_add(model, pcs_name, branch_ctx, _kept(domain, _pcs_param),
-                     ctx + ((selector, str(index)),),
-                     ("param", public, (domain,)))
+        name, node, entry, index = param
+        _pcs_add(model, name, branch_ctx, node,
+                 ctx if index is None else ctx + ((selector, index),), entry)
 
 
 def _same_domain(a: Domain, b: Domain) -> bool:
@@ -1000,8 +1045,8 @@ class CompiledSpace:
 
     Decoding keeps what it derives on the object it comes from: each
     schema's defaults on the schema (through `configure`), each leaf's
-    entries on the leaf, and the PCS model on the IR, built by the first
-    `pcs` or `decode_pcs`. Compiling and the other emitters build neither.
+    entries on the leaf, which its operator keeps across compiles, and the
+    PCS model on the IR, built by the first `pcs` or `decode_pcs`.
     """
 
     op: Operator

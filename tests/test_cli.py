@@ -12,7 +12,9 @@ import pytest
 from lalec import optimizer as opt
 from lalec.cli import main, operator_to_dot
 from lalec.operator_graph import configure, fit
+from lalec.pipeline_dsl import parse_expr
 from lalec.space_backends import compile_space
+from lalec.space_normalizer import DEFAULT_BLOWUP_LIMIT
 from lalec.toyml import default_schemas_dir, load_registry
 
 
@@ -224,6 +226,20 @@ class TestExitCodes:
         out = tmp_path / "out.json"
         assert run_cli(args + ["--cont-samples", "100000000", "--out", str(out)]) == 2
         assert capsys.readouterr().err == f"{prefix}: grid draw count exceeds the cap of 100000\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("backend", ["flat", "pcs", "grid"])
+    def test_a_refused_emission_states_its_flat_size(self, tmp_path, capsys, backend):
+        unfolded = tmp_path / "unfolded.pipe"
+        assert run_cli(["grammar", "unfold", "--grammar", "fixtures/grammars/feature_union.grammar",
+                        "--depth", "3", "--out", str(unfolded)]) == 0
+        size = compile_space(parse_expr(unfolded.read_text(), load_registry())).ir.flat_count
+        assert size == 30275
+        out = tmp_path / "out"
+        assert run_cli(["compile", "--pipeline", str(unfolded), "--backend", backend,
+                        "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"compile error: flat size {size} exceeds the cap of {DEFAULT_BLOWUP_LIMIT}\n")
         assert not out.exists()
 
     def test_cont_samples_unused_by_random_search(self, capsys):

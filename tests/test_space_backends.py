@@ -51,6 +51,7 @@ from oracles import (
     reference_flat_doc,
     reference_grid_params,
     reference_pcs_sample,
+    serialize,
 )
 
 
@@ -312,6 +313,18 @@ class TestFlat:
 
         with pytest.raises(BlowupExceeded):
             emit_flat(sb.combine(op), limit=100)
+
+    def test_a_refusal_states_the_flat_size(self):
+        compiled = compile_space(grammar_engine.unfold(_grammar("feature_union"), 3, REGISTRY))
+        message = f"flat size {compiled.ir.flat_count} exceeds the cap of {DEFAULT_BLOWUP_LIMIT}"
+        assert compiled.ir.flat_count == len(reference_emit_flat(compiled.ir, 10**6)) == 30275
+        for emit in (compiled.flat, compiled.pcs, compiled.grid):
+            with pytest.raises(BlowupExceeded) as refused:
+                emit()
+            assert str(refused.value) == message
+        with pytest.raises(BlowupExceeded, match="^flat size 30275 exceeds the cap of 30274$"):
+            sb.flat_size(compiled.ir, 30274)
+        assert sb.flat_size(compiled.ir, 30275) == 30275
 
     def test_refused_pcs_builds_no_model(self, registry):
         op = registry["J48"]
@@ -1603,25 +1616,54 @@ class TestRenderedOnce:
 
 
 def _emitted(operator, keep, cont_samples, seed):
-    """The PCS text and grid JSON of `operator()` compiled, or the
-    refusal of its compile or of each emission."""
+    """What `operator()` compiles to: each emission (hierarchical, flat, PCS
+    and grid) or its refusal, then the decodes of hierarchical and PCS
+    points drawn at `seed`; or the refusal of its compile."""
     try:
         compiled = compile_space(operator(), keep)
     except CompileError as exc:
         return f"CompileError: {exc}"
     out = []
-    for emit in (compiled.pcs, lambda: json.dumps(compiled.grid(cont_samples, seed))):
+    for emit in (lambda: json.dumps(compiled.hierarchical()),
+                 lambda: json.dumps(sb.flat_doc(compiled.flat())), compiled.pcs,
+                 lambda: json.dumps(compiled.grid(cont_samples, seed))):
         try:
             out.append(emit())
         except (BlowupExceeded, CompileError) as exc:
             out.append(f"{type(exc).__name__}: {exc}")
+    rng = random.Random(seed)
+    hier = compiled.hierarchical()
+    decodes = [(compiled.decode, sample_space(hier, rng)) for _ in range(3)]
+    if not out[2].startswith(("BlowupExceeded", "CompileError")):
+        pcs = read_pcs(out[2])
+        decodes += [(compiled.decode_pcs, pcs.sample(rng)) for _ in range(3)]
+    for decode, point in decodes:
+        try:
+            out.append(_portable_form(decode(point)))
+        except Exception as exc:
+            out.append((type(exc).__name__, str(exc)))
     return out
+
+
+def _portable_form(value):
+    """`exact_form` of a decoded value, but with each schema given by its
+    serialized form rather than its identity, so that the decodes of two
+    registries compare."""
+    if isinstance(value, og.Individual):
+        return ("Individual", value.name, repr(serialize(value.schema)), value.impl,
+                value.state, value.frozen_trainable, value.frozen_trained,
+                repr(value.artifacts),
+                tuple((name, _portable_form(v)) for name, v in value.bound.items()))
+    if isinstance(value, og.Pipeline):
+        return "Pipeline", value.edges, tuple(_portable_form(step) for step in value.steps)
+    return exact_form(value)
 
 
 class TestKeptFragments:
     """A schema leaf keeps its PCS parameter, that parameter's PCS line and
-    verdicts, and a range's draw plan, built on first use: what any later
-    compile emits from them is what fresh leaves give."""
+    verdicts, and a range's draw plan, and an operator keeps its leaf IR per
+    path, each built on first use: what any later compile emits and decodes
+    from them is what fresh leaves and operators give."""
 
     @settings(max_examples=60, deadline=None)
     @given(name=st.sampled_from(["linear_stages", "feature_union"]),
@@ -1643,6 +1685,59 @@ class TestKeptFragments:
         for _ in range(2):
             assert _emitted(lambda: grammar_engine.sample(_grammar(name), seed, depth, REGISTRY),
                             keep, cont_samples, grid_seed) == fresh
+
+    def test_copies_of_a_warmed_operator_compile_as_fresh_ones(self, blobs):
+        # Were an operator's kept leaf IRs copied with its __dict__, a copy
+        # that binds other values would compile to the leaf of the operator
+        # it was made from: `configure(knn, {"k": 3})` would search k.
+        copies = {
+            "configured": lambda r: configure(r["KNN"], {"k": 3}),
+            "configured_twice": lambda r: configure(configure(r["KNN"], {"k": 3}),
+                                                    {"weighting": "distance"}),
+            "frozen": lambda r: freeze_trainable(r["KNN"]),
+            "replaced": lambda r: dataclasses.replace(r["KNN"], bound={"k": 5}),
+            "slot_configured": lambda r: configure(configure(
+                r["BoostedEnsemble"], {"base": r["PrunedTree"]}), {"n_estimators": 3}),
+            "trained": lambda r: og.fit(configure(r["KNN"], {}), blobs),
+            "frozen_trained": lambda r: og.freeze_trained(og.fit(configure(r["PrunedTree"], {}),
+                                                                 blobs)),
+            "pickled": lambda r: pickle.loads(pickle.dumps(configure(r["KNN"], {"k": 7}))),
+            "deep_copied": lambda r: copy.deepcopy(configure(r["BoostedEnsemble"],
+                                                             {"base": r["PrunedTree"]})),
+        }
+
+        def emitted(registry, made, keep):
+            return _emitted(lambda: pipe(registry["Scaler"], made), keep, 1, 0)
+
+        fresh = {}
+        for name, make in copies.items():
+            for keep in (True, False):
+                registry = toyml.load_registry()
+                fresh[name, keep] = emitted(registry, make(registry), keep)
+        # Warm the registry, and each operator a copy is made from, at the
+        # path the copies compile at and at others, with decodes.
+        registry = toyml.load_registry()
+        made = {name: make(registry) for name, make in copies.items()}
+        sources = [registry[name] for name in ("KNN", "PrunedTree")] + [
+            made["slot_configured"], made["deep_copied"], made["configured"]]
+        for op in sources:
+            for place in (lambda op: op, lambda op: pipe(registry["Scaler"], op),
+                          lambda op: choose([op, registry["LR"]])):
+                for keep in (True, False):
+                    _emitted(lambda: place(op), keep, 1, 0)
+        for name, make in copies.items():
+            for keep in (True, False):
+                assert emitted(registry, make(registry), keep) == fresh[name, keep], name
+                # Copies of warmed copies, made after the warming.
+                assert emitted(registry, pickle.loads(pickle.dumps(made[name])),
+                               keep) == fresh[name, keep], name
+                assert emitted(registry, copy.deepcopy(made[name]),
+                               keep) == fresh[name, keep], name
+        for op in sources:
+            assert op.leaf_irs()
+            for copied in (op._copy(op.bound, op.state, op.artifacts), dataclasses.replace(op),
+                           pickle.loads(pickle.dumps(op)), copy.deepcopy(op)):
+                assert copied == op and copied.leaf_irs() == {}
 
     @settings(max_examples=100, deadline=None)
     @given(source=st.integers(0, 2**32 - 1), keep=st.booleans(),
@@ -1941,8 +2036,10 @@ class TestDecodePlan:
                 compiled.decode(sample_space(hier, rng))
         assert built == []
 
-    def test_compiling_and_emitting_cache_no_decode_data(self, registry):
-        compiled = compile_space(parse_expr("PCA >> (J48 | LR)", registry))
+    def test_compiling_and_emitting_cache_no_decode_data(self):
+        # A fresh registry: a leaf that some earlier decode built its entries
+        # on is kept by its operator, so a later compile shares them.
+        compiled = compile_space(parse_expr("PCA >> (J48 | LR)", toyml.load_registry()))
         compiled.hierarchical()
         sb.flat_doc(compiled.flat())
         compiled.grid(2, 0)
