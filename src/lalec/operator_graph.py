@@ -107,15 +107,17 @@ class Individual(Operator):
 
     def leaf_irs(self) -> dict:
         """The search IRs compiled from this operator, which
-        space_backends keeps here by (path, unique path, keep_constraints):
-        built on first use and kept as long as the operator, as
-        `SchemaNode.normal_form` is. Equality ignores them, and a copy made
-        by `_copy`, `dataclasses.replace`, pickle or deepcopy starts with
-        none, since a copy may bind other values."""
+        space_backends keeps here by (path, unique path, keep_constraints),
+        with each whole tree this operator is the first leaf of, by
+        ("tree", shape, keep_constraints): built on first use and kept as
+        long as the operator, as `SchemaNode.normal_form` is. Equality
+        ignores them, and a copy made by `_copy`, `dataclasses.replace`,
+        pickle or deepcopy starts with none, since a copy may bind other
+        values."""
         return self.__dict__.setdefault(_LEAF_IRS, {})
 
     def __getstate__(self) -> dict:
-        """What pickle and deepcopy copy: all but the kept leaf IRs."""
+        """What pickle and deepcopy copy: all but the kept IRs."""
         if _LEAF_IRS not in self.__dict__:
             return self.__dict__
         state = dict(self.__dict__)

@@ -181,7 +181,19 @@ def combine(op: Operator, keep_constraints: bool = True) -> SearchIR:
     an operator bound into a slot stands in its disjuncts as its own IR,
     whose prefix is the slot's mangled path. A space in which two
     parameters would share one key is refused (`_point_keys`).
+
+    The IR is built by the tree's first compile with `keep_constraints`
+    and kept by its first operator leaf in walk order (`Individual.leaf_irs`,
+    under `_tree_key`) with the root operator, so every later compile of
+    the same tree of the same leaves shares it and what it derives. A
+    refusal keeps nothing.
     """
+    key = _tree_key(op, keep_constraints)
+    first = _first_leaf(op)
+    kept = first.leaf_irs() if first is not None else {}
+    entry = kept.get(key)
+    if entry is not None:
+        return entry[1]
     if isinstance(op, Pipeline):
         ir = _combine_pipeline(op, "", keep_constraints)
     else:
@@ -189,7 +201,37 @@ def combine(op: Operator, keep_constraints: bool = True) -> SearchIR:
         child = _combine_node(op, token, token, keep_constraints)
         ir = StepMapIR("", ((token, child),), wrapper=True)
     _point_keys(ir)
+    kept[key] = op, ir
     return ir
+
+
+def _first_leaf(op: Operator) -> Individual | None:
+    """The tree's first operator leaf in walk order, or None for a tree
+    that holds none (an empty pipeline)."""
+    if isinstance(op, Individual):
+        return op
+    for part in op.steps if isinstance(op, Pipeline) else op.alternatives:
+        leaf = _first_leaf(part)
+        if leaf is not None:
+            return leaf
+    return None
+
+
+def _tree_key(op: Operator, keep: bool) -> tuple:
+    """("tree", shape, keep): the shape keys a leaf by identity, a pipeline
+    by ("P", step shapes, edges) and a choice by ("C", alternative shapes).
+    A leaf IR's key holds a path string where this one holds the shape, so
+    the two never meet in one store. Identity is safe because the kept entry
+    holds the root, and so every leaf the key names."""
+    def shape(op):
+        if isinstance(op, Individual):
+            return id(op)
+        if isinstance(op, Pipeline):
+            return "P", tuple(map(shape, op.steps)), op.edges
+        if isinstance(op, Choice):
+            return "C", tuple(map(shape, op.alternatives))
+        raise TypeError(f"not an operator: {op!r}")
+    return "tree", shape(op), keep
 
 
 def _step_token(op: Operator, index: int) -> str:
@@ -517,8 +559,18 @@ def flat_size(ir: SearchIR, limit: int = DEFAULT_BLOWUP_LIMIT) -> int:
     grid emitters of one compiled space count it once, and nothing is built
     before a refusal."""
     if ir.flat_count > limit:
-        raise BlowupExceeded(limit, f"flat size {ir.flat_count}")
+        raise BlowupExceeded(limit, f"flat size {ir.flat_count}", _largest_step(ir))
     return ir.flat_count
+
+
+def _largest_step(ir: StepMapIR) -> str:
+    """The end of a refusal's message: the root IR's first top-level step
+    of the largest flat size, named by its token (and its operator's name,
+    for an operator leaf), with that size."""
+    token, step = max(ir.steps, key=lambda item: item[1].flat_count)
+    if isinstance(step, LeafIR):
+        token = f"{token} ({step.op.name})"
+    return f"; largest step: {token}, flat size {step.flat_count}"
 
 
 def _flat_count(ir: SearchIR) -> int:
@@ -608,8 +660,9 @@ def emit_grid(ir: SearchIR, cont_samples: int = 1, seed: int = 0,
     rows = _flat_rows(ir, _grid_fragment)
     slots = [(params, name, slot) for params in rows for name, slot in params.items()
              if slot.__class__ is tuple]
-    if len(slots) * (cont_samples + 1) > GRID_DRAW_LIMIT:
-        raise BlowupExceeded(GRID_DRAW_LIMIT, "grid draw count")
+    draws = len(slots) * (cont_samples + 1)
+    if draws > GRID_DRAW_LIMIT:
+        raise BlowupExceeded(GRID_DRAW_LIMIT, f"grid draw count {draws}", _largest_step(ir))
     rng = random.Random(seed)
     for params, name, (plan, default) in slots:  # row by row, in each row's order
         values = [] if default is schema_model.MISSING else [default]

@@ -47,8 +47,8 @@ class NormalizeError(Exception):
 
 
 class BlowupExceeded(NormalizeError):
-    def __init__(self, limit, what="disjunct count"):
-        super().__init__(f"{what} exceeds the cap of {limit}")
+    def __init__(self, limit, what="disjunct count", where=""):
+        super().__init__(f"{what} exceeds the cap of {limit}{where}")
 
 
 def capped_list(items: Iterable, limit: int) -> list:

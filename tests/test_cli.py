@@ -225,7 +225,8 @@ class TestExitCodes:
     def test_grid_past_the_draw_cap_is_refused(self, tmp_path, capsys, args, prefix):
         out = tmp_path / "out.json"
         assert run_cli(args + ["--cont-samples", "100000000", "--out", str(out)]) == 2
-        assert capsys.readouterr().err == f"{prefix}: grid draw count exceeds the cap of 100000\n"
+        assert capsys.readouterr().err == (f"{prefix}: grid draw count 100000001 exceeds the cap "
+                                           "of 100000; largest step: knn (KNN), flat size 1\n")
         assert not out.exists()
 
     @pytest.mark.parametrize("backend", ["flat", "pcs", "grid"])
@@ -239,7 +240,8 @@ class TestExitCodes:
         assert run_cli(["compile", "--pipeline", str(unfolded), "--backend", backend,
                         "--out", str(out)]) == 2
         assert capsys.readouterr().err == (
-            f"compile error: flat size {size} exceeds the cap of {DEFAULT_BLOWUP_LIMIT}\n")
+            f"compile error: flat size {size} exceeds the cap of {DEFAULT_BLOWUP_LIMIT}; "
+            "largest step: step0, flat size 6055\n")
         assert not out.exists()
 
     def test_cont_samples_unused_by_random_search(self, capsys):

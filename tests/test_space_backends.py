@@ -311,19 +311,27 @@ class TestFlat:
             op = pipe(op, registry["J48"])  # 2^7 disjuncts
         from lalec.space_normalizer import BlowupExceeded
 
-        with pytest.raises(BlowupExceeded):
+        with pytest.raises(BlowupExceeded) as refused:
             emit_flat(sb.combine(op), limit=100)
+        # Every step counts 2, and the first of them is named, by operator too.
+        assert str(refused.value) == ("flat size 128 exceeds the cap of 100; "
+                                      "largest step: j48_1 (J48), flat size 2")
 
     def test_a_refusal_states_the_flat_size(self):
         compiled = compile_space(grammar_engine.unfold(_grammar("feature_union"), 3, REGISTRY))
-        message = f"flat size {compiled.ir.flat_count} exceeds the cap of {DEFAULT_BLOWUP_LIMIT}"
+        # The largest top-level step is the choice of preprocessing.
+        largest = "largest step: step0, flat size 6055"
+        message = (f"flat size {compiled.ir.flat_count} exceeds the cap of "
+                   f"{DEFAULT_BLOWUP_LIMIT}; {largest}")
         assert compiled.ir.flat_count == len(reference_emit_flat(compiled.ir, 10**6)) == 30275
+        assert [step.flat_count for _, step in compiled.ir.steps] == [6055, 5]
         for emit in (compiled.flat, compiled.pcs, compiled.grid):
             with pytest.raises(BlowupExceeded) as refused:
                 emit()
             assert str(refused.value) == message
-        with pytest.raises(BlowupExceeded, match="^flat size 30275 exceeds the cap of 30274$"):
+        with pytest.raises(BlowupExceeded) as refused:
             sb.flat_size(compiled.ir, 30274)
+        assert str(refused.value) == f"flat size 30275 exceeds the cap of 30274; {largest}"
         assert sb.flat_size(compiled.ir, 30275) == 30275
 
     def test_refused_pcs_builds_no_model(self, registry):
@@ -1468,9 +1476,13 @@ class TestSizeFirst:
                 tracemalloc.stop()
             assert peak < 1_000_000
 
-    def test_a_compiled_space_is_sized_once(self, monkeypatch, registry):
+    def test_a_compiled_space_is_sized_once(self, monkeypatch):
         # The flat, PCS and grid emitters each check the cap; the IR keeps
-        # its count, refused or not, so a compiled space is counted once.
+        # its count, refused or not, so a compiled space is counted once,
+        # and a later compile of the same tree shares the IR and its count.
+        # A fresh registry: a tree some earlier test compiled and counted
+        # is kept by its first leaf.
+        registry = toyml.load_registry()
         counted = []
         flat_count = sb._flat_count
 
@@ -1487,6 +1499,10 @@ class TestSizeFirst:
                 assert _refused(emit)[0] == (count > DEFAULT_BLOWUP_LIMIT)
             assert sum(ir is compiled.ir for ir in counted) == 1
             assert compiled.ir.flat_count == count
+            again = compile_space(compiled.op)
+            assert again.ir is compiled.ir
+            assert _refused(again.flat)[0] == (count > DEFAULT_BLOWUP_LIMIT)
+            assert sum(ir is compiled.ir for ir in counted) == 1
 
     @pytest.mark.parametrize("depth,count", [(3, 30_275), (4, 366_630_275)])
     def test_count_above_the_cap_is_exact(self, registry, depth, count):
@@ -1584,12 +1600,14 @@ class TestRenderedOnce:
         compiled = compile_space(registry["KNN"])
         tracemalloc.start()
         try:
-            with pytest.raises(BlowupExceeded, match="grid draw count"):
+            with pytest.raises(BlowupExceeded) as refused:
                 compiled.grid(100_000_000)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 100_000
+        assert str(refused.value) == ("grid draw count 100000001 exceeds the cap of 100000; "
+                                      "largest step: knn (KNN), flat size 1")
 
     def test_the_limit_admits_large_single_operator_grids(self, registry):
         grid = compile_space(registry["LogRegGD"]).grid(4000)
@@ -1659,6 +1677,11 @@ def _portable_form(value):
     return exact_form(value)
 
 
+# The fixed expressions of the compile_grammar benchmark workload.
+FIXED_EXPRS = ("PCA >> (J48 | LR)",
+               "(MinMaxScaler | StandardScaler) >> BoostedEnsemble(base=PrunedTree)")
+
+
 class TestKeptFragments:
     """A schema leaf keeps its PCS parameter, that parameter's PCS line and
     verdicts, and a range's draw plan, and an operator keeps its leaf IR per
@@ -1685,6 +1708,19 @@ class TestKeptFragments:
         for _ in range(2):
             assert _emitted(lambda: grammar_engine.sample(_grammar(name), seed, depth, REGISTRY),
                             keep, cont_samples, grid_seed) == fresh
+        # Whole trees, kept by their first leaf: the unfolded tree and the
+        # fixed expressions, each against a registry of its own.
+        trees = [lambda r, g: grammar_engine.unfold(g, 2, r)] + [
+            lambda r, g, expr=expr: parse_expr(expr, r) for expr in FIXED_EXPRS]
+        for tree in trees:
+            for tree_keep in (True, False):
+                fresh = toyml.load_registry()
+                grammar = parse_grammar((GRAMMAR_DIR / f"{name}.grammar").read_text(), fresh)
+                expected = _emitted(lambda: tree(fresh, grammar), tree_keep, cont_samples,
+                                    grid_seed)
+                for _ in range(2):
+                    assert _emitted(lambda: tree(REGISTRY, _grammar(name)), tree_keep,
+                                    cont_samples, grid_seed) == expected
 
     def test_copies_of_a_warmed_operator_compile_as_fresh_ones(self, blobs):
         # Were an operator's kept leaf IRs copied with its __dict__, a copy
@@ -1734,10 +1770,38 @@ class TestKeptFragments:
                 assert emitted(registry, copy.deepcopy(made[name]),
                                keep) == fresh[name, keep], name
         for op in sources:
-            assert op.leaf_irs()
+            # Each source, compiled alone, is its tree's first leaf and keeps
+            # it, under ("tree", shape, keep) with its identity as the shape.
+            trees = {keep: op.leaf_irs()["tree", id(op), keep][1] for keep in (True, False)}
             for copied in (op._copy(op.bound, op.state, op.artifacts), dataclasses.replace(op),
                            pickle.loads(pickle.dumps(op)), copy.deepcopy(op)):
                 assert copied == op and copied.leaf_irs() == {}
+                for keep in (True, False):
+                    assert sb.combine(copied, keep) is not trees[keep]
+
+    @pytest.mark.parametrize("keep", [True, False])
+    def test_a_tree_of_configured_copies_meets_no_kept_tree(self, keep):
+        # The kept trees of registry leaves are keyed by leaf identity: the
+        # same tree with `configure(knn, {"k": 3})` in KNN's place, which has
+        # KNN's name, compiles as on a fresh registry, not to the kept tree
+        # that searches k.
+        trees = {
+            "pipe": lambda r, knn: pipe(r["Scaler"], knn),
+            "choice": lambda r, knn: choose([r["LR"], knn]),
+            "nested": lambda r, knn: pipe(r["Scaler"], choose([knn, r["J48"]])),
+            "slot": lambda r, knn: pipe(r["Scaler"], configure(r["BoostedEnsemble"],
+                                                               {"base": knn})),
+            "first": lambda r, knn: pipe(knn, r["Scaler"]),
+        }
+        for name, tree in trees.items():
+            fresh = toyml.load_registry()
+            expected = _emitted(lambda: tree(fresh, configure(fresh["KNN"], {"k": 3})), keep, 1, 0)
+            registry = toyml.load_registry()
+            kept = _emitted(lambda: tree(registry, registry["KNN"]), keep, 1, 0)
+            assert kept != expected, name
+            for _ in range(2):
+                assert _emitted(lambda: tree(registry, configure(registry["KNN"], {"k": 3})),
+                                keep, 1, 0) == expected, name
 
     @settings(max_examples=100, deadline=None)
     @given(source=st.integers(0, 2**32 - 1), keep=st.booleans(),
@@ -2058,9 +2122,13 @@ class TestDecodePlan:
         assert compiled.pcs() == text and compiled.ir.pcs_model is model
         assert "entries" in vars(pca)
 
-    def test_the_pcs_model_is_built_once_per_ir(self, registry, monkeypatch):
-        compiled = compile_space(parse_expr("PCA >> (J48 | LR)", registry))
-        pcs = read_pcs(emit_pcs(sb.combine(compiled.op)))
+    def test_the_pcs_model_is_built_once_per_ir(self, monkeypatch):
+        # Fresh registries: a tree's IR, and so its model, is kept by the
+        # tree's first leaf, so the expected text comes from other leaves.
+        compiled = compile_space(parse_expr("PCA >> (J48 | LR)", toyml.load_registry()))
+        assert sb.combine(compiled.op) is compiled.ir
+        pcs = read_pcs(emit_pcs(sb.combine(parse_expr("PCA >> (J48 | LR)",
+                                                      toyml.load_registry()))))
         rng = random.Random(4)
         points = [pcs.sample(rng) for _ in range(3)]
         expected = [reference_decode_pcs_point(compiled.ir, point) for point in points]
@@ -2081,7 +2149,8 @@ class TestDecodePlan:
             compiled.decode_pcs(point)
         assert roots == [compiled.ir.pcs_model]
 
-    def test_a_decoded_space_frees_its_ir(self, registry):
+    def test_a_decoded_space_frees_its_ir(self):
+        registry = toyml.load_registry()
         compiled = compile_space(pipe(registry["Scaler"], configure(
             registry["BoostedEnsemble"], {"base": registry["PrunedTree"]})))
         ir = weakref.ref(compiled.ir)
@@ -2090,6 +2159,9 @@ class TestDecodePlan:
                    compiled.decode_pcs(read_pcs(compiled.pcs()).sample(rng)),
                    sb.decode(compiled.ir, default_point(compiled.ir))]
         del compiled
+        gc.collect()
+        assert ir() is not None  # kept with its tree by the tree's first leaf, Scaler
+        del registry
         gc.collect()
         assert ir() is None
         assert len(decoded) == 3  # decoded operators do not hold the IR
