@@ -67,11 +67,26 @@ class SearchIR:
         return _flat_count(self)
 
     @cached_property
+    def grid_slots(self) -> int:
+        """The continuous domains summed over the rows of emit_flat(self),
+        each of which a grid draws for, counted on first use whatever the
+        cap."""
+        return _grid_slots(self)
+
+    @cached_property
     def pcs_model(self) -> PcsSpace:
         """This IR's PCS model, built on first use."""
         model = PcsSpace({}, {})
         _pcs_build(self, (), None, model)
         return model
+
+    @cached_property
+    def pcs_text(self) -> str:
+        """`emit_pcs`'s text, checked and built on first use (`emit_pcs`
+        checks the cap first). A str, so no caller can change it. A
+        refusal raises CompileError and keeps nothing, so every call raises
+        it again."""
+        return _checked_pcs_text(self.pcs_model)
 
 
 @dataclass(frozen=True)
@@ -585,6 +600,28 @@ def _flat_count(ir: SearchIR) -> int:
     return sum(math.prod(slot.flat_count for slot in slots) for _, _, slots in ir.mangled)
 
 
+def _grid_slots(ir: SearchIR) -> int:
+    """`_flat_count`'s walk, counting continuous domains: over a product,
+    each factor's count times the other factors' rows; over choice branches
+    and leaf disjuncts, a sum. Each part's count is kept on the part."""
+    if isinstance(ir, StepMapIR):
+        return _product_slots(0, [child for _, child in ir.steps])
+    if isinstance(ir, ChoiceIR):
+        return sum(body.grid_slots for _, body in ir.branches)
+    assert isinstance(ir, LeafIR)
+    return sum(_product_slots(sum(not isinstance(d, EnumNode) for d in base.values()), slots)
+               for _, base, slots in ir.mangled)
+
+
+def _product_slots(own: int, parts) -> int:
+    """The continuous domains over the rows of a product of `parts`, each
+    row also holding `own` of its own."""
+    rows, slots = 1, own
+    for part in parts:
+        rows, slots = rows * part.flat_count, slots * part.flat_count + part.grid_slots * rows
+    return slots
+
+
 def emit_flat(ir: SearchIR, limit: int = DEFAULT_BLOWUP_LIMIT) -> list[dict[str, Domain]]:
     """Cross product across steps, concatenation across choice branches:
     |flat| = product over steps of the per-step disjunct totals. Refuses
@@ -604,11 +641,7 @@ def _flat_rows(ir: SearchIR, render) -> list[dict]:
     rendered once per walk, by `render`, and each row merges rendered
     fragments. Every row is a dict of its own; its values are shared."""
     if isinstance(ir, StepMapIR):
-        rows: list[dict] = [{}]
-        for _, child in ir.steps:
-            child_rows = _flat_rows(child, render)
-            rows = [{**a, **b} for a in rows for b in child_rows]
-        return rows
+        return _product([_flat_rows(child, render) for _, child in ir.steps])
     if isinstance(ir, ChoiceIR):
         rows = []
         for value, body in ir.branches:
@@ -618,13 +651,23 @@ def _flat_rows(ir: SearchIR, render) -> list[dict]:
     assert isinstance(ir, LeafIR)
     rows = []
     for _, base, slots in ir.mangled:
-        slot_rows: list[dict] = [{}]
-        for slot in slots:
-            nested_rows = _flat_rows(slot, render)
-            slot_rows = [{**a, **b} for a in slot_rows for b in nested_rows]
+        if not slots:
+            rows.append({**render(base)})
+            continue
+        extras = _product([_flat_rows(slot, render) for slot in slots])
         base = render(base)
-        rows += [{**base, **extra} for extra in slot_rows]
+        rows += [{**base, **extra} for extra in extras]
     return rows
+
+
+def _product(parts) -> list[dict]:
+    """The rows of a cross product of row lists, in order. It starts from
+    the first part's rows, which are fresh dicts already, so only the
+    merged rows of later parts are built; no parts give one empty row."""
+    rows = None
+    for part in parts:
+        rows = part if rows is None else [{**a, **b} for a in rows for b in part]
+    return [{}] if rows is None else rows
 
 
 def flat_doc(rows: list[dict[str, Domain]]) -> dict:
@@ -643,7 +686,8 @@ def flat_doc(rows: list[dict[str, Domain]]) -> dict:
 
 # The most values one grid may draw or keep from its continuous domains:
 # each continuous domain of each flat row keeps at most its default and its
-# `cont_samples` draws. `emit_grid` counts them before its first draw.
+# `cont_samples` draws. `emit_grid` counts them (`SearchIR.grid_slots`)
+# before it builds any row.
 GRID_DRAW_LIMIT = 100_000
 
 
@@ -651,30 +695,38 @@ def emit_grid(ir: SearchIR, cont_samples: int = 1, seed: int = 0,
               limit: int = DEFAULT_BLOWUP_LIMIT) -> dict:
     """Per flat disjunct, every continuous domain becomes the list of its
     default (when the domain contains it) plus `cont_samples` seeded draws.
-    Refuses with BlowupExceeded, before any draw, a grid whose flat size
-    exceeds `limit` or whose continuous domains would draw or keep more
+    Refuses with BlowupExceeded, before building any row, a grid whose flat
+    size exceeds `limit` or whose continuous domains would draw or keep more
     than GRID_DRAW_LIMIT values. Rows share their categorical value lists."""
     if cont_samples < 1:
         raise ValueError("cont_samples must be positive")
     flat_size(ir, limit)
-    rows = _flat_rows(ir, _grid_fragment)
-    slots = [(params, name, slot) for params in rows for name, slot in params.items()
-             if slot.__class__ is tuple]
-    draws = len(slots) * (cont_samples + 1)
+    draws = ir.grid_slots * (cont_samples + 1)
     if draws > GRID_DRAW_LIMIT:
         raise BlowupExceeded(GRID_DRAW_LIMIT, f"grid draw count {draws}", _largest_step(ir))
+    rows = _flat_rows(ir, _grid_fragment)
     rng = random.Random(seed)
-    for params, name, (plan, default) in slots:  # row by row, in each row's order
-        values = [] if default is schema_model.MISSING else [default]
-        # Equal under scalar_eq: 1 == 1.0 and -0.0 == 0.0, but a bool only
-        # equals a bool, and a draw never is one. Ranges admit no NaN.
-        seen = set() if isinstance(default, bool) else set(values)
-        for _ in range(cont_samples):
-            draw = _draw(rng, plan)
-            if draw not in seen:
-                seen.add(draw)
-                values.append(draw)
-        params[name] = values
+    # A draw equal to a value kept before is left out: 1 == 1.0 and -0.0 ==
+    # 0.0, but a bool equals only a bool, and a draw never is one, so a bool
+    # default is set apart. Ranges admit no NaN. Up to 16 draws, scanning
+    # the slot's own short list is cheaper than a set; beyond, a set keeps
+    # the work linear and finds the same values, since equal numbers hash
+    # alike.
+    short = cont_samples <= 16
+    for params in rows:  # row by row, in each row's order
+        for name, slot in params.items():
+            if slot.__class__ is tuple:
+                plan, default = slot
+                values = ([] if default is schema_model.MISSING or default.__class__ is bool
+                          else [default])
+                seen = values if short else set(values)
+                for _ in range(cont_samples):
+                    draw = _draw(rng, plan)
+                    if draw not in seen:
+                        values.append(draw)
+                        if seen is not values:
+                            seen.add(draw)
+                params[name] = [default, *values] if default.__class__ is bool else values
     return {"disjuncts": [{"params": params} for params in rows],
             "cellCount": sum(math.prod(map(len, params.values())) for params in rows)}
 
@@ -839,9 +891,14 @@ def emit_pcs(ir: SearchIR, limit: int = DEFAULT_BLOWUP_LIMIT) -> str:
     == value` lines (several lines on one child conjoin). Refuses with
     CompileError a parameter whose name or value `read_pcs` could not read
     back, or whose values spell alike (as 1 and "1" do), since the text
-    could not tell them apart."""
+    could not tell them apart. The IR keeps the text (`SearchIR.pcs_text`),
+    so a later call only checks the cap."""
     flat_size(ir, limit)  # enforce the blowup cap the flat form defines
-    space = ir.pcs_model
+    return ir.pcs_text
+
+
+def _checked_pcs_text(space: PcsSpace) -> str:
+    """`emit_pcs`'s text of a PCS model, or its CompileError refusal."""
     for name, node in space.parameters.items():
         _, unreadable, alike = _kept(node, _pcs_line)
         if _PCS_UNREADABLE.search(name):

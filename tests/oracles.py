@@ -21,7 +21,9 @@ same values. `reference_draw_cont`, `reference_flat_doc` and
 were before each domain was rendered once per call: `rng.randint` and
 `rng.uniform` on every draw, and a new document or value list for each
 domain of each flat row; tests check that the draw plans and documents
-give the same text.
+give the same text. `reference_flat_rows` is the flat and grid emitters'
+cross-product walker as it started each product from one empty row; tests
+check that the walker gives the same rows, in the same key order.
 `to_schema` rebuilds a schema from a normal form; tests check that
 normalizing it again accepts the same configurations.
 `reference_normalize` is normalization as it filled every constraint
@@ -773,6 +775,33 @@ def reference_emit_grid(ir, cont_samples=1, seed=0, limit=DEFAULT_BLOWUP_LIMIT):
             cells *= len(values)
         cell_count += cells
     return {"disjuncts": disjuncts, "cellCount": cell_count}
+
+
+def reference_flat_rows(ir: SearchIR, render) -> list[dict]:
+    """space_backends._flat_rows as it started every product from one empty
+    row, and so copied its first part's rows again."""
+    if isinstance(ir, StepMapIR):
+        rows: list[dict] = [{}]
+        for _, child in ir.steps:
+            child_rows = reference_flat_rows(child, render)
+            rows = [{**a, **b} for a in rows for b in child_rows]
+        return rows
+    if isinstance(ir, ChoiceIR):
+        rows = []
+        for value, body in ir.branches:
+            stamp = render({ir.discriminant: EnumNode((value,), value)})
+            rows += [{**stamp, **row} for row in reference_flat_rows(body, render)]
+        return rows
+    assert isinstance(ir, LeafIR)
+    rows = []
+    for _, base, slots in ir.mangled:
+        slot_rows: list[dict] = [{}]
+        for slot in slots:
+            nested_rows = reference_flat_rows(slot, render)
+            slot_rows = [{**a, **b} for a in slot_rows for b in nested_rows]
+        base = render(base)
+        rows += [{**base, **extra} for extra in slot_rows]
+    return rows
 
 
 # ---------------------------------------------------------------------------

@@ -37,7 +37,7 @@ from lalec.space_backends import (
     read_pcs,
     sample_space,
 )
-from lalec.space_normalizer import DEFAULT_BLOWUP_LIMIT, BlowupExceeded
+from lalec.space_normalizer import DEFAULT_BLOWUP_LIMIT, BlowupExceeded, NormalForm
 
 import test_space_normalizer
 from conftest import hier_member, probe_lattice
@@ -49,6 +49,7 @@ from oracles import (
     reference_draw_cont_doc,
     reference_emit_grid,
     reference_flat_doc,
+    reference_flat_rows,
     reference_grid_params,
     reference_pcs_sample,
     serialize,
@@ -1519,6 +1520,64 @@ class TestSizeFirst:
         # when some partial total of its count exceeds the cap.
         assert ir.flat_count >= 1
 
+    @settings(max_examples=150, deadline=None)
+    @given(ir=compiled_irs())
+    def test_grid_slots_count_the_continuous_domains_of_the_rows(self, ir):
+        # Counted by arithmetic, where reference_emit_grid draws for each
+        # continuous domain of each row it builds.
+        refused, rows = _refused(lambda: reference_emit_flat(ir))
+        if refused:
+            assert ir.grid_slots >= 0
+            return
+        assert ir.grid_slots == sum(isinstance(domain, RangeNode)
+                                    for row in rows for domain in row.values())
+
+    @settings(max_examples=150, deadline=None)
+    @given(ir=compiled_irs(), cont_samples=st.integers(1, 40), data=st.data())
+    def test_the_grid_refuses_exactly_above_the_draw_cap(self, ir, cont_samples, data):
+        draws = ir.grid_slots * (cont_samples + 1)
+        cap = data.draw(st.one_of(st.integers(0, 2 * draws + 1),
+                                  st.integers(-1, 1).map(lambda offset: max(0, draws + offset))))
+        with mock.patch.object(sb, "GRID_DRAW_LIMIT", cap):
+            if ir.flat_count > DEFAULT_BLOWUP_LIMIT:
+                with pytest.raises(BlowupExceeded, match="^flat size"):
+                    emit_grid(ir, cont_samples, 0)
+            elif draws > cap:
+                with pytest.raises(BlowupExceeded, match=f"^grid draw count {draws} exceeds "
+                                                         f"the cap of {cap}; largest step: "):
+                    emit_grid(ir, cont_samples, 0)
+            else:
+                emit_grid(ir, cont_samples, 0)
+
+    def test_the_draw_cap_is_checked_before_any_row(self):
+        # linear_stages unfolded to depth 6 flattens to 720 rows with 3,312
+        # continuous domains: 102,672 draws at 30 samples. Building its rows
+        # before the check took 0.66 MB.
+        compiled = compile_space(grammar_engine.unfold(_grammar("linear_stages"), 6, REGISTRY))
+        tracemalloc.start()
+        try:
+            with pytest.raises(BlowupExceeded) as refused:
+                compiled.grid(30)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (compiled.ir.flat_count, compiled.ir.grid_slots) == (720, 3312)
+        assert str(refused.value).startswith("grid draw count 102672 exceeds the cap of 100000")
+        assert peak < 100_000
+
+    def test_the_draw_cap_comes_before_an_unsamplable_range(self):
+        # parse_schema refuses an integer range with no integer inside, so
+        # only a hand-built IR holds one. Its draw plan is built with the
+        # first row, after the cap is checked.
+        leaf = LeafIR("r", "r", REGISTRY["KNN"], NormalForm((
+            {"x": RangeNode(0.2, 0.8, integer_valued=True)},)))
+        ir = StepMapIR("", (("r", leaf),), wrapper=True)
+        with pytest.raises(CompileError, match="contains no integers"):
+            emit_grid(ir)
+        with mock.patch.object(sb, "GRID_DRAW_LIMIT", 1):
+            with pytest.raises(BlowupExceeded, match="^grid draw count 2 exceeds"):
+                emit_grid(ir)
+
     # Unfolds up to depth 2 keep grids under 17k cells at two draws each.
     @settings(max_examples=60, deadline=None)
     @given(ir=compiled_irs(unfolds=[u for u in UNFOLDS if u[1] <= 2]),
@@ -1608,6 +1667,45 @@ class TestRenderedOnce:
         assert peak < 100_000
         assert str(refused.value) == ("grid draw count 100000001 exceeds the cap of 100000; "
                                       "largest step: knn (KNN), flat size 1")
+
+    @pytest.mark.parametrize("domain", [
+        RangeNode(0, 2, integer_valued=True, default=True),
+        RangeNode(0, 2, integer_valued=True, default=1),
+        RangeNode(0, 2, integer_valued=True, default=1.0),
+        RangeNode(0, 2, integer_valued=True),
+        RangeNode(0.0, 0.0, default=-0.0),
+        RangeNode(-0.0, 0.0, default=0.0),
+        RangeNode(0.0, 1.0, default=1, prior=sm.Prior("uniform", 0.5)),
+    ], ids=["true", "int", "float", "missing", "negative_zero", "zero", "quantized"])
+    def test_repeated_draws_are_kept_once_as_the_set_kept_them(self, domain):
+        # Every draw repeats, so a draw equal to the default or to a draw
+        # kept before is left out: by ==, yet a bool default absorbs none.
+        leaf = LeafIR("r", "r", REGISTRY["KNN"], NormalForm(({"x": domain, "y": domain},)))
+        ir = StepMapIR("", (("r", leaf),), wrapper=True)
+        # 8 draws scan the kept list, 40 go through a set.
+        for cont_samples, seed in itertools.product((8, 40), range(4)):
+            grid = emit_grid(ir, cont_samples, seed)
+            assert repr(grid) == repr(reference_emit_grid(ir, cont_samples, seed))
+            values = grid["disjuncts"][0]["params"]["r__x"]
+            if domain.default is not sm.MISSING:
+                assert repr(values[0]) == repr(domain.default)
+            if domain.default is True:  # a draw of 1 is kept beside it
+                assert 1 in values[1:]
+
+    @settings(max_examples=150, deadline=None)
+    @given(ir=compiled_irs())
+    def test_the_walker_builds_the_reference_rows(self, ir):
+        # The same rows, keys in the same order, with values that print
+        # alike (so 1 and True differ), for flat and grid rows; every row a
+        # dict of its own, shared with no other call and not the IR's, since
+        # emit_grid writes its draws into its rows and callers may write too.
+        if ir.flat_count > DEFAULT_BLOWUP_LIMIT:
+            return
+        for render in (sb._as_domains, sb._grid_fragment):
+            rows = sb._flat_rows(ir, render)
+            assert list(map(repr, rows)) == list(map(repr, reference_flat_rows(ir, render)))
+            again = sb._flat_rows(ir, render)
+            assert len({id(row) for row in rows + again}) == 2 * len(rows)
 
     def test_the_limit_admits_large_single_operator_grids(self, registry):
         grid = compile_space(registry["LogRegGD"]).grid(4000)
@@ -1866,6 +1964,34 @@ class TestKeptFragments:
         built = len(plans)
         assert json.dumps(compile_space(compiled.op).grid(3, 1)) == first
         assert len(plans) == built
+
+    @pytest.mark.parametrize("expr", FIXED_EXPRS + ("Scaler >> (PrunedTree | LogRegGD | KNN)",))
+    def test_pcs_text_of_a_warm_registry_is_a_fresh_ones(self, expr):
+        # The IR keeps its checked text: a later call hands back that str.
+        expected = compile_space(parse_expr(expr, toyml.load_registry())).pcs()
+        registry = toyml.load_registry()
+        for keep in (True, False, True):
+            compiled = compile_space(parse_expr(expr, registry), keep)
+            text = compiled.pcs()
+            assert compiled.pcs() is text is compiled.ir.__dict__["pcs_text"]
+        assert text == expected
+
+    def test_a_kept_pcs_text_still_refuses_above_the_cap(self, registry):
+        ir = compile_space(parse_expr("PCA >> (J48 | LR) >> (KNN | LR)", registry)).ir
+        text = emit_pcs(ir)
+        for _ in range(2):
+            with pytest.raises(BlowupExceeded, match=f"^flat size {ir.flat_count} exceeds"):
+                emit_pcs(ir, ir.flat_count - 1)
+            assert emit_pcs(ir, ir.flat_count) is text
+
+    def test_an_unreadable_name_refuses_on_every_call(self):
+        op = og.Individual("T", sm.parse_schema({"type": "object", "properties": {
+            "a b": {"enum": [1, 2]}}}))
+        ir = compile_space(op).ir
+        for _ in range(3):
+            with pytest.raises(CompileError, match="^PCS parameter 't__a b': 't__a b' would not"):
+                emit_pcs(ir)
+            assert "pcs_text" not in ir.__dict__
 
     @pytest.mark.parametrize("prop,message", [
         ({"a b": {"enum": ["c,d", 1, "1"]}}, "PCS parameter 't__a b': 't__a b' would not read back "
