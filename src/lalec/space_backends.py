@@ -641,7 +641,7 @@ def _flat_rows(ir: SearchIR, render) -> list[dict]:
     rendered once per walk, by `render`, and each row merges rendered
     fragments. Every row is a dict of its own; its values are shared."""
     if isinstance(ir, StepMapIR):
-        return _product([_flat_rows(child, render) for _, child in ir.steps])
+        return _product([{}], [child for _, child in ir.steps], render)
     if isinstance(ir, ChoiceIR):
         rows = []
         for value, body in ir.branches:
@@ -651,23 +651,20 @@ def _flat_rows(ir: SearchIR, render) -> list[dict]:
     assert isinstance(ir, LeafIR)
     rows = []
     for _, base, slots in ir.mangled:
-        if not slots:
-            rows.append({**render(base)})
-            continue
-        extras = _product([_flat_rows(slot, render) for slot in slots])
-        base = render(base)
-        rows += [{**base, **extra} for extra in extras]
+        rows += _product([{**render(base)}], slots, render)
     return rows
 
 
-def _product(parts) -> list[dict]:
-    """The rows of a cross product of row lists, in order. It starts from
-    the first part's rows, which are fresh dicts already, so only the
-    merged rows of later parts are built; no parts give one empty row."""
-    rows = None
+def _product(rows: list[dict], parts, render) -> list[dict]:
+    """`rows` crossed with the flat rows of each IR in `parts`, in order:
+    every row merged with every row of the next part. A step map starts
+    from one empty row, an operator disjunct from a copy of its rendered
+    fragment, so the fragment takes no merge pass of its own. A part with
+    no rows empties the product."""
     for part in parts:
-        rows = part if rows is None else [{**a, **b} for a in rows for b in part]
-    return [{}] if rows is None else rows
+        part_rows = _flat_rows(part, render)
+        rows = [{**a, **b} for a in rows for b in part_rows]
+    return rows
 
 
 def flat_doc(rows: list[dict[str, Domain]]) -> dict:
@@ -706,27 +703,20 @@ def emit_grid(ir: SearchIR, cont_samples: int = 1, seed: int = 0,
         raise BlowupExceeded(GRID_DRAW_LIMIT, f"grid draw count {draws}", _largest_step(ir))
     rows = _flat_rows(ir, _grid_fragment)
     rng = random.Random(seed)
-    # A draw equal to a value kept before is left out: 1 == 1.0 and -0.0 ==
-    # 0.0, but a bool equals only a bool, and a draw never is one, so a bool
-    # default is set apart. Ranges admit no NaN. Up to 16 draws, scanning
-    # the slot's own short list is cheaper than a set; beyond, a set keeps
-    # the work linear and finds the same values, since equal numbers hash
-    # alike.
-    short = cont_samples <= 16
     for params in rows:  # row by row, in each row's order
         for name, slot in params.items():
             if slot.__class__ is tuple:
                 plan, default = slot
-                values = ([] if default is schema_model.MISSING or default.__class__ is bool
-                          else [default])
-                seen = values if short else set(values)
+                values = [] if default is schema_model.MISSING else [default]
+                # Equal under scalar_eq: 1 == 1.0 and -0.0 == 0.0, but a bool only
+                # equals a bool, and a draw never is one. Ranges admit no NaN.
+                seen = set() if isinstance(default, bool) else set(values)
                 for _ in range(cont_samples):
                     draw = _draw(rng, plan)
                     if draw not in seen:
+                        seen.add(draw)
                         values.append(draw)
-                        if seen is not values:
-                            seen.add(draw)
-                params[name] = [default, *values] if default.__class__ is bool else values
+                params[name] = values
     return {"disjuncts": [{"params": params} for params in rows],
             "cellCount": sum(math.prod(map(len, params.values())) for params in rows)}
 

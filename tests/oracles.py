@@ -22,8 +22,9 @@ were before each domain was rendered once per call: `rng.randint` and
 `rng.uniform` on every draw, and a new document or value list for each
 domain of each flat row; tests check that the draw plans and documents
 give the same text. `reference_flat_rows` is the flat and grid emitters'
-cross-product walker as it started each product from one empty row; tests
-check that the walker gives the same rows, in the same key order.
+cross-product walker as it built an operator disjunct's slot rows from one
+empty row and then merged the disjunct's fragment into each; tests check
+that the walker gives the same rows, in the same key order.
 `to_schema` rebuilds a schema from a normal form; tests check that
 normalizing it again accepts the same configurations.
 `reference_normalize` is normalization as it filled every constraint
@@ -778,8 +779,8 @@ def reference_emit_grid(ir, cont_samples=1, seed=0, limit=DEFAULT_BLOWUP_LIMIT):
 
 
 def reference_flat_rows(ir: SearchIR, render) -> list[dict]:
-    """space_backends._flat_rows as it started every product from one empty
-    row, and so copied its first part's rows again."""
+    """space_backends._flat_rows as it built an operator disjunct's slot
+    rows from one empty row, then merged the disjunct's fragment into each."""
     if isinstance(ir, StepMapIR):
         rows: list[dict] = [{}]
         for _, child in ir.steps:

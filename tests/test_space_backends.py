@@ -1682,7 +1682,7 @@ class TestRenderedOnce:
         # kept before is left out: by ==, yet a bool default absorbs none.
         leaf = LeafIR("r", "r", REGISTRY["KNN"], NormalForm(({"x": domain, "y": domain},)))
         ir = StepMapIR("", (("r", leaf),), wrapper=True)
-        # 8 draws scan the kept list, 40 go through a set.
+        # Few draws and many, each seed its own run of repeats.
         for cont_samples, seed in itertools.product((8, 40), range(4)):
             grid = emit_grid(ir, cont_samples, seed)
             assert repr(grid) == repr(reference_emit_grid(ir, cont_samples, seed))
