@@ -94,38 +94,23 @@ class Individual(Operator):
             raise OperatorError("trained artifacts present iff state is Trained")
 
     def _copy(self, bound: dict[str, Any], state: LifecycleState, artifacts: Any) -> Individual:
-        """This operator with new bound values, state and artifacts. Builds
-        the copy with one update of its __dict__, not the dataclass
-        __init__, so it checks the artifacts rule of __post_init__ itself;
-        the copy equals, pickles and deep-copies as a constructed one."""
+        """This operator with new bound values, state and artifacts, built
+        from its fields in field order by one update of its __dict__, not by
+        the dataclass __init__, so it checks the artifacts rule of
+        __post_init__ itself. Like `dataclasses.replace`, pickle and deepcopy
+        (`__getstate__`), it carries the fields alone, not what other modules
+        keep on the operator: a copy may bind other values."""
         if (artifacts is not None) != (state == LifecycleState.TRAINED):
             raise OperatorError("trained artifacts present iff state is Trained")
         copy = object.__new__(Individual)
-        copy.__dict__.update(self.__dict__, bound=bound, state=state, artifacts=artifacts)
-        copy.__dict__.pop(_LEAF_IRS, None)
+        copy.__dict__.update(name=self.name, schema=self.schema, bound=bound, impl=self.impl,
+                             state=state, frozen_trainable=self.frozen_trainable,
+                             frozen_trained=self.frozen_trained, artifacts=artifacts)
         return copy
 
-    def leaf_irs(self) -> dict:
-        """The search IRs compiled from this operator, which
-        space_backends keeps here by (path, unique path, keep_constraints),
-        with each whole tree this operator is the first leaf of, by
-        ("tree", shape, keep_constraints): built on first use and kept as
-        long as the operator, as `SchemaNode.normal_form` is. Equality
-        ignores them, and a copy made by `_copy`, `dataclasses.replace`,
-        pickle or deepcopy starts with none, since a copy may bind other
-        values."""
-        return self.__dict__.setdefault(_LEAF_IRS, {})
-
     def __getstate__(self) -> dict:
-        """What pickle and deepcopy copy: all but the kept IRs."""
-        if _LEAF_IRS not in self.__dict__:
-            return self.__dict__
-        state = dict(self.__dict__)
-        del state[_LEAF_IRS]
-        return state
-
-
-_LEAF_IRS = "_leaf_irs"
+        """What pickle and deepcopy copy: the fields alone."""
+        return {name: self.__dict__[name] for name in self.__dataclass_fields__}
 
 
 @dataclass(frozen=True)

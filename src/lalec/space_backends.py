@@ -64,14 +64,14 @@ class SearchIR:
     @cached_property
     def flat_count(self) -> int:
         """|emit_flat(self)|, counted on first use whatever the cap."""
-        return _flat_count(self)
+        return _sizes(self)[0]
 
     @cached_property
     def grid_slots(self) -> int:
         """The continuous domains summed over the rows of emit_flat(self),
         each of which a grid draws for, counted on first use whatever the
         cap."""
-        return _grid_slots(self)
+        return _sizes(self)[1]
 
     @cached_property
     def pcs_model(self) -> PcsSpace:
@@ -91,8 +91,9 @@ class SearchIR:
 
 @dataclass(frozen=True)
 class LeafIR(SearchIR):
-    """An operator's leaf. Its operator keeps it (`_combine_individual`),
-    so what it derives on first use below is kept across compiles."""
+    """An operator's leaf. Its operator keeps it (`_combine_individual`,
+    through `_kept`), so what it derives on first use below is kept across
+    compiles."""
 
     prefix: str   # mangled path parameters live under
     unique: str   # collision-free path for synthetic selector parameters
@@ -115,19 +116,26 @@ class LeafIR(SearchIR):
         return tuple(out)
 
     @cached_property
+    def entries(self) -> tuple[tuple[str, str, tuple[Domain, ...], SearchIR | None], ...]:
+        """Per name, in the disjuncts' order: (name, mangled key, the name's
+        domain in each disjunct, nested IR of an operator slot or None).
+        Every disjunct names the same hyperparameters, in the same order."""
+        entries = []
+        for name in self.nf.names():
+            domains = tuple(d[name] for d in self.nf.disjuncts)
+            nested = domains[0] if isinstance(domains[0], SearchIR) else None
+            entries.append((name, _join(self.prefix, name), domains, nested))
+        return tuple(entries)
+
+    @cached_property
     def point_keys(self) -> dict[str, tuple[str | None, str]]:
         """`_point_keys` of this leaf: its own parameters' keys, then its
         operator slots'. Read it, never write to it."""
-        keys: dict[str, tuple[str | None, str]] = {}
-        slots = {}
-        for disjunct in self.nf.disjuncts:
-            for name, domain in disjunct.items():
-                if isinstance(domain, SearchIR):
-                    slots.setdefault(name, domain)
-                else:
-                    keys[_join(self.prefix, name)] = self.op.name, name
-        for nested in slots.values():
-            _add_keys(keys, _point_keys(nested))
+        keys = {key: (self.op.name, name) for name, key, _, nested in self.entries
+                if nested is None}
+        for *_, nested in self.entries:
+            if nested is not None:
+                _add_keys(keys, _point_keys(nested))
         return keys
 
     @cached_property
@@ -142,11 +150,9 @@ class LeafIR(SearchIR):
             selector = (_join(self.unique, "disjunct"),
                         EnumNode(tuple(str(i) for i in range(len(disjuncts))), "0"))
         params: list = []
-        for name in (disjuncts[0] if disjuncts else ()):
-            domains = tuple(d[name] for d in disjuncts)
-            public = _join(self.prefix, name)
-            if isinstance(domains[0], SearchIR):
-                params.append(domains[0])
+        for _, public, domains, nested in self.entries:
+            if nested is not None:
+                params.append(nested)
             elif selector is None or all(_same_domain(d, domains[0]) for d in domains):
                 params.append((public, _kept(domains[0], _pcs_param),
                                ("param", public, domains), None))
@@ -155,18 +161,6 @@ class LeafIR(SearchIR):
                             _kept(domain, _pcs_param), ("param", public, (domain,)), str(index))
                            for index, domain in enumerate(domains)]
         return selector, tuple(params)
-
-    @cached_property
-    def entries(self) -> tuple[tuple[str, str, tuple[Domain, ...], SearchIR | None], ...]:
-        """Per name, built on the leaf's first decode: (name, mangled key,
-        the name's domain in each disjunct, nested IR of an operator slot or
-        None)."""
-        entries = []
-        for name in self.nf.names():
-            domains = tuple(d[name] for d in self.nf.disjuncts if name in d)
-            nested = domains[0] if isinstance(domains[0], SearchIR) else None
-            entries.append((name, _join(self.prefix, name), domains, nested))
-        return tuple(entries)
 
 
 @dataclass(frozen=True)
@@ -198,14 +192,13 @@ def combine(op: Operator, keep_constraints: bool = True) -> SearchIR:
     parameters would share one key is refused (`_point_keys`).
 
     The IR is built by the tree's first compile with `keep_constraints`
-    and kept by its first operator leaf in walk order (`Individual.leaf_irs`,
-    under `_tree_key`) with the root operator, so every later compile of
-    the same tree of the same leaves shares it and what it derives. A
-    refusal keeps nothing.
+    and kept by its first operator leaf in walk order (`_kept(leaf,
+    _compiled)`, under `_tree_key`) with the root operator, so every later
+    compile of the same tree of the same leaves shares it and what it
+    derives. A refusal keeps nothing.
     """
-    key = _tree_key(op, keep_constraints)
-    first = _first_leaf(op)
-    kept = first.leaf_irs() if first is not None else {}
+    key, first = _tree_key(op, keep_constraints)
+    kept = _kept(first, _compiled) if first is not None else {}
     entry = kept.get(key)
     if entry is not None:
         return entry[1]
@@ -220,33 +213,36 @@ def combine(op: Operator, keep_constraints: bool = True) -> SearchIR:
     return ir
 
 
-def _first_leaf(op: Operator) -> Individual | None:
-    """The tree's first operator leaf in walk order, or None for a tree
-    that holds none (an empty pipeline)."""
-    if isinstance(op, Individual):
-        return op
-    for part in op.steps if isinstance(op, Pipeline) else op.alternatives:
-        leaf = _first_leaf(part)
-        if leaf is not None:
-            return leaf
-    return None
+def _compiled(op: Individual) -> dict:
+    """A new store of the search IRs compiled from `op`, read through
+    `_kept`: each leaf IR by (path, unique path, keep_constraints), and each
+    whole tree `op` is the first leaf of, with its root operator, by
+    `_tree_key`. It lives as long as the operator; copies start without
+    one (`Individual._copy`)."""
+    return {}
 
 
-def _tree_key(op: Operator, keep: bool) -> tuple:
-    """("tree", shape, keep): the shape keys a leaf by identity, a pipeline
-    by ("P", step shapes, edges) and a choice by ("C", alternative shapes).
-    A leaf IR's key holds a path string where this one holds the shape, so
-    the two never meet in one store. Identity is safe because the kept entry
-    holds the root, and so every leaf the key names."""
+def _tree_key(op: Operator, keep: bool) -> tuple[tuple, Individual | None]:
+    """("tree", shape, keep), and the tree's first operator leaf in walk
+    order (None for a tree that holds none, an empty pipeline). The shape
+    keys a leaf by identity, a pipeline by ("P", step shapes, edges) and a
+    choice by ("C", alternative shapes). A leaf IR's key holds a path string
+    where this one holds the shape, so the two never meet in one store.
+    Identity is safe because the kept entry holds the root, and so every
+    leaf the key names."""
+    leaves = []
+
     def shape(op):
         if isinstance(op, Individual):
+            leaves.append(op)
             return id(op)
         if isinstance(op, Pipeline):
             return "P", tuple(map(shape, op.steps)), op.edges
         if isinstance(op, Choice):
             return "C", tuple(map(shape, op.alternatives))
         raise TypeError(f"not an operator: {op!r}")
-    return "tree", shape(op), keep
+    key = "tree", shape(op), keep
+    return key, leaves[0] if leaves else None
 
 
 def _step_token(op: Operator, index: int) -> str:
@@ -310,9 +306,9 @@ _EMPTY_NF = NormalForm(({},))
 
 def _combine_individual(op: Individual, path: str, unique: str, keep: bool) -> LeafIR:
     """The operator's leaf at `path`, built by its first compile there and
-    kept on the operator (`Individual.leaf_irs`), so every later compile
+    kept on the operator (`_kept(op, _compiled)`), so every later compile
     at that path shares it and what it derives. A refusal keeps nothing."""
-    kept = op.leaf_irs()
+    kept = _kept(op, _compiled)
     ir = kept.get((path, unique, keep))
     if ir is None:
         ir = kept[path, unique, keep] = _build_leaf(op, path, unique, keep)
@@ -544,17 +540,18 @@ def _draw(rng: random.Random, plan: tuple):
     return min(max(value, lo), hi)
 
 
-def _kept(leaf: EnumNode | RangeNode, build):
-    """`build(leaf)`, for a `build` that reads nothing but the schema leaf
-    `leaf`: built on first use and kept on the leaf itself under `build`'s
-    name, as `SchemaNode.normal_form` is, so it lives as long as the leaf
-    and every compile that shares the leaf shares it. It is never keyed by
-    value: EnumNode((1,), 1) == EnumNode((True,), True), and the two hash
-    alike, yet one prints 1 in PCS and the other true."""
-    kept = leaf.__dict__
+def _kept(owner: EnumNode | RangeNode | Individual, build):
+    """`build(owner)`, for a `build` that reads nothing but `owner`, a
+    schema leaf or an operator: built on first use and kept in the owner's
+    own __dict__ under `build`'s name, as `SchemaNode.normal_form` is, so it
+    lives as long as the owner and every compile that shares the owner
+    shares it. It is never keyed by value: EnumNode((1,), 1) ==
+    EnumNode((True,), True), and the two hash alike, yet one prints 1 in PCS
+    and the other true."""
+    kept = owner.__dict__
     fragment = kept.get(build.__name__)
     if fragment is None:
-        fragment = kept[build.__name__] = build(leaf)
+        fragment = kept[build.__name__] = build(owner)
     return fragment
 
 
@@ -588,38 +585,29 @@ def _largest_step(ir: StepMapIR) -> str:
     return f"; largest step: {token}, flat size {step.flat_count}"
 
 
-def _flat_count(ir: SearchIR) -> int:
-    """A product over steps, a sum over choice branches, and per leaf
-    disjunct a product over its nested operator slots, each part's count
-    kept on the part."""
+def _sizes(ir: SearchIR) -> tuple[int, int]:
+    """(rows, continuous domains over those rows) of emit_flat(ir), summed
+    over products: a step map is one product of its steps, a choice one
+    product per branch, and a leaf one product per disjunct of its operator
+    slots, each row of which also holds the disjunct's own continuous
+    domains. Over a product, rows multiply, and each factor's domains count
+    once per row of the other factors. Each part keeps its own counts."""
     if isinstance(ir, StepMapIR):
-        return math.prod(child.flat_count for _, child in ir.steps)
-    if isinstance(ir, ChoiceIR):
-        return sum(body.flat_count for _, body in ir.branches)
-    assert isinstance(ir, LeafIR)
-    return sum(math.prod(slot.flat_count for slot in slots) for _, _, slots in ir.mangled)
-
-
-def _grid_slots(ir: SearchIR) -> int:
-    """`_flat_count`'s walk, counting continuous domains: over a product,
-    each factor's count times the other factors' rows; over choice branches
-    and leaf disjuncts, a sum. Each part's count is kept on the part."""
-    if isinstance(ir, StepMapIR):
-        return _product_slots(0, [child for _, child in ir.steps])
-    if isinstance(ir, ChoiceIR):
-        return sum(body.grid_slots for _, body in ir.branches)
-    assert isinstance(ir, LeafIR)
-    return sum(_product_slots(sum(not isinstance(d, EnumNode) for d in base.values()), slots)
-               for _, base, slots in ir.mangled)
-
-
-def _product_slots(own: int, parts) -> int:
-    """The continuous domains over the rows of a product of `parts`, each
-    row also holding `own` of its own."""
-    rows, slots = 1, own
-    for part in parts:
-        rows, slots = rows * part.flat_count, slots * part.flat_count + part.grid_slots * rows
-    return slots
+        products = [(0, [child for _, child in ir.steps])]
+    elif isinstance(ir, ChoiceIR):
+        products = [(0, [body]) for _, body in ir.branches]
+    else:
+        assert isinstance(ir, LeafIR)
+        products = [(sum(not isinstance(d, EnumNode) for d in base.values()), slots)
+                    for _, base, slots in ir.mangled]
+    rows = slots = 0
+    for own, parts in products:
+        prod_rows, prod_slots = 1, own
+        for part in parts:
+            prod_rows, prod_slots = (prod_rows * part.flat_count,
+                                     prod_slots * part.flat_count + part.grid_slots * prod_rows)
+        rows, slots = rows + prod_rows, slots + prod_slots
+    return rows, slots
 
 
 def emit_flat(ir: SearchIR, limit: int = DEFAULT_BLOWUP_LIMIT) -> list[dict[str, Domain]]:
@@ -1143,9 +1131,9 @@ def decode(ir: SearchIR, point: Mapping[str, Any]) -> Operator:
 class CompiledSpace:
     """A planned operator together with its combined IR and emitters.
 
-    Decoding keeps what it derives on the object it comes from: each
-    schema's defaults on the schema (through `configure`), each leaf's
-    entries on the leaf, which its operator keeps across compiles, and the
+    Decoding reads what the objects it comes from keep: each schema's
+    defaults on the schema (through `configure`), each leaf's entries on
+    the leaf, built by its first compile and kept by its operator, and the
     PCS model on the IR, built by the first `pcs` or `decode_pcs`.
     """
 

@@ -25,6 +25,11 @@ give the same text. `reference_flat_rows` is the flat and grid emitters'
 cross-product walker as it built an operator disjunct's slot rows from one
 empty row and then merged the disjunct's fragment into each; tests check
 that the walker gives the same rows, in the same key order.
+`reference_point_keys`, `reference_pcs_plan` and `reference_entries` are
+the point keys, the PCS plan and the decode table of a leaf as each walked
+the leaf's disjuncts for names of its own; tests check that the one
+per-name table, `LeafIR.entries`, gives the same keys in the same order,
+the same plan and the same table.
 `to_schema` rebuilds a schema from a normal form; tests check that
 normalizing it again accepts the same configurations.
 `reference_normalize` is normalization as it filled every constraint
@@ -128,7 +133,10 @@ from lalec.space_backends import (
     SearchIR,
     StepMapIR,
     _join,
+    _kept,
+    _pcs_param,
     _real_bounds,
+    _same_domain,
     emit_flat,
     emit_hierarchical,
     sample_space,
@@ -803,6 +811,67 @@ def reference_flat_rows(ir: SearchIR, render) -> list[dict]:
         base = render(base)
         rows += [{**base, **extra} for extra in slot_rows]
     return rows
+
+
+def reference_point_keys(ir: SearchIR) -> dict:
+    """space_backends._point_keys of a compiled, so collision-free, IR, as
+    it walked each leaf's disjuncts in turn for their names: a key at its
+    first place, and each operator slot's nested IR from the first disjunct
+    that holds it."""
+    keys: dict = {}
+    if isinstance(ir, LeafIR):
+        slots = {}
+        for disjunct in ir.nf.disjuncts:
+            for name, domain in disjunct.items():
+                if isinstance(domain, SearchIR):
+                    slots.setdefault(name, domain)
+                else:
+                    keys[_join(ir.prefix, name)] = ir.op.name, name
+        for nested in slots.values():
+            keys.update(reference_point_keys(nested))
+    elif isinstance(ir, StepMapIR):
+        for _, child in ir.steps:
+            keys.update(reference_point_keys(child))
+    else:
+        keys[ir.discriminant] = None, ir.prefix
+        for _, body in ir.branches:
+            for key, owner in reference_point_keys(body).items():
+                keys.setdefault(key, owner)
+    return keys
+
+
+def reference_pcs_plan(leaf: LeafIR) -> tuple:
+    """LeafIR.pcs_plan as it read the first disjunct's names, and each
+    name's domain from every disjunct."""
+    disjuncts = leaf.nf.disjuncts
+    selector = None
+    if len(disjuncts) > 1:
+        selector = (_join(leaf.unique, "disjunct"),
+                    EnumNode(tuple(str(i) for i in range(len(disjuncts))), "0"))
+    params: list = []
+    for name in (disjuncts[0] if disjuncts else ()):
+        domains = tuple(d[name] for d in disjuncts)
+        public = _join(leaf.prefix, name)
+        if isinstance(domains[0], SearchIR):
+            params.append(domains[0])
+        elif selector is None or all(_same_domain(d, domains[0]) for d in domains):
+            params.append((public, _kept(domains[0], _pcs_param), ("param", public, domains), None))
+        else:
+            params += [(public if index == 0 else f"{public}__{index}",
+                        _kept(domain, _pcs_param), ("param", public, (domain,)), str(index))
+                       for index, domain in enumerate(domains)]
+    return selector, tuple(params)
+
+
+def reference_entries(leaf: LeafIR) -> tuple:
+    """LeafIR.entries as it took each name's domains from the disjuncts
+    that name it."""
+    entries = []
+    for name in leaf.nf.names():
+        domains = tuple(d[name] for d in leaf.nf.disjuncts if name in d)
+        nested = domains[0] if isinstance(domains[0], SearchIR) else None
+        entries.append((name, _join(leaf.prefix, name), domains, nested))
+    return tuple(entries)
 
 
 # ---------------------------------------------------------------------------

@@ -48,10 +48,13 @@ from oracles import (
     reference_draw_cont,
     reference_draw_cont_doc,
     reference_emit_grid,
+    reference_entries,
     reference_flat_doc,
     reference_flat_rows,
     reference_grid_params,
+    reference_pcs_plan,
     reference_pcs_sample,
+    reference_point_keys,
     serialize,
 )
 
@@ -1183,6 +1186,18 @@ def compiled_irs(unfolds=UNFOLDS):
     return compiled_spaces(unfolds).map(lambda compiled: compiled.ir)
 
 
+def _leaves(ir):
+    """Every leaf of `ir`, those of its operator slots' IRs included."""
+    if isinstance(ir, LeafIR):
+        yield ir
+        parts = [domain for disjunct in ir.nf.disjuncts for domain in disjunct.values()
+                 if isinstance(domain, SearchIR)]
+    else:
+        parts = [part for _, part in (ir.steps if isinstance(ir, StepMapIR) else ir.branches)]
+    for part in parts:
+        yield from _leaves(part)
+
+
 def _refused(emit):
     try:
         return False, emit()
@@ -1478,32 +1493,39 @@ class TestSizeFirst:
             assert peak < 1_000_000
 
     def test_a_compiled_space_is_sized_once(self, monkeypatch):
-        # The flat, PCS and grid emitters each check the cap; the IR keeps
-        # its count, refused or not, so a compiled space is counted once,
-        # and a later compile of the same tree shares the IR and its count.
+        # The flat, PCS and grid emitters each check the cap; each IR node
+        # keeps its flat count and grid slots, refused or not, so a compiled
+        # space sizes each node at most once per count it keeps, and a later
+        # compile of the same tree shares the IR and its counts.
         # A fresh registry: a tree some earlier test compiled and counted
         # is kept by its first leaf.
         registry = toyml.load_registry()
-        counted = []
-        flat_count = sb._flat_count
+        sized = []
+        sizes = sb._sizes
 
         def counting(ir):
-            counted.append(ir)
-            return flat_count(ir)
+            sized.append(ir)
+            return sizes(ir)
 
-        monkeypatch.setattr(sb, "_flat_count", counting)
+        monkeypatch.setattr(sb, "_sizes", counting)
         for op, count in ((parse_expr("Scaler >> (KNN | LR)", registry), 3),
                           (grammar_engine.unfold(_grammar("feature_union"), 4, registry),
                            366_630_275)):
             compiled = compile_space(op)
             for emit in (compiled.flat, compiled.pcs, lambda: compiled.grid(1, 0)) * 2:
                 assert _refused(emit)[0] == (count > DEFAULT_BLOWUP_LIMIT)
-            assert sum(ir is compiled.ir for ir in counted) == 1
             assert compiled.ir.flat_count == count
+            nodes = {id(ir): ir for ir in sized}
+            assert id(compiled.ir) in nodes
+            for ir in nodes.values():
+                kept = ("flat_count" in vars(ir)) + ("grid_slots" in vars(ir))
+                assert 1 <= sum(node is ir for node in sized) <= kept
+            calls = len(sized)
             again = compile_space(compiled.op)
             assert again.ir is compiled.ir
-            assert _refused(again.flat)[0] == (count > DEFAULT_BLOWUP_LIMIT)
-            assert sum(ir is compiled.ir for ir in counted) == 1
+            for emit in (again.flat, again.pcs, lambda: again.grid(1, 0)):
+                assert _refused(emit)[0] == (count > DEFAULT_BLOWUP_LIMIT)
+            assert len(sized) == calls
 
     @pytest.mark.parametrize("depth,count", [(3, 30_275), (4, 366_630_275)])
     def test_count_above_the_cap_is_exact(self, registry, depth, count):
@@ -1870,12 +1892,42 @@ class TestKeptFragments:
         for op in sources:
             # Each source, compiled alone, is its tree's first leaf and keeps
             # it, under ("tree", shape, keep) with its identity as the shape.
-            trees = {keep: op.leaf_irs()["tree", id(op), keep][1] for keep in (True, False)}
+            trees = {keep: sb._kept(op, sb._compiled)["tree", id(op), keep][1]
+                     for keep in (True, False)}
             for copied in (op._copy(op.bound, op.state, op.artifacts), dataclasses.replace(op),
                            pickle.loads(pickle.dumps(op)), copy.deepcopy(op)):
-                assert copied == op and copied.leaf_irs() == {}
+                assert copied == op and "_compiled" not in vars(copied)
                 for keep in (True, False):
                     assert sb.combine(copied, keep) is not trees[keep]
+
+    def test_copies_carry_fields_only(self, blobs):
+        # What an operator's __dict__ holds besides its fields, such as the
+        # IRs compiled from it, stays with it: every copy holds its fields
+        # alone, in field order.
+        fields = [f.name for f in dataclasses.fields(og.Individual)]
+        registry = toyml.load_registry()
+        planned = registry["KNN"]
+        trainable = configure(registry["PrunedTree"], {"maxDepth": 2})
+        for op in (planned, trainable):
+            _emitted(lambda: pipe(registry["Scaler"], op), True, 1, 0)
+            assert set(vars(op)) > set(fields)  # it keeps the IRs compiled from it
+            vars(op)["extra"] = 1
+        trained = og.fit(trainable, blobs)
+        assert list(vars(trained)) == fields
+        vars(trained)["extra"] = 1
+        copies = {
+            "configured": configure(planned, {"k": 3}),
+            "configured_empty": configure(planned, {}),
+            "frozen": freeze_trainable(planned),
+            "replaced": dataclasses.replace(planned),
+            "refitted": og.fit(configure(trained, {"C": 0.1}), blobs),
+            "frozen_trained": og.freeze_trained(trained),
+        }
+        for op in (planned, trainable, trained):
+            copies[f"pickled {op.name}"] = pickle.loads(pickle.dumps(op))
+            copies[f"deep_copied {op.name}"] = copy.deepcopy(op)
+        for name, copied in copies.items():
+            assert list(vars(copied)) == fields, name
 
     @pytest.mark.parametrize("keep", [True, False])
     def test_a_tree_of_configured_copies_meets_no_kept_tree(self, keep):
@@ -2109,6 +2161,21 @@ def _encoded_points(compiled, rng, count):
 
 
 class TestDecodePlan:
+    @settings(max_examples=150, deadline=None)
+    @given(ir=compiled_irs())
+    def test_the_per_name_table_matches_the_disjunct_walks(self, ir):
+        # Every disjunct of a leaf names the same hyperparameters, in the
+        # same order, so one table per leaf (LeafIR.entries) gives the keys,
+        # in order, the PCS plan and the decode table that walking each
+        # disjunct for its own names gave.
+        assert list(sb._point_keys(ir).items()) == list(reference_point_keys(ir).items())
+        for leaf in _leaves(ir):
+            names = [list(disjunct) for disjunct in leaf.nf.disjuncts]
+            assert all(other == names[0] for other in names)
+            assert list(leaf.point_keys.items()) == list(reference_point_keys(leaf).items())
+            assert leaf.pcs_plan == reference_pcs_plan(leaf)
+            assert leaf.entries == reference_entries(leaf)
+
     @settings(max_examples=100, deadline=None)
     @given(compiled=compiled_spaces(), seed=st.integers(0, 2**31 - 1))
     def test_decodes_like_the_reference(self, compiled, seed):
@@ -2227,18 +2294,20 @@ class TestDecodePlan:
         assert built == []
 
     def test_compiling_and_emitting_cache_no_decode_data(self):
-        # A fresh registry: a leaf that some earlier decode built its entries
-        # on is kept by its operator, so a later compile shares them.
+        # Compiling builds each leaf's per-name table, which the point keys
+        # read too; of the decode data, only the PCS emitter builds the PCS
+        # model, and decoding reuses it. A fresh registry: a tree some
+        # earlier test emitted PCS for is kept by its first leaf.
         compiled = compile_space(parse_expr("PCA >> (J48 | LR)", toyml.load_registry()))
+        pca = compiled.ir.steps[0][1]
+        leaves = [pca, *(body for _, body in compiled.ir.steps[1][1].branches)]
+        assert all("entries" in vars(leaf) for leaf in leaves)
         compiled.hierarchical()
         sb.flat_doc(compiled.flat())
         compiled.grid(2, 0)
-        pca = compiled.ir.steps[0][1]
-        leaves = [pca, *(body for _, body in compiled.ir.steps[1][1].branches)]
         assert "pcs_model" not in vars(compiled.ir)
         text = compiled.pcs()
         assert text == emit_pcs(compiled.ir)
-        assert not any("entries" in vars(leaf) for leaf in leaves)
         model = vars(compiled.ir)["pcs_model"]  # the PCS emitter keeps its model
         pcs = read_pcs(text)
         rng = random.Random(2)
@@ -2246,7 +2315,6 @@ class TestDecodePlan:
             compiled.decode(sample_space(compiled.hierarchical(), rng))
             compiled.decode_pcs(pcs.sample(rng))
         assert compiled.pcs() == text and compiled.ir.pcs_model is model
-        assert "entries" in vars(pca)
 
     def test_the_pcs_model_is_built_once_per_ir(self, monkeypatch):
         # Fresh registries: a tree's IR, and so its model, is kept by the
