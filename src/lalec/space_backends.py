@@ -91,9 +91,8 @@ class SearchIR:
 
 @dataclass(frozen=True)
 class LeafIR(SearchIR):
-    """An operator's leaf. Its operator keeps it (`_combine_individual`,
-    through `_kept`), so what it derives on first use below is kept across
-    compiles."""
+    """An operator's leaf. Its operator keeps it (`_node`, through `_kept`),
+    so what it derives on first use below is kept across compiles."""
 
     prefix: str   # mangled path parameters live under
     unique: str   # collision-free path for synthetic selector parameters
@@ -154,11 +153,10 @@ class LeafIR(SearchIR):
             if nested is not None:
                 params.append(nested)
             elif selector is None or all(_same_domain(d, domains[0]) for d in domains):
-                params.append((public, _kept(domains[0], _pcs_param),
-                               ("param", public, domains), None))
+                params.append((public, _pcs_param(domains[0]), ("param", public, domains), None))
             else:
                 params += [(public if index == 0 else f"{public}__{index}",
-                            _kept(domain, _pcs_param), ("param", public, (domain,)), str(index))
+                            _pcs_param(domain), ("param", public, (domain,)), str(index))
                            for index, domain in enumerate(domains)]
         return selector, tuple(params)
 
@@ -191,58 +189,70 @@ def combine(op: Operator, keep_constraints: bool = True) -> SearchIR:
     whose prefix is the slot's mangled path. A space in which two
     parameters would share one key is refused (`_point_keys`).
 
-    The IR is built by the tree's first compile with `keep_constraints`
-    and kept by its first operator leaf in walk order (`_kept(leaf,
-    _compiled)`, under `_tree_key`) with the root operator, so every later
-    compile of the same tree of the same leaves shares it and what it
-    derives. A refusal keeps nothing.
+    Every node, the root at path "" and each operator bound into a slot
+    among them, goes through one lookup (`_node`): built by its first
+    compile at its path with `keep_constraints` and kept, with its
+    operator, by the youngest operator leaf it names, so every later
+    compile of the node shares it and what it derives, and it dies with
+    that leaf. A refused node is not kept.
     """
-    key, first = _tree_key(op, keep_constraints)
-    kept = _kept(first, _compiled) if first is not None else {}
-    entry = kept.get(key)
-    if entry is not None:
-        return entry[1]
-    if isinstance(op, Pipeline):
-        ir = _combine_pipeline(op, "", keep_constraints)
-    else:
-        token = _step_token(op, 0)
-        child = _combine_node(op, token, token, keep_constraints)
-        ir = StepMapIR("", ((token, child),), wrapper=True)
-    _point_keys(ir)
-    kept[key] = op, ir
-    return ir
+    return _node(op, "", "", keep_constraints, {})
 
 
 def _compiled(op: Individual) -> dict:
     """A new store of the search IRs compiled from `op`, read through
-    `_kept`: each leaf IR by (path, unique path, keep_constraints), and each
-    whole tree `op` is the first leaf of, with its root operator, by
-    `_tree_key`. It lives as long as the operator; copies start without
-    one (`Individual._copy`)."""
+    `_kept`: each node whose youngest operator leaf is `op`, with the
+    node's operator, by `_node`'s key. It lives as long as the operator;
+    copies start without one (`Individual._copy`)."""
     return {}
 
 
-def _tree_key(op: Operator, keep: bool) -> tuple[tuple, Individual | None]:
-    """("tree", shape, keep), and the tree's first operator leaf in walk
-    order (None for a tree that holds none, an empty pipeline). The shape
-    keys a leaf by identity, a pipeline by ("P", step shapes, edges) and a
-    choice by ("C", alternative shapes). A leaf IR's key holds a path string
-    where this one holds the shape, so the two never meet in one store.
-    Identity is safe because the kept entry holds the root, and so every
-    leaf the key names."""
-    leaves = []
+_BIRTHS = itertools.count()
 
-    def shape(op):
-        if isinstance(op, Individual):
-            leaves.append(op)
-            return id(op)
-        if isinstance(op, Pipeline):
-            return "P", tuple(map(shape, op.steps)), op.edges
-        if isinstance(op, Choice):
-            return "C", tuple(map(shape, op.alternatives))
-        raise TypeError(f"not an operator: {op!r}")
-    key = "tree", shape(op), keep
-    return key, leaves[0] if leaves else None
+
+def _birth(op: Individual) -> int:
+    """The order in which a compile first met `op`, read through `_kept`."""
+    return next(_BIRTHS)
+
+
+def _node(op: Operator, path: str, unique: str, keep: bool, shapes: dict) -> SearchIR:
+    """The IR of `op` at `path`, kept with `op` by (shape, path, unique path,
+    keep) in the store of the youngest operator leaf the shape names
+    (`_shape`). Identity is safe because the entry holds `op`, and so every
+    leaf its key names. A node that names no leaf (an empty pipeline) is not
+    kept. The root, at path "", refuses parameters that share a key before
+    it is kept."""
+    shape, _, owner = _shape(op, shapes)
+    kept = _kept(owner, _compiled) if owner is not None else {}
+    entry = kept.get((shape, path, unique, keep))
+    if entry is None:
+        ir = _combine_node(op, path, unique, keep, shapes)
+        if not path:
+            _point_keys(ir)
+        entry = kept[shape, path, unique, keep] = op, ir
+    return entry[1]
+
+
+def _shape(op: Operator, shapes: dict) -> tuple:
+    """(shape, birth, leaf), the leaf the youngest operator leaf `op` names
+    (-1, None for none). A leaf's shape is its identity, a pipeline's ("P",
+    step shapes, edges) and a choice's ("C", alternative shapes), built
+    once per compile and kept in `shapes` by identity."""
+    if isinstance(op, Individual):
+        return id(op), _kept(op, _birth), op
+    if id(op) not in shapes:
+        pipeline = isinstance(op, Pipeline)
+        if not pipeline and not isinstance(op, Choice):
+            raise TypeError(f"not an operator: {op!r}")
+        inner, born, owner = [], -1, None
+        for child in op.steps if pipeline else op.alternatives:
+            part, birth, leaf = _shape(child, shapes)
+            inner.append(part)
+            if birth > born:
+                born, owner = birth, leaf
+        shape = ("P", tuple(inner), op.edges) if pipeline else ("C", tuple(inner))
+        shapes[id(op)] = shape, born, owner
+    return shapes[id(op)]
 
 
 def _step_token(op: Operator, index: int) -> str:
@@ -251,7 +261,7 @@ def _step_token(op: Operator, index: int) -> str:
     return f"step{index}"
 
 
-def _combine_pipeline(p: Pipeline, prefix: str, keep: bool) -> StepMapIR:
+def _combine_pipeline(p: Pipeline, prefix: str, keep: bool, shapes: dict) -> StepMapIR:
     raw = [_step_token(s, i) for i, s in enumerate(p.steps)]
     counts: dict[str, int] = {}
     for token in raw:
@@ -263,7 +273,7 @@ def _combine_pipeline(p: Pipeline, prefix: str, keep: bool) -> StepMapIR:
             seen[token] = seen.get(token, 0) + 1
             token = f"{token}_{seen[token]}"
         path = _join(prefix, token)
-        steps.append((token, _combine_node(step, path, path, keep)))
+        steps.append((token, _node(step, path, path, keep, shapes)))
     return StepMapIR(prefix, tuple(steps), p.edges)
 
 
@@ -287,32 +297,21 @@ def _branch_values(alternatives) -> list[str]:
     return out
 
 
-def _combine_node(op: Operator, path: str, unique: str, keep: bool) -> SearchIR:
-    if isinstance(op, Individual):
-        return _combine_individual(op, path, unique, keep)
-    if isinstance(op, Choice):
-        values = _branch_values(op.alternatives)
-        branches = []
-        for value, alt in zip(values, op.alternatives):
-            branches.append((value, _combine_node(alt, path, _join(path, value), keep)))
-        return ChoiceIR(path, _join(unique, "D"), tuple(branches))
+def _combine_node(op: Operator, path: str, unique: str, keep: bool, shapes: dict) -> SearchIR:
+    """The IR `_node` keeps: at the root, a lone operator as a one-step map."""
     if isinstance(op, Pipeline):
-        return _combine_pipeline(op, path, keep)
-    raise TypeError(f"not an operator: {op!r}")
+        return _combine_pipeline(op, path, keep, shapes)
+    if not path:
+        token = _step_token(op, 0)
+        return StepMapIR("", ((token, _node(op, token, token, keep, shapes)),), wrapper=True)
+    if isinstance(op, Individual):
+        return _build_leaf(op, path, unique, keep)
+    branches = tuple((value, _node(alt, path, _join(path, value), keep, shapes))
+                     for value, alt in zip(_branch_values(op.alternatives), op.alternatives))
+    return ChoiceIR(path, _join(unique, "D"), branches)
 
 
 _EMPTY_NF = NormalForm(({},))
-
-
-def _combine_individual(op: Individual, path: str, unique: str, keep: bool) -> LeafIR:
-    """The operator's leaf at `path`, built by its first compile there and
-    kept on the operator (`_kept(op, _compiled)`), so every later compile
-    at that path shares it and what it derives. A refusal keeps nothing."""
-    kept = _kept(op, _compiled)
-    ir = kept.get((path, unique, keep))
-    if ir is None:
-        ir = kept[path, unique, keep] = _build_leaf(op, path, unique, keep)
-    return ir
 
 
 def _build_leaf(op: Individual, path: str, unique: str, keep: bool) -> LeafIR:
@@ -341,7 +340,7 @@ def _build_leaf(op: Individual, path: str, unique: str, keep: bool) -> LeafIR:
                     break
                 if isinstance(value, Operator):  # admitted, so the domain is a slot
                     marker = _join(unique, name)
-                    out[name] = _combine_node(value, marker, marker, keep)
+                    out[name] = _node(value, marker, marker, keep, {})
                 # any other fixed value contributes no dimension
             elif isinstance(domain, OperatorSlotNode):
                 admitted = False  # an unbound slot cannot be searched
@@ -542,12 +541,12 @@ def _draw(rng: random.Random, plan: tuple):
 
 def _kept(owner: EnumNode | RangeNode | Individual, build):
     """`build(owner)`, for a `build` that reads nothing but `owner`, a
-    schema leaf or an operator: built on first use and kept in the owner's
-    own __dict__ under `build`'s name, as `SchemaNode.normal_form` is, so it
-    lives as long as the owner and every compile that shares the owner
-    shares it. It is never keyed by value: EnumNode((1,), 1) ==
-    EnumNode((True,), True), and the two hash alike, yet one prints 1 in PCS
-    and the other true."""
+    schema leaf or an operator (or, for `_birth`, the order of first use):
+    built on first use and kept in the owner's own __dict__ under `build`'s
+    name, as `SchemaNode.normal_form` is, so it lives as long as the owner
+    and every compile that shares the owner shares it. It is never keyed by
+    value: EnumNode((1,), 1) == EnumNode((True,), True), and the two hash
+    alike, yet one prints 1 in PCS and the other true."""
     kept = owner.__dict__
     fragment = kept.get(build.__name__)
     if fragment is None:
@@ -839,7 +838,7 @@ def _bool_places(domain: Domain) -> list[bool]:
 
 
 def _pcs_param(domain: Domain) -> EnumNode | RangeNode:
-    """The PCS parameter of a domain, read through `_kept`."""
+    """The PCS parameter of a domain, which `LeafIR.pcs_plan` keeps."""
     if isinstance(domain, EnumNode):
         # The default is spelled as the value it equals: 1 as 1.0 in {1.0, 2.0}.
         default = next((v for v in domain.values if schema_model.scalar_eq(v, domain.default)),

@@ -18,6 +18,7 @@ can meet no base record is dropped as soon as it is built.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, replace
 from typing import Any, Iterable, Mapping
 
@@ -140,10 +141,12 @@ def _domain_alternatives(node: SchemaNode, limit: int) -> list[Domain]:
 
 
 def _records(alternatives: Mapping[str, list[Domain]], limit) -> list[dict[str, Domain]]:
-    """One record per combination of each name's alternatives."""
-    names = list(alternatives)
-    combos = itertools.product(*alternatives.values())
-    return capped_list((dict(zip(names, combo)) for combo in combos), limit)
+    """One record per combination of each name's alternatives, counted
+    first: more than `limit` are refused before any is built."""
+    count = math.prod(map(len, alternatives.values()))
+    if count > limit:
+        raise BlowupExceeded(limit, f"record count {count}")
+    return [dict(zip(alternatives, combo)) for combo in itertools.product(*alternatives.values())]
 
 
 def _norm(node: SchemaNode, declared_alts, limit) -> list[dict[str, Domain]]:

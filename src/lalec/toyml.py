@@ -48,7 +48,6 @@ class LabelColumnMissing(Exception):
 class LabeledDataset:
     X: np.ndarray
     y: np.ndarray
-    column_names: tuple[str, ...] | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "X", np.asarray(self.X, dtype=float))
@@ -67,15 +66,14 @@ class LabeledDataset:
 
     def subset(self, indices) -> "LabeledDataset":
         idx = np.asarray(indices, dtype=int)
-        return _derived(self.X[idx], self.y[idx], self.column_names)
+        return _derived(self.X[idx], self.y[idx])
 
 
-def _derived(X, y, column_names=None) -> LabeledDataset:
+def _derived(X, y) -> LabeledDataset:
     """A dataset of rows taken from checked data, built without the checks:
     a training fold or a boosting sample may lack a class the data holds."""
     ds = object.__new__(LabeledDataset)
-    for field, value in (("X", X), ("y", y), ("column_names", column_names)):
-        object.__setattr__(ds, field, value)
+    ds.__dict__.update(X=X, y=y)
     return ds
 
 
@@ -904,8 +902,7 @@ def load_csv(path, label_column: str) -> LabeledDataset:
         raise BadCsv("no data rows")
     classes = sorted(set(labels))
     mapping = {c: i for i, c in enumerate(classes)}
-    names = tuple(c for i, c in enumerate(header) if i != label_idx)
-    return LabeledDataset(np.array(features), np.array([mapping[l] for l in labels]), names)
+    return LabeledDataset(np.array(features), np.array([mapping[l] for l in labels]))
 
 
 def stratified_folds(ds: LabeledDataset, k: int, seed: int) -> list[list[int]]:

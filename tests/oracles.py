@@ -133,7 +133,6 @@ from lalec.space_backends import (
     SearchIR,
     StepMapIR,
     _join,
-    _kept,
     _pcs_param,
     _real_bounds,
     _same_domain,
@@ -855,10 +854,10 @@ def reference_pcs_plan(leaf: LeafIR) -> tuple:
         if isinstance(domains[0], SearchIR):
             params.append(domains[0])
         elif selector is None or all(_same_domain(d, domains[0]) for d in domains):
-            params.append((public, _kept(domains[0], _pcs_param), ("param", public, domains), None))
+            params.append((public, _pcs_param(domains[0]), ("param", public, domains), None))
         else:
             params += [(public if index == 0 else f"{public}__{index}",
-                        _kept(domain, _pcs_param), ("param", public, (domain,)), str(index))
+                        _pcs_param(domain), ("param", public, (domain,)), str(index))
                        for index, domain in enumerate(domains)]
     return selector, tuple(params)
 

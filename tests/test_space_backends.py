@@ -1498,7 +1498,7 @@ class TestSizeFirst:
         # space sizes each node at most once per count it keeps, and a later
         # compile of the same tree shares the IR and its counts.
         # A fresh registry: a tree some earlier test compiled and counted
-        # is kept by its first leaf.
+        # is kept by its youngest leaf.
         registry = toyml.load_registry()
         sized = []
         sizes = sb._sizes
@@ -1753,6 +1753,15 @@ class TestRenderedOnce:
             assert [repr(emit()) for emit in emitters] == before
 
 
+# A freshly configured and a higher-order step after a registry step.
+FRESH_AFTER_REGISTRY = ["Scaler >> KNN(k=3)", "Scaler >> BoostedEnsemble(base=PrunedTree)"]
+
+
+def _registry_entries(registry):
+    """The entries in the IR stores of the registry's operators."""
+    return sum(len(vars(op).get("_compiled", ())) for op in registry.values())
+
+
 def _emitted(operator, keep, cont_samples, seed):
     """What `operator()` compiles to: each emission (hierarchical, flat, PCS
     and grid) or its refusal, then the decodes of hierarchical and PCS
@@ -1828,7 +1837,7 @@ class TestKeptFragments:
         for _ in range(2):
             assert _emitted(lambda: grammar_engine.sample(_grammar(name), seed, depth, REGISTRY),
                             keep, cont_samples, grid_seed) == fresh
-        # Whole trees, kept by their first leaf: the unfolded tree and the
+        # Whole trees, kept by their youngest leaf: the unfolded tree and the
         # fixed expressions, each against a registry of its own.
         trees = [lambda r, g: grammar_engine.unfold(g, 2, r)] + [
             lambda r, g, expr=expr: parse_expr(expr, r) for expr in FIXED_EXPRS]
@@ -1890,14 +1899,14 @@ class TestKeptFragments:
                 assert emitted(registry, copy.deepcopy(made[name]),
                                keep) == fresh[name, keep], name
         for op in sources:
-            # Each source, compiled alone, is its tree's first leaf and keeps
-            # it, under ("tree", shape, keep) with its identity as the shape.
-            trees = {keep: sb._kept(op, sb._compiled)["tree", id(op), keep][1]
-                     for keep in (True, False)}
+            # Each source, compiled alone, keeps its tree: a later compile of
+            # it shares that tree, and a compile of a copy does not.
+            trees = {keep: sb.combine(op, keep) for keep in (True, False)}
             for copied in (op._copy(op.bound, op.state, op.artifacts), dataclasses.replace(op),
                            pickle.loads(pickle.dumps(op)), copy.deepcopy(op)):
                 assert copied == op and "_compiled" not in vars(copied)
                 for keep in (True, False):
+                    assert sb.combine(op, keep) is trees[keep]
                     assert sb.combine(copied, keep) is not trees[keep]
 
     def test_copies_carry_fields_only(self, blobs):
@@ -1952,6 +1961,66 @@ class TestKeptFragments:
             for _ in range(2):
                 assert _emitted(lambda: tree(registry, configure(registry["KNN"], {"k": 3})),
                                 keep, 1, 0) == expected, name
+
+    @pytest.mark.parametrize("keep", [True, False])
+    def test_an_operator_twice_in_one_choice_compiles_as_two_equal_ones(self, keep):
+        # Both leaves sit at the choice's path, each with its own
+        # collision-free path, which names its disjunct selector.
+        registry = toyml.load_registry()
+        lr = registry["LR"]
+        apart = _emitted(lambda: pipe(registry["Scaler"], choose([lr, dataclasses.replace(lr)])),
+                         keep, 1, 0)
+        for _ in range(2):
+            assert _emitted(lambda: pipe(registry["Scaler"], choose([lr, lr])), keep, 1, 0) == apart
+
+    def test_a_leaf_at_another_path_with_a_collision_free_path_alike_is_another(self):
+        # A step's token is its operator's name lowercased, and a branch's
+        # value the name itself, so an operator named "x" has the
+        # collision-free path "step0__x" both as a branch of a choice at
+        # "step0" and as a step of a pipeline at "step0", whose path is
+        # "step0__x".
+        registry = toyml.load_registry()
+
+        def trees(x):
+            return [og.Pipeline((choose([x, registry["LR"]]),), ()),
+                    og.Pipeline((pipe(x, registry["LR"]),), ())]
+
+        def named_x():
+            return og.Individual("x", registry["KNN"].schema)
+
+        expected = [_emitted(lambda: trees(named_x())[i], True, 1, 0) for i in range(2)]
+        x = named_x()
+        for _ in range(2):
+            assert [_emitted(lambda: tree, True, 1, 0) for tree in trees(x)] == expected
+
+    @pytest.mark.parametrize("expr", FRESH_AFTER_REGISTRY)
+    def test_a_fresh_step_after_a_registry_step_dies_with_its_tree(self, expr):
+        # The tree is kept by its youngest operator leaf, the fresh step, so
+        # no registry operator keeps the fresh one alive.
+        registry = toyml.load_registry()
+        op = parse_expr(expr, registry)
+        fresh = weakref.ref(op.steps[1])
+        assert op.steps[0] is registry["Scaler"]
+        assert all(fresh() is not known for known in registry.values())
+        compiled = compile_space(op)
+        rng = random.Random(5)
+        decoded = [compiled.decode(sample_space(compiled.hierarchical(), rng)),
+                   compiled.decode_pcs(read_pcs(compiled.pcs()).sample(rng))]
+        del op, compiled
+        gc.collect()
+        assert fresh() is None
+        assert _registry_entries(registry) > 0 and len(decoded) == 2
+
+    def test_compiles_of_fresh_steps_keep_no_more_in_the_registry(self):
+        registry = toyml.load_registry()
+        counts = set()
+        for _ in range(2000):
+            for expr in FRESH_AFTER_REGISTRY:
+                compiled = compile_space(parse_expr(expr, registry))
+                compiled.hierarchical()
+                compiled.pcs()
+            counts.add(_registry_entries(registry))
+        assert len(counts) == 1
 
     @settings(max_examples=100, deadline=None)
     @given(source=st.integers(0, 2**32 - 1), keep=st.booleans(),
@@ -2297,7 +2366,7 @@ class TestDecodePlan:
         # Compiling builds each leaf's per-name table, which the point keys
         # read too; of the decode data, only the PCS emitter builds the PCS
         # model, and decoding reuses it. A fresh registry: a tree some
-        # earlier test emitted PCS for is kept by its first leaf.
+        # earlier test emitted PCS for is kept by its youngest leaf.
         compiled = compile_space(parse_expr("PCA >> (J48 | LR)", toyml.load_registry()))
         pca = compiled.ir.steps[0][1]
         leaves = [pca, *(body for _, body in compiled.ir.steps[1][1].branches)]
@@ -2318,7 +2387,7 @@ class TestDecodePlan:
 
     def test_the_pcs_model_is_built_once_per_ir(self, monkeypatch):
         # Fresh registries: a tree's IR, and so its model, is kept by the
-        # tree's first leaf, so the expected text comes from other leaves.
+        # tree's youngest leaf, so the expected text comes from other leaves.
         compiled = compile_space(parse_expr("PCA >> (J48 | LR)", toyml.load_registry()))
         assert sb.combine(compiled.op) is compiled.ir
         pcs = read_pcs(emit_pcs(sb.combine(parse_expr("PCA >> (J48 | LR)",
@@ -2354,10 +2423,10 @@ class TestDecodePlan:
                    sb.decode(compiled.ir, default_point(compiled.ir))]
         del compiled
         gc.collect()
-        assert ir() is not None  # kept with its tree by the tree's first leaf, Scaler
-        del registry
-        gc.collect()
+        # Kept by the tree's youngest operator leaf, the fresh BoostedEnsemble,
+        # so it dies with that leaf while the registry lives on.
         assert ir() is None
+        assert "Scaler" in registry
         assert len(decoded) == 3  # decoded operators do not hold the IR
 
 

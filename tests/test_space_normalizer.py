@@ -2,6 +2,7 @@ import itertools
 import json
 import math
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -541,6 +542,28 @@ class TestBlowupCap:
             ranges, ranges, {"type": "number", "minimum": 208.5, "maximum": 300}]})
         with pytest.raises(norm.BlowupExceeded):
             norm.normalize(schema)
+
+    @pytest.mark.parametrize("names,alternatives", [(2, 200), (3, 100), (4, 50)])
+    def test_a_product_past_the_cap_is_refused_before_it_is_built(self, names, alternatives):
+        # The base object's product, and a constraint object's after a base
+        # of one record, are counted before a record is built.
+        def properties(domain):
+            return {"type": "object", "properties": {f"p{i}": domain for i in range(names)}}
+
+        split = {"anyOf": [{"enum": [value]} for value in range(alternatives)]}
+        whole = {"enum": list(range(alternatives))}
+        message = (f"^record count {alternatives ** names} exceeds the cap of "
+                   f"{norm.DEFAULT_BLOWUP_LIMIT}$")
+        for schema in (properties(split), {"allOf": [properties(whole), properties(split)]}):
+            schema = sm.parse_schema(schema)
+            tracemalloc.start()
+            try:
+                with pytest.raises(norm.BlowupExceeded, match=message):
+                    norm.normalize(schema)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 64_000
 
     def test_object_combinations_capped_when_a_declared_domain_is_empty(self):
         # x admits nothing, so each of the constraint's 2**20 combinations

@@ -76,7 +76,6 @@ class TestCsv:
         path = tmp_path / "data.csv"
         path.write_text("a,b,label\n1,2,yes\n3,4,no\n5,6,yes\n", encoding="utf-8")
         ds = load_csv(path, "label")
-        assert ds.column_names == ("a", "b")
         assert ds.X.tolist() == [[1, 2], [3, 4], [5, 6]]
         assert ds.y.tolist() == [1, 0, 1]  # sorted label names -> class ids
 
@@ -111,7 +110,6 @@ class TestCsv:
         path = tmp_path / "data.csv"
         path.write_text("label,a\nyes,1\nno,2\n", encoding="utf-8-sig")
         ds = load_csv(path, "label")
-        assert ds.column_names == ("a",)
         assert ds.y.tolist() == [1, 0]
 
 
