@@ -8,10 +8,12 @@ discretized grid (continuous domains become categorical samples around the
 default). Points from any encoding decode back to configured operators.
 
 Name mangling joins step-path tokens with double underscores: an individual
-step contributes its lowercased operator name, a choice step contributes
-``step<index>``, and each choice adds a synthetic discriminant ``<path>__D``
-recording which alternative a point belongs to (a choice directly inside
-another takes its branch's path, ``<path>__<branch>__D``).
+step contributes its lowercased operator name, a choice step ``step<index>``.
+A branch value is the branch operator's name (else ``Pipeline`` or
+``Choice``), and `_numbered` numbers repeated tokens and values apart. A
+choice adds a discriminant ``<unique>__D`` recording a point's branch, where
+``unique`` is a collision-free path: a step's is its path, a branch's its
+choice's joined with the value (``step0__Choice__Choice__D``, three deep).
 """
 
 from __future__ import annotations
@@ -255,59 +257,52 @@ def _shape(op: Operator, shapes: dict) -> tuple:
     return shapes[id(op)]
 
 
-def _step_token(op: Operator, index: int) -> str:
-    if isinstance(op, Individual):
-        return op.name.lower()
-    return f"step{index}"
-
-
-def _combine_pipeline(p: Pipeline, prefix: str, keep: bool, shapes: dict) -> StepMapIR:
-    raw = [_step_token(s, i) for i, s in enumerate(p.steps)]
+def _numbered(names: list[str], first: int) -> list[str]:
+    """`names` numbered apart, for step tokens (`first` 1) and branch values
+    (`first` 2): from the `first`-th occurrence of a repeated name on, its
+    k-th occurrence is `<name>_<k>`, k stepping past any name already taken."""
     counts: dict[str, int] = {}
-    for token in raw:
-        counts[token] = counts.get(token, 0) + 1
-    seen: dict[str, int] = {}
-    steps = []
-    for token, step in zip(raw, p.steps):
-        if counts[token] > 1:
-            seen[token] = seen.get(token, 0) + 1
-            token = f"{token}_{seen[token]}"
-        path = _join(prefix, token)
-        steps.append((token, _node(step, path, path, keep, shapes)))
-    return StepMapIR(prefix, tuple(steps), p.edges)
-
-
-def _branch_values(alternatives) -> list[str]:
-    raw = []
-    for alt in alternatives:
-        if isinstance(alt, Individual):
-            raw.append(alt.name)
-        elif isinstance(alt, Pipeline):
-            raw.append("Pipeline")
-        else:
-            raw.append("Choice")
-    counts: dict[str, int] = {}
-    for value in raw:
-        counts[value] = counts.get(value, 0) + 1
+    for name in names:
+        counts[name] = counts.get(name, 0) + 1
+    if len(counts) == len(names):
+        return names
+    taken = set(counts) if first > 1 else {name for name, n in counts.items() if n == 1}
     seen: dict[str, int] = {}
     out = []
-    for value in raw:
-        seen[value] = seen.get(value, 0) + 1
-        out.append(value if counts[value] == 1 or seen[value] == 1 else f"{value}_{seen[value]}")
+    for name in names:
+        k, numbered = seen.get(name, 0) + 1, name
+        if counts[name] > 1 and k >= first:
+            while (numbered := f"{name}_{k}") in taken:
+                k += 1
+            taken.add(numbered)
+        seen[name] = k
+        out.append(numbered)
     return out
+
+
+def _steps(ops, prefix: str, keep: bool, shapes: dict) -> tuple[tuple[str, SearchIR], ...]:
+    """A step map's steps: each operator's IR under its numbered token."""
+    tokens = _numbered([op.name.lower() if isinstance(op, Individual) else f"step{index}"
+                        for index, op in enumerate(ops)], 1)
+    steps = []
+    for token, op in zip(tokens, ops):
+        path = _join(prefix, token)
+        steps.append((token, _node(op, path, path, keep, shapes)))
+    return tuple(steps)
 
 
 def _combine_node(op: Operator, path: str, unique: str, keep: bool, shapes: dict) -> SearchIR:
     """The IR `_node` keeps: at the root, a lone operator as a one-step map."""
     if isinstance(op, Pipeline):
-        return _combine_pipeline(op, path, keep, shapes)
+        return StepMapIR(path, _steps(op.steps, path, keep, shapes), op.edges)
     if not path:
-        token = _step_token(op, 0)
-        return StepMapIR("", ((token, _node(op, token, token, keep, shapes)),), wrapper=True)
+        return StepMapIR("", _steps((op,), "", keep, shapes), wrapper=True)
     if isinstance(op, Individual):
         return _build_leaf(op, path, unique, keep)
-    branches = tuple((value, _node(alt, path, _join(path, value), keep, shapes))
-                     for value, alt in zip(_branch_values(op.alternatives), op.alternatives))
+    values = _numbered([alt.name if isinstance(alt, Individual) else type(alt).__name__
+                        for alt in op.alternatives], 2)
+    branches = tuple((value, _node(alt, path, _join(unique, value), keep, shapes))
+                     for value, alt in zip(values, op.alternatives))
     return ChoiceIR(path, _join(unique, "D"), branches)
 
 

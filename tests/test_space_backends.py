@@ -166,12 +166,77 @@ class TestCombine:
         p = pipe(registry["NoOp"], pipe(registry["NoOp"], registry["KNN"]))
         ir = sb.combine(p)
         assert [t for t, _ in ir.steps] == ["noop_1", "noop_2", "knn"]
+        ir = sb.combine(og.Pipeline((registry["KNN"], registry["LR"], registry["KNN"]), ()))
+        assert [t for t, _ in ir.steps] == ["knn_1", "lr", "knn_2"]
 
     def test_duplicate_branch_values_suffixed(self, registry):
         c = choose([registry["KNN"], registry["KNN"], registry["LR"]])
         ir = sb.combine(c)
         (_, node), = ir.steps
         assert [v for v, _ in node.branches] == ["KNN", "KNN_2", "LR"]
+        ir = sb.combine(og.Choice((registry["KNN"], registry["LR"], registry["KNN"])))
+        (_, node), = ir.steps
+        assert [v for v, _ in node.branches] == ["KNN", "LR", "KNN_2"]
+
+    def test_numbering_steps_past_a_name_taken(self):
+        assert sb._numbered(["a"] * 3 + ["b"] * 2, 1) == ["a_1", "a_2", "a_3", "b_1", "b_2"]
+        assert sb._numbered(["a"] * 3 + ["b"] * 2, 2) == ["a", "a_2", "a_3", "b", "b_2"]
+        assert sb._numbered(["a", "a", "a_1"], 1) == ["a_2", "a_3", "a_1"]
+        assert sb._numbered(["a", "a", "a_2"], 2) == ["a", "a_3", "a_2"]
+        assert sb._numbered(["a", "a", "a_2", "a_2"], 2) == ["a", "a_3", "a_2", "a_2_2"]
+        assert sb._numbered(["a_1", "a_1", "a", "a"], 1) == ["a_1_1", "a_1_2", "a_1", "a_2"]
+
+    @given(st.lists(st.sampled_from(["a", "a_1", "a_2", "a_1_1", "b", "b_2"]), max_size=12),
+           st.sampled_from([1, 2]))
+    def test_numbered_names_are_distinct(self, names, first):
+        out = sb._numbered(names, first)
+        assert len(set(out)) == len(out) == len(names)
+        # Where plain numbering (the k-th occurrence of a repeated name is
+        # <name>_<k> from the first-th on, with no check against other
+        # names) collides with nothing, it is what comes out.
+        plain = [name if names.count(name) == 1 or names[:index].count(name) + 1 < first
+                 else f"{name}_{names[:index].count(name) + 1}"
+                 for index, name in enumerate(names)]
+        if len(set(plain)) == len(plain):
+            assert out == plain
+
+    def test_a_branch_named_like_a_numbered_one_keeps_its_own_value(self, registry):
+        lr = dataclasses.replace(registry["LR"], name="KNN_2")
+        alternatives = (registry["KNN"], registry["KNN"], lr)
+        compiled = compile_space(og.Choice(alternatives))
+        (_, node), = compiled.ir.steps
+        values = [v for v, _ in node.branches]
+        assert values == ["KNN", "KNN_3", "KNN_2"]
+        assert list(compiled.hierarchical()["steps"]["step0"]["branches"]) == values
+        assert read_pcs(compiled.pcs()).parameters["step0__D"].values == tuple(values)
+        decoded = {}
+        for row in compiled.flat():
+            point = {key: domain.values[0] if isinstance(domain, EnumNode) else domain.default
+                     for key, domain in row.items()}
+            decoded.setdefault(point["step0__D"], []).append(compiled.decode(point))
+        assert sorted(decoded) == sorted(values)
+        for value, alt in zip(values, alternatives):
+            assert all(op.name == alt.name and op.schema is alt.schema for op in decoded[value])
+        assert set(decoded["KNN_2"][0].bound) == {"solver", "penalty"}
+
+    @pytest.mark.parametrize("name", ["NoOp", "KNN"])
+    def test_a_step_named_like_a_numbered_one_keeps_its_own_token(self, registry, name):
+        steps = (registry[name], registry[name],
+                 dataclasses.replace(registry[name], name=f"{name.lower()}_1"))
+        compiled = compile_space(og.Pipeline(steps, ()))
+        tokens = [t for t, _ in compiled.ir.steps]
+        assert tokens == [f"{name.lower()}_2", f"{name.lower()}_3", f"{name.lower()}_1"]
+        assert list(compiled.hierarchical()["steps"]) == tokens
+        read_pcs(compiled.pcs())
+        for row in compiled.flat():
+            point = {key: domain.values[0] if isinstance(domain, EnumNode) else domain.default
+                     for key, domain in row.items()}
+            if name == "KNN":  # each step reads its own keys
+                point.update({f"{token}__k": k for k, token in enumerate(tokens, 1)})
+            decoded = compiled.decode(point)
+            assert [op.name for op in decoded.steps] == [op.name for op in steps]
+            if name == "KNN":
+                assert [op.bound["k"] for op in decoded.steps] == [1, 2, 3]
 
 
 # An operator whose hyperparameter D mangles, under a choice, to the
@@ -234,6 +299,28 @@ class TestPointKeys:
                      for key, domain in row.items()}
             names.add(nested.decode(point).name)
         assert names == {"KNN", "LR", "J48"}
+        # Three levels deep: each choice's discriminant extends its branch's
+        # collision-free path, so all three stay apart.
+        nested = compile_space(og.Choice((og.Choice((og.Choice(
+            (registry["KNN"], registry["LR"])), registry["J48"])), registry["PCA"])))
+        (_, outer), = nested.ir.steps
+        middle = dict(outer.branches)["Choice"]
+        inner = dict(middle.branches)["Choice"]
+        assert (outer.discriminant, middle.discriminant, inner.discriminant) == (
+            "step0__D", "step0__Choice__D", "step0__Choice__Choice__D")
+        leaves = {"KNN", "LR", "J48", "PCA"}
+        rng = random.Random(1)
+        doc = nested.hierarchical()
+        assert {nested.decode(sample_space(doc, rng)).name for _ in range(60)} == leaves
+        flat_names = set()
+        for row in nested.flat():
+            point = {key: (domain.values[0] if isinstance(domain, EnumNode) else domain.default)
+                     for key, domain in row.items()}
+            flat_names.add(nested.decode(point).name)
+        assert flat_names == leaves
+        space = read_pcs(nested.pcs())
+        assert {nested.decode_pcs(space.sample(rng)).name for _ in range(60)} == leaves
+        assert {nested.decode(cell).name for cell in sb.grid_cells(nested.grid())} == leaves
 
 
 class TestFlat:
