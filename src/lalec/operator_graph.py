@@ -128,16 +128,6 @@ class Pipeline(Operator):
             if not 0 <= i < j < n:
                 raise OperatorError(f"edge ({i}, {j}) must run forward: 0 <= i < j < {n}")
 
-    @staticmethod
-    def _unchecked(steps: tuple[Operator, ...], edges: tuple[tuple[int, int], ...]) -> Pipeline:
-        """A pipeline whose edges were checked already against as many
-        steps. Built as Individual._copy builds copies, with one update of
-        its __dict__ and no __post_init__; it equals, pickles and deep-copies
-        as a constructed one."""
-        pipeline = object.__new__(Pipeline)
-        pipeline.__dict__.update(steps=steps, edges=edges)
-        return pipeline
-
     def predecessors(self, index: int) -> tuple[int, ...]:
         return tuple(i for i, j in self.edges if j == index)
 
@@ -408,8 +398,7 @@ def fit(op: Operator, data) -> Operator:
     as it is.
     """
     _check_fittable(op)
-    X, y = np.asarray(data.X, dtype=float), np.asarray(data.y)
-    return _fit_node(op, X, y, as_feature=False)[0]
+    return _run(op, np.asarray(data.X, dtype=float), np.asarray(data.y), None)[0]
 
 
 def fit_predict_many(ops, datasets, held_out, store: dict) -> list:
@@ -555,26 +544,33 @@ def _contains_choice(op: Operator) -> bool:
     return False
 
 
-def _fit_node(op: Operator, X, y, as_feature: bool):
-    """A copy of ``op`` trained on ``(X, y)``, and op's output on ``X`` as
-    a feature if ``as_feature``, else None."""
+def _run(op: Operator, X, y, want):
+    """A copy of ``op`` with every step but a frozen trained one fitted on
+    ``(X, y)``, and op's output on ``X``: None if ``want`` is None, what a
+    successor sees if it is ``"feature"``, its sinks' predictions if it is
+    ``"labels"``. A step is applied only when its output is wanted."""
     if isinstance(op, Individual):
         impl = implementation_of(op)
         if not (op.frozen_trained and op.state == LifecycleState.TRAINED):
             [[artifacts]] = impl.fit([(effective_config(op), [(X, y)], None)])
             op = op._copy(op.bound, LifecycleState.TRAINED, artifacts)
-        return op, (_step_output(impl, op.artifacts, X) if as_feature else None)
-    assert isinstance(op, Pipeline)
+        if want is None:
+            return op, None
+        if want == "feature":
+            return op, _step_output(impl, op.artifacts, X)
+        return op, impl.apply(op.artifacts, X)
+    if isinstance(op, Choice):
+        raise UnresolvedChoice("cannot predict with an unresolved choice")
     outputs: dict[int, list] = {}
     trained_steps = []
     op_sinks = sinks(op)
     for index, step in enumerate(op.steps):
         step_input = _input_for(op.predecessors(index), outputs, [X])[0]
-        trained, output = _fit_node(step, step_input, y, as_feature or index not in op_sinks)
+        trained, output = _run(step, step_input, y, want if index in op_sinks else "feature")
         trained_steps.append(trained)
         outputs[index] = [output]
     trained = Pipeline(tuple(trained_steps), op.edges)
-    return trained, (_input_for(op_sinks, outputs, [X])[0] if as_feature else None)
+    return trained, (_input_for(op_sinks, outputs, [X])[0] if want else None)
 
 
 def _score_node(op: Operator, Xs, ys, key, store: dict, final: bool):
@@ -726,27 +722,14 @@ def _read_only(value):
 
 
 def predict(op: Operator, X):
-    """Apply a trained operator: transformers map features, estimators label."""
+    """Apply a trained operator: transformers map features, estimators
+    label. Predicting is fitting a frozen trained copy, which fits nothing
+    and applies every step once."""
     if state_of(op) != LifecycleState.TRAINED:
         raise NotTrained("operator is not trained")
     X = np.asarray(getattr(X, "X", X), dtype=float)
     _only_sink(op)
-    return _predict_node(op, X, as_feature=False)
-
-
-def _predict_node(op: Operator, X, as_feature: bool):
-    if isinstance(op, Individual):
-        impl = implementation_of(op)
-        return _step_output(impl, op.artifacts, X) if as_feature else impl.apply(op.artifacts, X)
-    if isinstance(op, Choice):
-        raise UnresolvedChoice("cannot predict with an unresolved choice")
-    assert isinstance(op, Pipeline)
-    op_sinks = sinks(op)
-    outputs: dict[int, list] = {}
-    for index, step in enumerate(op.steps):
-        step_input = _input_for(op.predecessors(index), outputs, [X])[0]
-        outputs[index] = [_predict_node(step, step_input, as_feature or index not in op_sinks)]
-    return _input_for(op_sinks, outputs, [X])[0]
+    return _run(freeze_trained(op), X, None, "labels")[1]
 
 
 def auto_configure(op: Operator, data, spec=None, *, folds: int = 3,

@@ -1092,13 +1092,13 @@ def _coerce(domains, value):
 def decode(ir: SearchIR, point: Mapping[str, Any]) -> Operator:
     """Rebuild the configured operator a point denotes: resolve choices by
     their discriminants, bind leaf values, instantiate bound slots. A step
-    map's edges were checked by the pipeline it was combined from, so its
-    pipeline is rebuilt without checking them again."""
+    map's pipeline is built by the one constructor, which checks its edges
+    again."""
     if isinstance(ir, StepMapIR):
         decoded = [decode(child, point) for _, child in ir.steps]
         if ir.wrapper:
             return decoded[0]
-        return Pipeline._unchecked(tuple(decoded), ir.edges)
+        return Pipeline(tuple(decoded), ir.edges)
     if isinstance(ir, ChoiceIR):
         value = point.get(ir.discriminant)
         if value is None:

@@ -77,10 +77,14 @@ def _derived(X, y) -> LabeledDataset:
     return ds
 
 
-def _matrix(X):
+def _matrix(X, width=None):
+    """X as floats; given a width, a matrix of that many columns or ShapeMismatch."""
     if isinstance(X, tuple):
         raise ShapeMismatch("only a Concat step accepts multiple inputs")
-    return np.asarray(X, dtype=float)
+    X = np.asarray(X, dtype=float)
+    if width is not None and (X.ndim != 2 or X.shape[1] != width):
+        raise ShapeMismatch(f"expected a matrix of {width} columns, got shape {X.shape}")
+    return X
 
 
 # ---------------------------------------------------------------------------
@@ -107,7 +111,7 @@ def _fit_standard_scaler(config, X, y):
 
 
 def _apply_standard_scaler(artifacts, X):
-    return (_matrix(X) - artifacts["mean"]) / artifacts["scale"]
+    return (_matrix(X, len(artifacts["mean"])) - artifacts["mean"]) / artifacts["scale"]
 
 
 def _fit_minmax_scaler(config, X, y):
@@ -119,7 +123,7 @@ def _fit_minmax_scaler(config, X, y):
 
 
 def _apply_minmax_scaler(artifacts, X):
-    return (_matrix(X) - artifacts["lo"]) / artifacts["span"]
+    return (_matrix(X, len(artifacts["lo"])) - artifacts["lo"]) / artifacts["span"]
 
 
 def _fit_select_k_variance(config, X, y):
@@ -128,11 +132,11 @@ def _fit_select_k_variance(config, X, y):
     k = max(1, min(k, X.shape[1]))
     variances = X.var(axis=0)
     ranked = sorted(range(X.shape[1]), key=lambda j: (-variances[j], j))
-    return {"columns": np.array(sorted(ranked[:k]), dtype=int)}
+    return {"columns": np.array(sorted(ranked[:k]), dtype=int), "width": X.shape[1]}
 
 
 def _apply_select_k_variance(artifacts, X):
-    return _matrix(X)[:, artifacts["columns"]]
+    return _matrix(X, artifacts["width"])[:, artifacts["columns"]]
 
 
 def _fit_concat(config, X, y):
@@ -141,8 +145,8 @@ def _fit_concat(config, X, y):
 
 def _apply_concat(artifacts, X):
     parts = X if isinstance(X, tuple) else (X,)
-    columns = [np.asarray(p, dtype=float).reshape(len(p), -1) for p in parts]
-    return np.hstack(columns)
+    columns = [np.asarray(p, dtype=float) for p in parts]
+    return np.hstack([c.reshape(len(c), math.prod(c.shape[1:])) for c in columns])
 
 
 # ---------------------------------------------------------------------------
@@ -178,7 +182,8 @@ def _neighbour_table(config, X, y, held_out):
     order are a prefix of this one for every k up to its width. The
     distances are kept, not recomputed from the order: that would not always
     give the same bits."""
-    order, d2 = _smallest_k(_distances(_matrix(held_out), _matrix(X)), min(KNN_TABLE_K, len(X)))
+    X = _matrix(X)
+    order, d2 = _smallest_k(_distances(_matrix(held_out, X.shape[1]), X), min(KNN_TABLE_K, len(X)))
     order = order.astype(np.int32)
     order.flags.writeable = d2.flags.writeable = False
     return order, d2
@@ -224,12 +229,13 @@ def _votes(labels, weights, n_classes):
 
 def _apply_knn(artifacts, X):
     train_X, train_y = artifacts["X"], artifacts["y"]
+    X = _matrix(X, train_X.shape[1])
     k = max(1, min(artifacts["k"], len(train_X)))
     table, held_out = artifacts.get("neighbours", (None, None))
     if table is not None and X is held_out and k <= table[0].shape[1]:
         order, nearest = table[0][:, :k], table[1][:, :k]
     else:
-        order, nearest = _smallest_k(_distances(_matrix(X), train_X), k)
+        order, nearest = _smallest_k(_distances(X, train_X), k)
     if artifacts["weighting"] == "distance":
         w = 1.0 / (np.sqrt(nearest) + 1e-12)
     else:
@@ -546,7 +552,7 @@ def _logreg_descent(descents, penalty, solver):
 
 
 def _apply_logreg(artifacts, X):
-    X = _matrix(X)
+    X = _matrix(X, artifacts["weights"].shape[1] - 1)
     Xb = np.hstack([X, np.ones((len(X), 1))])
     scores = Xb @ artifacts["weights"].T
     if artifacts["n_classes"] == 2:
@@ -726,18 +732,19 @@ def _fit_pruned_tree(config, X, y, shared=None):
     else:
         z = NormalDist().inv_cdf(1.0 - min(max(float(confidence), 1e-6), 0.499999))
         tree, _ = _prune_pessimistic(tree, z)
-    return {"tree": tree, "n_classes": int(y.max()) + 1}
+    return {"tree": tree, "n_classes": int(y.max()) + 1, "width": X.shape[1]}
 
 
 def _apply_tree(artifacts, X):
-    return _tree_predict(artifacts["tree"], _matrix(X))
+    return _tree_predict(artifacts["tree"], _matrix(X, artifacts["width"]))
 
 
 def _fit_stump(config, X, y):
     X = _matrix(X)
     y = np.asarray(y, dtype=int)
     n_classes = int(y.max()) + 1
-    return {"tree": _grow_tree(X, y, n_classes, 0, 1), "n_classes": n_classes}
+    return {"tree": _grow_tree(X, y, n_classes, 0, 1), "n_classes": n_classes,
+            "width": X.shape[1]}
 
 
 # ---------------------------------------------------------------------------
@@ -906,22 +913,26 @@ def load_csv(path, label_column: str) -> LabeledDataset:
 
 
 def stratified_folds(ds: LabeledDataset, k: int, seed: int) -> list[list[int]]:
+    """k folds dealt from each class's rows in turn, each class shuffled by
+    one seeded generator: the t-th row dealt goes to fold t % k."""
     if k < 2 or k > len(ds.y):
         raise ValueError("folds must satisfy 2 <= k <= n")
     rng = random.Random(seed)
-    folds: list[list[int]] = [[] for _ in range(k)]
+    order: list[int] = []
     for cls in range(ds.n_classes):
         idx = [int(i) for i in np.flatnonzero(ds.y == cls)]
         rng.shuffle(idx)
-        for i in idx:
-            smallest = min(range(k), key=lambda f: (len(folds[f]), f))
-            folds[smallest].append(i)
-    return folds
+        order += idx
+    return [order[f::k] for f in range(k)]
 
 
 def accuracy(predictions, labels) -> float:
+    """The share of predictions equal to their labels, shaped alike or ShapeMismatch."""
     predictions = np.asarray(predictions)
     labels = np.asarray(labels)
+    if predictions.shape != labels.shape:
+        raise ShapeMismatch(f"predictions of shape {predictions.shape} "
+                            f"for labels of shape {labels.shape}")
     return float((predictions == labels).mean())
 
 
@@ -942,12 +953,10 @@ class CvSplits(list):
 
 
 def cv_splits(ds: LabeledDataset, k: int, seed: int = 0) -> CvSplits:
-    """Split the data once into (train subset, test X, test y) per nonempty
+    """Split the data once into (train subset, test X, test y) per
     stratified fold, rows in ascending order within each part."""
     splits = []
     for fold in stratified_folds(ds, k, seed):
-        if not fold:
-            continue
         test = np.array(sorted(fold), dtype=int)
         train = np.setdiff1d(np.arange(len(ds.y)), test)
         splits.append((ds.subset(train), ds.X[test], ds.y[test]))

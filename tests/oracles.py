@@ -68,6 +68,12 @@ the end of a text that ends inside a comment.
 `reference_lockstep_descent` is LogRegGD's lockstep as it made two `.dot`
 calls per segment on each input as given; tests check that the stacked
 lockstep gives the same weights, bit for bit.
+`reference_predict` is prediction as its own walk over the trained
+operator, before it ran fit's walk over a frozen trained copy; tests check
+that both give the same predictions, bit for bit.
+`reference_stratified_folds` deals each row to the smallest fold, lowest
+index first, by a scan of every fold; tests check that dealing row t to
+fold t % k gives the same folds.
 """
 
 import functools
@@ -354,6 +360,48 @@ def reference_cross_val_score(op, splits) -> float:
     scores = [toyml.accuracy(og.predict(og.fit(op, train), test_X), test_y)
               for train, test_X, test_y in splits]
     return float(np.mean(scores))
+
+
+def reference_predict(op: Operator, X):
+    """operator_graph.predict as a walk of its own over the trained steps."""
+    if og.state_of(op) != og.LifecycleState.TRAINED:
+        raise og.NotTrained("operator is not trained")
+    X = np.asarray(getattr(X, "X", X), dtype=float)
+    og._only_sink(op)
+    return _reference_predict_node(op, X, as_feature=False)
+
+
+def _reference_predict_node(op: Operator, X, as_feature: bool):
+    if isinstance(op, Individual):
+        impl = og.implementation_of(op)
+        if as_feature:
+            return og._step_output(impl, op.artifacts, X)
+        return impl.apply(op.artifacts, X)
+    if isinstance(op, Choice):
+        raise og.UnresolvedChoice("cannot predict with an unresolved choice")
+    assert isinstance(op, Pipeline)
+    op_sinks = og.sinks(op)
+    outputs: dict[int, list] = {}
+    for index, step in enumerate(op.steps):
+        step_input = og._input_for(op.predecessors(index), outputs, [X])[0]
+        outputs[index] = [_reference_predict_node(step, step_input,
+                                                  as_feature or index not in op_sinks)]
+    return og._input_for(op_sinks, outputs, [X])[0]
+
+
+def reference_stratified_folds(ds, k: int, seed: int) -> list[list[int]]:
+    """toyml.stratified_folds as it scanned every fold for the smallest."""
+    if k < 2 or k > len(ds.y):
+        raise ValueError("folds must satisfy 2 <= k <= n")
+    rng = random.Random(seed)
+    folds: list[list[int]] = [[] for _ in range(k)]
+    for cls in range(ds.n_classes):
+        idx = [int(i) for i in np.flatnonzero(ds.y == cls)]
+        rng.shuffle(idx)
+        for i in idx:
+            smallest = min(range(k), key=lambda f: (len(folds[f]), f))
+            folds[smallest].append(i)
+    return folds
 
 
 # ---------------------------------------------------------------------------

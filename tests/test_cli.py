@@ -407,6 +407,17 @@ class TestSearch:
         history = json.loads(history_file.read_text())
         assert len(history["trials"]) == 27
 
+    def test_a_transformer_final_pipeline_has_no_valid_trial(self, tmp_path, capsys):
+        # Its predictions are feature columns, not one label per row.
+        history_file = tmp_path / "history.json"
+        code = run_cli(["search", "--expr", "Scaler >> SelectKVariance",
+                        "--synth", "blobs,60,0", "--max-trials", "5",
+                        "--out", str(history_file)])
+        assert code == 4
+        assert "no valid trial in 5 attempts" in capsys.readouterr().out
+        history = json.loads(history_file.read_text())
+        assert {t["status"] for t in history["trials"]} == {opt.RUNTIME_ERROR}
+
     def test_grid_counts_match_cells(self, tmp_path, capsys):
         history_file = tmp_path / "history.json"
         code = run_cli(["search", "--expr", "Scaler >> (J48 | LR)",

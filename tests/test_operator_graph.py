@@ -36,6 +36,7 @@ from oracles import (
     reference_configure,
     reference_copy,
     reference_cross_val_score,
+    reference_predict,
 )
 
 
@@ -604,6 +605,87 @@ class TestFitEach:
         for fitted in (op, pipe(op, configure(registry["KNN"], {}))):
             with pytest.raises(og.OperatorError, match="artifacts present iff state is Trained"):
                 fit(fitted, blobs)
+
+
+# ---------------------------------------------------------------------------
+# Predicting: fit's walk over a frozen trained copy
+
+
+# The steps of a drawn pipeline: transformers, and estimators, whose labels
+# a successor reads as a feature column.
+WALK_TRANSFORMERS = (("Scaler", {}), ("MinMaxScaler", {}), ("NoOp", {}),
+                     ("SelectKVariance", {"k": 1}), ("SelectKVariance", {"k": 3}))
+WALK_ESTIMATORS = (("KNN", {"k": 3}), ("LogRegGD", {"iterations": 10}),
+                   ("DecisionStump", {}), ("PrunedTree", {"maxDepth": 2}))
+
+
+def _chain(*ops):
+    """The operators as one pipeline's steps in a chain; a pipeline among
+    them stays one nested step."""
+    return Pipeline(tuple(ops), tuple((i, i + 1) for i in range(len(ops) - 1)))
+
+
+@st.composite
+def walk_pipelines(draw, registry, depth=2):
+    """A pipeline whose labels come from one final estimator, with nested
+    pipelines, Concat merges of two or three branches, and estimators
+    before the final one."""
+    def step(kinds):
+        name, config = draw(st.sampled_from(kinds))
+        return configure(registry[name], config)
+
+    def features(depth):
+        shapes = ("step", "estimator", "nested", "merge") if depth else ("step", "estimator")
+        shape = draw(st.sampled_from(shapes))
+        if shape == "step":
+            return step(WALK_TRANSFORMERS)
+        if shape == "estimator":
+            return step(WALK_ESTIMATORS)
+        if shape == "nested":
+            return _chain(features(depth - 1), features(depth - 1))
+        branches = tuple(features(depth - 1) for _ in range(draw(st.integers(2, 3))))
+        return Pipeline(branches + (configure(registry["Concat"], {}),),
+                        tuple((i, len(branches)) for i in range(len(branches))))
+
+    final = step(WALK_ESTIMATORS)
+    if draw(st.booleans()):
+        final = _chain(features(depth - 1), final)  # the sink is a nested pipeline
+    return _chain(*(features(depth) for _ in range(draw(st.integers(0, 2)))), final)
+
+
+def _freeze_some(op, trained, pick):
+    """``op`` with each step for which ``pick()`` is true replaced by its
+    frozen trained copy in ``trained``, op fitted on other data."""
+    if isinstance(op, og.Individual):
+        return freeze_trained(trained) if pick() else op
+    return Pipeline(tuple(_freeze_some(step, fitted, pick)
+                          for step, fitted in zip(op.steps, trained.steps)), op.edges)
+
+
+class TestPredictRunsFitsWalk:
+    @given(data=st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_predictions_equal_the_reference_bit_for_bit(self, registry, data):
+        kind = data.draw(st.sampled_from(("blobs", "xor", "threeClass")))
+        sizes = data.draw(st.tuples(st.integers(12, 50), st.integers(12, 50)))
+        seeds = data.draw(st.tuples(st.integers(0, 2**16), st.integers(0, 2**16)))
+        train, other = (_three_class(n, seed) if kind == "threeClass"
+                        else toyml.synth_dataset(kind, n, seed) for n, seed in zip(sizes, seeds))
+        op = data.draw(walk_pipelines(registry))
+        frozen = _freeze_some(op, fit(op, other), lambda: data.draw(st.booleans()))
+        trained = fit(frozen, train)
+        for X in (train.X, other.X):
+            _same_bytes(predict(trained, X), reference_predict(trained, X))
+
+    def test_a_choice_in_a_trained_pipeline_is_refused_by_the_walk(self, ops, blobs):
+        scaler = fit(configure(ops["Scaler"], {}), blobs)
+        choice = Choice(tuple(fit(configure(ops[name], {}), blobs) for name in ("KNN", "LR")))
+        trained = _chain(scaler, choice)
+        assert state_of(trained) == LifecycleState.TRAINED
+        for run in (predict, reference_predict):
+            with pytest.raises(og.UnresolvedChoice,
+                               match="^cannot predict with an unresolved choice$"):
+                run(trained, blobs.X)
 
 
 # ---------------------------------------------------------------------------

@@ -2420,7 +2420,9 @@ class TestDecodePlan:
         monkeypatch.setattr(og.Pipeline, "__post_init__",
                             lambda self: checks.append(self) or check(self))
         decoded = [compiled.decode(point) for compiled, point in points]
-        assert checks == []
+        # Each decoded pipeline runs its one edge check, in the constructor.
+        assert len(checks) == len(decoded) and all(c is op for c, op in zip(checks, decoded))
+        del checks[:]
         for op, (compiled, point) in zip(decoded, points):
             built = reference_decode(compiled.ir, point)
             assert type(op) is og.Pipeline and op == built

@@ -30,6 +30,7 @@ from oracles import (
     reference_cross_val_score,
     reference_fit_pruned_tree,
     reference_lockstep_descent,
+    reference_stratified_folds,
 )
 
 
@@ -121,6 +122,17 @@ class TestSplits:
         assert all_indices == list(range(60))
         assert {len(f) for f in folds} == {12}
 
+    @given(labels=st.lists(st.integers(0, 4), min_size=8, max_size=200),
+           k=st.integers(2, 12), seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=200, deadline=None)
+    def test_folds_equal_the_smallest_fold_reference(self, labels, k, seed):
+        _, y = np.unique(labels, return_inverse=True)  # contiguous class ids
+        ds = LabeledDataset(np.zeros((len(y), 1)), y)
+        k = min(k, len(y))
+        folds = stratified_folds(ds, k, seed)
+        assert folds == reference_stratified_folds(ds, k, seed)
+        assert max(map(len, folds)) - min(map(len, folds)) <= 1
+
     def test_leave_one_out_matches_brute_force(self, registry):
         # LOO with 1-NN: each point takes the label of its nearest other point.
         ds = synth_dataset("moonsApprox", 24, 7)
@@ -144,6 +156,55 @@ class TestSplits:
         trained = og.freeze_trained(fit(configure(registry["KNN"], {"k": 3}), blobs))
         score = cross_val_score(trained, cv_splits(blobs, 4))
         assert score == pytest.approx(accuracy(predict(trained, blobs.X), blobs.y))
+
+
+class TestShapes:
+    """A fitted step refuses input of another width, and scoring refuses
+    predictions that are not one label per row."""
+
+    # The steps fitted per implementation: NoOp and Concat are checked by
+    # the step after them, BoostedEnsemble by its members.
+    WIDTH_CASES = {
+        "noop": ("NoOp", "KNN"),
+        "standard_scaler": ("StandardScaler",),
+        "minmax_scaler": ("MinMaxScaler",),
+        "select_k_variance": ("SelectKVariance",),
+        "concat": ("Concat", "LogRegGD"),
+        "knn": ("KNN",),
+        "logreg_gd": ("LogRegGD",),
+        "pruned_tree": ("PrunedTree",),
+        "decision_stump": ("DecisionStump",),
+        "boosted_ensemble": ("BoostedEnsemble",),
+    }
+
+    def test_every_implementation_has_a_case(self):
+        assert set(self.WIDTH_CASES) == set(og.IMPLEMENTATIONS)
+
+    @pytest.mark.parametrize("impl", sorted(WIDTH_CASES))
+    def test_a_fitted_step_refuses_input_of_another_width(self, registry, blobs, impl):
+        op = functools.reduce(og.pipe, [configure(registry[name], {})
+                                        for name in self.WIDTH_CASES[impl]])
+        trained = fit(op, blobs)
+        for X in (blobs.X[:, :1], blobs.X[:, :3], np.hstack([blobs.X, blobs.X]), blobs.X[0]):
+            with pytest.raises(og.ShapeMismatch, match=r"^expected a matrix of 6 columns, "
+                                                       r"got shape \("):
+                predict(trained, X)
+        assert len(predict(trained, blobs.X[:0])) == 0  # no rows still predict
+
+    def test_accuracy_refuses_predictions_not_shaped_like_the_labels(self):
+        assert accuracy([0, 1, 1], [0, 1, 0]) == pytest.approx(2 / 3)
+        for predictions in ([[0], [1], [1]], [[0, 1, 1]], [0, 1], 1):
+            with pytest.raises(og.ShapeMismatch, match="^predictions of shape"):
+                accuracy(predictions, [0, 1, 0])
+
+    def test_a_transformer_final_pipeline_gets_no_score(self, registry):
+        splits = cv_splits(synth_dataset("blobs", 60, 0), 3)
+        select = configure(registry["SelectKVariance"], {"k": 1})
+        for op in (og.pipe(configure(registry["KNN"], {}), select), select):
+            with pytest.raises(og.ShapeMismatch, match="^predictions of shape"):
+                cross_val_score(op, splits)
+            with pytest.raises(og.ShapeMismatch, match="^predictions of shape"):
+                reference_cross_val_score(op, splits)
 
 
 class TestOperators:
